@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
+#include "model/test_model.hpp"
+#include "runtime/rng.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "testmodel/testmodel.hpp"
 #include "tour/tour.hpp"
@@ -186,6 +189,207 @@ TEST(SymbolicTour, MatchesExplicitTransitionCountOnControlModel) {
                    static_cast<double>(
                        em.machine.num_defined_transitions()));
   EXPECT_DOUBLE_EQ(tour.transitions_covered, tour.transitions_total);
+}
+
+// ---- golden walks ----------------------------------------------------------
+// The pins below were recorded from the pre-image-layer walk; any rewrite of
+// the navigation must reproduce every yielded sequence exactly.
+
+/// splitmix64 over each sequence's size and then each step's packed input —
+/// the scheme simbench uses for its symbolic_tour input hash.
+std::uint64_t input_hash(const SymbolicTourResult& tour) {
+  std::uint64_t h = 0;
+  for (const auto& seq : tour.sequences) {
+    h = runtime::splitmix64(h ^ seq.size());
+    for (const auto& step : seq) {
+      h = runtime::splitmix64(h ^ model::TestModel::pack_bits(step));
+    }
+  }
+  return h;
+}
+
+/// Every recorded sequence as packed input keys.
+std::vector<std::vector<std::uint64_t>> packed_sequences(
+    const SymbolicTourResult& tour) {
+  std::vector<std::vector<std::uint64_t>> out;
+  for (const auto& seq : tour.sequences) {
+    auto& packed = out.emplace_back();
+    for (const auto& step : seq) {
+      packed.push_back(model::TestModel::pack_bits(step));
+    }
+  }
+  return out;
+}
+
+struct TourPin {
+  std::size_t steps;
+  std::size_t restarts;
+  std::size_t sequences;
+  std::uint64_t hash;
+  double states_visited;
+  double transitions_covered;
+  bool complete;
+};
+
+void expect_pin(const SymbolicTourResult& tour, const TourPin& pin) {
+  EXPECT_EQ(tour.steps, pin.steps);
+  EXPECT_EQ(tour.restarts, pin.restarts);
+  EXPECT_EQ(tour.sequences.size(), pin.sequences);
+  EXPECT_EQ(input_hash(tour), pin.hash);
+  EXPECT_DOUBLE_EQ(tour.stats.states_visited, pin.states_visited);
+  EXPECT_DOUBLE_EQ(tour.stats.transitions_covered, pin.transitions_covered);
+  EXPECT_DOUBLE_EQ(tour.transitions_covered, pin.transitions_covered);
+  EXPECT_EQ(tour.complete, pin.complete);
+}
+
+SymbolicTourResult tour_of(const SequentialCircuit& c,
+                           std::size_t max_steps = 10'000'000) {
+  bdd::BddManager mgr;
+  SymbolicFsm fsm(mgr, c);
+  SymbolicTourOptions opt;
+  opt.max_steps = max_steps;
+  return symbolic_transition_tour(fsm, opt);
+}
+
+/// n-bit incrementer outputs of the little-endian vector q.
+std::vector<SignalId> increment(LogicNetwork& net,
+                                const std::vector<SignalId>& q) {
+  std::vector<SignalId> out;
+  SignalId carry = net.constant(true);
+  for (const SignalId bit : q) {
+    out.push_back(net.make_xor(bit, carry));
+    carry = net.make_and(bit, carry);
+  }
+  return out;
+}
+
+/// An n-bit ring counter (input 0 increments) whose last state alone also
+/// accepts input 1, which falls into an absorbing trap. The walk circles the
+/// ring once, then must navigate all the way back to the last state: one
+/// navigation of distance 2^bits - 1.
+SequentialCircuit trap_ring_circuit(unsigned bits) {
+  SequentialCircuit c;
+  const SignalId in = c.net.add_input("in");
+  std::vector<SignalId> q;
+  for (unsigned j = 0; j < bits; ++j) {
+    q.push_back(c.net.add_input("q" + std::to_string(j)));
+  }
+  const SignalId t = c.net.add_input("t");
+  const SignalId last = c.net.make_and(q);
+  const SignalId hold = c.net.make_or(t, in);
+  const auto inc = increment(c.net, q);
+  c.primary_inputs = {in};
+  for (unsigned j = 0; j < bits; ++j) {
+    c.latches.push_back({q[j], c.net.make_mux(hold, q[j], inc[j]), false,
+                         "q" + std::to_string(j)});
+  }
+  c.latches.push_back({t, hold, false, "t"});
+  c.valid = c.net.make_or(c.net.make_not(in),
+                          c.net.make_and(last, c.net.make_not(t)));
+  c.outputs = {{"t", t}};
+  return c;
+}
+
+/// An n-bit counter where input 0 increments and input 1 resets to zero:
+/// covering the reset edge of state k leaves the walk k + 1 steps from the
+/// next uncovered transition, so navigation distances grow one per
+/// recomputation up to 2^bits - 1.
+SequentialCircuit reset_ring_circuit(unsigned bits) {
+  SequentialCircuit c;
+  const SignalId in = c.net.add_input("in");
+  std::vector<SignalId> q;
+  for (unsigned j = 0; j < bits; ++j) {
+    q.push_back(c.net.add_input("q" + std::to_string(j)));
+  }
+  const auto inc = increment(c.net, q);
+  const SignalId stay = c.net.make_not(in);
+  c.primary_inputs = {in};
+  for (unsigned j = 0; j < bits; ++j) {
+    c.latches.push_back({q[j], c.net.make_and(stay, inc[j]), false,
+                         "q" + std::to_string(j)});
+  }
+  c.outputs = {{"zero", c.net.make_not(c.net.make_or(q))}};
+  return c;
+}
+
+/// The transient-fork machine of RestartsAcrossTransientResetState.
+SequentialCircuit fork_circuit() {
+  SequentialCircuit c;
+  const SignalId in = c.net.add_input("in");
+  const SignalId a = c.net.add_input("a");
+  const SignalId b = c.net.add_input("b");
+  const SignalId idle =
+      c.net.make_and(c.net.make_not(a), c.net.make_not(b));
+  c.primary_inputs = {in};
+  c.latches = {{a, c.net.make_or(a, c.net.make_and(idle, in)), false, "a"},
+               {b, c.net.make_or(b, c.net.make_and(idle, c.net.make_not(in))),
+                false, "b"}};
+  c.outputs = {{"a", a}, {"b", b}};
+  return c;
+}
+
+testmodel::TestModelOptions reg1_options() {
+  testmodel::TestModelOptions opt;
+  opt.output_sync_latches = false;
+  opt.fetch_controller = false;
+  opt.aux_outputs = false;
+  opt.onehot_opclass = false;
+  opt.interlock_registers = false;
+  opt.reg_addr_bits = 1;
+  opt.reduced_isa = true;
+  return opt;
+}
+
+TEST(SymbolicTourGolden, CounterSequences) {
+  const auto tour = tour_of(counter_circuit());
+  EXPECT_EQ(packed_sequences(tour),
+            (std::vector<std::vector<std::uint64_t>>{{0, 1, 0, 1, 0, 1, 0, 1}}));
+  expect_pin(tour, {8, 0, 1, 11170432469076873751ull, 4, 8, true});
+}
+
+TEST(SymbolicTourGolden, ConstrainedCounterSequences) {
+  SequentialCircuit c = counter_circuit();
+  const auto ins = c.net.inputs();
+  c.valid = c.net.make_or(ins[0], c.net.make_or(ins[1], ins[2]));
+  const auto tour = tour_of(c);
+  EXPECT_EQ(packed_sequences(tour),
+            (std::vector<std::vector<std::uint64_t>>{{1, 0, 1, 0, 1, 0, 1}}));
+  expect_pin(tour, {7, 0, 1, 7885537747085903944ull, 4, 7, true});
+}
+
+TEST(SymbolicTourGolden, TransientForkSequences) {
+  const auto tour = tour_of(fork_circuit());
+  EXPECT_EQ(packed_sequences(tour),
+            (std::vector<std::vector<std::uint64_t>>{{0, 0, 1}, {1, 0, 1}}));
+  expect_pin(tour, {6, 1, 2, 17378591337652099048ull, 3, 6, true});
+}
+
+TEST(SymbolicTourGolden, ReducedControlModel) {
+  const auto model = testmodel::build_dlx_control_model(reg1_options());
+  expect_pin(tour_of(model.circuit),
+             {41497, 18, 19, 3005926578113758076ull, 1024, 21508, true});
+}
+
+TEST(SymbolicTourGolden, ReducedControlModelStepCapped) {
+  const auto model = testmodel::build_dlx_control_model(reg1_options());
+  expect_pin(tour_of(model.circuit, 1),
+             {1, 0, 1, 6791897765849424158ull, 2, 1, false});
+  expect_pin(tour_of(model.circuit, 1000),
+             {1000, 0, 1, 5799018795882451219ull, 269, 996, false});
+  expect_pin(tour_of(model.circuit, 20000),
+             {20000, 0, 1, 7101338068301397697ull, 977, 13872, false});
+}
+
+TEST(SymbolicTourGolden, NavigationDistanceInTheThousands) {
+  // One navigation of 4095 steps around a 12-bit ring.
+  expect_pin(tour_of(trap_ring_circuit(12)),
+             {8193, 0, 1, 13010302705192025890ull, 4097, 4098, true});
+}
+
+TEST(SymbolicTourGolden, NavigationDistancesGrowingToHundreds) {
+  // 127 navigations, of distance 1, 2, ..., 127.
+  expect_pin(tour_of(reset_ring_circuit(7)),
+             {8384, 0, 1, 7221818499060847817ull, 128, 256, true});
 }
 
 }  // namespace
