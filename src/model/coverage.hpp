@@ -2,15 +2,17 @@
 //
 // The paper's coverage measure — which fraction of the reachable states and
 // reachable (state, input) transitions a test set exercises — is defined on
-// the *model*, not on a particular representation of it. Both the explicit
-// tour generators (src/tour) and the symbolic tour driver (src/sym) feed a
-// CoverageTracker while they walk, so every backend reports the identical
-// statistic: distinct visited states and distinct exercised transitions over
-// the reachable totals.
+// the *model*, not on a particular representation of it. The explicit tour
+// generators (src/tour), the sequence generators (src/gen) and the TestModel
+// evaluators feed a CoverageTracker while they walk; the symbolic tour driver
+// (src/sym) keeps the same two counts in its own state table (a visited bit
+// per state, a taken bit per edge) and reports them as CoverageStats. Every
+// backend thus reports the identical statistic: distinct visited states and
+// distinct exercised transitions over the reachable totals.
 //
-// Header-only on purpose: the tracker sits *below* both backends in the
-// dependency order (tour and sym include it without linking anything), while
-// the TestModel adapters that consume it live in the simcov_model library.
+// Header-only on purpose: it sits *below* both backends in the dependency
+// order (tour and sym include it without linking anything), while the
+// TestModel adapters that consume it live in the simcov_model library.
 #pragma once
 
 #include <cstddef>

@@ -7,8 +7,9 @@
 // on the same circuit.
 //
 // Reachable counts are BDD satisfying-assignment counts; transition tours
-// come from sym::symbolic_transition_tour (pre-image distance layers), with
-// coverage accounted through the shared model::CoverageTracker.
+// come from sym::symbolic_transition_tour (a memoized concrete walk that
+// navigates by breadth-first distances over its own successor table), whose
+// coverage statistic is the shared model::CoverageTracker definition.
 #pragma once
 
 #include <unordered_map>

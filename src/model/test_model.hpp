@@ -9,9 +9,9 @@
 //   * ExplicitModel (explicit_model.hpp): wraps fsm::MealyMachine, tours
 //     via src/tour;
 //   * SymbolicModel (symbolic_model.hpp): wraps sym::SymbolicFsm, tours via
-//     src/sym's pre-image-layer driver.
+//     src/sym's memoized-walk driver.
 //
-// Both report coverage through the shared model::CoverageTracker, so
+// Both report coverage by the shared model::CoverageTracker definition, so
 // "state coverage" and "transition coverage" mean the same thing whichever
 // backend produced them, and core::run_campaign can pick the backend by
 // model size instead of truncating large state spaces.

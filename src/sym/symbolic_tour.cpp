@@ -1,21 +1,34 @@
 #include "sym/symbolic_tour.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace simcov::sym {
 
 /// Drives the tour: concrete walking over the implicit model, suspended at
 /// every reset so SymbolicTourStream can yield sequence-by-sequence.
 ///
-/// Per visited state, the valid inputs and their successor states are
-/// enumerated once (via generalized cofactor of the input constraint) and
-/// memoized packed; covering steps then cost O(1). A per-state cursor is
-/// exact coverage bookkeeping: transition (s, i) can only be covered by
-/// taking i at s, so inputs before the cursor are covered, inputs after are
-/// not. Navigation toward uncovered states uses pre-image distance layers,
-/// recomputed lazily when stale.
+/// States live in a dense table, one uint32 id per packed latch key. Per
+/// visited state, the valid inputs and their successor ids are enumerated
+/// once (via generalized cofactor of the input constraint) into one shared
+/// edge array; covering steps then cost O(1). A per-state cursor is exact
+/// coverage bookkeeping: transition (s, i) can only be covered by taking i
+/// at s, so inputs before the cursor are covered, inputs after are not.
+/// Per-edge "taken" and per-state "visited" bits count what the walk
+/// exercised, navigation steps included.
+///
+/// Navigation heads for the nearest "live" state — one with a valid input
+/// whose cursor had not run out when the current generation began. A
+/// generation begins whenever the walk finds no usable distance for its
+/// state; within it the live set is frozen, so distances are fixed and are
+/// answered by bounded breadth-first searches over the memoized edges. A
+/// search only expands states that are not live, and those are either
+/// exhausted (hence enumerated) or have no valid input (hence no edges), so
+/// it never needs a state enumerated. The live set only shrinks, so
+/// distances never fall: lower bounds learned in one generation hold in
+/// every later one, while exact distances hold for their generation only.
 struct SymbolicTourStream::Impl {
  public:
   Impl(SymbolicFsm& fsm, const SymbolicTourOptions& options)
@@ -33,19 +46,16 @@ struct SymbolicTourStream::Impl {
     const bdd::Bdd reached = fsm_.reachable_states();
     transitions_total_ = fsm_.count_transitions(reached);
     total_count_ = static_cast<std::size_t>(transitions_total_);
-
-    // Shared cross-backend coverage accounting: distinct visited states and
-    // distinct taken transitions (navigation steps included — they exercise
-    // transitions just like covering steps do).
-    tracker_.emplace(fsm_.count_states(reached), transitions_total_);
+    states_total_ = fsm_.count_states(reached);
 
     const std::vector<unsigned> pi_vec(fsm_.pi_vars().begin(),
                                        fsm_.pi_vars().end());
-    uncovered_states_ =
+    has_valid_input_ =
         reached & mgr_.exists(fsm_.valid_inputs(), mgr_.cube(pi_vec));
 
-    state_ = pack_bits(fsm_.initial_state_bits());
-    tracker_->visit_state(state_);
+    initial_ = intern(pack_bits(fsm_.initial_state_bits()));
+    state_ = initial_;
+    visit(state_);
   }
 
   /// Resumes the walk until the next reset or until it ends. See the
@@ -58,31 +68,34 @@ struct SymbolicTourStream::Impl {
         complete_ = true;
         break;
       }
-      StateInfo& info = state_info(state_);
-      std::uint64_t input = 0;
-      std::uint64_t next = 0;
-      if (info.cursor < info.edges.size()) {
+      enumerate(state_);
+      State& at = states_[state_];
+      std::uint32_t edge = 0;
+      if (at.cursor < at.end_edge) {
         // Cover the next fresh transition out of this state.
-        input = info.edges[info.cursor].input;
-        next = info.edges[info.cursor].next;
-        ++info.cursor;
+        edge = at.cursor++;
         ++covered_count_;
-        if (info.cursor == info.edges.size()) {
-          pending_exhausted_.push_back(state_);
-        }
-      } else if (!navigate(info, input, next)) {
+        if (at.cursor == at.end_edge) at.exhausted_in = generation_;
+      } else if (const auto nav = navigate()) {
+        edge = *nav;
+        ++navigate_steps_;
+      } else {
         // No path to an uncovered transition from here: reset and yield the
         // sequence that just ended.
         ++restarts_;
-        state_ = pack_bits(fsm_.initial_state_bits());
+        state_ = initial_;
         return seq;
       }
+      Edge& e = edges_[edge];
       if (options_.record_inputs) {
-        seq.push_back(unpack_input(input));
+        seq.push_back(unpack_input(e.input));
       }
-      tracker_->cover_transition(state_, input);
-      state_ = next;
-      tracker_->visit_state(state_);
+      if (!e.taken) {
+        e.taken = true;
+        ++transitions_taken_;
+      }
+      state_ = e.next;
+      visit(state_);
       ++steps_;
     }
     finished_ = true;
@@ -95,10 +108,14 @@ struct SymbolicTourStream::Impl {
     SymbolicTourResult result;
     result.steps = steps_;
     result.restarts = restarts_;
+    result.navigate_steps = navigate_steps_;
+    result.layer_recomputes = generation_;
     result.transitions_total = transitions_total_;
     result.complete = complete_;
-    result.stats = tracker_->stats();
-    // The tracker count dominates the per-state cursors: navigation may
+    result.stats = {static_cast<double>(states_visited_), states_total_,
+                    static_cast<double>(transitions_taken_),
+                    transitions_total_};
+    // The taken-edge count dominates the per-state cursors: navigation may
     // take an edge its cursor has not reached yet, which still covers it —
     // a step-capped walk can therefore be complete before the cursors are.
     result.transitions_covered = result.stats.transitions_covered;
@@ -107,13 +124,38 @@ struct SymbolicTourStream::Impl {
   }
 
  private:
+  /// "No generation yet", "never exhausted", "no distance bound".
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+
   struct Edge {
     std::uint64_t input;
-    std::uint64_t next;
+    std::uint32_t next;  ///< successor state id
+    bool taken = false;  ///< exercised by the walk
   };
-  struct StateInfo {
-    std::vector<Edge> edges;
-    std::size_t cursor = 0;
+  struct State {
+    std::uint64_t key;
+    /// Edges are edges_[first_edge, end_edge); cursor is the first one the
+    /// covering walk has not taken yet.
+    std::uint32_t first_edge = 0;
+    std::uint32_t end_edge = 0;
+    std::uint32_t cursor = 0;
+    /// Generation during which the cursor ran out; kNone while it has not.
+    std::uint32_t exhausted_in = kNone;
+    /// Lower bound on the distance to the live set, valid from now on; the
+    /// exact distance while exact_in is the current generation. kNone when
+    /// no live state is reachable at all.
+    std::uint32_t lower = 0;
+    std::uint32_t exact_in = kNone;
+    std::uint32_t search_mark = 0;    ///< search epoch that last reached it
+    std::uint32_t search_parent = 0;  ///< its predecessor in that search
+    /// Successor on the last shortest path found from here (kNone: none).
+    std::uint32_t via = kNone;
+    /// Edges before this one lead to states that are no longer live.
+    std::uint32_t live_edge = 0;
+    bool has_valid_input = false;
+    bool enumerated = false;
+    bool visited = false;
   };
 
   // ---- packing -------------------------------------------------------------
@@ -149,93 +191,264 @@ struct SymbolicTourStream::Impl {
     return mgr_.minterm(fsm_.ps_vars(), bits);
   }
 
+  // ---- state table ---------------------------------------------------------
+  /// The id of a packed state, added on first sight with one evaluation of
+  /// "reachable and has a valid input".
+  std::uint32_t intern(std::uint64_t key) {
+    const auto [it, added] =
+        ids_.try_emplace(key, static_cast<std::uint32_t>(states_.size()));
+    if (added) {
+      if (states_.size() == kNone) {
+        throw std::length_error("symbolic_transition_tour: too many states");
+      }
+      State s;
+      s.key = key;
+      load_assignment(key, 0);
+      s.has_valid_input = mgr_.eval(has_valid_input_, assignment_);
+      states_.push_back(s);
+    }
+    return it->second;
+  }
+
+  void visit(std::uint32_t id) {
+    if (!states_[id].visited) {
+      states_[id].visited = true;
+      ++states_visited_;
+    }
+  }
+
   /// Enumerates (valid input, successor) pairs of a state, once.
-  StateInfo& state_info(std::uint64_t state) {
-    const auto it = cache_.find(state);
-    if (it != cache_.end()) return it->second;
-    StateInfo info;
+  void enumerate(std::uint32_t id) {
+    if (states_[id].enumerated) return;
+    const std::uint64_t key = states_[id].key;
     const bdd::Bdd at_state =
-        mgr_.constrain(fsm_.valid_inputs(), state_minterm(state));
+        mgr_.constrain(fsm_.valid_inputs(), state_minterm(key));
     const auto& funcs = fsm_.next_functions();
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> found;
     mgr_.for_each_minterm(
         at_state, fsm_.pi_vars(), [&](const std::vector<bool>& in) {
           const std::uint64_t input = pack_bits(in);
-          load_assignment(state, input);
+          load_assignment(key, input);
           std::uint64_t next = 0;
           for (std::size_t j = 0; j < num_latches_; ++j) {
             if (mgr_.eval(funcs[j], assignment_)) {
               next |= std::uint64_t{1} << j;
             }
           }
-          info.edges.push_back(Edge{input, next});
+          found.emplace_back(input, next);
           return true;
         });
-    return cache_.emplace(state, std::move(info)).first->second;
-  }
-
-  bool eval_at_state(const bdd::Bdd& f, std::uint64_t state) {
-    load_assignment(state, 0);
-    return mgr_.eval(f, assignment_);
+    if (edges_.size() + found.size() >= kNone) {
+      throw std::length_error("symbolic_transition_tour: too many edges");
+    }
+    const auto first = static_cast<std::uint32_t>(edges_.size());
+    for (const auto& [input, next] : found) {
+      edges_.push_back(Edge{input, intern(next)});
+    }
+    State& s = states_[id];
+    s.first_edge = first;
+    s.cursor = first;
+    s.live_edge = first;
+    s.end_edge = static_cast<std::uint32_t>(edges_.size());
+    s.enumerated = true;
   }
 
   // ---- navigation ----------------------------------------------------------
-  void flush_exhausted() {
-    if (pending_exhausted_.empty()) return;
-    bdd::Bdd gone = mgr_.zero();
-    for (const std::uint64_t s : pending_exhausted_) {
-      gone |= state_minterm(s);
-    }
-    uncovered_states_ &= !gone;
-    pending_exhausted_.clear();
+  /// Member of the current generation's live set (distance 0).
+  [[nodiscard]] bool live(const State& s) const {
+    return s.has_valid_input &&
+           (s.exhausted_in == kNone || s.exhausted_in >= generation_);
   }
 
-  void compute_layers() {
-    flush_exhausted();
-    layers_.clear();
-    layers_.push_back(uncovered_states_);
-    bdd::Bdd seen = uncovered_states_;
-    for (;;) {
-      const bdd::Bdd prev = fsm_.preimage(seen) & !seen;
-      if (prev.is_zero()) break;
-      layers_.push_back(prev);
-      seen |= prev;
-      if (eval_at_state(prev, state_)) break;  // current state reached
+  /// The first edge of a state whose successor is live. Successors it
+  /// skips are dead for good (the live set only shrinks), so the position
+  /// only moves forward.
+  std::optional<std::uint32_t> live_edge(std::uint32_t id) {
+    State& s = states_[id];
+    while (s.live_edge < s.end_edge &&
+           !live(states_[edges_[s.live_edge].next])) {
+      ++s.live_edge;
     }
+    if (s.live_edge == s.end_edge) return std::nullopt;
+    return s.live_edge;
   }
 
-  std::optional<std::size_t> layer_of(std::uint64_t state) {
-    for (std::size_t k = 0; k < layers_.size(); ++k) {
-      if (eval_at_state(layers_[k], state)) return k;
-    }
-    return std::nullopt;
+  /// The current state's distance, if it is within the generation's cap.
+  std::optional<std::uint32_t> distance_here() {
+    if (generation_ == 0) return std::nullopt;
+    return distance_within(state_, cap_);
   }
 
-  /// Picks the edge stepping one layer closer to the uncovered set.
-  bool descend(const StateInfo& info, std::size_t target_layer,
-               std::uint64_t& input_out, std::uint64_t& next_out) {
-    for (const Edge& e : info.edges) {
-      if (eval_at_state(layers_[target_layer], e.next)) {
-        input_out = e.input;
-        next_out = e.next;
-        return true;
+  /// Starts a generation: freezes the live set and caps distances at the
+  /// current state's own (no cap when no live state is reachable from it).
+  void start_generation() {
+    ++generation_;
+    cap_ = distance_within(state_, kNone).value_or(kNone);
+  }
+
+  /// Picks the edge stepping one closer to the live set, or nullopt when the
+  /// walk must reset.
+  std::optional<std::uint32_t> navigate() {
+    const State& at = states_[state_];
+    if (at.first_edge == at.end_edge) return std::nullopt;  // dead end
+    auto k = distance_here();
+    if (!k.has_value() || *k == 0) {
+      // No generation yet, or a stale one: start a new one and retry.
+      start_generation();
+      k = distance_here();
+      if (!k.has_value() || *k == 0) return std::nullopt;
+    }
+    // The first edge (in enumeration order) whose successor is at *k - 1;
+    // one exists, since the current state is at *k.
+    if (*k == 1) {
+      if (const auto e = live_edge(state_)) return e;
+    } else {
+      const std::uint32_t end = states_[state_].end_edge;
+      for (std::uint32_t e = states_[state_].first_edge; e < end; ++e) {
+        if (distance_within(edges_[e].next, *k - 1).has_value()) return e;
       }
     }
-    return false;
+    throw std::logic_error("symbolic_transition_tour: no descending edge");
   }
 
-  bool navigate(const StateInfo& info, std::uint64_t& input_out,
-                std::uint64_t& next_out) {
-    if (info.edges.empty()) return false;  // dead end
-    auto k = layer_of(state_);
-    if (k.has_value() && *k > 0 &&
-        descend(info, *k - 1, input_out, next_out)) {
-      return true;
+  /// Re-checks the shortest path last recorded from `from` (neither live nor
+  /// exact now): if it still ends at the live set after `from`'s lower bound
+  /// in steps, it is shortest again. Returns the distance, marking the path
+  /// exact, or nullopt.
+  std::optional<std::uint32_t> follow_witness(std::uint32_t from) {
+    if (states_[from].lower == kNone) return std::nullopt;  // unreachable
+    const std::uint64_t want = std::max<std::uint32_t>(states_[from].lower, 1);
+    std::uint64_t hops = 0;  // edges followed
+    std::uint64_t tail = 0;  // distance of the state the path ends at
+    for (std::uint32_t y = from;;) {
+      y = states_[y].via;
+      if (y == kNone || ++hops > want) return std::nullopt;
+      const State& s = states_[y];
+      if (live(s)) break;
+      if (s.exact_in == generation_) {
+        tail = s.lower;
+        break;
+      }
     }
-    // Missing or stale layers: recompute once and retry.
-    compute_layers();
-    k = layer_of(state_);
-    if (!k.has_value() || *k == 0) return false;
-    return descend(info, *k - 1, input_out, next_out);
+    if (hops + tail != want) return std::nullopt;
+    std::uint32_t y = from;
+    for (std::uint64_t i = 0; i < hops; ++i, y = states_[y].via) {
+      states_[y].lower = static_cast<std::uint32_t>(want - i);
+      states_[y].exact_in = generation_;
+    }
+    return static_cast<std::uint32_t>(want);
+  }
+
+  /// The exact distance from `from` to the live set when it is at most
+  /// `bound` (kNone: unbounded), else nullopt. Level-by-level breadth-first
+  /// search over memoized edges, pruned by the stored bounds and cut short
+  /// by still-valid witness paths; it records the exact distances along the
+  /// path it finds and the lower bounds it proves for every state it
+  /// expanded.
+  std::optional<std::uint32_t> distance_within(std::uint32_t from,
+                                               std::uint32_t bound) {
+    {
+      const State& s = states_[from];
+      if (live(s)) return 0;
+      if (s.exact_in == generation_) {
+        if (s.lower <= bound) return s.lower;
+        return std::nullopt;
+      }
+      if (s.lower > bound || s.lower == kNone) return std::nullopt;
+    }
+    if (const auto d = follow_witness(from)) {
+      if (*d <= bound) return d;
+      return std::nullopt;
+    }
+    // Distances are compared as 64-bit sums so kNone never wraps.
+    const std::uint64_t limit = bound;
+    std::uint64_t best = std::uint64_t{kNone} + 1;  // shortest path seen
+    std::uint32_t best_end = 0;   // where that path leaves the search tree
+    std::uint32_t best_tail = 0;  // best_end's own distance
+    if (++epoch_ == 0) {  // wrapped: forget every old mark
+      for (State& s : states_) s.search_mark = 0;
+      epoch_ = 1;
+    }
+    queue_.clear();
+    level_ends_.clear();
+    queue_.push_back(from);
+    states_[from].search_mark = epoch_;
+    std::size_t head = 0;
+    for (std::uint64_t depth = 0;
+         head < queue_.size() && depth + 1 < best && depth + 1 <= limit;
+         ++depth) {
+      const std::size_t level_end = queue_.size();
+      level_ends_.push_back(level_end);
+      if (depth + 2 > limit || depth + 2 >= best) {
+        // Only a live child can still help.
+        for (; head < level_end; ++head) {
+          const std::uint32_t y = queue_[head];
+          if (const auto e = live_edge(y)) {
+            best = depth + 1;
+            best_end = edges_[*e].next;
+            best_tail = 0;
+            states_[best_end].search_parent = y;
+            break;
+          }
+        }
+        continue;
+      }
+      for (; head < level_end && depth + 1 < best; ++head) {
+        const std::uint32_t y = queue_[head];
+        const std::uint32_t end = states_[y].end_edge;
+        for (std::uint32_t e = states_[y].first_edge; e < end; ++e) {
+          const std::uint32_t z = edges_[e].next;
+          State& s = states_[z];
+          if (s.search_mark == epoch_) continue;
+          s.search_mark = epoch_;
+          s.search_parent = y;
+          if (live(s)) {  // nothing found later can be shorter
+            best = depth + 1;
+            best_end = z;
+            best_tail = 0;
+            break;
+          }
+          if (s.exact_in != generation_) (void)follow_witness(z);
+          const std::uint64_t through = depth + 1 + s.lower;
+          if (s.exact_in == generation_) {
+            if (through < best) {
+              best = through;
+              best_end = z;
+              best_tail = s.lower;
+            }
+          } else if (through < best && through <= limit) {
+            queue_.push_back(z);
+          }
+        }
+      }
+    }
+    level_ends_.push_back(queue_.size());
+
+    const bool found = best <= limit;
+    // d(from) >= reach, and every state reached at depth j < reach has
+    // d(from) <= j + d(state); reach past kNone means "unreachable".
+    const std::uint64_t reach = found ? best : limit + 1;
+    std::size_t level = 0;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      while (i >= level_ends_[level]) ++level;
+      const auto lb =
+          static_cast<std::uint32_t>(reach > kNone ? kNone : reach - level);
+      State& s = states_[queue_[i]];
+      s.lower = std::max(s.lower, lb);
+    }
+    if (!found) return std::nullopt;
+    // The path back from best_end is a shortest one: exact along it, and
+    // the witness the next generation re-checks first.
+    std::uint32_t d = best_tail;
+    for (std::uint32_t y = best_end; y != from;) {
+      const std::uint32_t next = y;
+      y = states_[y].search_parent;
+      State& s = states_[y];
+      s.lower = ++d;
+      s.exact_in = generation_;
+      s.via = next;
+    }
+    return d;
   }
 
   SymbolicFsm& fsm_;
@@ -243,21 +456,32 @@ struct SymbolicTourStream::Impl {
   SymbolicTourOptions options_;
   const std::size_t num_latches_;
   const std::size_t num_pis_;
-
-  std::uint64_t state_ = 0;
   std::vector<bool> assignment_;
-  std::unordered_map<std::uint64_t, StateInfo> cache_;
-  std::vector<std::uint64_t> pending_exhausted_;
+  bdd::Bdd has_valid_input_;  ///< reachable states with a valid input
+
+  std::unordered_map<std::uint64_t, std::uint32_t> ids_;
+  std::vector<State> states_;
+  std::vector<Edge> edges_;
+  std::uint32_t initial_ = 0;
+  std::uint32_t state_ = 0;
+
+  std::uint32_t generation_ = 0;  ///< generations started so far
+  std::uint32_t cap_ = kNone;     ///< distance cap of the current generation
+  std::uint32_t epoch_ = 0;       ///< search counter for search_mark
+  std::vector<std::uint32_t> queue_;
+  std::vector<std::size_t> level_ends_;
+
   std::size_t covered_count_ = 0;
   std::size_t total_count_ = 0;
   double transitions_total_ = 0.0;
+  double states_total_ = 0.0;
+  std::size_t states_visited_ = 0;
+  std::size_t transitions_taken_ = 0;
   std::size_t steps_ = 0;
   std::size_t restarts_ = 0;
+  std::size_t navigate_steps_ = 0;
   bool complete_ = false;
   bool finished_ = false;
-  std::optional<model::CoverageTracker> tracker_;
-  bdd::Bdd uncovered_states_;
-  std::vector<bdd::Bdd> layers_;
 };
 
 SymbolicTourStream::SymbolicTourStream(SymbolicFsm& fsm,

@@ -2,17 +2,19 @@
 //
 // The paper's 22-latch test model has 123 million transitions — no explicit
 // enumeration fits, so its 1069M-step tour was generated on the implicit
-// (BDD) representation (Section 7.2). This module does the same: it walks
-// the machine concretely, one state vector at a time, while tracking the
-// set of covered (state, input) pairs as a BDD and navigating toward
-// uncovered transitions with pre-image distance layers.
+// (BDD) representation (Section 7.2). This module does the same: the BDDs
+// give the reachable totals and each visited state's valid inputs and
+// successors, enumerated once when the walk first stands on the state; the
+// walk itself then runs on that memoized successor table.
 //
 // Algorithm sketch:
-//   covered(ps, pi) := 0
 //   repeat:
-//     if the current state has an uncovered valid input: take it, mark it
-//     else: follow pre-image layers to the nearest state that has one
-//     when no uncovered transition is reachable: restart from reset
+//     if the current state has an untaken valid input: take the next one
+//     else: step to a successor one closer to the nearest state that had an
+//           untaken input when the distances were last refreshed — exact
+//           breadth-first distances over the memoized successors, refreshed
+//           when the current state's own distance is missing or 0
+//     when no such state is reachable: restart from reset
 //   until every reachable transition is covered (or the step cap is hit).
 #pragma once
 
@@ -40,15 +42,20 @@ struct SymbolicTourResult {
   std::vector<std::vector<std::vector<bool>>> sequences;
   std::size_t steps = 0;
   std::size_t restarts = 0;
+  /// Steps taken to approach an uncovered transition (the rest cover one);
+  /// a complete tour has steps == transitions_total + navigate_steps.
+  std::size_t navigate_steps = 0;
+  /// Navigation generations started: how often the walk had to recompute
+  /// distances because the ones it held were stale or missing.
+  std::size_t layer_recomputes = 0;
   double transitions_total = 0.0;    ///< reachable (state, input) pairs
   double transitions_covered = 0.0;
   bool complete = false;             ///< every reachable transition covered
 
-  /// Coverage accounted through the shared model::CoverageTracker: the
-  /// walk's distinct visited states and distinct exercised transitions —
-  /// the identical definition the explicit evaluators (src/tour) report,
-  /// which is what makes backends comparable. `transitions_covered` above
-  /// mirrors `stats.transitions_covered`.
+  /// The walk's distinct visited states and distinct exercised transitions
+  /// — the definition model::CoverageTracker gives the explicit evaluators
+  /// (src/tour), which is what makes backends comparable.
+  /// `transitions_covered` above mirrors `stats.transitions_covered`.
   model::CoverageStats stats;
 
   [[nodiscard]] double coverage() const {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 
 #include "model/test_model.hpp"
 #include "runtime/rng.hpp"
@@ -390,6 +391,228 @@ TEST(SymbolicTourGolden, NavigationDistancesGrowingToHundreds) {
   // 127 navigations, of distance 1, 2, ..., 127.
   expect_pin(tour_of(reset_ring_circuit(7)),
              {8384, 0, 1, 7221818499060847817ull, 128, 256, true});
+}
+
+// ---- walk counters -----------------------------------------------------------
+
+TEST(SymbolicTourCounters, CompleteToursSplitIntoCoveringAndNavigation) {
+  struct Case {
+    const char* name;
+    SequentialCircuit circuit;
+    std::size_t navigate_steps;
+    std::size_t layer_recomputes;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"counter", counter_circuit(), 0, 0});
+  cases.push_back({"fork", fork_circuit(), 0, 1});
+  cases.push_back({"reg1",
+                   testmodel::build_dlx_control_model(reg1_options()).circuit,
+                   19989, 1154});
+  cases.push_back({"trap ring", trap_ring_circuit(12), 4095, 1});
+  cases.push_back({"reset ring", reset_ring_circuit(7), 8128, 127});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto tour = tour_of(c.circuit);
+    ASSERT_TRUE(tour.complete);
+    EXPECT_EQ(static_cast<double>(tour.steps),
+              tour.transitions_total +
+                  static_cast<double>(tour.navigate_steps));
+    EXPECT_EQ(tour.navigate_steps, c.navigate_steps);
+    EXPECT_EQ(tour.layer_recomputes, c.layer_recomputes);
+  }
+}
+
+// ---- differential check against the layer definition ------------------------
+// The walk's navigation is defined by breadth-first distance layers: layer 0
+// holds the states with a valid input whose cursor had not run out when the
+// layers were last built, and the layers are rebuilt from the current state
+// whenever its own layer is missing or 0. The reference below computes those
+// layers literally, from scratch, on the explicit machine.
+
+struct ReferenceWalk {
+  std::vector<std::vector<std::vector<bool>>> sequences;
+  std::size_t steps = 0;
+  std::size_t restarts = 0;
+  std::size_t layer_recomputes = 0;
+  std::size_t states_visited = 0;
+  std::size_t transitions_covered = 0;
+};
+
+ReferenceWalk reference_walk(const ExplicitModel& em, std::size_t max_steps) {
+  const fsm::MealyMachine& m = em.machine;
+  const fsm::StateId n = m.num_states();
+  // Input ids follow the PI minterm order the walk enumerates in.
+  std::vector<std::vector<std::pair<fsm::InputId, fsm::StateId>>> out(n);
+  std::vector<std::vector<fsm::StateId>> preds(n);
+  std::size_t total = 0;
+  for (fsm::StateId s = 0; s < n; ++s) {
+    for (fsm::InputId i = 0; i < m.num_inputs(); ++i) {
+      if (const auto t = m.transition(s, i)) {
+        out[s].emplace_back(i, t->next);
+        preds[t->next].push_back(s);
+        ++total;
+      }
+    }
+  }
+  std::vector<std::size_t> cursor(n, 0);
+  std::vector<bool> uncovered(n);
+  for (fsm::StateId s = 0; s < n; ++s) uncovered[s] = !out[s].empty();
+  std::vector<fsm::StateId> pending;  // exhausted since the last rebuild
+  std::vector<long> layer(n, -1);     // -1: in no layer
+  std::set<fsm::StateId> visited{m.initial_state()};
+  std::set<std::pair<fsm::StateId, fsm::InputId>> taken;
+  ReferenceWalk w;
+  std::size_t covered = 0;
+  fsm::StateId at = m.initial_state();
+
+  const auto rebuild = [&] {
+    ++w.layer_recomputes;
+    for (const fsm::StateId s : pending) uncovered[s] = false;
+    pending.clear();
+    layer.assign(n, -1);
+    std::vector<fsm::StateId> frontier;
+    for (fsm::StateId s = 0; s < n; ++s) {
+      if (uncovered[s]) {
+        layer[s] = 0;
+        frontier.push_back(s);
+      }
+    }
+    for (long k = 1; !frontier.empty() && layer[at] < 0; ++k) {
+      std::vector<fsm::StateId> next;
+      for (const fsm::StateId s : frontier) {
+        for (const fsm::StateId p : preds[s]) {
+          if (layer[p] < 0) {
+            layer[p] = k;
+            next.push_back(p);
+          }
+        }
+      }
+      frontier = std::move(next);
+    }
+  };
+  const auto descend =
+      [&]() -> std::optional<std::pair<fsm::InputId, fsm::StateId>> {
+    if (layer[at] <= 0) return std::nullopt;
+    for (const auto& e : out[at]) {
+      if (layer[e.second] == layer[at] - 1) return e;
+    }
+    return std::nullopt;
+  };
+
+  std::vector<std::vector<bool>> seq;
+  while (w.steps < max_steps && covered < total) {
+    std::pair<fsm::InputId, fsm::StateId> e;
+    if (cursor[at] < out[at].size()) {
+      e = out[at][cursor[at]++];
+      ++covered;
+      if (cursor[at] == out[at].size()) pending.push_back(at);
+    } else if (out[at].empty()) {
+      e = {0, n};  // dead end: reset below
+    } else if (const auto d = descend()) {
+      e = *d;
+    } else {
+      rebuild();
+      if (const auto again = descend()) e = *again;
+      else e = {0, n};
+    }
+    if (e.second == n) {
+      ++w.restarts;
+      w.sequences.push_back(std::move(seq));
+      seq.clear();
+      at = m.initial_state();
+      continue;
+    }
+    seq.push_back(em.input_bits[e.first]);
+    taken.insert({at, e.first});
+    at = e.second;
+    visited.insert(at);
+    ++w.steps;
+  }
+  w.sequences.push_back(std::move(seq));
+  w.states_visited = visited.size();
+  w.transitions_covered = taken.size();
+  return w;
+}
+
+/// A random sequential circuit: 2-7 latches, 1-3 inputs, a few dozen random
+/// gates, and (for half the seeds) a random input constraint.
+SequentialCircuit random_circuit(std::uint64_t seed) {
+  std::uint64_t counter = 0;
+  const auto draw = [&](std::uint64_t range) {
+    return runtime::splitmix64(seed * 0x9e3779b97f4a7c15ull + ++counter) %
+           range;
+  };
+  SequentialCircuit c;
+  const auto num_latches = static_cast<unsigned>(2 + draw(6));
+  const auto num_inputs = static_cast<unsigned>(1 + draw(3));
+  std::vector<SignalId> pool;
+  std::vector<SignalId> latch_q;
+  for (unsigned j = 0; j < num_latches; ++j) {
+    latch_q.push_back(c.net.add_input("q" + std::to_string(j)));
+    pool.push_back(latch_q.back());
+  }
+  for (unsigned k = 0; k < num_inputs; ++k) {
+    c.primary_inputs.push_back(c.net.add_input("i" + std::to_string(k)));
+    pool.push_back(c.primary_inputs.back());
+  }
+  const auto pick = [&] { return pool[draw(pool.size())]; };
+  const auto gates = 4 + draw(24);
+  for (std::uint64_t g = 0; g < gates; ++g) {
+    switch (draw(5)) {
+      case 0: pool.push_back(c.net.make_and(pick(), pick())); break;
+      case 1: pool.push_back(c.net.make_or(pick(), pick())); break;
+      case 2: pool.push_back(c.net.make_xor(pick(), pick())); break;
+      case 3: pool.push_back(c.net.make_not(pick())); break;
+      default: pool.push_back(c.net.make_mux(pick(), pick(), pick()));
+    }
+  }
+  for (unsigned j = 0; j < num_latches; ++j) {
+    c.latches.push_back({latch_q[j], pick(), draw(2) == 1,
+                         "q" + std::to_string(j)});
+  }
+  if (draw(2) == 1) c.valid = c.net.make_or(pick(), pick());
+  c.outputs = {{"o", pick()}};
+  return c;
+}
+
+TEST(SymbolicTourDifferential, MatchesLayerDefinitionOnRandomCircuits) {
+  std::size_t restarts = 0;
+  std::size_t navigate_steps = 0;
+  std::size_t recomputes = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    const SequentialCircuit c = random_circuit(seed);
+    const auto em = extract_explicit(c, 1u << 10);
+    for (const std::size_t cap : {std::size_t{7}, std::size_t{100000}}) {
+      const auto tour = tour_of(c, cap);
+      const auto ref = reference_walk(em, cap);
+      EXPECT_EQ(tour.sequences, ref.sequences);
+      EXPECT_EQ(tour.steps, ref.steps);
+      EXPECT_EQ(tour.restarts, ref.restarts);
+      EXPECT_EQ(tour.layer_recomputes, ref.layer_recomputes);
+      EXPECT_DOUBLE_EQ(tour.stats.states_visited,
+                       static_cast<double>(ref.states_visited));
+      EXPECT_DOUBLE_EQ(tour.stats.transitions_covered,
+                       static_cast<double>(ref.transitions_covered));
+      restarts += tour.restarts;
+      navigate_steps += tour.navigate_steps;
+      recomputes += tour.layer_recomputes;
+    }
+  }
+  // The sample must exercise resets, navigation and stale layers.
+  EXPECT_GT(restarts, 20u);
+  EXPECT_GT(navigate_steps, 100u);
+  EXPECT_GT(recomputes, 120u);
+}
+
+TEST(SymbolicTourDifferential, MatchesLayerDefinitionOnRings) {
+  for (const SequentialCircuit& c :
+       {trap_ring_circuit(6), reset_ring_circuit(5), fork_circuit()}) {
+    const auto tour = tour_of(c);
+    const auto ref = reference_walk(extract_explicit(c, 1u << 10), 100000);
+    EXPECT_EQ(tour.sequences, ref.sequences);
+    EXPECT_EQ(tour.layer_recomputes, ref.layer_recomputes);
+  }
 }
 
 }  // namespace
