@@ -224,7 +224,7 @@ struct SymbolicTourStream::Impl {
     const bdd::Bdd at_state =
         mgr_.constrain(fsm_.valid_inputs(), state_minterm(key));
     const auto& funcs = fsm_.next_functions();
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> found;
+    const auto first = static_cast<std::uint32_t>(edges_.size());
     mgr_.for_each_minterm(
         at_state, fsm_.pi_vars(), [&](const std::vector<bool>& in) {
           const std::uint64_t input = pack_bits(in);
@@ -235,16 +235,12 @@ struct SymbolicTourStream::Impl {
               next |= std::uint64_t{1} << j;
             }
           }
-          found.emplace_back(input, next);
+          if (edges_.size() + 1 >= kNone) {
+            throw std::length_error("symbolic_transition_tour: too many edges");
+          }
+          edges_.push_back(Edge{input, intern(next)});
           return true;
         });
-    if (edges_.size() + found.size() >= kNone) {
-      throw std::length_error("symbolic_transition_tour: too many edges");
-    }
-    const auto first = static_cast<std::uint32_t>(edges_.size());
-    for (const auto& [input, next] : found) {
-      edges_.push_back(Edge{input, intern(next)});
-    }
     State& s = states_[id];
     s.first_edge = first;
     s.cursor = first;
