@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "model/test_model.hpp"
@@ -30,6 +31,35 @@ SequentialCircuit counter_circuit() {
   c.latches = {{q0, n0, false, "q0"}, {q1, n1, false, "q1"}};
   c.outputs = {{"carry", c.net.make_and(en, c.net.make_and(q0, q1))}};
   return c;
+}
+
+/// A fork: two latches, the input chooses a branch, both branches are
+/// absorbing — so each arm needs a sequence of its own.
+SequentialCircuit fork_circuit() {
+  SequentialCircuit c;
+  const SignalId in = c.net.add_input("in");
+  const SignalId a = c.net.add_input("a");
+  const SignalId b = c.net.add_input("b");
+  const SignalId idle =
+      c.net.make_and(c.net.make_not(a), c.net.make_not(b));
+  c.primary_inputs = {in};
+  c.latches = {{a, c.net.make_or(a, c.net.make_and(idle, in)), false, "a"},
+               {b, c.net.make_or(b, c.net.make_and(idle, c.net.make_not(in))),
+                false, "b"}};
+  c.outputs = {{"a", a}, {"b", b}};
+  return c;
+}
+
+testmodel::TestModelOptions reg1_options() {
+  testmodel::TestModelOptions opt;
+  opt.output_sync_latches = false;
+  opt.fetch_controller = false;
+  opt.aux_outputs = false;
+  opt.onehot_opclass = false;
+  opt.interlock_registers = false;
+  opt.reg_addr_bits = 1;
+  opt.reduced_isa = true;
+  return opt;
 }
 
 /// Replays recorded symbolic-tour sequences on the explicit machine and
@@ -142,23 +172,7 @@ TEST(SymbolicTour, HandlesConstrainedInputs) {
 }
 
 TEST(SymbolicTour, RestartsAcrossTransientResetState) {
-  // A machine whose reset state is transient: bit q latches to 1 on first
-  // enable and can never return; covering (q=0, en=0) and (q=0, en=1)
-  // requires... actually both are coverable in one pass; build a fork:
-  // two latches, input chooses a branch, branches are absorbing.
-  SequentialCircuit c;
-  const SignalId in = c.net.add_input("in");
-  const SignalId a = c.net.add_input("a");
-  const SignalId b = c.net.add_input("b");
-  // a latches 1 if input=1 while idle; b latches 1 if input=0 while idle.
-  const SignalId idle =
-      c.net.make_and(c.net.make_not(a), c.net.make_not(b));
-  const SignalId na = c.net.make_or(a, c.net.make_and(idle, in));
-  const SignalId nb =
-      c.net.make_or(b, c.net.make_and(idle, c.net.make_not(in)));
-  c.primary_inputs = {in};
-  c.latches = {{a, na, false, "a"}, {b, nb, false, "b"}};
-  c.outputs = {{"a", a}, {"b", b}};
+  const SequentialCircuit c = fork_circuit();
   bdd::BddManager mgr;
   SymbolicFsm fsm(mgr, c);
   const auto tour = symbolic_transition_tour(fsm);
@@ -169,15 +183,7 @@ TEST(SymbolicTour, RestartsAcrossTransientResetState) {
 }
 
 TEST(SymbolicTour, MatchesExplicitTransitionCountOnControlModel) {
-  testmodel::TestModelOptions opt;
-  opt.output_sync_latches = false;
-  opt.fetch_controller = false;
-  opt.aux_outputs = false;
-  opt.onehot_opclass = false;
-  opt.interlock_registers = false;
-  opt.reg_addr_bits = 1;
-  opt.reduced_isa = true;
-  const auto model = testmodel::build_dlx_control_model(opt);
+  const auto model = testmodel::build_dlx_control_model(reg1_options());
   bdd::BddManager mgr;
   SymbolicFsm fsm(mgr, model.circuit);
   SymbolicTourOptions topt;
@@ -311,34 +317,6 @@ SequentialCircuit reset_ring_circuit(unsigned bits) {
   }
   c.outputs = {{"zero", c.net.make_not(c.net.make_or(q))}};
   return c;
-}
-
-/// The transient-fork machine of RestartsAcrossTransientResetState.
-SequentialCircuit fork_circuit() {
-  SequentialCircuit c;
-  const SignalId in = c.net.add_input("in");
-  const SignalId a = c.net.add_input("a");
-  const SignalId b = c.net.add_input("b");
-  const SignalId idle =
-      c.net.make_and(c.net.make_not(a), c.net.make_not(b));
-  c.primary_inputs = {in};
-  c.latches = {{a, c.net.make_or(a, c.net.make_and(idle, in)), false, "a"},
-               {b, c.net.make_or(b, c.net.make_and(idle, c.net.make_not(in))),
-                false, "b"}};
-  c.outputs = {{"a", a}, {"b", b}};
-  return c;
-}
-
-testmodel::TestModelOptions reg1_options() {
-  testmodel::TestModelOptions opt;
-  opt.output_sync_latches = false;
-  opt.fetch_controller = false;
-  opt.aux_outputs = false;
-  opt.onehot_opclass = false;
-  opt.interlock_registers = false;
-  opt.reg_addr_bits = 1;
-  opt.reduced_isa = true;
-  return opt;
 }
 
 TEST(SymbolicTourGolden, CounterSequences) {
@@ -501,30 +479,28 @@ ReferenceWalk reference_walk(const ExplicitModel& em, std::size_t max_steps) {
 
   std::vector<std::vector<bool>> seq;
   while (w.steps < max_steps && covered < total) {
-    std::pair<fsm::InputId, fsm::StateId> e;
+    std::optional<std::pair<fsm::InputId, fsm::StateId>> e;
     if (cursor[at] < out[at].size()) {
       e = out[at][cursor[at]++];
       ++covered;
       if (cursor[at] == out[at].size()) pending.push_back(at);
-    } else if (out[at].empty()) {
-      e = {0, n};  // dead end: reset below
-    } else if (const auto d = descend()) {
-      e = *d;
-    } else {
-      rebuild();
-      if (const auto again = descend()) e = *again;
-      else e = {0, n};
+    } else if (!out[at].empty()) {  // else a dead end: reset
+      e = descend();
+      if (!e.has_value()) {
+        rebuild();
+        e = descend();
+      }
     }
-    if (e.second == n) {
+    if (!e.has_value()) {
       ++w.restarts;
       w.sequences.push_back(std::move(seq));
       seq.clear();
       at = m.initial_state();
       continue;
     }
-    seq.push_back(em.input_bits[e.first]);
-    taken.insert({at, e.first});
-    at = e.second;
+    seq.push_back(em.input_bits[e->first]);
+    taken.insert({at, e->first});
+    at = e->second;
     visited.insert(at);
     ++w.steps;
   }
