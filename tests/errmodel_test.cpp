@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 
+#include "distinguish/wmethod.hpp"
 #include "tour/tour.hpp"
 
 namespace simcov::errmodel {
@@ -13,6 +16,7 @@ namespace {
 
 using fsm::InputId;
 using fsm::MealyMachine;
+using fsm::OutputId;
 using fsm::StateId;
 
 MealyMachine ring_machine() {
@@ -85,6 +89,39 @@ TEST(Enumeration, SkipsUnreachableTransitionsAndTargets) {
   EXPECT_EQ(outputs[0].at, (fsm::TransitionRef{0, 0}));
 }
 
+// The rank decoder must list the universe exactly as the plain nested
+// loops do: per reachable transition, every wrong output in alphabet order,
+// then per reachable transition, every wrong reachable destination.
+TEST(Enumeration, RankDecodeMatchesNestedLoops) {
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    MealyMachine m = fsm::random_connected_machine(
+        static_cast<StateId>(3 + seed % 11), 1 + seed % 3, 1 + seed % 4, seed);
+    // Partial, and with unreachable states from the last state.
+    for (StateId s = 0; s < m.num_states(); s += 3) {
+      m.clear_transition(s, static_cast<InputId>(seed % m.num_inputs()));
+    }
+    const StateId start = m.num_states() - 1;
+    const auto reachable = m.reachable_states(start);
+    // An alphabet that leaves the largest output outside it.
+    const OutputId alphabet = m.output_alphabet_size() - 1;
+    std::vector<Mutation> outputs;
+    std::vector<Mutation> transfers;
+    for (const auto& ref : m.reachable_transitions(start)) {
+      const auto t = m.transition(ref.state, ref.input).value();
+      for (OutputId o = 0; o < alphabet; ++o) {
+        if (o != t.output) outputs.push_back({ErrorKind::kOutput, ref, 0, o});
+      }
+      for (StateId s = 0; s < m.num_states(); ++s) {
+        if (s != t.next && reachable[s]) {
+          transfers.push_back({ErrorKind::kTransfer, ref, s, 0});
+        }
+      }
+    }
+    EXPECT_EQ(enumerate_output_errors(m, start, alphabet), outputs);
+    EXPECT_EQ(enumerate_transfer_errors(m, start), transfers);
+  }
+}
+
 TEST(Sampling, SampleIsBoundedAndReproducible) {
   const MealyMachine m = ring_machine();
   const auto a = sample_mutations(m, 0, 13, 10, 3);
@@ -97,6 +134,118 @@ TEST(Sampling, SampleIsBoundedAndReproducible) {
   // Requesting more than the pool returns the whole pool.
   const auto all = sample_mutations(m, 0, 13, 1000000, 3);
   EXPECT_EQ(all.size(), 6u * 12u + 12u);
+}
+
+TEST(Sampling, WholeUniverseIsTheEnumerationInOrder) {
+  // A ring machine with an output outside the alphabet: state 2's
+  // self-loop emits 12, so alphabet 12 leaves that transition 12 wrong
+  // outputs and every other one 11.
+  const MealyMachine m = ring_machine();
+  for (const OutputId alphabet : {OutputId{12}, OutputId{13}}) {
+    auto expected = enumerate_output_errors(m, 0, alphabet);
+    const auto transfers = enumerate_transfer_errors(m, 0);
+    expected.insert(expected.end(), transfers.begin(), transfers.end());
+    EXPECT_EQ(sample_mutations(m, 0, alphabet, expected.size(), 5), expected);
+    EXPECT_EQ(sample_mutations(m, 0, alphabet, 1000000, 5), expected);
+  }
+}
+
+TEST(Sampling, SampleIsDistinctAndApplicable) {
+  const fsm::MealyMachine m = fsm::random_connected_machine(20, 4, 6, 11);
+  const auto sample = sample_mutations(m, 0, m.output_alphabet_size(), 150, 2);
+  ASSERT_EQ(sample.size(), 150u);
+  for (std::size_t a = 0; a < sample.size(); ++a) {
+    EXPECT_NO_THROW((void)apply_mutation(m, sample[a]));
+    for (std::size_t b = a + 1; b < sample.size(); ++b) {
+      EXPECT_NE(sample[a], sample[b]) << "duplicate at " << a << ", " << b;
+    }
+  }
+}
+
+TEST(Sampling, GoldenRingSample) {
+  // Floyd's algorithm over the counter-indexed splitmix64 stream is fully
+  // specified here, so this sample is the same under every standard library.
+  constexpr auto kOut = ErrorKind::kOutput;
+  const std::vector<Mutation> golden{
+      {kOut, {0, 0}, 0, 4},  {kOut, {2, 0}, 0, 6},  {kOut, {0, 0}, 0, 7},
+      {kOut, {2, 0}, 0, 12}, {kOut, {2, 1}, 0, 10}, {kOut, {2, 0}, 0, 8},
+      {kOut, {2, 0}, 0, 10}, {kOut, {0, 0}, 0, 5},  {kOut, {1, 1}, 0, 3},
+      {kOut, {2, 1}, 0, 6},
+  };
+  EXPECT_EQ(sample_mutations(ring_machine(), 0, 13, 10, 3), golden);
+}
+
+TEST(Sampling, EveryRankDrawnNearUniformly) {
+  // 84 mutants, 10 drawn per seed: over 2000 seeds each rank is expected
+  // 2000 * 10/84 ~ 238 times with a binomial sigma of ~14.5; allow 5 sigma.
+  const MealyMachine m = ring_machine();
+  const auto universe = sample_mutations(m, 0, 13, 1000000, 0);
+  ASSERT_EQ(universe.size(), 84u);
+  constexpr std::size_t kDraws = 10;
+  constexpr std::uint64_t kSeeds = 2000;
+  std::vector<std::size_t> hits(universe.size(), 0);
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    for (const auto& mut : sample_mutations(m, 0, 13, kDraws, seed)) {
+      const auto at = std::find(universe.begin(), universe.end(), mut);
+      ASSERT_NE(at, universe.end());
+      ++hits[static_cast<std::size_t>(at - universe.begin())];
+    }
+  }
+  const double p = static_cast<double>(kDraws) / universe.size();
+  const double mean = kSeeds * p;
+  const double bound = 5.0 * std::sqrt(kSeeds * p * (1.0 - p));
+  for (std::size_t r = 0; r < hits.size(); ++r) {
+    EXPECT_NEAR(static_cast<double>(hits[r]), mean, bound) << "rank " << r;
+  }
+}
+
+TEST(Observable, AgreesWithEquivalenceOnCompleteMachines) {
+  // A complete spec leaves no don't-care to newly define, so a mutant is
+  // observable exactly when it is not equivalent to the spec.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const fsm::MealyMachine m = fsm::random_connected_machine(9, 2, 2, seed);
+    for (const auto& mut :
+         sample_mutations(m, 0, m.output_alphabet_size(), 60, seed)) {
+      const auto mutant = apply_mutation(m, mut);
+      EXPECT_EQ(observable(m, mut, 0),
+                !fsm::check_equivalence(m, 0, mutant, 0).equivalent);
+    }
+  }
+}
+
+TEST(Observable, DefinednessOnlyTransferMutantIsUnobservable) {
+  // States 1 and 2 differ only in that 2 accepts input 1, which the spec
+  // leaves undefined at 1 (a don't-care). Redirecting (0,0) from 1 to 2
+  // changes definedness only: check_equivalence calls the mutant
+  // inequivalent, yet no sequence of valid inputs tells them apart.
+  MealyMachine spec(3, 2);
+  spec.set_transition(0, 0, 1, 0);
+  spec.set_transition(0, 1, 2, 1);
+  spec.set_transition(1, 0, 0, 0);
+  spec.set_transition(2, 0, 0, 0);
+  spec.set_transition(2, 1, 2, 1);
+  const Mutation mut{ErrorKind::kTransfer, {0, 0}, 2, 0};
+  const MealyMachine mutant = apply_mutation(spec, mut);
+  EXPECT_FALSE(fsm::check_equivalence(spec, 0, mutant, 0).equivalent);
+  EXPECT_FALSE(observable(spec, mut, 0));
+  const auto suite = distinguish::wmethod_test_suite(spec, 0);
+  ASSERT_TRUE(suite.has_value());
+  EXPECT_EQ(evaluate_test_set(spec, std::span(&mut, 1), 0, suite->sequences)
+                .exposed,
+            0u);
+  // An output error on the same transition is observable and exposed.
+  const Mutation out{ErrorKind::kOutput, {0, 0}, 0, 1};
+  EXPECT_TRUE(observable(spec, out, 0));
+  EXPECT_EQ(evaluate_test_set(spec, std::span(&out, 1), 0, suite->sequences)
+                .exposed,
+            1u);
+}
+
+TEST(Observable, UndefinedTransitionThrows) {
+  MealyMachine m(2, 2);
+  m.set_transition(0, 0, 1, 0);
+  const Mutation mut{ErrorKind::kOutput, {0, 1}, 0, 5};
+  EXPECT_THROW((void)observable(m, mut, 0), std::invalid_argument);
 }
 
 TEST(Exposure, OutputErrorExposedExactlyWhenExcited) {
