@@ -6,10 +6,6 @@
 
 namespace simcov::gen {
 
-namespace {
-constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // BiasedRandomSource
 // ---------------------------------------------------------------------------
@@ -26,7 +22,7 @@ BiasedRandomSource::BiasedRandomSource(model::TestModel& model,
 }
 
 std::uint64_t BiasedRandomSource::next_u64() {
-  return runtime::splitmix64(rng_base_ + draws_++ * kGolden);
+  return runtime::splitmix64(rng_base_ + draws_++ * runtime::kGolden);
 }
 
 bool BiasedRandomSource::coverage_complete() const {

@@ -14,9 +14,13 @@
 
 namespace simcov::runtime {
 
+/// 2^64 / golden ratio, splitmix64's state increment. A counter-indexed
+/// stream draws value n as splitmix64(base + n * kGolden).
+inline constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+
 /// splitmix64 finalizer [Steele+14]: a bijective avalanche mix on 64 bits.
 [[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
+  x += kGolden;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
@@ -44,7 +48,7 @@ enum Stream : std::uint64_t {
 /// mix(seed)+mix(stream) sum could.
 [[nodiscard]] constexpr std::uint64_t derive_stream(std::uint64_t seed,
                                                     std::uint64_t stream) {
-  return splitmix64(splitmix64(seed) + stream * 0x9e3779b97f4a7c15ull);
+  return splitmix64(splitmix64(seed) + stream * kGolden);
 }
 
 /// Per-run stream: deterministic in (seed, run_index) only.
