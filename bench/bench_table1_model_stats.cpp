@@ -126,8 +126,15 @@ int main(int argc, char** argv) {
     const double ratio = static_cast<double>(set->total_length()) /
                          static_cast<double>(
                              em.machine.num_defined_transitions());
+    // Hashed like the symbolic tour above, with the explicit input ids.
+    std::uint64_t hash = 0;
+    for (const auto& seq : set->sequences) {
+      hash = runtime::splitmix64(hash ^ seq.size());
+      for (const auto i : seq) hash = runtime::splitmix64(hash ^ i);
+    }
     bench::row("transition tour total length", set->total_length());
     bench::row("tour sequences (reset-separated)", set->sequences.size());
+    bench::row("transition tour input hash", std::to_string(hash));
     bench::row("tour length / transitions (paper: 1069M/123M = 8.7)", ratio);
     bench::row("tour generation time (s)", tour_timer.seconds());
   } else {

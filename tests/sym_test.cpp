@@ -7,6 +7,7 @@
 
 #include <random>
 
+#include "runtime/rng.hpp"
 #include "testmodel/testmodel.hpp"
 #include "tour/tour.hpp"
 
@@ -411,6 +412,52 @@ TEST(Extract, ExtractedMachineSupportsTours) {
   ASSERT_TRUE(t.has_value());
   EXPECT_TRUE(tour::is_transition_tour(model.machine, 0, t->inputs));
   EXPECT_EQ(t->length(), 8u);  // Eulerian: every state in=out=2
+}
+
+/// splitmix64 over each sequence's length, then each of its inputs.
+std::uint64_t hash_sequences(
+    const std::vector<std::vector<fsm::InputId>>& seqs) {
+  std::uint64_t h = 0;
+  for (const auto& seq : seqs) {
+    h = runtime::splitmix64(h ^ seq.size());
+    for (fsm::InputId i : seq) h = runtime::splitmix64(h ^ i);
+  }
+  return h;
+}
+
+/// The reduced DLX control model (the Figure-3(b) ladder flags with one
+/// register-address bit and the reduced ISA), extracted explicitly.
+const fsm::MealyMachine& reduced_dlx_machine() {
+  static const ExplicitModel model = [] {
+    testmodel::TestModelOptions opt;
+    opt.output_sync_latches = false;
+    opt.fetch_controller = false;
+    opt.aux_outputs = false;
+    opt.onehot_opclass = false;
+    opt.interlock_registers = false;
+    opt.reg_addr_bits = 1;
+    opt.reduced_isa = true;
+    return extract_explicit(testmodel::build_dlx_control_model(opt).circuit,
+                            100000);
+  }();
+  return model.machine;
+}
+
+// Pins of the explicit tours of the reduced DLX model: any change to the
+// greedy walk's choices changes a hash.
+TEST(ExtractTourPin, ReducedDlxTransitionTourSet) {
+  const auto set = tour::greedy_transition_tour_set(reduced_dlx_machine(), 0);
+  ASSERT_TRUE(set.has_value());
+  EXPECT_EQ(set->total_length(), 40678u);
+  EXPECT_EQ(set->sequences.size(), 19u);
+  EXPECT_EQ(hash_sequences(set->sequences), 12565255528371427789ull);
+}
+
+TEST(ExtractTourPin, ReducedDlxStateTour) {
+  const auto t = tour::state_tour(reduced_dlx_machine(), 0);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->length(), 1614u);
+  EXPECT_EQ(hash_sequences({t->inputs}), 18342315256922011764ull);
 }
 
 // Property: on random gate networks, concrete evaluation and symbolic
