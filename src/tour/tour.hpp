@@ -16,8 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -47,14 +47,18 @@ std::optional<Tour> minimum_transition_tour(const fsm::MealyMachine& m,
                                             fsm::StateId start);
 
 /// Greedy transition tour: repeatedly walk (via BFS) to the nearest state
-/// with an uncovered outgoing transition and take it. Not length-optimal and
-/// not necessarily closed, but succeeds on any machine where coverage is
-/// possible in some order. Empty optional if it gets stuck (uncovered
-/// transitions no longer reachable).
+/// with an uncovered outgoing transition and take its smallest uncovered
+/// input. Not length-optimal and not necessarily closed, but succeeds on any
+/// machine where coverage is possible in some order. Empty optional if it
+/// gets stuck (uncovered transitions no longer reachable). It is the first
+/// sequence of TransitionTourSetGenerator, kept only when that sequence
+/// covers everything.
 std::optional<Tour> greedy_transition_tour(const fsm::MealyMachine& m,
                                            fsm::StateId start);
 
-/// Greedy state tour: visits every reachable state at least once.
+/// Greedy state tour: repeatedly walks (via BFS) to the nearest unvisited
+/// state, until every reachable state has been visited. Empty optional if
+/// some reachable state can no longer be reached.
 std::optional<Tour> state_tour(const fsm::MealyMachine& m, fsm::StateId start);
 
 /// Random walk of `length` steps over defined transitions (uniform among the
@@ -82,35 +86,46 @@ struct TourSet {
 std::optional<TourSet> greedy_transition_tour_set(const fsm::MealyMachine& m,
                                                   fsm::StateId start);
 
+namespace detail {
+/// The dense walk table every explicit tour generator runs on (tour.cpp).
+class WalkTable;
+}  // namespace detail
+
 /// Incremental form of greedy_transition_tour_set: yields the tour set one
 /// reset-separated sequence at a time, so a campaign can concretize and
 /// simulate each sequence while the next one is still being generated,
 /// never holding the whole test set in memory. Produces exactly the
 /// sequences (and order) of greedy_transition_tour_set — that function is
-/// now a thin loop over this generator.
+/// a thin loop over this generator.
 ///
-/// The machine must outlive the generator.
+/// The generator owns a copy of the reachable part of the machine's state
+/// graph (a dense walk table with per-state coverage cursors), so the
+/// machine may be destroyed once the constructor returns. Construction costs
+/// O(states × inputs); each greedy step is one breadth-first search over
+/// reused arrays, with no allocation per search.
 class TransitionTourSetGenerator {
  public:
   TransitionTourSetGenerator(const fsm::MealyMachine& m, fsm::StateId start);
+  ~TransitionTourSetGenerator();
+  TransitionTourSetGenerator(TransitionTourSetGenerator&&) noexcept;
+  TransitionTourSetGenerator& operator=(TransitionTourSetGenerator&&) noexcept;
 
   /// The next sequence of the set; nullopt when every reachable transition
   /// is covered (done()) or when the generator is stuck().
   std::optional<std::vector<fsm::InputId>> next();
 
   /// Every reachable transition has been covered.
-  [[nodiscard]] bool done() const { return uncovered_.empty(); }
+  [[nodiscard]] bool done() const { return remaining() == 0; }
   /// A reset no longer reaches any uncovered transition (the failure case
   /// greedy_transition_tour_set reports as an empty optional).
   [[nodiscard]] bool stuck() const { return stuck_; }
   /// Transitions still to cover.
-  [[nodiscard]] std::size_t remaining() const { return uncovered_.size(); }
+  [[nodiscard]] std::size_t remaining() const;
   [[nodiscard]] fsm::StateId start() const { return start_; }
 
  private:
-  const fsm::MealyMachine& machine_;
+  std::unique_ptr<detail::WalkTable> walk_;
   fsm::StateId start_;
-  std::set<fsm::TransitionRef> uncovered_;
   bool stuck_ = false;
 };
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "errmodel/errmodel.hpp"
 #include "tour/tour.hpp"
 
