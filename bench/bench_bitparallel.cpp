@@ -5,8 +5,9 @@
 // DLX control netlist, and fails (non-zero exit) if either path stops
 // producing bit-identical results:
 //
-//   1. Simulate — gate-level sequence replay. Scalar: one
-//      LogicNetwork::eval_into pass per (sequence, step). Packed: one
+//   1. Simulate — gate-level sequence replay. Scalar: one pass of lane 0
+//      of the word-level kernel (sym::PackedLogicSim) per (sequence, step),
+//      the way concretize and circuit replay run. Packed: one
 //      sym::PackedCircuitSim::step per 64 sequences per step. Metric:
 //      sequences/s.
 //   2. MutantReplay — Theorem 3 fault simulation. Scalar: one
@@ -102,24 +103,26 @@ SimulateResult run_simulate(const sym::SequentialCircuit& circuit,
   SimulateResult result;
   std::vector<std::uint64_t> scalar_final(num_seqs, 0);
   {
-    // Scalar: the circuit's net inputs are latches then PIs, in
-    // declaration order (random_circuit builds them that way).
+    // Scalar: one sequence per kernel pass, in lane 0. The circuit's net
+    // inputs are latches then PIs, in declaration order (random_circuit
+    // builds them that way).
     bench::Timer timer;
-    std::vector<bool> input_values(net.num_inputs());
-    std::vector<bool> values;
+    const sym::PackedLogicSim sim(net);
+    std::vector<std::uint64_t> values;
+    sim.prepare(values);
     for (std::size_t q = 0; q < num_seqs; ++q) {
       std::uint64_t state = 0;
       for (const std::uint64_t key : stimuli[q]) {
         for (std::size_t j = 0; j < num_latches; ++j) {
-          input_values[j] = ((state >> j) & 1u) != 0;
+          values[sim.input_signal(j)] = (state >> j) & 1u;
         }
         for (std::size_t k = 0; k < num_pis; ++k) {
-          input_values[num_latches + k] = ((key >> k) & 1u) != 0;
+          values[sim.input_signal(num_latches + k)] = (key >> k) & 1u;
         }
-        net.eval_into(input_values, values);
+        sim.run(values);
         std::uint64_t next = 0;
         for (std::size_t j = 0; j < num_latches; ++j) {
-          if (values[circuit.latches[j].next]) next |= std::uint64_t{1} << j;
+          next |= (values[circuit.latches[j].next] & 1u) << j;
         }
         state = next;
       }

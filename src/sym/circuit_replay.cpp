@@ -1,42 +1,11 @@
 #include "sym/circuit_replay.hpp"
 
-#include <map>
 #include <stdexcept>
-#include <utility>
 
 namespace simcov::sym {
 
 CircuitReplayer::CircuitReplayer(const SequentialCircuit& circuit)
-    : circuit_(&circuit) {
-  // Same role resolution as SymbolicFsm / PackedCircuitSim: every network
-  // input must be a latch's current-state signal or a declared PI.
-  std::map<SignalId, std::pair<bool, std::uint32_t>> by_signal;
-  for (std::size_t j = 0; j < circuit.latches.size(); ++j) {
-    by_signal[circuit.latches[j].current] = {true,
-                                             static_cast<std::uint32_t>(j)};
-  }
-  for (std::size_t k = 0; k < circuit.primary_inputs.size(); ++k) {
-    if (by_signal.count(circuit.primary_inputs[k]) != 0) {
-      throw std::invalid_argument(
-          "CircuitReplayer: signal is both latch and primary input");
-    }
-    by_signal[circuit.primary_inputs[k]] = {false,
-                                            static_cast<std::uint32_t>(k)};
-  }
-  const auto net_inputs = circuit.net.inputs();
-  source_index_.reserve(net_inputs.size());
-  is_latch_.reserve(net_inputs.size());
-  for (const SignalId s : net_inputs) {
-    const auto it = by_signal.find(s);
-    if (it == by_signal.end()) {
-      throw std::invalid_argument(
-          "CircuitReplayer: undeclared network input (neither latch nor "
-          "primary input)");
-    }
-    is_latch_.push_back(it->second.first);
-    source_index_.push_back(it->second.second);
-  }
-}
+    : circuit_(&circuit), sim_(circuit.net), sources_(input_sources(circuit)) {}
 
 SequenceTrace CircuitReplayer::replay(
     std::span<const std::vector<bool>> pi_steps, std::size_t max_steps) const {
@@ -49,8 +18,9 @@ SequenceTrace CircuitReplayer::replay(
   }
   trace.states.push_back(state);
 
-  std::vector<bool> net_in(source_index_.size());
-  std::vector<bool> values;
+  std::vector<std::uint64_t> values;
+  sim_.prepare(values);
+  const auto bit = [&values](SignalId s) { return (values[s] & 1u) != 0; };
   for (const auto& pi : pi_steps) {
     if (trace.steps >= max_steps) {
       trace.truncated = true;
@@ -60,21 +30,21 @@ SequenceTrace CircuitReplayer::replay(
       throw std::invalid_argument(
           "CircuitReplayer::replay: primary-input width mismatch");
     }
-    for (std::size_t k = 0; k < net_in.size(); ++k) {
-      net_in[k] = is_latch_[k] ? state[source_index_[k]]
-                               : pi[source_index_[k]];
+    for (std::size_t k = 0; k < sources_.size(); ++k) {
+      const auto& [is_latch, index] = sources_[k];
+      values[sim_.input_signal(k)] = is_latch ? state[index] : pi[index];
     }
-    c.net.eval_into(net_in, values);
-    if (c.valid.has_value() && !values[*c.valid]) {
+    sim_.run(values);
+    if (c.valid.has_value() && !bit(*c.valid)) {
       trace.valid = false;
       break;
     }
     std::vector<bool> outs(c.outputs.size());
     for (std::size_t o = 0; o < c.outputs.size(); ++o) {
-      outs[o] = values[c.outputs[o].second];
+      outs[o] = bit(c.outputs[o].second);
     }
     for (std::size_t j = 0; j < c.latches.size(); ++j) {
-      state[j] = values[c.latches[j].next];
+      state[j] = bit(c.latches[j].next);
     }
     trace.inputs.push_back(pi);
     trace.outputs.push_back(std::move(outs));

@@ -4,7 +4,8 @@
 // (pipeline::CircuitReplayStage) both need the same primitive: start the
 // latches at their reset values, apply one primary-input vector per cycle,
 // evaluate the combinational network, read the outputs, and clock the
-// latches. CircuitReplayer packages that loop — validity-aware (a step
+// latches. CircuitReplayer packages that loop on lane 0 of the word-level
+// kernel (PackedLogicSim) — validity-aware (a step
 // whose (state, input) violates the circuit's constraint ends the replay),
 // budget-aware (max_steps truncation is reported, not an error), and
 // thread-safe (replay() keeps all scratch local, so one replayer can serve
@@ -15,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "sym/packed_logic_sim.hpp"
 #include "sym/symbolic_fsm.hpp"
 
 namespace simcov::sym {
@@ -34,14 +36,13 @@ struct SequenceTrace {
 };
 
 /// Reusable replay engine over one circuit. Construction resolves every
-/// network input to its role (latch index or primary-input index) once;
-/// replay() is const and allocation-local, so a single instance may be
-/// shared across threads.
+/// network input to its source (input_sources) and compiles the kernel
+/// once; replay() is const and allocation-local, so a single instance may
+/// be shared across threads.
 class CircuitReplayer {
  public:
-  /// Throws std::invalid_argument when the circuit declares a network input
-  /// that is neither a latch's current signal nor a primary input (the
-  /// SequentialCircuit contract).
+  /// Throws std::invalid_argument when the circuit breaks the
+  /// SequentialCircuit contract (input_sources).
   explicit CircuitReplayer(const SequentialCircuit& circuit);
 
   [[nodiscard]] const SequentialCircuit& circuit() const { return *circuit_; }
@@ -56,9 +57,8 @@ class CircuitReplayer {
 
  private:
   const SequentialCircuit* circuit_;
-  /// Per network input: the latch (is_latch_) or primary-input index.
-  std::vector<std::uint32_t> source_index_;
-  std::vector<bool> is_latch_;
+  PackedLogicSim sim_;
+  std::vector<InputSource> sources_;  // per network input
 };
 
 /// One-shot convenience over a throwaway CircuitReplayer.

@@ -101,47 +101,6 @@ SignalId LogicNetwork::make_eq_const(std::span<const SignalId> a,
   return acc;
 }
 
-std::vector<bool> LogicNetwork::eval(
-    const std::vector<bool>& input_values) const {
-  std::vector<bool> values;
-  eval_into(input_values, values);
-  return values;
-}
-
-void LogicNetwork::eval_into(const std::vector<bool>& input_values,
-                             std::vector<bool>& val) const {
-  if (input_values.size() != inputs_.size()) {
-    throw std::invalid_argument("LogicNetwork::eval: input count mismatch");
-  }
-  val.assign(gates_.size(), false);
-  for (std::size_t s = 0; s < gates_.size(); ++s) {
-    const Gate& g = gates_[s];
-    switch (g.op) {
-      case GateOp::kInput:
-        val[s] = input_values[g.a];
-        break;
-      case GateOp::kConst:
-        val[s] = g.a != 0;
-        break;
-      case GateOp::kNot:
-        val[s] = !val[g.a];
-        break;
-      case GateOp::kAnd:
-        val[s] = val[g.a] && val[g.b];
-        break;
-      case GateOp::kOr:
-        val[s] = val[g.a] || val[g.b];
-        break;
-      case GateOp::kXor:
-        val[s] = val[g.a] != val[g.b];
-        break;
-      case GateOp::kMux:
-        val[s] = val[g.a] ? val[g.b] : val[g.c];
-        break;
-    }
-  }
-}
-
 std::vector<bdd::Bdd> LogicNetwork::eval_bdd(
     bdd::BddManager& mgr, std::span<const bdd::Bdd> input_funcs) const {
   if (input_funcs.size() != inputs_.size()) {

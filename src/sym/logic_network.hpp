@@ -3,8 +3,9 @@
 // Test models are bit-level netlists: latches plus next-state/output logic
 // (the paper derives them from the RTL by removing datapath state, Section
 // 6.1; we build them programmatically in src/testmodel). A LogicNetwork is
-// a DAG of gates over named inputs, evaluatable both concretely (bool) and
-// symbolically (BDDs) — the latter is how transition relations are built.
+// a DAG of gates over named inputs, evaluatable concretely, 64 runs per
+// pass (sym::PackedLogicSim), and symbolically (BDDs) — the latter is how
+// transition relations are built.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +62,8 @@ class LogicNetwork {
   }
 
   /// Read-only view of one gate, for structural hashing / serialization of
-  /// circuits (store::fingerprint_circuit). Operand meaning follows GateOp;
+  /// circuits (store::fingerprint_circuit) and for compiling the word-level
+  /// kernel (sym::PackedLogicSim). Operand meaning follows GateOp;
   /// unused operands are 0.
   struct GateView {
     GateOp op;
@@ -72,15 +74,6 @@ class LogicNetwork {
     const Gate& g = gates_[s];
     return GateView{g.op, g.a, g.b, g.c};
   }
-
-  /// Concrete evaluation: values for every signal given input values in
-  /// the order the inputs were created.
-  [[nodiscard]] std::vector<bool> eval(
-      const std::vector<bool>& input_values) const;
-  /// Allocation-free variant for hot loops: `values` is resized to
-  /// num_signals() and filled in place.
-  void eval_into(const std::vector<bool>& input_values,
-                 std::vector<bool>& values) const;
 
   /// Symbolic evaluation: BDD for every signal, given one BDD per input.
   [[nodiscard]] std::vector<bdd::Bdd> eval_bdd(

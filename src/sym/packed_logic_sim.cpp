@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace simcov::sym {
 
@@ -18,7 +17,9 @@ PackedLogicSim::PackedLogicSim(const LogicNetwork& net) : net_(&net) {
     std::uint32_t lvl = 0;
     switch (g.op) {
       case GateOp::kInput:
+        break;
       case GateOp::kConst:
+        constants_.emplace_back(s, g.a != 0 ? ~std::uint64_t{0} : 0);
         break;
       case GateOp::kNot:
         lvl = levels_[g.a] + 1;
@@ -35,19 +36,20 @@ PackedLogicSim::PackedLogicSim(const LogicNetwork& net) : net_(&net) {
     levels_[s] = lvl;
     num_levels_ = std::max<std::size_t>(num_levels_, lvl);
   }
-  // Level-major schedule via a counting sort: gates of one level are
-  // independent and keep their id order within it, so the pass is both a
-  // valid topological order and deterministic.
-  std::vector<std::size_t> level_counts(num_levels_ + 1, 0);
-  for (SignalId s = 0; s < n; ++s) ++level_counts[levels_[s]];
-  std::vector<std::size_t> offsets(num_levels_ + 1, 0);
-  for (std::size_t l = 1; l <= num_levels_; ++l) {
-    offsets[l] = offsets[l - 1] + level_counts[l - 1];
-  }
-  schedule_.resize(n);
+  // Level-major schedule: gates of one level are independent, so any order
+  // within a level is topological. Grouping them by op keeps the dispatch
+  // predictable; the stable sort keeps id order within a group, so the
+  // array is deterministic.
   for (SignalId s = 0; s < n; ++s) {
-    schedule_[offsets[levels_[s]]++] = s;
+    if (levels_[s] == 0) continue;
+    const auto g = net.gate(s);
+    program_.push_back(Instr{g.op, s, g.a, g.b, g.c});
   }
+  std::stable_sort(program_.begin(), program_.end(),
+                   [this](const Instr& x, const Instr& y) {
+                     return std::pair(levels_[x.dst], x.op) <
+                            std::pair(levels_[y.dst], y.op);
+                   });
 }
 
 std::uint64_t PackedLogicSim::pack_lanes(std::span<const bool> lanes) {
@@ -58,41 +60,52 @@ std::uint64_t PackedLogicSim::pack_lanes(std::span<const bool> lanes) {
   return word;
 }
 
+void PackedLogicSim::prepare(std::vector<std::uint64_t>& values) const {
+  values.resize(levels_.size());
+  for (const auto& [s, word] : constants_) values[s] = word;
+}
+
+void PackedLogicSim::run(std::span<std::uint64_t> values) const {
+  if (values.size() != levels_.size()) {
+    throw std::invalid_argument("PackedLogicSim::run: buffer size mismatch");
+  }
+  std::uint64_t* v = values.data();
+  for (const Instr& g : program_) {
+    switch (g.op) {
+      case GateOp::kNot:
+        v[g.dst] = ~v[g.a];
+        break;
+      case GateOp::kAnd:
+        v[g.dst] = v[g.a] & v[g.b];
+        break;
+      case GateOp::kOr:
+        v[g.dst] = v[g.a] | v[g.b];
+        break;
+      case GateOp::kXor:
+        v[g.dst] = v[g.a] ^ v[g.b];
+        break;
+      case GateOp::kMux:
+        v[g.dst] = (v[g.a] & v[g.b]) | (~v[g.a] & v[g.c]);
+        break;
+      case GateOp::kInput:
+      case GateOp::kConst:
+        break;  // level 0: never in the array
+    }
+  }
+}
+
 void PackedLogicSim::eval_into(std::span<const std::uint64_t> input_words,
                                std::vector<std::uint64_t>& values) const {
-  const LogicNetwork& net = *net_;
-  if (input_words.size() != net.num_inputs()) {
+  const auto inputs = net_->inputs();
+  if (input_words.size() != inputs.size()) {
     throw std::invalid_argument(
         "PackedLogicSim::eval_into: input count mismatch");
   }
-  values.assign(net.num_signals(), 0);
-  std::uint64_t* val = values.data();
-  for (const SignalId s : schedule_) {
-    const auto g = net.gate(s);
-    switch (g.op) {
-      case GateOp::kInput:
-        val[s] = input_words[g.a];
-        break;
-      case GateOp::kConst:
-        val[s] = g.a != 0 ? ~std::uint64_t{0} : 0;
-        break;
-      case GateOp::kNot:
-        val[s] = ~val[g.a];
-        break;
-      case GateOp::kAnd:
-        val[s] = val[g.a] & val[g.b];
-        break;
-      case GateOp::kOr:
-        val[s] = val[g.a] | val[g.b];
-        break;
-      case GateOp::kXor:
-        val[s] = val[g.a] ^ val[g.b];
-        break;
-      case GateOp::kMux:
-        val[s] = (val[g.a] & val[g.b]) | (~val[g.a] & val[g.c]);
-        break;
-    }
+  prepare(values);
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    values[inputs[k]] = input_words[k];
   }
+  run(values);
 }
 
 // ---------------------------------------------------------------------------
@@ -100,34 +113,12 @@ void PackedLogicSim::eval_into(std::span<const std::uint64_t> input_words,
 // ---------------------------------------------------------------------------
 
 PackedCircuitSim::PackedCircuitSim(const SequentialCircuit& circuit)
-    : circuit_(&circuit), sim_(circuit.net) {
+    : circuit_(&circuit), sim_(circuit.net), sources_(input_sources(circuit)) {
   if (circuit.latches.size() > 63 || circuit.primary_inputs.size() > 63) {
     throw std::invalid_argument(
         "PackedCircuitSim: too many variables for packed 64-bit keys");
   }
-  std::unordered_map<SignalId, std::uint32_t> latch_of, pi_of;
-  for (std::size_t j = 0; j < circuit.latches.size(); ++j) {
-    latch_of[circuit.latches[j].current] = static_cast<std::uint32_t>(j);
-  }
-  for (std::size_t k = 0; k < circuit.primary_inputs.size(); ++k) {
-    pi_of[circuit.primary_inputs[k]] = static_cast<std::uint32_t>(k);
-  }
-  const auto net_inputs = circuit.net.inputs();
-  source_index_.reserve(net_inputs.size());
-  is_latch_.reserve(net_inputs.size());
-  for (const SignalId s : net_inputs) {
-    if (const auto it = latch_of.find(s); it != latch_of.end()) {
-      is_latch_.push_back(true);
-      source_index_.push_back(it->second);
-    } else if (const auto pit = pi_of.find(s); pit != pi_of.end()) {
-      is_latch_.push_back(false);
-      source_index_.push_back(pit->second);
-    } else {
-      throw std::invalid_argument(
-          "PackedCircuitSim: network input is neither a latch nor a declared "
-          "primary input");
-    }
-  }
+  sim_.prepare(values_);
 }
 
 std::uint64_t PackedCircuitSim::step(std::span<const std::uint64_t> states,
@@ -144,23 +135,17 @@ std::uint64_t PackedCircuitSim::step(std::span<const std::uint64_t> states,
         "PackedCircuitSim::step: too many outputs for a packed 64-bit key");
   }
   // Transpose the per-lane keys into per-signal lane words: network input k
-  // gets bit L from bit source_index_[k] of lane L's state or input key.
-  input_words_.assign(source_index_.size(), 0);
-  for (std::size_t k = 0; k < source_index_.size(); ++k) {
-    const std::uint32_t bit = source_index_[k];
+  // gets bit L from bit sources_[k].index of lane L's state or input key.
+  for (std::size_t k = 0; k < sources_.size(); ++k) {
+    const auto& [is_latch, bit] = sources_[k];
+    const std::span<const std::uint64_t> keys = is_latch ? states : inputs;
     std::uint64_t word = 0;
-    if (is_latch_[k]) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        word |= ((states[l] >> bit) & 1u) << l;
-      }
-    } else {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        word |= ((inputs[l] >> bit) & 1u) << l;
-      }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      word |= ((keys[l] >> bit) & 1u) << l;
     }
-    input_words_[k] = word;
+    values_[sim_.input_signal(k)] = word;
   }
-  sim_.eval_into(input_words_, values_);
+  sim_.run(values_);
 
   const std::uint64_t lane_mask =
       lanes == kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;

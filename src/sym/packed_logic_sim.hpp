@@ -4,11 +4,13 @@
 // simulation"]: a signal's value for 64 independent simulations is packed
 // into one std::uint64_t — bit L of every word is lane L's run — so one
 // pass of word ops (~, &, |, ^) evaluates the whole network for 64 input
-// vectors at once. PackedLogicSim levelizes the gate DAG once at
-// construction and replays the level-ordered schedule on every eval; the
-// schedule is a topological order, so packed lane L computes exactly what
-// LogicNetwork::eval_into would compute for lane L's scalar inputs (the
-// randomized differential test in tests/bitparallel_test.cpp pins this).
+// vectors at once. PackedLogicSim is the only concrete evaluator of a
+// LogicNetwork: it levelizes the gate DAG once at construction and
+// compiles the level-major schedule into a flat instruction array
+// {op, dst, a, b, c}, with signal ids checked once, there. A pass runs that
+// array over a buffer whose constant signals are pre-filled and whose input
+// signals the caller writes directly. Sequential users that need one run
+// (concretize, circuit replay) use lane 0 and ignore the rest.
 //
 // PackedCircuitSim lifts the same trick to a SequentialCircuit: each lane
 // is an independent (state, input) pair in the packed 64-bit key encoding
@@ -18,6 +20,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sym/logic_network.hpp"
@@ -31,7 +34,8 @@ class PackedLogicSim {
   static constexpr std::size_t kLanes = 64;
 
   /// Levelizes `net` (inputs and constants at level 0, every other gate one
-  /// past its deepest operand). The network must outlive the simulator.
+  /// past its deepest operand) and compiles the instruction array. The
+  /// network must outlive the simulator.
   explicit PackedLogicSim(const LogicNetwork& net);
 
   [[nodiscard]] const LogicNetwork& network() const { return *net_; }
@@ -39,11 +43,26 @@ class PackedLogicSim {
   [[nodiscard]] std::size_t num_levels() const { return num_levels_; }
   [[nodiscard]] std::size_t level(SignalId s) const { return levels_[s]; }
 
-  /// Evaluates all 64 lanes: `input_words[k]` carries the lane values of
-  /// input k (bit L = lane L), `values` is resized to num_signals() and
-  /// filled with one lane word per signal. Lanes beyond the ones the caller
-  /// packed compute garbage-in/garbage-out and are simply ignored on
-  /// readback. Throws std::invalid_argument on an input-count mismatch.
+  /// Signal of network input k: run() reads input k's lane word from
+  /// values[input_signal(k)].
+  [[nodiscard]] SignalId input_signal(std::size_t k) const {
+    return net_->inputs()[k];
+  }
+
+  /// Sizes `values` to num_signals() and writes the constant signals. No
+  /// pass writes a constant or an input signal, so one prepared buffer
+  /// serves every later run().
+  void prepare(std::vector<std::uint64_t>& values) const;
+
+  /// One pass over a prepared buffer whose input signals hold their lane
+  /// words: every gate signal gets its lane word. Throws
+  /// std::invalid_argument when `values` is not num_signals() long.
+  void run(std::span<std::uint64_t> values) const;
+
+  /// prepare() + write `input_words[k]` (bit L = lane L of input k) to
+  /// input k + run(). Lanes beyond the ones the caller packed compute
+  /// garbage-in/garbage-out and are simply ignored on readback. Throws
+  /// std::invalid_argument on an input-count mismatch.
   void eval_into(std::span<const std::uint64_t> input_words,
                  std::vector<std::uint64_t>& values) const;
 
@@ -51,9 +70,16 @@ class PackedLogicSim {
   [[nodiscard]] static std::uint64_t pack_lanes(std::span<const bool> lanes);
 
  private:
+  /// One gate of the schedule; operand meaning follows GateOp.
+  struct Instr {
+    GateOp op;
+    SignalId dst, a, b, c;
+  };
+
   const LogicNetwork* net_;
-  std::vector<std::uint32_t> levels_;    // per signal
-  std::vector<SignalId> schedule_;       // level-major topological order
+  std::vector<std::uint32_t> levels_;  // per signal
+  std::vector<Instr> program_;         // gates only, level-major order
+  std::vector<std::pair<SignalId, std::uint64_t>> constants_;
   std::size_t num_levels_ = 0;
 };
 
@@ -66,10 +92,10 @@ class PackedCircuitSim {
   static constexpr std::size_t kLanes = PackedLogicSim::kLanes;
 
   /// The circuit must outlive the simulator. Throws std::invalid_argument
-  /// beyond 63 latches / primary inputs (the packed-key limit) or when a
-  /// network input is neither a latch's current signal nor a declared
-  /// primary input. Reading outputs additionally requires at most 63
-  /// output signals (checked per step() call, like SymbolicModel::output).
+  /// beyond 63 latches / primary inputs (the packed-key limit) or when the
+  /// circuit breaks the SequentialCircuit contract (input_sources). Reading
+  /// outputs additionally requires at most 63 output signals (checked per
+  /// step() call, like SymbolicModel::output).
   explicit PackedCircuitSim(const SequentialCircuit& circuit);
 
   /// Steps lanes [0, states.size()) once: lane L starts in state key
@@ -85,11 +111,8 @@ class PackedCircuitSim {
  private:
   const SequentialCircuit* circuit_;
   PackedLogicSim sim_;
-  /// Per network input: latch index (is_latch_) or primary-input index.
-  std::vector<std::uint32_t> source_index_;
-  std::vector<bool> is_latch_;
-  mutable std::vector<std::uint64_t> input_words_;  // reused scratch
-  mutable std::vector<std::uint64_t> values_;       // reused scratch
+  std::vector<InputSource> sources_;            // per network input
+  mutable std::vector<std::uint64_t> values_;  // reused prepared buffer
 };
 
 }  // namespace simcov::sym

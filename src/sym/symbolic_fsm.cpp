@@ -1,52 +1,46 @@
 #include "sym/symbolic_fsm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
+
+#include "runtime/rng.hpp"
+#include "sym/packed_logic_sim.hpp"
 
 namespace simcov::sym {
 
-namespace {
-
-/// Maps every network input signal to its role (latch index or PI index) and
-/// validates that the circuit declares all inputs.
-struct InputRoles {
-  // For each network input position k: latch index or PI index.
-  std::vector<std::pair<bool /*is_latch*/, std::size_t>> role;
-
-  explicit InputRoles(const SequentialCircuit& c) {
-    const auto net_inputs = c.net.inputs();
-    std::map<SignalId, std::pair<bool, std::size_t>> by_signal;
-    for (std::size_t j = 0; j < c.latches.size(); ++j) {
-      by_signal[c.latches[j].current] = {true, j};
-    }
-    for (std::size_t k = 0; k < c.primary_inputs.size(); ++k) {
-      if (by_signal.count(c.primary_inputs[k]) != 0) {
-        throw std::invalid_argument(
-            "SequentialCircuit: signal is both latch and primary input");
-      }
-      by_signal[c.primary_inputs[k]] = {false, k};
-    }
-    role.reserve(net_inputs.size());
-    for (SignalId s : net_inputs) {
-      const auto it = by_signal.find(s);
-      if (it == by_signal.end()) {
-        throw std::invalid_argument(
-            "SequentialCircuit: undeclared network input (neither latch nor "
-            "primary input)");
-      }
-      role.push_back(it->second);
-    }
+std::vector<InputSource> input_sources(const SequentialCircuit& c) {
+  std::map<SignalId, InputSource> by_signal;
+  for (std::size_t j = 0; j < c.latches.size(); ++j) {
+    by_signal[c.latches[j].current] = {true, static_cast<std::uint32_t>(j)};
   }
-};
-
-}  // namespace
+  for (std::size_t k = 0; k < c.primary_inputs.size(); ++k) {
+    if (by_signal.count(c.primary_inputs[k]) != 0) {
+      throw std::invalid_argument(
+          "SequentialCircuit: signal is both latch and primary input");
+    }
+    by_signal[c.primary_inputs[k]] = {false, static_cast<std::uint32_t>(k)};
+  }
+  std::vector<InputSource> sources;
+  sources.reserve(c.net.num_inputs());
+  for (const SignalId s : c.net.inputs()) {
+    const auto it = by_signal.find(s);
+    if (it == by_signal.end()) {
+      throw std::invalid_argument(
+          "SequentialCircuit: undeclared network input (neither latch nor "
+          "primary input)");
+    }
+    sources.push_back(it->second);
+  }
+  return sources;
+}
 
 SymbolicFsm::SymbolicFsm(bdd::BddManager& mgr, const SequentialCircuit& c)
     : mgr_(mgr) {
-  const InputRoles roles(c);
+  const auto sources = input_sources(c);
   const std::size_t num_pi = c.primary_inputs.size();
   const std::size_t num_latch = c.latches.size();
 
@@ -64,8 +58,8 @@ SymbolicFsm::SymbolicFsm(bdd::BddManager& mgr, const SequentialCircuit& c)
 
   // Symbolic inputs for the network.
   std::vector<bdd::Bdd> input_funcs;
-  input_funcs.reserve(roles.role.size());
-  for (const auto& [is_latch, index] : roles.role) {
+  input_funcs.reserve(sources.size());
+  for (const auto& [is_latch, index] : sources) {
     input_funcs.push_back(
         mgr_.var(is_latch ? ps_vars_[index] : pi_vars_[index]));
   }
@@ -243,12 +237,16 @@ SymbolicFsm::InvariantResult SymbolicFsm::check_invariant(
 
 ExplicitModel extract_explicit(const SequentialCircuit& c,
                                std::size_t max_states) {
-  const InputRoles roles(c);
+  const auto sources = input_sources(c);
   const std::size_t num_pi = c.primary_inputs.size();
   const std::size_t num_latch = c.latches.size();
   if (num_pi > 24) {
     throw std::invalid_argument(
         "extract_explicit: too many primary inputs for explicit enumeration");
+  }
+  if (c.outputs.size() > 31) {
+    throw std::invalid_argument(
+        "extract_explicit: too many outputs to pack into an OutputId");
   }
 
   // Pass 1 (symbolic): the global valid input alphabet = PI combinations
@@ -269,18 +267,35 @@ ExplicitModel extract_explicit(const SequentialCircuit& c,
   }
   const std::size_t num_symbols = model.input_bits.size();
 
-  // Pass 2 (concrete): BFS over latch-value vectors.
-  auto net_input_vector = [&](const std::vector<bool>& state,
-                              const std::vector<bool>& pi) {
-    std::vector<bool> v(roles.role.size());
-    for (std::size_t k = 0; k < roles.role.size(); ++k) {
-      const auto& [is_latch, index] = roles.role[k];
-      v[k] = is_latch ? state[index] : pi[index];
+  // Pass 2 (concrete, word-level): BFS over latch-value vectors. One kernel
+  // pass evaluates a state against a block of up to 64 alphabet symbols,
+  // one per lane: a latch's word is its state bit broadcast to every lane,
+  // a primary input's word holds its bit of each symbol of the block.
+  constexpr std::size_t kLanes = PackedLogicSim::kLanes;
+  const std::size_t num_blocks = (num_symbols + kLanes - 1) / kLanes;
+  std::vector<std::uint64_t> pi_words(num_blocks * num_pi, 0);
+  for (std::size_t sym_id = 0; sym_id < num_symbols; ++sym_id) {
+    for (std::size_t k = 0; k < num_pi; ++k) {
+      pi_words[sym_id / kLanes * num_pi + k] |=
+          std::uint64_t{model.input_bits[sym_id][k]} << (sym_id % kLanes);
     }
-    return v;
-  };
+  }
+  const PackedLogicSim sim(c.net);
+  std::vector<std::uint64_t> values;
+  sim.prepare(values);
 
-  std::map<std::vector<bool>, fsm::StateId> state_id;
+  // States are indexed by their latch bits, packed 64 to a word, so every
+  // latch count takes the same path.
+  struct KeyHash {
+    std::size_t operator()(const std::vector<std::uint64_t>& key) const {
+      std::uint64_t h = 0;
+      for (const std::uint64_t w : key) h = runtime::splitmix64(h ^ w);
+      return static_cast<std::size_t>(h);
+    }
+  };
+  std::unordered_map<std::vector<std::uint64_t>, fsm::StateId, KeyHash>
+      state_id;
+  std::vector<std::uint64_t> key((num_latch + 63) / 64);
   struct PendingTransition {
     fsm::StateId from;
     fsm::InputId input;
@@ -290,46 +305,62 @@ ExplicitModel extract_explicit(const SequentialCircuit& c,
   std::vector<PendingTransition> transitions;
 
   std::vector<bool> init(num_latch);
-  for (std::size_t j = 0; j < num_latch; ++j) init[j] = c.latches[j].init;
-  state_id.emplace(init, 0);
+  for (std::size_t j = 0; j < num_latch; ++j) {
+    init[j] = c.latches[j].init;
+    key[j / 64] |= std::uint64_t{init[j]} << (j % 64);
+  }
+  state_id.emplace(key, 0);
   model.state_bits.push_back(init);
-  std::deque<fsm::StateId> queue{0};
 
-  std::vector<bool> values;
-  while (!queue.empty()) {
-    const fsm::StateId sid = queue.front();
-    queue.pop_front();
-    const std::vector<bool> state = model.state_bits[sid];
-    for (std::size_t sym_id = 0; sym_id < num_symbols; ++sym_id) {
-      c.net.eval_into(net_input_vector(state, model.input_bits[sym_id]),
-                      values);
-      if (c.valid.has_value() && !values[*c.valid]) continue;  // invalid here
-      std::vector<bool> next(num_latch);
-      for (std::size_t j = 0; j < num_latch; ++j) {
-        next[j] = values[c.latches[j].next];
+  // Ids are handed out in discovery order, so the BFS queue is simply the
+  // id sequence.
+  for (fsm::StateId sid = 0; sid < model.state_bits.size(); ++sid) {
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      if (sources[k].is_latch) {
+        values[sim.input_signal(k)] =
+            model.state_bits[sid][sources[k].index] ? ~std::uint64_t{0} : 0;
       }
-      fsm::OutputId out = 0;
-      if (c.outputs.size() > 31) {
-        throw std::invalid_argument(
-            "extract_explicit: too many outputs to pack into an OutputId");
-      }
-      for (std::size_t b = 0; b < c.outputs.size(); ++b) {
-        if (values[c.outputs[b].second]) out |= fsm::OutputId{1} << b;
-      }
-      auto [it, inserted] =
-          state_id.emplace(next, static_cast<fsm::StateId>(state_id.size()));
-      if (inserted) {
-        if (state_id.size() > max_states) {
-          model.truncated = true;
-          state_id.erase(it);
-          continue;
+    }
+    for (std::size_t block = 0; block < num_blocks; ++block) {
+      for (std::size_t k = 0; k < sources.size(); ++k) {
+        if (!sources[k].is_latch) {
+          values[sim.input_signal(k)] =
+              pi_words[block * num_pi + sources[k].index];
         }
-        model.state_bits.push_back(next);
-        queue.push_back(it->second);
       }
-      if (!model.truncated || !inserted) {
-        transitions.push_back({sid, static_cast<fsm::InputId>(sym_id),
-                               it->second, out});
+      sim.run(values);
+      const std::size_t lanes = std::min(kLanes, num_symbols - block * kLanes);
+      std::uint64_t valid =
+          lanes == kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+      if (c.valid.has_value()) valid &= values[*c.valid];  // invalid lanes
+      for (; valid != 0; valid &= valid - 1) {
+        const int lane = std::countr_zero(valid);
+        const auto bit = [&](SignalId s) { return (values[s] >> lane) & 1u; };
+        std::fill(key.begin(), key.end(), 0);
+        for (std::size_t j = 0; j < num_latch; ++j) {
+          key[j / 64] |= bit(c.latches[j].next) << (j % 64);
+        }
+        fsm::OutputId out = 0;
+        for (std::size_t b = 0; b < c.outputs.size(); ++b) {
+          out |= static_cast<fsm::OutputId>(bit(c.outputs[b].second)) << b;
+        }
+        const auto [it, inserted] = state_id.try_emplace(
+            key, static_cast<fsm::StateId>(state_id.size()));
+        if (inserted) {
+          if (state_id.size() > max_states) {
+            model.truncated = true;
+            state_id.erase(it);
+            continue;
+          }
+          std::vector<bool> next(num_latch);
+          for (std::size_t j = 0; j < num_latch; ++j) {
+            next[j] = ((key[j / 64] >> (j % 64)) & 1u) != 0;
+          }
+          model.state_bits.push_back(std::move(next));
+        }
+        transitions.push_back(
+            {sid, static_cast<fsm::InputId>(block * kLanes + lane), it->second,
+             out});
       }
     }
   }

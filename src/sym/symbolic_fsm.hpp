@@ -48,6 +48,19 @@ struct SequentialCircuit {
   std::optional<SignalId> valid;
 };
 
+/// Where one network input of a SequentialCircuit is driven from: latch
+/// `index` (its current-state signal) or primary input `index`.
+struct InputSource {
+  bool is_latch = false;
+  std::uint32_t index = 0;
+};
+
+/// The source of every network input, in network-input order. Throws
+/// std::invalid_argument when a signal is both a latch and a primary input,
+/// or a network input is neither (the SequentialCircuit contract).
+[[nodiscard]] std::vector<InputSource> input_sources(
+    const SequentialCircuit& circuit);
+
 struct SymbolicFsmStats {
   unsigned num_latches = 0;
   unsigned num_primary_inputs = 0;

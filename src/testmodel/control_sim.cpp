@@ -78,13 +78,15 @@ bool role_pi_value(const InputRole& role, const ControlInput& in,
   return false;
 }
 
-ControlModelSim::ControlModelSim(const BuiltTestModel& model) : model_(model) {
+ControlModelSim::ControlModelSim(const BuiltTestModel& model)
+    : model_(model),
+      roles_(classify_network_inputs(model)),
+      sim_(model.circuit.net) {
   const auto& c = model_.circuit;
-  roles_ = classify_network_inputs(model_);
   for (std::size_t k = 0; k < c.outputs.size(); ++k) {
     output_index_[c.outputs[k].first] = k;
   }
-  input_scratch_.assign(roles_.size(), false);
+  sim_.prepare(values_);
   reset();
 }
 
@@ -96,39 +98,30 @@ void ControlModelSim::reset() {
   last_outputs_.assign(model_.circuit.outputs.size(), false);
 }
 
-void ControlModelSim::fill_network_inputs(const ControlInput& in) const {
+bool ControlModelSim::input_valid(const ControlInput& in) const {
   const bool onehot = model_.options.onehot_opclass;
   for (std::size_t k = 0; k < roles_.size(); ++k) {
     const InputRole& role = roles_[k];
-    input_scratch_[k] = role.is_latch ? static_cast<bool>(
-                                            latches_[role.latch_index])
-                                      : role_pi_value(role, in, onehot);
+    values_[sim_.input_signal(k)] =
+        role.is_latch ? latches_[role.latch_index]
+                      : role_pi_value(role, in, onehot);
   }
-}
-
-bool ControlModelSim::input_valid(const ControlInput& in) const {
-  fill_network_inputs(in);
-  static thread_local std::vector<bool> sig;
-  model_.circuit.net.eval_into(input_scratch_, sig);
-  return !model_.circuit.valid.has_value() || sig[*model_.circuit.valid];
+  sim_.run(values_);
+  const auto& valid = model_.circuit.valid;
+  return !valid.has_value() || (values_[*valid] & 1u) != 0;
 }
 
 void ControlModelSim::step_fast(const ControlInput& in) {
-  fill_network_inputs(in);
-  static thread_local std::vector<bool> sig;
-  model_.circuit.net.eval_into(input_scratch_, sig);
-  if (model_.circuit.valid.has_value() && !sig[*model_.circuit.valid]) {
+  if (!input_valid(in)) {  // leaves this input's pass in values_
     throw std::domain_error("ControlModelSim: invalid input combination");
   }
-  const auto& outputs = model_.circuit.outputs;
-  for (std::size_t k = 0; k < outputs.size(); ++k) {
-    last_outputs_[k] = sig[outputs[k].second];
+  const auto& c = model_.circuit;
+  for (std::size_t k = 0; k < c.outputs.size(); ++k) {
+    last_outputs_[k] = (values_[c.outputs[k].second] & 1u) != 0;
   }
-  std::vector<bool> next(latches_.size());
   for (std::size_t j = 0; j < latches_.size(); ++j) {
-    next[j] = sig[model_.circuit.latches[j].next];
+    latches_[j] = (values_[c.latches[j].next] & 1u) != 0;
   }
-  latches_ = std::move(next);
 }
 
 std::map<std::string, bool> ControlModelSim::step(const ControlInput& in) {

@@ -3,8 +3,9 @@
 // Drives the SequentialCircuit of a BuiltTestModel with decoded instruction
 // inputs and reads back the named control outputs. Used by tests to check
 // the model's stall/squash/forwarding behaviour against the real pipeline,
-// and by the validation harness when replaying tours (hot path: all name
-// resolution happens once, in the constructor).
+// and by concretize when replaying tours (hot path: all name resolution
+// happens once, in the constructor, and each cycle is one pass of lane 0 of
+// the word-level kernel, sym::PackedLogicSim).
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "dlx/isa.hpp"
+#include "sym/packed_logic_sim.hpp"
 #include "testmodel/testmodel.hpp"
 
 namespace simcov::testmodel {
@@ -30,8 +32,9 @@ struct ControlInput {
 
 /// How one network input of a built control model is driven: either from a
 /// latch (by latch index) or from a field of the decoded ControlInput.
-/// Shared between the scalar ControlModelSim and the 64-lane
-/// PackedControlModelSim so the two fill network inputs identically.
+/// Shared by ControlModelSim, the 64-lane PackedControlModelSim and the
+/// tour decoder (validate::decode_control_input), so all three read the
+/// primary inputs the same way.
 struct InputRole {
   enum class Pi : std::uint8_t {
     kOpBit, kRs1Bit, kRs2Bit, kRdBit, kBranchOutcome, kInstrValid,
@@ -83,14 +86,13 @@ class ControlModelSim {
   }
 
  private:
-  void fill_network_inputs(const ControlInput& in) const;
-
   const BuiltTestModel& model_;
   std::vector<InputRole> roles_;
+  sym::PackedLogicSim sim_;
   std::vector<bool> latches_;
   std::vector<bool> last_outputs_;           // by output index
   std::map<std::string, std::size_t> output_index_;
-  mutable std::vector<bool> input_scratch_;  // reused network-input buffer
+  mutable std::vector<std::uint64_t> values_;  // prepared kernel buffer
 };
 
 }  // namespace simcov::testmodel

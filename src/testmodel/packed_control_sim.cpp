@@ -14,6 +14,7 @@ PackedControlModelSim::PackedControlModelSim(const BuiltTestModel& model)
   }
   latch_words_.assign(c.latches.size(), 0);
   out_words_.assign(c.outputs.size(), 0);
+  sim_.prepare(values_);
   reset();
 }
 
@@ -31,22 +32,21 @@ void PackedControlModelSim::step(std::span<const ControlInput> inputs) {
     throw std::invalid_argument("PackedControlModelSim::step: too many lanes");
   }
   const bool onehot = model_.options.onehot_opclass;
-  input_words_.assign(roles_.size(), 0);
   for (std::size_t k = 0; k < roles_.size(); ++k) {
     const InputRole& role = roles_[k];
-    if (role.is_latch) {
-      input_words_[k] = latch_words_[role.latch_index];
-      continue;
-    }
     std::uint64_t word = 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (role_pi_value(role, inputs[l], onehot)) {
-        word |= std::uint64_t{1} << l;
+    if (role.is_latch) {
+      word = latch_words_[role.latch_index];
+    } else {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        if (role_pi_value(role, inputs[l], onehot)) {
+          word |= std::uint64_t{1} << l;
+        }
       }
     }
-    input_words_[k] = word;
+    values_[sim_.input_signal(k)] = word;
   }
-  sim_.eval_into(input_words_, values_);
+  sim_.run(values_);
 
   const std::uint64_t lane_mask =
       lanes == kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;

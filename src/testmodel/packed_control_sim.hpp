@@ -4,9 +4,9 @@
 // latch values live in bit L of one std::uint64_t per latch, and one
 // word-level pass of the circuit (sym::PackedLogicSim) advances all lanes
 // a clock at once. Input decoding shares ControlModelSim's InputRole
-// classification, so a lane computes bit-for-bit what the scalar simulator
-// computes for the same ControlInput sequence (pinned by
-// tests/bitparallel_test.cpp).
+// classification, so lane L computes bit-for-bit what ControlModelSim (one
+// lane of the same kernel) computes for lane L's ControlInput sequence;
+// tests/bitparallel_test.cpp pins both against a scalar reference.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +59,7 @@ class PackedControlModelSim {
   std::vector<std::uint64_t> latch_words_;  // one word per latch
   std::vector<std::uint64_t> out_words_;    // one word per output
   std::map<std::string, std::size_t> output_index_;
-  mutable std::vector<std::uint64_t> input_words_;  // reused scratch
-  mutable std::vector<std::uint64_t> values_;       // reused scratch
+  std::vector<std::uint64_t> values_;  // prepared kernel buffer
 };
 
 }  // namespace simcov::testmodel

@@ -1,5 +1,8 @@
 #include "validate/concretize.hpp"
 
+#include <algorithm>
+#include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -179,65 +182,73 @@ ConcretizedProgram concretize_tour(const testmodel::BuiltTestModel& model,
   return out;
 }
 
-testmodel::ControlInput decode_control_input(
-    const testmodel::BuiltTestModel& model, const std::vector<bool>& pi_bits) {
-  const auto& c = model.circuit;
-  if (pi_bits.size() != c.primary_inputs.size()) {
+namespace {
+
+/// The InputRole of every primary input, in PI order, from the simulators'
+/// own classification: an unmapped name throws std::logic_error here as it
+/// does there.
+std::vector<testmodel::InputRole> pi_roles(
+    const testmodel::BuiltTestModel& model) {
+  const auto roles = testmodel::classify_network_inputs(model);
+  const auto net_inputs = model.circuit.net.inputs();
+  std::vector<testmodel::InputRole> by_pi;
+  for (const sym::SignalId s : model.circuit.primary_inputs) {
+    const auto k = static_cast<std::size_t>(
+        std::find(net_inputs.begin(), net_inputs.end(), s) -
+        net_inputs.begin());
+    if (k == net_inputs.size() || roles[k].is_latch) {
+      throw std::logic_error(
+          "decode_control_input: primary input is not a decoded network "
+          "input");
+    }
+    by_pi.push_back(roles[k]);
+  }
+  return by_pi;
+}
+
+ControlInput decode(const testmodel::BuiltTestModel& model,
+                    std::span<const testmodel::InputRole> roles,
+                    const std::vector<bool>& pi_bits) {
+  if (pi_bits.size() != roles.size()) {
     throw std::invalid_argument("decode_control_input: width mismatch");
   }
-  // Name every primary-input position.
-  std::map<sym::SignalId, std::string> names;
-  const auto net_inputs = c.net.inputs();
-  for (std::size_t k = 0; k < net_inputs.size(); ++k) {
-    names[net_inputs[k]] = c.net.input_name(k);
-  }
+  using Pi = testmodel::InputRole::Pi;
   ControlInput in;
+  // Only a fetch controller reads instr_valid; without one it stays set.
+  in.instr_valid = !model.options.fetch_controller;
   unsigned cls_bits = 0;
-  for (std::size_t p = 0; p < c.primary_inputs.size(); ++p) {
-    const std::string& name = names[c.primary_inputs[p]];
-    const bool v = pi_bits[p];
-    if (!v) continue;
-    if (name.rfind("op", 0) == 0) {
-      const unsigned idx = static_cast<unsigned>(std::stoul(name.substr(2)));
-      if (model.options.onehot_opclass) {
-        cls_bits = idx;  // one-hot: index is the class id
-      } else {
-        cls_bits |= 1u << idx;
-      }
-    } else if (name.rfind("rs1_", 0) == 0) {
-      in.rs1 |= 1u << std::stoul(name.substr(4));
-    } else if (name.rfind("rs2_", 0) == 0) {
-      in.rs2 |= 1u << std::stoul(name.substr(4));
-    } else if (name.rfind("rd_", 0) == 0) {
-      in.rd |= 1u << std::stoul(name.substr(3));
-    } else if (name == "branch_outcome") {
-      in.branch_outcome = true;
-    } else if (name == "instr_valid") {
-      in.instr_valid = true;
+  for (std::size_t p = 0; p < pi_bits.size(); ++p) {
+    if (!pi_bits[p]) continue;
+    const unsigned bit = roles[p].pi_bit;
+    switch (roles[p].pi_kind) {
+      case Pi::kOpBit:  // one-hot: the index is the class id
+        cls_bits = model.options.onehot_opclass ? bit : cls_bits | 1u << bit;
+        break;
+      case Pi::kRs1Bit: in.rs1 |= 1u << bit; break;
+      case Pi::kRs2Bit: in.rs2 |= 1u << bit; break;
+      case Pi::kRdBit: in.rd |= 1u << bit; break;
+      case Pi::kBranchOutcome: in.branch_outcome = true; break;
+      case Pi::kInstrValid: in.instr_valid = true; break;
     }
   }
   in.cls = static_cast<OpClass>(cls_bits);
-  if (model.options.fetch_controller) {
-    // instr_valid was parsed only if set; default false in that case.
-    bool saw_valid = false;
-    for (std::size_t p = 0; p < c.primary_inputs.size(); ++p) {
-      if (names[c.primary_inputs[p]] == "instr_valid" && pi_bits[p]) {
-        saw_valid = true;
-      }
-    }
-    in.instr_valid = saw_valid;
-  }
   return in;
+}
+
+}  // namespace
+
+testmodel::ControlInput decode_control_input(
+    const testmodel::BuiltTestModel& model, const std::vector<bool>& pi_bits) {
+  return decode(model, pi_roles(model), pi_bits);
 }
 
 ConcretizedProgram concretize_sequence(
     const testmodel::BuiltTestModel& model,
     const std::vector<std::vector<bool>>& pi_steps) {
+  const auto roles = pi_roles(model);  // resolved once per sequence
   std::vector<testmodel::ControlInput> steps;
   steps.reserve(pi_steps.size());
-  for (const auto& bits : pi_steps) {
-    steps.push_back(decode_control_input(model, bits));
-  }
+  for (const auto& bits : pi_steps) steps.push_back(decode(model, roles, bits));
   return concretize_tour(model, steps);
 }
 

@@ -1,14 +1,17 @@
 // Differential tests for the bit-parallel (64-lane) simulation paths.
 //
-// Every packed component here has a scalar twin that predates it; the
-// contract is always the same — lane L of the packed run must equal the
-// scalar run of lane L's inputs, bit for bit. The suites below pin that
-// contract with randomized differentials (including partial final blocks
-// of fewer than 64 lanes) for:
+// Every packed component here has a scalar twin; the contract is always
+// the same — lane L of the packed run must equal the scalar run of lane L's
+// inputs, bit for bit. The suites below pin that contract with randomized
+// differentials (including partial final blocks of fewer than 64 lanes)
+// for:
 //
-//   * sym::PackedLogicSim            vs LogicNetwork::eval_into
+//   * sym::PackedLogicSim            vs the scalar gate interpreter the
+//                                    library no longer has (scalar_eval.hpp)
 //   * model step_batch/output_batch  vs scalar step/output (both backends)
-//   * testmodel::PackedControlModelSim vs ControlModelSim
+//   * testmodel::PackedControlModelSim and ControlModelSim (one lane of
+//                                    the same kernel) vs a scalar control
+//                                    simulator kept here
 //   * errmodel::PackedMutantBlock    vs scalar exposes()
 //   * MutantCoverageOptions::packed  vs the scalar replay loop
 //   * CampaignOptions::packed        vs the scalar campaign (byte-identical
@@ -27,6 +30,7 @@
 #include "fsm/mealy.hpp"
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
+#include "scalar_eval.hpp"
 #include "sym/packed_logic_sim.hpp"
 #include "testmodel/control_sim.hpp"
 #include "testmodel/packed_control_sim.hpp"
@@ -37,7 +41,7 @@ namespace simcov {
 namespace {
 
 // ---------------------------------------------------------------------------
-// PackedLogicSim vs LogicNetwork::eval_into
+// PackedLogicSim vs a scalar interpreter
 // ---------------------------------------------------------------------------
 
 /// Random gate soup: `num_gates` gates drawn over the growing signal pool,
@@ -90,7 +94,7 @@ TEST(PackedLogicSim, MatchesScalarEvalOnRandomNetworks) {
 
     std::vector<bool> scalar_values;
     for (std::size_t l = 0; l < lane_inputs.size(); ++l) {
-      net.eval_into(lane_inputs[l], scalar_values);
+      scalar_eval_into(net, lane_inputs[l], scalar_values);
       for (sym::SignalId s = 0; s < net.num_signals(); ++s) {
         ASSERT_EQ(((packed_values[s] >> l) & 1u) != 0, scalar_values[s])
             << "seed=" << seed << " lane=" << l << " signal=" << s;
@@ -213,8 +217,60 @@ TEST(BatchStepping, MismatchedSpansThrow) {
 }
 
 // ---------------------------------------------------------------------------
-// PackedControlModelSim vs ControlModelSim
+// PackedControlModelSim and ControlModelSim vs a scalar control simulator
 // ---------------------------------------------------------------------------
+
+/// The scalar loop ControlModelSim ran before it moved onto the word-level
+/// kernel: network inputs filled into a std::vector<bool> from the shared
+/// InputRole table, then one scalar_eval_into per cycle.
+class ScalarControlSim {
+ public:
+  explicit ScalarControlSim(const testmodel::BuiltTestModel& model)
+      : model_(&model), roles_(testmodel::classify_network_inputs(model)) {
+    for (const auto& latch : model.circuit.latches) {
+      latches_.push_back(latch.init);
+    }
+    outputs_.assign(model.circuit.outputs.size(), false);
+  }
+
+  bool input_valid(const testmodel::ControlInput& in) {
+    evaluate(in);
+    const auto& valid = model_->circuit.valid;
+    return !valid.has_value() || values_[*valid];
+  }
+
+  /// One cycle; the caller has checked input_valid(in).
+  void step(const testmodel::ControlInput& in) {
+    evaluate(in);
+    const auto& c = model_->circuit;
+    for (std::size_t k = 0; k < c.outputs.size(); ++k) {
+      outputs_[k] = values_[c.outputs[k].second];
+    }
+    for (std::size_t j = 0; j < latches_.size(); ++j) {
+      latches_[j] = values_[c.latches[j].next];
+    }
+  }
+
+  [[nodiscard]] const std::vector<bool>& latches() const { return latches_; }
+  [[nodiscard]] bool out_at(std::size_t k) const { return outputs_[k]; }
+
+ private:
+  void evaluate(const testmodel::ControlInput& in) {
+    std::vector<bool> net_in(roles_.size());
+    for (std::size_t k = 0; k < roles_.size(); ++k) {
+      const auto& role = roles_[k];
+      net_in[k] = role.is_latch
+                      ? static_cast<bool>(latches_[role.latch_index])
+                      : testmodel::role_pi_value(
+                            role, in, model_->options.onehot_opclass);
+    }
+    scalar_eval_into(model_->circuit.net, net_in, values_);
+  }
+
+  const testmodel::BuiltTestModel* model_;
+  std::vector<testmodel::InputRole> roles_;
+  std::vector<bool> latches_, outputs_, values_;
+};
 
 testmodel::ControlInput random_control_input(std::mt19937_64& rng,
                                              unsigned reg_addr_bits) {
@@ -239,9 +295,14 @@ TEST(PackedControlSim, MatchesScalarControlSimLaneForLane) {
   constexpr std::size_t kTestLanes = 37;  // deliberately a partial block
   constexpr std::size_t kSteps = 40;
 
-  std::vector<testmodel::ControlModelSim> scalars;
+  std::vector<ScalarControlSim> scalars;
+  std::vector<testmodel::ControlModelSim> one_lane;
   scalars.reserve(kTestLanes);
-  for (std::size_t l = 0; l < kTestLanes; ++l) scalars.emplace_back(built);
+  one_lane.reserve(kTestLanes);
+  for (std::size_t l = 0; l < kTestLanes; ++l) {
+    scalars.emplace_back(built);
+    one_lane.emplace_back(built);
+  }
   testmodel::PackedControlModelSim packed(built);
   packed.reset();
 
@@ -249,16 +310,24 @@ TEST(PackedControlSim, MatchesScalarControlSimLaneForLane) {
   std::vector<testmodel::ControlInput> lane_inputs(kTestLanes);
   for (std::size_t step = 0; step < kSteps; ++step) {
     for (std::size_t l = 0; l < kTestLanes; ++l) {
-      // Draw until valid for this lane's current state, so neither
-      // simulator throws and the walks stay in lockstep.
-      do {
+      // Draw until valid for this lane's current state, so no simulator
+      // throws and the walks stay in lockstep. Every rejected draw must be
+      // rejected by ControlModelSim too.
+      for (;;) {
         lane_inputs[l] = random_control_input(rng, opt.reg_addr_bits);
-      } while (!scalars[l].input_valid(lane_inputs[l]));
+        const bool valid = scalars[l].input_valid(lane_inputs[l]);
+        ASSERT_EQ(one_lane[l].input_valid(lane_inputs[l]), valid)
+            << "step=" << step << " lane=" << l;
+        if (valid) break;
+      }
     }
     packed.step(lane_inputs);
     for (std::size_t l = 0; l < kTestLanes; ++l) {
-      scalars[l].step_fast(lane_inputs[l]);
-      const auto& latches = scalars[l].latch_values();
+      scalars[l].step(lane_inputs[l]);
+      one_lane[l].step_fast(lane_inputs[l]);
+      const auto& latches = scalars[l].latches();
+      ASSERT_EQ(one_lane[l].latch_values(), latches)
+          << "step=" << step << " lane=" << l;
       for (std::size_t j = 0; j < latches.size(); ++j) {
         ASSERT_EQ(packed.latch(l, j), latches[j])
             << "step=" << step << " lane=" << l << " latch=" << j;
@@ -266,17 +335,17 @@ TEST(PackedControlSim, MatchesScalarControlSimLaneForLane) {
     }
   }
   // Output words agree with the scalar sims' last outputs, by index.
-  const auto& one = scalars.front();
   const std::size_t num_outputs = built.num_outputs;
   for (std::size_t k = 0; k < num_outputs; ++k) {
     for (std::size_t l = 0; l < kTestLanes; ++l) {
       ASSERT_EQ(packed.out_at(l, k), scalars[l].out_at(k))
           << "lane=" << l << " output=" << k;
+      ASSERT_EQ(one_lane[l].out_at(k), scalars[l].out_at(k))
+          << "lane=" << l << " output=" << k;
     }
   }
-  // Name resolution agrees between the two simulators.
-  (void)one;
-  EXPECT_EQ(packed.output_index("stall"), one.output_index("stall"));
+  // Name resolution agrees between the two library simulators.
+  EXPECT_EQ(packed.output_index("stall"), one_lane.front().output_index("stall"));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <random>
+#include <stdexcept>
 
 #include "runtime/rng.hpp"
+#include "scalar_eval.hpp"
+#include "sym/packed_logic_sim.hpp"
 #include "testmodel/testmodel.hpp"
 #include "tour/tour.hpp"
 
@@ -18,6 +24,17 @@ namespace {
 // LogicNetwork
 // ---------------------------------------------------------------------------
 
+/// Concrete evaluation of one input vector: lane 0 of the word-level kernel.
+std::vector<bool> eval_one(const LogicNetwork& net,
+                           const std::vector<bool>& inputs) {
+  const std::vector<std::uint64_t> words(inputs.begin(), inputs.end());
+  std::vector<std::uint64_t> values;
+  PackedLogicSim(net).eval_into(words, values);
+  std::vector<bool> lane0(values.size());
+  for (std::size_t s = 0; s < values.size(); ++s) lane0[s] = values[s] & 1u;
+  return lane0;
+}
+
 TEST(LogicNet, ConcreteEvaluation) {
   LogicNetwork net;
   const SignalId a = net.add_input("a");
@@ -27,7 +44,7 @@ TEST(LogicNet, ConcreteEvaluation) {
   const SignalId m = net.make_mux(a, b, n);
   for (const bool va : {false, true}) {
     for (const bool vb : {false, true}) {
-      const auto val = net.eval({va, vb});
+      const auto val = eval_one(net, {va, vb});
       EXPECT_EQ(val[x], va != vb);
       EXPECT_EQ(val[n], !(va != vb));
       EXPECT_EQ(val[m], va ? vb : !(va != vb));
@@ -50,15 +67,15 @@ TEST(LogicNet, NaryHelpers) {
   const std::vector<SignalId> xs{a, b, c};
   const SignalId all = net.make_and(xs);
   const SignalId any = net.make_or(xs);
-  const auto v1 = net.eval({true, true, false});
+  const auto v1 = eval_one(net, {true, true, false});
   EXPECT_FALSE(v1[all]);
   EXPECT_TRUE(v1[any]);
-  const auto v2 = net.eval({true, true, true});
+  const auto v2 = eval_one(net, {true, true, true});
   EXPECT_TRUE(v2[all]);
   // Empty spans give neutral elements.
   const std::vector<SignalId> empty;
-  EXPECT_TRUE(net.eval({false, false, false})[net.make_and(empty)]);
-  EXPECT_FALSE(net.eval({false, false, false})[net.make_or(empty)]);
+  EXPECT_TRUE(eval_one(net, {false, false, false})[net.make_and(empty)]);
+  EXPECT_FALSE(eval_one(net, {false, false, false})[net.make_or(empty)]);
 }
 
 TEST(LogicNet, EqualityComparators) {
@@ -71,17 +88,17 @@ TEST(LogicNet, EqualityComparators) {
   const std::vector<SignalId> b{b0, b1};
   const SignalId eq = net.make_eq(a, b);
   const SignalId is2 = net.make_eq_const(a, 2);  // a1=1, a0=0
-  EXPECT_TRUE(net.eval({true, false, true, false})[eq]);
-  EXPECT_FALSE(net.eval({true, false, false, false})[eq]);
-  EXPECT_TRUE(net.eval({false, true, false, false})[is2]);
-  EXPECT_FALSE(net.eval({true, true, false, false})[is2]);
+  EXPECT_TRUE(eval_one(net, {true, false, true, false})[eq]);
+  EXPECT_FALSE(eval_one(net, {true, false, false, false})[eq]);
+  EXPECT_TRUE(eval_one(net, {false, true, false, false})[is2]);
+  EXPECT_FALSE(eval_one(net, {true, true, false, false})[is2]);
 }
 
 TEST(LogicNet, ValidationErrors) {
   LogicNetwork net;
   const SignalId a = net.add_input("a");
   EXPECT_THROW((void)net.make_not(99), std::out_of_range);
-  EXPECT_THROW((void)net.eval({}), std::invalid_argument);
+  EXPECT_THROW((void)eval_one(net, {}), std::invalid_argument);
   const std::vector<SignalId> one{a};
   const std::vector<SignalId> two{a, a};
   EXPECT_THROW((void)net.make_eq(one, two), std::invalid_argument);
@@ -99,8 +116,8 @@ TEST(LogicNet, EqConstRejectsOverWidthConstants) {
                std::invalid_argument);
   // The full in-range span still builds: 3 is the 2-bit maximum.
   const SignalId is3 = net.make_eq_const(a, 3);
-  EXPECT_TRUE(net.eval({true, true})[is3]);
-  EXPECT_FALSE(net.eval({true, false})[is3]);
+  EXPECT_TRUE(eval_one(net, {true, true})[is3]);
+  EXPECT_FALSE(eval_one(net, {true, false})[is3]);
   // A 64-bit vector accepts any constant (nothing is over-width).
   LogicNetwork wide;
   std::vector<SignalId> bits;
@@ -124,7 +141,7 @@ TEST(LogicNet, SymbolicMatchesConcrete) {
   for (unsigned assignment = 0; assignment < 8; ++assignment) {
     const std::vector<bool> bits{(assignment & 1) != 0, (assignment & 2) != 0,
                                  (assignment & 4) != 0};
-    const bool concrete = net.eval(bits)[f];
+    const bool concrete = eval_one(net, bits)[f];
     const bdd::Bdd point = mgr.minterm(vars, bits);
     EXPECT_EQ(mgr.leq(point, sym[f]), concrete) << "assignment " << assignment;
   }
@@ -310,7 +327,7 @@ TEST(Invariant, ShortestCounterexampleTrace) {
   std::vector<bool> state = trace.states.front();
   for (std::size_t k = 0; k < trace.inputs.size(); ++k) {
     const std::vector<bool> net_in{trace.inputs[k][0], state[0], state[1]};
-    const auto values = c.net.eval(net_in);
+    const auto values = eval_one(c.net, net_in);
     state = {values[c.latches[0].next], values[c.latches[1].next]};
     EXPECT_EQ(state, trace.states[k + 1]) << "step " << k;
   }
@@ -460,6 +477,277 @@ TEST(ExtractTourPin, ReducedDlxStateTour) {
   EXPECT_EQ(hash_sequences({t->inputs}), 18342315256922011764ull);
 }
 
+TEST(Extract, TooManyOutputsThrowsBeforeEnumerating) {
+  // 32 outputs do not fit an OutputId. The width is checked before any
+  // state is enumerated, so a circuit with no valid transition at all
+  // (nothing to enumerate) is rejected too.
+  SequentialCircuit c;
+  const SignalId q = c.net.add_input("q");
+  c.latches = {{q, c.net.make_not(q), false, "q"}};
+  for (int b = 0; b < 32; ++b) {
+    c.outputs.emplace_back("o" + std::to_string(b), q);
+  }
+  EXPECT_THROW((void)extract_explicit(c, 100), std::invalid_argument);
+  c.valid = c.net.constant(false);
+  EXPECT_THROW((void)extract_explicit(c, 100), std::invalid_argument);
+  c.outputs.pop_back();  // 31 outputs fit
+  EXPECT_EQ(extract_explicit(c, 100).machine.num_defined_transitions(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Explicit extraction vs the scalar reference
+// ---------------------------------------------------------------------------
+
+/// Copy of the scalar extract_explicit, verbatim but for the names of its
+/// two helpers: a BFS over latch-value vectors keyed by a std::map, one
+/// scalar network pass per (state, input symbol). The reference the
+/// word-level extraction must reproduce.
+ExplicitModel reference_extract_explicit(const SequentialCircuit& c,
+                                         std::size_t max_states) {
+  const auto roles = input_sources(c);
+  const std::size_t num_pi = c.primary_inputs.size();
+  const std::size_t num_latch = c.latches.size();
+
+  ExplicitModel model;
+  {
+    bdd::BddManager mgr;
+    SymbolicFsm sym(mgr, c);
+    std::vector<unsigned> pi_vars(num_pi);
+    for (std::size_t k = 0; k < num_pi; ++k) pi_vars[k] = sym.pi_var(k);
+    std::vector<unsigned> ps_vars(num_latch);
+    for (std::size_t j = 0; j < num_latch; ++j) ps_vars[j] = sym.ps_var(j);
+    const bdd::Bdd over_pi = mgr.exists(sym.valid_inputs(), mgr.cube(ps_vars));
+    mgr.for_each_minterm(over_pi, pi_vars, [&](const std::vector<bool>& v) {
+      model.input_bits.push_back(v);
+      return true;
+    });
+  }
+  const std::size_t num_symbols = model.input_bits.size();
+
+  auto net_input_vector = [&](const std::vector<bool>& state,
+                              const std::vector<bool>& pi) {
+    std::vector<bool> v(roles.size());
+    for (std::size_t k = 0; k < roles.size(); ++k) {
+      const auto& [is_latch, index] = roles[k];
+      v[k] = is_latch ? state[index] : pi[index];
+    }
+    return v;
+  };
+
+  std::map<std::vector<bool>, fsm::StateId> state_id;
+  struct PendingTransition {
+    fsm::StateId from;
+    fsm::InputId input;
+    fsm::StateId to;
+    fsm::OutputId output;
+  };
+  std::vector<PendingTransition> transitions;
+
+  std::vector<bool> init(num_latch);
+  for (std::size_t j = 0; j < num_latch; ++j) init[j] = c.latches[j].init;
+  state_id.emplace(init, 0);
+  model.state_bits.push_back(init);
+  std::deque<fsm::StateId> queue{0};
+
+  std::vector<bool> values;
+  while (!queue.empty()) {
+    const fsm::StateId sid = queue.front();
+    queue.pop_front();
+    const std::vector<bool> state = model.state_bits[sid];
+    for (std::size_t sym_id = 0; sym_id < num_symbols; ++sym_id) {
+      scalar_eval_into(
+          c.net, net_input_vector(state, model.input_bits[sym_id]), values);
+      if (c.valid.has_value() && !values[*c.valid]) continue;  // invalid here
+      std::vector<bool> next(num_latch);
+      for (std::size_t j = 0; j < num_latch; ++j) {
+        next[j] = values[c.latches[j].next];
+      }
+      fsm::OutputId out = 0;
+      if (c.outputs.size() > 31) {
+        throw std::invalid_argument(
+            "extract_explicit: too many outputs to pack into an OutputId");
+      }
+      for (std::size_t b = 0; b < c.outputs.size(); ++b) {
+        if (values[c.outputs[b].second]) out |= fsm::OutputId{1} << b;
+      }
+      auto [it, inserted] =
+          state_id.emplace(next, static_cast<fsm::StateId>(state_id.size()));
+      if (inserted) {
+        if (state_id.size() > max_states) {
+          model.truncated = true;
+          state_id.erase(it);
+          continue;
+        }
+        model.state_bits.push_back(next);
+        queue.push_back(it->second);
+      }
+      if (!model.truncated || !inserted) {
+        transitions.push_back({sid, static_cast<fsm::InputId>(sym_id),
+                               it->second, out});
+      }
+    }
+  }
+
+  fsm::MealyMachine machine(static_cast<fsm::StateId>(model.state_bits.size()),
+                            static_cast<fsm::InputId>(std::max<std::size_t>(
+                                num_symbols, 1)));
+  machine.set_initial_state(0);
+  for (const auto& t : transitions) {
+    machine.set_transition(t.from, t.input, t.to, t.output);
+  }
+  model.machine = std::move(machine);
+  return model;
+}
+
+/// splitmix64 over the machine's shape and every (state, input) slot.
+std::uint64_t hash_machine(const fsm::MealyMachine& m) {
+  std::uint64_t h = runtime::splitmix64(m.num_states());
+  h = runtime::splitmix64(h ^ m.num_inputs());
+  for (fsm::StateId s = 0; s < m.num_states(); ++s) {
+    for (fsm::InputId i = 0; i < m.num_inputs(); ++i) {
+      const auto t = m.transition(s, i);
+      h = runtime::splitmix64(h ^ (t ? t->next + 1 : 0));
+      h = runtime::splitmix64(h ^ (t ? t->output : 0));
+    }
+  }
+  return h;
+}
+
+void expect_same_machine(const fsm::MealyMachine& a,
+                         const fsm::MealyMachine& b) {
+  ASSERT_EQ(a.num_states(), b.num_states());
+  ASSERT_EQ(a.num_inputs(), b.num_inputs());
+  EXPECT_EQ(a.initial_state(), b.initial_state());
+  EXPECT_EQ(a.num_defined_transitions(), b.num_defined_transitions());
+  for (fsm::StateId s = 0; s < a.num_states(); ++s) {
+    for (fsm::InputId i = 0; i < a.num_inputs(); ++i) {
+      ASSERT_EQ(a.transition(s, i), b.transition(s, i))
+          << "state " << s << " input " << i;
+    }
+  }
+}
+
+/// What a seeded random circuit of the differential exercises.
+struct RandomCircuitShape {
+  bool wide = false;       ///< more than 64 latches
+  bool with_valid = false;
+  std::size_t max_states = 0;
+};
+
+/// Seeded random sequential circuit. Latch and primary-input signals are
+/// created interleaved, so network-input order differs from both
+/// declaration orders. A wide circuit has 65-80 latches, but only three
+/// "core" latches feed the logic, so its state space stays small unless
+/// max_states cuts it.
+SequentialCircuit random_sequential_circuit(std::uint64_t seed,
+                                            RandomCircuitShape& shape) {
+  std::mt19937_64 rng(seed);
+  shape.wide = seed % 5 == 0;
+  shape.with_valid = seed % 2 == 0;
+  shape.max_states = seed % 3 == 0 ? 1 + rng() % 6 : 4096;
+  const std::size_t num_latch = shape.wide ? 65 + rng() % 16 : 1 + rng() % 7;
+  const std::size_t num_core = shape.wide ? 3 : num_latch;
+  const std::size_t num_pi = rng() % 5;
+
+  SequentialCircuit c;
+  std::vector<SignalId> qs, pis;
+  while (qs.size() < num_latch || pis.size() < num_pi) {
+    const bool latch =
+        pis.size() == num_pi || (qs.size() < num_latch && rng() % 2 == 0);
+    if (latch) {
+      qs.push_back(c.net.add_input("q" + std::to_string(qs.size())));
+    } else {
+      pis.push_back(c.net.add_input("i" + std::to_string(pis.size())));
+    }
+  }
+  c.primary_inputs = pis;
+  std::vector<SignalId> pool(qs.begin(), qs.begin() + num_core);
+  pool.insert(pool.end(), pis.begin(), pis.end());
+  pool.push_back(c.net.constant(false));
+  pool.push_back(c.net.constant(true));
+  const auto pick = [&] { return pool[rng() % pool.size()]; };
+  const std::size_t num_gates = 10 + rng() % 40;
+  for (std::size_t g = 0; g < num_gates; ++g) {
+    switch (rng() % 5) {
+      case 0: pool.push_back(c.net.make_not(pick())); break;
+      case 1: pool.push_back(c.net.make_and(pick(), pick())); break;
+      case 2: pool.push_back(c.net.make_or(pick(), pick())); break;
+      case 3: pool.push_back(c.net.make_xor(pick(), pick())); break;
+      default: pool.push_back(c.net.make_mux(pick(), pick(), pick())); break;
+    }
+  }
+  for (std::size_t j = 0; j < num_latch; ++j) {
+    c.latches.push_back(
+        {qs[j], pick(), rng() % 2 == 0, "q" + std::to_string(j)});
+  }
+  const std::size_t num_outputs = rng() % 5;
+  for (std::size_t b = 0; b < num_outputs; ++b) {
+    c.outputs.emplace_back("o" + std::to_string(b), pick());
+  }
+  // valid = a | (b & c) over the pool: legal in some (state, input) pairs,
+  // pruned in others.
+  if (shape.with_valid) {
+    c.valid = c.net.make_or(pick(), c.net.make_and(pick(), pick()));
+  }
+  return c;
+}
+
+TEST(ExtractDifferential, MatchesScalarReferenceOnRandomCircuits) {
+  std::size_t wide = 0, with_valid = 0, truncated = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    RandomCircuitShape shape;
+    const SequentialCircuit c = random_sequential_circuit(seed, shape);
+    const ExplicitModel want = reference_extract_explicit(c, shape.max_states);
+    const ExplicitModel got = extract_explicit(c, shape.max_states);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_same_machine(got.machine, want.machine);
+    EXPECT_EQ(got.state_bits, want.state_bits);
+    EXPECT_EQ(got.input_bits, want.input_bits);
+    EXPECT_EQ(got.truncated, want.truncated);
+    wide += shape.wide;
+    with_valid += shape.with_valid;
+    truncated += want.truncated;
+  }
+  // The seeds cover every path the word-level extraction has.
+  EXPECT_GE(wide, 10u);
+  EXPECT_GE(with_valid, 25u);
+  EXPECT_GE(truncated, 10u);
+}
+
+TEST(ExtractDifferential, MultiBlockAlphabetMatchesScalarReference) {
+  // Seven primary inputs give a 128-symbol alphabet: two full 64-lane
+  // blocks, and a valid signal that prunes lanes in both.
+  SequentialCircuit c;
+  std::vector<SignalId> pis, qs;
+  for (int k = 0; k < 7; ++k) {
+    pis.push_back(c.net.add_input("i" + std::to_string(k)));
+  }
+  for (int j = 0; j < 3; ++j) {
+    qs.push_back(c.net.add_input("q" + std::to_string(j)));
+  }
+  c.primary_inputs = pis;
+  const SignalId mix = c.net.make_xor(pis[6], c.net.make_and(pis[0], qs[2]));
+  c.latches = {{qs[0], c.net.make_xor(qs[0], pis[1]), false, "q0"},
+               {qs[1], c.net.make_mux(pis[2], qs[0], mix), false, "q1"},
+               {qs[2], c.net.make_or(qs[1], pis[3]), true, "q2"}};
+  c.outputs = {{"o0", mix}, {"o1", c.net.make_and(pis[4], qs[1])}};
+  c.valid = c.net.make_or(c.net.make_not(pis[5]), qs[0]);
+  const ExplicitModel want = reference_extract_explicit(c, 4096);
+  const ExplicitModel got = extract_explicit(c, 4096);
+  ASSERT_EQ(want.input_bits.size(), 128u);
+  expect_same_machine(got.machine, want.machine);
+  EXPECT_EQ(got.state_bits, want.state_bits);
+  EXPECT_EQ(got.input_bits, want.input_bits);
+  EXPECT_EQ(got.truncated, want.truncated);
+}
+
+TEST(ExtractPin, ReducedDlxModel) {
+  const fsm::MealyMachine& m = reduced_dlx_machine();
+  EXPECT_EQ(m.num_states(), 1024u);
+  EXPECT_EQ(m.num_defined_transitions(), 21508u);
+  EXPECT_EQ(hash_machine(m), 8491316636677172491ull);
+}
+
 // Property: on random gate networks, concrete evaluation and symbolic
 // (BDD) evaluation agree on every assignment.
 class LogicNetProperty : public ::testing::TestWithParam<int> {};
@@ -495,7 +783,7 @@ TEST_P(LogicNetProperty, ConcreteAndSymbolicAgree) {
       bits[v] = (a >> v) & 1u;
       by_var[v] = bits[v];
     }
-    const auto concrete = net.eval(bits);
+    const auto concrete = eval_one(net, bits);
     for (std::size_t s = 0; s < net.num_signals(); ++s) {
       ASSERT_EQ(concrete[s], mgr.eval(sym[s], by_var))
           << "signal " << s << " assignment " << a;

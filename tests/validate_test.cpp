@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
+#include "runtime/rng.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "tour/tour.hpp"
 
@@ -232,6 +236,98 @@ TEST(Harness, RunOffProgramEndStillComparesByLength) {
   const auto result = run_validation(prog);
   EXPECT_FALSE(result.cycle_budget_exhausted);
   EXPECT_TRUE(result.passed) << describe(result);
+}
+
+// ---------------------------------------------------------------------------
+// Primary-input decoding
+// ---------------------------------------------------------------------------
+
+TEST(Decode, UnmappedPrimaryInputThrowsLikeTheSimulator) {
+  // Decoding and simulation classify primary inputs through one table, so
+  // a name neither understands is an error in both, even with its bit 0.
+  auto model = testmodel::build_dlx_control_model(tour_model_options());
+  model.circuit.primary_inputs.push_back(
+      model.circuit.net.add_input("bogus"));
+  const std::vector<bool> bits(model.circuit.primary_inputs.size(), false);
+  EXPECT_THROW((void)testmodel::classify_network_inputs(model),
+               std::logic_error);
+  EXPECT_THROW((void)decode_control_input(model, bits), std::logic_error);
+  EXPECT_THROW((void)concretize_sequence(model, {bits}), std::logic_error);
+}
+
+TEST(Decode, RoundTripsEveryAlphabetSymbolThroughTheModel) {
+  // decode(bits) re-encodes, input by input, to exactly `bits`.
+  testmodel::TestModelOptions opt = tour_model_options();
+  opt.reg_addr_bits = 1;
+  const auto model = testmodel::build_dlx_control_model(opt);
+  const auto explicit_model = sym::extract_explicit(model.circuit, 100000);
+  const auto roles = testmodel::classify_network_inputs(model);
+  const auto net_inputs = model.circuit.net.inputs();
+  ASSERT_FALSE(explicit_model.input_bits.empty());
+  for (const auto& bits : explicit_model.input_bits) {
+    const ControlInput in = decode_control_input(model, bits);
+    for (std::size_t p = 0; p < bits.size(); ++p) {
+      const auto k = static_cast<std::size_t>(
+          std::find(net_inputs.begin(), net_inputs.end(),
+                    model.circuit.primary_inputs[p]) -
+          net_inputs.begin());
+      ASSERT_LT(k, roles.size());
+      EXPECT_EQ(testmodel::role_pi_value(roles[k], in,
+                                         opt.onehot_opclass),
+                bits[p]);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pin: the concretized programs of the reduced DLX tour set
+// ---------------------------------------------------------------------------
+
+/// splitmix64 over every program's words, data preload and registers.
+std::uint64_t hash_programs(const std::vector<ConcretizedProgram>& programs) {
+  std::uint64_t h = 0;
+  const auto mix = [&h](std::uint64_t v) { h = runtime::splitmix64(h ^ v); };
+  for (const auto& p : programs) {
+    const auto words = p.words();
+    mix(words.size());
+    for (const std::uint32_t w : words) mix(w);
+    mix(p.memory_init.size());
+    for (const auto& [addr, value] : p.memory_init) {
+      mix(addr);
+      mix(value);
+    }
+    for (const std::uint32_t r : p.initial_regs) mix(r);
+  }
+  return h;
+}
+
+TEST(ConcretizePin, ReducedDlxTourSetPrograms) {
+  testmodel::TestModelOptions opt = tour_model_options();
+  opt.reg_addr_bits = 1;
+  const auto model = testmodel::build_dlx_control_model(opt);
+  const auto explicit_model = sym::extract_explicit(model.circuit, 100000);
+  const auto set =
+      tour::greedy_transition_tour_set(explicit_model.machine, 0);
+  ASSERT_TRUE(set.has_value());
+  ASSERT_EQ(set->sequences.size(), 19u);
+  ASSERT_EQ(set->total_length(), 40678u);
+
+  std::vector<ConcretizedProgram> programs;
+  std::size_t emitted = 0;
+  std::size_t dropped = 0;
+  for (const auto& seq : set->sequences) {
+    std::vector<std::vector<bool>> pi_steps;
+    pi_steps.reserve(seq.size());
+    for (const fsm::InputId sym_id : seq) {
+      pi_steps.push_back(explicit_model.input_bits[sym_id]);
+    }
+    programs.push_back(concretize_sequence(model, pi_steps));
+    emitted += programs.back().steps_emitted;
+    dropped += programs.back().steps_dropped;
+  }
+  EXPECT_EQ(emitted, 39382u);
+  EXPECT_EQ(dropped, 1296u);
+  EXPECT_EQ(hash_programs(programs), 1524021872874592167ull);
 }
 
 // ---------------------------------------------------------------------------
