@@ -14,57 +14,21 @@ SymbolicModel::SymbolicModel(const sym::SequentialCircuit& circuit,
     // The comma expression installs the reordering policy on the manager
     // before SymbolicFsm builds the transition relation in it.
     : fsm_((mgr_.set_reorder_policy(reorder), mgr_), circuit),
-      packed_(circuit) {
-  if (fsm_.num_latches() > 63 || fsm_.num_inputs() > 63) {
-    throw std::invalid_argument(
-        "SymbolicModel: too many variables for packed 64-bit keys");
-  }
-  reset_ = pack_bits(fsm_.initial_state_bits());
-  assignment_.assign(mgr_.var_count(), false);
-}
-
-void SymbolicModel::load_assignment(std::uint64_t state,
-                                    std::uint64_t input) {
-  // Eval happens on BDDs built before any later var allocations; keep the
-  // assignment sized to the manager's current variable count.
-  if (assignment_.size() < mgr_.var_count()) {
-    assignment_.resize(mgr_.var_count(), false);
-  }
-  for (unsigned j = 0; j < fsm_.num_latches(); ++j) {
-    assignment_[fsm_.ps_var(j)] = (state >> j) & 1u;
-  }
-  for (unsigned k = 0; k < fsm_.num_inputs(); ++k) {
-    assignment_[fsm_.pi_var(k)] = (input >> k) & 1u;
-  }
-}
-
-bool SymbolicModel::valid_at(std::uint64_t state, std::uint64_t input) {
-  load_assignment(state, input);
-  return mgr_.eval(fsm_.valid_inputs(), assignment_);
-}
+      packed_(fsm_.circuit()),
+      reset_(pack_bits(fsm_.initial_state_bits())) {}
 
 std::vector<TestModel::Edge> SymbolicModel::edges(std::uint64_t state) {
   const auto it = edge_cache_.find(state);
   if (it != edge_cache_.end()) return it->second;
 
+  std::vector<std::uint64_t> inputs;
+  std::vector<std::uint64_t> next;
+  sym::enumerate_successors(fsm_, packed_, state, inputs, next);
   std::vector<Edge> out;
-  const bdd::Bdd at_state = mgr_.constrain(
-      fsm_.valid_inputs(),
-      mgr_.minterm(fsm_.ps_vars(), unpack_bits(state, fsm_.num_latches())));
-  const auto& funcs = fsm_.next_functions();
-  mgr_.for_each_minterm(
-      at_state, fsm_.pi_vars(), [&](const std::vector<bool>& in) {
-        const std::uint64_t input = pack_bits(in);
-        load_assignment(state, input);
-        std::uint64_t next = 0;
-        for (unsigned j = 0; j < fsm_.num_latches(); ++j) {
-          if (mgr_.eval(funcs[j], assignment_)) {
-            next |= std::uint64_t{1} << j;
-          }
-        }
-        out.push_back(Edge{input, next});
-        return true;
-      });
+  out.reserve(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    out.push_back(Edge{inputs[i], next[i]});
+  }
   std::sort(out.begin(), out.end(),
             [](const Edge& a, const Edge& b) { return a.input < b.input; });
   return edge_cache_.emplace(state, std::move(out)).first->second;
@@ -72,31 +36,15 @@ std::vector<TestModel::Edge> SymbolicModel::edges(std::uint64_t state) {
 
 std::optional<std::uint64_t> SymbolicModel::step(std::uint64_t state,
                                                  std::uint64_t input) {
-  if (!valid_at(state, input)) return std::nullopt;
-  const auto& funcs = fsm_.next_functions();
-  std::uint64_t next = 0;
-  for (unsigned j = 0; j < fsm_.num_latches(); ++j) {
-    if (mgr_.eval(funcs[j], assignment_)) {
-      next |= std::uint64_t{1} << j;
-    }
-  }
+  std::optional<std::uint64_t> next;
+  step_batch({&state, 1}, {&input, 1}, {&next, 1});
   return next;
 }
 
 std::optional<std::uint64_t> SymbolicModel::output(std::uint64_t state,
                                                    std::uint64_t input) {
-  if (!valid_at(state, input)) return std::nullopt;
-  const auto& funcs = fsm_.output_functions();
-  if (funcs.size() > 63) {
-    throw std::invalid_argument(
-        "SymbolicModel::output: too many outputs for a packed 64-bit key");
-  }
-  std::uint64_t out = 0;
-  for (std::size_t j = 0; j < funcs.size(); ++j) {
-    if (mgr_.eval(funcs[j], assignment_)) {
-      out |= std::uint64_t{1} << j;
-    }
-  }
+  std::optional<std::uint64_t> out;
+  output_batch({&state, 1}, {&input, 1}, {&out, 1});
   return out;
 }
 

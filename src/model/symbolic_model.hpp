@@ -24,9 +24,9 @@ namespace simcov::model {
 
 class SymbolicModel final : public TestModel {
  public:
-  /// The circuit must outlive the model (next-state functions reference its
-  /// network). Throws std::invalid_argument beyond 63 latches or PIs (the
-  /// packed-key limit, far beyond anything the walk could visit anyway).
+  /// The model keeps its own copy of `circuit` (in its SymbolicFsm). Throws
+  /// std::invalid_argument beyond 63 latches or PIs (the packed-key limit,
+  /// far beyond anything the walk could visit anyway).
   /// `reorder` is the dynamic-reordering policy of the model's BDD manager,
   /// applied before the symbolic FSM is built so automatic sifting already
   /// covers transition-relation construction and the reachability fixpoint.
@@ -58,10 +58,10 @@ class SymbolicModel final : public TestModel {
                                     std::uint64_t input) override;
   std::optional<std::uint64_t> output(std::uint64_t state,
                                       std::uint64_t input) override;
-  /// Batch forms bypass the BDD evaluator entirely: one word-level pass of
-  /// the underlying circuit (sym::PackedCircuitSim) steps all lanes at
-  /// once. Answers agree lane-for-lane with step()/output() — the circuit
-  /// and its BDD view compute the same functions.
+  /// Every concrete answer — edges' successors, step/output (one lane) and
+  /// the batch forms (64 lanes per pass) — comes from the word-level kernel
+  /// over the underlying circuit (sym::PackedCircuitSim). The BDDs only
+  /// list edges' valid inputs and count the reachable part.
   void step_batch(std::span<const std::uint64_t> states,
                   std::span<const std::uint64_t> inputs,
                   std::span<std::optional<std::uint64_t>> next) override;
@@ -78,14 +78,10 @@ class SymbolicModel final : public TestModel {
   TourResult random_walk(std::size_t length, std::uint64_t seed) override;
 
  private:
-  void load_assignment(std::uint64_t state, std::uint64_t input);
-  [[nodiscard]] bool valid_at(std::uint64_t state, std::uint64_t input);
-
   bdd::BddManager mgr_;
   sym::SymbolicFsm fsm_;
-  sym::PackedCircuitSim packed_;
+  sym::PackedCircuitSim packed_;  ///< steps fsm_.circuit()
   std::uint64_t reset_ = 0;
-  std::vector<bool> assignment_;
   /// Per-state (input, successor) enumeration, memoized — the walk revisits
   /// states far more often than it discovers them.
   std::unordered_map<std::uint64_t, std::vector<Edge>> edge_cache_;

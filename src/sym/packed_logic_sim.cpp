@@ -1,6 +1,7 @@
 #include "sym/packed_logic_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace simcov::sym {
@@ -121,6 +122,34 @@ PackedCircuitSim::PackedCircuitSim(const SequentialCircuit& circuit)
   sim_.prepare(values_);
 }
 
+namespace {
+
+/// One round of transpose64: swaps the J x J block of row bits [J, 2J) in
+/// rows k with row bits [0, J) in rows k + J, for every k whose bit J is
+/// clear. Constant J and Mask keep the inner loop straight-line.
+template <std::size_t J, std::uint64_t Mask>
+void transpose_round(std::uint64_t* rows) {
+  for (std::size_t base = 0; base < 64; base += 2 * J) {
+    for (std::size_t k = base; k < base + J; ++k) {
+      const std::uint64_t t = ((rows[k] >> J) ^ rows[k + J]) & Mask;
+      rows[k + J] ^= t;
+      rows[k] ^= t << J;
+    }
+  }
+}
+
+}  // namespace
+
+void transpose64(std::span<std::uint64_t, 64> rows) {
+  std::uint64_t* r = rows.data();
+  transpose_round<32, 0x00000000ffffffffull>(r);
+  transpose_round<16, 0x0000ffff0000ffffull>(r);
+  transpose_round<8, 0x00ff00ff00ff00ffull>(r);
+  transpose_round<4, 0x0f0f0f0f0f0f0f0full>(r);
+  transpose_round<2, 0x3333333333333333ull>(r);
+  transpose_round<1, 0x5555555555555555ull>(r);
+}
+
 std::uint64_t PackedCircuitSim::step(std::span<const std::uint64_t> states,
                                      std::span<const std::uint64_t> inputs,
                                      std::span<std::uint64_t> next,
@@ -134,16 +163,17 @@ std::uint64_t PackedCircuitSim::step(std::span<const std::uint64_t> states,
     throw std::invalid_argument(
         "PackedCircuitSim::step: too many outputs for a packed 64-bit key");
   }
-  // Transpose the per-lane keys into per-signal lane words: network input k
-  // gets bit L from bit sources_[k].index of lane L's state or input key.
+  // Transpose the per-lane keys into per-bit lane words (row b, bit L =
+  // bit b of lane L's key); network input k reads row sources_[k].index.
+  std::array<std::uint64_t, kLanes> state_bits{};
+  std::array<std::uint64_t, kLanes> input_bits{};
+  std::copy(states.begin(), states.end(), state_bits.begin());
+  std::copy(inputs.begin(), inputs.end(), input_bits.begin());
+  transpose64(state_bits);
+  transpose64(input_bits);
   for (std::size_t k = 0; k < sources_.size(); ++k) {
     const auto& [is_latch, bit] = sources_[k];
-    const std::span<const std::uint64_t> keys = is_latch ? states : inputs;
-    std::uint64_t word = 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      word |= ((keys[l] >> bit) & 1u) << l;
-    }
-    values_[sim_.input_signal(k)] = word;
+    values_[sim_.input_signal(k)] = (is_latch ? state_bits : input_bits)[bit];
   }
   sim_.run(values_);
 
@@ -154,22 +184,20 @@ std::uint64_t PackedCircuitSim::step(std::span<const std::uint64_t> states,
           ? values_[*circuit_->valid] & lane_mask
           : lane_mask;
 
-  // Transpose back: bit L of next-state signal j becomes bit j of next[L].
-  for (std::size_t l = 0; l < lanes; ++l) next[l] = 0;
-  for (std::size_t j = 0; j < circuit_->latches.size(); ++j) {
-    const std::uint64_t word = values_[circuit_->latches[j].next];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      next[l] |= ((word >> l) & 1u) << j;
-    }
-  }
+  // Transpose back: row j = the lane word of signal j, so after the
+  // transpose row L holds lane L's packed key.
+  const auto read_keys = [&](auto signal_of, std::size_t count,
+                             std::span<std::uint64_t> keys) {
+    std::array<std::uint64_t, kLanes> rows{};
+    for (std::size_t j = 0; j < count; ++j) rows[j] = values_[signal_of(j)];
+    transpose64(rows);
+    std::copy_n(rows.begin(), lanes, keys.begin());
+  };
+  read_keys([&](std::size_t j) { return circuit_->latches[j].next; },
+            circuit_->latches.size(), next);
   if (!outputs.empty()) {
-    for (std::size_t l = 0; l < lanes; ++l) outputs[l] = 0;
-    for (std::size_t j = 0; j < circuit_->outputs.size(); ++j) {
-      const std::uint64_t word = values_[circuit_->outputs[j].second];
-      for (std::size_t l = 0; l < lanes; ++l) {
-        outputs[l] |= ((word >> l) & 1u) << j;
-      }
-    }
+    read_keys([&](std::size_t j) { return circuit_->outputs[j].second; },
+              circuit_->outputs.size(), outputs);
   }
   return valid;
 }

@@ -14,8 +14,9 @@
 //
 // PackedCircuitSim lifts the same trick to a SequentialCircuit: each lane
 // is an independent (state, input) pair in the packed 64-bit key encoding
-// of model::TestModel, so batch stepping 64 test-model sequences costs one
-// network pass instead of 64.
+// of model::TestModel, so batch stepping 64 test-model sequences, or 64
+// valid inputs of one state in the symbolic walk, costs one network pass
+// instead of 64.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +83,11 @@ class PackedLogicSim {
   std::vector<std::pair<SignalId, std::uint64_t>> constants_;
   std::size_t num_levels_ = 0;
 };
+
+/// In-place transpose of a 64 x 64 bit matrix, row r bit c <-> row c bit r
+/// (bit 0 = least significant): 6 rounds of masked swaps instead of 4096
+/// single-bit moves.
+void transpose64(std::span<std::uint64_t, 64> rows);
 
 /// Word-level batch stepper for a SequentialCircuit: every lane is one
 /// independent (state, input) pair, packed little-endian into 64-bit keys

@@ -39,7 +39,7 @@ std::vector<InputSource> input_sources(const SequentialCircuit& c) {
 }
 
 SymbolicFsm::SymbolicFsm(bdd::BddManager& mgr, const SequentialCircuit& c)
-    : mgr_(mgr) {
+    : mgr_(mgr), circuit_(c) {
   const auto sources = input_sources(c);
   const std::size_t num_pi = c.primary_inputs.size();
   const std::size_t num_latch = c.latches.size();

@@ -75,7 +75,13 @@ struct SymbolicFsmStats {
 /// BDD-backed view of a SequentialCircuit.
 class SymbolicFsm {
  public:
+  /// Builds the BDDs of `circuit` and keeps a copy of it, so concrete
+  /// evaluators (PackedCircuitSim) can run the same netlist for as long as
+  /// the FSM lives.
   SymbolicFsm(bdd::BddManager& mgr, const SequentialCircuit& circuit);
+
+  /// The circuit the BDDs were built from.
+  [[nodiscard]] const SequentialCircuit& circuit() const { return circuit_; }
 
   [[nodiscard]] unsigned num_latches() const {
     return static_cast<unsigned>(ps_vars_.size());
@@ -151,6 +157,7 @@ class SymbolicFsm {
 
  private:
   bdd::BddManager& mgr_;
+  SequentialCircuit circuit_;
   std::vector<unsigned> pi_vars_, ps_vars_, ns_vars_;
   bdd::Bdd tr_, init_, valid_;
   std::vector<bdd::Bdd> next_funcs_, out_funcs_;

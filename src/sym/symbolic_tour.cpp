@@ -1,21 +1,64 @@
 #include "sym/symbolic_tour.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace simcov::sym {
 
+void enumerate_successors(SymbolicFsm& fsm, const PackedCircuitSim& sim,
+                          std::uint64_t state,
+                          std::vector<std::uint64_t>& inputs,
+                          std::vector<std::uint64_t>& next) {
+  bdd::BddManager& mgr = fsm.manager();
+  std::vector<bool> bits(fsm.num_latches());
+  for (std::size_t j = 0; j < bits.size(); ++j) bits[j] = (state >> j) & 1u;
+  const bdd::Bdd at_state =
+      mgr.constrain(fsm.valid_inputs(), mgr.minterm(fsm.ps_vars(), bits));
+  inputs.clear();
+  mgr.for_each_minterm(at_state, fsm.pi_vars(),
+                       [&](const std::vector<bool>& in) {
+                         std::uint64_t input = 0;
+                         for (std::size_t k = 0; k < in.size(); ++k) {
+                           input |= std::uint64_t{in[k]} << k;
+                         }
+                         inputs.push_back(input);
+                         return true;
+                       });
+
+  constexpr std::size_t kLanes = PackedCircuitSim::kLanes;
+  std::array<std::uint64_t, kLanes> states;
+  states.fill(state);
+  next.resize(inputs.size());
+  for (std::size_t base = 0; base < inputs.size(); base += kLanes) {
+    const std::size_t lanes = std::min(kLanes, inputs.size() - base);
+    const std::uint64_t valid =
+        sim.step(std::span(states.data(), lanes),
+                 std::span(inputs).subspan(base, lanes),
+                 std::span(next).subspan(base, lanes));
+    if (static_cast<std::size_t>(std::popcount(valid)) != lanes) {
+      throw std::logic_error(
+          "enumerate_successors: the circuit rejects an input its BDD lists "
+          "as valid");
+    }
+  }
+}
+
 /// Drives the tour: concrete walking over the implicit model, suspended at
 /// every reset so SymbolicTourStream can yield sequence-by-sequence.
 ///
 /// States live in a dense table, one uint32 id per packed latch key. Per
-/// visited state, the valid inputs and their successor ids are enumerated
-/// once (via generalized cofactor of the input constraint) into one shared
-/// edge array; covering steps then cost O(1). A per-state cursor is exact
-/// coverage bookkeeping: transition (s, i) can only be covered by taking i
-/// at s, so inputs before the cursor are covered, inputs after are not.
+/// visited state, the valid inputs (listed by the BDD, via generalized
+/// cofactor of the input constraint) and their successor ids (stepped on
+/// the word-level kernel, 64 inputs per pass) are enumerated once into one
+/// shared edge array; covering steps then cost O(1). A per-state cursor is
+/// exact coverage bookkeeping: transition (s, i) can only be covered by
+/// taking i at s, so inputs before the cursor are covered, inputs after are
+/// not.
 /// Per-edge "taken" and per-state "visited" bits count what the walk
 /// exercised, navigation steps included.
 ///
@@ -36,11 +79,8 @@ struct SymbolicTourStream::Impl {
         mgr_(fsm.manager()),
         options_(options),
         num_latches_(fsm.ps_vars().size()),
-        num_pis_(fsm.pi_vars().size()) {
-    if (num_latches_ > 63 || num_pis_ > 63) {
-      throw std::invalid_argument(
-          "symbolic_transition_tour: too many variables for packed keys");
-    }
+        num_pis_(fsm.pi_vars().size()),
+        sim_(packable(fsm).circuit()) {
     assignment_.assign(mgr_.var_count(), false);
 
     const bdd::Bdd reached = fsm_.reachable_states();
@@ -159,6 +199,14 @@ struct SymbolicTourStream::Impl {
   };
 
   // ---- packing -------------------------------------------------------------
+  /// `fsm`, once its latches and inputs are known to fit packed keys.
+  static SymbolicFsm& packable(SymbolicFsm& fsm) {
+    if (fsm.num_latches() > 63 || fsm.num_inputs() > 63) {
+      throw std::invalid_argument(
+          "symbolic_transition_tour: too many variables for packed keys");
+    }
+    return fsm;
+  }
   static std::uint64_t pack_bits(const std::vector<bool>& bits) {
     std::uint64_t key = 0;
     for (std::size_t j = 0; j < bits.size(); ++j) {
@@ -174,23 +222,6 @@ struct SymbolicTourStream::Impl {
     return bits;
   }
 
-  void load_assignment(std::uint64_t state, std::uint64_t input) {
-    for (std::size_t j = 0; j < num_latches_; ++j) {
-      assignment_[fsm_.ps_var(j)] = (state >> j) & 1u;
-    }
-    for (std::size_t k = 0; k < num_pis_; ++k) {
-      assignment_[fsm_.pi_var(k)] = (input >> k) & 1u;
-    }
-  }
-
-  bdd::Bdd state_minterm(std::uint64_t state) {
-    std::vector<bool> bits(num_latches_);
-    for (std::size_t j = 0; j < num_latches_; ++j) {
-      bits[j] = (state >> j) & 1u;
-    }
-    return mgr_.minterm(fsm_.ps_vars(), bits);
-  }
-
   // ---- state table ---------------------------------------------------------
   /// The id of a packed state, added on first sight with one evaluation of
   /// "reachable and has a valid input".
@@ -203,7 +234,10 @@ struct SymbolicTourStream::Impl {
       }
       State s;
       s.key = key;
-      load_assignment(key, 0);
+      // has_valid_input_ depends on the latches only.
+      for (std::size_t j = 0; j < num_latches_; ++j) {
+        assignment_[fsm_.ps_var(j)] = (key >> j) & 1u;
+      }
       s.has_valid_input = mgr_.eval(has_valid_input_, assignment_);
       states_.push_back(s);
     }
@@ -220,27 +254,14 @@ struct SymbolicTourStream::Impl {
   /// Enumerates (valid input, successor) pairs of a state, once.
   void enumerate(std::uint32_t id) {
     if (states_[id].enumerated) return;
-    const std::uint64_t key = states_[id].key;
-    const bdd::Bdd at_state =
-        mgr_.constrain(fsm_.valid_inputs(), state_minterm(key));
-    const auto& funcs = fsm_.next_functions();
+    enumerate_successors(fsm_, sim_, states_[id].key, inputs_, next_);
+    if (edges_.size() + inputs_.size() >= kNone) {
+      throw std::length_error("symbolic_transition_tour: too many edges");
+    }
     const auto first = static_cast<std::uint32_t>(edges_.size());
-    mgr_.for_each_minterm(
-        at_state, fsm_.pi_vars(), [&](const std::vector<bool>& in) {
-          const std::uint64_t input = pack_bits(in);
-          load_assignment(key, input);
-          std::uint64_t next = 0;
-          for (std::size_t j = 0; j < num_latches_; ++j) {
-            if (mgr_.eval(funcs[j], assignment_)) {
-              next |= std::uint64_t{1} << j;
-            }
-          }
-          if (edges_.size() + 1 >= kNone) {
-            throw std::length_error("symbolic_transition_tour: too many edges");
-          }
-          edges_.push_back(Edge{input, intern(next)});
-          return true;
-        });
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+      edges_.push_back(Edge{inputs_[i], intern(next_[i])});
+    }
     State& s = states_[id];
     s.first_edge = first;
     s.cursor = first;
@@ -452,8 +473,11 @@ struct SymbolicTourStream::Impl {
   SymbolicTourOptions options_;
   const std::size_t num_latches_;
   const std::size_t num_pis_;
+  PackedCircuitSim sim_;  ///< steps fsm_.circuit()
   std::vector<bool> assignment_;
   bdd::Bdd has_valid_input_;  ///< reachable states with a valid input
+  std::vector<std::uint64_t> inputs_;  ///< enumerate_successors buffers
+  std::vector<std::uint64_t> next_;
 
   std::unordered_map<std::uint64_t, std::uint32_t> ids_;
   std::vector<State> states_;

@@ -3,9 +3,10 @@
 // The paper's 22-latch test model has 123 million transitions — no explicit
 // enumeration fits, so its 1069M-step tour was generated on the implicit
 // (BDD) representation (Section 7.2). This module does the same: the BDDs
-// give the reachable totals and each visited state's valid inputs and
-// successors, enumerated once when the walk first stands on the state; the
-// walk itself then runs on that memoized successor table.
+// give the reachable totals and list each visited state's valid inputs,
+// once, when the walk first stands on the state; the successors of those
+// inputs come from the word-level kernel (PackedCircuitSim), 64 inputs per
+// pass. The walk itself then runs on that memoized successor table.
 //
 // Algorithm sketch:
 //   repeat:
@@ -24,9 +25,20 @@
 #include <vector>
 
 #include "model/coverage.hpp"
+#include "sym/packed_logic_sim.hpp"
 #include "sym/symbolic_fsm.hpp"
 
 namespace simcov::sym {
+
+/// The valid inputs of `state` (packed keys) and their successors: the BDD
+/// lists the inputs, in the minterm order of constrain(valid_inputs, state)
+/// over pi_vars, into `inputs`; `sim`, built from fsm.circuit(), steps them
+/// 64 per pass into `next` (same index). Throws std::logic_error when the
+/// kernel rejects a listed input — the circuit and its BDD view disagree.
+void enumerate_successors(SymbolicFsm& fsm, const PackedCircuitSim& sim,
+                          std::uint64_t state,
+                          std::vector<std::uint64_t>& inputs,
+                          std::vector<std::uint64_t>& next);
 
 struct SymbolicTourOptions {
   /// Hard cap on total walk length.

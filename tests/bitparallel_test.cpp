@@ -8,6 +8,7 @@
 //
 //   * sym::PackedLogicSim            vs the scalar gate interpreter the
 //                                    library no longer has (scalar_eval.hpp)
+//   * sym::PackedCircuitSim::step    vs the same interpreter, lane by lane
 //   * model step_batch/output_batch  vs scalar step/output (both backends)
 //   * testmodel::PackedControlModelSim and ControlModelSim (one lane of
 //                                    the same kernel) vs a scalar control
@@ -18,6 +19,7 @@
 //                                    report JSON at 1/2/8 threads)
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -137,6 +139,112 @@ TEST(PackedLogicSim, PackLanesRoundTrips) {
   const bool lanes[]{true, false, true, true, false};
   const std::uint64_t word = sym::PackedLogicSim::pack_lanes(lanes);
   EXPECT_EQ(word, 0b01101u);
+}
+
+// ---------------------------------------------------------------------------
+// PackedCircuitSim::step (word-parallel transposes) vs a per-lane reference
+// ---------------------------------------------------------------------------
+
+TEST(Transpose64, MatchesBitByBitDefinition) {
+  std::mt19937_64 rng(31);
+  std::array<std::uint64_t, 64> rows;
+  for (auto& r : rows) r = rng();
+  auto t = rows;
+  sym::transpose64(t);
+  for (std::size_t r = 0; r < 64; ++r) {
+    for (std::size_t c = 0; c < 64; ++c) {
+      ASSERT_EQ((t[c] >> r) & 1u, (rows[r] >> c) & 1u) << r << "," << c;
+    }
+  }
+  sym::transpose64(t);
+  EXPECT_EQ(t, rows);
+}
+
+/// A random sequential circuit over the gate soup of random_network, with
+/// latch and primary-input signals interleaved in network-input order.
+sym::SequentialCircuit random_sequential(std::mt19937_64& rng,
+                                         std::size_t num_latches,
+                                         std::size_t num_pis,
+                                         std::size_t num_outputs,
+                                         bool with_valid) {
+  sym::SequentialCircuit c;
+  c.net = random_network(rng, num_latches + num_pis, 300);
+  const auto ins = c.net.inputs();
+  std::vector<sym::SignalId> order(ins.begin(), ins.end());
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng() % i]);
+  }
+  const auto pick = [&] {
+    return static_cast<sym::SignalId>(rng() % c.net.num_signals());
+  };
+  for (std::size_t j = 0; j < num_latches; ++j) {
+    c.latches.push_back({order[j], pick(), false, "q" + std::to_string(j)});
+  }
+  c.primary_inputs.assign(order.begin() + static_cast<long>(num_latches),
+                          order.end());
+  for (std::size_t o = 0; o < num_outputs; ++o) {
+    c.outputs.emplace_back("o" + std::to_string(o), pick());
+  }
+  if (with_valid) c.valid = pick();
+  return c;
+}
+
+TEST(PackedCircuitSim, StepMatchesPerLaneReference) {
+  std::mt19937_64 rng(47);
+  struct Shape {
+    std::size_t latches, pis, outputs;
+    bool valid;
+  };
+  for (const Shape& shape : {Shape{63, 5, 63, true}, Shape{7, 63, 3, false},
+                             Shape{30, 30, 20, true}}) {
+    const auto c = random_sequential(rng, shape.latches, shape.pis,
+                                     shape.outputs, shape.valid);
+    const auto sources = sym::input_sources(c);
+    const sym::PackedCircuitSim sim(c);
+    for (const std::size_t lanes : {1, 37, 64}) {
+      for (const bool with_outputs : {false, true}) {
+        SCOPED_TRACE(testing::Message() << shape.latches << " latches, "
+                                        << lanes << " lanes, outputs "
+                                        << with_outputs);
+        // Full 64-bit keys: bits past the latch/input count are ignored.
+        std::vector<std::uint64_t> states(lanes), inputs(lanes);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          states[l] = rng();
+          inputs[l] = rng();
+        }
+        std::vector<std::uint64_t> next(lanes), outputs;
+        if (with_outputs) outputs.resize(lanes);
+        const std::uint64_t valid = sim.step(states, inputs, next, outputs);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          std::vector<bool> in(sources.size());
+          for (std::size_t k = 0; k < sources.size(); ++k) {
+            const std::uint64_t key =
+                sources[k].is_latch ? states[l] : inputs[l];
+            in[k] = ((key >> sources[k].index) & 1u) != 0;
+          }
+          std::vector<bool> val;
+          scalar_eval_into(c.net, in, val);
+          const bool lane_valid = !c.valid.has_value() || val[*c.valid];
+          ASSERT_EQ(((valid >> l) & 1u) != 0, lane_valid) << "lane " << l;
+          if (!lane_valid) continue;
+          std::uint64_t want_next = 0;
+          for (std::size_t j = 0; j < c.latches.size(); ++j) {
+            want_next |= std::uint64_t{val[c.latches[j].next]} << j;
+          }
+          ASSERT_EQ(next[l], want_next) << "lane " << l;
+          if (!with_outputs) continue;
+          std::uint64_t want_out = 0;
+          for (std::size_t j = 0; j < c.outputs.size(); ++j) {
+            want_out |= std::uint64_t{val[c.outputs[j].second]} << j;
+          }
+          ASSERT_EQ(outputs[l], want_out) << "lane " << l;
+        }
+        if (lanes == 64) {
+          EXPECT_NE(valid, 0u);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

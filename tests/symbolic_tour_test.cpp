@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "model/symbolic_model.hpp"
 #include "model/test_model.hpp"
 #include "runtime/rng.hpp"
 #include "sym/symbolic_fsm.hpp"
@@ -589,6 +594,250 @@ TEST(SymbolicTourDifferential, MatchesLayerDefinitionOnRings) {
     EXPECT_EQ(tour.sequences, ref.sequences);
     EXPECT_EQ(tour.layer_recomputes, ref.layer_recomputes);
   }
+}
+
+// ---- successor enumeration vs scalar BDD evaluation ----------------------------
+// The walk and SymbolicModel::edges list a state's valid inputs on the BDD and
+// step them on the word-level kernel. The oracle is the enumeration they
+// replaced: every next-state BDD evaluated once per listed input.
+
+/// (input, successor) pairs of `state` in minterm order, by BDD evaluation.
+std::vector<model::TestModel::Edge> bdd_eval_successors(SymbolicFsm& fsm,
+                                                        std::uint64_t state) {
+  bdd::BddManager& mgr = fsm.manager();
+  std::vector<bool> assignment(mgr.var_count(), false);
+  std::vector<bool> bits(fsm.num_latches());
+  for (std::size_t j = 0; j < bits.size(); ++j) {
+    bits[j] = (state >> j) & 1u;
+    assignment[fsm.ps_var(j)] = bits[j];
+  }
+  const bdd::Bdd at_state =
+      mgr.constrain(fsm.valid_inputs(), mgr.minterm(fsm.ps_vars(), bits));
+  std::vector<model::TestModel::Edge> out;
+  mgr.for_each_minterm(
+      at_state, fsm.pi_vars(), [&](const std::vector<bool>& in) {
+        std::uint64_t input = 0;
+        for (std::size_t k = 0; k < in.size(); ++k) {
+          assignment[fsm.pi_var(k)] = in[k];
+          input |= std::uint64_t{in[k]} << k;
+        }
+        std::uint64_t next = 0;
+        for (std::size_t j = 0; j < fsm.num_latches(); ++j) {
+          if (mgr.eval(fsm.next_functions()[j], assignment)) {
+            next |= std::uint64_t{1} << j;
+          }
+        }
+        out.push_back({input, next});
+        return true;
+      });
+  return out;
+}
+
+/// Scalar BDD evaluation of one (state, input): nullopt when invalid, else
+/// the packed successor and output keys.
+std::optional<std::pair<std::uint64_t, std::uint64_t>> bdd_eval_step(
+    SymbolicFsm& fsm, std::uint64_t state, std::uint64_t input) {
+  bdd::BddManager& mgr = fsm.manager();
+  std::vector<bool> assignment(mgr.var_count(), false);
+  for (std::size_t j = 0; j < fsm.num_latches(); ++j) {
+    assignment[fsm.ps_var(j)] = (state >> j) & 1u;
+  }
+  for (std::size_t k = 0; k < fsm.num_inputs(); ++k) {
+    assignment[fsm.pi_var(k)] = (input >> k) & 1u;
+  }
+  if (!mgr.eval(fsm.valid_inputs(), assignment)) return std::nullopt;
+  const auto pack = [&](const std::vector<bdd::Bdd>& funcs) {
+    std::uint64_t key = 0;
+    for (std::size_t j = 0; j < funcs.size(); ++j) {
+      if (mgr.eval(funcs[j], assignment)) key |= std::uint64_t{1} << j;
+    }
+    return key;
+  };
+  return std::pair(pack(fsm.next_functions()), pack(fsm.output_functions()));
+}
+
+/// Packed keys of every reachable state.
+std::vector<std::uint64_t> reachable_keys(SymbolicFsm& fsm) {
+  std::vector<std::uint64_t> keys;
+  fsm.manager().for_each_minterm(
+      fsm.reachable_states(), fsm.ps_vars(), [&](const std::vector<bool>& b) {
+        keys.push_back(model::TestModel::pack_bits(b));
+        return true;
+      });
+  return keys;
+}
+
+/// A random circuit with 2-8 latches, 1-9 inputs (7-9 for every fourth
+/// seed, so states can have more than 64 valid inputs), 1-3 outputs and,
+/// for half the seeds, a random input constraint.
+SequentialCircuit wide_random_circuit(std::uint64_t seed) {
+  std::uint64_t counter = 0;
+  const auto draw = [&](std::uint64_t range) {
+    return runtime::splitmix64(seed * 0xd1b54a32d192ed03ull + ++counter) %
+           range;
+  };
+  SequentialCircuit c;
+  const auto num_latches = static_cast<unsigned>(2 + draw(7));
+  const auto num_inputs =
+      static_cast<unsigned>(seed % 4 == 0 ? 7 + draw(3) : 1 + draw(9));
+  std::vector<SignalId> pool;
+  std::vector<SignalId> latch_q;
+  // Latch and input signals interleave in network-input order.
+  for (unsigned n = 0; n < num_latches + num_inputs; ++n) {
+    const bool latch = latch_q.size() < num_latches &&
+                       (c.primary_inputs.size() == num_inputs || draw(2) == 0);
+    if (latch) {
+      latch_q.push_back(c.net.add_input("q" + std::to_string(latch_q.size())));
+      pool.push_back(latch_q.back());
+    } else {
+      c.primary_inputs.push_back(
+          c.net.add_input("i" + std::to_string(c.primary_inputs.size())));
+      pool.push_back(c.primary_inputs.back());
+    }
+  }
+  const auto pick = [&] { return pool[draw(pool.size())]; };
+  const auto gates = 8 + draw(40);
+  for (std::uint64_t g = 0; g < gates; ++g) {
+    switch (draw(5)) {
+      case 0: pool.push_back(c.net.make_and(pick(), pick())); break;
+      case 1: pool.push_back(c.net.make_or(pick(), pick())); break;
+      case 2: pool.push_back(c.net.make_xor(pick(), pick())); break;
+      case 3: pool.push_back(c.net.make_not(pick())); break;
+      default: pool.push_back(c.net.make_mux(pick(), pick(), pick()));
+    }
+  }
+  for (unsigned j = 0; j < num_latches; ++j) {
+    c.latches.push_back({latch_q[j], pick(), draw(2) == 1,
+                         "q" + std::to_string(j)});
+  }
+  if (seed % 2 == 1) c.valid = c.net.make_or(pick(), pick());
+  const auto num_outputs = 1 + draw(3);
+  for (std::uint64_t o = 0; o < num_outputs; ++o) {
+    c.outputs.emplace_back("o" + std::to_string(o), pick());
+  }
+  return c;
+}
+
+TEST(SuccessorEnumeration, MatchesBddEvaluationOnRandomCircuits) {
+  std::size_t with_valid = 0;
+  std::size_t multi_pass_states = 0;
+  std::size_t reordered = 0;
+  std::size_t invalid_pairs = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    const SequentialCircuit c = wide_random_circuit(seed);
+    with_valid += c.valid.has_value() ? 1 : 0;
+    const bool reorder = seed % 3 == 0;
+    model::SymbolicModel model(
+        c, reorder ? bdd::ReorderPolicy::kAuto : bdd::ReorderPolicy::kNone);
+    if (reorder) {
+      // Sift before enumerating, and eagerly during it.
+      model.manager().set_reorder_threshold(16);
+      (void)model.manager().try_reorder();
+    }
+    const PackedCircuitSim sim(model.fsm().circuit());
+    bdd::BddManager oracle_mgr;
+    SymbolicFsm oracle(oracle_mgr, c);
+    const std::uint64_t num_inputs = std::uint64_t{1} << oracle.num_inputs();
+
+    std::vector<std::uint64_t> inputs;
+    std::vector<std::uint64_t> next;
+    for (const std::uint64_t state : reachable_keys(oracle)) {
+      SCOPED_TRACE(state);
+      const auto want = bdd_eval_successors(oracle, state);
+      multi_pass_states += want.size() > 64 ? 1 : 0;
+
+      // Same pairs in the same (minterm) order as the BDD evaluation.
+      enumerate_successors(model.fsm(), sim, state, inputs, next);
+      ASSERT_EQ(inputs.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(inputs[i], want[i].input);
+        ASSERT_EQ(next[i], want[i].next);
+      }
+      // SymbolicModel::edges: the same pairs, sorted by input.
+      auto sorted = want;
+      std::sort(sorted.begin(), sorted.end(),
+                [](const auto& a, const auto& b) { return a.input < b.input; });
+      ASSERT_EQ(model.edges(state), sorted);
+
+      // step/output on every input, valid or not, and the listed inputs are
+      // exactly the valid ones.
+      std::size_t valid = 0;
+      for (std::uint64_t input = 0; input < num_inputs; ++input) {
+        const auto ref = bdd_eval_step(oracle, state, input);
+        if (!ref.has_value()) {
+          ++invalid_pairs;
+          ASSERT_EQ(model.step(state, input), std::nullopt);
+          ASSERT_EQ(model.output(state, input), std::nullopt);
+          continue;
+        }
+        ++valid;
+        ASSERT_EQ(model.step(state, input), ref->first);
+        ASSERT_EQ(model.output(state, input), ref->second);
+      }
+      ASSERT_EQ(valid, want.size());
+    }
+    if (reorder) reordered += model.manager().stats().reorders > 0 ? 1 : 0;
+  }
+  // The sample must cover constraints, multi-pass states and sifting.
+  EXPECT_GE(with_valid, 30u);
+  EXPECT_GE(multi_pass_states, 10u);
+  EXPECT_EQ(reordered, 20u);
+  EXPECT_GT(invalid_pairs, 0u);
+}
+
+TEST(SuccessorEnumeration, WideFsmBuildsButTheTourRejectsIt) {
+  // A 70-stage shift register: past the packed-key limit of the walk, not
+  // of the BDD view.
+  SequentialCircuit c;
+  SignalId prev = c.net.add_input("in");
+  c.primary_inputs = {prev};
+  for (int j = 0; j < 70; ++j) {
+    const SignalId q = c.net.add_input("q" + std::to_string(j));
+    c.latches.push_back({q, prev, false, "q" + std::to_string(j)});
+    prev = q;
+  }
+  bdd::BddManager mgr;
+  SymbolicFsm fsm(mgr, c);
+  EXPECT_EQ(fsm.num_latches(), 70u);
+  EXPECT_EQ(fsm.circuit().latches.size(), 70u);
+  try {
+    SymbolicTourStream stream(fsm);
+    ADD_FAILURE() << "a 70-latch walk must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("too many variables"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SuccessorEnumeration, SymbolicModelOwnsItsCircuit) {
+  // Built from a temporary: the model must not reference the caller's copy.
+  const auto constrained_counter = [] {
+    SequentialCircuit c = counter_circuit();
+    const auto ins = c.net.inputs();
+    c.valid = c.net.make_or(ins[0], c.net.make_or(ins[1], ins[2]));
+    return c;
+  };
+  model::SymbolicModel model(constrained_counter());
+  // Every (state, en) pair, repeated into a partial second block.
+  std::vector<std::uint64_t> states;
+  std::vector<std::uint64_t> inputs;
+  for (std::size_t i = 0; i < 100; ++i) {
+    states.push_back(i % 4);
+    inputs.push_back((i / 4) % 2);
+  }
+  std::vector<std::optional<std::uint64_t>> next(states.size());
+  model.step_batch(states, inputs, next);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    if (states[i] == 0 && inputs[i] == 0) {
+      EXPECT_EQ(next[i], std::nullopt) << i;  // (00, en=0) is invalid
+    } else {
+      EXPECT_EQ(next[i], (states[i] + inputs[i]) % 4) << i;
+    }
+  }
+  const std::vector<model::TestModel::Edge> from_zero{{1, 1}};
+  EXPECT_EQ(model.edges(0), from_zero);
 }
 
 }  // namespace
