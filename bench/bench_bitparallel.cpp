@@ -1,8 +1,9 @@
-// Bit-parallel (64-lane) vs scalar simulation throughput.
+// Fast paths vs scalar simulation throughput.
 //
-// Two hot loops got a word-level path in this repo; this bench measures
-// both against their scalar twins on synthetic models sized well past the
-// DLX control netlist, and fails (non-zero exit) if either path stops
+// Two hot loops have a fast path in this repo — a word-level (64-lane)
+// simulator and a site-indexed mutant replay; this bench measures both
+// against their scalar twins on synthetic models sized well past the DLX
+// control netlist, and fails (non-zero exit) if either path stops
 // producing bit-identical results:
 //
 //   1. Simulate — gate-level sequence replay. Scalar: one pass of lane 0
@@ -11,13 +12,16 @@
 //      sym::PackedCircuitSim::step per 64 sequences per step. Metric:
 //      sequences/s.
 //   2. MutantReplay — Theorem 3 fault simulation. Scalar: one
-//      errmodel::exposes walk per (mutant, sequence). Packed: one
-//      errmodel::PackedMutantBlock walk per 64 mutants per sequence.
-//      Metric: mutant-sequences/s.
+//      errmodel::exposes walk per (mutant, sequence). Indexed: one
+//      errmodel::MutantReplay index of the test set (built inside the
+//      timed region), then one first_exposing_sequence per mutant, which
+//      steps the mutant only from its mutated transition until it
+//      exposes or rejoins the spec. Metric: mutant-sequences/s, counting
+//      the scalar path's (mutant, sequence) walks for both.
 //
 // The target the CI smoke asserts: >= 8x on both loops on the largest
-// synthetic model (the word-level win is typically 20-60x; 8x leaves
-// headroom for loaded runners).
+// synthetic model (the simulate win is typically 20-60x, the indexed
+// replay's several hundred x; 8x leaves headroom for loaded runners).
 #include <cstdio>
 #include <random>
 #include <span>
@@ -191,10 +195,10 @@ int main(int argc, char** argv) {
   }
   bench::row("speedup on largest model", simulate_speedup_large);
 
-  bench::header("MutantReplay: packed (64-mutant blocks) vs scalar walks");
-  // Fault simulation pays off when reaching a mutation site takes many
+  bench::header("MutantReplay: site-indexed replay vs scalar walks");
+  // Indexed replay pays off when reaching a mutation site takes many
   // sequences — on a large state space most (mutant, sequence) walks never
-  // excite the mutant and ride the shared spec walk in pure lockstep. 1024
+  // excite the mutant, and the index skips them without a step. 1024
   // states x 8 inputs puts the workload in that regime (the DLX control
   // model is in the hundreds-to-thousands of states).
   const auto m = fsm::random_connected_machine(1024, 8, 5, 11);
@@ -232,41 +236,31 @@ int main(int argc, char** argv) {
   }
   const double mr_scalar_seconds = scalar_timer.seconds();
 
-  std::vector<std::uint64_t> packed_verdicts(mutants.size(), 0);
-  bench::Timer packed_timer;
-  constexpr std::size_t kLanes = errmodel::PackedMutantBlock::kLanes;
-  for (std::size_t base = 0; base < mutants.size(); base += kLanes) {
-    const std::size_t len = std::min(kLanes, mutants.size() - base);
-    const errmodel::PackedMutantBlock block(
-        m, std::span(mutants).subspan(base, len));
-    std::uint64_t active =
-        len == kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
-    for (std::size_t s = 0; s < sequences.size() && active != 0; ++s) {
-      const std::uint64_t hit = block.exposes(0, sequences[s], active);
-      for (std::size_t l = 0; l < len; ++l) {
-        if ((hit >> l) & 1u) packed_verdicts[base + l] = s + 1;
-      }
-      active &= ~hit;
-    }
+  std::vector<std::uint64_t> indexed_verdicts(mutants.size(), 0);
+  bench::Timer indexed_timer;
+  const errmodel::MutantReplay replay(m, 0, sequences);
+  for (std::size_t k = 0; k < mutants.size(); ++k) {
+    const auto v = replay.first_exposing_sequence(mutants[k]);
+    if (v.sequence.has_value()) indexed_verdicts[k] = *v.sequence + 1;
   }
-  const double mr_packed_seconds = packed_timer.seconds();
+  const double mr_indexed_seconds = indexed_timer.seconds();
 
-  const bool mr_identical = packed_verdicts == scalar_verdicts;
+  const bool mr_identical = indexed_verdicts == scalar_verdicts;
   all_identical = all_identical && mr_identical;
-  const double mr_speedup = mr_scalar_seconds / mr_packed_seconds;
+  const double mr_speedup = mr_scalar_seconds / mr_indexed_seconds;
   std::printf("\n  %-20s %18s %18s %10s\n", "", "mutant-seq/s", "seconds",
               "identical");
   std::printf("  %-20s %18.0f %18.3f %10s\n", "scalar",
               replays / mr_scalar_seconds, mr_scalar_seconds, "reference");
-  std::printf("  %-20s %18.0f %18.3f %10s\n", "packed",
-              replays / mr_packed_seconds, mr_packed_seconds,
+  std::printf("  %-20s %18.0f %18.3f %10s\n", "indexed",
+              replays / mr_indexed_seconds, mr_indexed_seconds,
               mr_identical ? "yes" : "NO");
   bench::row("mutant replay speedup", mr_speedup);
 
   bench::header("Verdict");
   const bool meets_target =
       simulate_speedup_large >= 8.0 && mr_speedup >= 8.0;
-  bench::row("packed results identical to scalar",
+  bench::row("fast-path results identical to scalar",
              all_identical ? "yes" : "NO");
   bench::row("meets 8x target on both loops", meets_target ? "yes" : "NO");
   return bench::finish(all_identical && meets_target ? 0 : 1);

@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
       mc.exclude_equivalent = false;  // keep 1:1 alignment with the sample
       mc.seed = kSeed;
       mc.sink = bench::sink();
-      mc.packed = bench::packed();
       const auto r = core::evaluate_mutant_coverage(model, mc);
 
       // The replay's latency is a 1-based sequence index; convert it to

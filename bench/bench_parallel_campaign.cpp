@@ -177,7 +177,6 @@ int main(int argc, char** argv) {
   mc.exclude_equivalent = true;
   mc.threads = 1;
   mc.sink = bench::sink();
-  mc.packed = bench::packed();
   bench::Timer mc_serial_timer;
   const auto mc_serial = core::evaluate_mutant_coverage(em, mc);
   const double mc_serial_seconds = mc_serial_timer.seconds();
@@ -196,23 +195,11 @@ int main(int argc, char** argv) {
     const bool identical = r.mutants == mc_serial.mutants &&
                            r.exposed == mc_serial.exposed &&
                            r.equivalent == mc_serial.equivalent &&
-                           r.test_length == mc_serial.test_length;
-    all_identical = all_identical && identical;
-    std::printf("  %-10zu %12.3f %9.2fx %12s\n", threads, seconds,
-                mc_serial_seconds / seconds, identical ? "yes" : "NO");
-  }
-  {
-    core::MutantCoverageOptions cross = mc;
-    cross.packed = !mc.packed;
-    const auto r = core::evaluate_mutant_coverage(em, cross);
-    const bool identical = r.mutants == mc_serial.mutants &&
-                           r.exposed == mc_serial.exposed &&
-                           r.equivalent == mc_serial.equivalent &&
                            r.test_length == mc_serial.test_length &&
                            r.exposure_latency == mc_serial.exposure_latency;
     all_identical = all_identical && identical;
-    bench::row("packed/scalar mutant verdicts identical",
-               identical ? "yes" : "NO");
+    std::printf("  %-10zu %12.3f %9.2fx %12s\n", threads, seconds,
+                mc_serial_seconds / seconds, identical ? "yes" : "NO");
   }
 
   bench::header("Structured JSON report (parallel campaign run)");

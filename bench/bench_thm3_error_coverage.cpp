@@ -6,6 +6,10 @@
 //  1. Test-model level (the theorem's own terms): sampled output/transfer
 //     mutants of the control model's state graph, exposed or not by a
 //     transition tour set vs a state tour vs an equal-length random walk.
+//     Every unexposed real mutant is put in one bucket of
+//     errmodel::MutantReplay::Miss: never excited, masked (Def. 4), or cut
+//     off by the end of a sequence while still diverged (Theorem 1's k
+//     horizon).
 //  2. Implementation level (the Figure 1 flow): the concretized tour
 //     programs run on the pipelined DLX against the paper's class of
 //     control errors (interlock, bypassing, squashing, linking, ...).
@@ -16,7 +20,10 @@
 #include "core/campaign.hpp"
 #include "core/requirements.hpp"
 #include "distinguish/distinguish.hpp"
+#include "errmodel/errmodel.hpp"
 #include "model/explicit_model.hpp"
+#include "pipeline/stages.hpp"
+#include "runtime/rng.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "testmodel/testmodel.hpp"
 
@@ -32,6 +39,54 @@ simcov::testmodel::TestModelOptions tour_model_options() {
   opt.reg_addr_bits = 1;
   opt.reduced_isa = true;
   return opt;
+}
+
+/// The unexposed real mutants of one evaluate_mutant_coverage run, by why
+/// they went unexposed. Rebuilds the run's test set and mutant sample the
+/// way pipeline::MutantReplayStage does.
+struct MissSplit {
+  std::size_t not_excited = 0;
+  std::size_t masked = 0;
+  std::size_t cut_off = 0;
+
+  [[nodiscard]] std::size_t total() const {
+    return not_excited + masked + cut_off;
+  }
+};
+
+MissSplit miss_split(const simcov::fsm::MealyMachine& m,
+                     simcov::fsm::StateId start,
+                     const simcov::core::MutantCoverageOptions& opt) {
+  using namespace simcov;
+  auto set = pipeline::generate_test_set(m, start, opt.method,
+                                         opt.random_length, opt.seed,
+                                         opt.generator);
+  for (auto& seq : set.sequences) {
+    pipeline::extend_sequence(m, start, seq, opt.k_extension);
+  }
+  const auto mutants = errmodel::sample_mutations(
+      m, start, m.output_alphabet_size(), opt.mutant_sample,
+      runtime::derive_stream(opt.seed, runtime::Stream::kMutantStream));
+  const errmodel::MutantReplay replay(m, start, set.sequences);
+  MissSplit split;
+  for (const auto& mut : mutants) {
+    const auto v = replay.first_exposing_sequence(mut);
+    if (v.sequence.has_value() || replay.equivalent(mut)) continue;
+    switch (v.miss) {
+      case errmodel::MutantReplay::Miss::kNotExcited:
+        ++split.not_excited;
+        break;
+      case errmodel::MutantReplay::Miss::kMasked:
+        ++split.masked;
+        break;
+      case errmodel::MutantReplay::Miss::kCutOff:
+        ++split.cut_off;
+        break;
+      case errmodel::MutantReplay::Miss::kNone:  // exposed: skipped above
+        break;
+    }
+  }
+  return split;
 }
 
 }  // namespace
@@ -56,15 +111,16 @@ int main(int argc, char** argv) {
   bench::row("masked transfer-error fraction (Req. 4 estimate)",
              req.r4_masked_fraction);
 
-  std::printf("\n  %-18s %10s %10s %12s %10s %6s\n", "method", "sequences",
-              "length", "exposed", "rate", "equiv");
+  std::printf("\n  %-18s %10s %10s %12s %10s %6s   %s\n", "method",
+              "sequences", "length", "exposed", "rate", "equiv",
+              "misses: unexcited / masked / cut off");
   core::MutantCoverageOptions base;
   base.mutant_sample = 300;
   base.k_extension = 5;
   base.exclude_equivalent = true;  // fair denominator: real errors only
   base.sink = bench::sink();
-  base.packed = bench::packed();
   std::size_t tour_len = 0;
+  bool misses_explained = true;
   for (const TestMethod method :
        {TestMethod::kTransitionTourSet, TestMethod::kStateTour,
         TestMethod::kRandomWalk}) {
@@ -75,11 +131,16 @@ int main(int argc, char** argv) {
     }
     const auto r = core::evaluate_mutant_coverage(test_model, opt);
     if (method == TestMethod::kTransitionTourSet) tour_len = r.test_length;
-    std::printf("  %-18s %10zu %10zu %6zu/%-5zu %9.1f%% %6zu\n",
+    const MissSplit split = miss_split(em.machine, 0, opt);
+    misses_explained =
+        misses_explained && split.total() == r.mutants - r.exposed;
+    std::printf("  %-18s %10zu %10zu %6zu/%-5zu %9.1f%% %6zu   "
+                "%zu / %zu / %zu\n",
                 core::method_name(method), r.sequences, r.test_length,
                 r.exposed, r.mutants, 100.0 * r.exposure_rate().value_or(0.0),
-                r.equivalent);
+                r.equivalent, split.not_excited, split.masked, split.cut_off);
   }
+  bench::row("every miss in one bucket", misses_explained ? "yes" : "NO");
 
   // ---- Level 1b: tour vs W-method on the minimized model --------------------
   // The W-method (P·W conformance suite) guarantees exposure of every
@@ -200,5 +261,5 @@ int main(int argc, char** argv) {
       "\nShape check vs paper: the transition tour exposes the most errors\n"
       "(complete under Req. 1-5 at the model level); state coverage and\n"
       "random simulation leave specific control errors unexercised.\n");
-  return simcov::bench::finish(clean ? 0 : 1);
+  return simcov::bench::finish(clean && misses_explained ? 0 : 1);
 }

@@ -303,8 +303,8 @@ inline void init(int argc, char** argv) {
   return detail::Recorder::instance().baseline_check;
 }
 
-/// True when `--packed on` was given — plugs into CampaignOptions::packed /
-/// MutantCoverageOptions::packed (the bit-parallel 64-lane replay paths).
+/// True when `--packed on` was given — plugs into CampaignOptions::packed
+/// (the bit-parallel 64-lane replay path).
 [[nodiscard]] inline bool packed() {
   return detail::Recorder::instance().packed;
 }

@@ -1,7 +1,8 @@
 #include "errmodel/errmodel.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -236,128 +237,118 @@ bool observable(const MealyMachine& spec, const Mutation& mut,
   return false;
 }
 
-PackedMutantBlock::PackedMutantBlock(const MealyMachine& spec,
-                                     std::span<const Mutation> block)
-    : spec_(&spec), size_(block.size()) {
-  if (block.size() > kLanes) {
-    throw std::invalid_argument(
-        "PackedMutantBlock: more than 64 mutants in a block");
+MutantReplay::MutantReplay(const MealyMachine& spec, StateId start,
+                           std::span<const std::vector<InputId>> sequences)
+    : spec_(&spec), reachable_(spec.reachable_states(start)) {
+  std::size_t total_length = 0;
+  for (const auto& seq : sequences) total_length += seq.size();
+  if (total_length > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("MutantReplay: test set exceeds 2^32 steps");
   }
-  state_lanes_.resize(spec.num_states(), 0);
-  for (std::size_t l = 0; l < block.size(); ++l) {
-    const Mutation& mut = block[l];
-    const auto original = spec.transition(mut.at.state, mut.at.input);
-    if (!original.has_value()) {
-      throw std::invalid_argument(
-          "PackedMutantBlock: mutated transition undefined");
+  steps_.reserve(total_length);
+  end_.reserve(sequences.size());
+  final_.reserve(sequences.size());
+  cut_.reserve(sequences.size());
+  // Count the steps per slot into first_[slot + 1] during the walk.
+  first_.assign(
+      static_cast<std::size_t>(spec.num_states()) * spec.num_inputs() + 1, 0);
+  for (const auto& seq : sequences) {
+    StateId at = start;
+    std::optional<InputId> cut;
+    for (const InputId i : seq) {
+      const auto t = spec.transition(at, i);
+      if (!t.has_value()) {
+        cut = i;
+        break;
+      }
+      steps_.push_back({at, i});
+      ++first_[slot(at, i) + 1];
+      at = t->next;
     }
-    site_state_[l] = mut.at.state;
-    site_input_[l] = mut.at.input;
-    new_next_[l] = mut.new_next;
-    new_output_[l] = mut.new_output;
-    const std::uint64_t bit = std::uint64_t{1} << l;
-    if (mut.kind == ErrorKind::kOutput) output_kind_ |= bit;
-    // A vacuous mutation (replacement equals the original) leaves the lane
-    // behaving exactly like the spec — it can never be exposed, which is
-    // what an unregistered site yields.
-    const bool vacuous = mut.kind == ErrorKind::kOutput
-                             ? mut.new_output == original->output
-                             : mut.new_next == original->next;
-    if (!vacuous) {
-      state_lanes_[mut.at.state] |= bit;
-    }
+    end_.push_back(static_cast<std::uint32_t>(steps_.size()));
+    final_.push_back(at);
+    cut_.push_back(cut);
   }
+  // Counting sort of the step positions by slot: first_[slot] serves as
+  // the slot's fill cursor, which leaves it at the next slot's offset, so
+  // the offsets shift back by one afterwards.
+  std::partial_sum(first_.begin(), first_.end(), first_.begin());
+  steps_at_.resize(steps_.size());
+  for (std::uint32_t q = 0; q < steps_.size(); ++q) {
+    steps_at_[first_[slot(steps_[q].state, steps_[q].input)]++] = q;
+  }
+  std::copy_backward(first_.begin(), first_.end() - 1, first_.end());
+  first_[0] = 0;
 }
 
-std::uint64_t PackedMutantBlock::exposes(StateId start,
-                                         std::span<const InputId> inputs,
-                                         std::uint64_t active) const {
-  const std::uint64_t lane_mask =
-      size_ == kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << size_) - 1;
-  std::uint64_t undecided = active & lane_mask;
-  std::uint64_t lockstep = undecided;  // at_mut == at_spec, site not yet hit
-  std::uint64_t diverged = 0;          // transfer mutants walking on their own
-  std::uint64_t exposed = 0;
-  std::array<StateId, kLanes> at_mut{};
-  StateId at_spec = start;
-
+MutantReplay::Verdict MutantReplay::first_exposing_sequence(
+    const Mutation& mut) const {
   const MealyMachine& spec = *spec_;
-  for (const InputId i : inputs) {
-    if (undecided == 0) break;
-    const auto ts = spec.transition(at_spec, i);
-    // Diverged lanes still pending at the start of this step; lanes that
-    // diverge on THIS step consumed input i at the site and must not also
-    // walk below.
-    const std::uint64_t walk = diverged & undecided;
-    if (!ts.has_value()) {
-      // Spec truncates here. Lockstep mutants truncate too (unexposed);
-      // a diverged mutant is exposed iff its own transition is defined
-      // (definedness mismatch).
-      for (std::uint64_t w = walk; w != 0; w &= w - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(w));
-        if (spec.transition(at_mut[l], i).has_value()) {
-          exposed |= std::uint64_t{1} << l;
-        }
+  const MutantView mutant(spec, mut, "first_exposing_sequence");
+  const std::size_t site = slot(mut.at.state, mut.at.input);
+  const auto last = steps_at_.begin() + first_[site + 1];
+  auto it = steps_at_.begin() + first_[site];
+  Verdict verdict{std::nullopt, it == last ? Miss::kNotExcited : Miss::kMasked};
+  // Each pass starts in lockstep at a step that takes the mutated
+  // transition and walks the mutant alone until it exposes, rejoins the
+  // spec's state or runs off the end of its sequence.
+  while (it != last) {
+    std::uint32_t q = *it;
+    const auto s = static_cast<std::size_t>(
+        std::upper_bound(end_.begin(), end_.end(), q) - end_.begin());
+    StateId at_mut = steps_[q].state;
+    do {
+      const auto ts = spec.transition(steps_[q].state, steps_[q].input);
+      const auto tm = mutant.transition(at_mut, steps_[q].input);
+      if (!tm.has_value() || tm->output != ts->output) return {s, Miss::kNone};
+      at_mut = tm->next;
+      ++q;
+    } while (q < end_[s] && at_mut != steps_[q].state);
+    if (q == end_[s] && at_mut != final_[s]) {
+      // Still diverged where the sequence ends. A truncating input the
+      // spec leaves undefined exposes a mutant that defines it.
+      if (cut_[s].has_value() &&
+          mutant.transition(at_mut, *cut_[s]).has_value()) {
+        return {s, Miss::kNone};
       }
-      return exposed;
+      verdict.miss = Miss::kCutOff;
     }
-    // Lockstep lanes whose mutation site is the spec's current transition:
-    // an output mutant differs right here (non-vacuous, so exposed); a
-    // transfer mutant silently branches off to its replacement state. The
-    // state-indexed mask keeps the overwhelmingly common no-site step to a
-    // single load; the input check happens per candidate lane.
-    if (const std::uint64_t in_state =
-            state_lanes_[at_spec] & lockstep & undecided;
-        in_state != 0) {
-      std::uint64_t hit = 0;
-      for (std::uint64_t w = in_state; w != 0; w &= w - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(w));
-        if (site_input_[l] == i) hit |= std::uint64_t{1} << l;
-      }
-      const std::uint64_t out_hit = hit & output_kind_;
-      exposed |= out_hit;
-      undecided &= ~out_hit;
-      for (std::uint64_t w = hit & ~output_kind_; w != 0; w &= w - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(w));
-        at_mut[l] = new_next_[l];
-      }
-      lockstep &= ~hit;
-      diverged |= hit & ~output_kind_;
-    }
-    // Diverged lanes advance one at a time — each is in its own state, so
-    // there is nothing word-level left to share beyond the spec's walk.
-    for (std::uint64_t w = walk & undecided; w != 0; w &= w - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(w));
-      const std::uint64_t bit = std::uint64_t{1} << l;
-      auto tm = spec.transition(at_mut[l], i);
-      if (tm.has_value() && at_mut[l] == site_state_[l] &&
-          i == site_input_[l]) {
-        if ((output_kind_ & bit) != 0) {
-          tm->output = new_output_[l];
-        } else {
-          tm->next = new_next_[l];
-        }
-      }
-      if (!tm.has_value() || tm->output != ts->output) {
-        exposed |= bit;
-        undecided &= ~bit;
-        diverged &= ~bit;
-        continue;
-      }
-      at_mut[l] = tm->next;
-    }
-    at_spec = ts->next;
-    // Reconvergence (the paper's Definition 4 masking): a diverged mutant
-    // landing back on the spec's state rejoins the lockstep herd.
-    for (std::uint64_t w = diverged & undecided; w != 0; w &= w - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(w));
-      if (at_mut[l] == at_spec) {
-        diverged &= ~(std::uint64_t{1} << l);
-        lockstep |= std::uint64_t{1} << l;
+    // Back in lockstep from step q (or from the next sequence's start):
+    // nothing can differ before the mutated transition is taken again.
+    it = std::lower_bound(it, last, q);
+  }
+  return verdict;
+}
+
+bool MutantReplay::equivalent(const Mutation& mut) const {
+  const MealyMachine& spec = *spec_;
+  const MutantView mutant(spec, mut, "equivalent");
+  if (!reachable_[mut.at.state]) return true;
+  const fsm::Transition original =
+      spec.transition(mut.at.state, mut.at.input).value();
+  if (mut.kind == ErrorKind::kOutput) return mut.new_output == original.output;
+  if (mut.new_next == original.next) return true;
+  // Product search over the off-diagonal pairs only: a diagonal pair (y, y)
+  // reaches nothing but diagonal pairs and the seed pair again.
+  const std::uint64_t n = spec.num_states();
+  std::unordered_set<std::uint64_t> seen{original.next * n + mut.new_next};
+  std::vector<std::pair<StateId, StateId>> queue{
+      {original.next, mut.new_next}};
+  for (std::size_t k = 0; k < queue.size(); ++k) {
+    const auto [at_spec, at_mut] = queue[k];
+    for (InputId i = 0; i < spec.num_inputs(); ++i) {
+      const auto ts = spec.transition(at_spec, i);
+      const auto tm = mutant.transition(at_mut, i);
+      if (ts.has_value() != tm.has_value()) return false;
+      if (!ts.has_value()) continue;
+      if (ts->output != tm->output) return false;
+      if (ts->next != tm->next &&
+          seen.insert(ts->next * n + tm->next).second) {
+        queue.emplace_back(ts->next, tm->next);
       }
     }
   }
-  return exposed;
+  return true;
 }
 
 bool excites(const MealyMachine& mutant, const Mutation& mut, StateId start,

@@ -17,7 +17,6 @@
 // these evaluators.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -104,47 +103,77 @@ bool exposes(const fsm::MealyMachine& spec, const Mutation& mut,
 bool observable(const fsm::MealyMachine& spec, const Mutation& mut,
                 fsm::StateId start);
 
-/// Bit-parallel (word-level) mutant replay: up to 64 mutants of the same
-/// specification ride in the lanes of ONE walk — the classic parallel
-/// fault-simulation trick lifted to the Mealy level. The shared
-/// specification walk advances once per step; lanes whose mutant is still
-/// in lockstep (same state as the spec) cost nothing beyond a site-mask
-/// lookup, and only lanes whose transfer mutant has diverged step
-/// individually. Lane L's verdict equals exposes(spec, block[L], start,
-/// inputs) exactly (pinned by the differential test in
-/// tests/bitparallel_test.cpp).
-class PackedMutantBlock {
+/// Mutant replay against one test set, simulating only where a mutant can
+/// differ from the specification (the concurrent fault-simulation idea at
+/// the Mealy level). A mutant is in lockstep with the spec until the walk
+/// takes its mutated transition, and matters again only until its state
+/// rejoins the spec's (Definition 4 masking). So the index is built from
+/// ONE spec walk of the test set: the spec state before every step, and per
+/// (state, input) slot the steps that take it, in CSR form — 4 B per slot
+/// plus 12 B per step. The walk of a sequence stops at its first input the
+/// spec leaves undefined, where exposes() truncates it. `spec` must outlive
+/// the index; the sequences need not.
+class MutantReplay {
  public:
-  static constexpr std::size_t kLanes = 64;
+  /// Why a mutant the whole test set leaves unexposed went unexposed.
+  enum class Miss : std::uint8_t {
+    kNone,        ///< exposed
+    kNotExcited,  ///< no sequence takes the mutated transition
+    kMasked,      ///< every divergence rejoined the spec's state without an
+                  ///< output difference (Definition 4)
+    kCutOff,      ///< some sequence ended, or was truncated, while the
+                  ///< mutant was still diverged: its exposure window was cut
+                  ///< short (Theorem 1's k horizon)
+  };
 
-  /// Indexes the block's mutation sites. The block must hold at most 64
-  /// mutations of defined transitions of `spec` (else
-  /// std::invalid_argument); both must outlive this object.
-  PackedMutantBlock(const fsm::MealyMachine& spec,
-                    std::span<const Mutation> block);
+  struct Verdict {
+    /// Index of the first sequence s with exposes(spec, mut, start,
+    /// sequences[s]); empty when no sequence exposes the mutant.
+    std::optional<std::size_t> sequence;
+    Miss miss = Miss::kNone;  ///< kNone exactly when `sequence` is set
+  };
 
-  [[nodiscard]] std::size_t size() const { return size_; }
+  MutantReplay(const fsm::MealyMachine& spec, fsm::StateId start,
+               std::span<const std::vector<fsm::InputId>> sequences);
 
-  /// Mask of lanes (restricted to `active`) whose mutant is exposed by
-  /// running `inputs` from `start` — bit L set iff exposes(spec, block[L],
-  /// start, inputs). Lanes outside `active` are skipped entirely, so a
-  /// caller replaying many sequences can drop already-exposed lanes.
-  [[nodiscard]] std::uint64_t exposes(fsm::StateId start,
-                                      std::span<const fsm::InputId> inputs,
-                                      std::uint64_t active) const;
+  /// The first exposing sequence of `mut`, found by stepping the mutant
+  /// alone against the recorded spec states from each step that takes its
+  /// mutated transition until it exposes, rejoins the spec or its sequence
+  /// ends. Throws std::invalid_argument if the mutated transition is
+  /// undefined; a vacuous mutation is never exposed.
+  [[nodiscard]] Verdict first_exposing_sequence(const Mutation& mut) const;
+
+  /// fsm::check_equivalence(spec, start, apply_mutation(spec, mut), start)
+  /// .equivalent without building the mutant: pairs (x, x) behave alike
+  /// except at the mutated transition, so a site unreachable from start is
+  /// equivalent, an output mutant is not, and a transfer mutant runs the
+  /// product search from (spec next, new next), stopping at diagonal pairs.
+  /// Throws std::invalid_argument if the mutated transition is undefined; a
+  /// vacuous mutation is equivalent.
+  [[nodiscard]] bool equivalent(const Mutation& mut) const;
 
  private:
+  /// One step of the spec walk: the spec state before it and its input.
+  struct Step {
+    fsm::StateId state;
+    fsm::InputId input;
+  };
+
+  [[nodiscard]] std::size_t slot(fsm::StateId s, fsm::InputId i) const {
+    return static_cast<std::size_t>(s) * spec_->num_inputs() + i;
+  }
+
   const fsm::MealyMachine* spec_;
-  std::size_t size_ = 0;
-  /// Per spec state: lanes whose mutation site sits in that state (input
-  /// still checked per lane). Direct-indexed — the per-step lockstep fast
-  /// path is one load, no hashing.
-  std::vector<std::uint64_t> state_lanes_;
-  std::uint64_t output_kind_ = 0;  ///< lanes carrying output mutations
-  std::array<fsm::StateId, kLanes> site_state_{};
-  std::array<fsm::InputId, kLanes> site_input_{};
-  std::array<fsm::StateId, kLanes> new_next_{};
-  std::array<fsm::OutputId, kLanes> new_output_{};
+  std::vector<bool> reachable_;  ///< per state, from start
+  std::vector<Step> steps_;      ///< the test set's steps, back to back
+  std::vector<std::uint32_t> first_;     ///< slots + 1 offsets into steps_at_
+  std::vector<std::uint32_t> steps_at_;  ///< step positions, grouped by slot
+  /// Per sequence: one past its last walked step (sequences are laid out
+  /// back to back), the spec state after it, and the undefined input that
+  /// truncated it, if any.
+  std::vector<std::uint32_t> end_;
+  std::vector<fsm::StateId> final_;
+  std::vector<std::optional<fsm::InputId>> cut_;
 };
 
 /// True when the walk of `inputs` through `mutant` takes the mutated

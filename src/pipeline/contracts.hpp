@@ -384,16 +384,14 @@ struct MutantCoverageOptions {
   std::size_t mutant_sample = 200;
   /// Detect mutants that are behaviourally equivalent to the specification
   /// (no test can expose them) and report them separately instead of
-  /// counting them against the method.
+  /// counting them against the method. Decided per unexposed mutant by
+  /// errmodel::MutantReplay::equivalent — exactly fsm::check_equivalence on
+  /// the mutant machine, without building it.
   bool exclude_equivalent = false;
   /// Worker threads for the per-mutant replay loop (0 = one per hardware
-  /// thread). Results are identical at any setting.
+  /// thread). Every worker reads one shared errmodel::MutantReplay index of
+  /// the test set; results are identical at any setting.
   std::size_t threads = 0;
-  /// Replay mutants through errmodel::PackedMutantBlock — 64 mutants share
-  /// the lanes of one specification walk per block instead of one scalar
-  /// exposes() walk each. A throughput knob only: verdicts, latencies and
-  /// reports are byte-identical to the scalar path at any thread count.
-  bool packed = false;
 
   // ---- Pipeline knobs -----------------------------------------------------
   /// Instrumentation sink (see CampaignOptions::sink).

@@ -578,87 +578,34 @@ MutantCoverageResult MutantReplayStage::run(
 
     // Replay every mutant against the test set, sharded; per-mutant
     // verdicts land in their own slot and are folded in sample order
-    // afterwards.
+    // afterwards. The replay index is shared read-only by every worker.
     struct Verdict {
       bool exposed = false;
       bool equivalent = false;
       std::size_t exposing_sequence = 0;  ///< 1-based; set when exposed
     };
     std::vector<Verdict> verdicts(mutants.size());
+    const errmodel::MutantReplay replay(machine, start, set.sequences);
     const auto queue_wait =
         queue_wait_observer(sink, obs::Stage::kMutantReplay, 0);
-    // The equivalence check is shared by both replay paths: an unexposed
-    // mutant may simply be no error at all — check full behavioural
-    // equivalence before counting it against the method.
-    const auto check_equivalent = [&](const errmodel::Mutation& mut) {
-      const auto mutant = errmodel::apply_mutation(machine, mut);
-      return fsm::check_equivalence(machine, start, mutant, start).equivalent;
-    };
-    if (options.packed) {
-      // Bit-parallel path: 64 mutants share the lanes of one spec walk per
-      // block (errmodel::PackedMutantBlock); sharding moves from mutants to
-      // blocks. Verdict slots and the sample-order fold below keep results
-      // byte-identical to the scalar path.
-      constexpr std::size_t kLanes = errmodel::PackedMutantBlock::kLanes;
-      const std::size_t num_blocks = (mutants.size() + kLanes - 1) / kLanes;
-      runtime::parallel_for_each(
-          options.threads, num_blocks,
-          [&](std::size_t b) {
-            const auto t0 = std::chrono::steady_clock::now();
-            const std::size_t base = b * kLanes;
-            const std::size_t len =
-                std::min(kLanes, mutants.size() - base);
-            const errmodel::PackedMutantBlock block(
-                machine, std::span(mutants).subspan(base, len));
-            std::uint64_t active = len == kLanes
-                                       ? ~std::uint64_t{0}
-                                       : (std::uint64_t{1} << len) - 1;
-            for (std::size_t s = 0;
-                 s < set.sequences.size() && active != 0; ++s) {
-              const std::uint64_t hit =
-                  block.exposes(start, set.sequences[s], active);
-              for (std::uint64_t w = hit; w != 0; w &= w - 1) {
-                const auto l =
-                    static_cast<std::size_t>(std::countr_zero(w));
-                verdicts[base + l].exposed = true;
-                verdicts[base + l].exposing_sequence = s + 1;
-              }
-              active &= ~hit;
-            }
-            const double block_seconds = seconds_since(t0);
-            for (std::size_t l = 0; l < len; ++l) {
-              Verdict& v = verdicts[base + l];
-              if (!v.exposed && options.exclude_equivalent) {
-                v.equivalent = check_equivalent(mutants[base + l]);
-              }
-              sink.latency(obs::Stage::kMutantReplay, "mutant", base + l,
-                           block_seconds);
-            }
-          },
-          options.cancel.raw(), &queue_wait);
-    } else {
-      runtime::parallel_for_each(
-          options.threads, mutants.size(),
-          [&](std::size_t m) {
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto& mut = mutants[m];
-            Verdict v;
-            for (std::size_t s = 0; s < set.sequences.size(); ++s) {
-              if (errmodel::exposes(machine, mut, start, set.sequences[s])) {
-                v.exposed = true;
-                v.exposing_sequence = s + 1;
-                break;
-              }
-            }
-            if (!v.exposed && options.exclude_equivalent) {
-              v.equivalent = check_equivalent(mut);
-            }
-            sink.latency(obs::Stage::kMutantReplay, "mutant", m,
-                         seconds_since(t0));
-            verdicts[m] = v;
-          },
-          options.cancel.raw(), &queue_wait);
-    }
+    runtime::parallel_for_each(
+        options.threads, mutants.size(),
+        [&](std::size_t m) {
+          const auto t0 = std::chrono::steady_clock::now();
+          const auto exposure = replay.first_exposing_sequence(mutants[m]);
+          Verdict v;
+          if (exposure.sequence.has_value()) {
+            v.exposed = true;
+            v.exposing_sequence = *exposure.sequence + 1;
+          } else if (options.exclude_equivalent) {
+            // An unexposed mutant may simply be no error at all.
+            v.equivalent = replay.equivalent(mutants[m]);
+          }
+          sink.latency(obs::Stage::kMutantReplay, "mutant", m,
+                       seconds_since(t0));
+          verdicts[m] = v;
+        },
+        options.cancel.raw(), &queue_wait);
     if (!options.cancel.cancelled()) {
       // Fold only complete replays: a cancelled loop leaves unclaimed
       // slots default-initialized, which would read as unexposed mutants.

@@ -13,8 +13,6 @@
 //   * testmodel::PackedControlModelSim and ControlModelSim (one lane of
 //                                    the same kernel) vs a scalar control
 //                                    simulator kept here
-//   * errmodel::PackedMutantBlock    vs scalar exposes()
-//   * MutantCoverageOptions::packed  vs the scalar replay loop
 //   * CampaignOptions::packed        vs the scalar campaign (byte-identical
 //                                    report JSON at 1/2/8 threads)
 #include <gtest/gtest.h>
@@ -28,7 +26,6 @@
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
-#include "errmodel/errmodel.hpp"
 #include "fsm/mealy.hpp"
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
@@ -37,7 +34,6 @@
 #include "testmodel/control_sim.hpp"
 #include "testmodel/packed_control_sim.hpp"
 #include "testmodel/testmodel.hpp"
-#include "tour/tour.hpp"
 
 namespace simcov {
 namespace {
@@ -457,117 +453,8 @@ TEST(PackedControlSim, MatchesScalarControlSimLaneForLane) {
 }
 
 // ---------------------------------------------------------------------------
-// PackedMutantBlock vs scalar exposes()
+// Packed campaign end-to-end identity
 // ---------------------------------------------------------------------------
-
-TEST(PackedMutantBlock, MatchesScalarExposesPerSequence) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto m = fsm::random_connected_machine(30, 4, 5, seed);
-    const auto mutants = errmodel::sample_mutations(
-        m, 0, m.output_alphabet_size(), 100, seed + 100);
-    ASSERT_FALSE(mutants.empty());
-
-    // Test sequences: the transition tour set plus short random walks.
-    auto set = tour::greedy_transition_tour_set(m, 0);
-    ASSERT_TRUE(set.has_value());
-    std::vector<std::vector<fsm::InputId>> sequences = set->sequences;
-    std::mt19937_64 rng(seed + 7);
-    for (int w = 0; w < 10; ++w) {
-      std::vector<fsm::InputId> walk;
-      for (int s = 0; s < 12; ++s) {
-        walk.push_back(static_cast<fsm::InputId>(rng() % m.num_inputs()));
-      }
-      sequences.push_back(std::move(walk));
-    }
-
-    for (std::size_t base = 0; base < mutants.size();
-         base += errmodel::PackedMutantBlock::kLanes) {
-      const std::size_t len = std::min(errmodel::PackedMutantBlock::kLanes,
-                                       mutants.size() - base);
-      const errmodel::PackedMutantBlock block(
-          m, std::span(mutants).subspan(base, len));
-      const std::uint64_t all =
-          len == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
-      for (std::size_t s = 0; s < sequences.size(); ++s) {
-        const std::uint64_t mask = block.exposes(0, sequences[s], all);
-        for (std::size_t l = 0; l < len; ++l) {
-          const bool scalar =
-              errmodel::exposes(m, mutants[base + l], 0, sequences[s]);
-          ASSERT_EQ(((mask >> l) & 1u) != 0, scalar)
-              << "seed=" << seed << " mutant=" << base + l << " seq=" << s;
-        }
-      }
-    }
-  }
-}
-
-TEST(PackedMutantBlock, ActiveMaskSkipsLanes) {
-  const auto m = fsm::random_connected_machine(16, 3, 3, 2);
-  const auto mutants =
-      errmodel::sample_mutations(m, 0, m.output_alphabet_size(), 20, 3);
-  ASSERT_GE(mutants.size(), 2u);
-  auto set = tour::greedy_transition_tour_set(m, 0);
-  ASSERT_TRUE(set.has_value());
-  const errmodel::PackedMutantBlock block(m, mutants);
-  const auto& seq = set->sequences.front();
-  const std::uint64_t full = block.exposes(
-      0, seq, mutants.size() == 64 ? ~std::uint64_t{0}
-                                   : (std::uint64_t{1} << mutants.size()) - 1);
-  // Restricting to one lane returns at most that lane's bit.
-  for (std::size_t l = 0; l < mutants.size(); ++l) {
-    const std::uint64_t bit = std::uint64_t{1} << l;
-    EXPECT_EQ(block.exposes(0, seq, bit), full & bit) << "lane=" << l;
-  }
-  EXPECT_EQ(block.exposes(0, seq, 0), 0u);
-}
-
-TEST(PackedMutantBlock, RejectsOversizedAndUndefinedSiteBlocks) {
-  const auto m = fsm::random_connected_machine(8, 2, 2, 4);
-  std::vector<errmodel::Mutation> block(65);
-  for (auto& mut : block) {
-    mut.at = fsm::TransitionRef{0, 0};
-    mut.kind = errmodel::ErrorKind::kOutput;
-    mut.new_output = 1;
-  }
-  EXPECT_THROW(errmodel::PackedMutantBlock(m, block), std::invalid_argument);
-
-  fsm::MealyMachine partial(2, 2);
-  partial.set_transition(0, 0, 1, 0);  // (1, *) and (0, 1) stay undefined
-  std::vector<errmodel::Mutation> bad(1);
-  bad[0].at = fsm::TransitionRef{1, 1};
-  EXPECT_THROW(errmodel::PackedMutantBlock(partial, bad),
-               std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Packed replay / campaign end-to-end identity
-// ---------------------------------------------------------------------------
-
-TEST(PackedReplay, MutantCoverageIdenticalToScalarAtAnyThreadCount) {
-  const auto m = fsm::random_connected_machine(24, 3, 4, 21);
-  model::ExplicitModel model(m, 0);
-  core::MutantCoverageOptions scalar;
-  scalar.mutant_sample = 150;
-  scalar.k_extension = 3;
-  scalar.exclude_equivalent = true;
-  scalar.threads = 1;
-  const auto reference = core::evaluate_mutant_coverage(model, scalar);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    core::MutantCoverageOptions packed = scalar;
-    packed.packed = true;
-    packed.threads = threads;
-    const auto r = core::evaluate_mutant_coverage(model, packed);
-    EXPECT_EQ(r.mutants, reference.mutants) << "threads=" << threads;
-    EXPECT_EQ(r.exposed, reference.exposed) << "threads=" << threads;
-    EXPECT_EQ(r.equivalent, reference.equivalent) << "threads=" << threads;
-    EXPECT_EQ(r.sequences, reference.sequences) << "threads=" << threads;
-    EXPECT_EQ(r.test_length, reference.test_length) << "threads=" << threads;
-    EXPECT_EQ(r.exposure_latency, reference.exposure_latency)
-        << "threads=" << threads;
-  }
-}
 
 /// Campaign result with wall-clock noise erased (timings and latency
 /// histograms); coverage_telemetry is deterministic and stays in.
