@@ -12,6 +12,7 @@
 //
 //   $ ./dlx_validation
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -52,9 +53,13 @@ int main() {
 
   // 3/4. Stream the flow: concretize each sequence into a DLX program the
   //    moment the generator yields it, and validate it immediately — the
-  //    full test set never sits in memory at once.
+  //    full test set never sits in memory at once. The clean run takes the
+  //    spec model to its end once; the buggy run of the same program
+  //    reuses that outcome and steps the spec only as far as its verdict
+  //    needs.
   const dlx::PipelineConfig buggy{
       {dlx::PipelineBug::kInterlockMissesDoubleHazard}};
+  constexpr std::size_t kMaxCycles = 1u << 20;
   bool clean_ok = true;
   bool caught = false;
   std::size_t sequences = 0;
@@ -63,9 +68,13 @@ int main() {
     const std::size_t p = sequences++;
     steps_total += seq->size();
     const auto program = validate::concretize_sequence(model, *seq);
-    clean_ok = clean_ok && validate::run_validation(program).passed;
+    std::optional<validate::ReferenceRun> reference;
+    clean_ok = validate::run_validation(program, {}, kMaxCycles, reference)
+                   .passed &&
+               clean_ok;
     if (!caught) {
-      const auto result = validate::run_validation(program, buggy);
+      const auto result =
+          validate::run_validation(program, buggy, kMaxCycles, reference);
       if (result.error_detected()) {
         std::printf(
             "buggy implementation (interlock misses double hazards):\n"

@@ -307,6 +307,17 @@ std::optional<Opcode> prim_to_opcode(std::uint32_t prim) {
   return std::nullopt;
 }
 
+/// kItypePrims indexed by opcode, for encode (the first entry wins, as a
+/// front-to-back search would pick it; 0 for opcodes it does not list).
+constexpr auto kPrimByOpcode = [] {
+  std::array<std::uint32_t, static_cast<std::size_t>(Opcode::kJalr) + 1>
+      table{};
+  for (auto e = kItypePrims.rbegin(); e != kItypePrims.rend(); ++e) {
+    table.at(static_cast<std::size_t>(e->op)) = e->prim;
+  }
+  return table;
+}();
+
 }  // namespace
 
 std::uint32_t encode(const Instruction& ins) {
@@ -329,13 +340,8 @@ std::uint32_t encode(const Instruction& ins) {
     default: {
       // I-type layout: prim | rs1 | rd | imm16. Stores put the data register
       // (rs2) in the rd slot, as in real DLX encodings.
-      std::uint32_t prim = 0;
-      for (const auto& e : kItypePrims) {
-        if (e.op == ins.op) {
-          prim = e.prim;
-          break;
-        }
-      }
+      const std::uint32_t prim =
+          kPrimByOpcode[static_cast<std::size_t>(ins.op)];
       const std::uint32_t regfield =
           cls == OpClass::kStore ? ins.rs2 : ins.rd;
       return (prim << 26) | (std::uint32_t{ins.rs1} << 21) |

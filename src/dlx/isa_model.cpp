@@ -72,7 +72,7 @@ std::uint32_t IsaModel::load(std::uint32_t addr, unsigned size,
   if (addr % size != 0) {
     throw std::domain_error("IsaModel: misaligned load");
   }
-  if (addr + size > data_.size()) {
+  if (std::size_t{addr} + size > data_.size()) {
     throw std::out_of_range("IsaModel: load out of data memory");
   }
   std::uint32_t v = 0;
@@ -90,7 +90,7 @@ void IsaModel::store(std::uint32_t addr, std::uint32_t value, unsigned size) {
   if (addr % size != 0) {
     throw std::domain_error("IsaModel: misaligned store");
   }
-  if (addr + size > data_.size()) {
+  if (std::size_t{addr} + size > data_.size()) {
     throw std::out_of_range("IsaModel: store out of data memory");
   }
   for (unsigned k = 0; k < size; ++k) {

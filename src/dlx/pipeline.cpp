@@ -8,17 +8,6 @@ namespace simcov::dlx {
 
 namespace {
 
-/// The architectural destination register of an instruction, with the
-/// JAL-link bug applied if configured.
-unsigned effective_dest(const Instruction& ins, const PipelineConfig& cfg) {
-  const OpClass cls = op_class(ins.op);
-  if (cls == OpClass::kJumpLink || cls == OpClass::kJumpLinkReg) {
-    return cfg.has(PipelineBug::kJalLinksR30) ? kLinkRegister - 1
-                                              : kLinkRegister;
-  }
-  return ins.rd;
-}
-
 bool is_load(const Instruction& ins) {
   return op_class(ins.op) == OpClass::kLoad;
 }
@@ -27,11 +16,22 @@ bool is_load(const Instruction& ins) {
 
 Pipeline::Pipeline(std::vector<std::uint32_t> program, PipelineConfig config,
                    std::size_t data_size)
-    : program_(std::move(program)), data_(data_size, 0),
-      config_(std::move(config)) {
+    : program_(std::move(program)), data_(data_size, 0) {
   if (data_size % 4 != 0) {
     throw std::invalid_argument("Pipeline: data size must be word-aligned");
   }
+  for (const PipelineBug bug : config.bugs) {
+    bugs_ |= std::uint32_t{1} << static_cast<unsigned>(bug);
+  }
+}
+
+unsigned Pipeline::effective_dest(const Instruction& ins) const {
+  const OpClass cls = op_class(ins.op);
+  if (cls == OpClass::kJumpLink || cls == OpClass::kJumpLinkReg) {
+    return has(PipelineBug::kJalLinksR30) ? kLinkRegister - 1
+                                          : kLinkRegister;
+  }
+  return ins.rd;
 }
 
 void Pipeline::set_reg(unsigned r, std::uint32_t value) {
@@ -60,7 +60,7 @@ std::optional<Instruction> Pipeline::fetch(std::uint32_t pc) const {
 std::uint32_t Pipeline::mem_load(std::uint32_t addr, unsigned size,
                                  bool sign_extend) const {
   if (addr % size != 0) throw std::domain_error("Pipeline: misaligned load");
-  if (addr + size > data_.size()) {
+  if (std::size_t{addr} + size > data_.size()) {
     throw std::out_of_range("Pipeline: load out of data memory");
   }
   std::uint32_t v = 0;
@@ -77,7 +77,7 @@ std::uint32_t Pipeline::mem_load(std::uint32_t addr, unsigned size,
 void Pipeline::mem_store(std::uint32_t addr, std::uint32_t value,
                          unsigned size) {
   if (addr % size != 0) throw std::domain_error("Pipeline: misaligned store");
-  if (addr + size > data_.size()) {
+  if (std::size_t{addr} + size > data_.size()) {
     throw std::out_of_range("Pipeline: store out of data memory");
   }
   for (unsigned k = 0; k < size; ++k) {
@@ -86,19 +86,19 @@ void Pipeline::mem_store(std::uint32_t addr, std::uint32_t value,
 }
 
 bool Pipeline::detect_load_use_hazard() const {
-  if (config_.has(PipelineBug::kNoLoadUseStall)) return false;
+  if (has(PipelineBug::kNoLoadUseStall)) return false;
   if (!id_ex_.valid || !is_load(id_ex_.ins) || !if_id_.valid) return false;
-  const unsigned dest = effective_dest(id_ex_.ins, config_);
+  const unsigned dest = effective_dest(id_ex_.ins);
   if (dest == 0) return false;
   const Instruction& consumer = if_id_.ins;
   const bool rs1_hazard = reads_rs1(consumer.op) && consumer.rs1 == dest;
   const bool rs2_hazard = reads_rs2(consumer.op) && consumer.rs2 == dest;
-  if (config_.has(PipelineBug::kInterlockMissesDoubleHazard) && rs1_hazard &&
+  if (has(PipelineBug::kInterlockMissesDoubleHazard) && rs1_hazard &&
       rs2_hazard) {
     return false;  // corner case: the double-match term was dropped
   }
   if (rs1_hazard) return true;
-  if (config_.has(PipelineBug::kInterlockChecksRs1Only)) return false;
+  if (has(PipelineBug::kInterlockChecksRs1Only)) return false;
   return rs2_hazard;
 }
 
@@ -109,11 +109,11 @@ std::uint32_t Pipeline::forward_operand(unsigned reg,
   // r0 is hardwired zero and never forwarded — unless the kForwardFromR0
   // corner bug drops that guard, in which case an r0-destination producer
   // wrongly feeds consumers of r0.
-  if (reg == 0 && !config_.has(PipelineBug::kForwardFromR0)) return 0;
+  if (reg == 0 && !has(PipelineBug::kForwardFromR0)) return 0;
   auto dest_of = [&](const Instruction& ins) {
-    const unsigned d = effective_dest(ins, config_);
+    const unsigned d = effective_dest(ins);
     // Without the bug, r0 producers never match (their writes vanish).
-    if (d == 0 && !config_.has(PipelineBug::kForwardFromR0)) return ~0u;
+    if (d == 0 && !has(PipelineBug::kForwardFromR0)) return ~0u;
     return d;
   };
   const bool ex_mem_hit = allow_ex_mem && ex_mem_.valid &&
@@ -123,7 +123,7 @@ std::uint32_t Pipeline::forward_operand(unsigned reg,
                           writes_register(mem_wb_.ins.op) &&
                           dest_of(mem_wb_.ins) == reg;
   if (ex_mem_hit && mem_wb_hit &&
-      config_.has(PipelineBug::kForwardPriorityWrong)) {
+      has(PipelineBug::kForwardPriorityWrong)) {
     return mem_wb_.value;  // corner case: the OLDER producer wins
   }
   // Younger producer wins: EX/MEM (the instruction now in MEM), unless it is
@@ -143,7 +143,7 @@ ControlSnapshot Pipeline::control_snapshot() const {
     if (valid) {
       out.cls = op_class(ins.op);
       out.dest = static_cast<std::uint8_t>(
-          writes_register(ins.op) ? effective_dest(ins, config_) : 0);
+          writes_register(ins.op) ? effective_dest(ins) : 0);
     }
   };
   fill(snap.id, if_id_.valid, if_id_.ins);
@@ -160,7 +160,7 @@ ControlSnapshot Pipeline::control_snapshot() const {
       snap.squash = true;
     } else if (cls == OpClass::kBranch) {
       const std::uint32_t cond =
-          config_.has(PipelineBug::kBranchUsesStaleCondition)
+          has(PipelineBug::kBranchUsesStaleCondition)
               ? id_ex_.a
               : forward_operand(id_ex_.ins.rs1, id_ex_.a, true, true);
       snap.squash = id_ex_.ins.op == Opcode::kBeqz ? cond == 0 : cond != 0;
@@ -186,7 +186,7 @@ std::optional<RetireInfo> Pipeline::step_cycle() {
     info.mem_write = mem_wb_.mem_write;
     info.next_pc = mem_wb_.next_pc;
     if (writes_register(mem_wb_.ins.op)) {
-      const unsigned dest = effective_dest(mem_wb_.ins, config_);
+      const unsigned dest = effective_dest(mem_wb_.ins);
       if (dest != 0) {
         regs_[dest] = mem_wb_.value;
         info.reg_write = {static_cast<std::uint8_t>(dest), mem_wb_.value};
@@ -224,7 +224,7 @@ std::optional<RetireInfo> Pipeline::step_cycle() {
           default: break;
         }
         new_mem_wb.value =
-            config_.has(PipelineBug::kWritebackSelectsAluForLoad) ? ex_mem_.alu
+            has(PipelineBug::kWritebackSelectsAluForLoad) ? ex_mem_.alu
                                                                   : v;
         break;
       }
@@ -258,11 +258,11 @@ std::optional<RetireInfo> Pipeline::step_cycle() {
     const std::uint32_t imm = static_cast<std::uint32_t>(ins.imm);
 
     const std::uint32_t a = forward_operand(
-        ins.rs1, id_ex_.a, !config_.has(PipelineBug::kNoForwardExMemA),
-        !config_.has(PipelineBug::kNoForwardMemWbA));
+        ins.rs1, id_ex_.a, !has(PipelineBug::kNoForwardExMemA),
+        !has(PipelineBug::kNoForwardMemWbA));
     const std::uint32_t b = forward_operand(
-        ins.rs2, id_ex_.b, !config_.has(PipelineBug::kNoForwardExMemB),
-        !config_.has(PipelineBug::kNoForwardMemWbB));
+        ins.rs2, id_ex_.b, !has(PipelineBug::kNoForwardExMemB),
+        !has(PipelineBug::kNoForwardMemWbB));
 
     std::uint32_t next_pc = id_ex_.pc + 4;
     switch (op_class(ins.op)) {
@@ -283,16 +283,16 @@ std::optional<RetireInfo> Pipeline::step_cycle() {
       case OpClass::kStore:
         new_ex_mem.alu = a + imm;
         new_ex_mem.store_data =
-            config_.has(PipelineBug::kStoreDataStale) ? id_ex_.b : b;
+            has(PipelineBug::kStoreDataStale) ? id_ex_.b : b;
         break;
       case OpClass::kBranch: {
         const std::uint32_t cond =
-            config_.has(PipelineBug::kBranchUsesStaleCondition) ? id_ex_.a : a;
+            has(PipelineBug::kBranchUsesStaleCondition) ? id_ex_.a : a;
         const bool taken =
             ins.op == Opcode::kBeqz ? cond == 0 : cond != 0;
         if (taken) {
           const std::uint32_t base =
-              config_.has(PipelineBug::kBranchTargetOffByFour)
+              has(PipelineBug::kBranchTargetOffByFour)
                   ? id_ex_.pc
                   : id_ex_.pc + 4;
           redirect = true;
@@ -328,11 +328,11 @@ std::optional<RetireInfo> Pipeline::step_cycle() {
   if (stall) ++counters_.stall_cycles;
   if (redirect) {
     ++counters_.squashes;
-    if (!config_.has(PipelineBug::kNoSquashOnTakenBranch)) {
+    if (!has(PipelineBug::kNoSquashOnTakenBranch)) {
       // The slot being fetched this cycle is killed; the instruction in
       // IF/ID is killed too unless the squash-only-fetch bug is active.
       counters_.squashed_slots += fetch(pc_).has_value() ? 1 : 0;
-      if (!config_.has(PipelineBug::kSquashOnlyFetch)) {
+      if (!has(PipelineBug::kSquashOnlyFetch)) {
         counters_.squashed_slots += if_id_.valid ? 1 : 0;
       }
     }
@@ -341,14 +341,14 @@ std::optional<RetireInfo> Pipeline::step_cycle() {
   // ---- ID: old IF/ID -> new ID/EX -------------------------------------------
   IdEx new_id_ex;
   const bool squash_id =
-      redirect && !config_.has(PipelineBug::kNoSquashOnTakenBranch) &&
-      !config_.has(PipelineBug::kSquashOnlyFetch);
+      redirect && !has(PipelineBug::kNoSquashOnTakenBranch) &&
+      !has(PipelineBug::kSquashOnlyFetch);
   if (!stall && !squash_id && if_id_.valid) {
     new_id_ex.valid = true;
     new_id_ex.pc = if_id_.pc;
     new_id_ex.ins = if_id_.ins;
     const auto& read_file =
-        config_.has(PipelineBug::kNoIdBypass) ? regs_pre : regs_;
+        has(PipelineBug::kNoIdBypass) ? regs_pre : regs_;
     new_id_ex.a = read_file[if_id_.ins.rs1];
     new_id_ex.b = read_file[if_id_.ins.rs2];
   }
@@ -357,7 +357,7 @@ std::optional<RetireInfo> Pipeline::step_cycle() {
   IfId new_if_id = if_id_;
   std::uint32_t new_pc = pc_;
   const bool squash_if =
-      redirect && !config_.has(PipelineBug::kNoSquashOnTakenBranch);
+      redirect && !has(PipelineBug::kNoSquashOnTakenBranch);
   // Freeze fetch while a HALT is in flight so nothing retires after it.
   const bool halt_pending =
       (if_id_.valid && if_id_.ins.op == Opcode::kHalt) ||
@@ -398,13 +398,14 @@ std::vector<RetireInfo> Pipeline::run(std::size_t max_cycles) {
   for (std::size_t k = 0; k < max_cycles && !halted_; ++k) {
     auto info = step_cycle();
     if (info.has_value()) trace.push_back(*info);
-    // Drained pipeline with nothing left to fetch: stop.
-    if (!if_id_.valid && !id_ex_.valid && !ex_mem_.valid && !mem_wb_.valid &&
-        fetch(pc_) == std::nullopt) {
-      break;
-    }
+    if (drained()) break;
   }
   return trace;
+}
+
+bool Pipeline::drained() const {
+  return !if_id_.valid && !id_ex_.valid && !ex_mem_.valid && !mem_wb_.valid &&
+         fetch(pc_) == std::nullopt;
 }
 
 }  // namespace simcov::dlx

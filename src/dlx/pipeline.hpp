@@ -47,6 +47,9 @@ enum class PipelineBug : std::uint8_t {
   kForwardFromR0,  ///< bypass matches r0 producers (r0 reads become garbage)
 };
 
+static_assert(static_cast<unsigned>(PipelineBug::kForwardFromR0) < 32,
+              "Pipeline keeps the injected bugs in a 32-bit mask");
+
 struct PipelineConfig {
   std::set<PipelineBug> bugs;
 
@@ -105,6 +108,10 @@ class Pipeline {
   /// Runs until halt (or cycle budget); returns the retirement trace.
   std::vector<RetireInfo> run(std::size_t max_cycles = 200000);
 
+  /// True when nothing is in flight and nothing is left to fetch: where
+  /// run() stops short of a halt. Throws like a fetch of the PC would.
+  [[nodiscard]] bool drained() const;
+
   /// Control-state projection observed *before* the next clock edge.
   [[nodiscard]] ControlSnapshot control_snapshot() const;
 
@@ -138,6 +145,14 @@ class Pipeline {
     std::uint32_t next_pc = 0;
   };
 
+  /// Whether `bug` is injected (a bit test; PipelineConfig's set is not
+  /// consulted per cycle).
+  [[nodiscard]] bool has(PipelineBug bug) const {
+    return ((bugs_ >> static_cast<unsigned>(bug)) & 1u) != 0;
+  }
+  /// The architectural destination register of an instruction, with the
+  /// JAL-link bug applied if injected.
+  [[nodiscard]] unsigned effective_dest(const Instruction& ins) const;
   [[nodiscard]] std::optional<Instruction> fetch(std::uint32_t pc) const;
   [[nodiscard]] std::uint32_t mem_load(std::uint32_t addr, unsigned size,
                                        bool sign_extend) const;
@@ -150,7 +165,7 @@ class Pipeline {
 
   std::vector<std::uint32_t> program_;
   std::vector<std::uint8_t> data_;
-  PipelineConfig config_;
+  std::uint32_t bugs_ = 0;  ///< bit b set: PipelineBug b injected
 
   std::uint32_t pc_ = 0;
   std::array<std::uint32_t, kNumRegisters> regs_{};

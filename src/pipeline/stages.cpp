@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -510,7 +513,12 @@ std::vector<BugExposure> CompareStage::run(
   const auto queue_wait = queue_wait_observer(sink, obs::Stage::kCompare, 0);
   // Independent across bugs; within a bug the programs run in order with
   // early exit at the first exposing one, exactly like the serial engine.
-  // Budget-exhausted runs never count as exposure.
+  // Budget-exhausted runs never count as exposure. Each program's reference
+  // runs to its end once, in whichever bug reaches the program first; the
+  // other bugs step it only as far as their verdicts need.
+  std::vector<std::optional<validate::ReferenceRun>> references(
+      programs.size());
+  const auto once = std::make_unique<std::once_flag[]>(programs.size());
   pool.for_each_index(
       bugs.size(),
       [&](std::size_t b) {
@@ -519,12 +527,17 @@ std::vector<BugExposure> CompareStage::run(
         exposure.bug = bugs[b];
         const dlx::PipelineConfig config{{bugs[b]}};
         for (std::size_t i = 0; i < programs.size(); ++i) {
-          const auto r =
-              validate::run_validation(programs[i], config, max_cycles);
+          const auto compare = [&] {
+            return validate::run_validation(programs[i], config, max_cycles,
+                                            references[i]);
+          };
+          std::optional<validate::ValidationResult> r;
+          std::call_once(once[i], [&] { r = compare(); });
+          if (!r.has_value()) r = compare();
           ++exposure.programs_run;
-          exposure.impl_cycles += r.impl_cycles;
-          if (r.cycle_budget_exhausted) exposure.budget_exhausted = true;
-          if (r.error_detected()) {
+          exposure.impl_cycles += r->impl_cycles;
+          if (r->cycle_budget_exhausted) exposure.budget_exhausted = true;
+          if (r->error_detected()) {
             exposure.exposed = true;
             exposure.exposing_sequence = i;
             break;

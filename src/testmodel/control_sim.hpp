@@ -32,9 +32,9 @@ struct ControlInput {
 
 /// How one network input of a built control model is driven: either from a
 /// latch (by latch index) or from a field of the decoded ControlInput.
-/// Shared by ControlModelSim, the 64-lane PackedControlModelSim and the
-/// tour decoder (validate::decode_control_input), so all three read the
-/// primary inputs the same way.
+/// Shared by ControlModelSim and the tour decoder
+/// (validate::decode_control_input), so both read the primary inputs the
+/// same way.
 struct InputRole {
   enum class Pi : std::uint8_t {
     kOpBit, kRs1Bit, kRs2Bit, kRdBit, kBranchOutcome, kInstrValid,

@@ -1,6 +1,8 @@
 #include "validate/harness.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace simcov::validate {
 
@@ -8,33 +10,132 @@ namespace {
 
 constexpr std::size_t kDataSize = 1u << 16;
 
-ValidationResult compare_traces(const std::vector<dlx::RetireInfo>& spec,
-                                const std::vector<dlx::RetireInfo>& impl,
-                                std::uint64_t impl_cycles,
-                                bool budget_exhausted) {
-  ValidationResult result;
-  result.impl_cycles = impl_cycles;
-  result.cycle_budget_exhausted = budget_exhausted;
-  const std::size_t n = std::min(spec.size(), impl.size());
-  for (std::size_t k = 0; k < n; ++k) {
-    if (!(spec[k] == impl[k])) {
-      result.checkpoints_compared = k + 1;
-      result.divergence = Divergence{k, spec[k], impl[k]};
-      return result;
+/// The reference model, one checkpoint at a time and at most `max_steps` of
+/// them, recording how it ends into `outcome` as it goes.
+class ReferenceStepper {
+ public:
+  ReferenceStepper(dlx::IsaModel& model, std::size_t max_steps,
+                   ReferenceRun& outcome)
+      : model_(model), max_steps_(max_steps), outcome_(outcome) {}
+
+  /// The next checkpoint; nullopt once the reference has ended (halt
+  /// retired, PC past the program, budget spent). A fault is recorded in
+  /// the outcome and rethrown.
+  std::optional<dlx::RetireInfo> next() {
+    if (ended_) return std::nullopt;
+    std::optional<dlx::RetireInfo> info;
+    if (outcome_.retires < max_steps_) {
+      try {
+        info = model_.step();
+      } catch (...) {
+        outcome_.fault = std::current_exception();
+        throw;
+      }
+    }
+    if (!info.has_value()) {
+      ended_ = true;
+    } else {
+      ++outcome_.retires;
+      if (info->halted) outcome_.halted = ended_ = true;
+    }
+    return info;
+  }
+
+  void finish() {
+    while (next().has_value()) {
     }
   }
+
+ private:
+  dlx::IsaModel& model_;
+  std::size_t max_steps_;
+  ReferenceRun& outcome_;
+  bool ended_ = false;
+};
+
+/// The comparison: runs the implementation to its end and steps the
+/// reference once per implementation retire. With `known` the reference
+/// stops as soon as the verdict no longer needs it; without, it runs to
+/// its end and `run` holds its outcome.
+ValidationResult lockstep(const ConcretizedProgram& program,
+                          const dlx::PipelineConfig& config,
+                          std::size_t max_cycles, const ReferenceRun* known,
+                          ReferenceRun& run) {
+  auto words = program.words();
+  dlx::IsaModel spec_model(words, kDataSize);
+  dlx::Pipeline impl(std::move(words), config, kDataSize);
+  for (unsigned r = 1; r < dlx::kNumRegisters; ++r) {
+    spec_model.set_reg(r, program.initial_regs[r]);
+    impl.set_reg(r, program.initial_regs[r]);
+  }
+  for (const auto& [addr, value] : program.memory_init) {
+    spec_model.poke_word(addr, value);
+    impl.poke_word(addr, value);
+  }
+  // A reference fault wins over anything the implementation does.
+  if (known != nullptr && known->fault) std::rethrow_exception(known->fault);
+  ReferenceStepper spec(spec_model, max_cycles, run);
+
+  ValidationResult result;
+  std::size_t retired = 0;  // implementation checkpoints so far
+  bool comparing = true;    // no divergence yet and the spec not ended
+  std::optional<dlx::RetireInfo> impl_extra;  // first retire past the spec
+  for (std::size_t k = 0; k < max_cycles && !impl.halted(); ++k) {
+    std::optional<dlx::RetireInfo> info;
+    bool drained = false;
+    try {
+      info = impl.step_cycle();
+      drained = impl.drained();
+    } catch (const std::exception& e) {
+      // The implementation crashed mid-run (e.g. a bug corrupted a memory
+      // address): a detected error, reported directly.
+      ValidationResult crash;
+      crash.impl_cycles = impl.cycles();
+      crash.impl_exception = e.what();
+      crash.divergence = Divergence{};
+      if (known == nullptr) spec.finish();
+      return crash;
+    }
+    if (info.has_value()) {
+      if (comparing) {
+        const auto expected = spec.next();
+        if (!expected.has_value()) {
+          impl_extra = info;
+          comparing = false;
+        } else if (!(*expected == *info)) {
+          result.checkpoints_compared = retired + 1;
+          result.divergence = Divergence{retired, expected, info};
+          comparing = false;
+        }
+      }
+      ++retired;
+    }
+    if (drained) break;
+  }
+  const auto spec_extra = comparing ? spec.next() : std::nullopt;
+  if (known == nullptr) spec.finish();
+  const ReferenceRun& outcome = known != nullptr ? *known : run;
+
+  // Budget exhaustion means the model consumed every cycle it was given and
+  // still had work left. Running off the program end (step() returning
+  // nothing with cycles to spare) is a genuine end of stream, not
+  // exhaustion, and keeps its historical length-mismatch-is-divergence
+  // semantics.
+  const bool budget_exhausted =
+      (!outcome.halted && outcome.retires >= max_cycles) ||
+      (!impl.halted() && impl.cycles() >= max_cycles);
+  result.impl_cycles = impl.cycles();
+  result.cycle_budget_exhausted = budget_exhausted;
+  if (result.divergence.has_value()) return result;
+  const std::size_t n = std::min(outcome.retires, retired);
   result.checkpoints_compared = n;
-  if (spec.size() != impl.size()) {
+  if (outcome.retires != retired) {
     if (budget_exhausted) {
       // One stream was truncated by the budget, not by a halt: a length
       // mismatch carries no information (inconclusive, not a divergence).
       return result;
     }
-    Divergence d;
-    d.index = n;
-    if (n < spec.size()) d.spec = spec[n];
-    if (n < impl.size()) d.impl = impl[n];
-    result.divergence = d;
+    result.divergence = Divergence{n, spec_extra, impl_extra};
     return result;
   }
   result.passed = !budget_exhausted;
@@ -45,42 +146,27 @@ ValidationResult compare_traces(const std::vector<dlx::RetireInfo>& spec,
 
 ValidationResult run_validation(const ConcretizedProgram& program,
                                 const dlx::PipelineConfig& config,
-                                std::size_t max_cycles) {
-  const auto words = program.words();
-  dlx::IsaModel spec(words, kDataSize);
-  dlx::Pipeline impl(words, config, kDataSize);
-  for (unsigned r = 1; r < dlx::kNumRegisters; ++r) {
-    spec.set_reg(r, program.initial_regs[r]);
-    impl.set_reg(r, program.initial_regs[r]);
+                                std::size_t max_cycles,
+                                std::optional<ReferenceRun>& reference) {
+  ReferenceRun run;
+  if (reference.has_value()) {
+    return lockstep(program, config, max_cycles, &*reference, run);
   }
-  for (const auto& [addr, value] : program.memory_init) {
-    spec.poke_word(addr, value);
-    impl.poke_word(addr, value);
-  }
-  const auto spec_trace = spec.run(max_cycles);
-  std::vector<dlx::RetireInfo> impl_trace;
   try {
-    impl_trace = impl.run(max_cycles);
-  } catch (const std::exception& e) {
-    // The implementation crashed mid-run (e.g. a bug corrupted a memory
-    // address): a detected error. Compare the prefix it produced is not
-    // recoverable from Pipeline::run, so report the crash directly.
-    ValidationResult result;
-    result.impl_cycles = impl.cycles();
-    result.impl_exception = e.what();
-    result.divergence = Divergence{};
+    auto result = lockstep(program, config, max_cycles, nullptr, run);
+    reference = run;
     return result;
+  } catch (...) {
+    if (run.fault) reference = run;
+    throw;
   }
-  // Budget exhaustion means the model consumed every cycle it was given and
-  // still had work left. Running off the program end (step() returning
-  // nothing with cycles to spare) is a genuine end of stream, not
-  // exhaustion, and keeps its historical length-mismatch-is-divergence
-  // semantics.
-  const bool spec_budget =
-      !spec.halted() && spec_trace.size() >= max_cycles;
-  const bool impl_budget = !impl.halted() && impl.cycles() >= max_cycles;
-  return compare_traces(spec_trace, impl_trace, impl.cycles(),
-                        spec_budget || impl_budget);
+}
+
+ValidationResult run_validation(const ConcretizedProgram& program,
+                                const dlx::PipelineConfig& config,
+                                std::size_t max_cycles) {
+  std::optional<ReferenceRun> reference;
+  return run_validation(program, config, max_cycles, reference);
 }
 
 ValidationResult run_validation(const std::vector<dlx::Instruction>& program,

@@ -4,10 +4,13 @@
 // same program and compares the RetireInfo checkpoint streams — the
 // "comparison at special checkpointing steps, e.g. at the completion of
 // each instruction" of Section 2. Any mismatch (differing record or
-// differing stream length) is a detected design error.
+// differing stream length) is a detected design error. The reference is
+// stepped in lockstep with the implementation's retires, so neither stream
+// is stored, and its outcome can be shared by every run of one program.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,6 +25,8 @@ struct Divergence {
   std::size_t index = 0;  ///< checkpoint number (retired-instruction index)
   std::optional<dlx::RetireInfo> spec;  ///< nullopt: spec stream ended first
   std::optional<dlx::RetireInfo> impl;  ///< nullopt: impl stream ended first
+
+  friend bool operator==(const Divergence&, const Divergence&) = default;
 };
 
 struct ValidationResult {
@@ -46,13 +51,38 @@ struct ValidationResult {
   [[nodiscard]] bool error_detected() const {
     return divergence.has_value() || impl_exception.has_value();
   }
+
+  friend bool operator==(const ValidationResult&,
+                         const ValidationResult&) = default;
+};
+
+/// How the reference model ends on one program under one cycle budget:
+/// all a verdict needs of it besides the checkpoints it compares. No trace.
+struct ReferenceRun {
+  std::size_t retires = 0;   ///< checkpoints within the budget
+  bool halted = false;       ///< the reference retired its halt
+  std::exception_ptr fault;  ///< what the reference threw, if it threw
 };
 
 /// Runs both models on `program` (with shared memory/register presets) and
 /// compares checkpoints. `config` selects the implementation's injected bugs.
+/// A reference fault propagates as the reference threw it.
 ValidationResult run_validation(const ConcretizedProgram& program,
                                 const dlx::PipelineConfig& config = {},
                                 std::size_t max_cycles = 1u << 20);
+
+/// Same result and exceptions, with `reference` carrying the program's
+/// ReferenceRun under `max_cycles` from one call to the next:
+///   * empty: the reference runs to its end and its outcome is stored here,
+///     also when it faults;
+///   * set: a fault is rethrown at once; otherwise the reference is stepped
+///     no further than the verdict needs — not after an implementation
+///     crash, not past the first divergence, and at most one checkpoint
+///     past the implementation's last.
+ValidationResult run_validation(const ConcretizedProgram& program,
+                                const dlx::PipelineConfig& config,
+                                std::size_t max_cycles,
+                                std::optional<ReferenceRun>& reference);
 
 /// Same, for a raw instruction vector with no presets.
 ValidationResult run_validation(const std::vector<dlx::Instruction>& program,

@@ -205,6 +205,22 @@ TEST(IsaModelTest, MisalignedAccessThrows) {
   EXPECT_THROW((void)m.run(), std::domain_error);
 }
 
+TEST(IsaModelTest, AddressNearTopOfAddressSpaceIsOutOfRange) {
+  // 0xfffffffc + 4 wraps to 0 in 32 bits; the bounds check must not.
+  IsaModel m(assemble({
+      make_load(Opcode::kLw, 2, 1, 0),
+      make_halt(),
+  }));
+  m.set_reg(1, 0xfffffffcu);
+  EXPECT_THROW((void)m.run(), std::out_of_range);
+  IsaModel s(assemble({
+      make_store(Opcode::kSw, 1, 0, 0),
+      make_halt(),
+  }));
+  s.set_reg(1, 0xfffffffcu);
+  EXPECT_THROW((void)s.run(), std::out_of_range);
+}
+
 TEST(IsaModelTest, BranchesAndPsw) {
   // r1 = 0 -> beqz taken, skipping the poison instruction.
   IsaModel m(assemble({

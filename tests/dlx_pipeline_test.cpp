@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "dlx/isa_model.hpp"
 
@@ -691,6 +692,28 @@ TEST(PipelineStructure, NoRetiresAfterHalt) {
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_TRUE(trace[0].halted);
   EXPECT_EQ(p.reg(1), 0u);
+}
+
+TEST(PipelineStructure, AddressNearTopOfAddressSpaceIsOutOfRange) {
+  // 0xfffffffc + 4 wraps to 0 in 32 bits; the bounds check must not.
+  for (const Instruction& access : {make_load(Opcode::kLw, 2, 1, 0),
+                                    make_store(Opcode::kSw, 1, 0, 0)}) {
+    Pipeline p(assemble({access, make_halt()}));
+    p.set_reg(1, 0xfffffffcu);
+    EXPECT_THROW((void)p.run(), std::out_of_range);
+  }
+}
+
+TEST(PipelineStructure, DrainedWhenNothingIsInFlightOrLeftToFetch) {
+  Pipeline p(assemble({make_nop()}));
+  EXPECT_FALSE(p.drained());  // the nop is still to be fetched
+  std::size_t cycles = 0;
+  while (!p.drained()) {
+    (void)p.step_cycle();
+    ++cycles;
+  }
+  EXPECT_EQ(cycles, 5u);  // fetched, then through ID, EX, MEM and WB
+  EXPECT_EQ(p.counters().retired, 1u);
 }
 
 }  // namespace
