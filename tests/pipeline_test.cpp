@@ -655,6 +655,44 @@ TEST(PipelineTelemetry, CurveBudgetBoundsThePointCountButNotTheEndpoint) {
       << "downsampling must keep the campaign's final coverage point";
 }
 
+/// FNV-1a 64 over a report string.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Pins the whole semantic report, coverage_telemetry section included, on
+// both backends. No golden above carries that section, so these hashes are
+// what holds the telemetry commit path to its recorded output.
+TEST(PipelineTelemetry, ReportHashIsPinnedOnBothBackends) {
+  struct Case {
+    core::BackendChoice backend;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {core::BackendChoice::kExplicit, 17758656201916841878ull},
+      {core::BackendChoice::kSymbolic, 7259922530917120541ull},
+  };
+  for (const Case& c : cases) {
+    core::CampaignOptions options = tour_campaign_options();
+    options.backend = c.backend;
+    options.collect_coverage_telemetry = true;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      options.threads = threads;
+      const auto result = core::run_campaign(options, kThreeBugs);
+      ASSERT_TRUE(result.coverage_telemetry.has_value());
+      const std::string json = semantic_fingerprint(result);
+      EXPECT_NE(json.find("\"coverage_telemetry\""), std::string::npos);
+      EXPECT_EQ(fnv1a(json), c.hash)
+          << model::backend_name(result.backend) << " threads=" << threads;
+    }
+  }
+}
+
 TEST(PipelineTelemetry, DisabledByDefaultAndAbsentFromTheReport) {
   const auto result =
       core::run_campaign(tour_campaign_options(), kThreeBugs);
