@@ -9,8 +9,9 @@
 //   1. Simulate — gate-level sequence replay. Scalar: one pass of lane 0
 //      of the word-level kernel (sym::PackedLogicSim) per (sequence, step),
 //      the way concretize and circuit replay run. Packed: one
-//      sym::PackedCircuitSim::step per 64 sequences per step. Metric:
-//      sequences/s.
+//      sym::PackedCircuitSim::step per 64 sequences per step, the way the
+//      symbolic walk enumerates successors and SymbolicModel::step_batch
+//      (coverage telemetry) steps. Metric: sequences/s.
 //   2. MutantReplay — Theorem 3 fault simulation. Scalar: one
 //      errmodel::exposes walk per (mutant, sequence). Indexed: one
 //      errmodel::MutantReplay index of the test set (built inside the

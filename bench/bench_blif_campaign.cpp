@@ -5,9 +5,7 @@
 // telemetry on, and checks the determinism claims the frontend makes:
 //   1. Thread-count identity — the semantic report is byte-identical at
 //      1/2/8 worker threads.
-//   2. Packed identity — flipping the bit-parallel replay toggle moves no
-//      byte of the semantic report.
-//   3. Backend agreement — the symbolic (BDD) backend commits the same
+//   2. Backend agreement — the symbolic (BDD) backend commits the same
 //      test set, coverage and replay verdicts as the explicit one.
 // Any mismatch fails the bench (nonzero exit).
 //
@@ -79,7 +77,6 @@ int main(int argc, char** argv) {
     base.store_dir = bench::store_dir();
     base.resume = bench::resume();
     base.collect_coverage_telemetry = true;
-    base.packed = bench::packed();
     base.generator = bench::generator();
     base.reorder = bench::reorder() ? bdd::ReorderPolicy::kAuto
                                     : bdd::ReorderPolicy::kNone;
@@ -123,17 +120,6 @@ int main(int argc, char** argv) {
       all_ok = all_ok && identical;
       bench::row("identical at " + std::to_string(threads) + " threads",
                  identical ? "yes" : "NO");
-    }
-
-    // Packed identity: the bit-parallel replay path must not move a byte.
-    {
-      core::CampaignOptions cross = base;
-      cross.threads = 1;
-      cross.packed = !base.packed;
-      const bool identical =
-          semantic_fingerprint(core::run_campaign(cross, {})) == reference;
-      all_ok = all_ok && identical;
-      bench::row("packed/scalar reports identical", identical ? "yes" : "NO");
     }
 
     // Backend agreement: the symbolic backend runs the same tour and

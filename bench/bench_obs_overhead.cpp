@@ -60,7 +60,6 @@ double timed_run(const simcov::core::CampaignOptions& opt,
 std::string semantic_fingerprint(simcov::core::CampaignResult result) {
   result.timings = {};
   result.store_stats.reset();
-  result.baseline.reset();
   result.metrics.reset();
   return simcov::core::to_json(result);
 }

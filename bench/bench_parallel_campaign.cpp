@@ -45,7 +45,6 @@ simcov::testmodel::TestModelOptions tour_model_options() {
 std::string semantic_fingerprint(simcov::core::CampaignResult result) {
   result.timings = {};
   result.store_stats.reset();
-  result.baseline.reset();  // wall-clock comparison, never semantic
   result.metrics.reset();   // wall-clock; coverage_telemetry stays — it is
                             // deterministic and part of the identity check
   return simcov::core::to_json(result);
@@ -99,10 +98,8 @@ int main(int argc, char** argv) {
   base.store_dir = bench::store_dir();
   base.resume = bench::resume();
   base.collect_coverage_telemetry = true;
-  base.packed = bench::packed();
   base.generator = bench::generator();
   base.monitor = bench::monitor();
-  base.baseline_check = bench::baseline_check();
   if (base.generator.kind != core::GeneratorKind::kTransitionTour) {
     // Smoke-scale walk budget: the identity claims below hold at any
     // budget, and CI runs this bench once per generator.
@@ -116,7 +113,6 @@ int main(int argc, char** argv) {
   bench::row("hardware threads",
              static_cast<std::size_t>(std::thread::hardware_concurrency()));
   bench::row("injected bugs", bugs.size());
-  bench::row("packed replay", base.packed ? "on" : "off");
   bench::row("generator", core::generator_kind_name(base.generator.kind));
 
   // Serial reference.
@@ -151,19 +147,6 @@ int main(int argc, char** argv) {
     if (threads == 4) speedup_at_4 = speedup;
     std::printf("  %-10zu %12.3f %9.2fx %12s\n", threads, seconds, speedup,
                 identical ? "yes" : "NO");
-  }
-
-  // Cross-path identity: flipping the bit-parallel replay toggle must not
-  // move a byte of the semantic report.
-  {
-    core::CampaignOptions cross = base;
-    cross.threads = 1;
-    cross.packed = !base.packed;
-    const bool identical =
-        semantic_fingerprint(core::run_campaign(cross, bugs)) == reference;
-    all_identical = all_identical && identical;
-    bench::row("packed/scalar campaign reports identical",
-               identical ? "yes" : "NO");
   }
 
   // Mutant replay (Theorem 3 apparatus), the other hot loop.
@@ -213,12 +196,6 @@ int main(int argc, char** argv) {
     const auto& s = *parallel_result.store_stats;
     bench::row("store hits (last run)", std::size_t{s.hits});
     bench::row("store misses (last run)", std::size_t{s.misses});
-  }
-  if (parallel_result.baseline.has_value()) {
-    const auto& b = *parallel_result.baseline;
-    bench::row("perf baseline found", b.found ? "yes" : "no (published)");
-    bench::row("perf baseline regression", b.regression ? "YES" : "no");
-    if (b.found) bench::row("perf baseline wall ratio", b.wall_ratio);
   }
   if (speedup_at_4 > 0.0) {
     std::printf("  %-52s %.2fx\n", "speedup at 4 threads", speedup_at_4);

@@ -36,9 +36,7 @@
 // startup) and `--watchdog <seconds>` arms its stall watchdog: benches
 // pass monitor() into CampaignOptions::monitor. `--monitor-dump <prefix>`
 // makes finish() self-scrape the endpoints into <prefix>.progress.json /
-// <prefix>.metrics.prom / <prefix>.healthz.txt. `--baseline-check` turns
-// on the store-backed performance baseline comparison
-// (CampaignOptions::baseline_check; requires --store).
+// <prefix>.metrics.prom / <prefix>.healthz.txt.
 #pragma once
 
 #include <chrono>
@@ -74,7 +72,6 @@ struct Recorder {
   std::string circuit_path;
   std::string vcd_path;
   bool resume = false;
-  bool packed = false;
   bool reorder = false;
   model::GeneratorSpec generator;
   std::vector<Section> sections;
@@ -94,7 +91,6 @@ struct Recorder {
   /// When non-empty, finish() self-scrapes the monitor endpoints into
   /// <prefix>.progress.json / <prefix>.metrics.prom / <prefix>.healthz.txt.
   std::string monitor_dump_prefix;
-  bool baseline_check = false;
   /// Lazy fan-out over the requested sinks (see bench::sink()).
   obs::MultiSink combined;
   bool combined_ready = false;
@@ -114,8 +110,9 @@ struct Recorder {
 
 /// Parses bench command-line flags (`--json <path>`, `--trace <path>`,
 /// `--perfetto <path>`, `--metrics <path>`, `--store <dir>`, `--resume`,
-/// `--packed on|off`, `--reorder on|off`,
-/// `--generator tour|biased|hybrid`).
+/// `--circuit <file.blif>`, `--vcd <path>`, `--reorder on|off`,
+/// `--generator tour|biased|hybrid`, `--monitor <port>`,
+/// `--watchdog <seconds>`, `--monitor-dump <prefix>`).
 /// Exits with status 2 on anything unrecognized or an unopenable trace.
 inline void init(int argc, char** argv) {
   auto& rec = detail::Recorder::instance();
@@ -181,18 +178,8 @@ inline void init(int argc, char** argv) {
     } else if (arg == "--monitor-dump" && i + 1 < argc) {
       monitor_requested = true;
       rec.monitor_dump_prefix = argv[++i];
-    } else if (arg == "--baseline-check") {
-      rec.baseline_check = true;
     } else if (arg == "--resume") {
       rec.resume = true;
-    } else if (arg == "--packed" && i + 1 < argc) {
-      const std::string value(argv[++i]);
-      if (value != "on" && value != "off") {
-        std::fprintf(stderr, "%s: --packed expects on|off, got '%s'\n",
-                     rec.binary.c_str(), value.c_str());
-        std::exit(2);
-      }
-      rec.packed = value == "on";
     } else if (arg == "--reorder" && i + 1 < argc) {
       const std::string value(argv[++i]);
       if (value != "on" && value != "off") {
@@ -216,11 +203,10 @@ inline void init(int argc, char** argv) {
                    "usage: %s [--json <path>] [--trace <path>] "
                    "[--perfetto <path>] [--metrics <path>] "
                    "[--store <dir>] [--circuit <file.blif>] "
-                   "[--vcd <path>] [--resume] [--packed on|off] "
-                   "[--reorder on|off] "
+                   "[--vcd <path>] [--resume] [--reorder on|off] "
                    "[--generator tour|biased|hybrid] "
                    "[--monitor <port>] [--watchdog <seconds>] "
-                   "[--monitor-dump <prefix>] [--baseline-check]\n",
+                   "[--monitor-dump <prefix>]\n",
                    rec.binary.c_str());
       std::exit(2);
     }
@@ -295,18 +281,6 @@ inline void init(int argc, char** argv) {
 /// when none was requested — plugs into CampaignOptions::monitor.
 [[nodiscard]] inline obs::CampaignMonitor* monitor() {
   return detail::Recorder::instance().monitor.get();
-}
-
-/// True when --baseline-check was given — plugs into
-/// CampaignOptions::baseline_check (needs a --store to compare against).
-[[nodiscard]] inline bool baseline_check() {
-  return detail::Recorder::instance().baseline_check;
-}
-
-/// True when `--packed on` was given — plugs into CampaignOptions::packed
-/// (the bit-parallel 64-lane replay path).
-[[nodiscard]] inline bool packed() {
-  return detail::Recorder::instance().packed;
 }
 
 /// True when `--reorder on` was given — plugs into CampaignOptions::reorder

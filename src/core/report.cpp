@@ -343,29 +343,6 @@ std::string to_json(const CampaignResult& result) {
   if (result.coverage_telemetry.has_value()) {
     emit_coverage_telemetry(w, *result.coverage_telemetry);
   }
-  if (result.baseline.has_value()) {
-    const auto& cmp = *result.baseline;
-    const auto emit_perf = [&w](const char* key,
-                                const store::PerfBaseline& b) {
-      w.begin_object(key)
-          .field("sequences", b.sequences)
-          .field("test_steps", b.test_steps)
-          .field("total_impl_cycles", b.total_impl_cycles)
-          .field("total_seconds", b.total_seconds)
-          .field("tour_seconds", b.tour_seconds)
-          .field("concretize_seconds", b.concretize_seconds)
-          .field("simulate_seconds", b.simulate_seconds)
-          .end_object();
-    };
-    w.begin_object("baseline");
-    w.field("found", cmp.found);
-    w.field("regression", cmp.regression);
-    w.field("tolerance", cmp.tolerance);
-    w.field("wall_ratio", cmp.wall_ratio);
-    emit_perf("stored", cmp.baseline);
-    emit_perf("current", cmp.current);
-    w.end_object();
-  }
   w.end_object();
   return w.str();
 }

@@ -213,7 +213,7 @@ namespace {
 /// yielded sequence is replayed into a persistent CoverageTracker keyed by
 /// dense ids — a bijection of the packed keys TestModel::evaluate uses, so
 /// the distinct-state/transition counts agree exactly.
-class ExplicitTourStream final : public TourStream {
+class ExplicitTourStream final : public SequenceSource {
  public:
   explicit ExplicitTourStream(ExplicitModel& model)
       : model_(model),

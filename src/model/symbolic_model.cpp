@@ -128,7 +128,7 @@ namespace {
 
 /// Streaming transition tour over sym::SymbolicTourStream — sequences come
 /// out of the suspended BDD walk one reset at a time.
-class SymbolicModelTourStream final : public TourStream {
+class SymbolicModelTourStream final : public SequenceSource {
  public:
   SymbolicModelTourStream(sym::SymbolicFsm& fsm,
                           const sym::SymbolicTourOptions& options)

@@ -91,10 +91,6 @@ class SequenceSource {
   virtual TourResult summary() = 0;
 };
 
-/// Historical name for the seam, kept for source compatibility — every
-/// generator strategy (not just tours) now streams through it.
-using TourStream = SequenceSource;
-
 /// SequenceSource over an already materialized TourResult — the adapter
 /// behind TestModel::tour_source's default implementation and a handy
 /// wrapper for tests.
@@ -195,14 +191,6 @@ class TestModel {
   /// through gen::open_sequence_source.
   virtual std::unique_ptr<SequenceSource> tour_source(
       const TourOptions& options = {});
-
-  /// Pre-generator-layer name for tour_source. The entry point was renamed
-  /// when sequence generation became pluggable — a "tour stream" is now one
-  /// strategy among several behind the SequenceSource seam.
-  [[deprecated("use tour_source()")]] std::unique_ptr<SequenceSource>
-  transition_tour_stream(const TourOptions& options = {}) {
-    return tour_source(options);
-  }
 
   /// Random walk of `length` steps from reset (uniform over the valid
   /// inputs of the current state), deterministic in `seed`.

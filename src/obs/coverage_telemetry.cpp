@@ -50,29 +50,6 @@ CoverageTelemetryCollector::CoverageTelemetryCollector(model::TestModel& model,
                                                        std::size_t curve_budget)
     : model_(model), curve_(curve_budget) {}
 
-void CoverageTelemetryCollector::commit_sequence(
-    const std::vector<std::vector<bool>>& steps) {
-  // Mirror TestModel::evaluate's accounting exactly, one sequence at a time.
-  std::uint64_t at = model_.reset_state();
-  tracker_.visit_state(at);
-  for (const auto& bits : steps) {
-    const std::uint64_t input = model::TestModel::pack_bits(bits);
-    const auto next = model_.step(at, input);
-    if (!next.has_value()) {
-      throw std::domain_error(
-          "CoverageTelemetryCollector: invalid input in committed sequence");
-    }
-    tracker_.cover_transition(at, input);
-    at = *next;
-    tracker_.visit_state(at);
-  }
-  ++committed_;
-  curve_.add(CoveragePoint{committed_,
-                           static_cast<std::uint64_t>(tracker_.states_visited()),
-                           static_cast<std::uint64_t>(
-                               tracker_.transitions_covered())});
-}
-
 void CoverageTelemetryCollector::commit_batch(
     std::span<const std::vector<std::vector<bool>>> batch) {
   // Phase 1 — lane-parallel replay: every sequence is a lane; one
@@ -113,7 +90,9 @@ void CoverageTelemetryCollector::commit_batch(
     }
   }
 
-  // Phase 2 — fold in batch order, mirroring commit_sequence exactly.
+  // Phase 2 — fold in batch order. The tracker's sets and hit counts do
+  // not depend on the order within one sequence, so this equals
+  // TestModel::evaluate's interleaved visit/cover accounting.
   for (std::size_t l = 0; l < n; ++l) {
     tracker_.visit_state(model_.reset_state());
     for (const auto& [state, input] : trace[l]) {

@@ -104,18 +104,13 @@ class CoverageTelemetryCollector {
   CoverageTelemetryCollector(model::TestModel& model,
                              std::size_t curve_budget = 512);
 
-  /// Replays one committed sequence (one PI bit vector per step) through
-  /// the model from reset, exactly as TestModel::evaluate accounts it, and
-  /// appends one convergence point. Throws std::domain_error on an input
-  /// that is invalid in its state (committed sequences are valid by
-  /// construction, so this indicates stream corruption).
-  void commit_sequence(const std::vector<std::vector<bool>>& steps);
-
-  /// Batch form: replays every sequence of `batch` lane-parallel through
-  /// TestModel::step_batch (one word-level pass advances up to 64 sequences
-  /// per call), then folds the recorded traces into the tracker strictly in
-  /// batch order — the resulting telemetry (convergence points included) is
-  /// byte-identical to calling commit_sequence on each element in turn.
+  /// Replays every committed sequence of `batch` (one PI bit vector per
+  /// step) from reset, lane-parallel through TestModel::step_batch, then
+  /// folds the traces into the tracker strictly in batch order, exactly as
+  /// TestModel::evaluate accounts one sequence: one convergence point per
+  /// sequence. Throws std::domain_error on an input that is invalid in its
+  /// state (committed sequences are valid by construction, so this
+  /// indicates stream corruption); nothing of the batch is folded then.
   void commit_batch(std::span<const std::vector<std::vector<bool>>> batch);
 
   [[nodiscard]] std::uint64_t committed() const { return committed_; }

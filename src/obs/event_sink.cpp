@@ -82,42 +82,6 @@ void MultiSink::span(Stage stage, double seconds) {
   for (EventSink* sink : sinks_) sink->span(stage, seconds);
 }
 
-void CounterRecorder::counter(Stage stage, std::string_view name,
-                              std::uint64_t value) {
-  (void)stage;
-  std::lock_guard lock(mutex_);
-  const auto it = counts_.find(name);
-  if (it != counts_.end()) {
-    it->second += value;
-  } else {
-    counts_.emplace(std::string(name), value);
-  }
-}
-
-void CounterRecorder::gauge(Stage stage, std::string_view name,
-                            std::uint64_t value) {
-  (void)stage;
-  std::lock_guard lock(mutex_);
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) {
-    if (value > it->second) it->second = value;
-  } else {
-    gauges_.emplace(std::string(name), value);
-  }
-}
-
-std::uint64_t CounterRecorder::value(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = counts_.find(name);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-std::uint64_t CounterRecorder::gauge_value(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0 : it->second;
-}
-
 void MultiSink::counter(Stage stage, std::string_view name,
                         std::uint64_t value) {
   for (EventSink* sink : sinks_) sink->counter(stage, name, value);

@@ -22,10 +22,10 @@
 //   * status(stage, status):  how the stage ended (ok / budget / cancelled).
 //
 // SpanRecorder folds spans back into the legacy PhaseTimings view;
-// CounterRecorder aggregates counters (summed) and gauges (max);
 // MetricsRegistry (obs/metrics.hpp) turns the full event flow into
-// counters and latency histograms; JsonlTraceSink streams every event as
-// one JSON object per line (the bench binaries' --trace output);
+// counters (summed), gauges (max) and latency histograms; JsonlTraceSink
+// streams every event as one JSON object per line (the bench binaries'
+// --trace output);
 // PerfettoTraceSink (obs/exporters.hpp) writes Chrome trace-event JSON;
 // MultiSink fans out to any combination.
 #pragma once
@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -128,29 +127,6 @@ class SpanRecorder final : public EventSink {
   mutable std::mutex mutex_;
   std::array<double, kStageCount> seconds_{};
   std::array<StageStatus, kStageCount> status_{};
-};
-
-/// Accumulates counter events by name (summed across stages and emissions)
-/// and gauge events by name (max over emissions). The split makes summed
-/// counters correct by construction: event-per-occurrence quantities
-/// (`store.hit`, `checkpoint.write`, …) arrive as counters, level
-/// snapshots (`sequences_in_flight_peak`) as gauges. Thread-safe.
-class CounterRecorder final : public EventSink {
- public:
-  void counter(Stage stage, std::string_view name,
-               std::uint64_t value) override;
-  void gauge(Stage stage, std::string_view name,
-             std::uint64_t value) override;
-
-  /// Total accumulated value of a counter name (0 when never emitted).
-  [[nodiscard]] std::uint64_t value(std::string_view name) const;
-  /// Maximum emitted value of a gauge name (0 when never emitted).
-  [[nodiscard]] std::uint64_t gauge_value(std::string_view name) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::uint64_t, std::less<>> counts_;
-  std::map<std::string, std::uint64_t, std::less<>> gauges_;
 };
 
 /// Forwards every event to each registered sink, in order.

@@ -36,7 +36,6 @@
 #include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
 #include "store/artifact_store.hpp"
-#include "store/codec.hpp"
 #include "testmodel/testmodel.hpp"
 
 namespace simcov::obs {
@@ -204,15 +203,10 @@ struct CampaignOptions {
   bool collect_coverage_telemetry = false;
   /// Point budget of the downsampled convergence curve.
   std::size_t telemetry_curve_budget = 512;
-  /// Replay committed sequences for coverage telemetry through the
-  /// bit-parallel batch path (TestModel::step_batch — 64 sequences per
-  /// word-level pass) instead of one scalar step() per cycle. A throughput
-  /// knob only: reports are byte-identical either way.
-  bool packed = false;
   /// Dynamic variable-reordering policy of the symbolic backend's live BDD
   /// manager (bdd::ReorderPolicy::kAuto enables growth-triggered sifting).
   /// A memory/throughput knob only, excluded from the store fingerprints
-  /// (pipeline/store_keys) like `threads` and `packed`: reordering is
+  /// (pipeline/store_keys) like `threads`: reordering is
   /// semantically invisible, so the campaign outcome is identical either
   /// way (only the engine-telemetry sections — bdd stats — differ).
   /// Ignored by the explicit backend. The dedicated snapshot manager of
@@ -220,7 +214,7 @@ struct CampaignOptions {
   /// snapshot artifacts never depend on this runtime knob.
   bdd::ReorderPolicy reorder = bdd::ReorderPolicy::kNone;
 
-  // ---- Live monitor & performance baselines ------------------------------
+  // ---- Live monitor ------------------------------------------------------
   /// Live observability plane (obs::CampaignMonitor): its registry joins
   /// the sink fan-out, its progress estimator is fed per committed
   /// sequence (with the CoverageTelemetryCollector's replay account), and
@@ -232,16 +226,6 @@ struct CampaignOptions {
   /// progress feed's accounting) even when collect_coverage_telemetry is
   /// off — the report section itself stays gated on that flag.
   obs::CampaignMonitor* monitor = nullptr;
-  /// Compare this run's phase timings against the performance baseline
-  /// archived in the store under this campaign's report fingerprint; when
-  /// none is stored yet, publish this run's summary as the baseline.
-  /// Requires store_dir. Surfaces as CampaignResult::baseline (report
-  /// section "baseline"), which like "timings" is wall-clock derived and
-  /// erased by semantic fingerprints.
-  bool baseline_check = false;
-  /// Allowed fractional slowdown vs the stored baseline before a
-  /// regression is flagged (0.5 = current may take up to 1.5x baseline).
-  double baseline_tolerance = 0.5;
 
   // ---- Real-circuit frontend (src/io) ------------------------------------
   /// Path of a BLIF netlist to campaign on instead of the built-in DLX
@@ -293,21 +277,6 @@ struct BugExposure {
   bool budget_exhausted = false;
 };
 
-/// Outcome of a baseline check (CampaignOptions::baseline_check).
-struct BaselineComparison {
-  /// A stored baseline existed for this campaign fingerprint. When false,
-  /// this run's summary was published as the new baseline and nothing was
-  /// compared (regression stays false).
-  bool found = false;
-  bool regression = false;
-  double tolerance = 0.5;
-  /// current.total_seconds / baseline.total_seconds; 0 when nothing was
-  /// compared or the stored total is 0.
-  double wall_ratio = 0.0;
-  store::PerfBaseline baseline;  ///< the stored (or just-published) summary
-  store::PerfBaseline current;   ///< this run's summary
-};
-
 struct CampaignResult {
   unsigned latches = 0;
   unsigned primary_inputs = 0;
@@ -352,10 +321,6 @@ struct CampaignResult {
   /// CampaignOptions::collect_coverage_telemetry is on. Emitted as
   /// "coverage_telemetry" in the JSON report.
   std::optional<obs::CoverageTelemetry> coverage_telemetry;
-  /// Baseline-check outcome; set when CampaignOptions::baseline_check ran
-  /// against a configured store. Emitted as "baseline" in the JSON report;
-  /// wall-clock derived, erased by semantic fingerprints like "timings".
-  std::optional<BaselineComparison> baseline;
 
   [[nodiscard]] std::size_t bugs_exposed() const;
   [[nodiscard]] std::uint64_t total_impl_cycles() const;

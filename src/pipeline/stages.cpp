@@ -1,7 +1,6 @@
 #include "pipeline/stages.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -16,7 +15,6 @@
 #include "gen/generators.hpp"
 #include "io/blif.hpp"
 #include "model/symbolic_model.hpp"
-#include "sym/packed_logic_sim.hpp"
 #include "runtime/rng.hpp"
 #include "store/codec.hpp"
 #include "store/tour_cache.hpp"
@@ -411,94 +409,21 @@ void SimulateStage::run_batch(
 void CircuitReplayStage::run_batch(
     const sym::CircuitReplayer& replayer,
     std::span<const std::vector<std::vector<bool>>> batch,
-    std::size_t first_sequence, std::size_t max_cycles, bool packed,
+    std::size_t first_sequence, std::size_t max_cycles,
     std::span<RunMetrics> out, runtime::ThreadPool& pool,
     const CancellationToken& cancel, obs::EventSink& sink) {
   obs::ScopedSpan span(sink, obs::Stage::kSimulate);
   const auto queue_wait =
       queue_wait_observer(sink, obs::Stage::kSimulate, first_sequence);
-  const sym::SequentialCircuit& circuit = replayer.circuit();
-  // The packed path needs the 64-bit packed-key encoding; wider circuits
-  // silently fall back to the (verdict-identical) scalar replay.
-  const bool packable = packed && circuit.latches.size() <= 63 &&
-                        circuit.primary_inputs.size() <= 63;
-  if (!packable) {
-    pool.for_each_index(
-        batch.size(),
-        [&](std::size_t i) {
-          const auto t0 = std::chrono::steady_clock::now();
-          const auto trace = replayer.replay(batch[i], max_cycles);
-          out[i] = RunMetrics{first_sequence + i, trace.steps, trace.steps,
-                              trace.valid, trace.truncated};
-          sink.latency(obs::Stage::kSimulate, "clean_run",
-                       first_sequence + i, seconds_since(t0));
-        },
-        cancel.raw(), &queue_wait);
-    return;
-  }
-  // Bit-parallel path: 64 sequences share one word-level network pass per
-  // cycle. Sharding moves from sequences to blocks; per-index RunMetrics
-  // slots keep verdicts byte-identical to the scalar loop above.
-  constexpr std::size_t kLanes = sym::PackedCircuitSim::kLanes;
-  const sym::PackedCircuitSim sim(circuit);
-  std::vector<bool> init_bits(circuit.latches.size());
-  for (std::size_t j = 0; j < circuit.latches.size(); ++j) {
-    init_bits[j] = circuit.latches[j].init;
-  }
-  const std::uint64_t init_key = model::TestModel::pack_bits(init_bits);
-  const std::size_t num_blocks = (batch.size() + kLanes - 1) / kLanes;
   pool.for_each_index(
-      num_blocks,
-      [&](std::size_t b) {
+      batch.size(),
+      [&](std::size_t i) {
         const auto t0 = std::chrono::steady_clock::now();
-        const std::size_t base = b * kLanes;
-        const std::size_t len = std::min(kLanes, batch.size() - base);
-        std::vector<std::uint64_t> state(len, init_key);
-        std::vector<std::uint64_t> next(len, 0);
-        std::vector<std::uint64_t> inputs(len, 0);
-        for (std::size_t l = 0; l < len; ++l) {
-          out[base + l] =
-              RunMetrics{first_sequence + base + l, 0, 0, true, false};
-        }
-        std::uint64_t active = len == kLanes ? ~std::uint64_t{0}
-                                             : (std::uint64_t{1} << len) - 1;
-        for (std::size_t c = 0; active != 0; ++c) {
-          std::uint64_t want = 0;
-          for (std::uint64_t w = active; w != 0; w &= w - 1) {
-            const auto l = static_cast<std::size_t>(std::countr_zero(w));
-            const auto& seq = batch[base + l];
-            if (c >= seq.size()) {
-              active &= ~(std::uint64_t{1} << l);  // replayed to the end
-              continue;
-            }
-            if (c >= max_cycles) {
-              out[base + l].budget_exhausted = true;  // like a truncated trace
-              active &= ~(std::uint64_t{1} << l);
-              continue;
-            }
-            want |= std::uint64_t{1} << l;
-            inputs[l] = model::TestModel::pack_bits(seq[c]);
-          }
-          if (want == 0) break;
-          const std::uint64_t valid = sim.step(state, inputs, next) & want;
-          for (std::uint64_t w = want; w != 0; w &= w - 1) {
-            const auto l = static_cast<std::size_t>(std::countr_zero(w));
-            const std::uint64_t bit = std::uint64_t{1} << l;
-            if ((valid & bit) != 0) {
-              state[l] = next[l];
-              out[base + l].impl_cycles += 1;
-              out[base + l].checkpoints += 1;
-            } else {
-              out[base + l].passed = false;  // constraint violated: stop
-              active &= ~bit;
-            }
-          }
-        }
-        const double block_seconds = seconds_since(t0);
-        for (std::size_t l = 0; l < len; ++l) {
-          sink.latency(obs::Stage::kSimulate, "clean_run",
-                       first_sequence + base + l, block_seconds);
-        }
+        const auto trace = replayer.replay(batch[i], max_cycles);
+        out[i] = RunMetrics{first_sequence + i, trace.steps, trace.steps,
+                            trace.valid, trace.truncated};
+        sink.latency(obs::Stage::kSimulate, "clean_run", first_sequence + i,
+                     seconds_since(t0));
       },
       cancel.raw(), &queue_wait);
 }

@@ -89,10 +89,6 @@ struct GenerateStage {
       store::ArtifactStore* store, const store::Fingerprint& key);
 };
 
-/// Pre-generator-layer name for GenerateStage — tours are one strategy
-/// behind the seam now.
-using TourStage = GenerateStage;
-
 /// Concretizes one batch of tour sequences into DLX programs, sharded over
 /// the pool. `out` must be pre-sized to the batch; a cancelled batch leaves
 /// unclaimed slots default-initialized (the executor drops the batch).
@@ -125,16 +121,13 @@ struct SimulateStage {
 /// (sym::CircuitReplayer), sharded over the pool with per-index slots.
 /// RunMetrics mirror SimulateStage's: impl_cycles and checkpoints count
 /// the replayed cycles, `passed` is the validity verdict, and a sequence
-/// cut short by max_cycles reports budget_exhausted. When `packed` is set
-/// and the circuit fits the 64-bit packed-key encoding (≤ 63 latches and
-/// primary inputs), blocks of 64 sequences share one word-level
-/// PackedCircuitSim pass per cycle; verdicts are byte-identical to the
-/// scalar path either way. One kSimulate span per call.
+/// cut short by max_cycles reports budget_exhausted. One kSimulate span
+/// per call.
 struct CircuitReplayStage {
   static void run_batch(const sym::CircuitReplayer& replayer,
                         std::span<const std::vector<std::vector<bool>>> batch,
                         std::size_t first_sequence, std::size_t max_cycles,
-                        bool packed, std::span<RunMetrics> out,
+                        std::span<RunMetrics> out,
                         runtime::ThreadPool& pool,
                         const CancellationToken& cancel, obs::EventSink& sink);
 };

@@ -10,7 +10,7 @@ CampaignStoreKeys campaign_store_keys(const CampaignOptions& options,
   const store::Fingerprint options_fp =
       store::fingerprint_options(options.model_options);
 
-  // Runtime-only knobs (threads, packed, reorder) are deliberately absent
+  // Runtime-only knobs (threads, reorder) are deliberately absent
   // from every key below: they change how answers are computed, never what
   // the answers are, so cached artifacts stay shareable across them.
   CampaignStoreKeys keys;

@@ -69,7 +69,6 @@ const char* kind_name(ArtifactKind kind) {
     case ArtifactKind::kSymbolicSnapshot: return "symstats";
     case ArtifactKind::kReport: return "report";
     case ArtifactKind::kCheckpoint: return "checkpoint";
-    case ArtifactKind::kBaseline: return "baseline";
   }
   return "unknown";
 }
@@ -82,7 +81,6 @@ std::uint32_t schema_version(ArtifactKind kind) {
     case ArtifactKind::kSymbolicSnapshot: return 2;
     case ArtifactKind::kReport: return 1;
     case ArtifactKind::kCheckpoint: return 1;
-    case ArtifactKind::kBaseline: return 1;
   }
   return 0;
 }

@@ -41,16 +41,18 @@
 
 namespace simcov::store {
 
+/// Kind values are written into artifact headers, so they never change.
+/// Value 5 is retired: older stores may still hold `baseline-*.art` files,
+/// which no load asks for and LRU eviction removes like any other artifact.
 enum class ArtifactKind : std::uint32_t {
   kTour = 1,              ///< recorded tour stream + summary
   kSymbolicSnapshot = 2,  ///< SymbolicFsmStats + BddStats pair
   kReport = 3,            ///< campaign report JSON bytes
   kCheckpoint = 4,        ///< committed campaign prefix (eviction-exempt)
-  kBaseline = 5,          ///< compact performance baseline of a campaign
 };
 
 /// The filename prefix of a kind ("tour", "symstats", "report",
-/// "checkpoint", "baseline").
+/// "checkpoint").
 [[nodiscard]] const char* kind_name(ArtifactKind kind);
 
 /// Current payload schema version of a kind. Stored in the artifact header;

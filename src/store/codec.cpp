@@ -226,39 +226,4 @@ CampaignCheckpoint checkpoint_from_payload(
   return ckpt;
 }
 
-void encode_baseline(ByteWriter& w, const PerfBaseline& baseline) {
-  w.u64(baseline.sequences);
-  w.u64(baseline.test_steps);
-  w.u64(baseline.total_impl_cycles);
-  w.f64(baseline.total_seconds);
-  w.f64(baseline.tour_seconds);
-  w.f64(baseline.concretize_seconds);
-  w.f64(baseline.simulate_seconds);
-}
-
-PerfBaseline decode_baseline(ByteReader& r) {
-  PerfBaseline b;
-  b.sequences = r.u64();
-  b.test_steps = r.u64();
-  b.total_impl_cycles = r.u64();
-  b.total_seconds = r.f64();
-  b.tour_seconds = r.f64();
-  b.concretize_seconds = r.f64();
-  b.simulate_seconds = r.f64();
-  return b;
-}
-
-std::vector<std::uint8_t> to_payload(const PerfBaseline& baseline) {
-  ByteWriter w;
-  encode_baseline(w, baseline);
-  return w.take();
-}
-
-PerfBaseline baseline_from_payload(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  PerfBaseline b = decode_baseline(r);
-  r.expect_done();
-  return b;
-}
-
 }  // namespace simcov::store

@@ -143,31 +143,4 @@ void encode_checkpoint(ByteWriter& w, const CampaignCheckpoint& ckpt);
 [[nodiscard]] CampaignCheckpoint checkpoint_from_payload(
     std::span<const std::uint8_t> payload);
 
-// ---- Performance baseline --------------------------------------------------
-
-/// Compact performance summary of one completed campaign, archived under
-/// the campaign's report fingerprint (ArtifactKind::kBaseline). The work
-/// counts (sequences/steps/cycles) identify *what* ran — a --baseline-check
-/// comparison against a baseline that did different work would be
-/// meaningless — and the phase timings are what the check compares.
-struct PerfBaseline {
-  std::uint64_t sequences = 0;
-  std::uint64_t test_steps = 0;
-  std::uint64_t total_impl_cycles = 0;
-  double total_seconds = 0.0;
-  double tour_seconds = 0.0;
-  double concretize_seconds = 0.0;
-  double simulate_seconds = 0.0;
-
-  friend bool operator==(const PerfBaseline&, const PerfBaseline&) = default;
-};
-
-void encode_baseline(ByteWriter& w, const PerfBaseline& baseline);
-[[nodiscard]] PerfBaseline decode_baseline(ByteReader& r);
-
-[[nodiscard]] std::vector<std::uint8_t> to_payload(
-    const PerfBaseline& baseline);
-[[nodiscard]] PerfBaseline baseline_from_payload(
-    std::span<const std::uint8_t> payload);
-
 }  // namespace simcov::store

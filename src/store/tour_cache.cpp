@@ -6,7 +6,7 @@
 namespace simcov::store {
 
 RecordingTourStream::RecordingTourStream(
-    std::unique_ptr<model::TourStream> inner, unsigned input_bits)
+    std::unique_ptr<model::SequenceSource> inner, unsigned input_bits)
     : inner_(std::move(inner)), input_bits_(input_bits) {}
 
 std::optional<std::vector<std::vector<bool>>>

@@ -5,7 +5,7 @@
 // tour options). These two adapters make it cacheable without giving up
 // the streaming memory bound:
 //
-//  * RecordingTourStream wraps a live TourStream and tees every yielded
+//  * RecordingTourStream wraps a live SequenceSource and tees every yielded
 //    sequence into an incrementally packed byte buffer (ceil(input_bits/8)
 //    bytes per step — the encoded form is usually smaller than the
 //    vector<vector<bool>> it mirrors). After the inner stream is exhausted
@@ -14,7 +14,7 @@
 //    truncated stream (budget / cancellation) must not be published: the
 //    caller gates on exhausted() plus its own status.
 //
-//  * StoredTourStream replays a tour payload as a TourStream: the summary
+//  * StoredTourStream replays a tour payload as a SequenceSource: the summary
 //    decodes eagerly (it leads the payload), sequences decode lazily one
 //    next_sequence() call at a time, so a warm campaign holds at most the
 //    payload bytes plus one window of decoded sequences — the same shape
@@ -32,9 +32,9 @@
 namespace simcov::store {
 
 /// Tees a live tour stream into an incrementally encoded tour payload.
-class RecordingTourStream final : public model::TourStream {
+class RecordingTourStream final : public model::SequenceSource {
  public:
-  RecordingTourStream(std::unique_ptr<model::TourStream> inner,
+  RecordingTourStream(std::unique_ptr<model::SequenceSource> inner,
                       unsigned input_bits);
 
   std::optional<std::vector<std::vector<bool>>> next_sequence() override;
@@ -49,15 +49,15 @@ class RecordingTourStream final : public model::TourStream {
   [[nodiscard]] std::vector<std::uint8_t> artifact();
 
  private:
-  std::unique_ptr<model::TourStream> inner_;
+  std::unique_ptr<model::SequenceSource> inner_;
   unsigned input_bits_;
   ByteWriter sequences_;
   std::uint64_t sequence_count_ = 0;
   bool exhausted_ = false;
 };
 
-/// Replays a stored tour payload as a TourStream.
-class StoredTourStream final : public model::TourStream {
+/// Replays a stored tour payload as a SequenceSource.
+class StoredTourStream final : public model::SequenceSource {
  public:
   /// Decodes the header and summary eagerly; throws CodecError on a
   /// malformed payload.

@@ -45,8 +45,6 @@ class CircuitReplayer {
   /// SequentialCircuit contract (input_sources).
   explicit CircuitReplayer(const SequentialCircuit& circuit);
 
-  [[nodiscard]] const SequentialCircuit& circuit() const { return *circuit_; }
-
   /// Replays `pi_steps` from reset. Each step must carry exactly one bit per
   /// declared primary input (std::invalid_argument otherwise). Replay stops
   /// at the first invalid step (trace.valid = false, the step unrecorded) or

@@ -12,19 +12,14 @@
 //   * model step_batch/output_batch  vs scalar step/output (both backends)
 //   * testmodel::ControlModelSim (one lane of the same kernel) vs a
 //                                    scalar control simulator kept here
-//   * CampaignOptions::packed        vs the scalar campaign (byte-identical
-//                                    report JSON at 1/2/8 threads)
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <random>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "core/campaign.hpp"
-#include "core/report.hpp"
 #include "fsm/mealy.hpp"
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
@@ -435,42 +430,6 @@ TEST(PackedControlSim, MatchesScalarControlSimLaneForLane) {
       ASSERT_EQ(one_lane[l].out_at(k), scalars[l].out_at(k))
           << "lane=" << l << " output=" << k;
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Packed campaign end-to-end identity
-// ---------------------------------------------------------------------------
-
-/// Campaign result with wall-clock noise erased (timings and latency
-/// histograms); coverage_telemetry is deterministic and stays in.
-std::string semantic_fingerprint(core::CampaignResult result) {
-  result.timings = {};
-  result.bdd_stats.reset();
-  result.symbolic_stats.reset();
-  result.store_stats.reset();
-  result.metrics.reset();
-  return core::to_json(result);
-}
-
-TEST(PackedReplay, CampaignReportByteIdenticalToScalarAt128Threads) {
-  core::CampaignOptions scalar;
-  scalar.model_options = tiny_model_options();
-  scalar.method = core::TestMethod::kTransitionTourSet;
-  scalar.threads = 1;
-  scalar.collect_coverage_telemetry = true;
-  const std::vector<dlx::PipelineBug> bugs{dlx::PipelineBug::kNoLoadUseStall};
-  const std::string reference =
-      semantic_fingerprint(core::run_campaign(scalar, bugs));
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    core::CampaignOptions packed = scalar;
-    packed.packed = true;
-    packed.threads = threads;
-    EXPECT_EQ(semantic_fingerprint(core::run_campaign(packed, bugs)),
-              reference)
-        << "threads=" << threads;
   }
 }
 

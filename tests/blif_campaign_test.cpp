@@ -1,9 +1,9 @@
 // End-to-end campaign tests over the BLIF frontend: run_campaign on a
 // bundled netlist (explicit and symbolic backends), determinism across
-// thread counts and the packed-replay toggle, content-addressed store
-// reuse (warm hit on re-run, miss after a netlist edit, hit after a pure
-// rename), VCD export covering every committed sequence, and the
-// external-circuit restrictions (no DLX bug injection).
+// thread counts, content-addressed store reuse (warm hit on re-run, miss
+// after a netlist edit, hit after a pure rename), VCD export covering
+// every committed sequence, and the external-circuit restrictions (no DLX
+// bug injection).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -108,14 +108,6 @@ TEST(BlifCampaignTest, ReportIsIdenticalAcrossThreadCounts) {
   const std::string reference = semantic_fingerprint(run_campaign(options, {}));
   options.threads = 3;
   EXPECT_EQ(semantic_fingerprint(run_campaign(options, {})), reference);
-}
-
-TEST(BlifCampaignTest, PackedReplayIsVerdictIdenticalToScalar) {
-  auto options = blif_options(bundled("shift4.blif"));
-  options.packed = false;
-  const std::string scalar = semantic_fingerprint(run_campaign(options, {}));
-  options.packed = true;
-  EXPECT_EQ(semantic_fingerprint(run_campaign(options, {})), scalar);
 }
 
 TEST(BlifCampaignTest, StoreHitsWarmOnRerunAndMissesAfterNetlistEdit) {

@@ -1,8 +1,7 @@
 // Unit tests for the coverage-directed sequence generators (src/gen) and
 // the pluggable SequenceSource seam they plug into: determinism per
 // (seed, spec), budget/termination behaviour, hybrid seed-phase
-// truncation, factory dispatch, and the deprecated transition_tour_stream
-// shim.
+// truncation and factory dispatch.
 #include "gen/generators.hpp"
 
 #include <gtest/gtest.h>
@@ -239,17 +238,6 @@ TEST(GenerateTestSet, BiasedSpecRoundTripsThroughInputIds) {
       at = t->next;
     }
   }
-}
-
-TEST(SequenceSourceSeam, DeprecatedShimDelegatesToTourSource) {
-  const auto m = fsm::random_connected_machine(24, 3, 3, 5);
-  model::ExplicitModel via_shim(m, 0), via_source(m, 0);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto shim = via_shim.transition_tour_stream();
-#pragma GCC diagnostic pop
-  auto source = via_source.tour_source();
-  EXPECT_EQ(drain(*shim), drain(*source));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the observability subsystem: the log2 histogram bucket scheme,
-// MetricsRegistry's event -> metric folding, CounterRecorder gauge (max)
-// semantics, the JSONL sink's flush boundaries, the coverage-telemetry
+// MetricsRegistry's event -> metric folding, name-level counter and gauge
+// totals, the JSONL sink's flush boundaries, the coverage-telemetry
 // curve builder and collector, and the Perfetto / Prometheus exporters'
 // output formats.
 #include "obs/coverage_telemetry.hpp"
@@ -21,10 +21,14 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fsm/mealy.hpp"
+#include "metric_totals.hpp"
+#include "model/encode.hpp"
 #include "model/explicit_model.hpp"
+#include "model/symbolic_model.hpp"
 
 namespace simcov {
 namespace {
@@ -222,17 +226,18 @@ TEST(MetricsRegistry, SnapshotWhileFoldingIsSafeAndMonotonic) {
 }
 
 // ---------------------------------------------------------------------------
-// CounterRecorder gauge semantics + JSONL flush
+// Name-level gauge totals + JSONL flush
 // ---------------------------------------------------------------------------
 
-TEST(CounterRecorder, GaugeKeepsTheMaxAcrossEmissions) {
-  obs::CounterRecorder rec;
+TEST(MetricTotals, GaugeKeepsTheMaxAcrossEmissions) {
+  obs::MetricsRegistry rec;
   rec.gauge(obs::Stage::kTour, "peak", 3);
   rec.gauge(obs::Stage::kTour, "peak", 9);
-  rec.gauge(obs::Stage::kTour, "peak", 5);
-  EXPECT_EQ(rec.gauge_value("peak"), 9u);
-  EXPECT_EQ(rec.value("peak"), 0u) << "gauges must not leak into counters";
-  EXPECT_EQ(rec.gauge_value("missing"), 0u);
+  rec.gauge(obs::Stage::kSimulate, "peak", 5);
+  EXPECT_EQ(gauge_max(rec, "peak"), 9u);
+  EXPECT_EQ(counter_total(rec, "peak"), 0u)
+      << "gauges must not leak into counters";
+  EXPECT_EQ(gauge_max(rec, "missing"), 0u);
 }
 
 TEST(JsonlTraceSink, ExplicitFlushAndStatusBoundaryMakeEventsVisible) {
@@ -372,7 +377,9 @@ TEST(CoverageTelemetryCollector, ReplayMatchesTheModelsOwnTourAccounting) {
 
   model::ExplicitModel replay_model(m, 0);
   obs::CoverageTelemetryCollector collector(replay_model, 64);
-  while (auto seq = stream->next_sequence()) collector.commit_sequence(*seq);
+  while (auto seq = stream->next_sequence()) {
+    collector.commit_batch(std::span(&*seq, 1));
+  }
   const auto summary = stream->summary();
 
   const auto telemetry = collector.snapshot();
@@ -395,6 +402,53 @@ TEST(CoverageTelemetryCollector, ReplayMatchesTheModelsOwnTourAccounting) {
       << "the collector leaves exposure latency to the pipeline";
 }
 
+/// The per-sequence commit the collector ran before it replayed batches,
+/// kept literally as commit_batch's oracle: one TestModel::step per input,
+/// folded straight into a CoverageTracker, one curve point per sequence.
+class SequentialTelemetry {
+ public:
+  SequentialTelemetry(model::TestModel& model, std::size_t curve_budget)
+      : model_(model), curve_(curve_budget) {}
+
+  void commit_sequence(const std::vector<std::vector<bool>>& steps) {
+    std::uint64_t at = model_.reset_state();
+    tracker_.visit_state(at);
+    for (const auto& bits : steps) {
+      const std::uint64_t input = model::TestModel::pack_bits(bits);
+      const auto next = model_.step(at, input);
+      if (!next.has_value()) {
+        throw std::domain_error("invalid input in committed sequence");
+      }
+      tracker_.cover_transition(at, input);
+      at = *next;
+      tracker_.visit_state(at);
+    }
+    ++committed_;
+    curve_.add(obs::CoveragePoint{committed_, tracker_.states_visited(),
+                                  tracker_.transitions_covered()});
+  }
+
+  [[nodiscard]] std::uint64_t committed() const { return committed_; }
+
+  [[nodiscard]] obs::CoverageTelemetry snapshot() const {
+    obs::CoverageTelemetry out;
+    out.curve_budget = curve_.budget();
+    out.convergence = curve_.points();
+    out.distinct_transitions = tracker_.transitions_covered();
+    tracker_.for_each_transition_hit([&](std::uint64_t hits) {
+      ++out.transition_hits[obs::histogram_bucket_index(hits)];
+      out.max_transition_hits = std::max(out.max_transition_hits, hits);
+    });
+    return out;
+  }
+
+ private:
+  model::TestModel& model_;
+  model::CoverageTracker tracker_;
+  obs::CoverageCurveBuilder curve_;
+  std::uint64_t committed_ = 0;
+};
+
 TEST(CoverageTelemetryCollector, BatchCommitIsByteIdenticalToSequential) {
   const auto m = fsm::random_connected_machine(24, 3, 4, 17);
   model::ExplicitModel tour_model(m, 0);
@@ -403,34 +457,47 @@ TEST(CoverageTelemetryCollector, BatchCommitIsByteIdenticalToSequential) {
   while (auto seq = stream->next_sequence()) sequences.push_back(*seq);
   ASSERT_FALSE(sequences.empty());
 
-  model::ExplicitModel scalar_model(m, 0);
-  obs::CoverageTelemetryCollector scalar(scalar_model, 64);
-  for (const auto& seq : sequences) scalar.commit_sequence(seq);
+  // Both backends override step_batch differently: a table lookup per lane
+  // on the explicit side, the 64-lane kernel on the symbolic side. Through
+  // encode_circuit the two share their state and input keys.
+  const auto circuit = model::encode_circuit(m, 0);
+  model::ExplicitModel explicit_model(m, 0), explicit_oracle_model(m, 0);
+  model::SymbolicModel symbolic_model(circuit),
+      symbolic_oracle_model(circuit);
+  const std::pair<model::TestModel*, model::TestModel*> backends[] = {
+      {&explicit_model, &explicit_oracle_model},
+      {&symbolic_model, &symbolic_oracle_model},
+  };
+  for (const auto& [model, oracle_model] : backends) {
+    SCOPED_TRACE(model::backend_name(model->backend()));
+    SequentialTelemetry oracle(*oracle_model, 64);
+    for (const auto& seq : sequences) oracle.commit_sequence(seq);
 
-  // The batch path replays lane-parallel but folds in batch order; the
-  // telemetry — convergence points included — must not move. Mixed batch
-  // sizes cover full, partial and single-sequence blocks.
-  model::ExplicitModel batch_model(m, 0);
-  obs::CoverageTelemetryCollector batch(batch_model, 64);
-  std::size_t at = 0;
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{128}}) {
-    if (at >= sequences.size()) break;
-    const std::size_t len = std::min(chunk, sequences.size() - at);
-    batch.commit_batch(std::span(sequences).subspan(at, len));
-    at += len;
-  }
-  if (at < sequences.size()) {
-    batch.commit_batch(std::span(sequences).subspan(at));
-  }
+    // The batch path replays lane-parallel but folds in batch order; the
+    // telemetry — convergence points included — must not move. Mixed batch
+    // sizes cover single-sequence, partial and (past 64) multi-block
+    // batches.
+    obs::CoverageTelemetryCollector batch(*model, 64);
+    std::size_t at = 0;
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{128}}) {
+      if (at >= sequences.size()) break;
+      const std::size_t len = std::min(chunk, sequences.size() - at);
+      batch.commit_batch(std::span(sequences).subspan(at, len));
+      at += len;
+    }
+    if (at < sequences.size()) {
+      batch.commit_batch(std::span(sequences).subspan(at));
+    }
 
-  EXPECT_EQ(batch.committed(), scalar.committed());
-  const auto a = scalar.snapshot();
-  const auto b = batch.snapshot();
-  EXPECT_EQ(b.convergence, a.convergence);
-  EXPECT_EQ(b.distinct_transitions, a.distinct_transitions);
-  EXPECT_EQ(b.max_transition_hits, a.max_transition_hits);
-  EXPECT_EQ(b.transition_hits, a.transition_hits);
+    EXPECT_EQ(batch.committed(), oracle.committed());
+    const auto a = oracle.snapshot();
+    const auto b = batch.snapshot();
+    EXPECT_EQ(b.convergence, a.convergence);
+    EXPECT_EQ(b.distinct_transitions, a.distinct_transitions);
+    EXPECT_EQ(b.max_transition_hits, a.max_transition_hits);
+    EXPECT_EQ(b.transition_hits, a.transition_hits);
+  }
 }
 
 TEST(CoverageTelemetryCollector, BatchCommitRejectsInvalidInputs) {
@@ -439,15 +506,6 @@ TEST(CoverageTelemetryCollector, BatchCommitRejectsInvalidInputs) {
   obs::CoverageTelemetryCollector collector(model);
   const std::vector<std::vector<std::vector<bool>>> bad{{{true, true}}};
   EXPECT_THROW(collector.commit_batch(bad), std::domain_error);
-}
-
-TEST(CoverageTelemetryCollector, InvalidInputInACommittedSequenceThrows) {
-  const auto m = fsm::random_connected_machine(8, 3, 2, 5);  // 3 inputs
-  model::ExplicitModel model(m, 0);
-  obs::CoverageTelemetryCollector collector(model);
-  // Input id 3 needs two bits and does not exist in a 3-input machine.
-  const std::vector<std::vector<bool>> bad{{true, true}};
-  EXPECT_THROW(collector.commit_sequence(bad), std::domain_error);
 }
 
 // ---------------------------------------------------------------------------

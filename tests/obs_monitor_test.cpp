@@ -2,8 +2,8 @@
 // its /metrics, /progress and /healthz routes, the ProgressEstimator's
 // convergence-based ETA (driven by a synthetic clock), the stall watchdog's
 // exactly-once latching and stage attribution (driven by manual ticks),
-// the monitor's read-only-observer guarantee (campaign reports identical
-// with it on or off), and the store-backed performance baseline flow.
+// and the monitor's read-only-observer guarantee (campaign reports
+// identical with it on or off).
 #include "obs/monitor_server.hpp"
 #include "obs/progress.hpp"
 #include "obs/watchdog.hpp"
@@ -12,19 +12,16 @@
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "metric_totals.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
-#include "store/artifact_store.hpp"
-#include "store/codec.hpp"
 
 namespace simcov {
 namespace {
@@ -61,22 +58,9 @@ std::string semantic_fingerprint(core::CampaignResult result) {
   result.bdd_stats.reset();
   result.symbolic_stats.reset();
   result.store_stats.reset();
-  result.baseline.reset();
   result.metrics.reset();
   return core::to_json(result);
 }
-
-/// RAII temp directory for store-backed tests.
-struct TempDir {
-  std::filesystem::path path;
-  explicit TempDir(const char* name)
-      : path(std::filesystem::temp_directory_path() /
-             (std::string("simcov_monitor_test_") + name)) {
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-  }
-  ~TempDir() { std::filesystem::remove_all(path); }
-};
 
 // ---------------------------------------------------------------------------
 // MonitorServer + http_get
@@ -233,7 +217,7 @@ TEST(Watchdog, InjectedStallFiresExactlyOnceWithStageAttribution) {
   opt.interval_seconds = 1.0;
   opt.stall_intervals = 3;
   obs::Watchdog dog(registry, opt);
-  obs::CounterRecorder stall_events;
+  obs::MetricsRegistry stall_events;
   dog.set_stall_sink(&stall_events);
   dog.set_queue_depth_fn([] { return std::uint64_t{7}; });
   std::atomic<int> cancelled{0};
@@ -262,7 +246,7 @@ TEST(Watchdog, InjectedStallFiresExactlyOnceWithStageAttribution) {
   EXPECT_EQ(stalls[0].committed, 2u);
   EXPECT_EQ(stalls[0].queue_depth, 7u);
   EXPECT_EQ(stalls[0].idle_intervals, 3u);
-  EXPECT_EQ(stall_events.value("campaign.stall"), 1u);
+  EXPECT_EQ(counter_total(stall_events, "campaign.stall"), 1u);
   EXPECT_EQ(cancelled.load(), 1);
 
   // Commits resume: the alarm re-arms ...
@@ -273,7 +257,7 @@ TEST(Watchdog, InjectedStallFiresExactlyOnceWithStageAttribution) {
   for (double t = 10.0; t <= 13.0; t += 1.0) dog.tick(t);
   EXPECT_TRUE(dog.stalled());
   EXPECT_EQ(dog.stalls().size(), 2u);
-  EXPECT_EQ(stall_events.value("campaign.stall"), 2u);
+  EXPECT_EQ(counter_total(stall_events, "campaign.stall"), 2u);
   EXPECT_EQ(cancelled.load(), 2);
 }
 
@@ -385,80 +369,6 @@ TEST(CampaignMonitor, OutlivesCampaignsAndServesBetweenThem) {
   const auto second = monitor.progress().snapshot();
   EXPECT_FALSE(second.active);
   EXPECT_GT(second.committed_sequences, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Store-backed performance baselines
-// ---------------------------------------------------------------------------
-
-TEST(PerfBaseline, CodecRoundTrips) {
-  store::PerfBaseline b;
-  b.sequences = 12;
-  b.test_steps = 345;
-  b.total_impl_cycles = 6789;
-  b.total_seconds = 1.5;
-  b.tour_seconds = 0.25;
-  b.concretize_seconds = 0.5;
-  b.simulate_seconds = 0.75;
-  const auto payload = store::to_payload(b);
-  EXPECT_EQ(store::baseline_from_payload(payload), b);
-}
-
-TEST(PerfBaseline, StoreKindIsRegistered) {
-  EXPECT_EQ(store::kind_name(store::ArtifactKind::kBaseline),
-            std::string_view("baseline"));
-}
-
-TEST(PerfBaseline, ColdRunPublishesAndWarmRunCompares) {
-  TempDir dir("baseline");
-  core::CampaignOptions options = tour_campaign_options();
-  options.store_dir = dir.path.string();
-  options.baseline_check = true;
-
-  // Cold: no baseline stored yet — this run publishes its own summary.
-  const auto cold = core::run_campaign(options, kTwoBugs);
-  ASSERT_TRUE(cold.baseline.has_value());
-  EXPECT_FALSE(cold.baseline->found);
-  EXPECT_FALSE(cold.baseline->regression);
-  EXPECT_EQ(cold.baseline->current.sequences, cold.sequences);
-  EXPECT_EQ(cold.baseline->baseline, cold.baseline->current)
-      << "a published baseline is this run's own summary";
-
-  // Warm: the stored baseline is found and compared. The warm run reuses
-  // the cached tour, so it cannot be 50% + 50ms slower than the cold one.
-  const auto warm = core::run_campaign(options, kTwoBugs);
-  ASSERT_TRUE(warm.baseline.has_value());
-  EXPECT_TRUE(warm.baseline->found);
-  EXPECT_FALSE(warm.baseline->regression);
-  EXPECT_GT(warm.baseline->wall_ratio, 0.0);
-  EXPECT_EQ(warm.baseline->baseline.sequences, cold.sequences);
-
-  // The comparison lands in the report JSON.
-  const std::string json = core::to_json(warm);
-  EXPECT_NE(json.find("\"baseline\":{\"found\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"regression\":false"), std::string::npos);
-  EXPECT_NE(json.find("\"wall_ratio\":"), std::string::npos);
-}
-
-TEST(PerfBaseline, RegressionThresholdUsesToleranceAndFloor) {
-  // Unit-check the comparison arithmetic via a synthetic stored payload:
-  // publish a baseline claiming the campaign took ~0 seconds, then re-run
-  // with a zero tolerance so any measurable time would regress — except
-  // the 50ms absolute floor absorbs smoke-scale noise.
-  TempDir dir("baseline_floor");
-  core::CampaignOptions options = tour_campaign_options();
-  options.store_dir = dir.path.string();
-  options.baseline_check = true;
-  options.baseline_tolerance = 0.0;
-
-  const auto cold = core::run_campaign(options, kTwoBugs);
-  ASSERT_TRUE(cold.baseline.has_value());
-  if (cold.baseline->current.total_seconds < 0.04) {
-    // Fast box: the warm run sits under the floor and must not regress.
-    const auto warm = core::run_campaign(options, kTwoBugs);
-    ASSERT_TRUE(warm.baseline.has_value());
-    EXPECT_FALSE(warm.baseline->regression);
-  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -23,7 +24,9 @@
 #include "model/encode.hpp"
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
+#include "metric_totals.hpp"
 #include "obs/event_sink.hpp"
+#include "obs/metrics.hpp"
 #include "testmodel/testmodel.hpp"
 
 namespace simcov::store {
@@ -286,7 +289,7 @@ class ArtifactStoreTest : public ::testing::Test {
 
 TEST_F(ArtifactStoreTest, MissThenPublishThenVerifiedHit) {
   ArtifactStore store(StoreOptions{dir_, 0});
-  obs::CounterRecorder counters;
+  obs::MetricsRegistry counters;
   const Fingerprint key = key_of("tour-a");
   const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
 
@@ -305,8 +308,8 @@ TEST_F(ArtifactStoreTest, MissThenPublishThenVerifiedHit) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_GT(stats.bytes_written, payload.size());  // header included
   EXPECT_GT(stats.bytes_read, 0u);
-  EXPECT_EQ(counters.value("store.miss"), 1u);
-  EXPECT_EQ(counters.value("store.hit"), 1u);
+  EXPECT_EQ(counter_total(counters, "store.miss"), 1u);
+  EXPECT_EQ(counter_total(counters, "store.hit"), 1u);
 
   // The on-disk name is the content address: <kind>-<32 hex>.art.
   const auto path = store.path_for(ArtifactKind::kTour, key);
@@ -364,7 +367,7 @@ TEST_F(ArtifactStoreTest, EraseRemovesWithoutCountingEviction) {
 TEST_F(ArtifactStoreTest, LruEvictionRespectsCapAndSparesCheckpoints) {
   // Cap far below three payloads; checkpoints never count against it.
   ArtifactStore store(StoreOptions{dir_, 300});
-  obs::CounterRecorder counters;
+  obs::MetricsRegistry counters;
   const std::vector<std::uint8_t> big(200, 0x5A);
   store.publish(ArtifactKind::kCheckpoint, key_of("ckpt"), big,
                 obs::Stage::kSimulate, counters);
@@ -377,7 +380,7 @@ TEST_F(ArtifactStoreTest, LruEvictionRespectsCapAndSparesCheckpoints) {
       store.path_for(ArtifactKind::kCheckpoint, key_of("ckpt"))))
       << "evicting a checkpoint would discard resumable progress";
   EXPECT_GT(store.stats().evictions, 0u);
-  EXPECT_EQ(counters.value("store.evict"), store.stats().evictions);
+  EXPECT_EQ(counter_total(counters, "store.evict"), store.stats().evictions);
 
   std::uintmax_t tour_bytes = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
@@ -386,6 +389,77 @@ TEST_F(ArtifactStoreTest, LruEvictionRespectsCapAndSparesCheckpoints) {
     }
   }
   EXPECT_LE(tour_bytes, 300u);
+}
+
+TEST_F(ArtifactStoreTest, RetiredBaselineArtifactIsIgnoredAndEvictable) {
+  // Stores written while kind 5 (a per-campaign perf baseline) existed may
+  // still hold its files. Write one verbatim: the SIMCOVA1 header with kind
+  // 5, version 1, then its payload of three u64 work counts and four f64
+  // phase times.
+  std::filesystem::create_directories(dir_);
+  ByteWriter payload;
+  for (std::uint64_t v : {19u, 40678u, 42783u}) payload.u64(v);
+  for (double v : {0.5, 0.125, 0.25, 0.125}) payload.f64(v);
+  Hasher checksum;
+  checksum.str("simcov.artifact.payload");
+  checksum.bytes(payload.data().data(), payload.size());
+  const Fingerprint sum = checksum.digest();
+  ByteWriter file;
+  file.raw("SIMCOVA1", 8);
+  file.u32(5);
+  file.u32(1);
+  file.u64(payload.size());
+  file.u64(sum.hi);
+  file.u64(sum.lo);
+  file.raw(payload.data().data(), payload.size());
+  const Fingerprint key = key_of("campaign");
+  const auto old = dir_ / ("baseline-" + key.hex() + ".art");
+  {
+    std::ofstream out(old, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(file.data().data()),
+              static_cast<std::streamsize>(file.size()));
+  }
+  // Least recently used of everything below.
+  std::filesystem::last_write_time(
+      old, std::filesystem::last_write_time(old) - std::chrono::hours(1));
+
+  // Every remaining kind misses, publishes and hits under the same key
+  // around the old file, which nothing reads or removes.
+  const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5, 6, 7, 8};
+  {
+    ArtifactStore store(StoreOptions{dir_, 0});
+    obs::MetricsRegistry counters;
+    for (const ArtifactKind kind :
+         {ArtifactKind::kTour, ArtifactKind::kSymbolicSnapshot,
+          ArtifactKind::kReport, ArtifactKind::kCheckpoint}) {
+      EXPECT_FALSE(store.load(kind, key, obs::Stage::kTour, counters))
+          << kind_name(kind);
+      store.publish(kind, key, bytes, obs::Stage::kTour, counters);
+      EXPECT_EQ(store.load(kind, key, obs::Stage::kTour, counters), bytes)
+          << kind_name(kind);
+    }
+    EXPECT_EQ(store.stats().misses, 4u);
+    EXPECT_EQ(store.stats().hits, 4u);
+    EXPECT_TRUE(std::filesystem::exists(old));
+  }
+
+  // Eviction treats it as any other non-checkpoint artifact: a cap that
+  // fits the three live ones plus one more evicts exactly the old file.
+  const auto live_size = std::filesystem::file_size(
+      dir_ / ("tour-" + key.hex() + ".art"));
+  ArtifactStore capped(StoreOptions{dir_, 4 * live_size});
+  obs::MetricsRegistry counters;
+  capped.publish(ArtifactKind::kTour, key_of("fresh"), bytes,
+                 obs::Stage::kTour, counters);
+  EXPECT_FALSE(std::filesystem::exists(old));
+  EXPECT_EQ(capped.stats().evictions, 1u);
+  EXPECT_EQ(counter_total(counters, "store.evict"), 1u);
+  for (const ArtifactKind kind :
+       {ArtifactKind::kTour, ArtifactKind::kSymbolicSnapshot,
+        ArtifactKind::kReport, ArtifactKind::kCheckpoint}) {
+    EXPECT_TRUE(std::filesystem::exists(capped.path_for(kind, key)))
+        << kind_name(kind);
+  }
 }
 
 TEST_F(ArtifactStoreTest, DistinctKindsShareAKeyWithoutColliding) {
@@ -456,16 +530,16 @@ TEST(TourCacheTest, MalformedPayloadThrowsInsteadOfReplayingGarbage) {
                CodecError);
 }
 
-// ---- CounterRecorder -------------------------------------------------------
+// ---- Store counters through the metrics registry ---------------------------
 
-TEST(CounterRecorderTest, AccumulatesAcrossStagesByName) {
-  obs::CounterRecorder counters;
+TEST(StoreCounterTotals, AccumulateAcrossStagesByName) {
+  obs::MetricsRegistry counters;
   counters.counter(obs::Stage::kTour, "store.hit", 2);
   counters.counter(obs::Stage::kSimulate, "store.hit", 3);
   counters.counter(obs::Stage::kTour, "store.miss", 1);
-  EXPECT_EQ(counters.value("store.hit"), 5u);
-  EXPECT_EQ(counters.value("store.miss"), 1u);
-  EXPECT_EQ(counters.value("never.emitted"), 0u);
+  EXPECT_EQ(counter_total(counters, "store.hit"), 5u);
+  EXPECT_EQ(counter_total(counters, "store.miss"), 1u);
+  EXPECT_EQ(counter_total(counters, "never.emitted"), 0u);
 }
 
 }  // namespace
