@@ -29,12 +29,10 @@ bool BiasedRandomSource::coverage_complete() const {
   return tracker_.stats().complete();
 }
 
-void BiasedRandomSource::absorb_sequence(
-    const std::vector<std::vector<bool>>& steps) {
+void BiasedRandomSource::absorb_sequence(const model::Sequence& steps) {
   std::uint64_t at = model_->reset_state();
   tracker_.visit_state(at);
-  for (const auto& step : steps) {
-    const std::uint64_t input = model::TestModel::pack_bits(step);
+  for (const std::uint64_t input : steps) {
     const auto next = model_->step(at, input);
     if (!next) {
       throw std::domain_error(
@@ -46,15 +44,14 @@ void BiasedRandomSource::absorb_sequence(
   }
 }
 
-std::optional<std::vector<std::vector<bool>>>
-BiasedRandomSource::next_sequence() {
+std::optional<model::Sequence> BiasedRandomSource::next_sequence() {
   if (done_) return std::nullopt;
   if (steps_ >= spec_.max_walk_steps || coverage_complete()) {
     done_ = true;
     return std::nullopt;
   }
 
-  std::vector<std::vector<bool>> seq;
+  model::Sequence seq;
   std::uint64_t at = model_->reset_state();
   tracker_.visit_state(at);
   while (seq.size() < spec_.sequence_length &&
@@ -87,7 +84,7 @@ BiasedRandomSource::next_sequence() {
       r -= w;
     }
 
-    seq.push_back(model_->input_vector(chosen->input));
+    seq.push_back(chosen->input);
     tracker_.cover_transition(at, chosen->input);
     at = chosen->next;
     tracker_.visit_state(at);
@@ -127,7 +124,7 @@ HybridSource::HybridSource(model::TestModel& model,
       walker_(model, spec, seed),
       seed_done_(spec.hybrid_tour_steps == 0) {}
 
-std::optional<std::vector<std::vector<bool>>> HybridSource::next_sequence() {
+std::optional<model::Sequence> HybridSource::next_sequence() {
   while (!seed_done_) {
     auto seq = inner_->next_sequence();
     if (!seq) {

@@ -48,7 +48,7 @@ class BiasedRandomSource final : public model::SequenceSource {
   BiasedRandomSource(model::TestModel& model, const model::GeneratorSpec& spec,
                      std::uint64_t seed);
 
-  std::optional<std::vector<std::vector<bool>>> next_sequence() override;
+  std::optional<model::Sequence> next_sequence() override;
   model::TourResult summary() override;
 
   /// Replays an externally produced sequence into the walk's coverage
@@ -56,7 +56,7 @@ class BiasedRandomSource final : public model::SequenceSource {
   /// hybrid seed phase feeds its partial tour through this, so the biased
   /// phase starts from the seeded coverage. Throws std::domain_error on an
   /// invalid input.
-  void absorb_sequence(const std::vector<std::vector<bool>>& steps);
+  void absorb_sequence(const model::Sequence& steps);
 
  private:
   [[nodiscard]] std::uint64_t next_u64();
@@ -86,7 +86,7 @@ class HybridSource final : public model::SequenceSource {
   HybridSource(model::TestModel& model, const model::GeneratorSpec& spec,
                std::uint64_t seed, const model::TourOptions& tour_options = {});
 
-  std::optional<std::vector<std::vector<bool>>> next_sequence() override;
+  std::optional<model::Sequence> next_sequence() override;
   model::TourResult summary() override;
 
  private:

@@ -21,10 +21,9 @@ ExplicitModel::ExplicitModel(sym::ExplicitModel extraction)
         "ExplicitModel: extraction was truncated; use SymbolicModel for "
         "models beyond the explicit-enumeration budget");
   }
-  input_vectors_ = std::move(extraction.input_bits);
-  input_width_ = input_vectors_.empty()
+  input_width_ = extraction.input_bits.empty()
                      ? 0u
-                     : static_cast<unsigned>(input_vectors_[0].size());
+                     : static_cast<unsigned>(extraction.input_bits[0].size());
   state_width_ = extraction.state_bits.empty()
                      ? 0u
                      : static_cast<unsigned>(extraction.state_bits[0].size());
@@ -32,8 +31,8 @@ ExplicitModel::ExplicitModel(sym::ExplicitModel extraction)
   for (const auto& bits : extraction.state_bits) {
     state_keys_.push_back(pack_bits(bits));
   }
-  input_keys_.reserve(input_vectors_.size());
-  for (const auto& bits : input_vectors_) {
+  input_keys_.reserve(extraction.input_bits.size());
+  for (const auto& bits : extraction.input_bits) {
     input_keys_.push_back(pack_bits(bits));
   }
   index_keys();
@@ -51,10 +50,8 @@ ExplicitModel::ExplicitModel(fsm::MealyMachine machine, fsm::StateId start)
     state_keys_[s] = s;
   }
   input_keys_.resize(machine_.num_inputs());
-  input_vectors_.resize(machine_.num_inputs());
   for (fsm::InputId i = 0; i < machine_.num_inputs(); ++i) {
     input_keys_[i] = i;
-    input_vectors_[i] = unpack_bits(i, input_width_);
   }
   index_keys();
 }
@@ -151,14 +148,6 @@ void ExplicitModel::output_batch(std::span<const std::uint64_t> states,
   }
 }
 
-std::vector<bool> ExplicitModel::input_vector(std::uint64_t input) const {
-  const auto it = key_to_input_.find(input);
-  if (it == key_to_input_.end()) {
-    throw std::invalid_argument("ExplicitModel: unknown input key");
-  }
-  return input_vectors_[it->second];
-}
-
 double ExplicitModel::count_reachable_states() {
   return static_cast<double>(machine_.num_reachable_states(start_));
 }
@@ -167,28 +156,18 @@ double ExplicitModel::count_reachable_transitions() {
   return static_cast<double>(machine_.reachable_transitions(start_).size());
 }
 
-Tour ExplicitModel::to_tour(const tour::TourSet& set) const {
-  Tour out;
-  out.sequences.reserve(set.sequences.size());
-  for (const auto& seq : set.sequences) {
-    std::vector<std::vector<bool>> steps;
-    steps.reserve(seq.size());
-    for (fsm::InputId i : seq) steps.push_back(input_vectors_[i]);
-    out.sequences.push_back(std::move(steps));
-  }
-  return out;
-}
-
-Tour ExplicitModel::to_tour(const tour::Tour& t) const {
-  tour::TourSet set;
-  set.start = t.start;
-  set.sequences.push_back(t.inputs);
-  return to_tour(set);
+Sequence ExplicitModel::to_keys(std::span<const fsm::InputId> inputs) const {
+  Sequence keys;
+  keys.reserve(inputs.size());
+  for (const fsm::InputId i : inputs) keys.push_back(input_keys_[i]);
+  return keys;
 }
 
 TourResult ExplicitModel::to_result(const tour::TourSet& set) {
   TourResult result;
-  result.tour = to_tour(set);
+  for (const auto& seq : set.sequences) {
+    result.tour.sequences.push_back(to_keys(seq));
+  }
   result.steps = set.total_length();
   result.restarts =
       set.sequences.empty() ? 0 : set.sequences.size() - 1;
@@ -224,7 +203,7 @@ class ExplicitTourStream final : public SequenceSource {
     tracker_.visit_state(model_.start());
   }
 
-  std::optional<std::vector<std::vector<bool>>> next_sequence() override {
+  std::optional<Sequence> next_sequence() override {
     auto seq = gen_.next();
     if (!seq.has_value()) {
       if (gen_.stuck()) {
@@ -242,11 +221,7 @@ class ExplicitTourStream final : public SequenceSource {
     }
     steps_ += seq->size();
     ++yielded_;
-    tour::TourSet one;
-    one.start = model_.start();
-    one.sequences.push_back(std::move(*seq));
-    Tour converted = model_.to_tour(one);
-    return std::move(converted.sequences.front());
+    return model_.to_keys(*seq);
   }
 
   TourResult summary() override {

@@ -58,8 +58,6 @@ class ExplicitModel final : public TestModel {
   void output_batch(std::span<const std::uint64_t> states,
                     std::span<const std::uint64_t> inputs,
                     std::span<std::optional<std::uint64_t>> out) override;
-  [[nodiscard]] std::vector<bool> input_vector(
-      std::uint64_t input) const override;
   [[nodiscard]] double count_reachable_states() override;
   [[nodiscard]] double count_reachable_transitions() override;
   TourResult transition_tour(const TourOptions& options = {}) override;
@@ -68,12 +66,11 @@ class ExplicitModel final : public TestModel {
   TourResult random_walk(std::size_t length, std::uint64_t seed) override;
 
   // ---- Explicit-only helpers ----------------------------------------------
-  /// Converts a src/tour test set (dense input ids, from this machine's
-  /// start state) into the backend-neutral representation.
-  [[nodiscard]] Tour to_tour(const tour::TourSet& set) const;
-  [[nodiscard]] Tour to_tour(const tour::Tour& t) const;
+  /// The input keys of a src/tour sequence of dense input ids.
+  [[nodiscard]] Sequence to_keys(std::span<const fsm::InputId> inputs) const;
 
-  /// Tour + tracker-replayed coverage in one TourResult.
+  /// A src/tour test set (from this machine's start state) as keys, plus
+  /// its tracker-replayed coverage, in one TourResult.
   TourResult to_result(const tour::TourSet& set);
 
  private:
@@ -83,9 +80,8 @@ class ExplicitModel final : public TestModel {
   fsm::StateId start_ = 0;
   unsigned state_width_ = 0;
   unsigned input_width_ = 0;
-  std::vector<std::vector<bool>> input_vectors_;  // input id -> PI bits
-  std::vector<std::uint64_t> state_keys_;         // state id -> packed key
-  std::vector<std::uint64_t> input_keys_;         // input id -> packed key
+  std::vector<std::uint64_t> state_keys_;  // state id -> packed key
+  std::vector<std::uint64_t> input_keys_;  // input id -> packed key
   std::unordered_map<std::uint64_t, fsm::StateId> key_to_state_;
   std::unordered_map<std::uint64_t, fsm::InputId> key_to_input_;
 };

@@ -97,10 +97,6 @@ void SymbolicModel::output_batch(std::span<const std::uint64_t> states,
   }
 }
 
-std::vector<bool> SymbolicModel::input_vector(std::uint64_t input) const {
-  return unpack_bits(input, fsm_.num_inputs());
-}
-
 double SymbolicModel::count_reachable_states() {
   return fsm_.count_states(fsm_.reachable_states());
 }
@@ -112,7 +108,6 @@ double SymbolicModel::count_reachable_transitions() {
 TourResult SymbolicModel::transition_tour(const TourOptions& options) {
   sym::SymbolicTourOptions topt;
   topt.max_steps = options.max_steps;
-  topt.record_inputs = options.record_inputs;
   auto sym_result = sym::symbolic_transition_tour(fsm_, topt);
 
   TourResult result;
@@ -134,7 +129,7 @@ class SymbolicModelTourStream final : public SequenceSource {
                           const sym::SymbolicTourOptions& options)
       : stream_(fsm, options) {}
 
-  std::optional<std::vector<std::vector<bool>>> next_sequence() override {
+  std::optional<Sequence> next_sequence() override {
     return stream_.next_sequence();
   }
 
@@ -158,7 +153,6 @@ std::unique_ptr<SequenceSource> SymbolicModel::tour_source(
     const TourOptions& options) {
   sym::SymbolicTourOptions topt;
   topt.max_steps = options.max_steps;
-  topt.record_inputs = options.record_inputs;
   return std::make_unique<SymbolicModelTourStream>(fsm_, topt);
 }
 
@@ -177,8 +171,7 @@ TourResult SymbolicModel::random_walk(std::size_t length,
       throw std::domain_error("SymbolicModel: dead-end state reached");
     }
     const Edge e = out[rng() % out.size()];
-    result.tour.sequences.back().push_back(
-        unpack_bits(e.input, fsm_.num_inputs()));
+    result.tour.sequences.back().push_back(e.input);
     tracker.cover_transition(at, e.input);
     at = e.next;
     tracker.visit_state(at);

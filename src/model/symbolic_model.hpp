@@ -68,8 +68,6 @@ class SymbolicModel final : public TestModel {
   void output_batch(std::span<const std::uint64_t> states,
                     std::span<const std::uint64_t> inputs,
                     std::span<std::optional<std::uint64_t>> out) override;
-  [[nodiscard]] std::vector<bool> input_vector(
-      std::uint64_t input) const override;
   [[nodiscard]] double count_reachable_states() override;
   [[nodiscard]] double count_reachable_transitions() override;
   TourResult transition_tour(const TourOptions& options = {}) override;

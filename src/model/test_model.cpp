@@ -14,25 +14,6 @@ const char* backend_name(Backend backend) {
   return "?";
 }
 
-std::uint64_t TestModel::pack_bits(const std::vector<bool>& bits) {
-  if (bits.size() > 63) {
-    throw std::invalid_argument("TestModel::pack_bits: more than 63 bits");
-  }
-  std::uint64_t key = 0;
-  for (std::size_t j = 0; j < bits.size(); ++j) {
-    if (bits[j]) key |= std::uint64_t{1} << j;
-  }
-  return key;
-}
-
-std::vector<bool> TestModel::unpack_bits(std::uint64_t key, unsigned width) {
-  std::vector<bool> bits(width);
-  for (unsigned j = 0; j < width; ++j) {
-    bits[j] = (key >> j) & 1u;
-  }
-  return bits;
-}
-
 std::unique_ptr<SequenceSource> TestModel::tour_source(
     const TourOptions& options) {
   return std::make_unique<MaterializedTourStream>(transition_tour(options));
@@ -89,8 +70,7 @@ CoverageStats TestModel::evaluate(const Tour& tour) {
   for (const auto& seq : tour.sequences) {
     std::uint64_t at = reset_state();
     tracker.visit_state(at);
-    for (const auto& in : seq) {
-      const std::uint64_t input = pack_bits(in);
+    for (const std::uint64_t input : seq) {
       const auto next = step(at, input);
       if (!next.has_value()) {
         throw std::domain_error(

@@ -20,7 +20,9 @@
 // latch / primary-input bit vectors for circuit-backed models, the dense
 // ids for bare Mealy machines (whose binary encodings coincide with the
 // ids). The packing caps both widths at 63 bits, far beyond explicit reach
-// and matching the symbolic tour driver's existing limit.
+// and matching the symbolic tour driver's existing limit. A test step is its
+// input key, so a test sequence (model::Sequence) is a vector of keys from
+// the generator through the store to concretization.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "model/coverage.hpp"
@@ -41,11 +44,15 @@ enum class Backend : std::uint8_t {
 
 [[nodiscard]] const char* backend_name(Backend backend);
 
-/// A backend-neutral test set: reset-separated input sequences, each step a
-/// primary-input bit vector (little-endian in the model's PI order) —
-/// exactly what validate::concretize consumes.
+/// One reset-separated test sequence: each step is the packed input key of
+/// the model's input symbol (the primary-input bits, little-endian in the
+/// model's PI order, for circuit-backed models).
+using Sequence = std::vector<std::uint64_t>;
+
+/// A backend-neutral test set: reset-separated input sequences — exactly
+/// what validate::concretize consumes.
 struct Tour {
-  std::vector<std::vector<std::vector<bool>>> sequences;
+  std::vector<Sequence> sequences;
 
   [[nodiscard]] std::size_t total_steps() const {
     std::size_t n = 0;
@@ -58,9 +65,6 @@ struct TourOptions {
   /// Hard cap on total walk length (symbolic backend; explicit generators
   /// always terminate).
   std::size_t max_steps = 10'000'000;
-  /// Record the concrete input vectors. Disable for very long tours when
-  /// only the coverage statistics are needed.
-  bool record_inputs = true;
 };
 
 struct TourResult {
@@ -81,9 +85,9 @@ class SequenceSource {
  public:
   virtual ~SequenceSource() = default;
 
-  /// The next reset-separated input sequence (one PI bit vector per step);
-  /// nullopt once the tour has ended.
-  virtual std::optional<std::vector<std::vector<bool>>> next_sequence() = 0;
+  /// The next reset-separated input sequence; nullopt once the tour has
+  /// ended.
+  virtual std::optional<Sequence> next_sequence() = 0;
 
   /// Tour statistics so far (coverage, steps, restarts, complete). Final
   /// once next_sequence() has returned nullopt. The returned result's
@@ -99,7 +103,7 @@ class MaterializedTourStream final : public SequenceSource {
   explicit MaterializedTourStream(TourResult result)
       : result_(std::move(result)) {}
 
-  std::optional<std::vector<std::vector<bool>>> next_sequence() override {
+  std::optional<Sequence> next_sequence() override {
     if (next_ >= result_.tour.sequences.size()) return std::nullopt;
     return std::move(result_.tour.sequences[next_++]);
   }
@@ -169,10 +173,6 @@ class TestModel {
                             std::span<const std::uint64_t> inputs,
                             std::span<std::optional<std::uint64_t>> out);
 
-  /// Little-endian PI bit vector of a packed input key (for concretization).
-  [[nodiscard]] virtual std::vector<bool> input_vector(
-      std::uint64_t input) const = 0;
-
   [[nodiscard]] virtual double count_reachable_states() = 0;
   /// Valid (state, input) pairs with a reachable source state — the
   /// transitions a tour must cover.
@@ -214,10 +214,29 @@ class TestModel {
   /// std::domain_error on an invalid input.
   CoverageStats evaluate(const Tour& tour);
 
-  /// Packs a little-endian bit vector into a key (at most 63 bits).
-  static std::uint64_t pack_bits(const std::vector<bool>& bits);
+  /// Packs a little-endian bit vector into a key (at most 63 bits). This
+  /// and unpack_bits are inline, so layers below the model library (the
+  /// symbolic walk, circuit replay) share them.
+  static std::uint64_t pack_bits(const std::vector<bool>& bits) {
+    if (bits.size() > 63) {
+      throw std::invalid_argument("TestModel::pack_bits: more than 63 bits");
+    }
+    std::uint64_t key = 0;
+    for (std::size_t j = 0; j < bits.size(); ++j) {
+      if (bits[j]) key |= std::uint64_t{1} << j;
+    }
+    return key;
+  }
+  /// Identity on a key that is already packed. It exists only so the
+  /// benchmark driver (simbench/simbench.cpp), which hashes each yielded
+  /// step through pack_bits, compiles unchanged now that steps are keys.
+  static std::uint64_t pack_bits(std::uint64_t key) { return key; }
   /// Unpacks a key into `width` little-endian bits.
-  static std::vector<bool> unpack_bits(std::uint64_t key, unsigned width);
+  static std::vector<bool> unpack_bits(std::uint64_t key, unsigned width) {
+    std::vector<bool> bits(width);
+    for (unsigned j = 0; j < width; ++j) bits[j] = (key >> j) & 1u;
+    return bits;
+  }
 };
 
 }  // namespace simcov::model

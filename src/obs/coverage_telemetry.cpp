@@ -51,7 +51,7 @@ CoverageTelemetryCollector::CoverageTelemetryCollector(model::TestModel& model,
     : model_(model), curve_(curve_budget) {}
 
 void CoverageTelemetryCollector::commit_batch(
-    std::span<const std::vector<std::vector<bool>>> batch) {
+    std::span<const model::Sequence> batch) {
   // Phase 1 — lane-parallel replay: every sequence is a lane; one
   // step_batch round advances all lanes that still have steps left. The
   // traces are only recorded here, not yet folded, because fold order (not
@@ -74,7 +74,7 @@ void CoverageTelemetryCollector::commit_batch(
     inputs.clear();
     for (const std::size_t l : running) {
       states.push_back(at[l]);
-      inputs.push_back(model::TestModel::pack_bits(batch[l][pos[l]]));
+      inputs.push_back(batch[l][pos[l]]);
     }
     next.assign(running.size(), std::nullopt);
     model_.step_batch(states, inputs, next);

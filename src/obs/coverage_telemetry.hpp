@@ -104,14 +104,14 @@ class CoverageTelemetryCollector {
   CoverageTelemetryCollector(model::TestModel& model,
                              std::size_t curve_budget = 512);
 
-  /// Replays every committed sequence of `batch` (one PI bit vector per
-  /// step) from reset, lane-parallel through TestModel::step_batch, then
+  /// Replays every committed sequence of `batch` (one input key per step)
+  /// from reset, lane-parallel through TestModel::step_batch, then
   /// folds the traces into the tracker strictly in batch order, exactly as
   /// TestModel::evaluate accounts one sequence: one convergence point per
   /// sequence. Throws std::domain_error on an input that is invalid in its
   /// state (committed sequences are valid by construction, so this
   /// indicates stream corruption); nothing of the batch is folded then.
-  void commit_batch(std::span<const std::vector<std::vector<bool>>> batch);
+  void commit_batch(std::span<const model::Sequence> batch);
 
   [[nodiscard]] std::uint64_t committed() const { return committed_; }
 

@@ -28,7 +28,7 @@ namespace {
 /// Machine-level test set from a coverage-directed source (src/gen): the
 /// machine is wrapped as a bare ExplicitModel — whose packed keys coincide
 /// with the dense state/input ids — the source is drained, and each
-/// yielded PI bit vector packs back into the InputId it came from.
+/// yielded input key is the InputId it came from.
 tour::TourSet drain_generator_test_set(const fsm::MealyMachine& machine,
                                        fsm::StateId start,
                                        const model::GeneratorSpec& generator,
@@ -38,13 +38,7 @@ tour::TourSet drain_generator_test_set(const fsm::MealyMachine& machine,
   tour::TourSet set;
   set.start = start;
   while (auto seq = source->next_sequence()) {
-    std::vector<fsm::InputId> inputs;
-    inputs.reserve(seq->size());
-    for (const auto& step : *seq) {
-      inputs.push_back(
-          static_cast<fsm::InputId>(model::TestModel::pack_bits(step)));
-    }
-    set.sequences.push_back(std::move(inputs));
+    set.sequences.emplace_back(seq->begin(), seq->end());
   }
   return set;
 }
@@ -366,7 +360,7 @@ runtime::ThreadPool::QueueWaitObserver queue_wait_observer(
 
 void ConcretizeStage::run_batch(
     const testmodel::BuiltTestModel& built,
-    std::span<const std::vector<std::vector<bool>>> batch,
+    std::span<const model::Sequence> batch,
     std::size_t first_sequence, std::span<validate::ConcretizedProgram> out,
     runtime::ThreadPool& pool, const CancellationToken& cancel,
     obs::EventSink& sink) {
@@ -408,7 +402,7 @@ void SimulateStage::run_batch(
 
 void CircuitReplayStage::run_batch(
     const sym::CircuitReplayer& replayer,
-    std::span<const std::vector<std::vector<bool>>> batch,
+    std::span<const model::Sequence> batch,
     std::size_t first_sequence, std::size_t max_cycles,
     std::span<RunMetrics> out, runtime::ThreadPool& pool,
     const CancellationToken& cancel, obs::EventSink& sink) {

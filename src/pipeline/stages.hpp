@@ -97,7 +97,7 @@ struct GenerateStage {
 /// global sequence indices. One kConcretize span per call.
 struct ConcretizeStage {
   static void run_batch(const testmodel::BuiltTestModel& built,
-                        std::span<const std::vector<std::vector<bool>>> batch,
+                        std::span<const model::Sequence> batch,
                         std::size_t first_sequence,
                         std::span<validate::ConcretizedProgram> out,
                         runtime::ThreadPool& pool,
@@ -125,7 +125,7 @@ struct SimulateStage {
 /// per call.
 struct CircuitReplayStage {
   static void run_batch(const sym::CircuitReplayer& replayer,
-                        std::span<const std::vector<std::vector<bool>>> batch,
+                        std::span<const model::Sequence> batch,
                         std::size_t first_sequence, std::size_t max_cycles,
                         std::span<RunMetrics> out,
                         runtime::ThreadPool& pool,

@@ -57,8 +57,6 @@ struct MonitorGuard {
   }
 };
 
-using Sequence = std::vector<std::vector<bool>>;
-
 /// Everything one campaign shares across its steps. The constructor is the
 /// set-up: sink fan-out, model build, the optional replayer, telemetry
 /// collector and store, the symbolic snapshot, the sequence source and the
@@ -88,7 +86,7 @@ struct Campaign {
   /// Committed sequences retained for the VCD export (they otherwise die at
   /// batch commit). Store-replayed and resumed campaigns re-pull the same
   /// deterministic stream, so the retained set is always the full test set.
-  std::vector<Sequence> vcd_sequences;
+  std::vector<model::Sequence> vcd_sequences;
   obs::StageStatus tour_status = obs::StageStatus::kOk;
   obs::StageStatus concretize_status = obs::StageStatus::kOk;
   obs::StageStatus simulate_status = obs::StageStatus::kOk;
@@ -173,14 +171,14 @@ Campaign::Campaign(const CampaignOptions& opts,
 /// due. Returns false, with the cancelled stage's status set, when a pool
 /// was cancelled mid-batch: unclaimed slots are empty, so the whole batch
 /// is dropped — per-batch atomicity keeps the retained prefix exact.
-bool commit_batch(Campaign& c, std::vector<Sequence> batch, bool restored,
-                  runtime::ThreadPool& pool) {
+bool commit_batch(Campaign& c, std::vector<model::Sequence> batch,
+                  bool restored, runtime::ThreadPool& pool) {
   const CancellationToken& cancel = c.options.cancel;
   CampaignResult& result = c.result;
   const std::size_t first = result.clean_runs.size();
 
-  // Concretize (backend-neutral: each tour step is already a primary-input
-  // bit vector). External circuits skip the stage — their sequences replay
+  // Concretize (backend-neutral: each tour step is already a packed input
+  // key). External circuits skip the stage — their sequences replay
   // directly, no DLX program in between.
   std::vector<validate::ConcretizedProgram> programs(
       c.build.external_circuit ? 0 : batch.size());
@@ -304,7 +302,7 @@ void commit_stream(Campaign& c, runtime::ThreadPool& pool,
     const std::size_t restore_remaining = c.restore.size() - c.restored_used;
     const std::size_t pull_cap =
         restore_remaining > 0 ? std::min(window, restore_remaining) : window;
-    std::vector<Sequence> batch;
+    std::vector<model::Sequence> batch;
     {
       obs::ScopedSpan span(c.sink, obs::Stage::kTour);
       while (batch.size() < pull_cap &&

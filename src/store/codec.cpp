@@ -61,39 +61,50 @@ void ByteReader::expect_done() const {
   }
 }
 
-void encode_sequence(ByteWriter& w,
-                     const std::vector<std::vector<bool>>& sequence,
+namespace {
+
+/// Encoded bytes per step; a width beyond the 63-bit key limit is a
+/// malformed payload.
+std::size_t step_bytes(unsigned input_bits) {
+  if (input_bits > 63) {
+    throw CodecError("codec: input width beyond the 63-bit key limit");
+  }
+  return (input_bits + 7) / 8;
+}
+
+}  // namespace
+
+void encode_sequence(ByteWriter& w, const model::Sequence& sequence,
                      unsigned input_bits) {
-  const std::size_t bytes_per_step = (input_bits + 7) / 8;
+  const std::size_t bytes_per_step = step_bytes(input_bits);
   w.u64(sequence.size());
-  for (const auto& step : sequence) {
-    if (step.size() != input_bits) {
-      throw CodecError("codec: step width disagrees with model input width");
+  for (const std::uint64_t key : sequence) {
+    if ((key >> input_bits) != 0) {
+      throw CodecError("codec: step key wider than the model input width");
     }
-    std::size_t bit = 0;
     for (std::size_t byte = 0; byte < bytes_per_step; ++byte) {
-      std::uint8_t packed = 0;
-      for (unsigned j = 0; j < 8 && bit < step.size(); ++j, ++bit) {
-        if (step[bit]) packed |= static_cast<std::uint8_t>(1u << j);
-      }
-      w.u8(packed);
+      w.u8(static_cast<std::uint8_t>(key >> (8 * byte)));
     }
   }
 }
 
-std::vector<std::vector<bool>> decode_sequence(ByteReader& r,
-                                               unsigned input_bits) {
-  const std::size_t bytes_per_step = (input_bits + 7) / 8;
+model::Sequence decode_sequence(ByteReader& r, unsigned input_bits) {
+  const std::size_t bytes_per_step = step_bytes(input_bits);
   const std::uint64_t steps = r.u64();
-  std::vector<std::vector<bool>> out;
-  out.reserve(steps);
+  // Checked before reserving: a forged count must not size an allocation.
+  if (bytes_per_step != 0 && steps > r.remaining() / bytes_per_step) {
+    throw CodecError("codec: step count exceeds the payload");
+  }
+  const std::uint64_t mask = (std::uint64_t{1} << input_bits) - 1;
+  model::Sequence out;
+  if (bytes_per_step != 0) out.reserve(steps);
   for (std::uint64_t s = 0; s < steps; ++s) {
     const auto packed = r.raw(bytes_per_step);
-    std::vector<bool> step(input_bits, false);
-    for (unsigned bit = 0; bit < input_bits; ++bit) {
-      step[bit] = (packed[bit / 8] >> (bit % 8)) & 1u;
+    std::uint64_t key = 0;
+    for (std::size_t byte = 0; byte < bytes_per_step; ++byte) {
+      key |= std::uint64_t{packed[byte]} << (8 * byte);
     }
-    out.push_back(std::move(step));
+    out.push_back(key & mask);
   }
   return out;
 }

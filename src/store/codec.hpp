@@ -2,11 +2,10 @@
 //
 // All artifact payloads are byte streams in explicit little-endian with
 // length-prefixed containers — platform-independent and append-friendly
-// (tour sequences are encoded one at a time as the stream yields them, so
-// recording a tour costs packed-bit memory, not vector<vector<bool>>
-// overhead). Bounds are checked on every read; a malformed payload throws
-// CodecError, which the store surfaces as a cache miss, never as corrupt
-// campaign state.
+// (tour sequences are encoded one at a time as the stream yields them).
+// Bounds are checked on every read; a malformed payload throws CodecError,
+// which the store surfaces as a cache miss, never as corrupt campaign
+// state.
 //
 // Payload schemas (versions live in the artifact header, written by
 // ArtifactStore; bumping a kind's version invalidates every stored artifact
@@ -14,9 +13,13 @@
 //
 //   tour:        u32 input_bits, the summary (4×f64 coverage, u64 steps,
 //                u64 restarts, u8 complete), u64 sequence_count, then each
-//                sequence as u64 step_count plus ceil(input_bits/8) packed
-//                bytes per step. Summary first so a stored stream can
-//                report it without scanning the sequences.
+//                sequence as u64 step_count plus ceil(input_bits/8) bytes
+//                per step: the low bytes of the step's input key,
+//                little-endian. Summary first so a stored stream can
+//                report it without scanning the sequences. These are the
+//                bytes the earlier bit-vector steps packed to, so the
+//                move to key steps (model::Sequence) kept the version and
+//                older stores keep hitting.
 //   symstats:    the SymbolicFsmStats and BddStats fields, in declaration
 //                order.
 //   checkpoint:  u64 run_count, then per committed sequence the RunMetrics
@@ -73,6 +76,8 @@ class ByteReader {
   [[nodiscard]] std::span<const std::uint8_t> raw(std::size_t n);
 
   [[nodiscard]] bool done() const { return at_ == data_.size(); }
+  /// Bytes not yet consumed.
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - at_; }
   /// Throws CodecError unless every byte was consumed.
   void expect_done() const;
 
@@ -83,16 +88,19 @@ class ByteReader {
 
 // ---- Tour sequences --------------------------------------------------------
 
-/// Encodes one reset-separated sequence: u64 step count, then each step's
-/// input bits packed little-endian into ceil(input_bits/8) bytes.
-void encode_sequence(ByteWriter& w,
-                     const std::vector<std::vector<bool>>& sequence,
+/// Encodes one reset-separated sequence: u64 step count, then the low
+/// ceil(input_bits/8) bytes of each step's key, little-endian. Throws
+/// CodecError on a key with a bit set at or above `input_bits`, or when
+/// `input_bits` exceeds 63 (the packed-key limit).
+void encode_sequence(ByteWriter& w, const model::Sequence& sequence,
                      unsigned input_bits);
 
-/// Decodes one sequence written by encode_sequence. Throws CodecError on a
-/// step whose recorded width disagrees with `input_bits`.
-[[nodiscard]] std::vector<std::vector<bool>> decode_sequence(
-    ByteReader& r, unsigned input_bits);
+/// Decodes one sequence written by encode_sequence; padding bits above
+/// `input_bits` are masked off. Throws CodecError on a step count the
+/// remaining bytes cannot hold (input_bits >= 1), a truncated step, or
+/// `input_bits` above 63.
+[[nodiscard]] model::Sequence decode_sequence(ByteReader& r,
+                                              unsigned input_bits);
 
 /// Encodes the tour summary (coverage + step/restart totals + completeness).
 void encode_tour_summary(ByteWriter& w, const model::TourResult& summary);

@@ -9,8 +9,7 @@ RecordingTourStream::RecordingTourStream(
     std::unique_ptr<model::SequenceSource> inner, unsigned input_bits)
     : inner_(std::move(inner)), input_bits_(input_bits) {}
 
-std::optional<std::vector<std::vector<bool>>>
-RecordingTourStream::next_sequence() {
+std::optional<model::Sequence> RecordingTourStream::next_sequence() {
   auto seq = inner_->next_sequence();
   if (!seq.has_value()) {
     exhausted_ = true;
@@ -39,12 +38,14 @@ std::vector<std::uint8_t> RecordingTourStream::artifact() {
 StoredTourStream::StoredTourStream(std::vector<std::uint8_t> payload)
     : payload_(std::move(payload)), reader_(payload_) {
   input_bits_ = reader_.u32();
+  if (input_bits_ > 63) {
+    throw CodecError("tour payload: input width beyond the 63-bit key limit");
+  }
   summary_ = decode_tour_summary(reader_);
   remaining_ = reader_.u64();
 }
 
-std::optional<std::vector<std::vector<bool>>>
-StoredTourStream::next_sequence() {
+std::optional<model::Sequence> StoredTourStream::next_sequence() {
   if (remaining_ == 0) {
     reader_.expect_done();
     return std::nullopt;

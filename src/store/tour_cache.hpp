@@ -6,9 +6,9 @@
 // the streaming memory bound:
 //
 //  * RecordingTourStream wraps a live SequenceSource and tees every yielded
-//    sequence into an incrementally packed byte buffer (ceil(input_bits/8)
-//    bytes per step — the encoded form is usually smaller than the
-//    vector<vector<bool>> it mirrors). After the inner stream is exhausted
+//    sequence into an incrementally encoded byte buffer (the low
+//    ceil(input_bits/8) bytes of each step's input key — at most the 8
+//    bytes of the key it mirrors). After the inner stream is exhausted
 //    with a clean status, artifact() assembles the versioned tour payload
 //    (summary first, then sequences) for ArtifactStore::publish. A
 //    truncated stream (budget / cancellation) must not be published: the
@@ -37,7 +37,7 @@ class RecordingTourStream final : public model::SequenceSource {
   RecordingTourStream(std::unique_ptr<model::SequenceSource> inner,
                       unsigned input_bits);
 
-  std::optional<std::vector<std::vector<bool>>> next_sequence() override;
+  std::optional<model::Sequence> next_sequence() override;
   model::TourResult summary() override;
 
   /// True once the inner stream has returned nullopt.
@@ -60,10 +60,11 @@ class RecordingTourStream final : public model::SequenceSource {
 class StoredTourStream final : public model::SequenceSource {
  public:
   /// Decodes the header and summary eagerly; throws CodecError on a
-  /// malformed payload.
+  /// malformed payload, including a header input width above 63 (the
+  /// packed-key limit).
   explicit StoredTourStream(std::vector<std::uint8_t> payload);
 
-  std::optional<std::vector<std::vector<bool>>> next_sequence() override;
+  std::optional<model::Sequence> next_sequence() override;
   model::TourResult summary() override { return summary_; }
 
  private:

@@ -2,7 +2,7 @@
 //
 // The circuit frontend (src/io) and the external-circuit campaign path
 // (pipeline::CircuitReplayStage) both need the same primitive: start the
-// latches at their reset values, apply one primary-input vector per cycle,
+// latches at their reset values, apply one packed input key per cycle,
 // evaluate the combinational network, read the outputs, and clock the
 // latches. CircuitReplayer packages that loop on lane 0 of the word-level
 // kernel (PackedLogicSim) — validity-aware (a step
@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -42,15 +43,17 @@ struct SequenceTrace {
 class CircuitReplayer {
  public:
   /// Throws std::invalid_argument when the circuit breaks the
-  /// SequentialCircuit contract (input_sources).
+  /// SequentialCircuit contract (input_sources) or has more than 63 primary
+  /// inputs (the packed-key limit).
   explicit CircuitReplayer(const SequentialCircuit& circuit);
 
-  /// Replays `pi_steps` from reset. Each step must carry exactly one bit per
-  /// declared primary input (std::invalid_argument otherwise). Replay stops
-  /// at the first invalid step (trace.valid = false, the step unrecorded) or
-  /// after max_steps cycles (trace.truncated = true).
+  /// Replays `pi_steps` from reset. Each step is a packed input key: bit k
+  /// is primary input k; a set bit beyond the declared inputs throws
+  /// std::invalid_argument. Replay stops at the first invalid step
+  /// (trace.valid = false, the step unrecorded) or after max_steps cycles
+  /// (trace.truncated = true).
   [[nodiscard]] SequenceTrace replay(
-      std::span<const std::vector<bool>> pi_steps,
+      std::span<const std::uint64_t> pi_steps,
       std::size_t max_steps = static_cast<std::size_t>(-1)) const;
 
  private:
@@ -62,7 +65,7 @@ class CircuitReplayer {
 /// One-shot convenience over a throwaway CircuitReplayer.
 [[nodiscard]] SequenceTrace replay_sequence(
     const SequentialCircuit& circuit,
-    std::span<const std::vector<bool>> pi_steps,
+    std::span<const std::uint64_t> pi_steps,
     std::size_t max_steps = static_cast<std::size_t>(-1));
 
 }  // namespace simcov::sym

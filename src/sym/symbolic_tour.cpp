@@ -79,7 +79,6 @@ struct SymbolicTourStream::Impl {
         mgr_(fsm.manager()),
         options_(options),
         num_latches_(fsm.ps_vars().size()),
-        num_pis_(fsm.pi_vars().size()),
         sim_(packable(fsm).circuit()) {
     assignment_.assign(mgr_.var_count(), false);
 
@@ -93,16 +92,16 @@ struct SymbolicTourStream::Impl {
     has_valid_input_ =
         reached & mgr_.exists(fsm_.valid_inputs(), mgr_.cube(pi_vec));
 
-    initial_ = intern(pack_bits(fsm_.initial_state_bits()));
+    initial_ = intern(model::TestModel::pack_bits(fsm_.initial_state_bits()));
     state_ = initial_;
     visit(state_);
   }
 
   /// Resumes the walk until the next reset or until it ends. See the
   /// header for the yielded-sequence contract.
-  std::optional<std::vector<std::vector<bool>>> next_sequence() {
+  std::optional<model::Sequence> next_sequence() {
     if (finished_) return std::nullopt;
-    std::vector<std::vector<bool>> seq;
+    model::Sequence seq;
     while (steps_ < options_.max_steps) {
       if (covered_count_ >= total_count_) {
         complete_ = true;
@@ -127,9 +126,7 @@ struct SymbolicTourStream::Impl {
         return seq;
       }
       Edge& e = edges_[edge];
-      if (options_.record_inputs) {
-        seq.push_back(unpack_input(e.input));
-      }
+      if (options_.record_inputs) seq.push_back(e.input);
       if (!e.taken) {
         e.taken = true;
         ++transitions_taken_;
@@ -206,20 +203,6 @@ struct SymbolicTourStream::Impl {
           "symbolic_transition_tour: too many variables for packed keys");
     }
     return fsm;
-  }
-  static std::uint64_t pack_bits(const std::vector<bool>& bits) {
-    std::uint64_t key = 0;
-    for (std::size_t j = 0; j < bits.size(); ++j) {
-      if (bits[j]) key |= std::uint64_t{1} << j;
-    }
-    return key;
-  }
-  std::vector<bool> unpack_input(std::uint64_t input) const {
-    std::vector<bool> bits(num_pis_);
-    for (std::size_t k = 0; k < num_pis_; ++k) {
-      bits[k] = (input >> k) & 1u;
-    }
-    return bits;
   }
 
   // ---- state table ---------------------------------------------------------
@@ -472,7 +455,6 @@ struct SymbolicTourStream::Impl {
   bdd::BddManager& mgr_;
   SymbolicTourOptions options_;
   const std::size_t num_latches_;
-  const std::size_t num_pis_;
   PackedCircuitSim sim_;  ///< steps fsm_.circuit()
   std::vector<bool> assignment_;
   bdd::Bdd has_valid_input_;  ///< reachable states with a valid input
@@ -513,8 +495,7 @@ SymbolicTourStream::SymbolicTourStream(SymbolicTourStream&&) noexcept = default;
 SymbolicTourStream& SymbolicTourStream::operator=(SymbolicTourStream&&) noexcept =
     default;
 
-std::optional<std::vector<std::vector<bool>>>
-SymbolicTourStream::next_sequence() {
+std::optional<model::Sequence> SymbolicTourStream::next_sequence() {
   return impl_->next_sequence();
 }
 
@@ -527,7 +508,7 @@ SymbolicTourResult SymbolicTourStream::summary() const {
 SymbolicTourResult symbolic_transition_tour(
     SymbolicFsm& fsm, const SymbolicTourOptions& options) {
   SymbolicTourStream stream(fsm, options);
-  std::vector<std::vector<std::vector<bool>>> sequences;
+  std::vector<model::Sequence> sequences;
   while (auto seq = stream.next_sequence()) {
     if (options.record_inputs) sequences.push_back(std::move(*seq));
   }

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "model/coverage.hpp"
+#include "model/test_model.hpp"
 #include "sym/packed_logic_sim.hpp"
 #include "sym/symbolic_fsm.hpp"
 
@@ -43,15 +44,15 @@ void enumerate_successors(SymbolicFsm& fsm, const PackedCircuitSim& sim,
 struct SymbolicTourOptions {
   /// Hard cap on total walk length.
   std::size_t max_steps = 10'000'000;
-  /// Record the concrete input vectors (per reset-separated sequence).
-  /// Disable for very long tours to save memory; statistics still work.
+  /// Record the input keys (per reset-separated sequence). Disable for
+  /// very long tours to save memory; statistics still work.
   bool record_inputs = true;
 };
 
 struct SymbolicTourResult {
-  /// Reset-separated input sequences (each entry is PI values per step);
-  /// empty when record_inputs was false.
-  std::vector<std::vector<std::vector<bool>>> sequences;
+  /// Reset-separated input sequences of packed input keys; empty when
+  /// record_inputs was false.
+  std::vector<model::Sequence> sequences;
   std::size_t steps = 0;
   std::size_t restarts = 0;
   /// Steps taken to approach an uncovered transition (the rest cover one);
@@ -103,7 +104,7 @@ class SymbolicTourStream {
   /// Walks until the next reset (yielding the finished sequence) or until
   /// the tour completes / hits the step cap (yielding the final sequence).
   /// nullopt once the walk has ended.
-  std::optional<std::vector<std::vector<bool>>> next_sequence();
+  std::optional<model::Sequence> next_sequence();
 
   /// True once next_sequence() has returned its last sequence.
   [[nodiscard]] bool finished() const;

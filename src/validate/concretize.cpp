@@ -1,6 +1,7 @@
 #include "validate/concretize.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <span>
 #include <stdexcept>
@@ -208,8 +209,8 @@ std::vector<testmodel::InputRole> pi_roles(
 
 ControlInput decode(const testmodel::BuiltTestModel& model,
                     std::span<const testmodel::InputRole> roles,
-                    const std::vector<bool>& pi_bits) {
-  if (pi_bits.size() != roles.size()) {
+                    std::uint64_t key) {
+  if (roles.size() < 64 && (key >> roles.size()) != 0) {
     throw std::invalid_argument("decode_control_input: width mismatch");
   }
   using Pi = testmodel::InputRole::Pi;
@@ -217,8 +218,9 @@ ControlInput decode(const testmodel::BuiltTestModel& model,
   // Only a fetch controller reads instr_valid; without one it stays set.
   in.instr_valid = !model.options.fetch_controller;
   unsigned cls_bits = 0;
-  for (std::size_t p = 0; p < pi_bits.size(); ++p) {
-    if (!pi_bits[p]) continue;
+  // The set bits in ascending PI order.
+  for (std::uint64_t rest = key; rest != 0; rest &= rest - 1) {
+    const auto p = static_cast<std::size_t>(std::countr_zero(rest));
     const unsigned bit = roles[p].pi_bit;
     switch (roles[p].pi_kind) {
       case Pi::kOpBit:  // one-hot: the index is the class id
@@ -238,18 +240,19 @@ ControlInput decode(const testmodel::BuiltTestModel& model,
 }  // namespace
 
 testmodel::ControlInput decode_control_input(
-    const testmodel::BuiltTestModel& model, const std::vector<bool>& pi_bits) {
-  return decode(model, pi_roles(model), pi_bits);
+    const testmodel::BuiltTestModel& model, std::uint64_t key) {
+  return decode(model, pi_roles(model), key);
 }
 
-ConcretizedProgram concretize_sequence(
-    const testmodel::BuiltTestModel& model,
-    const std::vector<std::vector<bool>>& pi_steps) {
+ConcretizedProgram concretize_sequence(const testmodel::BuiltTestModel& model,
+                                       const model::Sequence& steps) {
   const auto roles = pi_roles(model);  // resolved once per sequence
-  std::vector<testmodel::ControlInput> steps;
-  steps.reserve(pi_steps.size());
-  for (const auto& bits : pi_steps) steps.push_back(decode(model, roles, bits));
-  return concretize_tour(model, steps);
+  std::vector<testmodel::ControlInput> inputs;
+  inputs.reserve(steps.size());
+  for (const std::uint64_t key : steps) {
+    inputs.push_back(decode(model, roles, key));
+  }
+  return concretize_tour(model, inputs);
 }
 
 }  // namespace simcov::validate

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "dlx/isa.hpp"
+#include "model/test_model.hpp"
 #include "testmodel/control_sim.hpp"
 #include "testmodel/testmodel.hpp"
 
@@ -58,17 +59,15 @@ ConcretizedProgram concretize_tour(
     const testmodel::BuiltTestModel& model,
     const std::vector<testmodel::ControlInput>& tour);
 
-/// Decodes one explicit-machine input symbol (primary-input bit vector from
-/// sym::extract_explicit, ordered as the model's PI list) back into a
-/// ControlInput.
+/// Decodes one test-model input symbol (its packed input key: bit k is the
+/// model's primary input k) back into a ControlInput. Throws
+/// std::invalid_argument on a key with a bit beyond the model's inputs.
 testmodel::ControlInput decode_control_input(
-    const testmodel::BuiltTestModel& model, const std::vector<bool>& pi_bits);
+    const testmodel::BuiltTestModel& model, std::uint64_t key);
 
-/// Concretizes one backend-neutral tour sequence: each step is a
-/// primary-input bit vector (model PI order) as produced by the TestModel
-/// tours of either backend.
-ConcretizedProgram concretize_sequence(
-    const testmodel::BuiltTestModel& model,
-    const std::vector<std::vector<bool>>& pi_steps);
+/// Concretizes one backend-neutral tour sequence of input keys, as produced
+/// by the TestModel tours of either backend.
+ConcretizedProgram concretize_sequence(const testmodel::BuiltTestModel& model,
+                                       const model::Sequence& steps);
 
 }  // namespace simcov::validate

@@ -15,7 +15,7 @@
 namespace simcov {
 namespace {
 
-using Sequences = std::vector<std::vector<std::vector<bool>>>;
+using Sequences = std::vector<model::Sequence>;
 
 Sequences drain(model::SequenceSource& source) {
   Sequences out;
@@ -99,8 +99,7 @@ TEST(BiasedRandomSource, AbsorbRejectsInvalidInputs) {
   m.set_transition(1, 1, 1, 0);
   model::ExplicitModel em(m, 0);
   gen::BiasedRandomSource source(em, biased_spec(), 1);
-  const Sequences bad{{model::TestModel::unpack_bits(1, em.input_bits())}};
-  EXPECT_THROW(source.absorb_sequence(bad[0]), std::domain_error);
+  EXPECT_THROW(source.absorb_sequence(model::Sequence{1}), std::domain_error);
 }
 
 TEST(HybridSource, SeedPhaseIsATruncatedTourPrefix) {

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "model/test_model.hpp"
 #include "store/fingerprint.hpp"
 #include "sym/circuit_replay.hpp"
 
@@ -27,8 +29,8 @@ BlifCircuit parse(const std::string& text) {
 /// Evaluates a latch-free circuit on one input vector via a 1-step replay.
 std::vector<bool> eval_comb(const sym::SequentialCircuit& circuit,
                             const std::vector<bool>& inputs) {
-  const std::vector<std::vector<bool>> steps{inputs};
-  const auto trace = sym::replay_sequence(circuit, steps);
+  const std::uint64_t step = model::TestModel::pack_bits(inputs);
+  const auto trace = sym::replay_sequence(circuit, {&step, 1});
   EXPECT_EQ(trace.steps, 1u);
   return trace.outputs.at(0);
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
@@ -34,11 +35,8 @@ sym::SequentialCircuit toggle_circuit() {
       .circuit;
 }
 
-std::vector<std::vector<bool>> bits(std::initializer_list<int> steps) {
-  std::vector<std::vector<bool>> out;
-  for (int v : steps) out.push_back({v != 0});
-  return out;
-}
+/// One packed input key per step (bit k = primary input k).
+using Keys = std::vector<std::uint64_t>;
 
 /// Minimal structural VCD check: every declared id is unique per scope,
 /// every value change refers to a declared id, timestamps strictly
@@ -106,8 +104,8 @@ ParsedVcd parse_vcd(const std::string& text) {
 TEST(VcdWriterTest, DeclaresOneScopePerSequenceWithAllSignals) {
   const auto circuit = toggle_circuit();
   VcdWriter vcd(circuit, "toggle");
-  vcd.add_sequence("seq0", sym::replay_sequence(circuit, bits({1, 1, 0})));
-  vcd.add_sequence("seq1", sym::replay_sequence(circuit, bits({0, 1})));
+  vcd.add_sequence("seq0", sym::replay_sequence(circuit, Keys{1, 1, 0}));
+  vcd.add_sequence("seq1", sym::replay_sequence(circuit, Keys{0, 1}));
   EXPECT_EQ(vcd.num_sequences(), 2u);
 
   const std::string text = vcd.to_string();
@@ -127,7 +125,7 @@ TEST(VcdWriterTest, DeclaresOneScopePerSequenceWithAllSignals) {
 
 TEST(VcdWriterTest, ValuesMatchTheReplayedTrace) {
   const auto circuit = toggle_circuit();
-  const auto trace = sym::replay_sequence(circuit, bits({1, 1, 1}));
+  const auto trace = sym::replay_sequence(circuit, Keys{1, 1, 1});
   // q toggles 0,1,0 across the three cycles and ends at 1.
   ASSERT_EQ(trace.steps, 3u);
   EXPECT_FALSE(trace.states[0][0]);
@@ -152,8 +150,8 @@ TEST(VcdWriterTest, ValuesMatchTheReplayedTrace) {
 TEST(VcdWriterTest, SequencesPlayBackToBackOnOneTimeline) {
   const auto circuit = toggle_circuit();
   VcdWriter vcd(circuit);
-  vcd.add_sequence("a", sym::replay_sequence(circuit, bits({1, 0})));
-  vcd.add_sequence("b", sym::replay_sequence(circuit, bits({1})));
+  vcd.add_sequence("a", sym::replay_sequence(circuit, Keys{1, 0}));
+  vcd.add_sequence("b", sym::replay_sequence(circuit, Keys{1}));
   const std::string text = vcd.to_string();
   // seq a occupies [0,3) (2 cycles + trailing tick), seq b starts at 3.
   EXPECT_NE(text.find("\n#3\n"), std::string::npos);
@@ -164,7 +162,7 @@ TEST(VcdWriterTest, SequencesPlayBackToBackOnOneTimeline) {
 TEST(VcdWriterTest, SanitizesScopeAndSignalNames) {
   const auto circuit = toggle_circuit();
   VcdWriter vcd(circuit, "my top");
-  vcd.add_sequence("seq one", sym::replay_sequence(circuit, bits({1})));
+  vcd.add_sequence("seq one", sym::replay_sequence(circuit, Keys{1}));
   const std::string text = vcd.to_string();
   EXPECT_NE(text.find("$scope module my_top"), std::string::npos);
   EXPECT_NE(text.find("$scope module seq_one"), std::string::npos);
@@ -178,12 +176,12 @@ TEST(VcdWriterTest, RejectsTracesWithMismatchedShape) {
                              ".names a b y\n11 1\n.end\n")
                          .circuit;
   VcdWriter vcd(circuit);
-  const std::vector<std::vector<bool>> two_wide{{true, true}};
+  const Keys two_wide{0b11};
   EXPECT_THROW(
       vcd.add_sequence("bad", sym::replay_sequence(other, two_wide)),
       std::invalid_argument);
   // A well-shaped trace is still accepted afterwards.
-  vcd.add_sequence("good", sym::replay_sequence(circuit, bits({1})));
+  vcd.add_sequence("good", sym::replay_sequence(circuit, Keys{1}));
   EXPECT_EQ(vcd.num_sequences(), 1u);
 }
 
@@ -191,8 +189,8 @@ TEST(VcdWriterTest, OutputIsByteDeterministic) {
   const auto circuit = toggle_circuit();
   const auto make = [&] {
     VcdWriter vcd(circuit, "det");
-    vcd.add_sequence("s0", sym::replay_sequence(circuit, bits({1, 0, 1})));
-    vcd.add_sequence("s1", sym::replay_sequence(circuit, bits({0, 0})));
+    vcd.add_sequence("s0", sym::replay_sequence(circuit, Keys{1, 0, 1}));
+    vcd.add_sequence("s1", sym::replay_sequence(circuit, Keys{0, 0}));
     return vcd.to_string();
   };
   EXPECT_EQ(make(), make());
@@ -203,7 +201,7 @@ TEST(VcdWriterTest, OutputIsByteDeterministic) {
 TEST(VcdWriterTest, WriteFileFailsOnUnwritablePath) {
   const auto circuit = toggle_circuit();
   VcdWriter vcd(circuit);
-  vcd.add_sequence("s", sym::replay_sequence(circuit, bits({1})));
+  vcd.add_sequence("s", sym::replay_sequence(circuit, Keys{1}));
   EXPECT_THROW(vcd.write_file("/nonexistent-dir/x.vcd"), std::runtime_error);
 }
 

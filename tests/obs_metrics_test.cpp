@@ -410,11 +410,10 @@ class SequentialTelemetry {
   SequentialTelemetry(model::TestModel& model, std::size_t curve_budget)
       : model_(model), curve_(curve_budget) {}
 
-  void commit_sequence(const std::vector<std::vector<bool>>& steps) {
+  void commit_sequence(const model::Sequence& steps) {
     std::uint64_t at = model_.reset_state();
     tracker_.visit_state(at);
-    for (const auto& bits : steps) {
-      const std::uint64_t input = model::TestModel::pack_bits(bits);
+    for (const std::uint64_t input : steps) {
       const auto next = model_.step(at, input);
       if (!next.has_value()) {
         throw std::domain_error("invalid input in committed sequence");
@@ -453,7 +452,7 @@ TEST(CoverageTelemetryCollector, BatchCommitIsByteIdenticalToSequential) {
   const auto m = fsm::random_connected_machine(24, 3, 4, 17);
   model::ExplicitModel tour_model(m, 0);
   auto stream = tour_model.tour_source();
-  std::vector<std::vector<std::vector<bool>>> sequences;
+  std::vector<model::Sequence> sequences;
   while (auto seq = stream->next_sequence()) sequences.push_back(*seq);
   ASSERT_FALSE(sequences.empty());
 
@@ -504,7 +503,7 @@ TEST(CoverageTelemetryCollector, BatchCommitRejectsInvalidInputs) {
   const auto m = fsm::random_connected_machine(8, 3, 2, 5);  // 3 inputs
   model::ExplicitModel model(m, 0);
   obs::CoverageTelemetryCollector collector(model);
-  const std::vector<std::vector<std::vector<bool>>> bad{{{true, true}}};
+  const std::vector<model::Sequence> bad{{3}};  // input key 3 of 0..2
   EXPECT_THROW(collector.commit_batch(bad), std::domain_error);
 }
 

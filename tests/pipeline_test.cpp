@@ -105,7 +105,7 @@ TEST(TourStreaming, ExplicitStreamMatchesMaterializedTour) {
 
   model::ExplicitModel streamed_model(m, 0);
   auto stream = streamed_model.tour_source();
-  std::vector<std::vector<std::vector<bool>>> sequences;
+  std::vector<model::Sequence> sequences;
   while (auto seq = stream->next_sequence()) {
     sequences.push_back(std::move(*seq));
   }

@@ -72,15 +72,15 @@ testmodel::TestModelOptions reg1_options() {
 std::size_t replay_coverage(const SequentialCircuit& circuit,
                             const SymbolicTourResult& tour) {
   const auto em = extract_explicit(circuit, 1u << 20);
-  // Input symbol lookup by PI bit pattern.
-  std::map<std::vector<bool>, fsm::InputId> symbol_of;
+  // Input symbol lookup by packed input key.
+  std::map<std::uint64_t, fsm::InputId> symbol_of;
   for (fsm::InputId k = 0; k < em.input_bits.size(); ++k) {
-    symbol_of[em.input_bits[k]] = k;
+    symbol_of[model::TestModel::pack_bits(em.input_bits[k])] = k;
   }
   std::set<std::pair<fsm::StateId, fsm::InputId>> covered;
   for (const auto& seq : tour.sequences) {
     fsm::StateId at = 0;
-    for (const auto& input : seq) {
+    for (const std::uint64_t input : seq) {
       const auto it = symbol_of.find(input);
       if (it == symbol_of.end()) {
         ADD_FAILURE() << "tour used an input symbol unknown to the explicit "
@@ -207,30 +207,15 @@ TEST(SymbolicTour, MatchesExplicitTransitionCountOnControlModel) {
 // The pins below were recorded from the pre-image-layer walk; any rewrite of
 // the navigation must reproduce every yielded sequence exactly.
 
-/// splitmix64 over each sequence's size and then each step's packed input —
+/// splitmix64 over each sequence's size and then each step's input key —
 /// the scheme simbench uses for its symbolic_tour input hash.
 std::uint64_t input_hash(const SymbolicTourResult& tour) {
   std::uint64_t h = 0;
   for (const auto& seq : tour.sequences) {
     h = runtime::splitmix64(h ^ seq.size());
-    for (const auto& step : seq) {
-      h = runtime::splitmix64(h ^ model::TestModel::pack_bits(step));
-    }
+    for (const std::uint64_t step : seq) h = runtime::splitmix64(h ^ step);
   }
   return h;
-}
-
-/// Every recorded sequence as packed input keys.
-std::vector<std::vector<std::uint64_t>> packed_sequences(
-    const SymbolicTourResult& tour) {
-  std::vector<std::vector<std::uint64_t>> out;
-  for (const auto& seq : tour.sequences) {
-    auto& packed = out.emplace_back();
-    for (const auto& step : seq) {
-      packed.push_back(model::TestModel::pack_bits(step));
-    }
-  }
-  return out;
 }
 
 struct TourPin {
@@ -326,8 +311,8 @@ SequentialCircuit reset_ring_circuit(unsigned bits) {
 
 TEST(SymbolicTourGolden, CounterSequences) {
   const auto tour = tour_of(counter_circuit());
-  EXPECT_EQ(packed_sequences(tour),
-            (std::vector<std::vector<std::uint64_t>>{{0, 1, 0, 1, 0, 1, 0, 1}}));
+  EXPECT_EQ(tour.sequences,
+            (std::vector<model::Sequence>{{0, 1, 0, 1, 0, 1, 0, 1}}));
   expect_pin(tour, {8, 0, 1, 11170432469076873751ull, 4, 8, true});
 }
 
@@ -336,15 +321,15 @@ TEST(SymbolicTourGolden, ConstrainedCounterSequences) {
   const auto ins = c.net.inputs();
   c.valid = c.net.make_or(ins[0], c.net.make_or(ins[1], ins[2]));
   const auto tour = tour_of(c);
-  EXPECT_EQ(packed_sequences(tour),
-            (std::vector<std::vector<std::uint64_t>>{{1, 0, 1, 0, 1, 0, 1}}));
+  EXPECT_EQ(tour.sequences,
+            (std::vector<model::Sequence>{{1, 0, 1, 0, 1, 0, 1}}));
   expect_pin(tour, {7, 0, 1, 7885537747085903944ull, 4, 7, true});
 }
 
 TEST(SymbolicTourGolden, TransientForkSequences) {
   const auto tour = tour_of(fork_circuit());
-  EXPECT_EQ(packed_sequences(tour),
-            (std::vector<std::vector<std::uint64_t>>{{0, 0, 1}, {1, 0, 1}}));
+  EXPECT_EQ(tour.sequences,
+            (std::vector<model::Sequence>{{0, 0, 1}, {1, 0, 1}}));
   expect_pin(tour, {6, 1, 2, 17378591337652099048ull, 3, 6, true});
 }
 
@@ -413,7 +398,7 @@ TEST(SymbolicTourCounters, CompleteToursSplitIntoCoveringAndNavigation) {
 // layers literally, from scratch, on the explicit machine.
 
 struct ReferenceWalk {
-  std::vector<std::vector<std::vector<bool>>> sequences;
+  std::vector<model::Sequence> sequences;
   std::size_t steps = 0;
   std::size_t restarts = 0;
   std::size_t layer_recomputes = 0;
@@ -482,7 +467,7 @@ ReferenceWalk reference_walk(const ExplicitModel& em, std::size_t max_steps) {
     return std::nullopt;
   };
 
-  std::vector<std::vector<bool>> seq;
+  model::Sequence seq;
   while (w.steps < max_steps && covered < total) {
     std::optional<std::pair<fsm::InputId, fsm::StateId>> e;
     if (cursor[at] < out[at].size()) {
@@ -503,7 +488,7 @@ ReferenceWalk reference_walk(const ExplicitModel& em, std::size_t max_steps) {
       at = m.initial_state();
       continue;
     }
-    seq.push_back(em.input_bits[e->first]);
+    seq.push_back(model::TestModel::pack_bits(em.input_bits[e->first]));
     taken.insert({at, e->first});
     at = e->second;
     visited.insert(at);

@@ -252,15 +252,15 @@ TEST(Decode, UnmappedPrimaryInputThrowsLikeTheSimulator) {
   auto model = testmodel::build_dlx_control_model(tour_model_options());
   model.circuit.primary_inputs.push_back(
       model.circuit.net.add_input("bogus"));
-  const std::vector<bool> bits(model.circuit.primary_inputs.size(), false);
   EXPECT_THROW((void)testmodel::classify_network_inputs(model),
                std::logic_error);
-  EXPECT_THROW((void)decode_control_input(model, bits), std::logic_error);
-  EXPECT_THROW((void)concretize_sequence(model, {bits}), std::logic_error);
+  EXPECT_THROW((void)decode_control_input(model, 0), std::logic_error);
+  EXPECT_THROW((void)concretize_sequence(model, model::Sequence{0}),
+               std::logic_error);
 }
 
 TEST(Decode, RoundTripsEveryAlphabetSymbolThroughTheModel) {
-  // decode(bits) re-encodes, input by input, to exactly `bits`.
+  // decode(key) re-encodes, input by input, to exactly the key's bits.
   testmodel::TestModelOptions opt = tour_model_options();
   opt.reg_addr_bits = 1;
   const auto model = testmodel::build_dlx_control_model(opt);
@@ -269,7 +269,8 @@ TEST(Decode, RoundTripsEveryAlphabetSymbolThroughTheModel) {
   const auto net_inputs = model.circuit.net.inputs();
   ASSERT_FALSE(explicit_model.input_bits.empty());
   for (const auto& bits : explicit_model.input_bits) {
-    const ControlInput in = decode_control_input(model, bits);
+    const ControlInput in =
+        decode_control_input(model, model::TestModel::pack_bits(bits));
     for (std::size_t p = 0; p < bits.size(); ++p) {
       const auto k = static_cast<std::size_t>(
           std::find(net_inputs.begin(), net_inputs.end(),
@@ -281,6 +282,11 @@ TEST(Decode, RoundTripsEveryAlphabetSymbolThroughTheModel) {
                 bits[p]);
     }
   }
+  // A key with a bit beyond the model's primary inputs names no symbol.
+  EXPECT_THROW((void)decode_control_input(
+                   model, std::uint64_t{1}
+                              << model.circuit.primary_inputs.size()),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,12 +323,13 @@ std::vector<ConcretizedProgram> reduced_tour_programs() {
   std::vector<ConcretizedProgram> programs;
   if (!set.has_value()) return programs;
   for (const auto& seq : set->sequences) {
-    std::vector<std::vector<bool>> pi_steps;
-    pi_steps.reserve(seq.size());
+    model::Sequence steps;
+    steps.reserve(seq.size());
     for (const fsm::InputId sym_id : seq) {
-      pi_steps.push_back(explicit_model.input_bits[sym_id]);
+      steps.push_back(
+          model::TestModel::pack_bits(explicit_model.input_bits[sym_id]));
     }
-    programs.push_back(concretize_sequence(model, pi_steps));
+    programs.push_back(concretize_sequence(model, steps));
   }
   return programs;
 }
@@ -370,8 +377,9 @@ TEST(EndToEnd, ExplicitModelTourConcretizesAndValidates) {
     std::vector<ControlInput> steps;
     steps.reserve(seq.size());
     for (fsm::InputId sym_id : seq) {
-      steps.push_back(
-          decode_control_input(model, explicit_model.input_bits[sym_id]));
+      steps.push_back(decode_control_input(
+          model,
+          model::TestModel::pack_bits(explicit_model.input_bits[sym_id])));
     }
     programs.push_back(concretize_tour(model, steps));
     total_instructions += programs.back().instructions.size();
