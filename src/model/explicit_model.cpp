@@ -205,18 +205,22 @@ TourResult ExplicitModel::transition_tour(const TourOptions& options) {
 namespace {
 
 /// Streaming transition tour over the incremental greedy generator. Each
-/// yielded sequence is replayed into a persistent CoverageTracker keyed by
-/// dense ids — a bijection of the packed keys TestModel::evaluate uses, so
-/// the distinct-state/transition counts agree exactly.
+/// yielded sequence is replayed into one visited bit per state and one
+/// covered bit per (state, input) over the machine's dense ids — a
+/// bijection of the packed keys TestModel::evaluate uses, so the
+/// distinct-state/transition counts agree exactly.
 class ExplicitTourStream final : public SequenceSource {
  public:
   explicit ExplicitTourStream(ExplicitModel& model)
       : model_(model),
         gen_(model.machine(), model.start()),
-        tracker_(model.count_reachable_states(),
-                 model.count_reachable_transitions()) {
+        states_total_(model.count_reachable_states()),
+        transitions_total_(model.count_reachable_transitions()),
+        visited_(model.machine().num_states()),
+        covered_(static_cast<std::size_t>(model.machine().num_states()) *
+                 model.machine().num_inputs()) {
     // An empty tour still starts at reset (matches TestModel::evaluate).
-    tracker_.visit_state(model_.start());
+    visit(model_.start());
   }
 
   std::optional<Sequence> next_sequence() override {
@@ -228,12 +232,16 @@ class ExplicitTourStream final : public SequenceSource {
       }
       return std::nullopt;
     }
+    const fsm::MealyMachine& m = model_.machine();
     fsm::StateId at = model_.start();
-    tracker_.visit_state(at);
     for (fsm::InputId i : *seq) {
-      tracker_.cover_transition(at, i);
-      at = model_.machine().transition(at, i)->next;
-      tracker_.visit_state(at);
+      const std::size_t t = static_cast<std::size_t>(at) * m.num_inputs() + i;
+      if (!covered_[t]) {
+        covered_[t] = true;
+        ++transitions_covered_;
+      }
+      at = m.transition(at, i)->next;
+      visit(at);
     }
     steps_ += seq->size();
     ++yielded_;
@@ -242,7 +250,10 @@ class ExplicitTourStream final : public SequenceSource {
 
   TourResult summary() override {
     TourResult out;
-    out.coverage = tracker_.stats();
+    out.coverage = CoverageStats{static_cast<double>(states_visited_),
+                                 states_total_,
+                                 static_cast<double>(transitions_covered_),
+                                 transitions_total_};
     out.steps = steps_;
     out.restarts = yielded_ == 0 ? 0 : yielded_ - 1;
     out.complete = out.coverage.complete();
@@ -250,9 +261,21 @@ class ExplicitTourStream final : public SequenceSource {
   }
 
  private:
+  void visit(fsm::StateId s) {
+    if (!visited_[s]) {
+      visited_[s] = true;
+      ++states_visited_;
+    }
+  }
+
   ExplicitModel& model_;
   tour::TransitionTourSetGenerator gen_;
-  CoverageTracker tracker_;
+  double states_total_;
+  double transitions_total_;
+  std::vector<bool> visited_;  // by state id
+  std::vector<bool> covered_;  // by state id × num_inputs + input id
+  std::size_t states_visited_ = 0;
+  std::size_t transitions_covered_ = 0;
   std::size_t steps_ = 0;
   std::size_t yielded_ = 0;
 };

@@ -8,9 +8,10 @@
 //    little-endian binary encodings serve as the bit vectors), agreeing
 //    with a SymbolicModel of model::encode_circuit(machine).
 //
-// Tour generation delegates to the src/tour generators; coverage is
-// replayed through the shared model::CoverageTracker so the reported
-// statistics are identically defined across backends.
+// Tour generation delegates to the src/tour generators. Coverage counts
+// distinct visited states and exercised (state, input) transitions, as
+// model::CoverageTracker defines them for every backend; the streamed tour
+// keeps those counts in dense bits over the machine's ids.
 #pragma once
 
 #include <unordered_map>

@@ -15,7 +15,8 @@ using fsm::StateId;
 namespace detail {
 
 /// The reachable part of a machine's state graph in dense form, with the
-/// greedy tours' coverage state and one reusable breadth-first search.
+/// greedy tours' coverage state, their goal set and one reusable
+/// breadth-first search.
 ///
 /// Reachable states are renumbered densely in ascending state id, and the
 /// defined transitions of each are stored contiguously (CSR) in ascending
@@ -25,6 +26,12 @@ namespace detail {
 /// transition). So a state's covered transitions are always a prefix of its
 /// edges, and one forward-only cursor per state records coverage exactly:
 /// edge e of state s is covered iff e < cursor[s].
+///
+/// The goal set is what a search() heads for: the states with an uncovered
+/// transition, or the unvisited states. It only shrinks, so each state
+/// leaves it at most once; a predecessor CSR (one entry per edge) lets
+/// every state keep, in O(E) over the whole walk, the count of its edges
+/// that lead into a goal.
 class WalkTable {
  public:
   using Dense = std::uint32_t;
@@ -35,8 +42,15 @@ class WalkTable {
     Dense next;
   };
 
+  /// Which states a search() heads for.
+  enum class Goals {
+    kUncovered,  // states with an uncovered transition; take() retires them
+    kUnvisited,  // every state but the start; visit() retires them
+  };
+
   /// O(states × inputs). A `start` out of range leaves the table empty.
-  WalkTable(const MealyMachine& m, StateId start) {
+  WalkTable(const MealyMachine& m, StateId start, Goals goals)
+      : goals_(goals) {
     const auto reachable = m.reachable_states(start);
     std::vector<Dense> dense(m.num_states(), kNone);
     Dense count = 0;
@@ -57,6 +71,26 @@ class WalkTable {
     cursor_.assign(first_.begin(), first_.end() - 1);
     uncovered_ = edges_.size();
     if (count > 0) start_ = dense[start];
+
+    // Predecessors by counting sort over the edges' targets.
+    pred_first_.assign(count + 1, 0);
+    for (const Edge& e : edges_) ++pred_first_[e.next + 1];
+    for (Dense s = 0; s < count; ++s) pred_first_[s + 1] += pred_first_[s];
+    preds_.resize(edges_.size());
+    std::vector<std::uint32_t> fill(pred_first_.begin(), pred_first_.end() - 1);
+    for (Dense s = 0; s < count; ++s) {
+      for (const Edge& e : edges(s)) preds_[fill[e.next]++] = s;
+    }
+
+    goal_.resize(count);
+    for (Dense s = 0; s < count; ++s) {
+      goal_[s] = goals == Goals::kUnvisited ? s != start_ : has_uncovered(s);
+    }
+    goal_edges_.assign(count, 0);
+    for (Dense s = 0; s < count; ++s) {
+      for (const Edge& e : edges(s)) goal_edges_[s] += goal_[e.next];
+    }
+
     seen_.assign(count, 0);
     parent_.resize(count);
     via_.resize(count);
@@ -74,24 +108,102 @@ class WalkTable {
 
   /// Transitions not yet covered, over all states.
   [[nodiscard]] std::size_t uncovered() const { return uncovered_; }
-  [[nodiscard]] bool has_uncovered(Dense s) const {
-    return cursor_[s] != first_[s + 1];
-  }
   /// Covers the smallest uncovered transition of `s` (which must have one),
-  /// appends its input to `seq` and returns its target.
+  /// appends its input to `seq` and returns its target. Under
+  /// Goals::kUncovered, `s` leaves the goal set with its last transition.
   Dense take(Dense s, std::vector<InputId>& seq) {
     const Edge& e = edges_[cursor_[s]++];
     --uncovered_;
+    if (goals_ == Goals::kUncovered && !has_uncovered(s)) retire(s);
     seq.push_back(e.input);
     return e.next;
   }
+  /// Marks `s` visited: under Goals::kUnvisited, it leaves the goal set.
+  void visit(Dense s) {
+    if (goals_ == Goals::kUnvisited && goal_[s]) retire(s);
+  }
 
-  /// Nearest state from `from` satisfying `is_goal`, or kNone. `from` is
-  /// tested first; then states are tested as they are discovered, in FIFO
-  /// order, scanning each state's edges in input order.
-  template <class Goal>
-  Dense search(Dense from, Goal is_goal) {
-    if (is_goal(from)) return from;
+  /// The goal nearest to `from`, or kNone: the state the breadth-first
+  /// search below would find, which tests `from` first, then tests states
+  /// as they are discovered, in FIFO order, scanning each state's edges in
+  /// input order.
+  ///
+  /// It stops one level early. Every state it enqueues has no edge into a
+  /// goal, so when it expands a level no goal lies on the next one. The
+  /// first state z it discovers with goal_edges_[z] > 0 is therefore the
+  /// first state of the next level whose expansion would discover a goal,
+  /// and z's first goal edge in input order leads to the goal that
+  /// expansion discovers first: no earlier discovery can have reached it,
+  /// since only z's edges lead into goals so far. z's parent chain was
+  /// set by the same discoveries in the same order, so the target, the
+  /// parent chain and the `via` inputs all match the plain search. When
+  /// no state with a goal edge is reachable, both explore the same
+  /// reachable set and fail.
+  Dense search(Dense from) {
+    if (goal_[from]) return from;
+    const Dense z = goal_edges_[from] > 0 ? from : search_goal_edge(from);
+    if (z == kNone) return kNone;
+    for (const Edge& e : edges(z)) {
+      if (!goal_[e.next]) continue;
+      parent_[e.next] = z;
+      via_[e.next] = e.input;
+      return e.next;
+    }
+    throw std::logic_error("WalkTable: goal edge count without a goal edge");
+  }
+
+  /// Appends the inputs of the path the last search() found from `from`
+  /// to `goal`.
+  void append_path(Dense from, Dense goal, std::vector<InputId>& seq) const {
+    const std::size_t mark = seq.size();
+    for (Dense at = goal; at != from; at = parent_[at]) {
+      seq.push_back(via_[at]);
+    }
+    std::reverse(seq.begin() + static_cast<std::ptrdiff_t>(mark), seq.end());
+  }
+
+  /// Throws std::logic_error unless every cursor lies in its state's edge
+  /// range, uncovered() equals the recount over the cursors, the goal set
+  /// matches the cursors (Goals::kUncovered) and every goal-edge count
+  /// equals a recount.
+  void check_invariants() const {
+    std::size_t uncovered = 0;
+    for (Dense s = 0; s < num_states(); ++s) {
+      if (cursor_[s] < first_[s] || cursor_[s] > first_[s + 1]) {
+        throw std::logic_error("WalkTable: cursor outside its edge range");
+      }
+      uncovered += first_[s + 1] - cursor_[s];
+      if (goals_ == Goals::kUncovered && goal_[s] != has_uncovered(s)) {
+        throw std::logic_error("WalkTable: goal set disagrees with cursors");
+      }
+      std::uint32_t goal_edges = 0;
+      for (const Edge& e : edges(s)) goal_edges += goal_[e.next];
+      if (goal_edges != goal_edges_[s]) {
+        throw std::logic_error("WalkTable: goal edge count is stale");
+      }
+    }
+    if (uncovered != uncovered_) {
+      throw std::logic_error("WalkTable: uncovered count is stale");
+    }
+  }
+
+ private:
+  [[nodiscard]] bool has_uncovered(Dense s) const {
+    return cursor_[s] != first_[s + 1];
+  }
+
+  /// Removes goal `s` from the goal set: each edge into it stops counting.
+  void retire(Dense s) {
+    goal_[s] = 0;
+    for (std::uint32_t p = pred_first_[s]; p < pred_first_[s + 1]; ++p) {
+      --goal_edges_[preds_[p]];
+    }
+  }
+
+  /// Breadth-first from `from` (which has no goal edge) to the first
+  /// discovered state with one, recording first-discovery parents; kNone
+  /// when none is reachable.
+  Dense search_goal_edge(Dense from) {
     if (++epoch_ == 0) {  // wrapped: forget every stamp
       std::fill(seen_.begin(), seen_.end(), 0);
       epoch_ = 1;
@@ -105,29 +217,25 @@ class WalkTable {
         seen_[e.next] = epoch_;
         parent_[e.next] = s;
         via_[e.next] = e.input;
-        if (is_goal(e.next)) return e.next;
+        if (goal_edges_[e.next] > 0) return e.next;
         queue_.push_back(e.next);
       }
     }
     return kNone;
   }
 
-  /// Appends the inputs of the path the last search() found from `from`
-  /// to `goal`.
-  void append_path(Dense from, Dense goal, std::vector<InputId>& seq) const {
-    const std::size_t mark = seq.size();
-    for (Dense at = goal; at != from; at = parent_[at]) {
-      seq.push_back(via_[at]);
-    }
-    std::reverse(seq.begin() + static_cast<std::ptrdiff_t>(mark), seq.end());
-  }
-
- private:
+  Goals goals_;
   std::vector<std::uint32_t> first_;  // CSR offsets, num_states() + 1
   std::vector<Edge> edges_;
   std::vector<std::uint32_t> cursor_;  // per state: smallest uncovered edge
   std::size_t uncovered_ = 0;
   Dense start_ = kNone;
+
+  // The goal set and, per state, its edges into it (with multiplicity).
+  std::vector<std::uint32_t> pred_first_;  // predecessor CSR offsets
+  std::vector<Dense> preds_;               // one source per edge
+  std::vector<std::uint8_t> goal_;
+  std::vector<std::uint32_t> goal_edges_;
 
   // Search buffers, reused by every search(): a state is discovered in the
   // current search iff its stamp equals epoch_.
@@ -145,7 +253,7 @@ using Dense = WalkTable::Dense;
 
 std::optional<Tour> minimum_transition_tour(const MealyMachine& m,
                                             StateId start) {
-  const WalkTable w(m, start);
+  const WalkTable w(m, start, WalkTable::Goals::kUncovered);
   graph::Digraph g(w.num_states());
   for (Dense s = 0; s < w.num_states(); ++s) {
     for (const auto& e : w.edges(s)) {
@@ -174,21 +282,18 @@ std::optional<Tour> greedy_transition_tour(const MealyMachine& m,
 }
 
 std::optional<Tour> state_tour(const MealyMachine& m, StateId start) {
-  WalkTable w(m, start);
+  WalkTable w(m, start, WalkTable::Goals::kUnvisited);
   Tour tour;
   tour.start = start;
   if (w.num_states() == 0) return tour;
-  std::vector<bool> visited(w.num_states(), false);
   Dense at = w.start();
-  visited[at] = true;
   for (Dense remaining = w.num_states() - 1; remaining > 0; --remaining) {
-    const Dense goal =
-        w.search(at, [&visited](Dense s) { return !visited[s]; });
+    const Dense goal = w.search(at);
     if (goal == WalkTable::kNone) return std::nullopt;
     // The path's other states were visited already: a search stops at the
     // first unvisited state it discovers.
     w.append_path(at, goal, tour.inputs);
-    visited[goal] = true;
+    w.visit(goal);
     at = goal;
   }
   return tour;
@@ -224,7 +329,9 @@ std::size_t TourSet::total_length() const {
 
 TransitionTourSetGenerator::TransitionTourSetGenerator(const MealyMachine& m,
                                                        StateId start)
-    : walk_(std::make_unique<WalkTable>(m, start)), start_(start) {}
+    : walk_(std::make_unique<WalkTable>(m, start,
+                                        WalkTable::Goals::kUncovered)),
+      start_(start) {}
 
 TransitionTourSetGenerator::~TransitionTourSetGenerator() = default;
 TransitionTourSetGenerator::TransitionTourSetGenerator(
@@ -236,15 +343,18 @@ std::size_t TransitionTourSetGenerator::remaining() const {
   return walk_->uncovered();
 }
 
+void TransitionTourSetGenerator::check_invariants() const {
+  walk_->check_invariants();
+}
+
 std::optional<std::vector<InputId>> TransitionTourSetGenerator::next() {
   WalkTable& w = *walk_;
   if (w.uncovered() == 0 || stuck_) return std::nullopt;
-  const auto has_uncovered = [&w](Dense s) { return w.has_uncovered(s); };
   std::vector<InputId> seq;
   Dense at = w.start();
   // Once everything is covered no search could find a goal, so none runs.
   while (w.uncovered() > 0) {
-    const Dense goal = w.search(at, has_uncovered);
+    const Dense goal = w.search(at);
     if (goal == WalkTable::kNone) break;  // stuck: end this sequence
     w.append_path(at, goal, seq);
     at = w.take(goal, seq);

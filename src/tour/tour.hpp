@@ -101,8 +101,12 @@ class WalkTable;
 /// The generator owns a copy of the reachable part of the machine's state
 /// graph (a dense walk table with per-state coverage cursors), so the
 /// machine may be destroyed once the constructor returns. Construction costs
-/// O(states × inputs); each greedy step is one breadth-first search over
-/// reused arrays, with no allocation per search.
+/// O(states × inputs), plus an O(E) predecessor array over the E reachable
+/// transitions. With it each state keeps the count of its edges into states
+/// that still have an uncovered transition, at O(E) over the whole set, so
+/// each greedy step's breadth-first search (over reused arrays, with no
+/// allocation) stops one edge before its target: at the first state with
+/// such an edge.
 class TransitionTourSetGenerator {
  public:
   TransitionTourSetGenerator(const fsm::MealyMachine& m, fsm::StateId start);
@@ -122,6 +126,12 @@ class TransitionTourSetGenerator {
   /// Transitions still to cover.
   [[nodiscard]] std::size_t remaining() const;
   [[nodiscard]] fsm::StateId start() const { return start_; }
+
+  /// Recounts the walk table's bookkeeping from scratch and throws
+  /// std::logic_error on any mismatch: a coverage cursor outside its
+  /// state's edge range, remaining() against the cursors, or a state's
+  /// count of edges into uncovered states. O(states + E); for tests.
+  void check_invariants() const;
 
  private:
   std::unique_ptr<detail::WalkTable> walk_;

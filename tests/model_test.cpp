@@ -170,5 +170,56 @@ TEST(CoverageTrackerTest, CountsDistinctStatesAndTransitions) {
   EXPECT_FALSE(stats.complete());
 }
 
+/// The streamed tour's running summary() counts exactly what evaluate()
+/// replays of the sequences yielded so far, before the first sequence and
+/// after each one.
+void expect_stream_summaries_match_evaluate(ExplicitModel& model) {
+  auto stream = model.tour_source();
+  Tour prefix;
+  std::size_t sequences = 0;
+  for (;;) {
+    const TourResult summary = stream->summary();
+    EXPECT_EQ(summary.coverage, model.evaluate(prefix)) << sequences;
+    EXPECT_EQ(summary.steps, prefix.total_steps());
+    EXPECT_EQ(summary.complete, summary.coverage.complete());
+    auto seq = stream->next_sequence();
+    if (!seq.has_value()) break;
+    prefix.sequences.push_back(std::move(*seq));
+    ++sequences;
+  }
+  EXPECT_TRUE(stream->summary().complete);
+  EXPECT_GT(sequences, 1u);  // the reset-separated case is exercised
+}
+
+TEST(ExplicitTourStream, SummaryMatchesEvaluateAfterEverySequence) {
+  // Packed circuit keys: the reduced DLX control model's extraction.
+  const auto dlx = testmodel::build_dlx_control_model(tiny_model_options());
+  auto extraction = sym::extract_explicit(dlx.circuit, 100000);
+  ASSERT_FALSE(extraction.truncated);
+  ExplicitModel dlx_model(std::move(extraction));
+  expect_stream_summaries_match_evaluate(dlx_model);
+
+  // Dense-id keys: a transient start state 0 leading into two closed random
+  // components (states 1-30 and 31-60), plus a state 61 it never reaches.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    SCOPED_TRACE(seed);
+    fsm::MealyMachine m(62, 3);
+    for (fsm::StateId base : {1u, 31u}) {
+      const auto part = fsm::random_connected_machine(30, 3, 2, seed + base);
+      for (fsm::StateId s = 0; s < 30; ++s) {
+        for (fsm::InputId i = 0; i < 3; ++i) {
+          const auto t = part.transition(s, i);
+          m.set_transition(base + s, i, base + t->next, t->output);
+        }
+      }
+    }
+    m.set_transition(0, 0, 1, 0);
+    m.set_transition(0, 1, 31, 0);
+    m.set_transition(61, 0, 0, 0);
+    ExplicitModel model(std::move(m), 0);
+    expect_stream_summaries_match_evaluate(model);
+  }
+}
+
 }  // namespace
 }  // namespace simcov::model

@@ -518,6 +518,7 @@ TEST(TourDifferential, GeneratorMatchesReferenceStepByStep) {
     for (;;) {
       const auto w = want.next();
       const auto g = got.next();
+      ASSERT_NO_THROW(got.check_invariants());
       ASSERT_EQ(g, w);
       EXPECT_EQ(got.remaining(), want.remaining());
       EXPECT_EQ(got.done(), want.done());
@@ -562,6 +563,128 @@ TEST(TourDifferential, StateTourMatchesReference) {
   }
   EXPECT_GT(stuck, 0u);
   EXPECT_LT(stuck, kDifferentialMachines);
+}
+
+/// A larger splitmix64-drawn machine (200-2,000 states, 2-8 inputs) shaped
+/// so the greedy walk's search does real work: most edges step forward
+/// along a chain or a few states back, so coverage opens far from where
+/// the walk stands and navigation runs deep. Inputs often repeat the
+/// previous input's successor (parallel edges), some states self-loop,
+/// and a few transitions are missing, so tour sets also need resets.
+PartialMachine random_large_machine(std::uint64_t seed) {
+  std::uint64_t x = seed ^ 0x5eed5eed5eedull;
+  const auto draw = [&x](std::uint64_t bound) {
+    x = runtime::splitmix64(x);
+    return static_cast<std::uint32_t>(x % bound);
+  };
+  const StateId n = 200 + draw(1801);
+  const InputId k = 2 + draw(7);
+  PartialMachine pm{MealyMachine(n, k), 0};
+  for (StateId s = 0; s < n; ++s) {
+    // Input 0 continues the chain; it breaks at about one state in 64.
+    StateId prev = (s + 1) % n;
+    if (draw(64) != 0) pm.machine.set_transition(s, 0, prev, draw(3));
+    for (InputId i = 1; i < k; ++i) {
+      StateId next = 0;
+      switch (draw(16)) {
+        case 0:  // undefined
+          continue;
+        case 1:
+        case 2:
+        case 3:  // parallel to the previous input's edge
+          next = prev;
+          break;
+        case 4:  // self-loop
+          next = s;
+          break;
+        case 5:  // anywhere
+          next = draw(n);
+          break;
+        case 6:
+        case 7:
+        case 8:  // a few states back
+          next = s - std::min<StateId>(s, 1 + draw(6));
+          break;
+        default:  // forward along the chain
+          next = (s + 1) % n;
+          break;
+      }
+      pm.machine.set_transition(s, i, next, draw(3));
+      prev = next;
+    }
+  }
+  if (seed % 3 == 2) pm.start = draw(n);
+  return pm;
+}
+
+/// The longest run of steps over already-covered transitions in a test set:
+/// the deepest navigation the greedy walk made.
+std::size_t deepest_navigation(const MealyMachine& m, const TourSet& set) {
+  std::set<fsm::TransitionRef> covered;
+  std::size_t deepest = 0;
+  for (const auto& seq : set.sequences) {
+    StateId at = set.start;
+    std::size_t run = 0;
+    for (InputId i : seq) {
+      run = covered.insert(fsm::TransitionRef{at, i}).second ? 0 : run + 1;
+      deepest = std::max(deepest, run);
+      at = m.transition(at, i)->next;
+    }
+  }
+  return deepest;
+}
+
+TEST(TourDifferential, LargeMachinesMatchReference) {
+  constexpr std::uint64_t kMachines = 20;
+  std::size_t parallel_edges = 0;
+  std::size_t deepest = 0;
+  for (std::uint64_t seed = 0; seed < kMachines; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto pm = random_large_machine(seed);
+    const auto& m = pm.machine;
+    for (StateId s = 0; s < m.num_states(); ++s) {
+      std::set<StateId> successors;
+      std::size_t defined = 0;
+      for (InputId i = 0; i < m.num_inputs(); ++i) {
+        if (const auto t = m.transition(s, i)) {
+          successors.insert(t->next);
+          ++defined;
+        }
+      }
+      parallel_edges += defined - successors.size();
+    }
+
+    reference::TourSetGenerator want(m, pm.start);
+    TransitionTourSetGenerator got(m, pm.start);
+    TourSet set;
+    set.start = pm.start;
+    for (;;) {
+      const auto w = want.next();
+      const auto g = got.next();
+      ASSERT_NO_THROW(got.check_invariants());
+      ASSERT_EQ(g, w);
+      ASSERT_EQ(got.remaining(), want.remaining());
+      ASSERT_EQ(got.stuck(), want.stuck());
+      if (!w.has_value()) break;
+      set.sequences.push_back(*w);
+    }
+    const auto got_set = greedy_transition_tour_set(m, pm.start);
+    ASSERT_EQ(got_set.has_value(), !want.stuck());
+    if (got_set.has_value()) {
+      EXPECT_EQ(got_set->sequences, set.sequences);
+    }
+    deepest = std::max(deepest, deepest_navigation(m, set));
+
+    const auto want_states = reference::state_tour(m, pm.start);
+    const auto got_states = state_tour(m, pm.start);
+    ASSERT_EQ(got_states.has_value(), want_states.has_value());
+    if (want_states.has_value()) {
+      EXPECT_EQ(got_states->inputs, want_states->inputs);
+    }
+  }
+  // The shapes the goal-edge counts must handle actually occur.
+  EXPECT_GT(parallel_edges, 0u);
+  EXPECT_GE(deepest, 5u);
 }
 
 }  // namespace
