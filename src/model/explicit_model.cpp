@@ -12,6 +12,67 @@ unsigned id_width(std::uint64_t count) {
   return count <= 1 ? 1u : static_cast<unsigned>(std::bit_width(count - 1));
 }
 
+/// Coverage of sequences of dense input ids replayed from the model's start
+/// state: one visited bit per state and one covered bit per (state, input)
+/// over the machine's dense ids — a bijection of the packed keys
+/// TestModel::evaluate uses, so the distinct-state/transition counts agree
+/// exactly.
+class DenseCoverage {
+ public:
+  explicit DenseCoverage(ExplicitModel& model)
+      : machine_(model.machine()),
+        start_(model.start()),
+        states_total_(model.count_reachable_states()),
+        transitions_total_(model.count_reachable_transitions()),
+        visited_(machine_.num_states()),
+        covered_(static_cast<std::size_t>(machine_.num_states()) *
+                 machine_.num_inputs()) {
+    // An empty tour still starts at reset (matches TestModel::evaluate).
+    visit(start_);
+  }
+
+  /// Replays one sequence; throws std::domain_error on an undefined step.
+  void add(std::span<const fsm::InputId> seq) {
+    fsm::StateId at = start_;
+    for (const fsm::InputId i : seq) {
+      const auto t = machine_.transition(at, i);
+      if (!t.has_value()) {
+        throw std::domain_error("ExplicitModel: invalid input in tour");
+      }
+      const std::size_t slot =
+          static_cast<std::size_t>(at) * machine_.num_inputs() + i;
+      if (!covered_[slot]) {
+        covered_[slot] = true;
+        ++transitions_covered_;
+      }
+      at = t->next;
+      visit(at);
+    }
+  }
+
+  [[nodiscard]] CoverageStats stats() const {
+    return {static_cast<double>(states_visited_), states_total_,
+            static_cast<double>(transitions_covered_), transitions_total_};
+  }
+
+ private:
+  void visit(fsm::StateId s) {
+    if (!visited_[s]) {
+      visited_[s] = true;
+      ++states_visited_;
+    }
+  }
+
+  const fsm::MealyMachine& machine_;
+  fsm::StateId start_;
+  double states_total_;
+  double transitions_total_;
+  std::vector<bool> visited_;  // by state id
+  std::vector<bool> covered_;  // by state id × num_inputs + input id
+  std::size_t states_visited_ = 0;
+  std::size_t transitions_covered_ = 0;
+};
+
 }  // namespace
 
 ExplicitModel::ExplicitModel(sym::ExplicitModel extraction)
@@ -187,7 +248,9 @@ TourResult ExplicitModel::to_result(const tour::TourSet& set) {
   result.steps = set.total_length();
   result.restarts =
       set.sequences.empty() ? 0 : set.sequences.size() - 1;
-  result.coverage = evaluate(result.tour);
+  DenseCoverage coverage(*this);
+  for (const auto& seq : set.sequences) coverage.add(seq);
+  result.coverage = coverage.stats();
   result.complete = result.coverage.complete();
   return result;
 }
@@ -204,24 +267,12 @@ TourResult ExplicitModel::transition_tour(const TourOptions& options) {
 
 namespace {
 
-/// Streaming transition tour over the incremental greedy generator. Each
-/// yielded sequence is replayed into one visited bit per state and one
-/// covered bit per (state, input) over the machine's dense ids — a
-/// bijection of the packed keys TestModel::evaluate uses, so the
-/// distinct-state/transition counts agree exactly.
+/// Streaming transition tour over the incremental greedy generator; each
+/// yielded sequence is counted into the same dense bits as to_result.
 class ExplicitTourStream final : public SequenceSource {
  public:
   explicit ExplicitTourStream(ExplicitModel& model)
-      : model_(model),
-        gen_(model.machine(), model.start()),
-        states_total_(model.count_reachable_states()),
-        transitions_total_(model.count_reachable_transitions()),
-        visited_(model.machine().num_states()),
-        covered_(static_cast<std::size_t>(model.machine().num_states()) *
-                 model.machine().num_inputs()) {
-    // An empty tour still starts at reset (matches TestModel::evaluate).
-    visit(model_.start());
-  }
+      : model_(model), gen_(model.machine(), model.start()), coverage_(model) {}
 
   std::optional<Sequence> next_sequence() override {
     auto seq = gen_.next();
@@ -232,17 +283,7 @@ class ExplicitTourStream final : public SequenceSource {
       }
       return std::nullopt;
     }
-    const fsm::MealyMachine& m = model_.machine();
-    fsm::StateId at = model_.start();
-    for (fsm::InputId i : *seq) {
-      const std::size_t t = static_cast<std::size_t>(at) * m.num_inputs() + i;
-      if (!covered_[t]) {
-        covered_[t] = true;
-        ++transitions_covered_;
-      }
-      at = m.transition(at, i)->next;
-      visit(at);
-    }
+    coverage_.add(*seq);
     steps_ += seq->size();
     ++yielded_;
     return model_.to_keys(*seq);
@@ -250,10 +291,7 @@ class ExplicitTourStream final : public SequenceSource {
 
   TourResult summary() override {
     TourResult out;
-    out.coverage = CoverageStats{static_cast<double>(states_visited_),
-                                 states_total_,
-                                 static_cast<double>(transitions_covered_),
-                                 transitions_total_};
+    out.coverage = coverage_.stats();
     out.steps = steps_;
     out.restarts = yielded_ == 0 ? 0 : yielded_ - 1;
     out.complete = out.coverage.complete();
@@ -261,21 +299,9 @@ class ExplicitTourStream final : public SequenceSource {
   }
 
  private:
-  void visit(fsm::StateId s) {
-    if (!visited_[s]) {
-      visited_[s] = true;
-      ++states_visited_;
-    }
-  }
-
   ExplicitModel& model_;
   tour::TransitionTourSetGenerator gen_;
-  double states_total_;
-  double transitions_total_;
-  std::vector<bool> visited_;  // by state id
-  std::vector<bool> covered_;  // by state id × num_inputs + input id
-  std::size_t states_visited_ = 0;
-  std::size_t transitions_covered_ = 0;
+  DenseCoverage coverage_;
   std::size_t steps_ = 0;
   std::size_t yielded_ = 0;
 };

@@ -10,8 +10,8 @@
 //
 // Tour generation delegates to the src/tour generators. Coverage counts
 // distinct visited states and exercised (state, input) transitions, as
-// model::CoverageTracker defines them for every backend; the streamed tour
-// keeps those counts in dense bits over the machine's ids.
+// model::CoverageTracker defines them for every backend; to_result and the
+// streamed tour keep those counts in dense bits over the machine's ids.
 #pragma once
 
 #include <unordered_map>
@@ -75,7 +75,8 @@ class ExplicitModel final : public TestModel {
   [[nodiscard]] Sequence to_keys(std::span<const fsm::InputId> inputs) const;
 
   /// A src/tour test set (from this machine's start state) as keys, plus
-  /// its tracker-replayed coverage, in one TourResult.
+  /// its coverage (what evaluate() would count), in one TourResult. Throws
+  /// std::domain_error on a step undefined in the machine.
   TourResult to_result(const tour::TourSet& set);
 
  private:

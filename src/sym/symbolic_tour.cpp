@@ -6,6 +6,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace simcov::sym {
@@ -72,6 +73,14 @@ void enumerate_successors(SymbolicFsm& fsm, const PackedCircuitSim& sim,
 /// it never needs a state enumerated. The live set only shrinks, so
 /// distances never fall: lower bounds learned in one generation hold in
 /// every later one, while exact distances hold for their generation only.
+///
+/// The same monotony keeps two per-state edge pointers valid for good:
+/// live_edge skips edges into states that are no longer live, near_edge
+/// edges into states at distance 2 or more. live_edge answers "has a live
+/// successor" for a navigation step at distance 1 and for every state of a
+/// search level, which is checked whole before any of it is expanded — a
+/// search ends on the level one short of the live set; near_edge answers a
+/// step at distance 2. Only farther steps probe edge by edge.
 struct SymbolicTourStream::Impl {
  public:
   Impl(SymbolicFsm& fsm, const SymbolicTourOptions& options)
@@ -141,6 +150,98 @@ struct SymbolicTourStream::Impl {
 
   [[nodiscard]] bool finished() const { return finished_; }
 
+  /// Recounts the state table and checks every stored distance against a
+  /// reference breadth-first search backwards from the live set.
+  void check_invariants() const {
+    const auto fail = [](const char* what) {
+      throw std::logic_error(std::string("SymbolicTourStream: ") + what);
+    };
+    if (ids_.size() != states_.size()) fail("id table size");
+    for (const auto& [key, id] : ids_) {
+      if (id >= states_.size() || states_[id].key != key) {
+        fail("a state id does not round-trip through its key");
+      }
+    }
+    std::size_t taken = 0;
+    for (const Edge& e : edges_) {
+      if (e.next >= states_.size()) fail("edge successor out of range");
+      taken += e.taken ? 1 : 0;
+    }
+    std::size_t visited = 0;
+    std::size_t listed = 0;
+    std::size_t covered = 0;
+    for (const State& s : states_) {
+      visited += s.visited ? 1 : 0;
+      const auto within = [&](std::uint32_t e) {
+        return s.first_edge <= e && e <= s.end_edge;
+      };
+      if (s.end_edge > edges_.size() || !within(s.cursor) ||
+          !within(s.live_edge) || !within(s.near_edge) ||
+          (!s.enumerated && s.first_edge != s.end_edge)) {
+        fail("edge cursors out of their state's range");
+      }
+      const bool ran_out = s.first_edge != s.end_edge && s.cursor == s.end_edge;
+      if (ran_out != (s.exhausted_in != kNone) ||
+          (ran_out && s.exhausted_in > generation_)) {
+        fail("exhaustion generation disagrees with the cursor");
+      }
+      listed += s.end_edge - s.first_edge;
+      covered += s.cursor - s.first_edge;
+    }
+    if (listed != edges_.size()) fail("edge ranges do not cover the edges");
+    if (covered != covered_count_) fail("cursor total differs from count");
+    const SymbolicTourResult sum = summary();
+    if (static_cast<double>(visited) != sum.stats.states_visited ||
+        static_cast<double>(taken) != sum.stats.transitions_covered) {
+      fail("visited or taken bits differ from the summary");
+    }
+
+    // Reference distances to the current generation's live set (kNone:
+    // unreachable), over the memoized edges reversed.
+    const std::size_t n = states_.size();
+    std::vector<std::uint32_t> pred_end(n + 1, 0);
+    for (const Edge& e : edges_) ++pred_end[e.next + 1];
+    for (std::size_t i = 0; i < n; ++i) pred_end[i + 1] += pred_end[i];
+    std::vector<std::uint32_t> preds(edges_.size());
+    std::vector<std::uint32_t> fill(pred_end.begin(), pred_end.end() - 1);
+    for (std::uint32_t y = 0; y < n; ++y) {
+      const State& s = states_[y];
+      for (std::uint32_t e = s.first_edge; e < s.end_edge; ++e) {
+        preds[fill[edges_[e].next]++] = y;
+      }
+    }
+    std::vector<std::uint32_t> dist(n, kNone);
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t y = 0; y < n; ++y) {
+      if (live(states_[y])) {
+        dist[y] = 0;
+        order.push_back(y);
+      }
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const std::uint32_t z = order[i];
+      for (std::uint32_t p = pred_end[z]; p < pred_end[z + 1]; ++p) {
+        if (dist[preds[p]] == kNone) {
+          dist[preds[p]] = dist[z] + 1;
+          order.push_back(preds[p]);
+        }
+      }
+    }
+    for (std::uint32_t y = 0; y < n; ++y) {
+      const State& s = states_[y];
+      for (std::uint32_t e = s.first_edge; e < s.live_edge; ++e) {
+        if (live(states_[edges_[e].next])) fail("live_edge skips a live state");
+      }
+      for (std::uint32_t e = s.first_edge; e < s.near_edge; ++e) {
+        if (dist[edges_[e].next] < 2) fail("near_edge skips a near state");
+      }
+      if (s.lower > dist[y]) fail("a lower bound exceeds the distance");
+      if (s.exact_in == generation_ && s.lower != dist[y]) {
+        fail("an exact distance is wrong");
+      }
+    }
+  }
+
   [[nodiscard]] SymbolicTourResult summary() const {
     SymbolicTourResult result;
     result.steps = steps_;
@@ -190,6 +291,8 @@ struct SymbolicTourStream::Impl {
     std::uint32_t via = kNone;
     /// Edges before this one lead to states that are no longer live.
     std::uint32_t live_edge = 0;
+    /// Edges before this one lead to states at distance 2 or more.
+    std::uint32_t near_edge = 0;
     bool has_valid_input = false;
     bool enumerated = false;
     bool visited = false;
@@ -249,6 +352,7 @@ struct SymbolicTourStream::Impl {
     s.first_edge = first;
     s.cursor = first;
     s.live_edge = first;
+    s.near_edge = first;
     s.end_edge = static_cast<std::uint32_t>(edges_.size());
     s.enumerated = true;
   }
@@ -271,6 +375,19 @@ struct SymbolicTourStream::Impl {
     }
     if (s.live_edge == s.end_edge) return std::nullopt;
     return s.live_edge;
+  }
+
+  /// The first edge of a state whose successor is live or has a live
+  /// successor, i.e. is at distance 1 or less. Successors it skips are at
+  /// distance 2 or more for good (distances never fall), so the position
+  /// only moves forward.
+  std::optional<std::uint32_t> near_edge(std::uint32_t id) {
+    State& s = states_[id];
+    for (; s.near_edge < s.end_edge; ++s.near_edge) {
+      const std::uint32_t z = edges_[s.near_edge].next;
+      if (live(states_[z]) || live_edge(z).has_value()) return s.near_edge;
+    }
+    return std::nullopt;
   }
 
   /// The current state's distance, if it is within the generation's cap.
@@ -302,6 +419,8 @@ struct SymbolicTourStream::Impl {
     // one exists, since the current state is at *k.
     if (*k == 1) {
       if (const auto e = live_edge(state_)) return e;
+    } else if (*k == 2) {
+      if (const auto e = near_edge(state_)) return e;
     } else {
       const std::uint32_t end = states_[state_].end_edge;
       for (std::uint32_t e = states_[state_].first_edge; e < end; ++e) {
@@ -379,35 +498,30 @@ struct SymbolicTourStream::Impl {
          ++depth) {
       const std::size_t level_end = queue_.size();
       level_ends_.push_back(level_end);
-      if (depth + 2 > limit || depth + 2 >= best) {
-        // Only a live child can still help.
-        for (; head < level_end; ++head) {
-          const std::uint32_t y = queue_[head];
-          if (const auto e = live_edge(y)) {
-            best = depth + 1;
-            best_end = edges_[*e].next;
-            best_tail = 0;
-            states_[best_end].search_parent = y;
-            break;
-          }
+      // A live child anywhere on the level ends the search at depth + 1 —
+      // nothing found later can be shorter — so look for one before
+      // expanding any of the level.
+      for (std::size_t i = head; i < level_end; ++i) {
+        const std::uint32_t y = queue_[i];
+        if (const auto e = live_edge(y)) {
+          best = depth + 1;
+          best_end = edges_[*e].next;
+          best_tail = 0;
+          states_[best_end].search_parent = y;
+          break;
         }
-        continue;
       }
-      for (; head < level_end && depth + 1 < best; ++head) {
+      // Past here only a live child could still help, and there is none.
+      if (depth + 2 > limit || depth + 2 >= best) break;
+      for (; head < level_end; ++head) {
         const std::uint32_t y = queue_[head];
         const std::uint32_t end = states_[y].end_edge;
         for (std::uint32_t e = states_[y].first_edge; e < end; ++e) {
-          const std::uint32_t z = edges_[e].next;
+          const std::uint32_t z = edges_[e].next;  // not live, as checked
           State& s = states_[z];
           if (s.search_mark == epoch_) continue;
           s.search_mark = epoch_;
           s.search_parent = y;
-          if (live(s)) {  // nothing found later can be shorter
-            best = depth + 1;
-            best_end = z;
-            best_tail = 0;
-            break;
-          }
           if (s.exact_in != generation_) (void)follow_witness(z);
           const std::uint64_t through = depth + 1 + s.lower;
           if (s.exact_in == generation_) {
@@ -503,6 +617,10 @@ bool SymbolicTourStream::finished() const { return impl_->finished(); }
 
 SymbolicTourResult SymbolicTourStream::summary() const {
   return impl_->summary();
+}
+
+void SymbolicTourStream::check_invariants() const {
+  impl_->check_invariants();
 }
 
 SymbolicTourResult symbolic_transition_tour(

@@ -17,6 +17,16 @@
 //           when the current state's own distance is missing or 0
 //     when no such state is reachable: restart from reset
 //   until every reachable transition is covered (or the step cap is hit).
+//
+// The step taken is the first edge, in enumeration order, whose successor is
+// one closer. Two forward-only pointers per state answer the common cases:
+// at distance 1 the first edge into a live state, at distance 2 the first
+// edge into a state that is live or has a live successor. The live set only
+// shrinks and distances only grow, so neither pointer ever moves back, and
+// each query costs amortized O(1). Farther away, each edge's successor is
+// probed with a bounded breadth-first search; the search checks every state
+// of a level for a live successor, by the first pointer, before expanding
+// any of it, so it never expands its last level.
 #pragma once
 
 #include <cstdint>
@@ -113,6 +123,14 @@ class SymbolicTourStream {
   /// result's `sequences` is always empty — the caller already holds the
   /// yielded sequences.
   [[nodiscard]] SymbolicTourResult summary() const;
+
+  /// Recounts the walk's state table: every id round-trips through its
+  /// key, every edge and cursor is in range, the visited and taken bits
+  /// match summary(), the edge pointers skip only what they may, and every
+  /// stored distance bound holds against a reference breadth-first search
+  /// (exactly, where it is marked exact). Throws std::logic_error on the
+  /// first violation. O(states + edges); meant for tests.
+  void check_invariants() const;
 
  private:
   struct Impl;

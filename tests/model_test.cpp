@@ -11,13 +11,16 @@
 
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
 
+#include "distinguish/wmethod.hpp"
 #include "fsm/mealy.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "testmodel/testmodel.hpp"
+#include "tour/tour.hpp"
 
 namespace simcov::model {
 namespace {
@@ -191,18 +194,17 @@ void expect_stream_summaries_match_evaluate(ExplicitModel& model) {
   EXPECT_GT(sequences, 1u);  // the reset-separated case is exercised
 }
 
-TEST(ExplicitTourStream, SummaryMatchesEvaluateAfterEverySequence) {
-  // Packed circuit keys: the reduced DLX control model's extraction.
+/// The coverage fixtures: the reduced DLX control model's extraction
+/// (packed circuit keys), and dense-id machines whose transient start state
+/// 0 leads into two closed random components (states 1-30 and 31-60), plus
+/// a state 61 it never reaches.
+std::vector<ExplicitModel> coverage_fixtures() {
+  std::vector<ExplicitModel> models;
   const auto dlx = testmodel::build_dlx_control_model(tiny_model_options());
   auto extraction = sym::extract_explicit(dlx.circuit, 100000);
-  ASSERT_FALSE(extraction.truncated);
-  ExplicitModel dlx_model(std::move(extraction));
-  expect_stream_summaries_match_evaluate(dlx_model);
-
-  // Dense-id keys: a transient start state 0 leading into two closed random
-  // components (states 1-30 and 31-60), plus a state 61 it never reaches.
+  EXPECT_FALSE(extraction.truncated);
+  models.emplace_back(std::move(extraction));
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    SCOPED_TRACE(seed);
     fsm::MealyMachine m(62, 3);
     for (fsm::StateId base : {1u, 31u}) {
       const auto part = fsm::random_connected_machine(30, 3, 2, seed + base);
@@ -216,9 +218,45 @@ TEST(ExplicitTourStream, SummaryMatchesEvaluateAfterEverySequence) {
     m.set_transition(0, 0, 1, 0);
     m.set_transition(0, 1, 31, 0);
     m.set_transition(61, 0, 0, 0);
-    ExplicitModel model(std::move(m), 0);
-    expect_stream_summaries_match_evaluate(model);
+    models.emplace_back(std::move(m), 0);
   }
+  return models;
+}
+
+TEST(ExplicitTourStream, SummaryMatchesEvaluateAfterEverySequence) {
+  std::vector<ExplicitModel> models = coverage_fixtures();
+  for (std::size_t n = 0; n < models.size(); ++n) {
+    SCOPED_TRACE(n);
+    expect_stream_summaries_match_evaluate(models[n]);
+  }
+}
+
+TEST(ExplicitModelAdapter, ToResultCoverageMatchesEvaluate) {
+  std::vector<ExplicitModel> models = coverage_fixtures();
+  for (std::size_t n = 0; n < models.size(); ++n) {
+    SCOPED_TRACE(n);
+    ExplicitModel& model = models[n];
+    std::vector<TourResult> results;
+    results.push_back(model.transition_tour());
+    results.push_back(model.random_walk(500, n));
+    // A single state tour exists on the DLX machine only.
+    if (const auto st = tour::state_tour(model.machine(), model.start())) {
+      results.push_back(model.to_result({model.start(), {st->inputs}}));
+    }
+    if (const auto w = distinguish::wmethod_test_suite(model.machine(),
+                                                       model.start())) {
+      results.push_back(model.to_result(*w));
+    }
+    results.push_back(model.to_result({model.start(), {}}));  // empty set
+    for (const TourResult& r : results) {
+      const CoverageStats want = model.evaluate(r.tour);
+      EXPECT_EQ(r.coverage, want);
+      EXPECT_EQ(r.complete, want.complete());
+    }
+  }
+  // An undefined step throws as evaluate() does.
+  ExplicitModel& model = models.back();
+  EXPECT_THROW(model.to_result({model.start(), {{2}}}), std::domain_error);
 }
 
 }  // namespace

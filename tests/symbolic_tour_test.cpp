@@ -239,13 +239,24 @@ void expect_pin(const SymbolicTourResult& tour, const TourPin& pin) {
   EXPECT_EQ(tour.complete, pin.complete);
 }
 
+/// The whole tour, drained from the stream with the walk's invariants
+/// checked after every yielded sequence.
 SymbolicTourResult tour_of(const SequentialCircuit& c,
                            std::size_t max_steps = 10'000'000) {
   bdd::BddManager mgr;
   SymbolicFsm fsm(mgr, c);
   SymbolicTourOptions opt;
   opt.max_steps = max_steps;
-  return symbolic_transition_tour(fsm, opt);
+  SymbolicTourStream stream(fsm, opt);
+  EXPECT_NO_THROW(stream.check_invariants());
+  std::vector<model::Sequence> sequences;
+  while (auto seq = stream.next_sequence()) {
+    sequences.push_back(std::move(*seq));
+    EXPECT_NO_THROW(stream.check_invariants());
+  }
+  SymbolicTourResult result = stream.summary();
+  result.sequences = std::move(sequences);
+  return result;
 }
 
 /// n-bit incrementer outputs of the little-endian vector q.
@@ -404,6 +415,8 @@ struct ReferenceWalk {
   std::size_t layer_recomputes = 0;
   std::size_t states_visited = 0;
   std::size_t transitions_covered = 0;
+  /// Navigation steps by the layer they left (index = layer).
+  std::vector<std::size_t> descents;
 };
 
 ReferenceWalk reference_walk(const ExplicitModel& em, std::size_t max_steps) {
@@ -462,7 +475,12 @@ ReferenceWalk reference_walk(const ExplicitModel& em, std::size_t max_steps) {
       [&]() -> std::optional<std::pair<fsm::InputId, fsm::StateId>> {
     if (layer[at] <= 0) return std::nullopt;
     for (const auto& e : out[at]) {
-      if (layer[e.second] == layer[at] - 1) return e;
+      if (layer[e.second] == layer[at] - 1) {
+        const auto l = static_cast<std::size_t>(layer[at]);
+        if (w.descents.size() <= l) w.descents.resize(l + 1);
+        ++w.descents[l];
+        return e;
+      }
     }
     return std::nullopt;
   };
@@ -500,16 +518,19 @@ ReferenceWalk reference_walk(const ExplicitModel& em, std::size_t max_steps) {
   return w;
 }
 
-/// A random sequential circuit: 2-7 latches, 1-3 inputs, a few dozen random
-/// gates, and (for half the seeds) a random input constraint.
-SequentialCircuit random_circuit(std::uint64_t seed) {
+/// A random sequential circuit: min_latches to max_latches latches (2-7 by
+/// default), 1-3 inputs, a few dozen random gates, and (for half the seeds)
+/// a random input constraint.
+SequentialCircuit random_circuit(std::uint64_t seed, unsigned min_latches = 2,
+                                 unsigned max_latches = 7) {
   std::uint64_t counter = 0;
   const auto draw = [&](std::uint64_t range) {
     return runtime::splitmix64(seed * 0x9e3779b97f4a7c15ull + ++counter) %
            range;
   };
   SequentialCircuit c;
-  const auto num_latches = static_cast<unsigned>(2 + draw(6));
+  const auto num_latches =
+      static_cast<unsigned>(min_latches + draw(max_latches - min_latches + 1));
   const auto num_inputs = static_cast<unsigned>(1 + draw(3));
   std::vector<SignalId> pool;
   std::vector<SignalId> latch_q;
@@ -579,6 +600,72 @@ TEST(SymbolicTourDifferential, MatchesLayerDefinitionOnRings) {
     EXPECT_EQ(tour.sequences, ref.sequences);
     EXPECT_EQ(tour.layer_recomputes, ref.layer_recomputes);
   }
+}
+
+/// An n-bit ring counter (input 0 increments) whose states with their low
+/// `gap` bits clear also take a side branch (input 1) half-way round the
+/// ring. Once the ring is covered, each branch left is a navigation of up
+/// to 2^gap steps.
+SequentialCircuit branch_ring_circuit(unsigned bits, unsigned gap) {
+  SequentialCircuit c;
+  const SignalId in = c.net.add_input("in");
+  std::vector<SignalId> q;
+  for (unsigned j = 0; j < bits; ++j) {
+    q.push_back(c.net.add_input("q" + std::to_string(j)));
+  }
+  const auto inc = increment(c.net, q);
+  const std::vector<SignalId> low(q.begin(), q.begin() + gap);
+  const SignalId aligned = c.net.make_not(c.net.make_or(low));
+  c.primary_inputs = {in};
+  for (unsigned j = 0; j < bits; ++j) {
+    const SignalId branch = j + 1 == bits ? c.net.make_not(q[j]) : q[j];
+    c.latches.push_back({q[j], c.net.make_mux(in, branch, inc[j]), false,
+                         "q" + std::to_string(j)});
+  }
+  c.valid = c.net.make_or(c.net.make_not(in), aligned);
+  c.outputs = {{"aligned", aligned}};
+  return c;
+}
+
+TEST(SymbolicTourDifferential, LargeMachinesMatchReference) {
+  std::vector<SequentialCircuit> circuits;
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    circuits.push_back(random_circuit(seed, 8, 12));
+  }
+  for (const unsigned gap : {2u, 3u, 4u}) {
+    circuits.push_back(branch_ring_circuit(11, gap));
+  }
+  std::vector<std::size_t> descents;
+  for (std::size_t n = 0; n < circuits.size(); ++n) {
+    SCOPED_TRACE(n);
+    const auto em = extract_explicit(circuits[n], 1u << 12);
+    ASSERT_FALSE(em.truncated);
+    const auto tour = tour_of(circuits[n]);
+    const auto ref = reference_walk(em, 10'000'000);
+    EXPECT_EQ(tour.sequences, ref.sequences);
+    EXPECT_EQ(tour.steps, ref.steps);
+    EXPECT_EQ(tour.restarts, ref.restarts);
+    EXPECT_EQ(tour.layer_recomputes, ref.layer_recomputes);
+    std::size_t ref_navigate = 0;
+    for (std::size_t l = 0; l < ref.descents.size(); ++l) {
+      if (descents.size() <= l) descents.resize(l + 1);
+      descents[l] += ref.descents[l];
+      ref_navigate += ref.descents[l];
+    }
+    EXPECT_EQ(tour.navigate_steps, ref_navigate);
+    EXPECT_DOUBLE_EQ(tour.stats.states_visited,
+                     static_cast<double>(ref.states_visited));
+    EXPECT_DOUBLE_EQ(tour.stats.transitions_covered,
+                     static_cast<double>(ref.transitions_covered));
+  }
+  // Distance-2 descents take the near_edge pointer; layer 3 and up run
+  // multi-level searches. The sample must have many of both.
+  ASSERT_GT(descents.size(), 3u);
+  EXPECT_GT(descents[1], 2000u);
+  EXPECT_GT(descents[2], 2000u);
+  std::size_t deeper = 0;
+  for (std::size_t l = 3; l < descents.size(); ++l) deeper += descents[l];
+  EXPECT_GT(deeper, 1000u);
 }
 
 // ---- successor enumeration vs scalar BDD evaluation ----------------------------
