@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
   base.resume = bench::resume();
   base.collect_coverage_telemetry = true;
   base.generator = bench::generator();
-  base.monitor = bench::monitor();
   if (base.generator.kind != core::GeneratorKind::kTransitionTour) {
     // Smoke-scale walk budget: the identity claims below hold at any
     // budget, and CI runs this bench once per generator.

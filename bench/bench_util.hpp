@@ -30,13 +30,6 @@
 // `--vcd <path>` requests a VCD waveform of the committed test set:
 // benches pass circuit() / vcd() into CampaignOptions::circuit_path /
 // vcd_path (the src/io frontend).
-//
-// `--monitor <port>` starts an obs::CampaignMonitor (embedded /metrics +
-// /progress HTTP endpoint; port 0 picks an ephemeral one, printed at
-// startup) and `--watchdog <seconds>` arms its stall watchdog: benches
-// pass monitor() into CampaignOptions::monitor. `--monitor-dump <prefix>`
-// makes finish() self-scrape the endpoints into <prefix>.progress.json /
-// <prefix>.metrics.prom / <prefix>.healthz.txt.
 #pragma once
 
 #include <chrono>
@@ -54,7 +47,6 @@
 #include "obs/event_sink.hpp"
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
-#include "obs/monitor_server.hpp"
 
 namespace simcov::bench {
 
@@ -85,12 +77,6 @@ struct Recorder {
   /// text dump to metrics_path.
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::string metrics_path;
-  /// Live monitor (--monitor / --watchdog); campaigns attach it via
-  /// CampaignOptions::monitor.
-  std::unique_ptr<obs::CampaignMonitor> monitor;
-  /// When non-empty, finish() self-scrapes the monitor endpoints into
-  /// <prefix>.progress.json / <prefix>.metrics.prom / <prefix>.healthz.txt.
-  std::string monitor_dump_prefix;
   /// Lazy fan-out over the requested sinks (see bench::sink()).
   obs::MultiSink combined;
   bool combined_ready = false;
@@ -111,8 +97,7 @@ struct Recorder {
 /// Parses bench command-line flags (`--json <path>`, `--trace <path>`,
 /// `--perfetto <path>`, `--metrics <path>`, `--store <dir>`, `--resume`,
 /// `--circuit <file.blif>`, `--vcd <path>`, `--reorder on|off`,
-/// `--generator tour|biased|hybrid`, `--monitor <port>`,
-/// `--watchdog <seconds>`, `--monitor-dump <prefix>`).
+/// `--generator tour|biased|hybrid`).
 /// Exits with status 2 on anything unrecognized or an unopenable trace.
 inline void init(int argc, char** argv) {
   auto& rec = detail::Recorder::instance();
@@ -121,9 +106,6 @@ inline void init(int argc, char** argv) {
     const auto slash = path.find_last_of('/');
     rec.binary = slash == std::string::npos ? path : path.substr(slash + 1);
   }
-  bool monitor_requested = false;
-  int monitor_port = -1;  // no HTTP server unless --monitor was given
-  double watchdog_seconds = 0.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg(argv[i]);
     if (arg == "--json" && i + 1 < argc) {
@@ -151,33 +133,6 @@ inline void init(int argc, char** argv) {
       rec.circuit_path = argv[++i];
     } else if (arg == "--vcd" && i + 1 < argc) {
       rec.vcd_path = argv[++i];
-    } else if (arg == "--monitor" && i + 1 < argc) {
-      const std::string value(argv[++i]);
-      char* end = nullptr;
-      const long port = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || port < 0 || port > 65535) {
-        std::fprintf(stderr, "%s: --monitor expects a port (0-65535, 0 = "
-                             "ephemeral), got '%s'\n",
-                     rec.binary.c_str(), value.c_str());
-        std::exit(2);
-      }
-      monitor_requested = true;
-      monitor_port = static_cast<int>(port);
-    } else if (arg == "--watchdog" && i + 1 < argc) {
-      const std::string value(argv[++i]);
-      char* end = nullptr;
-      const double seconds = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || seconds <= 0.0) {
-        std::fprintf(stderr,
-                     "%s: --watchdog expects seconds > 0, got '%s'\n",
-                     rec.binary.c_str(), value.c_str());
-        std::exit(2);
-      }
-      monitor_requested = true;
-      watchdog_seconds = seconds;
-    } else if (arg == "--monitor-dump" && i + 1 < argc) {
-      monitor_requested = true;
-      rec.monitor_dump_prefix = argv[++i];
     } else if (arg == "--resume") {
       rec.resume = true;
     } else if (arg == "--reorder" && i + 1 < argc) {
@@ -204,35 +159,11 @@ inline void init(int argc, char** argv) {
                    "[--perfetto <path>] [--metrics <path>] "
                    "[--store <dir>] [--circuit <file.blif>] "
                    "[--vcd <path>] [--resume] [--reorder on|off] "
-                   "[--generator tour|biased|hybrid] "
-                   "[--monitor <port>] [--watchdog <seconds>] "
-                   "[--monitor-dump <prefix>]\n",
+                   "[--generator tour|biased|hybrid]\n",
                    rec.binary.c_str());
       std::exit(2);
     }
   }
-  if (monitor_requested) {
-    obs::MonitorOptions mon;
-    mon.port = monitor_port;
-    mon.watchdog_seconds = watchdog_seconds;
-    try {
-      rec.monitor = std::make_unique<obs::CampaignMonitor>(mon);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", rec.binary.c_str(), e.what());
-      std::exit(2);
-    }
-    if (rec.monitor->port() != 0) {
-      std::printf("monitor: listening on http://127.0.0.1:%u "
-                  "(/metrics /progress /healthz)\n",
-                  static_cast<unsigned>(rec.monitor->port()));
-    }
-  }
-}
-
-/// The --trace sink, or nullptr when tracing is off — plugs directly into
-/// CampaignOptions::sink / MutantCoverageOptions::sink.
-[[nodiscard]] inline obs::EventSink* trace() {
-  return detail::Recorder::instance().trace_sink.get();
 }
 
 /// Fan-out over every requested observability sink (--trace JSONL,
@@ -275,12 +206,6 @@ inline void init(int argc, char** argv) {
 /// True when --resume was given — plugs into CampaignOptions::resume.
 [[nodiscard]] inline bool resume() {
   return detail::Recorder::instance().resume;
-}
-
-/// The live monitor (--monitor / --watchdog / --monitor-dump), or nullptr
-/// when none was requested — plugs into CampaignOptions::monitor.
-[[nodiscard]] inline obs::CampaignMonitor* monitor() {
-  return detail::Recorder::instance().monitor.get();
 }
 
 /// True when `--reorder on` was given — plugs into CampaignOptions::reorder
@@ -329,35 +254,6 @@ inline void attach_json(const std::string& key, std::string raw_json) {
 /// a clean exit into a failing one.
 inline int finish(int code = 0) {
   const auto& rec = detail::Recorder::instance();
-  if (rec.monitor != nullptr && !rec.monitor_dump_prefix.empty()) {
-    // Self-scrape through the real HTTP endpoint when the server is up
-    // (exercising the socket path a curl would take); fall back to the
-    // in-process views when --monitor was not given.
-    const auto fetch = [&](const std::string& path,
-                           const std::string& fallback) {
-      if (rec.monitor->port() != 0) {
-        if (auto got = obs::http_get(rec.monitor->port(), path)) {
-          return got->body;
-        }
-      }
-      return fallback;
-    };
-    const std::pair<const char*, std::string> dumps[] = {
-        {".progress.json", fetch("/progress", rec.monitor->progress_json())},
-        {".metrics.prom", fetch("/metrics", rec.monitor->metrics_text())},
-        {".healthz.txt", fetch("/healthz", rec.monitor->health_text())},
-    };
-    for (const auto& [suffix, body] : dumps) {
-      const std::string path = rec.monitor_dump_prefix + suffix;
-      std::ofstream out(path);
-      out << body;
-      if (!out) {
-        std::fprintf(stderr, "%s: failed to write %s\n", rec.binary.c_str(),
-                     path.c_str());
-        if (code == 0) code = 1;
-      }
-    }
-  }
   if (!rec.metrics_path.empty() && rec.metrics != nullptr) {
     std::ofstream mout(rec.metrics_path);
     mout << obs::write_prometheus_text(*rec.metrics);

@@ -121,16 +121,6 @@ class CoverageTelemetryCollector {
 
   [[nodiscard]] std::uint64_t committed() const { return committed_; }
 
-  // Live view of the tracker's account, O(1) — the CampaignMonitor's
-  // progress feed reads these after every commit, with exactly the same
-  // replay-based numbers the final telemetry section reports.
-  [[nodiscard]] std::uint64_t states_visited() const {
-    return tracker_.states_visited();
-  }
-  [[nodiscard]] std::uint64_t transitions_covered() const {
-    return tracker_.transitions_covered();
-  }
-
   /// The telemetry so far. bug_exposure_latency is left empty — the
   /// pipeline fills it from the compare stage's results.
   [[nodiscard]] CoverageTelemetry snapshot() const;

@@ -1,8 +1,6 @@
 #include "obs/event_sink.hpp"
 
-#include <filesystem>
 #include <stdexcept>
-#include <system_error>
 
 #include "core/json.hpp"
 
@@ -125,41 +123,15 @@ ScopedSpan::~ScopedSpan() { sink_.span(stage_, elapsed()); }
 // JsonlTraceSink
 // ---------------------------------------------------------------------------
 
-JsonlTraceSink::JsonlTraceSink(const std::string& path,
-                               std::uint64_t max_bytes,
-                               std::size_t max_rotated)
-    : out_(path),
-      path_(path),
-      max_bytes_(max_bytes),
-      max_rotated_(max_rotated) {
+JsonlTraceSink::JsonlTraceSink(const std::string& path) : out_(path) {
   if (!out_) {
     throw std::runtime_error("JsonlTraceSink: cannot open " + path);
   }
 }
 
-void JsonlTraceSink::rotate_locked() {
-  out_.close();
-  // Shift the suffix chain from the oldest end: .(n-1) -> .n, …, path -> .1.
-  std::error_code ec;  // rename failures only lose history, never the live file
-  std::filesystem::remove(path_ + "." + std::to_string(max_rotated_), ec);
-  for (std::size_t i = max_rotated_; i > 1; --i) {
-    std::filesystem::rename(path_ + "." + std::to_string(i - 1),
-                            path_ + "." + std::to_string(i), ec);
-  }
-  std::filesystem::rename(path_, path_ + ".1", ec);
-  out_.open(path_, std::ios::trunc);
-  bytes_written_ = 0;
-}
-
 void JsonlTraceSink::write_line(const std::string& line) {
   std::lock_guard lock(mutex_);
-  const std::uint64_t line_bytes = line.size() + 1;
-  if (max_bytes_ > 0 && max_rotated_ > 0 && bytes_written_ > 0 &&
-      bytes_written_ + line_bytes > max_bytes_) {
-    rotate_locked();
-  }
   out_ << line << '\n';
-  bytes_written_ += line_bytes;
 }
 
 void JsonlTraceSink::span(Stage stage, double seconds) {

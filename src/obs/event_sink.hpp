@@ -180,21 +180,10 @@ class ScopedSpan {
 /// where a killed campaign wants its trace intact — pairs with the
 /// checkpoint/resume story) and on explicit flush(); everything else is
 /// buffered for throughput.
-///
-/// Long campaigns can emit per-item events for millions of sequences, so
-/// the sink optionally rotates: when a write would push the current file
-/// past `max_bytes`, the file is closed and renamed to `<path>.1` (an
-/// existing `.1` shifts to `.2`, and so on up to `max_rotated` files, the
-/// oldest falling off the end) and a fresh `<path>` is opened. Rotation
-/// happens at line boundaries only — every file is valid JSONL on its own.
 class JsonlTraceSink final : public EventSink {
  public:
   /// Throws std::runtime_error when the file cannot be opened.
-  /// `max_bytes` 0 disables rotation (the pre-rotation behaviour);
-  /// `max_rotated` is the number of `.N` files kept besides the live one.
-  explicit JsonlTraceSink(const std::string& path,
-                          std::uint64_t max_bytes = 0,
-                          std::size_t max_rotated = 2);
+  explicit JsonlTraceSink(const std::string& path);
 
   void span(Stage stage, double seconds) override;
   void counter(Stage stage, std::string_view name,
@@ -212,16 +201,9 @@ class JsonlTraceSink final : public EventSink {
 
  private:
   void write_line(const std::string& line);
-  /// Shifts path -> .1 -> .2 -> … (dropping the oldest) and reopens path.
-  /// Caller holds the mutex.
-  void rotate_locked();
 
   std::mutex mutex_;
   std::ofstream out_;
-  std::string path_;
-  std::uint64_t max_bytes_ = 0;    ///< 0: rotation off
-  std::size_t max_rotated_ = 2;
-  std::uint64_t bytes_written_ = 0;  ///< bytes in the current file
 };
 
 }  // namespace simcov::obs

@@ -287,8 +287,6 @@ std::string prometheus_help_text(std::string_view name) {
       {"bdd.reorder", "Variable-reordering passes of the live BDD manager."},
       {"bdd_live_nodes", "Live BDD nodes of the symbolic backend."},
       {"bdd_peak_nodes", "Peak live BDD nodes of the symbolic backend."},
-      {"campaign.stall",
-       "Watchdog stall detections, labelled by the attributed stage."},
       {"sequences_in_flight_peak",
        "Peak sequences held in the streaming window."},
   };

@@ -38,10 +38,6 @@
 #include "store/artifact_store.hpp"
 #include "testmodel/testmodel.hpp"
 
-namespace simcov::obs {
-class CampaignMonitor;  // obs/monitor_server.hpp — kept out of this header
-}  // namespace simcov::obs
-
 namespace simcov::pipeline {
 
 enum class TestMethod : std::uint8_t {
@@ -213,19 +209,6 @@ struct CampaignOptions {
   /// `collect_symbolic_stats` keeps the static order regardless, so stored
   /// snapshot artifacts never depend on this runtime knob.
   bdd::ReorderPolicy reorder = bdd::ReorderPolicy::kNone;
-
-  // ---- Live monitor ------------------------------------------------------
-  /// Live observability plane (obs::CampaignMonitor): its registry joins
-  /// the sink fan-out, its progress estimator is fed per committed
-  /// sequence (with the CoverageTelemetryCollector's replay account), and
-  /// its watchdog samples the run on a background thread. The monitor is
-  /// caller-owned and outlives the run, so /metrics and /progress stay
-  /// scrapeable before, during and after. Strictly a read-only observer:
-  /// the campaign report is byte-identical with the monitor on or off.
-  /// Attaching one implies the coordinator-side telemetry replay (the
-  /// progress feed's accounting) even when collect_coverage_telemetry is
-  /// off — the report section itself stays gated on that flag.
-  obs::CampaignMonitor* monitor = nullptr;
 
   // ---- Real-circuit frontend (src/io) ------------------------------------
   /// Path of a BLIF netlist to campaign on instead of the built-in DLX

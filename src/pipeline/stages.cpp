@@ -216,7 +216,7 @@ void SymbolicSnapshotStage::run(const CampaignOptions& options,
     sink.counter(obs::Stage::kSymbolic, "bdd.reorder",
                  result.bdd_stats->reorders);
     // Node-table pressure as level snapshots (gauge = max semantics), so
-    // the live monitor can surface BDD memory without summing samples.
+    // a metrics reader sees BDD memory without summing samples.
     sink.gauge(obs::Stage::kSymbolic, "bdd_live_nodes",
                result.bdd_stats->live_nodes);
     sink.gauge(obs::Stage::kSymbolic, "bdd_peak_nodes",

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "io/vcd.hpp"
-#include "obs/monitor_server.hpp"
 #include "pipeline/stages.hpp"
 #include "pipeline/store_keys.hpp"
 #include "runtime/thread_pool.hpp"
@@ -46,16 +45,6 @@ std::vector<std::uint8_t> checkpoint_payload(
   }
   return store::to_payload(ckpt);
 }
-
-/// Guarantees CampaignMonitor::end_campaign on every exit path (the
-/// watchdog thread and the queue-depth hook must not outlive the pool and
-/// token they observe).
-struct MonitorGuard {
-  obs::CampaignMonitor* monitor;
-  ~MonitorGuard() {
-    if (monitor != nullptr) monitor->end_campaign();
-  }
-};
 
 /// Everything one campaign shares across its steps. The constructor is the
 /// set-up: sink fan-out, model build, the optional replayer, telemetry
@@ -110,9 +99,6 @@ Campaign::Campaign(const CampaignOptions& opts,
   sink.add(&recorder);
   sink.add(options.sink);
   sink.add(options.metrics);
-  // The live monitor's private registry rides the same fan-out; it never
-  // lands on the result, so the report is identical with it on or off.
-  if (options.monitor != nullptr) sink.add(&options.monitor->sink());
 
   build = ModelBuildStage::run(options, sink, result);
   if (build.external_circuit && !bugs.empty()) {
@@ -125,10 +111,7 @@ Campaign::Campaign(const CampaignOptions& opts,
   // Coverage telemetry replays committed sequences through the model on the
   // coordinator thread — the one account that is identical for live,
   // store-replayed (no live tracker), and resumed campaigns.
-  // An attached monitor needs the same account for its live progress feed,
-  // so it forces the collector on; the report section itself stays gated
-  // on collect_coverage_telemetry in assemble_result.
-  if (options.collect_coverage_telemetry || options.monitor != nullptr) {
+  if (options.collect_coverage_telemetry) {
     telemetry.emplace(*build.model, options.telemetry_curve_budget);
   }
 
@@ -247,11 +230,6 @@ bool commit_batch(Campaign& c, std::vector<model::Sequence> batch,
       c.telemetry->commit_batch(batch);
     } else {
       c.telemetry->commit_batch(batch, paths);
-    }
-    if (c.options.monitor != nullptr) {
-      c.options.monitor->on_commit(result.sequences, result.test_length,
-                                   c.telemetry->states_visited(),
-                                   c.telemetry->transitions_covered());
     }
   }
   if (!c.options.vcd_path.empty()) {
@@ -473,7 +451,7 @@ CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
   report(obs::Stage::kSimulate, result.clean_runs.size());
   report(obs::Stage::kCompare, bugs_compared);
 
-  if (c.telemetry.has_value() && c.options.collect_coverage_telemetry) {
+  if (c.telemetry.has_value()) {
     auto t = c.telemetry->snapshot();
     // Exposure latency comes from the compare stage's per-bug first-exposing
     // indices (committed order), one entry per compared bug.
@@ -507,19 +485,6 @@ CampaignResult ValidationPipeline::run(
   const std::size_t window = options_.max_in_flight_sequences != 0
                                  ? options_.max_in_flight_sequences
                                  : 2 * pool.size();
-
-  // Arm the live monitor: progress totals, stall evidence (the pool's
-  // backlog), and the cancellation hook a cancel_on_stall watchdog trips.
-  // The guard is declared after `pool`, so its end_campaign — which
-  // detaches these hooks and stops the watchdog thread — runs first on
-  // every exit path.
-  MonitorGuard monitor_guard{options_.monitor};
-  if (options_.monitor != nullptr) {
-    options_.monitor->begin_campaign(
-        c.result.model_transitions,
-        [&pool] { return static_cast<std::uint64_t>(pool.pending()); },
-        [cancel = options_.cancel] { cancel.cancel(); });
-  }
 
   commit_stream(c, pool, window);
   close_stream(c);

@@ -27,13 +27,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::size_t ThreadPool::pending() const {
-  std::lock_guard lock(mutex_);
-  if (job_ == nullptr) return 0;
-  const std::size_t next = job_->next.load(std::memory_order_relaxed);
-  return next >= job_->count ? 0 : job_->count - next;
-}
-
 void ThreadPool::work(Job& job) {
   for (;;) {
     if (job.cancel != nullptr &&

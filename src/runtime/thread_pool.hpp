@@ -51,12 +51,6 @@ class ThreadPool {
   /// Total parallel lanes (workers + the calling thread).
   [[nodiscard]] std::size_t size() const { return workers_.size() + 1; }
 
-  /// Indices of the active loop not yet claimed by any lane — the pool's
-  /// backlog. 0 between loops (and always 0 on the inline single-lane
-  /// path, which never posts a Job). Observability only: the value is
-  /// stale the moment it is returned. Safe from any thread.
-  [[nodiscard]] std::size_t pending() const;
-
   /// Runs fn(0) ... fn(count-1), each exactly once, across all lanes.
   /// Blocks until every index has finished; rethrows the first task
   /// exception. Not reentrant: do not call from inside a task.
@@ -87,7 +81,7 @@ class ThreadPool {
   static void work(Job& job);
 
   std::vector<std::thread> workers_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_cv_;  ///< workers wait for a new job
   std::condition_variable done_cv_;  ///< the caller waits for quiescence
   Job* job_ = nullptr;               ///< non-null while a loop is active

@@ -1,6 +1,6 @@
 // Name-level totals over an obs::MetricsRegistry summary: counters summed
 // and gauges max'ed across every stage that emitted the name, for tests
-// that assert on store and watchdog events regardless of stage.
+// that assert on store events regardless of stage.
 #pragma once
 
 #include <algorithm>

@@ -168,8 +168,8 @@ TEST(MetricsRegistry, ConcurrentObservationsAreAllCounted) {
 }
 
 TEST(MetricsRegistry, SnapshotWhileFoldingIsSafeAndMonotonic) {
-  // The live monitor scrapes summary() from its watchdog/HTTP threads
-  // while the campaign folds events concurrently. Any intermediate
+  // summary() may be read from another thread while the campaign folds
+  // events concurrently (the registry locks for it). Any intermediate
   // snapshot must be internally sane (no torn reads: count covers every
   // bucketed observation) and the per-name counts must only grow; the
   // final snapshot after joining must be exact. Run under TSan in CI.
@@ -258,51 +258,6 @@ TEST(JsonlTraceSink, ExplicitFlushAndStatusBoundaryMakeEventsVisible) {
         << "status events must flush without an explicit flush() call";
   }
   std::filesystem::remove(path);
-}
-
-TEST(JsonlTraceSink, RotatesAtTheSizeCapAndKeepsEveryLine) {
-  const auto path = temp_file("jsonl_rotate.jsonl");
-  const auto rotated1 = std::filesystem::path(path.string() + ".1");
-  const auto rotated2 = std::filesystem::path(path.string() + ".2");
-  for (const auto& p : {path, rotated1, rotated2}) {
-    std::filesystem::remove(p);
-  }
-  constexpr std::uint64_t kMaxBytes = 512;
-  constexpr std::size_t kEvents = 64;
-  {
-    obs::JsonlTraceSink sink(path.string(), kMaxBytes, 2);
-    for (std::size_t i = 0; i < kEvents; ++i) {
-      sink.gauge(obs::Stage::kTour, "peak", i);
-    }
-  }
-  ASSERT_TRUE(std::filesystem::exists(path));
-  ASSERT_TRUE(std::filesystem::exists(rotated1));
-  ASSERT_TRUE(std::filesystem::exists(rotated2));
-  // No rotated file exceeds the cap (the active one may be mid-fill).
-  EXPECT_LE(std::filesystem::file_size(rotated1), kMaxBytes);
-  EXPECT_LE(std::filesystem::file_size(rotated2), kMaxBytes);
-  // Retention window: the newest files survive, oldest lines age out of
-  // the two-file window. Lines never straddle a rotation boundary.
-  std::size_t kept = 0;
-  std::size_t last_value = 0;
-  for (const auto& p : {rotated2, rotated1, path}) {
-    std::ifstream in(p);
-    std::string line;
-    while (std::getline(in, line)) {
-      EXPECT_NE(line.find("\"event\":\"gauge\""), std::string::npos)
-          << "truncated line in " << p;
-      const auto at = line.find("\"value\":");
-      ASSERT_NE(at, std::string::npos);
-      last_value = static_cast<std::size_t>(
-          std::stoull(line.substr(at + std::string("\"value\":").size())));
-      ++kept;
-    }
-  }
-  EXPECT_LT(kept, kEvents) << "old lines must age out of the window";
-  EXPECT_EQ(last_value, kEvents - 1) << "the newest line must survive";
-  for (const auto& p : {path, rotated1, rotated2}) {
-    std::filesystem::remove(p);
-  }
 }
 
 TEST(JsonlTraceSink, NoCapMeansNoRotation) {
