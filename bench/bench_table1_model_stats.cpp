@@ -99,6 +99,8 @@ int main(int argc, char** argv) {
     bench::row("tour steps (paper: 1.069e9)", tour.steps);
     bench::row("navigation steps", tour.navigate_steps);
     bench::row("layer recomputes", tour.layer_recomputes);
+    bench::row("input listings", tour.input_listings);
+    bench::row("distance_within calls", tour.distance_within_calls);
     bench::row("transitions covered", tour.transitions_covered);
     bench::row("coverage", tour.coverage());
     bench::row("complete", tour.complete ? "yes" : "NO");

@@ -5,8 +5,6 @@
 #include <random>
 #include <stdexcept>
 
-#include "sym/symbolic_tour.hpp"
-
 namespace simcov::model {
 
 SymbolicModel::SymbolicModel(const sym::SequentialCircuit& circuit,
@@ -15,15 +13,16 @@ SymbolicModel::SymbolicModel(const sym::SequentialCircuit& circuit,
     // before SymbolicFsm builds the transition relation in it.
     : fsm_((mgr_.set_reorder_policy(reorder), mgr_), circuit),
       packed_(fsm_.circuit()),
-      reset_(pack_bits(fsm_.initial_state_bits())) {}
+      reset_(pack_bits(fsm_.initial_state_bits())),
+      classes_(fsm_) {}
 
 std::vector<TestModel::Edge> SymbolicModel::edges(std::uint64_t state) {
   const auto it = edge_cache_.find(state);
   if (it != edge_cache_.end()) return it->second;
 
-  std::vector<std::uint64_t> inputs;
+  const auto inputs = classes_.inputs(classes_.class_of(state));
   std::vector<std::uint64_t> next;
-  sym::enumerate_successors(fsm_, packed_, state, inputs, next);
+  sym::step_successors(packed_, state, inputs, next);
   std::vector<Edge> out;
   out.reserve(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {

@@ -19,6 +19,7 @@
 #include "model/test_model.hpp"
 #include "sym/packed_logic_sim.hpp"
 #include "sym/symbolic_fsm.hpp"
+#include "sym/symbolic_tour.hpp"
 
 namespace simcov::model {
 
@@ -91,6 +92,7 @@ class SymbolicModel final : public TestModel {
   sym::SymbolicFsm fsm_;
   sym::PackedCircuitSim packed_;  ///< steps fsm_.circuit()
   std::uint64_t reset_ = 0;
+  sym::InputClasses classes_;  ///< valid inputs, one listing per class
   /// Per-state (input, successor) enumeration, memoized — the walk revisits
   /// states far more often than it discovers them.
   std::unordered_map<std::uint64_t, std::vector<Edge>> edge_cache_;

@@ -102,12 +102,28 @@ SignalId LogicNetwork::make_eq_const(std::span<const SignalId> a,
 }
 
 std::vector<bdd::Bdd> LogicNetwork::eval_bdd(
-    bdd::BddManager& mgr, std::span<const bdd::Bdd> input_funcs) const {
+    bdd::BddManager& mgr, std::span<const bdd::Bdd> input_funcs,
+    std::span<const SignalId> roots) const {
   if (input_funcs.size() != inputs_.size()) {
     throw std::invalid_argument("LogicNetwork::eval_bdd: input count mismatch");
   }
+  // Gates reference earlier signals only, so one backward pass marks the
+  // roots' fan-in. Unused operands are 0, which at worst keeps signal 0 —
+  // an input or a constant.
+  std::vector<bool> needed(gates_.size(), roots.empty());
+  for (const SignalId r : roots) {
+    check(r);
+    needed[r] = true;
+  }
+  for (std::size_t s = gates_.size(); s-- > 0;) {
+    const Gate& g = gates_[s];
+    if (needed[s] && g.op != GateOp::kInput && g.op != GateOp::kConst) {
+      needed[g.a] = needed[g.b] = needed[g.c] = true;
+    }
+  }
   std::vector<bdd::Bdd> val(gates_.size());
   for (std::size_t s = 0; s < gates_.size(); ++s) {
+    if (!needed[s]) continue;
     const Gate& g = gates_[s];
     switch (g.op) {
       case GateOp::kInput:

@@ -76,8 +76,11 @@ class LogicNetwork {
   }
 
   /// Symbolic evaluation: BDD for every signal, given one BDD per input.
+  /// With `roots`, only the signals they depend on are evaluated; every
+  /// other entry stays a null Bdd.
   [[nodiscard]] std::vector<bdd::Bdd> eval_bdd(
-      bdd::BddManager& mgr, std::span<const bdd::Bdd> input_funcs) const;
+      bdd::BddManager& mgr, std::span<const bdd::Bdd> input_funcs,
+      std::span<const SignalId> roots = {}) const;
 
  private:
   struct Gate {

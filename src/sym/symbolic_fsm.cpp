@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -250,16 +251,28 @@ ExplicitModel extract_explicit(const SequentialCircuit& c,
   }
 
   // Pass 1 (symbolic): the global valid input alphabet = PI combinations
-  // valid in at least one state.
+  // valid in at least one state, ∃ps. valid over the cone of `valid` alone,
+  // with SymbolicFsm's variable ids (PI k -> k, latch j -> num_pi + 2j).
   ExplicitModel model;
   {
     bdd::BddManager mgr;
-    SymbolicFsm sym(mgr, c);
     std::vector<unsigned> pi_vars(num_pi);
-    for (std::size_t k = 0; k < num_pi; ++k) pi_vars[k] = sym.pi_var(k);
+    std::iota(pi_vars.begin(), pi_vars.end(), 0u);
     std::vector<unsigned> ps_vars(num_latch);
-    for (std::size_t j = 0; j < num_latch; ++j) ps_vars[j] = sym.ps_var(j);
-    const bdd::Bdd over_pi = mgr.exists(sym.valid_inputs(), mgr.cube(ps_vars));
+    for (std::size_t j = 0; j < num_latch; ++j) {
+      ps_vars[j] = static_cast<unsigned>(num_pi + 2 * j);
+    }
+    bdd::Bdd valid = mgr.one();
+    if (c.valid.has_value()) {
+      std::vector<bdd::Bdd> input_funcs;
+      input_funcs.reserve(sources.size());
+      for (const auto& [is_latch, index] : sources) {
+        input_funcs.push_back(
+            mgr.var(is_latch ? ps_vars[index] : pi_vars[index]));
+      }
+      valid = c.net.eval_bdd(mgr, input_funcs, {&*c.valid, 1})[*c.valid];
+    }
+    const bdd::Bdd over_pi = mgr.exists(valid, mgr.cube(ps_vars));
     mgr.for_each_minterm(over_pi, pi_vars, [&](const std::vector<bool>& v) {
       model.input_bits.push_back(v);
       return true;

@@ -11,26 +11,47 @@
 
 namespace simcov::sym {
 
-void enumerate_successors(SymbolicFsm& fsm, const PackedCircuitSim& sim,
-                          std::uint64_t state,
-                          std::vector<std::uint64_t>& inputs,
-                          std::vector<std::uint64_t>& next) {
-  bdd::BddManager& mgr = fsm.manager();
-  std::vector<bool> bits(fsm.num_latches());
-  for (std::size_t j = 0; j < bits.size(); ++j) bits[j] = (state >> j) & 1u;
-  const bdd::Bdd at_state =
-      mgr.constrain(fsm.valid_inputs(), mgr.minterm(fsm.ps_vars(), bits));
-  inputs.clear();
-  mgr.for_each_minterm(at_state, fsm.pi_vars(),
+InputClasses::InputClasses(SymbolicFsm& fsm) : fsm_(fsm) {
+  const std::vector<unsigned> support =
+      fsm_.manager().support(fsm_.valid_inputs());
+  for (std::size_t j = 0; j < fsm_.num_latches(); ++j) {
+    if (std::binary_search(support.begin(), support.end(), fsm_.ps_var(j))) {
+      mask_ |= std::uint64_t{1} << j;
+      mask_vars_.push_back(fsm_.ps_var(j));
+    }
+  }
+}
+
+std::uint32_t InputClasses::class_of(std::uint64_t state) {
+  const std::uint64_t key = state & mask_;
+  if (const auto it = ids_.find(key); it != ids_.end()) return it->second;
+  bdd::BddManager& mgr = fsm_.manager();
+  std::vector<bool> bits;
+  for (std::uint64_t m = mask_; m != 0; m &= m - 1) {
+    bits.push_back(((key >> std::countr_zero(m)) & 1u) != 0);
+  }
+  const bdd::Bdd at_class =
+      mgr.constrain(fsm_.valid_inputs(), mgr.minterm(mask_vars_, bits));
+  std::vector<std::uint64_t> list;
+  mgr.for_each_minterm(at_class, fsm_.pi_vars(),
                        [&](const std::vector<bool>& in) {
                          std::uint64_t input = 0;
                          for (std::size_t k = 0; k < in.size(); ++k) {
                            input |= std::uint64_t{in[k]} << k;
                          }
-                         inputs.push_back(input);
+                         list.push_back(input);
                          return true;
                        });
+  const auto cls = static_cast<std::uint32_t>(lists_.size());
+  lists_.push_back(std::move(list));
+  keys_.push_back(key);
+  ids_.emplace(key, cls);
+  return cls;
+}
 
+void step_successors(const PackedCircuitSim& sim, std::uint64_t state,
+                     std::span<const std::uint64_t> inputs,
+                     std::vector<std::uint64_t>& next) {
   constexpr std::size_t kLanes = PackedCircuitSim::kLanes;
   std::array<std::uint64_t, kLanes> states;
   states.fill(state);
@@ -38,13 +59,12 @@ void enumerate_successors(SymbolicFsm& fsm, const PackedCircuitSim& sim,
   for (std::size_t base = 0; base < inputs.size(); base += kLanes) {
     const std::size_t lanes = std::min(kLanes, inputs.size() - base);
     const std::uint64_t valid =
-        sim.step(std::span(states.data(), lanes),
-                 std::span(inputs).subspan(base, lanes),
+        sim.step(std::span(states.data(), lanes), inputs.subspan(base, lanes),
                  std::span(next).subspan(base, lanes));
     if (static_cast<std::size_t>(std::popcount(valid)) != lanes) {
       throw std::logic_error(
-          "enumerate_successors: the circuit rejects an input its BDD lists "
-          "as valid");
+          "step_successors: the circuit rejects an input its BDD lists as "
+          "valid");
     }
   }
 }
@@ -52,15 +72,17 @@ void enumerate_successors(SymbolicFsm& fsm, const PackedCircuitSim& sim,
 /// Drives the tour: concrete walking over the implicit model, suspended at
 /// every reset so SymbolicTourStream can yield sequence-by-sequence.
 ///
-/// States live in a dense table, one uint32 id per packed latch key. Per
-/// visited state, the valid inputs (listed by the BDD, via generalized
-/// cofactor of the input constraint) and their successor ids (stepped on
-/// the word-level kernel, 64 inputs per pass) are enumerated once into one
-/// shared edge array; covering steps then cost O(1). A per-state cursor is
-/// exact coverage bookkeeping: transition (s, i) can only be covered by
-/// taking i at s, so inputs before the cursor are covered, inputs after are
-/// not.
-/// Per-edge "taken" and per-state "visited" bits count what the walk
+/// States live in a dense table, one uint32 id per packed latch key. Each
+/// state holds its constraint class (InputClasses), whose list gives its
+/// valid inputs; a state has a valid input iff that list is non-empty, which
+/// is exact because every interned state is reachable. Per visited state,
+/// the successor ids of those inputs (stepped on the word-level kernel, 64
+/// inputs per pass) are enumerated once into one shared edge array, edge k
+/// of a state taking input k of its class's list; covering steps then cost
+/// O(1). A per-state cursor is exact coverage bookkeeping: transition (s, i)
+/// can only be covered by taking i at s, so inputs before the cursor are
+/// covered, inputs after are not.
+/// A "taken" bit per edge and a "visited" bit per state count what the walk
 /// exercised, navigation steps included.
 ///
 /// Navigation heads for the nearest "live" state — one with a valid input
@@ -84,24 +106,13 @@ void enumerate_successors(SymbolicFsm& fsm, const PackedCircuitSim& sim,
 struct SymbolicTourStream::Impl {
  public:
   Impl(SymbolicFsm& fsm, const SymbolicTourOptions& options)
-      : fsm_(fsm),
-        mgr_(fsm.manager()),
-        options_(options),
-        num_latches_(fsm.ps_vars().size()),
-        sim_(packable(fsm).circuit()) {
-    assignment_.assign(mgr_.var_count(), false);
-
-    const bdd::Bdd reached = fsm_.reachable_states();
-    transitions_total_ = fsm_.count_transitions(reached);
+      : options_(options), sim_(packable(fsm).circuit()), classes_(fsm) {
+    const bdd::Bdd reached = fsm.reachable_states();
+    transitions_total_ = fsm.count_transitions(reached);
     total_count_ = static_cast<std::size_t>(transitions_total_);
-    states_total_ = fsm_.count_states(reached);
+    states_total_ = fsm.count_states(reached);
 
-    const std::vector<unsigned> pi_vec(fsm_.pi_vars().begin(),
-                                       fsm_.pi_vars().end());
-    has_valid_input_ =
-        reached & mgr_.exists(fsm_.valid_inputs(), mgr_.cube(pi_vec));
-
-    initial_ = intern(model::TestModel::pack_bits(fsm_.initial_state_bits()));
+    initial_ = intern(model::TestModel::pack_bits(fsm.initial_state_bits()));
     state_ = initial_;
     visit(state_);
   }
@@ -134,13 +145,15 @@ struct SymbolicTourStream::Impl {
         state_ = initial_;
         return seq;
       }
-      Edge& e = edges_[edge];
-      if (options_.record_inputs) seq.push_back(e.input);
-      if (!e.taken) {
-        e.taken = true;
+      if (options_.record_inputs) {
+        const State& from = states_[state_];
+        seq.push_back(classes_.inputs(from.cls)[edge - from.first_edge]);
+      }
+      if (!taken_[edge]) {
+        taken_[edge] = true;
         ++transitions_taken_;
       }
-      state_ = e.next;
+      state_ = edges_[edge].next;
       visit(state_);
       ++steps_;
     }
@@ -162,16 +175,32 @@ struct SymbolicTourStream::Impl {
         fail("a state id does not round-trip through its key");
       }
     }
+    if (taken_.size() != edges_.size()) fail("not one taken bit per edge");
     std::size_t taken = 0;
-    for (const Edge& e : edges_) {
-      if (e.next >= states_.size()) fail("edge successor out of range");
-      taken += e.taken ? 1 : 0;
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+      if (edges_[e].next >= states_.size()) fail("edge successor out of range");
+      taken += taken_[e] ? 1 : 0;
+    }
+    std::unordered_map<std::uint64_t, std::uint32_t> class_ids;
+    for (std::uint32_t c = 0; c < classes_.size(); ++c) {
+      if (!class_ids.emplace(classes_.key(c), c).second) {
+        fail("two classes share a masked key");
+      }
     }
     std::size_t visited = 0;
     std::size_t listed = 0;
     std::size_t covered = 0;
     for (const State& s : states_) {
       visited += s.visited ? 1 : 0;
+      if (s.cls >= classes_.size() ||
+          classes_.key(s.cls) != (s.key & classes_.mask())) {
+        fail("a state's class is not its masked key");
+      }
+      const std::size_t listed_here = classes_.inputs(s.cls).size();
+      if (s.has_valid_input != (listed_here != 0) ||
+          (s.enumerated && s.end_edge - s.first_edge != listed_here)) {
+        fail("a state's edges differ from its class's list");
+      }
       const auto within = [&](std::uint32_t e) {
         return s.first_edge <= e && e <= s.end_edge;
       };
@@ -248,6 +277,8 @@ struct SymbolicTourStream::Impl {
     result.restarts = restarts_;
     result.navigate_steps = navigate_steps_;
     result.layer_recomputes = generation_;
+    result.input_listings = classes_.size();
+    result.distance_within_calls = distance_within_calls_;
     result.transitions_total = transitions_total_;
     result.complete = complete_;
     result.stats = {static_cast<double>(states_visited_), states_total_,
@@ -266,13 +297,13 @@ struct SymbolicTourStream::Impl {
   static constexpr std::uint32_t kNone =
       std::numeric_limits<std::uint32_t>::max();
 
+  /// Edge k of a state takes input k of its class's list.
   struct Edge {
-    std::uint64_t input;
     std::uint32_t next;  ///< successor state id
-    bool taken = false;  ///< exercised by the walk
   };
   struct State {
     std::uint64_t key;
+    std::uint32_t cls = 0;  ///< its constraint class (InputClasses)
     /// Edges are edges_[first_edge, end_edge); cursor is the first one the
     /// covering walk has not taken yet.
     std::uint32_t first_edge = 0;
@@ -309,8 +340,7 @@ struct SymbolicTourStream::Impl {
   }
 
   // ---- state table ---------------------------------------------------------
-  /// The id of a packed state, added on first sight with one evaluation of
-  /// "reachable and has a valid input".
+  /// The id of a packed state, added on first sight with its class.
   std::uint32_t intern(std::uint64_t key) {
     const auto [it, added] =
         ids_.try_emplace(key, static_cast<std::uint32_t>(states_.size()));
@@ -320,11 +350,8 @@ struct SymbolicTourStream::Impl {
       }
       State s;
       s.key = key;
-      // has_valid_input_ depends on the latches only.
-      for (std::size_t j = 0; j < num_latches_; ++j) {
-        assignment_[fsm_.ps_var(j)] = (key >> j) & 1u;
-      }
-      s.has_valid_input = mgr_.eval(has_valid_input_, assignment_);
+      s.cls = classes_.class_of(key);
+      s.has_valid_input = !classes_.inputs(s.cls).empty();
       states_.push_back(s);
     }
     return it->second;
@@ -340,14 +367,14 @@ struct SymbolicTourStream::Impl {
   /// Enumerates (valid input, successor) pairs of a state, once.
   void enumerate(std::uint32_t id) {
     if (states_[id].enumerated) return;
-    enumerate_successors(fsm_, sim_, states_[id].key, inputs_, next_);
-    if (edges_.size() + inputs_.size() >= kNone) {
+    step_successors(sim_, states_[id].key, classes_.inputs(states_[id].cls),
+                    next_);
+    if (edges_.size() + next_.size() >= kNone) {
       throw std::length_error("symbolic_transition_tour: too many edges");
     }
     const auto first = static_cast<std::uint32_t>(edges_.size());
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-      edges_.push_back(Edge{inputs_[i], intern(next_[i])});
-    }
+    for (const std::uint64_t key : next_) edges_.push_back(Edge{intern(key)});
+    taken_.resize(edges_.size());
     State& s = states_[id];
     s.first_edge = first;
     s.cursor = first;
@@ -466,6 +493,7 @@ struct SymbolicTourStream::Impl {
   /// expanded.
   std::optional<std::uint32_t> distance_within(std::uint32_t from,
                                                std::uint32_t bound) {
+    ++distance_within_calls_;
     {
       const State& s = states_[from];
       if (live(s)) return 0;
@@ -565,19 +593,15 @@ struct SymbolicTourStream::Impl {
     return d;
   }
 
-  SymbolicFsm& fsm_;
-  bdd::BddManager& mgr_;
   SymbolicTourOptions options_;
-  const std::size_t num_latches_;
-  PackedCircuitSim sim_;  ///< steps fsm_.circuit()
-  std::vector<bool> assignment_;
-  bdd::Bdd has_valid_input_;  ///< reachable states with a valid input
-  std::vector<std::uint64_t> inputs_;  ///< enumerate_successors buffers
-  std::vector<std::uint64_t> next_;
+  PackedCircuitSim sim_;  ///< steps the fsm's circuit
+  InputClasses classes_;
+  std::vector<std::uint64_t> next_;  ///< step_successors buffer
 
   std::unordered_map<std::uint64_t, std::uint32_t> ids_;
   std::vector<State> states_;
   std::vector<Edge> edges_;
+  std::vector<bool> taken_;  ///< per edge: exercised by the walk
   std::uint32_t initial_ = 0;
   std::uint32_t state_ = 0;
 
@@ -596,6 +620,7 @@ struct SymbolicTourStream::Impl {
   std::size_t steps_ = 0;
   std::size_t restarts_ = 0;
   std::size_t navigate_steps_ = 0;
+  std::size_t distance_within_calls_ = 0;
   bool complete_ = false;
   bool finished_ = false;
 };

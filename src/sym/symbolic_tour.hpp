@@ -3,10 +3,13 @@
 // The paper's 22-latch test model has 123 million transitions — no explicit
 // enumeration fits, so its 1069M-step tour was generated on the implicit
 // (BDD) representation (Section 7.2). This module does the same: the BDDs
-// give the reachable totals and list each visited state's valid inputs,
-// once, when the walk first stands on the state; the successors of those
-// inputs come from the word-level kernel (PackedCircuitSim), 64 inputs per
-// pass. The walk itself then runs on that memoized successor table.
+// give the reachable totals and list the valid inputs once per constraint
+// class — the states that agree on the latches the input constraint reads
+// share one list; the successors of a visited state's inputs come from the
+// word-level kernel (PackedCircuitSim), 64 inputs per pass, once, when the
+// walk first stands on the state. The walk itself then runs on that
+// memoized successor table, whose edges hold only a successor id: edge k of
+// a state takes input k of its class's list.
 //
 // Algorithm sketch:
 //   repeat:
@@ -32,6 +35,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "model/coverage.hpp"
@@ -41,15 +46,52 @@
 
 namespace simcov::sym {
 
-/// The valid inputs of `state` (packed keys) and their successors: the BDD
-/// lists the inputs, in the minterm order of constrain(valid_inputs, state)
-/// over pi_vars, into `inputs`; `sim`, built from fsm.circuit(), steps them
-/// 64 per pass into `next` (same index). Throws std::logic_error when the
-/// kernel rejects a listed input — the circuit and its BDD view disagree.
-void enumerate_successors(SymbolicFsm& fsm, const PackedCircuitSim& sim,
-                          std::uint64_t state,
-                          std::vector<std::uint64_t>& inputs,
-                          std::vector<std::uint64_t>& next);
+/// The valid inputs of every state, listed once per constraint class.
+///
+/// valid_inputs reads only some latches — the class mask is the latches in
+/// its support — so two states with the same `key & mask` have the same
+/// valid inputs. A class's list is constrain(valid_inputs, minterm of the
+/// masked latches) enumerated over pi_vars in minterm order. For a cube,
+/// constrain is the plain cofactor, and latches outside the support do not
+/// change it, so the list equals the per-state listing, in order; the
+/// minterm order does not depend on the variable order, so sifting cannot
+/// change it either. Class ids are handed out in order of first sight.
+/// Precondition: fsm has at most 63 latches (packed state keys).
+class InputClasses {
+ public:
+  explicit InputClasses(SymbolicFsm& fsm);
+
+  /// The class of `state`, listing its inputs on first sight.
+  std::uint32_t class_of(std::uint64_t state);
+  /// The valid inputs (packed keys) of every state of class `cls`.
+  [[nodiscard]] std::span<const std::uint64_t> inputs(
+      std::uint32_t cls) const {
+    return lists_[cls];
+  }
+  /// The masked state key shared by the states of class `cls`.
+  [[nodiscard]] std::uint64_t key(std::uint32_t cls) const {
+    return keys_[cls];
+  }
+  [[nodiscard]] std::uint64_t mask() const { return mask_; }
+  /// Classes seen so far — one input listing each.
+  [[nodiscard]] std::size_t size() const { return lists_.size(); }
+
+ private:
+  SymbolicFsm& fsm_;
+  std::uint64_t mask_ = 0;
+  std::vector<unsigned> mask_vars_;  ///< ps vars of the masked latches
+  std::unordered_map<std::uint64_t, std::uint32_t> ids_;  ///< by masked key
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::vector<std::uint64_t>> lists_;
+};
+
+/// Steps `state` on every one of `inputs` (packed keys) into `next` (same
+/// index) on `sim`, built from fsm.circuit(), 64 inputs per pass. Throws
+/// std::logic_error when the kernel rejects an input — the inputs came from
+/// InputClasses, so the circuit and its BDD view disagree.
+void step_successors(const PackedCircuitSim& sim, std::uint64_t state,
+                     std::span<const std::uint64_t> inputs,
+                     std::vector<std::uint64_t>& next);
 
 struct SymbolicTourOptions {
   /// Hard cap on total walk length.
@@ -71,6 +113,11 @@ struct SymbolicTourResult {
   /// Navigation generations started: how often the walk had to recompute
   /// distances because the ones it held were stale or missing.
   std::size_t layer_recomputes = 0;
+  /// Valid-input listings on the BDD: one per constraint class met.
+  std::size_t input_listings = 0;
+  /// Bounded distance searches started (each may end at once on a stored
+  /// or re-checked distance).
+  std::size_t distance_within_calls = 0;
   double transitions_total = 0.0;    ///< reachable (state, input) pairs
   double transitions_covered = 0.0;
   bool complete = false;             ///< every reachable transition covered
@@ -125,11 +172,13 @@ class SymbolicTourStream {
   [[nodiscard]] SymbolicTourResult summary() const;
 
   /// Recounts the walk's state table: every id round-trips through its
-  /// key, every edge and cursor is in range, the visited and taken bits
-  /// match summary(), the edge pointers skip only what they may, and every
-  /// stored distance bound holds against a reference breadth-first search
-  /// (exactly, where it is marked exact). Throws std::logic_error on the
-  /// first violation. O(states + edges); meant for tests.
+  /// key, every state's class is its masked key and its edge count its
+  /// class's list length, no two classes share a masked key, every edge
+  /// and cursor is in range, the taken bits (one per edge) and the visited
+  /// bits match summary(), the edge pointers skip only what they may, and
+  /// every stored distance bound holds against a reference breadth-first
+  /// search (exactly, where it is marked exact). Throws std::logic_error on
+  /// the first violation. O(states + edges); meant for tests.
   void check_invariants() const;
 
  private:

@@ -147,6 +147,28 @@ TEST(LogicNet, SymbolicMatchesConcrete) {
   }
 }
 
+TEST(LogicNet, SymbolicRootsEvaluateOnlyTheirCone) {
+  LogicNetwork net;
+  const SignalId a = net.add_input("a");
+  const SignalId b = net.add_input("b");
+  const SignalId c = net.add_input("c");
+  const SignalId nb = net.make_not(b);
+  const SignalId f = net.make_mux(a, nb, c);
+  const SignalId other = net.make_and(net.make_xor(a, c), net.constant(true));
+  bdd::BddManager mgr;
+  const std::vector<bdd::Bdd> in{mgr.var(0), mgr.var(1), mgr.var(2)};
+  const auto full = net.eval_bdd(mgr, in);
+  const auto cone = net.eval_bdd(mgr, in, {&f, 1});
+  ASSERT_EQ(cone.size(), full.size());
+  for (const SignalId s : {a, b, c, nb, f}) {
+    EXPECT_EQ(cone[s], full[s]) << "signal " << s;
+  }
+  EXPECT_FALSE(cone[other].valid());
+  EXPECT_FALSE(cone[net.constant(true)].valid());
+  EXPECT_THROW((void)net.eval_bdd(mgr, in, std::vector<SignalId>{99}),
+               std::out_of_range);
+}
+
 // ---------------------------------------------------------------------------
 // SymbolicFsm on a hand-built 2-bit counter with enable.
 // ---------------------------------------------------------------------------

@@ -669,9 +669,10 @@ TEST(SymbolicTourDifferential, LargeMachinesMatchReference) {
 }
 
 // ---- successor enumeration vs scalar BDD evaluation ----------------------------
-// The walk and SymbolicModel::edges list a state's valid inputs on the BDD and
-// step them on the word-level kernel. The oracle is the enumeration they
-// replaced: every next-state BDD evaluated once per listed input.
+// The walk and SymbolicModel::edges list valid inputs on the BDD once per
+// constraint class (InputClasses) and step them on the word-level kernel.
+// The oracle is the enumeration they replaced: the inputs listed per state,
+// every next-state BDD evaluated once per listed input.
 
 /// (input, successor) pairs of `state` in minterm order, by BDD evaluation.
 std::vector<model::TestModel::Edge> bdd_eval_successors(SymbolicFsm& fsm,
@@ -808,19 +809,25 @@ TEST(SuccessorEnumeration, MatchesBddEvaluationOnRandomCircuits) {
       (void)model.manager().try_reorder();
     }
     const PackedCircuitSim sim(model.fsm().circuit());
+    InputClasses classes(model.fsm());
     bdd::BddManager oracle_mgr;
     SymbolicFsm oracle(oracle_mgr, c);
     const std::uint64_t num_inputs = std::uint64_t{1} << oracle.num_inputs();
 
-    std::vector<std::uint64_t> inputs;
     std::vector<std::uint64_t> next;
+    std::set<std::uint64_t> masked_keys;
     for (const std::uint64_t state : reachable_keys(oracle)) {
       SCOPED_TRACE(state);
       const auto want = bdd_eval_successors(oracle, state);
       multi_pass_states += want.size() > 64 ? 1 : 0;
 
-      // Same pairs in the same (minterm) order as the BDD evaluation.
-      enumerate_successors(model.fsm(), sim, state, inputs, next);
+      // The memoized class list holds the same inputs in the same (minterm)
+      // order as the per-state listing, and steps to the same successors.
+      const std::uint32_t cls = classes.class_of(state);
+      masked_keys.insert(state & classes.mask());
+      ASSERT_EQ(classes.key(cls), state & classes.mask());
+      const auto inputs = classes.inputs(cls);
+      step_successors(sim, state, inputs, next);
       ASSERT_EQ(inputs.size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(inputs[i], want[i].input);
@@ -849,6 +856,16 @@ TEST(SuccessorEnumeration, MatchesBddEvaluationOnRandomCircuits) {
       }
       ASSERT_EQ(valid, want.size());
     }
+    // One listing per distinct masked key, and the mask is exactly the
+    // latches the constraint reads.
+    EXPECT_EQ(classes.size(), masked_keys.size());
+    std::uint64_t want_mask = 0;
+    for (const unsigned v : oracle_mgr.support(oracle.valid_inputs())) {
+      for (std::size_t j = 0; j < oracle.num_latches(); ++j) {
+        if (oracle.ps_var(j) == v) want_mask |= std::uint64_t{1} << j;
+      }
+    }
+    EXPECT_EQ(classes.mask(), want_mask);
     if (reorder) reordered += model.manager().stats().reorders > 0 ? 1 : 0;
   }
   // The sample must cover constraints, multi-pass states and sifting.
@@ -856,6 +873,52 @@ TEST(SuccessorEnumeration, MatchesBddEvaluationOnRandomCircuits) {
   EXPECT_GE(multi_pass_states, 10u);
   EXPECT_EQ(reordered, 20u);
   EXPECT_GT(invalid_pairs, 0u);
+}
+
+TEST(SuccessorEnumeration, UnconstrainedCircuitIsOneClass) {
+  // No valid signal: every state has every input, so one listing serves all.
+  const SequentialCircuit c = counter_circuit();
+  ASSERT_FALSE(c.valid.has_value());
+  const auto tour = tour_of(c);
+  bdd::BddManager mgr;
+  SymbolicFsm fsm(mgr, c);
+  EXPECT_TRUE(tour.complete);
+  EXPECT_EQ(tour.input_listings, 1u);
+  InputClasses classes(fsm);
+  EXPECT_EQ(classes.mask(), 0u);
+  const auto keys = reachable_keys(fsm);
+  ASSERT_GT(keys.size(), 1u);
+  for (const std::uint64_t state : keys) EXPECT_EQ(classes.class_of(state), 0u);
+  EXPECT_EQ(classes.size(), 1u);
+  EXPECT_EQ(classes.inputs(0).size(), std::size_t{1} << fsm.num_inputs());
+}
+
+TEST(SuccessorEnumeration, ConstraintOnEveryLatchIsOneClassPerState) {
+  // valid = en | (q0 ^ q1) reads both latches, so the mask is every latch
+  // and each reachable state is a class of its own.
+  SequentialCircuit c = counter_circuit();
+  const auto ins = c.net.inputs();
+  c.valid = c.net.make_or(ins[0], c.net.make_xor(ins[1], ins[2]));
+  const auto tour = tour_of(c);
+  bdd::BddManager mgr;
+  SymbolicFsm fsm(mgr, c);
+  EXPECT_TRUE(tour.complete);
+  const auto keys = reachable_keys(fsm);
+  EXPECT_EQ(keys.size(), 4u);
+  EXPECT_EQ(tour.input_listings, keys.size());
+  InputClasses classes(fsm);
+  EXPECT_EQ(classes.mask(), 0b11u);
+  for (const std::uint64_t state : keys) {
+    const std::uint32_t cls = classes.class_of(state);
+    EXPECT_EQ(classes.key(cls), state);
+    // en=1 is always valid; en=0 only where q0 != q1.
+    const std::vector<std::uint64_t> want =
+        (state == 1 || state == 2) ? std::vector<std::uint64_t>{0, 1}
+                                   : std::vector<std::uint64_t>{1};
+    const auto got = classes.inputs(cls);
+    EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), want);
+  }
+  EXPECT_EQ(classes.size(), keys.size());
 }
 
 TEST(SuccessorEnumeration, WideFsmBuildsButTheTourRejectsIt) {
