@@ -21,7 +21,6 @@
 #include "bench_util.hpp"
 #include "core/campaign.hpp"
 #include "core/report.hpp"
-#include "store/fingerprint.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "testmodel/testmodel.hpp"
 
@@ -59,25 +58,6 @@ std::vector<unsigned> uninterleaved_order(unsigned num_pi,
     order.push_back(num_pi + 2 * j + 1);
   }
   return order;
-}
-
-/// The campaign outcome with wall-clock timings, store activity and engine
-/// telemetry erased. BDD/symbolic statistics legitimately differ between
-/// reorder on and off (that is the point of reordering); everything the
-/// user observes — coverage, verdicts, sequences — must not.
-std::string semantic_fingerprint(simcov::core::CampaignResult result) {
-  result.timings = {};
-  result.bdd_stats.reset();
-  result.symbolic_stats.reset();
-  result.store_stats.reset();
-  result.metrics.reset();
-  return simcov::core::to_json(result);
-}
-
-std::string report_hash(const simcov::core::CampaignResult& result) {
-  simcov::store::Hasher h;
-  h.str(semantic_fingerprint(result));
-  return h.digest().hex();
 }
 
 }  // namespace
@@ -201,8 +181,14 @@ int main(int argc, char** argv) {
         opt.threads = threads;
         opt.reorder = reorder_on ? bdd::ReorderPolicy::kAuto
                                  : bdd::ReorderPolicy::kNone;
-        const auto result = core::run_campaign(opt, bugs);
-        const std::string hash = report_hash(result);
+        auto result = core::run_campaign(opt, bugs);
+        // BDD/symbolic statistics legitimately differ between reorder on
+        // and off (that is the point of reordering); everything the user
+        // observes — coverage, verdicts, sequences — must not.
+        result.bdd_stats.reset();
+        result.symbolic_stats.reset();
+        const std::string hash =
+            bench::report_hash(core::semantic_json(std::move(result)));
         if (reference.empty()) reference = hash;
         all_identical = all_identical && hash == reference;
         char label[64];

@@ -20,25 +20,8 @@
 #include "bench_util.hpp"
 #include "core/campaign.hpp"
 #include "core/report.hpp"
-#include "store/fingerprint.hpp"
 
 namespace {
-
-/// The campaign outcome with timings and store activity erased, for
-/// identity comparison (wall clock and cache hit/miss counts legitimately
-/// differ between otherwise identical runs).
-std::string semantic_fingerprint(simcov::core::CampaignResult result) {
-  result.timings = {};
-  result.store_stats.reset();
-  result.metrics.reset();
-  return simcov::core::to_json(result);
-}
-
-std::string report_hash(const simcov::core::CampaignResult& result) {
-  simcov::store::Hasher h;
-  h.str(semantic_fingerprint(result));
-  return h.digest().hex();
-}
 
 /// Model-name stem of a netlist path ("dir/count3.blif" -> "count3").
 std::string stem(const std::string& path) {
@@ -92,7 +75,7 @@ int main(int argc, char** argv) {
     core::CampaignOptions serial = base;
     serial.threads = 1;
     const auto reference_result = core::run_campaign(serial, {});
-    const std::string reference = semantic_fingerprint(reference_result);
+    const std::string reference = core::semantic_json(reference_result);
 
     bench::header("BLIF campaign: " + stem(path));
     bench::row("netlist", path);
@@ -116,7 +99,7 @@ int main(int argc, char** argv) {
       core::CampaignOptions opt = base;
       opt.threads = threads;
       const bool identical =
-          semantic_fingerprint(core::run_campaign(opt, {})) == reference;
+          core::semantic_json(core::run_campaign(opt, {})) == reference;
       all_ok = all_ok && identical;
       bench::row("identical at " + std::to_string(threads) + " threads",
                  identical ? "yes" : "NO");
@@ -143,7 +126,7 @@ int main(int argc, char** argv) {
       bench::row("symbolic backend agrees", agree ? "yes" : "NO");
     }
 
-    bench::row("report hash", report_hash(reference_result));
+    bench::row("report hash", bench::report_hash(reference));
     if (!base.vcd_path.empty()) bench::row("vcd", base.vcd_path);
     if (reference_result.store_stats.has_value()) {
       const auto& s = *reference_result.store_stats;

@@ -21,7 +21,6 @@
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "model/explicit_model.hpp"
-#include "store/fingerprint.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "testmodel/testmodel.hpp"
 
@@ -37,26 +36,6 @@ simcov::testmodel::TestModelOptions tour_model_options() {
   opt.reg_addr_bits = 1;
   opt.reduced_isa = true;
   return opt;
-}
-
-/// The campaign outcome with timings and store activity erased, for
-/// identity comparison (wall clock and cache hit/miss counts legitimately
-/// differ between otherwise identical runs).
-std::string semantic_fingerprint(simcov::core::CampaignResult result) {
-  result.timings = {};
-  result.store_stats.reset();
-  result.metrics.reset();   // wall-clock; coverage_telemetry stays — it is
-                            // deterministic and part of the identity check
-  return simcov::core::to_json(result);
-}
-
-/// Content hash of the semantic report — one short value CI can compare
-/// across invocations to assert warm runs reproduce cold runs exactly.
-std::string report_hash(const simcov::core::CampaignResult& result) {
-  const std::string json = semantic_fingerprint(result);
-  simcov::store::Hasher h;
-  h.str(json);
-  return h.digest().hex();
 }
 
 }  // namespace
@@ -120,7 +99,7 @@ int main(int argc, char** argv) {
   bench::Timer serial_timer;
   const auto serial_result = core::run_campaign(serial, bugs);
   const double serial_seconds = serial_timer.seconds();
-  const std::string reference = semantic_fingerprint(serial_result);
+  const std::string reference = core::semantic_json(serial_result);
   bench::row("test-set programs", serial_result.sequences);
   bench::row("bugs exposed", serial_result.bugs_exposed());
   bench::row("total impl cycles", serial_result.total_impl_cycles());
@@ -140,7 +119,7 @@ int main(int argc, char** argv) {
     bench::Timer timer;
     parallel_result = core::run_campaign(opt, bugs);
     const double seconds = timer.seconds();
-    const bool identical = semantic_fingerprint(parallel_result) == reference;
+    const bool identical = core::semantic_json(parallel_result) == reference;
     all_identical = all_identical && identical;
     const double speedup = serial_seconds / seconds;
     if (threads == 4) speedup_at_4 = speedup;
@@ -190,7 +169,8 @@ int main(int argc, char** argv) {
 
   bench::row("parallel results identical to serial",
              all_identical ? "yes" : "NO");
-  bench::row("campaign report hash", report_hash(parallel_result));
+  bench::row("campaign report hash",
+             bench::report_hash(core::semantic_json(parallel_result)));
   if (parallel_result.store_stats.has_value()) {
     const auto& s = *parallel_result.store_stats;
     bench::row("store hits (last run)", std::size_t{s.hits});

@@ -43,16 +43,6 @@ simcov::testmodel::TestModelOptions tour_model_options() {
   return opt;
 }
 
-/// The campaign outcome with timings and store activity erased — the two
-/// run-dependent parts of an otherwise deterministic report.
-std::string semantic_fingerprint(simcov::core::CampaignResult result) {
-  result.timings = {};
-  result.store_stats.reset();
-  result.metrics.reset();  // wall-clock; coverage_telemetry stays — resumed
-                           // runs must reproduce it bit-identically
-  return simcov::core::to_json(result);
-}
-
 /// Cancels the campaign after `after` committed clean runs — a
 /// deterministic stand-in for killing the process mid-stream.
 class KillAfterRuns final : public simcov::obs::EventSink {
@@ -118,7 +108,7 @@ int main(int argc, char** argv) {
   const bool tour_skipped = warm_stats.has_value() && warm_stats->hits > 0 &&
                             warm_stats->misses == 0;
   const bool warm_identical =
-      semantic_fingerprint(warm_result) == semantic_fingerprint(cold_result);
+      core::semantic_json(warm_result) == core::semantic_json(cold_result);
   ok = ok && tour_skipped && warm_identical;
 
   bench::row("test-set programs", cold_result.sequences);
@@ -142,7 +132,7 @@ int main(int argc, char** argv) {
     uopt.threads = threads;
     uopt.store_dir = store_root + "/uninterrupted";
     const auto uninterrupted = core::run_campaign(uopt, bugs);
-    const std::string reference = semantic_fingerprint(uninterrupted);
+    const std::string reference = core::semantic_json(uninterrupted);
 
     const std::string dir =
         store_root + "/resume-t" + std::to_string(threads);
@@ -165,7 +155,7 @@ int main(int argc, char** argv) {
     ropt.sink = bench::sink();
     const auto resumed = core::run_campaign(ropt, bugs);
 
-    const bool identical = semantic_fingerprint(resumed) == reference;
+    const bool identical = core::semantic_json(resumed) == reference;
     const std::uint64_t restored = resumed.store_stats.has_value()
                                        ? resumed.store_stats->resumed_sequences
                                        : 0;

@@ -7,12 +7,11 @@
 // one machine-readable JSON document (core/json.hpp emitter). Benches can
 // also splice full core::to_json reports in via attach_json().
 //
-// `--trace <path>` opens an obs::JsonlTraceSink, `--perfetto <path>` an
-// obs::PerfettoTraceSink (Chrome trace-event JSON, loadable in
-// ui.perfetto.dev), and `--metrics <path>` an obs::MetricsRegistry whose
-// Prometheus text dump finish() writes to the path. Benches pass sink() —
-// the fan-out over whichever of the three were requested — as
-// CampaignOptions::sink.
+// `--perfetto <path>` opens an obs::PerfettoTraceSink (Chrome trace-event
+// JSON, loadable in ui.perfetto.dev), and `--metrics <path>` an
+// obs::MetricsRegistry whose Prometheus text dump finish() writes to the
+// path. Benches pass sink() — the fan-out over whichever of the two were
+// requested — as CampaignOptions::sink.
 //
 // `--store <dir>` and `--resume` expose the artifact store: benches pass
 // store_dir() / resume() into CampaignOptions so repeated invocations
@@ -39,6 +38,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,6 +47,7 @@
 #include "obs/event_sink.hpp"
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
+#include "store/fingerprint.hpp"
 
 namespace simcov::bench {
 
@@ -69,8 +70,6 @@ struct Recorder {
   std::vector<Section> sections;
   /// (key, raw JSON document) pairs embedded verbatim by finish().
   std::vector<std::pair<std::string, std::string>> attachments;
-  /// Open when --trace was given; campaigns stream pipeline events here.
-  std::unique_ptr<obs::JsonlTraceSink> trace_sink;
   /// Open when --perfetto was given; Chrome trace-event JSON.
   std::unique_ptr<obs::PerfettoTraceSink> perfetto_sink;
   /// Allocated when --metrics was given; finish() writes the Prometheus
@@ -94,10 +93,9 @@ struct Recorder {
 
 }  // namespace detail
 
-/// Parses bench command-line flags (`--json <path>`, `--trace <path>`,
-/// `--perfetto <path>`, `--metrics <path>`, `--store <dir>`, `--resume`,
-/// `--circuit <file.blif>`, `--vcd <path>`, `--reorder on|off`,
-/// `--generator tour|biased|hybrid`).
+/// Parses bench command-line flags (`--json <path>`, `--perfetto <path>`,
+/// `--metrics <path>`, `--store <dir>`, `--resume`, `--circuit <file.blif>`,
+/// `--vcd <path>`, `--reorder on|off`, `--generator tour|biased|hybrid`).
 /// Exits with status 2 on anything unrecognized or an unopenable trace.
 inline void init(int argc, char** argv) {
   auto& rec = detail::Recorder::instance();
@@ -110,13 +108,6 @@ inline void init(int argc, char** argv) {
     const std::string arg(argv[i]);
     if (arg == "--json" && i + 1 < argc) {
       rec.json_path = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      try {
-        rec.trace_sink = std::make_unique<obs::JsonlTraceSink>(argv[++i]);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", rec.binary.c_str(), e.what());
-        std::exit(2);
-      }
     } else if (arg == "--perfetto" && i + 1 < argc) {
       try {
         rec.perfetto_sink = std::make_unique<obs::PerfettoTraceSink>(argv[++i]);
@@ -155,9 +146,8 @@ inline void init(int argc, char** argv) {
       rec.generator.kind = *kind;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--json <path>] [--trace <path>] "
-                   "[--perfetto <path>] [--metrics <path>] "
-                   "[--store <dir>] [--circuit <file.blif>] "
+                   "usage: %s [--json <path>] [--perfetto <path>] "
+                   "[--metrics <path>] [--store <dir>] [--circuit <file.blif>] "
                    "[--vcd <path>] [--resume] [--reorder on|off] "
                    "[--generator tour|biased|hybrid]\n",
                    rec.binary.c_str());
@@ -166,20 +156,17 @@ inline void init(int argc, char** argv) {
   }
 }
 
-/// Fan-out over every requested observability sink (--trace JSONL,
-/// --perfetto trace-event JSON, --metrics registry), or nullptr when none
-/// was requested — THE sink benches should pass as CampaignOptions::sink /
-/// MutantCoverageOptions::sink.
+/// Fan-out over every requested observability sink (--perfetto trace-event
+/// JSON, --metrics registry), or nullptr when none was requested — THE sink
+/// benches should pass as CampaignOptions::sink / MutantCoverageOptions::sink.
 [[nodiscard]] inline obs::EventSink* sink() {
   auto& rec = detail::Recorder::instance();
   if (!rec.combined_ready) {
-    rec.combined.add(rec.trace_sink.get());
     rec.combined.add(rec.perfetto_sink.get());
     rec.combined.add(rec.metrics.get());
     rec.combined_ready = true;
   }
-  if (rec.trace_sink == nullptr && rec.perfetto_sink == nullptr &&
-      rec.metrics == nullptr) {
+  if (rec.perfetto_sink == nullptr && rec.metrics == nullptr) {
     return nullptr;
   }
   return &rec.combined;
@@ -240,6 +227,14 @@ inline void row(const std::string& label, std::size_t value) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%zu", value);
   row(label, std::string(buf));
+}
+
+/// Content hash of a report, as 32 hex digits: CI compares this one value
+/// across invocations (cold against warm, reorder on against off).
+[[nodiscard]] inline std::string report_hash(std::string_view json) {
+  store::Hasher h;
+  h.str(json);
+  return h.digest().hex();
 }
 
 /// Embeds an already-serialized JSON report (e.g. core::to_json output)

@@ -21,7 +21,7 @@ CampaignResult run_campaign(const CampaignOptions& options,
   // cache (nothing consults them to skip work), so the report's own store
   // stats predate this publish.
   if (!options.store_dir.empty() && result.report_key.has_value() &&
-      !result.cancelled() && !result.budget_exhausted()) {
+      !result.cancelled()) {
     store::ArtifactStore store(
         store::StoreOptions{options.store_dir, options.store_max_bytes});
     const std::string json = to_json(result);

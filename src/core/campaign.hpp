@@ -4,7 +4,7 @@
 // The campaign engine itself lives in src/pipeline: a streaming
 // pipeline::ValidationPipeline assembled from typed stages (model build ->
 // tour -> concretize -> simulate -> compare), instrumented through
-// obs::EventSink, with per-stage budgets and cooperative cancellation.
+// obs::EventSink, with per-stage reports and cooperative cancellation.
 // This header re-exports the pipeline contracts under the historical
 // core:: names and keeps the two entry points as thin assemblies:
 //
@@ -40,13 +40,9 @@ using model::generator_kind_name;
 using model::parse_generator_kind;
 using pipeline::MutantCoverageOptions;
 using pipeline::MutantCoverageResult;
-using pipeline::PhaseTimings;
 using pipeline::RunMetrics;
-using pipeline::StageBudget;
-using pipeline::StageBudgets;
 using pipeline::StageReport;
 using pipeline::TestMethod;
-using pipeline::timings_from_spans;
 
 /// Runs a full campaign against each bug in `bugs` (plus a clean run).
 /// Thin assembly of pipeline::ValidationPipeline.

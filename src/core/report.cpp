@@ -7,6 +7,39 @@
 
 namespace simcov::core {
 
+namespace {
+
+/// The report's phase seconds, folded from the stage reports: simulate,
+/// compare and mutant replay add up to `simulate`, and `total` is the sum
+/// over every stage.
+struct PhaseSeconds {
+  double model_build = 0.0;
+  double symbolic = 0.0;
+  double tour = 0.0;
+  double concretize = 0.0;
+  double simulate = 0.0;
+  double total = 0.0;
+};
+
+PhaseSeconds phase_seconds(const std::vector<StageReport>& reports) {
+  PhaseSeconds p;
+  for (const StageReport& r : reports) {
+    switch (r.stage) {
+      case obs::Stage::kModelBuild: p.model_build += r.seconds; break;
+      case obs::Stage::kSymbolic: p.symbolic += r.seconds; break;
+      case obs::Stage::kTour: p.tour += r.seconds; break;
+      case obs::Stage::kConcretize: p.concretize += r.seconds; break;
+      case obs::Stage::kSimulate:
+      case obs::Stage::kCompare:
+      case obs::Stage::kMutantReplay: p.simulate += r.seconds; break;
+    }
+    p.total += r.seconds;
+  }
+  return p;
+}
+
+}  // namespace
+
 const char* bug_name(dlx::PipelineBug bug) {
   using dlx::PipelineBug;
   switch (bug) {
@@ -67,13 +100,12 @@ std::string format_report(const CampaignResult& result) {
     os << "  inconclusive runs (cycle budget): " << result.runs_inconclusive
        << "\n";
   }
+  const PhaseSeconds t = phase_seconds(result.stage_reports);
   os.precision(3);
-  os << "  wall time: " << result.timings.total_seconds << "s (model "
-     << result.timings.model_build_seconds << "s, tour "
-     << result.timings.tour_seconds << "s, concretize "
-     << result.timings.concretize_seconds << "s, simulate "
-     << result.timings.simulate_seconds << "s), "
-     << result.total_impl_cycles() << " impl cycles\n";
+  os << "  wall time: " << t.total << "s (model " << t.model_build
+     << "s, tour " << t.tour << "s, concretize " << t.concretize
+     << "s, simulate " << t.simulate << "s), " << result.total_impl_cycles()
+     << " impl cycles\n";
   return os.str();
 }
 
@@ -134,14 +166,15 @@ std::string fingerprint_hex(std::uint64_t fp) {
   return out;
 }
 
-void emit_timings(JsonWriter& w, const PhaseTimings& t) {
+void emit_timings(JsonWriter& w, const std::vector<StageReport>& reports) {
+  const PhaseSeconds t = phase_seconds(reports);
   w.begin_object("timings")
-      .field("model_build_seconds", t.model_build_seconds)
-      .field("symbolic_seconds", t.symbolic_seconds)
-      .field("tour_seconds", t.tour_seconds)
-      .field("concretize_seconds", t.concretize_seconds)
-      .field("simulate_seconds", t.simulate_seconds)
-      .field("total_seconds", t.total_seconds)
+      .field("model_build_seconds", t.model_build)
+      .field("symbolic_seconds", t.symbolic)
+      .field("tour_seconds", t.tour)
+      .field("concretize_seconds", t.concretize)
+      .field("simulate_seconds", t.simulate)
+      .field("total_seconds", t.total)
       .end_object();
 }
 
@@ -289,7 +322,7 @@ std::string to_json(const CampaignResult& result) {
     w.end_object();
   }
   w.end_array();
-  emit_timings(w, result.timings);
+  emit_timings(w, result.stage_reports);
   // Optional sections append after "timings" — the default-spec campaign
   // report must stay a byte-identical prefix of a non-default one (pinned
   // by report_json_test's OptionalSectionsOmittedNotNull). The default
@@ -373,9 +406,16 @@ std::string to_json(TestMethod method, const MutantCoverageResult& result) {
     w.end_object();
   }
   w.end_array();
-  emit_timings(w, result.timings);
+  emit_timings(w, result.stage_reports);
   w.end_object();
   return w.str();
+}
+
+std::string semantic_json(CampaignResult result) {
+  for (StageReport& r : result.stage_reports) r.seconds = 0.0;
+  result.store_stats.reset();
+  result.metrics.reset();
+  return to_json(result);
 }
 
 }  // namespace simcov::core

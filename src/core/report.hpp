@@ -30,7 +30,8 @@ const char* bug_name(dlx::PipelineBug bug);
 // Single JSON object per result, stable keys, no external dependencies
 // (writer: core/json.hpp).
 // Schema (see DESIGN.md "Structured run reports"):
-//   campaign: model{backend,...}, test_set{...}, timings{...},
+//   campaign: model{backend,...}, test_set{...}, timings{...} (the
+//             stage_reports' seconds),
 //             clean_runs[...], exposures[...], runs_inconclusive,
 //             bdd{...}?, symbolic{...}? (always present on the symbolic
 //             backend)
@@ -42,5 +43,14 @@ std::string to_json(const CampaignResult& result);
 
 /// JSON report of one mutant-coverage run.
 std::string to_json(TestMethod method, const MutantCoverageResult& result);
+
+/// The campaign's JSON report with its run-dependent parts erased: stage
+/// seconds (the "timings" section reads all zero), store activity (hit and
+/// miss counts differ between cold, warm and resumed runs) and the
+/// wall-clock "metrics" section. What remains must be identical across
+/// thread counts, cold/warm store runs and resume. Coverage telemetry is
+/// deterministic and stays in; BDD and symbolic statistics stay too (a
+/// caller comparing reorder on against off erases those itself).
+std::string semantic_json(CampaignResult result);
 
 }  // namespace simcov::core

@@ -1,9 +1,5 @@
 #include "obs/event_sink.hpp"
 
-#include <stdexcept>
-
-#include "core/json.hpp"
-
 namespace simcov::obs {
 
 const char* stage_name(Stage stage) {
@@ -22,7 +18,6 @@ const char* stage_name(Stage stage) {
 const char* status_name(StageStatus status) {
   switch (status) {
     case StageStatus::kOk: return "ok";
-    case StageStatus::kBudgetExhausted: return "budget_exhausted";
     case StageStatus::kCancelled: return "cancelled";
   }
   return "?";
@@ -50,13 +45,6 @@ void SpanRecorder::status(Stage stage, StageStatus status) {
 double SpanRecorder::seconds(Stage stage) const {
   std::lock_guard lock(mutex_);
   return seconds_[static_cast<std::size_t>(stage)];
-}
-
-double SpanRecorder::total_seconds() const {
-  std::lock_guard lock(mutex_);
-  double total = 0.0;
-  for (const double s : seconds_) total += s;
-  return total;
 }
 
 StageStatus SpanRecorder::stage_status(Stage stage) const {
@@ -118,98 +106,5 @@ double ScopedSpan::elapsed() const {
 }
 
 ScopedSpan::~ScopedSpan() { sink_.span(stage_, elapsed()); }
-
-// ---------------------------------------------------------------------------
-// JsonlTraceSink
-// ---------------------------------------------------------------------------
-
-JsonlTraceSink::JsonlTraceSink(const std::string& path) : out_(path) {
-  if (!out_) {
-    throw std::runtime_error("JsonlTraceSink: cannot open " + path);
-  }
-}
-
-void JsonlTraceSink::write_line(const std::string& line) {
-  std::lock_guard lock(mutex_);
-  out_ << line << '\n';
-}
-
-void JsonlTraceSink::span(Stage stage, double seconds) {
-  core::JsonWriter w;
-  w.begin_object()
-      .field("event", "span")
-      .field("stage", stage_name(stage))
-      .field("seconds", seconds)
-      .end_object();
-  write_line(w.str());
-}
-
-void JsonlTraceSink::counter(Stage stage, std::string_view name,
-                             std::uint64_t value) {
-  core::JsonWriter w;
-  w.begin_object()
-      .field("event", "counter")
-      .field("stage", stage_name(stage))
-      .field("name", std::string(name))
-      .field("value", value)
-      .end_object();
-  write_line(w.str());
-}
-
-void JsonlTraceSink::gauge(Stage stage, std::string_view name,
-                           std::uint64_t value) {
-  core::JsonWriter w;
-  w.begin_object()
-      .field("event", "gauge")
-      .field("stage", stage_name(stage))
-      .field("name", std::string(name))
-      .field("value", value)
-      .end_object();
-  write_line(w.str());
-}
-
-void JsonlTraceSink::item(Stage stage, std::string_view kind,
-                          std::uint64_t id, std::uint64_t value) {
-  core::JsonWriter w;
-  w.begin_object()
-      .field("event", "item")
-      .field("stage", stage_name(stage))
-      .field("kind", std::string(kind))
-      .field("id", id)
-      .field("value", value)
-      .end_object();
-  write_line(w.str());
-}
-
-void JsonlTraceSink::latency(Stage stage, std::string_view kind,
-                             std::uint64_t id, double seconds) {
-  core::JsonWriter w;
-  w.begin_object()
-      .field("event", "latency")
-      .field("stage", stage_name(stage))
-      .field("kind", std::string(kind))
-      .field("id", id)
-      .field("seconds", seconds)
-      .end_object();
-  write_line(w.str());
-}
-
-void JsonlTraceSink::status(Stage stage, StageStatus status) {
-  core::JsonWriter w;
-  w.begin_object()
-      .field("event", "status")
-      .field("stage", stage_name(stage))
-      .field("status", status_name(status))
-      .end_object();
-  write_line(w.str());
-  // Stage boundaries are where a killed campaign wants its trace intact:
-  // everything before the last status survives even an abrupt exit.
-  flush();
-}
-
-void JsonlTraceSink::flush() {
-  std::lock_guard lock(mutex_);
-  out_.flush();
-}
 
 }  // namespace simcov::obs

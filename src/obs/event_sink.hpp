@@ -19,23 +19,20 @@
 //     work (a sequence pulled, a program concretized, a clean run
 //     simulated, an index' queue wait). Like item, may arrive from worker
 //     threads concurrently.
-//   * status(stage, status):  how the stage ended (ok / budget / cancelled).
+//   * status(stage, status):  how the stage ended (ok / cancelled).
 //
-// SpanRecorder folds spans back into the legacy PhaseTimings view;
-// MetricsRegistry (obs/metrics.hpp) turns the full event flow into
-// counters (summed), gauges (max) and latency histograms; JsonlTraceSink
-// streams every event as one JSON object per line (the bench binaries'
-// --trace output);
-// PerfettoTraceSink (obs/exporters.hpp) writes Chrome trace-event JSON;
-// MultiSink fans out to any combination.
+// SpanRecorder accumulates span seconds and statuses per stage — the
+// source of the pipeline's StageReports; MetricsRegistry (obs/metrics.hpp)
+// turns counters, gauges, items and latencies into counters (summed),
+// gauges (max) and histograms; PerfettoTraceSink (obs/exporters.hpp)
+// writes every event as Chrome trace-event JSON (the bench binaries'
+// --perfetto output); MultiSink fans out to any combination.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <mutex>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -58,8 +55,7 @@ inline constexpr std::size_t kStageCount = 7;
 /// How a stage ended.
 enum class StageStatus : std::uint8_t {
   kOk,
-  kBudgetExhausted,  ///< deadline or max-items budget hit; output truncated
-  kCancelled,        ///< cancellation token observed; output truncated
+  kCancelled,  ///< cancellation token observed; output truncated
 };
 
 [[nodiscard]] const char* status_name(StageStatus status);
@@ -110,8 +106,8 @@ class EventSink {
 /// Shared do-nothing sink: lets stages call `sink.span(...)` unconditionally.
 [[nodiscard]] EventSink& null_sink();
 
-/// Accumulates per-stage span seconds and final statuses — the source the
-/// legacy PhaseTimings view is computed from (pipeline::timings_from_spans).
+/// Accumulates per-stage span seconds and final statuses — the source of
+/// the pipeline's StageReports.
 class SpanRecorder final : public EventSink {
  public:
   void span(Stage stage, double seconds) override;
@@ -119,8 +115,6 @@ class SpanRecorder final : public EventSink {
 
   /// Accumulated seconds of one stage.
   [[nodiscard]] double seconds(Stage stage) const;
-  /// Sum over every stage — the pipeline's total instrumented time.
-  [[nodiscard]] double total_seconds() const;
   [[nodiscard]] StageStatus stage_status(Stage stage) const;
 
  private:
@@ -168,42 +162,6 @@ class ScopedSpan {
   EventSink& sink_;
   Stage stage_;
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Streams events as JSON Lines — one object per event, e.g.
-///   {"event":"span","stage":"tour","seconds":0.0123}
-///   {"event":"item","stage":"simulate","kind":"clean_run","id":3,"value":6}
-/// Writes are mutex-serialized; worker-thread item events may interleave
-/// with coordinator events in file order, which is fine for a trace.
-///
-/// The stream flushes on every status event (stage boundaries are exactly
-/// where a killed campaign wants its trace intact — pairs with the
-/// checkpoint/resume story) and on explicit flush(); everything else is
-/// buffered for throughput.
-class JsonlTraceSink final : public EventSink {
- public:
-  /// Throws std::runtime_error when the file cannot be opened.
-  explicit JsonlTraceSink(const std::string& path);
-
-  void span(Stage stage, double seconds) override;
-  void counter(Stage stage, std::string_view name,
-               std::uint64_t value) override;
-  void gauge(Stage stage, std::string_view name,
-             std::uint64_t value) override;
-  void item(Stage stage, std::string_view kind, std::uint64_t id,
-            std::uint64_t value) override;
-  void latency(Stage stage, std::string_view kind, std::uint64_t id,
-               double seconds) override;
-  void status(Stage stage, StageStatus status) override;
-
-  /// Pushes everything buffered so far to the file.
-  void flush();
-
- private:
-  void write_line(const std::string& line);
-
-  std::mutex mutex_;
-  std::ofstream out_;
 };
 
 }  // namespace simcov::obs

@@ -266,7 +266,6 @@ std::string prometheus_help_text(std::string_view name) {
   // The event vocabulary the pipeline emits today. New names fall through
   // to the generic line below, so HELP coverage never regresses to absent.
   static constexpr Entry kKnown[] = {
-      {"span_ns", "Stage batch span durations in nanoseconds."},
       {"sequence", "Tour sequence lengths in steps."},
       {"sequence.latency_ns", "Per-sequence tour pull latency, nanoseconds."},
       {"program", "Concretized program lengths in instructions."},

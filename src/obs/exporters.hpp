@@ -36,8 +36,8 @@ namespace simcov::obs {
 ///
 /// The file is a JSON array; the closing bracket lands in the destructor.
 /// (The trace-event spec also permits the unterminated form, so even a
-/// killed campaign leaves a loadable trace — flush follows the same
-/// status-boundary policy as JsonlTraceSink.)
+/// killed campaign leaves a loadable trace. The stream flushes on every
+/// status event: everything up to the last stage boundary survives.)
 class PerfettoTraceSink final : public EventSink {
  public:
   /// Throws std::runtime_error when the file cannot be opened.

@@ -62,10 +62,6 @@ std::uint64_t histogram_bucket_upper_bound(std::size_t index) {
 // EventSink mapping
 // ---------------------------------------------------------------------------
 
-void MetricsRegistry::span(Stage stage, double seconds) {
-  observe(stage, "span_ns", seconds_to_ns(seconds));
-}
-
 void MetricsRegistry::counter(Stage stage, std::string_view name,
                               std::uint64_t value) {
   add_counter(stage, name, value);

@@ -5,10 +5,13 @@
 //
 //   * counters   — summed `counter` events (store.hit, checkpoint.write, …)
 //   * gauges     — max'ed `gauge` events (sequences_in_flight_peak, …)
-//   * histograms — fixed-bucket log2 distributions fed by `span` events
-//     (name "span_ns", value in nanoseconds), `item` events (name = the item
-//     kind, value = the item's value field, e.g. steps per sequence), and
-//     `latency` events (name = kind + ".latency_ns", value in nanoseconds)
+//   * histograms — fixed-bucket log2 distributions fed by `item` events
+//     (name = the item kind, value = the item's value field, e.g. steps per
+//     sequence) and `latency` events (name = kind + ".latency_ns", value in
+//     nanoseconds)
+//
+// Spans are not folded: stage time lives in the pipeline's StageReports,
+// and a PerfettoTraceSink shows every span as a slice.
 //
 // Histograms use 64 power-of-two buckets over uint64 ticks: value v lands in
 // bucket bit_width(v), whose upper bound is 2^i - 1. Quantiles (p50/p90/p99)
@@ -21,10 +24,10 @@
 // then lock-free atomic updates. Shards are selected by key hash, so
 // concurrent workers observing different metrics rarely contend.
 //
-// Wall-clock derived values (span/latency histograms) are inherently
+// Wall-clock derived values (latency histograms) are inherently
 // nondeterministic run to run; consumers that need bit-identical reports
-// erase the "metrics" JSON section (see tests' semantic_fingerprint), the
-// same way they already erase "timings".
+// erase the "metrics" JSON section (core::semantic_json), the same way
+// they erase "timings".
 #pragma once
 
 #include <array>
@@ -87,7 +90,6 @@ class MetricsRegistry final : public EventSink {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // EventSink: the event → metric mapping described in the file header.
-  void span(Stage stage, double seconds) override;
   void counter(Stage stage, std::string_view name,
                std::uint64_t value) override;
   void gauge(Stage stage, std::string_view name, std::uint64_t value) override;

@@ -1,8 +1,5 @@
 #include "pipeline/contracts.hpp"
 
-#include <cassert>
-#include <cmath>
-
 namespace simcov::pipeline {
 
 const char* method_name(TestMethod method) {
@@ -13,24 +10,6 @@ const char* method_name(TestMethod method) {
     case TestMethod::kWMethod: return "w-method";
   }
   return "?";
-}
-
-PhaseTimings timings_from_spans(const obs::SpanRecorder& spans) {
-  PhaseTimings t;
-  t.model_build_seconds = spans.seconds(obs::Stage::kModelBuild);
-  t.symbolic_seconds = spans.seconds(obs::Stage::kSymbolic);
-  t.tour_seconds = spans.seconds(obs::Stage::kTour);
-  t.concretize_seconds = spans.seconds(obs::Stage::kConcretize);
-  t.simulate_seconds = spans.seconds(obs::Stage::kSimulate) +
-                       spans.seconds(obs::Stage::kCompare) +
-                       spans.seconds(obs::Stage::kMutantReplay);
-  t.total_seconds = spans.total_seconds();
-  // Every stage must fold into one of the five phase fields; a stage the
-  // mapping dropped would make the total exceed the phase sum. Tolerance
-  // only covers the differing floating-point summation order.
-  assert(std::abs(t.total_seconds - t.phase_sum()) <=
-         1e-9 * std::fmax(1.0, std::fabs(t.total_seconds)));
-  return t;
 }
 
 std::size_t CampaignResult::bugs_exposed() const {
@@ -59,10 +38,6 @@ bool any_status(const std::vector<StageReport>& reports,
 }
 
 }  // namespace
-
-bool CampaignResult::budget_exhausted() const {
-  return any_status(stage_reports, obs::StageStatus::kBudgetExhausted);
-}
 
 bool CampaignResult::cancelled() const {
   return any_status(stage_reports, obs::StageStatus::kCancelled);

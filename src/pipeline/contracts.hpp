@@ -7,16 +7,12 @@
 // existing core:: callers compile unchanged.
 //
 // New with the pipeline:
-//  * StageBudget / StageBudgets — per-stage deadline and item caps; an
-//    exhausted budget truncates the stream (the stage reports
-//    kBudgetExhausted) instead of aborting the campaign.
 //  * CancellationToken — cooperative cancellation observed between
 //    sequences by the coordinator and between indices by the
 //    runtime::ThreadPool shards.
-//  * StageReport — how each stage ended (status, items, seconds), carried
-//    on the results next to the legacy PhaseTimings view.
-//  * timings_from_spans — PhaseTimings is no longer accumulated by hand;
-//    it is a projection of the obs::SpanRecorder's per-stage spans.
+//  * StageReport — how each stage ended (status, items, seconds): the one
+//    record of stage time. The report's "timings" section is rendered from
+//    it (core/report.cpp).
 #pragma once
 
 #include <atomic>
@@ -59,51 +55,6 @@ enum class BackendChoice : std::uint8_t {
   kSymbolic,  ///< force the implicit representation
 };
 
-/// Wall-clock seconds spent in each campaign phase — the legacy view of the
-/// pipeline's stage spans, computed by timings_from_spans. Only the phases
-/// a given experiment runs are filled; the rest stay zero.
-struct PhaseTimings {
-  double model_build_seconds = 0.0;  ///< circuit build + explicit extraction
-  double symbolic_seconds = 0.0;     ///< optional BDD reachability snapshot
-  double tour_seconds = 0.0;         ///< test-set generation + coverage eval
-  double concretize_seconds = 0.0;   ///< tour -> DLX program translation
-  double simulate_seconds = 0.0;     ///< spec-vs-impl runs / mutant replays
-  double total_seconds = 0.0;        ///< == phase_sum(), by construction
-
-  /// Sum of the five phase fields. total_seconds is defined as exactly
-  /// this — timings_from_spans asserts the two stay consistent.
-  [[nodiscard]] double phase_sum() const {
-    return model_build_seconds + symbolic_seconds + tour_seconds +
-           concretize_seconds + simulate_seconds;
-  }
-};
-
-/// Projects the per-stage span accumulation onto the legacy PhaseTimings
-/// view: simulate/compare/mutant-replay fold into simulate_seconds, and
-/// total_seconds is the sum over every stage (asserted equal to
-/// phase_sum(), i.e. the mapping drops no stage).
-[[nodiscard]] PhaseTimings timings_from_spans(const obs::SpanRecorder& spans);
-
-/// Deadline / item-count budget of one stage. Unset fields are unlimited.
-/// An exhausted budget truncates the stream at a sequence boundary — the
-/// campaign still completes on whatever was produced, and the stage reports
-/// obs::StageStatus::kBudgetExhausted.
-struct StageBudget {
-  /// Cap on the stage's accumulated span seconds, checked at batch
-  /// boundaries (a running batch is never interrupted).
-  std::optional<double> deadline_seconds;
-  /// Cap on the items the stage processes (sequences for tour/concretize/
-  /// simulate, bugs for compare).
-  std::optional<std::size_t> max_items;
-};
-
-struct StageBudgets {
-  StageBudget tour;
-  StageBudget concretize;
-  StageBudget simulate;
-  StageBudget compare;
-};
-
 /// Cooperative cancellation. Copies share one flag; cancel() is sticky.
 /// The coordinator checks it between batches, the ThreadPool shards check
 /// it between indices (raw() plugs straight into for_each_index).
@@ -126,8 +77,10 @@ class CancellationToken {
 struct StageReport {
   obs::Stage stage = obs::Stage::kModelBuild;
   obs::StageStatus status = obs::StageStatus::kOk;
-  std::size_t items = 0;   ///< units processed (see StageBudget::max_items)
-  double seconds = 0.0;    ///< accumulated span time
+  /// Units processed: sequences for tour/concretize/simulate, bugs for
+  /// compare, sampled mutants for mutant replay.
+  std::size_t items = 0;
+  double seconds = 0.0;  ///< accumulated span time
 };
 
 /// Telemetry of one spec-vs-impl simulation run (one test-set program).
@@ -172,14 +125,12 @@ struct CampaignOptions {
   // ---- Pipeline knobs (defaults reproduce the pre-pipeline behaviour) ----
   /// Instrumentation sink for spans / counters / item events (nullptr: no
   /// external instrumentation; the pipeline still records spans internally
-  /// for PhaseTimings).
+  /// for the stage reports).
   obs::EventSink* sink = nullptr;
   /// Cooperative cancellation; observed between batches and inside the
   /// ThreadPool shards. A cancelled campaign returns truncated results
   /// with the interrupted stage reporting kCancelled.
   CancellationToken cancel;
-  /// Per-stage deadlines / item caps.
-  StageBudgets budgets;
   /// Cap on tour sequences held in flight at once (the streaming window).
   /// 0 = twice the worker-pool lanes.
   std::size_t max_in_flight_sequences = 0;
@@ -189,7 +140,8 @@ struct CampaignOptions {
   /// pipeline's sink fan-out (in addition to `sink`) and its summary lands
   /// on CampaignResult::metrics — the "metrics" section of the JSON report.
   /// Histogram values derive from wall-clock and are NOT deterministic; the
-  /// tests' semantic fingerprints erase them like "timings".
+  /// report's semantic form (core::semantic_json) erases them like
+  /// "timings".
   obs::MetricsRegistry* metrics = nullptr;
   /// Collect the deterministic coverage-telemetry section (convergence
   /// curve, transition hit balance, per-bug exposure latency). Costs one
@@ -215,7 +167,7 @@ struct CampaignOptions {
   /// control model. Non-empty: ModelBuildStage parses the file
   /// (io::BlifReader) and the concretize/simulate stages are replaced by
   /// direct circuit replay (CircuitReplayStage) — tour generation,
-  /// backends, telemetry, budgets and the artifact store all work
+  /// backends, telemetry, cancellation and the artifact store all work
   /// unchanged. Store keys fingerprint the *lowered netlist content*
   /// (store::fingerprint_circuit), never this path, so renaming the file
   /// keeps warm hits and editing it forces a miss. DLX pipeline bugs make
@@ -283,11 +235,11 @@ struct CampaignResult {
   std::vector<RunMetrics> clean_runs;
   /// Runs (clean + per-bug) that exhausted the cycle budget.
   std::size_t runs_inconclusive = 0;
-  PhaseTimings timings;
   /// Filled when CampaignOptions::collect_symbolic_stats is set.
   std::optional<sym::SymbolicFsmStats> symbolic_stats;
   std::optional<bdd::BddStats> bdd_stats;
-  /// Per-stage outcome of the pipeline run (not part of the JSON report).
+  /// Per-stage outcome of the pipeline run; the JSON report renders only
+  /// their seconds, as the "timings" section.
   std::vector<StageReport> stage_reports;
   /// Store activity of this campaign; set only when an artifact store was
   /// configured (CampaignOptions::store_dir). Emitted as "store" in the
@@ -307,9 +259,6 @@ struct CampaignResult {
 
   [[nodiscard]] std::size_t bugs_exposed() const;
   [[nodiscard]] std::uint64_t total_impl_cycles() const;
-  /// Some stage hit its StageBudget: the results cover a truncated test
-  /// set and are inconclusive as a completeness claim.
-  [[nodiscard]] bool budget_exhausted() const;
   /// The campaign was cancelled mid-stream.
   [[nodiscard]] bool cancelled() const;
 };
@@ -372,8 +321,7 @@ struct MutantCoverageResult {
   /// Every real mutant in sample order, exposed or not — the per-mutant
   /// view behind exposure_latency (which lists exposed mutants only).
   std::vector<MutantExposure> mutant_exposures;
-  PhaseTimings timings;
-  /// Per-stage outcome (tour + mutant replay).
+  /// Per-stage outcome (tour + mutant replay); rendered as "timings".
   std::vector<StageReport> stage_reports;
 
   /// Fraction of real sampled mutants the test set exposed. Empty when the

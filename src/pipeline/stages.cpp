@@ -312,13 +312,7 @@ std::unique_ptr<model::SequenceSource> GenerateStage::open(
     const CampaignOptions& options, model::TestModel& model,
     model::ExplicitModel* explicit_model, obs::EventSink& sink,
     store::ArtifactStore* store, const store::Fingerprint& key) {
-  // A tour budget truncates generation, and a truncated test set is not
-  // the one the key describes — bypass the cache entirely in that case.
-  const bool cacheable =
-      store != nullptr &&
-      !options.budgets.tour.deadline_seconds.has_value() &&
-      !options.budgets.tour.max_items.has_value();
-  if (cacheable) {
+  if (store != nullptr) {
     obs::ScopedSpan span(sink, obs::Stage::kTour);
     if (auto payload =
             store->load(store::ArtifactKind::kTour, key, obs::Stage::kTour,
@@ -332,7 +326,7 @@ std::unique_ptr<model::SequenceSource> GenerateStage::open(
     }
   }
   auto live = open_live_stream(options, model, explicit_model, sink);
-  if (cacheable) {
+  if (store != nullptr) {
     // Tee the live stream so the executor can publish the finished tour.
     return std::make_unique<store::RecordingTourStream>(std::move(live),
                                                         model.input_bits());
@@ -589,7 +583,6 @@ MutantCoverageResult MutantReplayStage::run(
   sink.counter(obs::Stage::kMutantReplay, "mutants_sampled", sampled);
   sink.counter(obs::Stage::kMutantReplay, "mutants_exposed", result.exposed);
 
-  result.timings = timings_from_spans(recorder);
   result.stage_reports.push_back(
       StageReport{obs::Stage::kTour, recorder.stage_status(obs::Stage::kTour),
                   result.sequences, recorder.seconds(obs::Stage::kTour)});

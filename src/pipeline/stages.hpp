@@ -77,8 +77,9 @@ struct SymbolicSnapshotStage {
 /// With an artifact store, the stage consults it under `key` first: a hit
 /// replays the stored sequences (generation is skipped entirely); a miss
 /// wraps the live source in a store::RecordingTourStream so the executor
-/// can publish the finished test set. Caching is bypassed when a tour
-/// budget is set — a truncated test set is not the one the key describes.
+/// can publish the finished test set. The executor publishes only a tour
+/// that ran to its end: a cancelled, truncated one is not the test set the
+/// key describes.
 ///
 /// A non-default CampaignOptions::generator requires kTransitionTourSet;
 /// any other method throws std::invalid_argument.
@@ -155,7 +156,7 @@ struct CompareStage {
 /// The Theorem-3 evaluator: generates the method's test set on the machine
 /// level, samples output/transfer mutants and replays each against the
 /// set. kTour span for generation, kMutantReplay span for sampling+replay
-/// (folded into simulate_seconds by timings_from_spans).
+/// (rendered into "simulate_seconds" of the report's timings).
 struct MutantReplayStage {
   static MutantCoverageResult run(const fsm::MealyMachine& machine,
                                   fsm::StateId start,

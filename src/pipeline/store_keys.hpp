@@ -19,8 +19,8 @@
 //                report additionally depends on which bugs were compared.
 //
 // Keys deliberately exclude runtime-only knobs (threads, window size,
-// sinks, stage budgets): results are bit-identical across those, so
-// artifacts stay shareable across them.
+// sinks): results are bit-identical across those, so artifacts stay
+// shareable across them.
 #pragma once
 
 #include <span>

@@ -21,18 +21,6 @@ namespace simcov::pipeline {
 
 namespace {
 
-/// True when the stage's accumulated span time has passed its deadline.
-bool past_deadline(const StageBudget& budget, const obs::SpanRecorder& spans,
-                   obs::Stage stage) {
-  return budget.deadline_seconds.has_value() &&
-         spans.seconds(stage) >= *budget.deadline_seconds;
-}
-
-/// True when the stage has processed its item cap.
-bool items_exhausted(const StageBudget& budget, std::size_t items) {
-  return budget.max_items.has_value() && items >= *budget.max_items;
-}
-
 /// Serializes the committed clean-run prefix into a checkpoint payload.
 std::vector<std::uint8_t> checkpoint_payload(
     const std::vector<RunMetrics>& clean_runs) {
@@ -252,36 +240,15 @@ bool commit_batch(Campaign& c, std::vector<model::Sequence> batch,
   return true;
 }
 
-/// The batch commit loop: checks cancellation and the stream budgets,
-/// pulls a window of sequences and commits it, until the stream ends, a
-/// budget runs out or the campaign is cancelled. Budgets and cancellation
-/// truncate at batch boundaries only, so a run without budgets never
-/// diverges from the monolithic engine.
+/// The batch commit loop: checks cancellation, pulls a window of sequences
+/// and commits it, until the stream ends or the campaign is cancelled.
+/// Cancellation truncates at batch boundaries only, so an uncancelled run
+/// never diverges from the monolithic engine.
 void commit_stream(Campaign& c, runtime::ThreadPool& pool,
                    std::size_t window) {
-  const StageBudgets& budgets = c.options.budgets;
-  const auto over = [&c](const StageBudget& budget, std::size_t items,
-                         obs::Stage stage) {
-    return items_exhausted(budget, items) ||
-           past_deadline(budget, c.recorder, stage);
-  };
   while (!c.stream_done) {
     if (c.options.cancel.cancelled()) {
       c.tour_status = obs::StageStatus::kCancelled;
-      break;
-    }
-    if (over(budgets.tour, c.yielded, obs::Stage::kTour)) {
-      c.tour_status = obs::StageStatus::kBudgetExhausted;
-      break;
-    }
-    if (over(budgets.concretize, c.programs.size(),
-             obs::Stage::kConcretize)) {
-      c.concretize_status = obs::StageStatus::kBudgetExhausted;
-      break;
-    }
-    if (over(budgets.simulate, c.result.clean_runs.size(),
-             obs::Stage::kSimulate)) {
-      c.simulate_status = obs::StageStatus::kBudgetExhausted;
       break;
     }
 
@@ -293,8 +260,7 @@ void commit_stream(Campaign& c, runtime::ThreadPool& pool,
     std::vector<model::Sequence> batch;
     {
       obs::ScopedSpan span(c.sink, obs::Stage::kTour);
-      while (batch.size() < pull_cap &&
-             !items_exhausted(budgets.tour, c.yielded + batch.size())) {
+      while (batch.size() < pull_cap) {
         const auto pull_start = std::chrono::steady_clock::now();
         auto seq = c.stream->next_sequence();
         const double pull_seconds =
@@ -311,7 +277,7 @@ void commit_stream(Campaign& c, runtime::ThreadPool& pool,
         batch.push_back(std::move(*seq));
       }
     }
-    if (batch.empty()) continue;  // loop re-checks budgets / termination
+    if (batch.empty()) continue;  // loop re-checks termination
     c.yielded += batch.size();
     c.in_flight_peak = std::max(c.in_flight_peak, batch.size());
     if (!commit_batch(c, std::move(batch), restore_remaining > 0, pool)) {
@@ -323,14 +289,14 @@ void commit_stream(Campaign& c, runtime::ThreadPool& pool,
 
 /// End-of-stream bookkeeping: coverage and clean-pass verdicts, the three
 /// stream stages' statuses, and the store — a complete tour generated live
-/// is published, a truncated or cancelled one flushes a final checkpoint.
+/// is published, a cancelled one flushes a final checkpoint.
 void close_stream(Campaign& c) {
   CampaignResult& result = c.result;
   // A level snapshot, not an occurrence: gauge (max semantics), so sinks
   // that sum counters can never mis-aggregate it.
   c.sink.gauge(obs::Stage::kTour, "sequences_in_flight_peak",
                c.in_flight_peak);
-  // Coverage statistics come from the stream's own tracker, so a truncated
+  // Coverage statistics come from the stream's own tracker, so a cancelled
   // tour reports the coverage of what was actually yielded.
   const auto summary = c.stream->summary();
   result.state_coverage = summary.coverage.state_coverage();
@@ -354,8 +320,8 @@ void close_stream(Campaign& c) {
     }
   } else if (c.options.checkpoint_every > 0 &&
              result.clean_runs.size() > c.last_checkpoint) {
-    // Truncated / cancelled: flush a final checkpoint so a resume loses
-    // none of the committed prefix.
+    // Cancelled: flush a final checkpoint so a resume loses none of the
+    // committed prefix.
     obs::ScopedSpan span(c.sink, obs::Stage::kSimulate);
     c.store->publish(store::ArtifactKind::kCheckpoint, c.keys.checkpoint,
                      checkpoint_payload(result.clean_runs),
@@ -363,23 +329,17 @@ void close_stream(Campaign& c) {
   }
 }
 
-/// Per-bug exposure runs over whatever test set was produced — a
-/// budget-truncated set still yields meaningful (if inconclusive) exposure
-/// data. A cancelled campaign skips the stage entirely; one that ran to
-/// completion drops its checkpoint. Returns the number of bugs compared.
+/// Per-bug exposure runs over the committed test set. A cancelled campaign
+/// skips the stage entirely; one that ran to completion drops its
+/// checkpoint. Returns the number of bugs compared.
 std::size_t run_compare(Campaign& c, std::span<const dlx::PipelineBug> bugs,
                         runtime::ThreadPool& pool) {
   const CancellationToken& cancel = c.options.cancel;
-  const StageBudget& budget = c.options.budgets.compare;
   auto status = obs::StageStatus::kOk;
   std::size_t compared = 0;
   if (cancel.cancelled()) {
     status = obs::StageStatus::kCancelled;
   } else {
-    if (budget.max_items.has_value() && bugs.size() > *budget.max_items) {
-      bugs = bugs.first(*budget.max_items);
-      status = obs::StageStatus::kBudgetExhausted;
-    }
     c.result.exposures = CompareStage::run(bugs, c.programs,
                                            c.options.max_cycles, pool, cancel,
                                            c.sink);
@@ -389,10 +349,6 @@ std::size_t run_compare(Campaign& c, std::span<const dlx::PipelineBug> bugs,
       c.result.exposures.clear();
       compared = 0;
       status = obs::StageStatus::kCancelled;
-    } else if (past_deadline(budget, c.recorder, obs::Stage::kCompare)) {
-      // The compare pool is one indivisible shard pass; its deadline is
-      // reported post-hoc rather than truncating mid-bug.
-      status = obs::StageStatus::kBudgetExhausted;
     }
   }
   c.sink.status(obs::Stage::kCompare, status);
@@ -423,9 +379,8 @@ void export_vcd(Campaign& c) {
   vcd.write_file(c.options.vcd_path);
 }
 
-/// Completes the result: inconclusive counts, span-derived timings, store
-/// activity, stage reports, the coverage-telemetry section and, last, the
-/// metrics snapshot.
+/// Completes the result: inconclusive counts, store activity, stage
+/// reports, the coverage-telemetry section and, last, the metrics snapshot.
 CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
   CampaignResult& result = c.result;
   for (const auto& r : result.clean_runs) {
@@ -434,7 +389,6 @@ CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
   for (const auto& e : result.exposures) {
     if (e.budget_exhausted) ++result.runs_inconclusive;
   }
-  result.timings = timings_from_spans(c.recorder);
   if (c.store != nullptr) result.store_stats = c.store->stats();
 
   const bool symbolic_ran = c.options.collect_symbolic_stats ||

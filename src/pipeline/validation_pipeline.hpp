@@ -15,9 +15,9 @@
 // Determinism: every batch writes into per-index slots and the stream
 // yields sequences in a fixed order, so for identical options the result
 // is bit-identical to the pre-pipeline monolith at any thread count.
-// Budgets and cancellation truncate at batch boundaries; the affected
-// stage reports kBudgetExhausted / kCancelled in the result's
-// stage_reports and the campaign completes on what was produced.
+// Cancellation truncates at batch boundaries; the interrupted stage
+// reports kCancelled in the result's stage_reports, which also carry each
+// stage's span seconds — the one record of stage time.
 #pragma once
 
 #include <span>

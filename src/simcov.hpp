@@ -66,10 +66,10 @@
 #include "validate/concretize.hpp"
 #include "validate/harness.hpp"
 
-// Pipeline instrumentation (spans, counters, JSONL traces).
+// Pipeline instrumentation (spans, counters, items, statuses).
 #include "obs/event_sink.hpp"
 
-// The streaming validation pipeline (typed stages, budgets, cancellation).
+// The streaming validation pipeline (typed stages, cancellation).
 #include "pipeline/contracts.hpp"
 #include "pipeline/stages.hpp"
 #include "pipeline/validation_pipeline.hpp"

@@ -213,8 +213,15 @@ SymbolicSnapshot snapshot_from_payload(
 }
 
 CampaignCheckpoint decode_checkpoint(ByteReader& r) {
+  // One encoded run: three u64 fields and two u8 flags.
+  constexpr std::size_t kRunBytes = 3 * 8 + 2;
   CampaignCheckpoint ckpt;
   const std::uint64_t count = r.u64();
+  // Checked before reserving: a forged count must be a CodecError, not a
+  // std::length_error or std::bad_alloc from sizing the run vector.
+  if (count > r.remaining() / kRunBytes) {
+    throw CodecError("codec: checkpoint run count exceeds the payload");
+  }
   ckpt.clean_runs.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     CheckpointRun run;

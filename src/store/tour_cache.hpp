@@ -11,7 +11,7 @@
 //    bytes of the key it mirrors). After the inner stream is exhausted
 //    with a clean status, artifact() assembles the versioned tour payload
 //    (summary first, then sequences) for ArtifactStore::publish. A
-//    truncated stream (budget / cancellation) must not be published: the
+//    truncated (cancelled) stream must not be published: the
 //    caller gates on exhausted() plus its own status.
 //
 //  * StoredTourStream replays a tour payload as a SequenceSource: the summary

@@ -56,15 +56,6 @@ CampaignOptions blif_options(const std::string& circuit) {
   return options;
 }
 
-/// Report with timings and store activity erased — the fields that may
-/// legitimately differ between semantically identical runs.
-std::string semantic_fingerprint(CampaignResult result) {
-  result.timings = {};
-  result.store_stats.reset();
-  result.metrics.reset();
-  return to_json(result);
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.is_open()) << path;
@@ -105,9 +96,9 @@ TEST(BlifCampaignTest, SymbolicBackendAgreesWithExplicit) {
 
 TEST(BlifCampaignTest, ReportIsIdenticalAcrossThreadCounts) {
   auto options = blif_options(bundled("updown2.blif"));
-  const std::string reference = semantic_fingerprint(run_campaign(options, {}));
+  const std::string reference = semantic_json(run_campaign(options, {}));
   options.threads = 3;
-  EXPECT_EQ(semantic_fingerprint(run_campaign(options, {})), reference);
+  EXPECT_EQ(semantic_json(run_campaign(options, {})), reference);
 }
 
 TEST(BlifCampaignTest, StoreHitsWarmOnRerunAndMissesAfterNetlistEdit) {
@@ -127,7 +118,7 @@ TEST(BlifCampaignTest, StoreHitsWarmOnRerunAndMissesAfterNetlistEdit) {
   ASSERT_TRUE(warm.store_stats.has_value());
   EXPECT_GT(warm.store_stats->hits, 0u);
   EXPECT_EQ(warm.store_stats->misses, 0u);
-  EXPECT_EQ(semantic_fingerprint(warm), semantic_fingerprint(cold));
+  EXPECT_EQ(semantic_json(warm), semantic_json(cold));
 
   // Keys address netlist *content*: renaming the file still hits...
   const std::string renamed = tmp.str("renamed.blif");
@@ -148,7 +139,7 @@ TEST(BlifCampaignTest, StoreHitsWarmOnRerunAndMissesAfterNetlistEdit) {
   const auto edited = run_campaign(options, {});
   ASSERT_TRUE(edited.store_stats.has_value());
   EXPECT_GT(edited.store_stats->misses, 0u);
-  EXPECT_NE(semantic_fingerprint(edited), semantic_fingerprint(cold));
+  EXPECT_NE(semantic_json(edited), semantic_json(cold));
 }
 
 TEST(BlifCampaignTest, VcdExportCoversEveryCommittedSequence) {

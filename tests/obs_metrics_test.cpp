@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <regex>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -107,22 +108,19 @@ TEST(MetricsRegistry, CountersSumAndGaugesMax) {
 
 TEST(MetricsRegistry, EventVocabularyMapsToNamedHistograms) {
   obs::MetricsRegistry reg;
-  reg.span(obs::Stage::kSimulate, 1e-6);                     // -> span_ns=1000
+  reg.span(obs::Stage::kSimulate, 1e-6);                     // not folded
   reg.item(obs::Stage::kTour, "sequence", 0, 5);             // -> sequence=5
   reg.latency(obs::Stage::kConcretize, "program", 7, 2e-9);  // -> ..._ns=2
 
   const auto s = reg.summary();
-  ASSERT_EQ(s.histograms.size(), 3u);
-  // Deterministic (stage, name) order: kTour < kConcretize < kSimulate.
+  ASSERT_EQ(s.histograms.size(), 2u);
+  // Deterministic (stage, name) order: kTour < kConcretize.
   EXPECT_EQ(s.histograms[0].stage, obs::Stage::kTour);
   EXPECT_EQ(s.histograms[0].name, "sequence");
   EXPECT_EQ(s.histograms[0].value.sum, 5u);
   EXPECT_EQ(s.histograms[1].stage, obs::Stage::kConcretize);
   EXPECT_EQ(s.histograms[1].name, "program.latency_ns");
   EXPECT_EQ(s.histograms[1].value.sum, 2u);
-  EXPECT_EQ(s.histograms[2].stage, obs::Stage::kSimulate);
-  EXPECT_EQ(s.histograms[2].name, "span_ns");
-  EXPECT_EQ(s.histograms[2].value.sum, 1000u);
 }
 
 TEST(MetricsRegistry, QuantilesAreBucketUpperBoundsAndMaxIsExact) {
@@ -226,7 +224,7 @@ TEST(MetricsRegistry, SnapshotWhileFoldingIsSafeAndMonotonic) {
 }
 
 // ---------------------------------------------------------------------------
-// Name-level gauge totals + JSONL flush
+// Name-level gauge totals
 // ---------------------------------------------------------------------------
 
 TEST(MetricTotals, GaugeKeepsTheMaxAcrossEmissions) {
@@ -238,47 +236,6 @@ TEST(MetricTotals, GaugeKeepsTheMaxAcrossEmissions) {
   EXPECT_EQ(counter_total(rec, "peak"), 0u)
       << "gauges must not leak into counters";
   EXPECT_EQ(gauge_max(rec, "missing"), 0u);
-}
-
-TEST(JsonlTraceSink, ExplicitFlushAndStatusBoundaryMakeEventsVisible) {
-  const auto path = temp_file("jsonl_flush.jsonl");
-  std::filesystem::remove(path);
-  {
-    obs::JsonlTraceSink sink(path.string());
-    sink.gauge(obs::Stage::kTour, "peak", 7);
-    sink.latency(obs::Stage::kSimulate, "clean_run", 3, 0.25);
-    sink.flush();
-    const std::string after_flush = slurp(path);
-    EXPECT_NE(after_flush.find("\"event\":\"gauge\""), std::string::npos);
-    EXPECT_NE(after_flush.find("\"event\":\"latency\""), std::string::npos);
-
-    sink.status(obs::Stage::kTour, obs::StageStatus::kOk);
-    const std::string after_status = slurp(path);
-    EXPECT_NE(after_status.find("\"event\":\"status\""), std::string::npos)
-        << "status events must flush without an explicit flush() call";
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(JsonlTraceSink, NoCapMeansNoRotation) {
-  const auto path = temp_file("jsonl_norotate.jsonl");
-  const auto rotated1 = std::filesystem::path(path.string() + ".1");
-  std::filesystem::remove(path);
-  std::filesystem::remove(rotated1);
-  {
-    obs::JsonlTraceSink sink(path.string());  // max_bytes = 0: unlimited
-    for (std::size_t i = 0; i < 256; ++i) {
-      sink.gauge(obs::Stage::kTour, "peak", i);
-    }
-  }
-  EXPECT_FALSE(std::filesystem::exists(rotated1));
-  std::size_t lines = 0;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 256u);
-  std::filesystem::remove(path);
-  std::filesystem::remove(rotated1);
 }
 
 // ---------------------------------------------------------------------------
@@ -573,6 +530,26 @@ TEST(PrometheusText, LargeValuesKeepFullPrecision) {
 // Perfetto exporter
 // ---------------------------------------------------------------------------
 
+TEST(PerfettoTraceSink, StatusBoundaryMakesEventsVisible) {
+  const auto path = temp_file("perfetto_flush.json");
+  std::filesystem::remove(path);
+  {
+    obs::PerfettoTraceSink sink(path.string());
+    sink.gauge(obs::Stage::kTour, "peak", 7);
+    sink.latency(obs::Stage::kSimulate, "clean_run", 3, 0.25);
+    sink.status(obs::Stage::kTour, obs::StageStatus::kOk);
+    // Read while the sink is still open: a killed campaign's trace holds
+    // everything up to its last stage boundary.
+    const std::string text = slurp(path);
+    for (const char* name : {"tour.peak", "clean_run", "status:ok"}) {
+      EXPECT_NE(text.find("\"name\":\"" + std::string(name) + "\""),
+                std::string::npos)
+          << name << ": status events must flush the stream";
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(PerfettoTraceSink, EmitsAParseableTraceEventArray) {
   const auto path = temp_file("perfetto.json");
   std::filesystem::remove(path);
@@ -599,6 +576,17 @@ TEST(PerfettoTraceSink, EmitsAParseableTraceEventArray) {
   EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"M\""), std::string::npos);
+  // The span is a slice named after its stage on the stage's own track
+  // (latency slices sit on tid 100 + stage); the item is a thread-scoped
+  // instant, the status a global-scoped one.
+  for (const char* event :
+       {R"("ph":"X","pid":1,"tid":2,"ts":\d+,"dur":\d+,"name":"tour"\})",
+        R"("ph":"X","pid":1,"tid":104,"ts":\d+,"dur":\d+,"name":"clean_run")",
+        R"("ph":"i","s":"t","pid":1,"tid":4,"ts":\d+,"name":"clean_run",)"
+        R"("args":\{"id":0,"value":6\})",
+        R"("ph":"i","s":"g","pid":1,"tid":2,"ts":\d+,"name":"status:ok"\})"}) {
+    EXPECT_TRUE(std::regex_search(text, std::regex(event))) << event;
+  }
   // Counter tracks plot running totals, not increments.
   EXPECT_NE(text.find("\"name\":\"tour.store.hit\",\"args\":{\"value\":3}"),
             std::string::npos);

@@ -2,7 +2,8 @@
 // cross-backend behavioural fingerprint stability (the property that makes
 // content addressing sound — same machine, either backend, same key; any
 // single-transition mutation, different key), codec roundtrips, store
-// durability/eviction semantics, and the tour record/replay adapters.
+// durability/eviction semantics, the tour record/replay adapters, and a
+// campaign resuming from a forged checkpoint.
 #include "store/artifact_store.hpp"
 #include "store/codec.hpp"
 #include "store/fingerprint.hpp"
@@ -20,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.hpp"
+#include "core/report.hpp"
 #include "errmodel/errmodel.hpp"
 #include "fsm/mealy.hpp"
 #include "model/encode.hpp"
@@ -28,6 +31,7 @@
 #include "metric_totals.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
+#include "pipeline/store_keys.hpp"
 #include "testmodel/testmodel.hpp"
 
 namespace simcov::store {
@@ -300,6 +304,16 @@ TEST(CodecTest, CheckpointRoundtripsAndRejectsMalformedPayloads) {
   auto padded = payload;
   padded.push_back(0);
   EXPECT_THROW((void)checkpoint_from_payload(padded), CodecError);
+
+  // So does a forged run count, before it sizes an allocation: reserving
+  // 2^61 runs (above vector::max_size) would throw std::length_error, which
+  // no CodecError handler catches.
+  ByteWriter only_count;
+  only_count.u64(std::uint64_t{1} << 61);
+  EXPECT_THROW((void)checkpoint_from_payload(only_count.data()), CodecError);
+  auto one_short = payload;
+  one_short[0] = 3;  // the little-endian count claims three runs, holds two
+  EXPECT_THROW((void)checkpoint_from_payload(one_short), CodecError);
 }
 
 // ---- ArtifactStore ---------------------------------------------------------
@@ -619,9 +633,9 @@ std::vector<std::uint8_t> recorded_tour(model::TestModel& model) {
   return recorder.artifact();
 }
 
-// Pins the stored tour bytes, not just their round trip: warm stores written
-// by earlier builds must keep hitting, so the payload layout may not drift.
-TEST(TourCacheTest, RecordedPayloadIsPinnedOnBothBackends) {
+/// The reduced DLX control model (1024 states): small enough for a whole
+/// campaign in a unit test.
+testmodel::TestModelOptions tiny_model_options() {
   testmodel::TestModelOptions opt;
   opt.output_sync_latches = false;
   opt.fetch_controller = false;
@@ -630,7 +644,13 @@ TEST(TourCacheTest, RecordedPayloadIsPinnedOnBothBackends) {
   opt.interlock_registers = false;
   opt.reg_addr_bits = 1;
   opt.reduced_isa = true;
-  const auto built = testmodel::build_dlx_control_model(opt);
+  return opt;
+}
+
+// Pins the stored tour bytes, not just their round trip: warm stores written
+// by earlier builds must keep hitting, so the payload layout may not drift.
+TEST(TourCacheTest, RecordedPayloadIsPinnedOnBothBackends) {
+  const auto built = testmodel::build_dlx_control_model(tiny_model_options());
 
   model::ExplicitModel explicit_model(
       sym::extract_explicit(built.circuit, 100000));
@@ -638,6 +658,37 @@ TEST(TourCacheTest, RecordedPayloadIsPinnedOnBothBackends) {
 
   model::SymbolicModel symbolic_model(built.circuit);
   EXPECT_EQ(fnv1a(recorded_tour(symbolic_model)), 11543418244829818193ull);
+}
+
+// ---- Resume from a forged checkpoint ---------------------------------------
+
+TEST_F(ArtifactStoreTest, ForgedCheckpointRunCountResumesAsAFullRerun) {
+  core::CampaignOptions options;
+  options.model_options = tiny_model_options();
+  options.threads = 1;
+  const std::vector<dlx::PipelineBug> bugs{dlx::PipelineBug::kNoLoadUseStall};
+  const std::string reference =
+      core::semantic_json(core::run_campaign(options, bugs));
+
+  // A checkpoint claiming 2^61 runs, published under the campaign's own
+  // key: the store's checksum holds, only the payload is forged.
+  const auto built = testmodel::build_dlx_control_model(options.model_options);
+  const auto keys = pipeline::campaign_store_keys(
+      options, built.circuit, model::Backend::kExplicit, bugs);
+  ByteWriter forged;
+  forged.u64(std::uint64_t{1} << 61);
+  ArtifactStore(StoreOptions{dir_, 0})
+      .publish(ArtifactKind::kCheckpoint, keys.checkpoint, forged.data(),
+               obs::Stage::kSimulate, obs::null_sink());
+
+  // The resume decodes nothing, so it re-runs everything and reports
+  // exactly what the uninterrupted campaign did.
+  options.store_dir = dir_.string();
+  options.resume = true;
+  const auto resumed = core::run_campaign(options, bugs);
+  ASSERT_TRUE(resumed.store_stats.has_value());
+  EXPECT_EQ(resumed.store_stats->resumed_sequences, 0u);
+  EXPECT_EQ(core::semantic_json(resumed), reference);
 }
 
 // ---- Store counters through the metrics registry ---------------------------
