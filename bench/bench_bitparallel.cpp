@@ -39,6 +39,14 @@ namespace {
 
 using namespace simcov;
 
+/// `prefix` followed by `n`, e.g. "q3". Built by appending: GCC 12 flags
+/// the "lit" + std::string prepend with a false -Wrestrict.
+std::string numbered(const char* prefix, std::size_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
 /// Random synthetic sequential circuit: `num_latches` latches and
 /// `num_pis` primary inputs feeding a gate soup of `num_gates` gates;
 /// next-state functions are drawn from the deepest half of the soup so the
@@ -53,13 +61,13 @@ sym::SequentialCircuit random_circuit(std::uint64_t seed,
   sym::LogicNetwork& net = circuit.net;
   std::vector<sym::SignalId> pool;
   for (std::size_t j = 0; j < num_latches; ++j) {
-    const auto s = net.add_input("l" + std::to_string(j));
+    const auto s = net.add_input(numbered("l", j));
     pool.push_back(s);
     circuit.latches.push_back(
-        sym::SequentialCircuit::Latch{s, 0, false, "l" + std::to_string(j)});
+        sym::SequentialCircuit::Latch{s, 0, false, numbered("l", j)});
   }
   for (std::size_t k = 0; k < num_pis; ++k) {
-    const auto s = net.add_input("pi" + std::to_string(k));
+    const auto s = net.add_input(numbered("pi", k));
     pool.push_back(s);
     circuit.primary_inputs.push_back(s);
   }

@@ -101,6 +101,7 @@ int main(int argc, char** argv) {
     bench::row("layer recomputes", tour.layer_recomputes);
     bench::row("input listings", tour.input_listings);
     bench::row("distance_within calls", tour.distance_within_calls);
+    bench::row("search edges", tour.search_edges);
     bench::row("transitions covered", tour.transitions_covered);
     bench::row("coverage", tour.coverage());
     bench::row("complete", tour.complete ? "yes" : "NO");

@@ -1163,8 +1163,12 @@ std::string BddManager::to_dot(
     if (is_const(n) || visited[n]) continue;
     visited[n] = true;
     const Node& nd = nodes_[n];
-    const std::string label =
-        var_name ? var_name(nd.var) : "x" + std::to_string(nd.var);
+    std::string label = "x";
+    if (var_name) {
+      label = var_name(nd.var);
+    } else {
+      label += std::to_string(nd.var);
+    }
     os << "  n" << n << " [label=\"" << label << "\", shape=circle];\n";
     os << "  n" << n << " -> n" << nd.low << " [style=dashed];\n";
     os << "  n" << n << " -> n" << nd.high << " [style=solid];\n";

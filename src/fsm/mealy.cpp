@@ -162,14 +162,18 @@ std::string MealyMachine::state_name(StateId s) const {
   if (s < state_names_.size() && !state_names_[s].empty()) {
     return state_names_[s];
   }
-  return "s" + std::to_string(s);
+  std::string name = "s";
+  name += std::to_string(s);
+  return name;
 }
 
 std::string MealyMachine::input_name(InputId i) const {
   if (i < input_names_.size() && !input_names_[i].empty()) {
     return input_names_[i];
   }
-  return "i" + std::to_string(i);
+  std::string name = "i";
+  name += std::to_string(i);
+  return name;
 }
 
 // ---------------------------------------------------------------------------

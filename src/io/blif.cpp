@@ -471,7 +471,8 @@ class NameTable {
     }
     for (sym::SignalId s = 0; s < net.num_signals(); ++s) {
       if (!names_[s].empty()) continue;
-      std::string candidate = "g" + std::to_string(s);
+      std::string candidate = "g";
+      candidate += std::to_string(s);
       while (reserved_.count(candidate) != 0 ||
              !used_.insert(candidate).second) {
         candidate += '_';

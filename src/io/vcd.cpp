@@ -29,7 +29,7 @@ std::string sanitize(std::string_view name) {
       c = '_';
     }
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -96,13 +96,17 @@ void step_successors(const PackedCircuitSim& sim, std::uint64_t state,
 /// distances never fall: lower bounds learned in one generation hold in
 /// every later one, while exact distances hold for their generation only.
 ///
-/// The same monotony keeps two per-state edge pointers valid for good:
-/// live_edge skips edges into states that are no longer live, near_edge
-/// edges into states at distance 2 or more. live_edge answers "has a live
-/// successor" for a navigation step at distance 1 and for every state of a
-/// search level, which is checked whole before any of it is expanded — a
-/// search ends on the level one short of the live set; near_edge answers a
-/// step at distance 2. Only farther steps probe edge by edge.
+/// The same monotony keeps a ladder of per-state edge pointers valid for
+/// good: down[j] skips only edges into states at distance more than j, so
+/// down_edge(id, j) is the first edge into a state at distance j or less —
+/// one whose successor is live or, for j > 0, has a down_edge one rung
+/// lower. No pointer ever moves back, so each answer costs amortized O(1).
+/// The ladder answers distances 1 to kLadder outright, and so the
+/// navigation steps from them. A search runs only past it: every state of
+/// a level is checked for an edge one rung below the top before any of it
+/// is expanded, so every state the search reaches is at distance kLadder
+/// or more, a hit is exact, and the search ends kLadder levels short of the
+/// live set. Only navigation from farther away probes edge by edge.
 struct SymbolicTourStream::Impl {
  public:
   Impl(SymbolicFsm& fsm, const SymbolicTourOptions& options)
@@ -205,7 +209,7 @@ struct SymbolicTourStream::Impl {
         return s.first_edge <= e && e <= s.end_edge;
       };
       if (s.end_edge > edges_.size() || !within(s.cursor) ||
-          !within(s.live_edge) || !within(s.near_edge) ||
+          !std::all_of(s.down.begin(), s.down.end(), within) ||
           (!s.enumerated && s.first_edge != s.end_edge)) {
         fail("edge cursors out of their state's range");
       }
@@ -258,11 +262,12 @@ struct SymbolicTourStream::Impl {
     }
     for (std::uint32_t y = 0; y < n; ++y) {
       const State& s = states_[y];
-      for (std::uint32_t e = s.first_edge; e < s.live_edge; ++e) {
-        if (live(states_[edges_[e].next])) fail("live_edge skips a live state");
-      }
-      for (std::uint32_t e = s.first_edge; e < s.near_edge; ++e) {
-        if (dist[edges_[e].next] < 2) fail("near_edge skips a near state");
+      for (std::uint32_t j = 0; j < kLadder; ++j) {
+        for (std::uint32_t e = s.first_edge; e < s.down[j]; ++e) {
+          if (dist[edges_[e].next] <= j) {
+            fail("a ladder pointer skips a state within its rung");
+          }
+        }
       }
       if (s.lower > dist[y]) fail("a lower bound exceeds the distance");
       if (s.exact_in == generation_ && s.lower != dist[y]) {
@@ -279,6 +284,7 @@ struct SymbolicTourStream::Impl {
     result.layer_recomputes = generation_;
     result.input_listings = classes_.size();
     result.distance_within_calls = distance_within_calls_;
+    result.search_edges = search_edges_;
     result.transitions_total = transitions_total_;
     result.complete = complete_;
     result.stats = {static_cast<double>(states_visited_), states_total_,
@@ -296,6 +302,8 @@ struct SymbolicTourStream::Impl {
   /// "No generation yet", "never exhausted", "no distance bound".
   static constexpr std::uint32_t kNone =
       std::numeric_limits<std::uint32_t>::max();
+  /// Rungs of the ladder: distances down_edge answers without a search.
+  static constexpr std::uint32_t kLadder = 3;
 
   /// Edge k of a state takes input k of its class's list.
   struct Edge {
@@ -318,12 +326,8 @@ struct SymbolicTourStream::Impl {
     std::uint32_t exact_in = kNone;
     std::uint32_t search_mark = 0;    ///< search epoch that last reached it
     std::uint32_t search_parent = 0;  ///< its predecessor in that search
-    /// Successor on the last shortest path found from here (kNone: none).
-    std::uint32_t via = kNone;
-    /// Edges before this one lead to states that are no longer live.
-    std::uint32_t live_edge = 0;
-    /// Edges before this one lead to states at distance 2 or more.
-    std::uint32_t near_edge = 0;
+    /// Rung j: edges before down[j] lead to states at distance more than j.
+    std::array<std::uint32_t, kLadder> down{};
     bool has_valid_input = false;
     bool enumerated = false;
     bool visited = false;
@@ -378,8 +382,7 @@ struct SymbolicTourStream::Impl {
     State& s = states_[id];
     s.first_edge = first;
     s.cursor = first;
-    s.live_edge = first;
-    s.near_edge = first;
+    s.down.fill(first);
     s.end_edge = static_cast<std::uint32_t>(edges_.size());
     s.enumerated = true;
   }
@@ -391,28 +394,14 @@ struct SymbolicTourStream::Impl {
            (s.exhausted_in == kNone || s.exhausted_in >= generation_);
   }
 
-  /// The first edge of a state whose successor is live. Successors it
-  /// skips are dead for good (the live set only shrinks), so the position
-  /// only moves forward.
-  std::optional<std::uint32_t> live_edge(std::uint32_t id) {
+  /// The first edge of a state whose successor is at distance j or less
+  /// (j < kLadder). Successors it skips are farther for good (distances
+  /// never fall), so the position only moves forward.
+  std::optional<std::uint32_t> down_edge(std::uint32_t id, std::uint32_t j) {
     State& s = states_[id];
-    while (s.live_edge < s.end_edge &&
-           !live(states_[edges_[s.live_edge].next])) {
-      ++s.live_edge;
-    }
-    if (s.live_edge == s.end_edge) return std::nullopt;
-    return s.live_edge;
-  }
-
-  /// The first edge of a state whose successor is live or has a live
-  /// successor, i.e. is at distance 1 or less. Successors it skips are at
-  /// distance 2 or more for good (distances never fall), so the position
-  /// only moves forward.
-  std::optional<std::uint32_t> near_edge(std::uint32_t id) {
-    State& s = states_[id];
-    for (; s.near_edge < s.end_edge; ++s.near_edge) {
-      const std::uint32_t z = edges_[s.near_edge].next;
-      if (live(states_[z]) || live_edge(z).has_value()) return s.near_edge;
+    for (std::uint32_t& e = s.down[j]; e < s.end_edge; ++e) {
+      const std::uint32_t z = edges_[e].next;
+      if (live(states_[z]) || (j > 0 && down_edge(z, j - 1))) return e;
     }
     return std::nullopt;
   }
@@ -444,10 +433,8 @@ struct SymbolicTourStream::Impl {
     }
     // The first edge (in enumeration order) whose successor is at *k - 1;
     // one exists, since the current state is at *k.
-    if (*k == 1) {
-      if (const auto e = live_edge(state_)) return e;
-    } else if (*k == 2) {
-      if (const auto e = near_edge(state_)) return e;
+    if (*k <= kLadder) {
+      if (const auto e = down_edge(state_, *k - 1)) return e;
     } else {
       const std::uint32_t end = states_[state_].end_edge;
       for (std::uint32_t e = states_[state_].first_edge; e < end; ++e) {
@@ -457,56 +444,35 @@ struct SymbolicTourStream::Impl {
     throw std::logic_error("symbolic_transition_tour: no descending edge");
   }
 
-  /// Re-checks the shortest path last recorded from `from` (neither live nor
-  /// exact now): if it still ends at the live set after `from`'s lower bound
-  /// in steps, it is shortest again. Returns the distance, marking the path
-  /// exact, or nullopt.
-  std::optional<std::uint32_t> follow_witness(std::uint32_t from) {
-    if (states_[from].lower == kNone) return std::nullopt;  // unreachable
-    const std::uint64_t want = std::max<std::uint32_t>(states_[from].lower, 1);
-    std::uint64_t hops = 0;  // edges followed
-    std::uint64_t tail = 0;  // distance of the state the path ends at
-    for (std::uint32_t y = from;;) {
-      y = states_[y].via;
-      if (y == kNone || ++hops > want) return std::nullopt;
-      const State& s = states_[y];
-      if (live(s)) break;
-      if (s.exact_in == generation_) {
-        tail = s.lower;
-        break;
-      }
-    }
-    if (hops + tail != want) return std::nullopt;
-    std::uint32_t y = from;
-    for (std::uint64_t i = 0; i < hops; ++i, y = states_[y].via) {
-      states_[y].lower = static_cast<std::uint32_t>(want - i);
-      states_[y].exact_in = generation_;
-    }
-    return static_cast<std::uint32_t>(want);
-  }
-
   /// The exact distance from `from` to the live set when it is at most
-  /// `bound` (kNone: unbounded), else nullopt. Level-by-level breadth-first
-  /// search over memoized edges, pruned by the stored bounds and cut short
-  /// by still-valid witness paths; it records the exact distances along the
-  /// path it finds and the lower bounds it proves for every state it
-  /// expanded.
+  /// `bound` (kNone: unbounded), else nullopt. Distances up to kLadder come
+  /// from the ladder; past it, a level-by-level breadth-first search over
+  /// memoized edges, pruned by the stored bounds, that ends on the first
+  /// level with a state at distance kLadder. It records the exact distances
+  /// along the path it finds and the lower bounds it proves for every state
+  /// it reached.
   std::optional<std::uint32_t> distance_within(std::uint32_t from,
                                                std::uint32_t bound) {
     ++distance_within_calls_;
-    {
-      const State& s = states_[from];
-      if (live(s)) return 0;
-      if (s.exact_in == generation_) {
-        if (s.lower <= bound) return s.lower;
-        return std::nullopt;
-      }
-      if (s.lower > bound || s.lower == kNone) return std::nullopt;
-    }
-    if (const auto d = follow_witness(from)) {
-      if (*d <= bound) return d;
+    State& f = states_[from];
+    if (live(f)) return 0;
+    if (f.exact_in == generation_) {
+      if (f.lower <= bound) return f.lower;
       return std::nullopt;
     }
+    if (f.lower > bound || f.lower == kNone) return std::nullopt;
+    const std::uint32_t rungs = std::min(bound, kLadder);
+    for (std::uint32_t d = std::max<std::uint32_t>(f.lower, 1); d <= rungs;
+         ++d) {
+      if (down_edge(from, d - 1)) {
+        f.lower = d;
+        f.exact_in = generation_;
+        return d;
+      }
+    }
+    f.lower = std::max(f.lower, rungs + 1);
+    if (bound <= kLadder) return std::nullopt;
+
     // Distances are compared as 64-bit sums so kNone never wraps.
     const std::uint64_t limit = bound;
     std::uint64_t best = std::uint64_t{kNone} + 1;  // shortest path seen
@@ -519,39 +485,41 @@ struct SymbolicTourStream::Impl {
     queue_.clear();
     level_ends_.clear();
     queue_.push_back(from);
-    states_[from].search_mark = epoch_;
+    f.search_mark = epoch_;
     std::size_t head = 0;
-    for (std::uint64_t depth = 0;
-         head < queue_.size() && depth + 1 < best && depth + 1 <= limit;
+    for (std::uint64_t depth = 0; head < queue_.size() &&
+                                  depth + kLadder < best &&
+                                  depth + kLadder <= limit;
          ++depth) {
       const std::size_t level_end = queue_.size();
       level_ends_.push_back(level_end);
-      // A live child anywhere on the level ends the search at depth + 1 —
-      // nothing found later can be shorter — so look for one before
-      // expanding any of the level.
+      // Every state on the level is at distance kLadder or more, as no
+      // state on the level before had an edge to one closer. One with an
+      // edge to a state at kLadder - 1 is therefore at exactly kLadder and
+      // ends the search at depth + kLadder: nothing found later can be
+      // shorter, so look for one before expanding any of the level.
       for (std::size_t i = head; i < level_end; ++i) {
-        const std::uint32_t y = queue_[i];
-        if (const auto e = live_edge(y)) {
-          best = depth + 1;
-          best_end = edges_[*e].next;
-          best_tail = 0;
-          states_[best_end].search_parent = y;
+        if (down_edge(queue_[i], kLadder - 1)) {
+          best = depth + kLadder;
+          best_end = queue_[i];
+          best_tail = kLadder;
           break;
         }
       }
-      // Past here only a live child could still help, and there is none.
-      if (depth + 2 > limit || depth + 2 >= best) break;
+      // Past here only such a state could still help, and there is none.
+      if (depth + 1 + kLadder > limit || depth + 1 + kLadder >= best) break;
       for (; head < level_end; ++head) {
         const std::uint32_t y = queue_[head];
         const std::uint32_t end = states_[y].end_edge;
+        search_edges_ += end - states_[y].first_edge;
         for (std::uint32_t e = states_[y].first_edge; e < end; ++e) {
-          const std::uint32_t z = edges_[e].next;  // not live, as checked
+          const std::uint32_t z = edges_[e].next;  // at kLadder or more
           State& s = states_[z];
           if (s.search_mark == epoch_) continue;
           s.search_mark = epoch_;
           s.search_parent = y;
-          if (s.exact_in != generation_) (void)follow_witness(z);
-          const std::uint64_t through = depth + 1 + s.lower;
+          const std::uint64_t through =
+              depth + 1 + std::max(s.lower, kLadder);
           if (s.exact_in == generation_) {
             if (through < best) {
               best = through;
@@ -579,16 +547,14 @@ struct SymbolicTourStream::Impl {
       s.lower = std::max(s.lower, lb);
     }
     if (!found) return std::nullopt;
-    // The path back from best_end is a shortest one: exact along it, and
-    // the witness the next generation re-checks first.
+    // The path back from best_end is a shortest one: exact along it.
     std::uint32_t d = best_tail;
+    states_[best_end].lower = d;
+    states_[best_end].exact_in = generation_;
     for (std::uint32_t y = best_end; y != from;) {
-      const std::uint32_t next = y;
       y = states_[y].search_parent;
-      State& s = states_[y];
-      s.lower = ++d;
-      s.exact_in = generation_;
-      s.via = next;
+      states_[y].lower = ++d;
+      states_[y].exact_in = generation_;
     }
     return d;
   }
@@ -621,6 +587,7 @@ struct SymbolicTourStream::Impl {
   std::size_t restarts_ = 0;
   std::size_t navigate_steps_ = 0;
   std::size_t distance_within_calls_ = 0;
+  std::size_t search_edges_ = 0;
   bool complete_ = false;
   bool finished_ = false;
 };

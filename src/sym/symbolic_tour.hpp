@@ -22,14 +22,15 @@
 //   until every reachable transition is covered (or the step cap is hit).
 //
 // The step taken is the first edge, in enumeration order, whose successor is
-// one closer. Two forward-only pointers per state answer the common cases:
-// at distance 1 the first edge into a live state, at distance 2 the first
-// edge into a state that is live or has a live successor. The live set only
-// shrinks and distances only grow, so neither pointer ever moves back, and
-// each query costs amortized O(1). Farther away, each edge's successor is
-// probed with a bounded breadth-first search; the search checks every state
-// of a level for a live successor, by the first pointer, before expanding
-// any of it, so it never expands its last level.
+// one closer. A ladder of three forward-only pointers per state answers the
+// common cases: rung j is the first edge into a state at distance j or less
+// — live, or with an edge of its own on rung j - 1. The live set only
+// shrinks and distances only grow, so no pointer ever moves back, and each
+// query costs amortized O(1). Distances 1 to 3 come straight from the
+// ladder. Farther away, each edge's successor is probed with a bounded
+// breadth-first search that checks every state of a level for an edge on
+// the top rung before expanding any of it, so it stops three levels short
+// of the live set.
 #pragma once
 
 #include <cstdint>
@@ -118,6 +119,9 @@ struct SymbolicTourResult {
   /// Bounded distance searches started (each may end at once on a stored
   /// or re-checked distance).
   std::size_t distance_within_calls = 0;
+  /// Edges scanned while expanding those searches, which run only for
+  /// distances past the ladder of edge pointers.
+  std::size_t search_edges = 0;
   double transitions_total = 0.0;    ///< reachable (state, input) pairs
   double transitions_covered = 0.0;
   bool complete = false;             ///< every reachable transition covered

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "fsm/mealy.hpp"
@@ -33,6 +34,14 @@
 namespace simcov {
 namespace {
 
+/// `prefix` followed by `n`, e.g. "q3". Built by appending: GCC 12 flags
+/// the "lit" + std::string prepend with a false -Wrestrict.
+std::string numbered(const char* prefix, std::size_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
 // ---------------------------------------------------------------------------
 // PackedLogicSim vs a scalar interpreter
 // ---------------------------------------------------------------------------
@@ -44,7 +53,7 @@ sym::LogicNetwork random_network(std::mt19937_64& rng, std::size_t num_inputs,
   sym::LogicNetwork net;
   std::vector<sym::SignalId> pool;
   for (std::size_t i = 0; i < num_inputs; ++i) {
-    pool.push_back(net.add_input("in" + std::to_string(i)));
+    pool.push_back(net.add_input(numbered("in", i)));
   }
   pool.push_back(net.constant(false));
   pool.push_back(net.constant(true));
@@ -169,12 +178,12 @@ sym::SequentialCircuit random_sequential(std::mt19937_64& rng,
     return static_cast<sym::SignalId>(rng() % c.net.num_signals());
   };
   for (std::size_t j = 0; j < num_latches; ++j) {
-    c.latches.push_back({order[j], pick(), false, "q" + std::to_string(j)});
+    c.latches.push_back({order[j], pick(), false, numbered("q", j)});
   }
   c.primary_inputs.assign(order.begin() + static_cast<long>(num_latches),
                           order.end());
   for (std::size_t o = 0; o < num_outputs; ++o) {
-    c.outputs.emplace_back("o" + std::to_string(o), pick());
+    c.outputs.emplace_back(numbered("o", o), pick());
   }
   if (with_valid) c.valid = pick();
   return c;

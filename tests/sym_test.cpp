@@ -10,6 +10,7 @@
 #include <map>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "runtime/rng.hpp"
 #include "scalar_eval.hpp"
@@ -19,6 +20,14 @@
 
 namespace simcov::sym {
 namespace {
+
+/// `prefix` followed by `n`, e.g. "q3". Built by appending: GCC 12 flags
+/// the "lit" + std::string prepend with a false -Wrestrict.
+std::string numbered(const char* prefix, std::size_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
 
 // ---------------------------------------------------------------------------
 // LogicNetwork
@@ -122,7 +131,7 @@ TEST(LogicNet, EqConstRejectsOverWidthConstants) {
   LogicNetwork wide;
   std::vector<SignalId> bits;
   for (int i = 0; i < 64; ++i) {
-    bits.push_back(wide.add_input("b" + std::to_string(i)));
+    bits.push_back(wide.add_input(numbered("b", i)));
   }
   EXPECT_NO_THROW((void)wide.make_eq_const(bits, ~std::uint64_t{0}));
 }
@@ -507,7 +516,7 @@ TEST(Extract, TooManyOutputsThrowsBeforeEnumerating) {
   const SignalId q = c.net.add_input("q");
   c.latches = {{q, c.net.make_not(q), false, "q"}};
   for (int b = 0; b < 32; ++b) {
-    c.outputs.emplace_back("o" + std::to_string(b), q);
+    c.outputs.emplace_back(numbered("o", b), q);
   }
   EXPECT_THROW((void)extract_explicit(c, 100), std::invalid_argument);
   c.valid = c.net.constant(false);
@@ -677,9 +686,9 @@ SequentialCircuit random_sequential_circuit(std::uint64_t seed,
     const bool latch =
         pis.size() == num_pi || (qs.size() < num_latch && rng() % 2 == 0);
     if (latch) {
-      qs.push_back(c.net.add_input("q" + std::to_string(qs.size())));
+      qs.push_back(c.net.add_input(numbered("q", qs.size())));
     } else {
-      pis.push_back(c.net.add_input("i" + std::to_string(pis.size())));
+      pis.push_back(c.net.add_input(numbered("i", pis.size())));
     }
   }
   c.primary_inputs = pis;
@@ -700,11 +709,11 @@ SequentialCircuit random_sequential_circuit(std::uint64_t seed,
   }
   for (std::size_t j = 0; j < num_latch; ++j) {
     c.latches.push_back(
-        {qs[j], pick(), rng() % 2 == 0, "q" + std::to_string(j)});
+        {qs[j], pick(), rng() % 2 == 0, numbered("q", j)});
   }
   const std::size_t num_outputs = rng() % 5;
   for (std::size_t b = 0; b < num_outputs; ++b) {
-    c.outputs.emplace_back("o" + std::to_string(b), pick());
+    c.outputs.emplace_back(numbered("o", b), pick());
   }
   // valid = a | (b & c) over the pool: legal in some (state, input) pairs,
   // pruned in others.
@@ -742,10 +751,10 @@ TEST(ExtractDifferential, MultiBlockAlphabetMatchesScalarReference) {
   SequentialCircuit c;
   std::vector<SignalId> pis, qs;
   for (int k = 0; k < 7; ++k) {
-    pis.push_back(c.net.add_input("i" + std::to_string(k)));
+    pis.push_back(c.net.add_input(numbered("i", k)));
   }
   for (int j = 0; j < 3; ++j) {
-    qs.push_back(c.net.add_input("q" + std::to_string(j)));
+    qs.push_back(c.net.add_input(numbered("q", j)));
   }
   c.primary_inputs = pis;
   const SignalId mix = c.net.make_xor(pis[6], c.net.make_and(pis[0], qs[2]));
@@ -780,7 +789,7 @@ TEST_P(LogicNetProperty, ConcreteAndSymbolicAgree) {
   const unsigned kInputs = 5;
   std::vector<SignalId> pool;
   for (unsigned k = 0; k < kInputs; ++k) {
-    pool.push_back(net.add_input("i" + std::to_string(k)));
+    pool.push_back(net.add_input(numbered("i", k)));
   }
   pool.push_back(net.constant(false));
   pool.push_back(net.constant(true));
@@ -826,10 +835,10 @@ TEST_P(SymExplicitAgreement, CountsMatch) {
   const unsigned kInputs = 2;
   std::vector<SignalId> pis, qs;
   for (unsigned k = 0; k < kInputs; ++k) {
-    pis.push_back(c.net.add_input("i" + std::to_string(k)));
+    pis.push_back(c.net.add_input(numbered("i", k)));
   }
   for (unsigned j = 0; j < kLatches; ++j) {
-    qs.push_back(c.net.add_input("q" + std::to_string(j)));
+    qs.push_back(c.net.add_input(numbered("q", j)));
   }
   c.primary_inputs = pis;
   auto random_signal = [&]() {

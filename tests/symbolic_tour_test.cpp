@@ -24,6 +24,14 @@
 namespace simcov::sym {
 namespace {
 
+/// `prefix` followed by `n`, e.g. "q3". Built by appending: GCC 12 flags
+/// the "lit" + std::string prepend with a false -Wrestrict.
+std::string numbered(const char* prefix, std::size_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
 /// 2-bit counter with enable (same circuit as sym_test).
 SequentialCircuit counter_circuit() {
   SequentialCircuit c;
@@ -280,7 +288,7 @@ SequentialCircuit trap_ring_circuit(unsigned bits) {
   const SignalId in = c.net.add_input("in");
   std::vector<SignalId> q;
   for (unsigned j = 0; j < bits; ++j) {
-    q.push_back(c.net.add_input("q" + std::to_string(j)));
+    q.push_back(c.net.add_input(numbered("q", j)));
   }
   const SignalId t = c.net.add_input("t");
   const SignalId last = c.net.make_and(q);
@@ -289,7 +297,7 @@ SequentialCircuit trap_ring_circuit(unsigned bits) {
   c.primary_inputs = {in};
   for (unsigned j = 0; j < bits; ++j) {
     c.latches.push_back({q[j], c.net.make_mux(hold, q[j], inc[j]), false,
-                         "q" + std::to_string(j)});
+                         numbered("q", j)});
   }
   c.latches.push_back({t, hold, false, "t"});
   c.valid = c.net.make_or(c.net.make_not(in),
@@ -307,14 +315,14 @@ SequentialCircuit reset_ring_circuit(unsigned bits) {
   const SignalId in = c.net.add_input("in");
   std::vector<SignalId> q;
   for (unsigned j = 0; j < bits; ++j) {
-    q.push_back(c.net.add_input("q" + std::to_string(j)));
+    q.push_back(c.net.add_input(numbered("q", j)));
   }
   const auto inc = increment(c.net, q);
   const SignalId stay = c.net.make_not(in);
   c.primary_inputs = {in};
   for (unsigned j = 0; j < bits; ++j) {
     c.latches.push_back({q[j], c.net.make_and(stay, inc[j]), false,
-                         "q" + std::to_string(j)});
+                         numbered("q", j)});
   }
   c.outputs = {{"zero", c.net.make_not(c.net.make_or(q))}};
   return c;
@@ -535,11 +543,11 @@ SequentialCircuit random_circuit(std::uint64_t seed, unsigned min_latches = 2,
   std::vector<SignalId> pool;
   std::vector<SignalId> latch_q;
   for (unsigned j = 0; j < num_latches; ++j) {
-    latch_q.push_back(c.net.add_input("q" + std::to_string(j)));
+    latch_q.push_back(c.net.add_input(numbered("q", j)));
     pool.push_back(latch_q.back());
   }
   for (unsigned k = 0; k < num_inputs; ++k) {
-    c.primary_inputs.push_back(c.net.add_input("i" + std::to_string(k)));
+    c.primary_inputs.push_back(c.net.add_input(numbered("i", k)));
     pool.push_back(c.primary_inputs.back());
   }
   const auto pick = [&] { return pool[draw(pool.size())]; };
@@ -555,7 +563,7 @@ SequentialCircuit random_circuit(std::uint64_t seed, unsigned min_latches = 2,
   }
   for (unsigned j = 0; j < num_latches; ++j) {
     c.latches.push_back({latch_q[j], pick(), draw(2) == 1,
-                         "q" + std::to_string(j)});
+                         numbered("q", j)});
   }
   if (draw(2) == 1) c.valid = c.net.make_or(pick(), pick());
   c.outputs = {{"o", pick()}};
@@ -611,7 +619,7 @@ SequentialCircuit branch_ring_circuit(unsigned bits, unsigned gap) {
   const SignalId in = c.net.add_input("in");
   std::vector<SignalId> q;
   for (unsigned j = 0; j < bits; ++j) {
-    q.push_back(c.net.add_input("q" + std::to_string(j)));
+    q.push_back(c.net.add_input(numbered("q", j)));
   }
   const auto inc = increment(c.net, q);
   const std::vector<SignalId> low(q.begin(), q.begin() + gap);
@@ -620,7 +628,7 @@ SequentialCircuit branch_ring_circuit(unsigned bits, unsigned gap) {
   for (unsigned j = 0; j < bits; ++j) {
     const SignalId branch = j + 1 == bits ? c.net.make_not(q[j]) : q[j];
     c.latches.push_back({q[j], c.net.make_mux(in, branch, inc[j]), false,
-                         "q" + std::to_string(j)});
+                         numbered("q", j)});
   }
   c.valid = c.net.make_or(c.net.make_not(in), aligned);
   c.outputs = {{"aligned", aligned}};
@@ -658,14 +666,30 @@ TEST(SymbolicTourDifferential, LargeMachinesMatchReference) {
     EXPECT_DOUBLE_EQ(tour.stats.transitions_covered,
                      static_cast<double>(ref.transitions_covered));
   }
-  // Distance-2 descents take the near_edge pointer; layer 3 and up run
-  // multi-level searches. The sample must have many of both.
+  // Descents from layers 1 to 3 take the ladder of edge pointers; layer 4
+  // and up probe each edge, past the ladder by search. The sample must have
+  // many of both.
   ASSERT_GT(descents.size(), 3u);
   EXPECT_GT(descents[1], 2000u);
   EXPECT_GT(descents[2], 2000u);
   std::size_t deeper = 0;
   for (std::size_t l = 3; l < descents.size(); ++l) deeper += descents[l];
   EXPECT_GT(deeper, 1000u);
+}
+
+TEST(SymbolicTourDifferential, SearchesPastTheLadderMatchReference) {
+  // Navigations of up to 16 steps: distances past the ladder's three rungs
+  // are found by search, which must still give the layer definition's walk.
+  const SequentialCircuit c = branch_ring_circuit(11, 4);
+  const auto em = extract_explicit(c, 1u << 12);
+  ASSERT_FALSE(em.truncated);
+  const auto tour = tour_of(c);
+  const auto ref = reference_walk(em, 10'000'000);
+  ASSERT_GT(ref.descents.size(), 4u);
+  EXPECT_GT(tour.search_edges, 0u);
+  EXPECT_EQ(tour.sequences, ref.sequences);
+  EXPECT_EQ(tour.steps, ref.steps);
+  EXPECT_EQ(tour.layer_recomputes, ref.layer_recomputes);
 }
 
 // ---- successor enumeration vs scalar BDD evaluation ----------------------------
@@ -760,11 +784,11 @@ SequentialCircuit wide_random_circuit(std::uint64_t seed) {
     const bool latch = latch_q.size() < num_latches &&
                        (c.primary_inputs.size() == num_inputs || draw(2) == 0);
     if (latch) {
-      latch_q.push_back(c.net.add_input("q" + std::to_string(latch_q.size())));
+      latch_q.push_back(c.net.add_input(numbered("q", latch_q.size())));
       pool.push_back(latch_q.back());
     } else {
       c.primary_inputs.push_back(
-          c.net.add_input("i" + std::to_string(c.primary_inputs.size())));
+          c.net.add_input(numbered("i", c.primary_inputs.size())));
       pool.push_back(c.primary_inputs.back());
     }
   }
@@ -781,12 +805,12 @@ SequentialCircuit wide_random_circuit(std::uint64_t seed) {
   }
   for (unsigned j = 0; j < num_latches; ++j) {
     c.latches.push_back({latch_q[j], pick(), draw(2) == 1,
-                         "q" + std::to_string(j)});
+                         numbered("q", j)});
   }
   if (seed % 2 == 1) c.valid = c.net.make_or(pick(), pick());
   const auto num_outputs = 1 + draw(3);
   for (std::uint64_t o = 0; o < num_outputs; ++o) {
-    c.outputs.emplace_back("o" + std::to_string(o), pick());
+    c.outputs.emplace_back(numbered("o", o), pick());
   }
   return c;
 }
@@ -928,8 +952,8 @@ TEST(SuccessorEnumeration, WideFsmBuildsButTheTourRejectsIt) {
   SignalId prev = c.net.add_input("in");
   c.primary_inputs = {prev};
   for (int j = 0; j < 70; ++j) {
-    const SignalId q = c.net.add_input("q" + std::to_string(j));
-    c.latches.push_back({q, prev, false, "q" + std::to_string(j)});
+    const SignalId q = c.net.add_input(numbered("q", j));
+    c.latches.push_back({q, prev, false, numbered("q", j)});
     prev = q;
   }
   bdd::BddManager mgr;
