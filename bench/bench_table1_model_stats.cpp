@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <string>
 
+#include <sys/resource.h>
+
 #include "bdd/bdd.hpp"
 #include "bench_util.hpp"
 #include "model/test_model.hpp"
@@ -110,6 +112,12 @@ int main(int argc, char** argv) {
     bench::row("tour steps / transitions (paper: 8.7)",
                static_cast<double>(tour.steps) / stats.transitions);
     bench::row("generation time (s)", tour_seconds);
+    // Recorded, not pinned: the whole process's high-water mark so far,
+    // which the tour's tables and recorded sequences set.
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    bench::row("process peak RSS after the tour (MB)",
+               static_cast<double>(usage.ru_maxrss) / 1024.0);
   }
 
   // Exact tour on a reduced configuration (explicitly tractable).
@@ -138,6 +146,7 @@ int main(int argc, char** argv) {
     bench::row("transition tour total length", set->total_length());
     bench::row("tour sequences (reset-separated)", set->sequences.size());
     bench::row("transition tour input hash", std::to_string(hash));
+    bench::row("transition tour search edges", set->search_edges);
     bench::row("tour length / transitions (paper: 1069M/123M = 8.7)", ratio);
     bench::row("tour generation time (s)", tour_timer.seconds());
   } else {

@@ -107,6 +107,15 @@ void step_successors(const PackedCircuitSim& sim, std::uint64_t state,
 /// is expanded, so every state the search reaches is at distance kLadder
 /// or more, a hit is exact, and the search ends kLadder levels short of the
 /// live set. Only navigation from farther away probes edge by edge.
+///
+/// Memory is sized once, from the BDD counts. Every interned state is
+/// reachable and every edge a reachable transition, so when a complete tour
+/// fits the step cap, the state table and id map are reserved for the
+/// reachable states, the edge array and its taken bits for the reachable
+/// transitions, and none of them reallocates. A capped walk may stop long
+/// before that and grows them as it goes. A recorded sequence reserves the
+/// uncovered transitions (at most the steps left), and gives the slack back
+/// when it ends more than half empty.
 struct SymbolicTourStream::Impl {
  public:
   Impl(SymbolicFsm& fsm, const SymbolicTourOptions& options)
@@ -115,6 +124,14 @@ struct SymbolicTourStream::Impl {
     transitions_total_ = fsm.count_transitions(reached);
     total_count_ = static_cast<std::size_t>(transitions_total_);
     states_total_ = fsm.count_states(reached);
+    if (transitions_total_ <= static_cast<double>(options_.max_steps)) {
+      // A complete tour fits the cap, so the tables are sized once.
+      const auto states = static_cast<std::size_t>(states_total_);
+      states_.reserve(states);
+      ids_.reserve(states);
+      edges_.reserve(total_count_);
+      taken_.reserve(total_count_);
+    }
 
     initial_ = intern(model::TestModel::pack_bits(fsm.initial_state_bits()));
     state_ = initial_;
@@ -126,6 +143,10 @@ struct SymbolicTourStream::Impl {
   std::optional<model::Sequence> next_sequence() {
     if (finished_) return std::nullopt;
     model::Sequence seq;
+    if (options_.record_inputs) {
+      seq.reserve(std::min(total_count_ - covered_count_,
+                           options_.max_steps - steps_));
+    }
     while (steps_ < options_.max_steps) {
       if (covered_count_ >= total_count_) {
         complete_ = true;
@@ -147,7 +168,7 @@ struct SymbolicTourStream::Impl {
         // sequence that just ended.
         ++restarts_;
         state_ = initial_;
-        return seq;
+        return trimmed(std::move(seq));
       }
       if (options_.record_inputs) {
         const State& from = states_[state_];
@@ -162,7 +183,7 @@ struct SymbolicTourStream::Impl {
       ++steps_;
     }
     finished_ = true;
-    return seq;
+    return trimmed(std::move(seq));
   }
 
   [[nodiscard]] bool finished() const { return finished_; }
@@ -173,6 +194,14 @@ struct SymbolicTourStream::Impl {
     const auto fail = [](const char* what) {
       throw std::logic_error(std::string("SymbolicTourStream: ") + what);
     };
+    // Every interned state is reachable and every edge a reachable
+    // transition; the tables are sized on that.
+    if (static_cast<double>(states_.size()) > states_total_) {
+      fail("more states than the reachable total");
+    }
+    if (static_cast<double>(edges_.size()) > transitions_total_) {
+      fail("more edges than the reachable transitions");
+    }
     if (ids_.size() != states_.size()) fail("id table size");
     for (const auto& [key, id] : ids_) {
       if (id >= states_.size() || states_[id].key != key) {
@@ -341,6 +370,13 @@ struct SymbolicTourStream::Impl {
           "symbolic_transition_tour: too many variables for packed keys");
     }
     return fsm;
+  }
+
+  /// `seq` without the slack of a reservation it did not fill: a yielded
+  /// sequence holds at most twice its length.
+  static model::Sequence trimmed(model::Sequence seq) {
+    if (seq.capacity() > 2 * seq.size()) seq.shrink_to_fit();
+    return seq;
   }
 
   // ---- state table ---------------------------------------------------------

@@ -175,7 +175,9 @@ class SymbolicTourStream {
   /// yielded sequences.
   [[nodiscard]] SymbolicTourResult summary() const;
 
-  /// Recounts the walk's state table: every id round-trips through its
+  /// Recounts the walk's state table: it holds no more states than the
+  /// reachable total and no more edges than the reachable transitions (the
+  /// bounds its tables are reserved on), every id round-trips through its
   /// key, every state's class is its masked key and its edge count its
   /// class's list length, no two classes share a masked key, every edge
   /// and cursor is in range, the taken bits (one per edge) and the visited

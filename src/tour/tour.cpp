@@ -108,6 +108,8 @@ class WalkTable {
 
   /// Transitions not yet covered, over all states.
   [[nodiscard]] std::size_t uncovered() const { return uncovered_; }
+  /// Edges of every state a search has expanded so far.
+  [[nodiscard]] std::size_t search_edges() const { return search_edges_; }
   /// Covers the smallest uncovered transition of `s` (which must have one),
   /// appends its input to `seq` and returns its target. Under
   /// Goals::kUncovered, `s` leaves the goal set with its last transition.
@@ -212,6 +214,7 @@ class WalkTable {
     queue_.assign(1, from);
     for (std::size_t head = 0; head < queue_.size(); ++head) {
       const Dense s = queue_[head];
+      search_edges_ += edges(s).size();
       for (const Edge& e : edges(s)) {
         if (seen_[e.next] == epoch_) continue;
         seen_[e.next] = epoch_;
@@ -244,6 +247,7 @@ class WalkTable {
   std::vector<InputId> via_;
   std::vector<Dense> queue_;
   std::uint32_t epoch_ = 0;
+  std::size_t search_edges_ = 0;
 };
 
 }  // namespace detail
@@ -343,6 +347,10 @@ std::size_t TransitionTourSetGenerator::remaining() const {
   return walk_->uncovered();
 }
 
+std::size_t TransitionTourSetGenerator::search_edges() const {
+  return walk_->search_edges();
+}
+
 void TransitionTourSetGenerator::check_invariants() const {
   walk_->check_invariants();
 }
@@ -373,6 +381,7 @@ std::optional<TourSet> greedy_transition_tour_set(const MealyMachine& m,
   set.start = start;
   while (auto seq = gen.next()) set.sequences.push_back(std::move(*seq));
   if (gen.stuck()) return std::nullopt;
+  set.search_edges = gen.search_edges();
   return set;
 }
 

@@ -74,6 +74,10 @@ Tour random_walk(const fsm::MealyMachine& m, fsm::StateId start,
 struct TourSet {
   fsm::StateId start = 0;
   std::vector<std::vector<fsm::InputId>> sequences;
+  /// Work count of the generator that built the set: edges of every state
+  /// its breadth-first searches expanded (greedy_transition_tour_set; 0
+  /// from other sources).
+  std::size_t search_edges = 0;
 
   [[nodiscard]] std::size_t total_length() const;
 };
@@ -126,6 +130,8 @@ class TransitionTourSetGenerator {
   /// Transitions still to cover.
   [[nodiscard]] std::size_t remaining() const;
   [[nodiscard]] fsm::StateId start() const { return start_; }
+  /// Edges of every state the searches have expanded so far.
+  [[nodiscard]] std::size_t search_edges() const;
 
   /// Recounts the walk table's bookkeeping from scratch and throws
   /// std::logic_error on any mismatch: a coverage cursor outside its

@@ -677,6 +677,47 @@ TEST(SymbolicTourDifferential, LargeMachinesMatchReference) {
   EXPECT_GT(deeper, 1000u);
 }
 
+TEST(SymbolicTour, YieldedSequencesHoldLittleSlack) {
+  // Each recorded sequence reserves the uncovered transitions; one cut
+  // short by a reset must give the slack back. An empty one holds none.
+  std::vector<SequentialCircuit> circuits{fork_circuit()};
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    circuits.push_back(random_circuit(seed));
+  }
+  std::size_t sequences = 0;
+  for (std::size_t n = 0; n < circuits.size(); ++n) {
+    SCOPED_TRACE(n);
+    bdd::BddManager mgr;
+    SymbolicFsm fsm(mgr, circuits[n]);
+    SymbolicTourStream stream(fsm);
+    while (const auto seq = stream.next_sequence()) {
+      ++sequences;
+      EXPECT_LE(seq->capacity(), 2 * seq->size());
+    }
+  }
+  EXPECT_GT(sequences, circuits.size() + 20);  // many resets
+}
+
+TEST(SymbolicTourDifferential, StepCappedWalksMatchReference) {
+  // A cap below the transition count: the walk grows its tables as it goes
+  // instead of reserving them up front, and still takes the reference's
+  // steps.
+  const SequentialCircuit c = branch_ring_circuit(11, 4);
+  const auto em = extract_explicit(c, 1u << 12);
+  ASSERT_FALSE(em.truncated);
+  for (const std::size_t cap : {std::size_t{1000}, std::size_t{2175}}) {
+    SCOPED_TRACE(cap);
+    const auto tour = tour_of(c, cap);
+    ASSERT_LT(static_cast<double>(cap), tour.transitions_total);
+    const auto ref = reference_walk(em, cap);
+    EXPECT_EQ(tour.steps, cap);
+    EXPECT_EQ(tour.sequences, ref.sequences);
+    EXPECT_EQ(tour.steps, ref.steps);
+    EXPECT_EQ(tour.restarts, ref.restarts);
+    EXPECT_EQ(tour.layer_recomputes, ref.layer_recomputes);
+  }
+}
+
 TEST(SymbolicTourDifferential, SearchesPastTheLadderMatchReference) {
   // Navigations of up to 16 steps: distances past the ladder's three rungs
   // are found by search, which must still give the layer definition's walk.

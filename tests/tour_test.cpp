@@ -290,6 +290,23 @@ TEST(TourPin, GreedyTourOnLargeRandomMachine) {
   EXPECT_EQ(hash_sequence(0, t->inputs), 12514281586872041985ull);
 }
 
+TEST(TourPin, SearchEdgesRepeatExactly) {
+  // A work count, not a time: two runs on the same machine scan the same
+  // edges, and the generator and the set it builds agree.
+  MealyMachine m = fsm::random_connected_machine(1024, 4, 4, 4);
+  for (StateId s = 0; s < m.num_states(); ++s) m.set_transition(s, 3, 0, 99);
+  const auto first = greedy_transition_tour_set(m, 0);
+  const auto second = greedy_transition_tour_set(m, 0);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(first->search_edges, 449068u);
+  EXPECT_EQ(second->search_edges, first->search_edges);
+  TransitionTourSetGenerator gen(m, 0);
+  while (gen.next()) {
+  }
+  EXPECT_EQ(gen.search_edges(), first->search_edges);
+}
+
 // ---------------------------------------------------------------------------
 // Differential test against the original greedy engine
 // ---------------------------------------------------------------------------
