@@ -11,14 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -688,6 +692,87 @@ TEST_F(ArtifactStoreTest, ForgedCheckpointRunCountResumesAsAFullRerun) {
   const auto resumed = core::run_campaign(options, bugs);
   ASSERT_TRUE(resumed.store_stats.has_value());
   EXPECT_EQ(resumed.store_stats->resumed_sequences, 0u);
+  EXPECT_EQ(core::semantic_json(resumed), reference);
+}
+
+// ---- Checkpoint on-disk format pin -----------------------------------------
+
+/// Cancels the campaign after `after` committed clean runs — a
+/// deterministic stand-in for killing the process mid-stream.
+class KillAfterRuns final : public obs::EventSink {
+ public:
+  KillAfterRuns(core::CancellationToken token, std::size_t after)
+      : token_(std::move(token)), after_(after) {}
+
+  void item(obs::Stage stage, std::string_view kind, std::uint64_t,
+            std::uint64_t) override {
+    if (stage == obs::Stage::kSimulate && kind == "clean_run" &&
+        seen_.fetch_add(1) + 1 >= after_) {
+      token_.cancel();
+    }
+  }
+
+ private:
+  core::CancellationToken token_;
+  std::size_t after_;
+  std::atomic<std::size_t> seen_{0};
+};
+
+/// The pinned campaign: the reduced DLX model, one bug, one thread (so the
+/// kill lands on the same batch every run), a checkpoint every two runs.
+core::CampaignOptions pinned_campaign_options() {
+  core::CampaignOptions options;
+  options.model_options = tiny_model_options();
+  options.threads = 1;
+  options.checkpoint_every = 2;
+  return options;
+}
+
+const std::vector<dlx::PipelineBug> kPinnedBugs{
+    dlx::PipelineBug::kNoLoadUseStall};
+
+/// Runs the pinned campaign on a store at `dir`, cancels it after three
+/// committed clean runs and returns every file the store then holds.
+std::vector<std::filesystem::path> kill_pinned_campaign(
+    const std::filesystem::path& dir) {
+  core::CampaignOptions options = pinned_campaign_options();
+  options.store_dir = dir.string();
+  KillAfterRuns killer(options.cancel, 3);
+  options.sink = &killer;
+  EXPECT_TRUE(core::run_campaign(options, kPinnedBugs).cancelled());
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  return files;
+}
+
+std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Pins the checkpoint a killed campaign leaves behind: its file name (the
+// campaign key) and its bytes (header and payload). A checkpoint written by
+// an earlier build must still resume, so neither may drift.
+TEST_F(ArtifactStoreTest, KilledCampaignCheckpointIsPinnedAndResumes) {
+  const std::string reference = core::semantic_json(
+      core::run_campaign(pinned_campaign_options(), kPinnedBugs));
+
+  const auto files = kill_pinned_campaign(dir_);
+  ASSERT_EQ(files.size(), 1u) << "a killed campaign leaves its checkpoint only";
+  EXPECT_EQ(files[0].filename().string(),
+            "checkpoint-5368f8a770d09f9dfc38586cbb788f0a.art");
+  const auto bytes = read_file(files[0]);
+  EXPECT_EQ(bytes.size(), 152u);
+  EXPECT_EQ(fnv1a(bytes), 1526375655252442528ull);
+
+  core::CampaignOptions resume = pinned_campaign_options();
+  resume.store_dir = dir_.string();
+  resume.resume = true;
+  const auto resumed = core::run_campaign(resume, kPinnedBugs);
+  ASSERT_TRUE(resumed.store_stats.has_value());
+  EXPECT_EQ(resumed.store_stats->resumed_sequences, 4u);
   EXPECT_EQ(core::semantic_json(resumed), reference);
 }
 
