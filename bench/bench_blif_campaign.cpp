@@ -11,8 +11,7 @@
 //
 // `--vcd <path>` additionally exports the committed test set as a VCD
 // waveform: the exact path in single-circuit mode, `<path>.<model>.vcd`
-// per circuit in suite mode. With `--store <dir>`, repeated invocations
-// get warm tour hits (keys fingerprint netlist content, not the path).
+// per circuit in suite mode.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -57,8 +56,6 @@ int main(int argc, char** argv) {
     base.circuit_path = path;
     base.method = core::TestMethod::kTransitionTourSet;
     base.sink = bench::sink();
-    base.store_dir = bench::store_dir();
-    base.resume = bench::resume();
     base.collect_coverage_telemetry = true;
     base.generator = bench::generator();
     base.reorder = bench::reorder() ? bdd::ReorderPolicy::kAuto
@@ -128,11 +125,6 @@ int main(int argc, char** argv) {
 
     bench::row("report hash", bench::report_hash(reference));
     if (!base.vcd_path.empty()) bench::row("vcd", base.vcd_path);
-    if (reference_result.store_stats.has_value()) {
-      const auto& s = *reference_result.store_stats;
-      bench::row("store hits (reference run)", std::size_t{s.hits});
-      bench::row("store misses (reference run)", std::size_t{s.misses});
-    }
     bench::attach_json("campaign_" + stem(path),
                        core::to_json(reference_result));
   }

@@ -74,8 +74,6 @@ int main(int argc, char** argv) {
   base.vcd_path = bench::vcd();
   base.method = core::TestMethod::kTransitionTourSet;
   base.sink = bench::sink();
-  base.store_dir = bench::store_dir();
-  base.resume = bench::resume();
   base.collect_coverage_telemetry = true;
   base.generator = bench::generator();
   if (base.generator.kind != core::GeneratorKind::kTransitionTour) {
@@ -171,11 +169,6 @@ int main(int argc, char** argv) {
              all_identical ? "yes" : "NO");
   bench::row("campaign report hash",
              bench::report_hash(core::semantic_json(parallel_result)));
-  if (parallel_result.store_stats.has_value()) {
-    const auto& s = *parallel_result.store_stats;
-    bench::row("store hits (last run)", std::size_t{s.hits});
-    bench::row("store misses (last run)", std::size_t{s.misses});
-  }
   if (speedup_at_4 > 0.0) {
     std::printf("  %-52s %.2fx\n", "speedup at 4 threads", speedup_at_4);
   }

@@ -1,21 +1,10 @@
-// Cold-vs-warm campaign timing through the artifact store, plus the
-// checkpoint/resume equivalence check.
+// Checkpoint/resume equivalence: a campaign killed mid-stream via its
+// CancellationToken and then resumed from the store's checkpoint produces
+// exactly the uninterrupted run's report, at 1, 2 and 8 worker threads.
+// Any mismatch exits nonzero.
 //
-// Three claims are checked (any failure exits nonzero):
-//   1. Warm skip — a second campaign against the same --store directory
-//      reuses the published tour (store hits > 0, misses == 0): tour
-//      generation is skipped entirely.
-//   2. Warm identity — the warm run's report is byte-identical to the cold
-//      run's after erasing timings and store counters (the two things that
-//      legitimately differ between a cold and a warm run).
-//   3. Resume identity — a campaign killed mid-stream via its
-//      CancellationToken and then resumed from the store's checkpoint
-//      produces exactly the uninterrupted run's report, at 1, 2 and 8
-//      worker threads.
-//
-// `--store <dir>` overrides the store location (the default directory is
-// wiped first so the cold run is genuinely cold; a caller-provided one is
-// used as-is).
+// The checkpoints live under `bench_resume.store/` in the working
+// directory, wiped first so every kill starts from an empty store.
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -77,12 +66,9 @@ int main(int argc, char** argv) {
       dlx::PipelineBug::kForwardFromR0,
   };
 
-  std::string store_root = bench::store_dir();
-  if (store_root.empty()) {
-    store_root = "bench_store_warm.store";
-    std::error_code ec;
-    std::filesystem::remove_all(store_root, ec);  // guarantee a cold start
-  }
+  const std::string store_root = "bench_resume.store";
+  std::error_code ec;
+  std::filesystem::remove_all(store_root, ec);
 
   core::CampaignOptions base;
   base.model_options = tour_model_options();
@@ -91,35 +77,6 @@ int main(int argc, char** argv) {
   base.collect_coverage_telemetry = true;
 
   bool ok = true;
-
-  bench::header("Artifact store: cold vs warm campaign");
-  core::CampaignOptions cold = base;
-  cold.store_dir = store_root + "/warm";
-  cold.sink = bench::sink();
-  bench::Timer cold_timer;
-  const auto cold_result = core::run_campaign(cold, bugs);
-  const double cold_seconds = cold_timer.seconds();
-
-  bench::Timer warm_timer;
-  const auto warm_result = core::run_campaign(cold, bugs);
-  const double warm_seconds = warm_timer.seconds();
-
-  const auto& warm_stats = warm_result.store_stats;
-  const bool tour_skipped = warm_stats.has_value() && warm_stats->hits > 0 &&
-                            warm_stats->misses == 0;
-  const bool warm_identical =
-      core::semantic_json(warm_result) == core::semantic_json(cold_result);
-  ok = ok && tour_skipped && warm_identical;
-
-  bench::row("test-set programs", cold_result.sequences);
-  bench::row("cold seconds", cold_seconds);
-  bench::row("warm seconds", warm_seconds);
-  bench::row("warm speedup",
-             warm_seconds > 0.0 ? cold_seconds / warm_seconds : 0.0);
-  bench::row("warm run skipped tour generation",
-             tour_skipped ? "yes" : "NO");
-  bench::row("warm report identical to cold", warm_identical ? "yes" : "NO");
-
   bench::header("Checkpoint/resume: killed campaign equals uninterrupted");
   std::printf("\n  %-10s %10s %10s %12s %10s\n", "threads", "killed at",
               "restored", "identical", "cancelled");
@@ -130,14 +87,11 @@ int main(int argc, char** argv) {
     core::CampaignOptions uopt = base;
     uopt.cancel = core::CancellationToken{};
     uopt.threads = threads;
-    uopt.store_dir = store_root + "/uninterrupted";
-    const auto uninterrupted = core::run_campaign(uopt, bugs);
-    const std::string reference = core::semantic_json(uninterrupted);
+    const std::string reference =
+        core::semantic_json(core::run_campaign(uopt, bugs));
 
     const std::string dir =
         store_root + "/resume-t" + std::to_string(threads);
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
 
     core::CampaignOptions kopt = base;
     kopt.cancel = core::CancellationToken{};
@@ -169,6 +123,6 @@ int main(int argc, char** argv) {
                identical ? "yes" : "NO");
   }
 
-  bench::row("all store invariants hold", ok ? "yes" : "NO");
+  bench::row("all resume invariants hold", ok ? "yes" : "NO");
   return simcov::bench::finish(ok ? 0 : 1);
 }

@@ -13,10 +13,6 @@
 // path. Benches pass sink() — the fan-out over whichever of the two were
 // requested — as CampaignOptions::sink.
 //
-// `--store <dir>` and `--resume` expose the artifact store: benches pass
-// store_dir() / resume() into CampaignOptions so repeated invocations
-// reuse cached tours and checkpoints across processes.
-//
 // `--generator tour|biased|hybrid` selects the sequence-generation
 // strategy (model/generator_spec.hpp): benches pass generator() into
 // CampaignOptions::generator / MutantCoverageOptions::generator.
@@ -61,10 +57,8 @@ struct Section {
 struct Recorder {
   std::string binary = "bench";
   std::string json_path;
-  std::string store_dir;
   std::string circuit_path;
   std::string vcd_path;
-  bool resume = false;
   bool reorder = false;
   model::GeneratorSpec generator;
   std::vector<Section> sections;
@@ -94,8 +88,8 @@ struct Recorder {
 }  // namespace detail
 
 /// Parses bench command-line flags (`--json <path>`, `--perfetto <path>`,
-/// `--metrics <path>`, `--store <dir>`, `--resume`, `--circuit <file.blif>`,
-/// `--vcd <path>`, `--reorder on|off`, `--generator tour|biased|hybrid`).
+/// `--metrics <path>`, `--circuit <file.blif>`, `--vcd <path>`,
+/// `--reorder on|off`, `--generator tour|biased|hybrid`).
 /// Exits with status 2 on anything unrecognized or an unopenable trace.
 inline void init(int argc, char** argv) {
   auto& rec = detail::Recorder::instance();
@@ -118,14 +112,10 @@ inline void init(int argc, char** argv) {
     } else if (arg == "--metrics" && i + 1 < argc) {
       rec.metrics_path = argv[++i];
       rec.metrics = std::make_unique<obs::MetricsRegistry>();
-    } else if (arg == "--store" && i + 1 < argc) {
-      rec.store_dir = argv[++i];
     } else if (arg == "--circuit" && i + 1 < argc) {
       rec.circuit_path = argv[++i];
     } else if (arg == "--vcd" && i + 1 < argc) {
       rec.vcd_path = argv[++i];
-    } else if (arg == "--resume") {
-      rec.resume = true;
     } else if (arg == "--reorder" && i + 1 < argc) {
       const std::string value(argv[++i]);
       if (value != "on" && value != "off") {
@@ -147,8 +137,8 @@ inline void init(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json <path>] [--perfetto <path>] "
-                   "[--metrics <path>] [--store <dir>] [--circuit <file.blif>] "
-                   "[--vcd <path>] [--resume] [--reorder on|off] "
+                   "[--metrics <path>] [--circuit <file.blif>] "
+                   "[--vcd <path>] [--reorder on|off] "
                    "[--generator tour|biased|hybrid]\n",
                    rec.binary.c_str());
       std::exit(2);
@@ -172,12 +162,6 @@ inline void init(int argc, char** argv) {
   return &rec.combined;
 }
 
-/// The --store directory (empty when the flag was not given) — plugs into
-/// CampaignOptions::store_dir.
-[[nodiscard]] inline const std::string& store_dir() {
-  return detail::Recorder::instance().store_dir;
-}
-
 /// The --circuit BLIF path (empty when the flag was not given) — plugs
 /// into CampaignOptions::circuit_path (the src/io real-circuit frontend).
 [[nodiscard]] inline const std::string& circuit() {
@@ -188,11 +172,6 @@ inline void init(int argc, char** argv) {
 /// CampaignOptions::vcd_path (waveform export of the committed test set).
 [[nodiscard]] inline const std::string& vcd() {
   return detail::Recorder::instance().vcd_path;
-}
-
-/// True when --resume was given — plugs into CampaignOptions::resume.
-[[nodiscard]] inline bool resume() {
-  return detail::Recorder::instance().resume;
 }
 
 /// True when `--reorder on` was given — plugs into CampaignOptions::reorder
@@ -230,7 +209,7 @@ inline void row(const std::string& label, std::size_t value) {
 }
 
 /// Content hash of a report, as 32 hex digits: CI compares this one value
-/// across invocations (cold against warm, reorder on against off).
+/// across invocations (two runs, reorder on against off).
 [[nodiscard]] inline std::string report_hash(std::string_view json) {
   store::Hasher h;
   h.str(json);

@@ -365,7 +365,6 @@ std::string to_json(const CampaignResult& result) {
     w.begin_object("store")
         .field("hits", s.hits)
         .field("misses", s.misses)
-        .field("evictions", s.evictions)
         .field("checkpoint_writes", s.checkpoint_writes)
         .field("bytes_read", s.bytes_read)
         .field("bytes_written", s.bytes_written)

@@ -8,7 +8,7 @@
 // validation pipeline). io::BlifWriter emits the same subset back out —
 // the round-trip reproduces a structurally identical circuit
 // (store::fingerprint_circuit-equal) for every reader-produced netlist,
-// which is how the store can address BLIF campaigns purely by content.
+// which is how checkpoint keys address BLIF campaigns purely by content.
 //
 // Supported subset (everything else is a line-numbered error):
 //   .model <name>                 at most one; name optional

@@ -11,7 +11,7 @@
 //
 // The output is fully deterministic: no dates, no tool banners, and value
 // changes are emitted in declaration order — byte-identical runs produce
-// byte-identical files, which CI exploits to diff cold vs. warm campaigns.
+// byte-identical files, which CI exploits to diff two runs of a campaign.
 #pragma once
 
 #include <cstddef>

@@ -14,8 +14,8 @@
 // coordinator, so results are bit-identical at any thread count, and a
 // resumed campaign re-pulls the same deterministic stream, so the spec
 // composes with checkpoint/resume. Every field below participates in the
-// tour-cache fingerprint key (pipeline/store_keys) — warm store hits can
-// never cross generator strategies.
+// checkpoint key (pipeline::checkpoint_key) — a resume can never cross
+// generator strategies.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,7 @@
 
 namespace simcov::model {
 
-/// The generator family. Values are part of the store-key encoding —
+/// The generator family. Values are part of the checkpoint-key encoding —
 /// append only.
 enum class GeneratorKind : std::uint8_t {
   kTransitionTour = 0,  ///< greedy transition tour set (the paper's method)
@@ -58,7 +58,7 @@ enum class GeneratorKind : std::uint8_t {
 }
 
 /// Strategy + knobs for sequence generation. All fields are sequence-
-/// shaping: each is folded into the tour-cache fingerprint key.
+/// shaping: each is folded into the checkpoint key.
 struct GeneratorSpec {
   GeneratorKind kind = GeneratorKind::kTransitionTour;
 

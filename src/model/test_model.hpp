@@ -22,7 +22,7 @@
 // ids). The packing caps both widths at 63 bits, far beyond explicit reach
 // and matching the symbolic tour driver's existing limit. A test step is its
 // input key, so a test sequence (model::Sequence) is a vector of keys from
-// the generator through the store to concretization.
+// the generator to concretization.
 #pragma once
 
 #include <atomic>

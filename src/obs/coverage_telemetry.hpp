@@ -19,11 +19,10 @@
 //
 // The collector replays each committed sequence through the TestModel into
 // its own hit-counting CoverageTracker, mirroring TestModel::evaluate's
-// accounting exactly. Replay (not the stream's tracker) is deliberate: a
-// store-replayed tour (store::StoredTourStream) has no live tracker, and a
-// resumed campaign restores verdicts without regenerating per-sequence
-// coverage — the replay path is the one account that is identical for
-// live, cached, and resumed campaigns.
+// accounting exactly. Replay (not the stream's tracker) is deliberate: it
+// depends on the committed sequences alone, so it is the one account that
+// is identical for live and resumed campaigns whatever source yielded
+// them.
 #pragma once
 
 #include <array>

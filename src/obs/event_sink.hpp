@@ -7,7 +7,7 @@
 //     run in interleaved batches (the tour streams while earlier sequences
 //     simulate), so a stage emits many spans; consumers accumulate.
 //   * counter(stage, name, value): one occurrence worth `value` of a named
-//     event-like quantity (store.hit, checkpoint.write). Consumers SUM
+//     event-like quantity (checkpoint.write, bdd.gc). Consumers SUM
 //     counter emissions — snapshot-style values must use gauge instead.
 //   * gauge(stage, name, value):  a named level snapshot (e.g. the peak
 //     number of in-flight sequences). Consumers keep the MAX over

@@ -276,9 +276,6 @@ std::string prometheus_help_text(std::string_view name) {
        "Per-run clean simulation latency, nanoseconds."},
       {"queue_wait.latency_ns",
        "Worker-pool scheduling delay per claimed index, nanoseconds."},
-      {"store.hit", "Artifact-store lookups served from disk."},
-      {"store.miss", "Artifact-store lookups that forced a recompute."},
-      {"store.evict", "Artifacts removed by the store's LRU size cap."},
       {"checkpoint.write", "Campaign checkpoints written."},
       {"states", "Reachable states of the campaign model."},
       {"transitions", "Reachable transitions of the campaign model."},

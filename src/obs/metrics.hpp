@@ -3,7 +3,7 @@
 // The registry is an EventSink that folds the raw event stream into three
 // kinds of metric, all keyed by (Stage, name):
 //
-//   * counters   — summed `counter` events (store.hit, checkpoint.write, …)
+//   * counters   — summed `counter` events (checkpoint.write, bdd.gc, …)
 //   * gauges     — max'ed `gauge` events (sequences_in_flight_peak, …)
 //   * histograms — fixed-bucket log2 distributions fed by `item` events
 //     (name = the item kind, value = the item's value field, e.g. steps per

@@ -110,7 +110,7 @@ struct CampaignOptions {
   /// kHybrid). Only meaningful with kTransitionTourSet — a non-default
   /// spec combined with any other method throws std::invalid_argument.
   /// The default spec reproduces the pre-generator-layer pipeline
-  /// byte-for-byte. Every field is part of the tour-cache fingerprint.
+  /// byte-for-byte. Every field is part of the checkpoint key.
   model::GeneratorSpec generator;
   std::uint64_t seed = 1;
   /// Worker threads for the concretization/simulation loops
@@ -153,13 +153,12 @@ struct CampaignOptions {
   std::size_t telemetry_curve_budget = 512;
   /// Dynamic variable-reordering policy of the symbolic backend's live BDD
   /// manager (bdd::ReorderPolicy::kAuto enables growth-triggered sifting).
-  /// A memory/throughput knob only, excluded from the store fingerprints
-  /// (pipeline/store_keys) like `threads`: reordering is
+  /// A memory/throughput knob only, excluded from the checkpoint key
+  /// (pipeline::checkpoint_key) like `threads`: reordering is
   /// semantically invisible, so the campaign outcome is identical either
   /// way (only the engine-telemetry sections — bdd stats — differ).
   /// Ignored by the explicit backend. The dedicated snapshot manager of
-  /// `collect_symbolic_stats` keeps the static order regardless, so stored
-  /// snapshot artifacts never depend on this runtime knob.
+  /// `collect_symbolic_stats` keeps the static order regardless.
   bdd::ReorderPolicy reorder = bdd::ReorderPolicy::kNone;
 
   // ---- Real-circuit frontend (src/io) ------------------------------------
@@ -167,11 +166,11 @@ struct CampaignOptions {
   /// control model. Non-empty: ModelBuildStage parses the file
   /// (io::BlifReader) and the concretize/simulate stages are replaced by
   /// direct circuit replay (CircuitReplayStage) — tour generation,
-  /// backends, telemetry, cancellation and the artifact store all work
-  /// unchanged. Store keys fingerprint the *lowered netlist content*
-  /// (store::fingerprint_circuit), never this path, so renaming the file
-  /// keeps warm hits and editing it forces a miss. DLX pipeline bugs make
-  /// no sense against an external circuit: run() throws
+  /// backends, telemetry, cancellation and checkpoint/resume all work
+  /// unchanged. The checkpoint key fingerprints the *lowered netlist
+  /// content* (store::fingerprint_circuit), never this path, so renaming
+  /// the file keeps its checkpoint and editing it orphans it. DLX pipeline
+  /// bugs make no sense against an external circuit: run() throws
   /// std::invalid_argument when `bugs` is non-empty.
   std::string circuit_path;
   /// Write the committed test set as a VCD waveform here (empty: off).
@@ -180,15 +179,10 @@ struct CampaignOptions {
   /// deterministic, so identical campaigns produce byte-identical files.
   std::string vcd_path;
 
-  // ---- Artifact store (content-addressed caching + checkpoint/resume) ----
-  /// Directory of the artifact store. Empty: no store — no caching, no
-  /// checkpoints. The tour and symbolic-snapshot stages consult the store
-  /// before computing and publish on miss; the simulate loop checkpoints
-  /// its committed prefix (see checkpoint_every).
+  // ---- Checkpoint/resume (src/store) -------------------------------------
+  /// Directory of the checkpoint store. Empty: no checkpoints. The simulate
+  /// loop checkpoints its committed prefix there (see checkpoint_every).
   std::string store_dir;
-  /// LRU size cap over non-checkpoint artifacts in the store, bytes
-  /// (0 = unlimited).
-  std::uint64_t store_max_bytes = 0;
   /// Resume from the store's checkpoint for this campaign key, if one
   /// exists: the checkpointed prefix is re-pulled from the (deterministic)
   /// tour stream and re-concretized, but its simulations are restored
@@ -241,13 +235,10 @@ struct CampaignResult {
   /// Per-stage outcome of the pipeline run; the JSON report renders only
   /// their seconds, as the "timings" section.
   std::vector<StageReport> stage_reports;
-  /// Store activity of this campaign; set only when an artifact store was
+  /// Checkpoint-store activity of this campaign; set only when a store was
   /// configured (CampaignOptions::store_dir). Emitted as "store" in the
   /// JSON report.
   std::optional<store::StoreStats> store_stats;
-  /// Content key of this campaign's report artifact; set only when a store
-  /// was configured (core::run_campaign publishes the JSON under it).
-  std::optional<store::Fingerprint> report_key;
   /// Snapshot of the attached MetricsRegistry (CampaignOptions::metrics);
   /// emitted as "metrics" in the JSON report. Wall-clock derived — not
   /// deterministic.

@@ -16,8 +16,6 @@
 #include "io/blif.hpp"
 #include "model/symbolic_model.hpp"
 #include "runtime/rng.hpp"
-#include "store/codec.hpp"
-#include "store/tour_cache.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "validate/harness.hpp"
 
@@ -161,8 +159,8 @@ ModelBuildStage::Output ModelBuildStage::run(const CampaignOptions& options,
   if (!options.circuit_path.empty()) {
     // External netlist: the BLIF frontend supplies the circuit; every
     // downstream consumer sees the same BuiltTestModel shape the DLX
-    // builder produces. Store keys hash the lowered circuit, so campaigns
-    // are addressed by netlist content, never by this path.
+    // builder produces. The checkpoint key hashes the lowered circuit, so
+    // campaigns are addressed by netlist content, never by this path.
     auto parsed = io::BlifReader().read_file(options.circuit_path);
     out.built = std::make_unique<testmodel::BuiltTestModel>();
     out.built->circuit = std::move(parsed.circuit);
@@ -197,9 +195,7 @@ ModelBuildStage::Output ModelBuildStage::run(const CampaignOptions& options,
 void SymbolicSnapshotStage::run(const CampaignOptions& options,
                                 const testmodel::BuiltTestModel& built,
                                 model::TestModel& model, obs::EventSink& sink,
-                                CampaignResult& result,
-                                store::ArtifactStore* store,
-                                const store::Fingerprint& key) {
+                                CampaignResult& result) {
   if (!options.collect_symbolic_stats &&
       result.backend != model::Backend::kSymbolic) {
     return;
@@ -223,23 +219,6 @@ void SymbolicSnapshotStage::run(const CampaignOptions& options,
                result.bdd_stats->peak_live_nodes);
   } else if (options.collect_symbolic_stats) {
     // The only expensive path: a dedicated manager pays a full fixpoint.
-    if (store != nullptr) {
-      if (auto payload = store->load(store::ArtifactKind::kSymbolicSnapshot,
-                                     key, obs::Stage::kSymbolic, sink)) {
-        try {
-          const auto snap = store::snapshot_from_payload(*payload);
-          result.symbolic_stats = snap.fsm;
-          result.bdd_stats = snap.bdd;
-          sink.gauge(obs::Stage::kSymbolic, "bdd_live_nodes",
-                     result.bdd_stats->live_nodes);
-          sink.gauge(obs::Stage::kSymbolic, "bdd_peak_nodes",
-                     result.bdd_stats->peak_live_nodes);
-          return;
-        } catch (const store::CodecError&) {
-          // Undecodable payload: fall through and recompute.
-        }
-      }
-    }
     bdd::BddManager mgr;
     sym::SymbolicFsm symbolic(mgr, built.circuit);
     result.symbolic_stats = symbolic.stats();
@@ -248,20 +227,10 @@ void SymbolicSnapshotStage::run(const CampaignOptions& options,
                result.bdd_stats->live_nodes);
     sink.gauge(obs::Stage::kSymbolic, "bdd_peak_nodes",
                result.bdd_stats->peak_live_nodes);
-    if (store != nullptr) {
-      store::SymbolicSnapshot snap{*result.symbolic_stats,
-                                   *result.bdd_stats};
-      store->publish(store::ArtifactKind::kSymbolicSnapshot, key,
-                     store::to_payload(snap), obs::Stage::kSymbolic, sink);
-    }
   }
 }
 
-namespace {
-
-/// The store-oblivious part of GenerateStage::open: the live sequence
-/// source for the chosen method and generator spec.
-std::unique_ptr<model::SequenceSource> open_live_stream(
+std::unique_ptr<model::SequenceSource> GenerateStage::open(
     const CampaignOptions& options, model::TestModel& model,
     model::ExplicitModel* explicit_model, obs::EventSink& sink) {
   if (!model::is_default_generator(options.generator) &&
@@ -304,34 +273,6 @@ std::unique_ptr<model::SequenceSource> open_live_stream(
     }
   }
   throw std::logic_error("unknown test method");
-}
-
-}  // namespace
-
-std::unique_ptr<model::SequenceSource> GenerateStage::open(
-    const CampaignOptions& options, model::TestModel& model,
-    model::ExplicitModel* explicit_model, obs::EventSink& sink,
-    store::ArtifactStore* store, const store::Fingerprint& key) {
-  if (store != nullptr) {
-    obs::ScopedSpan span(sink, obs::Stage::kTour);
-    if (auto payload =
-            store->load(store::ArtifactKind::kTour, key, obs::Stage::kTour,
-                        sink)) {
-      try {
-        return std::make_unique<store::StoredTourStream>(
-            std::move(*payload));
-      } catch (const store::CodecError&) {
-        // Undecodable payload: fall through to live generation.
-      }
-    }
-  }
-  auto live = open_live_stream(options, model, explicit_model, sink);
-  if (store != nullptr) {
-    // Tee the live stream so the executor can publish the finished tour.
-    return std::make_unique<store::RecordingTourStream>(std::move(live),
-                                                        model.input_bits());
-  }
-  return live;
 }
 
 namespace {

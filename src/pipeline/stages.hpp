@@ -21,7 +21,6 @@
 #include "model/explicit_model.hpp"
 #include "pipeline/contracts.hpp"
 #include "runtime/thread_pool.hpp"
-#include "store/artifact_store.hpp"
 #include "sym/circuit_replay.hpp"
 #include "tour/tour.hpp"
 #include "validate/concretize.hpp"
@@ -55,16 +54,14 @@ struct ModelBuildStage {
 
 /// Optional BDD view snapshot (CampaignOptions::collect_symbolic_stats, or
 /// implied by the symbolic backend). Reuses the campaign's own implicit
-/// representation when there is one; the explicit-backend path — the only
-/// one that pays a second reachability fixpoint — consults the artifact
-/// store under `key` first and publishes on miss. One kSymbolic span;
+/// representation when there is one; the explicit backend pays a second
+/// reachability fixpoint on a dedicated manager. One kSymbolic span;
 /// no-op otherwise.
 struct SymbolicSnapshotStage {
   static void run(const CampaignOptions& options,
                   const testmodel::BuiltTestModel& built,
                   model::TestModel& model, obs::EventSink& sink,
-                  CampaignResult& result, store::ArtifactStore* store,
-                  const store::Fingerprint& key);
+                  CampaignResult& result);
 };
 
 /// Opens the test-sequence source for the chosen method and generator
@@ -74,20 +71,12 @@ struct SymbolicSnapshotStage {
 /// kTour spans (here for the materializing methods, per pulled batch in
 /// the executor for the native streams).
 ///
-/// With an artifact store, the stage consults it under `key` first: a hit
-/// replays the stored sequences (generation is skipped entirely); a miss
-/// wraps the live source in a store::RecordingTourStream so the executor
-/// can publish the finished test set. The executor publishes only a tour
-/// that ran to its end: a cancelled, truncated one is not the test set the
-/// key describes.
-///
 /// A non-default CampaignOptions::generator requires kTransitionTourSet;
 /// any other method throws std::invalid_argument.
 struct GenerateStage {
   static std::unique_ptr<model::SequenceSource> open(
       const CampaignOptions& options, model::TestModel& model,
-      model::ExplicitModel* explicit_model, obs::EventSink& sink,
-      store::ArtifactStore* store, const store::Fingerprint& key);
+      model::ExplicitModel* explicit_model, obs::EventSink& sink);
 };
 
 /// Concretizes one batch of tour sequences into DLX programs. The stall and

@@ -10,10 +10,8 @@
 
 #include "io/vcd.hpp"
 #include "pipeline/stages.hpp"
-#include "pipeline/store_keys.hpp"
 #include "runtime/thread_pool.hpp"
 #include "store/codec.hpp"
-#include "store/tour_cache.hpp"
 #include "sym/circuit_replay.hpp"
 #include "validate/harness.hpp"
 
@@ -36,8 +34,8 @@ std::vector<std::uint8_t> checkpoint_payload(
 
 /// Everything one campaign shares across its steps. The constructor is the
 /// set-up: sink fan-out, model build, the optional replayer, telemetry
-/// collector and store, the symbolic snapshot, the sequence source and the
-/// checkpoint to resume from. Built in place: `sink` points at `recorder`.
+/// collector and checkpoint store, the symbolic snapshot, the sequence
+/// source and the checkpoint to resume from. Built in place: `sink` points at `recorder`.
 struct Campaign {
   Campaign(const CampaignOptions& opts,
            std::span<const dlx::PipelineBug> bugs);
@@ -51,18 +49,18 @@ struct Campaign {
   /// replayer serves every worker (replay() is const and allocation-local).
   std::optional<sym::CircuitReplayer> replayer;
   std::optional<obs::CoverageTelemetryCollector> telemetry;
-  /// The artifact store (optional): caches tours and symbolic snapshots
-  /// across campaigns, and checkpoints this campaign's committed prefix.
+  /// The checkpoint store (optional): holds this campaign's committed
+  /// prefix under `key` until the campaign completes.
   std::unique_ptr<store::ArtifactStore> store;
-  CampaignStoreKeys keys;
+  store::Fingerprint key;
   std::unique_ptr<model::SequenceSource> stream;
   std::vector<store::CheckpointRun> restore;  ///< checkpointed clean runs
 
   // The batch commit loop's cursor and how each stream stage ended.
   std::vector<validate::ConcretizedProgram> programs;
   /// Committed sequences retained for the VCD export (they otherwise die at
-  /// batch commit). Store-replayed and resumed campaigns re-pull the same
-  /// deterministic stream, so the retained set is always the full test set.
+  /// batch commit). Resumed campaigns re-pull the same deterministic
+  /// stream, so the retained set is always the full test set.
   std::vector<model::Sequence> vcd_sequences;
   obs::StageStatus tour_status = obs::StageStatus::kOk;
   obs::StageStatus concretize_status = obs::StageStatus::kOk;
@@ -97,25 +95,22 @@ Campaign::Campaign(const CampaignOptions& opts,
   if (build.external_circuit) replayer.emplace(build.built->circuit);
 
   // Coverage telemetry replays committed sequences through the model on the
-  // coordinator thread — the one account that is identical for live,
-  // store-replayed (no live tracker), and resumed campaigns.
+  // coordinator thread — the one account that is identical for live and
+  // resumed campaigns.
   if (options.collect_coverage_telemetry) {
     telemetry.emplace(*build.model, options.telemetry_curve_budget);
   }
 
   if (!options.store_dir.empty()) {
-    store = std::make_unique<store::ArtifactStore>(
-        store::StoreOptions{options.store_dir, options.store_max_bytes});
-    keys = campaign_store_keys(options, build.built->circuit,
-                               result.backend, bugs);
-    result.report_key = keys.report;
+    store = std::make_unique<store::ArtifactStore>(options.store_dir);
+    key = checkpoint_key(options, build.built->circuit, result.backend);
   }
 
   SymbolicSnapshotStage::run(options, *build.built, *build.model, sink,
-                             result, store.get(), keys.symbolic);
+                             result);
 
   stream = GenerateStage::open(options, *build.model, build.explicit_model,
-                               sink, store.get(), keys.tour);
+                               sink);
   result.generator = options.generator;
 
   // Resume: restore the checkpointed prefix of a previously killed campaign
@@ -124,9 +119,7 @@ Campaign::Campaign(const CampaignOptions& opts,
   // stream's coverage tracker exactly as the original run did); only their
   // simulation verdicts are restored instead of re-run.
   if (store != nullptr && options.resume) {
-    if (auto payload = store->load(store::ArtifactKind::kCheckpoint,
-                                   keys.checkpoint, obs::Stage::kSimulate,
-                                   sink)) {
+    if (auto payload = store->load(key)) {
       try {
         restore = store::checkpoint_from_payload(*payload).clean_runs;
       } catch (const store::CodecError&) {
@@ -232,8 +225,7 @@ bool commit_batch(Campaign& c, std::vector<model::Sequence> batch,
              result.clean_runs.size() - c.last_checkpoint >=
                  c.options.checkpoint_every) {
     obs::ScopedSpan span(c.sink, obs::Stage::kSimulate);
-    c.store->publish(store::ArtifactKind::kCheckpoint, c.keys.checkpoint,
-                     checkpoint_payload(result.clean_runs),
+    c.store->publish(c.key, checkpoint_payload(result.clean_runs),
                      obs::Stage::kSimulate, c.sink);
     c.last_checkpoint = result.clean_runs.size();
   }
@@ -288,8 +280,7 @@ void commit_stream(Campaign& c, runtime::ThreadPool& pool,
 }
 
 /// End-of-stream bookkeeping: coverage and clean-pass verdicts, the three
-/// stream stages' statuses, and the store — a complete tour generated live
-/// is published, a cancelled one flushes a final checkpoint.
+/// stream stages' statuses, and a cancelled stream's final checkpoint.
 void close_stream(Campaign& c) {
   CampaignResult& result = c.result;
   // A level snapshot, not an occurrence: gauge (max semantics), so sinks
@@ -308,23 +299,13 @@ void close_stream(Campaign& c) {
   c.sink.status(obs::Stage::kConcretize, c.concretize_status);
   c.sink.status(obs::Stage::kSimulate, c.simulate_status);
 
-  if (c.store == nullptr) return;
-  if (c.stream_complete()) {
-    // The tour ran to completion: publish it if this run generated it
-    // live (a stored tour came from the store in the first place).
-    if (auto* rec =
-            dynamic_cast<store::RecordingTourStream*>(c.stream.get())) {
-      obs::ScopedSpan span(c.sink, obs::Stage::kTour);
-      c.store->publish(store::ArtifactKind::kTour, c.keys.tour,
-                       rec->artifact(), obs::Stage::kTour, c.sink);
-    }
-  } else if (c.options.checkpoint_every > 0 &&
-             result.clean_runs.size() > c.last_checkpoint) {
+  if (c.store != nullptr && !c.stream_complete() &&
+      c.options.checkpoint_every > 0 &&
+      result.clean_runs.size() > c.last_checkpoint) {
     // Cancelled: flush a final checkpoint so a resume loses none of the
     // committed prefix.
     obs::ScopedSpan span(c.sink, obs::Stage::kSimulate);
-    c.store->publish(store::ArtifactKind::kCheckpoint, c.keys.checkpoint,
-                     checkpoint_payload(result.clean_runs),
+    c.store->publish(c.key, checkpoint_payload(result.clean_runs),
                      obs::Stage::kSimulate, c.sink);
   }
 }
@@ -356,14 +337,14 @@ std::size_t run_compare(Campaign& c, std::span<const dlx::PipelineBug> bugs,
   // A campaign that ran to completion no longer needs its checkpoint.
   if (c.store != nullptr && c.stream_complete() &&
       status == obs::StageStatus::kOk) {
-    c.store->erase(store::ArtifactKind::kCheckpoint, c.keys.checkpoint);
+    c.store->erase(c.key);
   }
   return compared;
 }
 
 /// VCD export: replays every committed sequence through the campaign
 /// circuit (external or DLX) and serializes the traces. Deterministic —
-/// identical campaigns, at any thread count, warm or cold, produce
+/// identical campaigns, at any thread count or resumed, produce
 /// byte-identical waveforms.
 void export_vcd(Campaign& c) {
   if (c.options.vcd_path.empty()) return;
@@ -379,7 +360,7 @@ void export_vcd(Campaign& c) {
   vcd.write_file(c.options.vcd_path);
 }
 
-/// Completes the result: inconclusive counts, store activity, stage
+/// Completes the result: inconclusive counts, checkpoint activity, stage
 /// reports, the coverage-telemetry section and, last, the metrics snapshot.
 CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
   CampaignResult& result = c.result;
@@ -428,6 +409,34 @@ CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
 }
 
 }  // namespace
+
+store::Fingerprint checkpoint_key(const CampaignOptions& options,
+                                  const sym::SequentialCircuit& circuit,
+                                  model::Backend backend) {
+  // The inner digest covers everything that shapes the test sequences. Its
+  // tag and field order date from when it also keyed a stored tour; they
+  // are kept so checkpoints written then still resume.
+  store::Hasher sequences;
+  sequences.str("simcov.key.tour.v2");
+  sequences.fp(store::fingerprint_circuit(circuit))
+      .fp(store::fingerprint_options(options.model_options));
+  sequences.u8(static_cast<std::uint8_t>(backend));
+  sequences.u8(static_cast<std::uint8_t>(options.method));
+  sequences.u64(options.max_tour_steps);
+  sequences.u64(options.random_length);
+  sequences.u64(options.seed);
+  sequences.u8(static_cast<std::uint8_t>(options.generator.kind));
+  sequences.u64(options.generator.sequence_length);
+  sequences.u64(options.generator.max_walk_steps);
+  sequences.u64(options.generator.bias_strength);
+  sequences.u64(options.generator.hybrid_tour_steps);
+
+  store::Hasher h;
+  h.str("simcov.key.checkpoint.v1");
+  h.fp(sequences.digest());
+  h.u64(options.max_cycles);
+  return h.digest();
+}
 
 CampaignResult ValidationPipeline::run(
     std::span<const dlx::PipelineBug> bugs) {

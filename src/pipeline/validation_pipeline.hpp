@@ -23,8 +23,21 @@
 #include <span>
 
 #include "pipeline/contracts.hpp"
+#include "store/fingerprint.hpp"
 
 namespace simcov::pipeline {
+
+/// Content key of a campaign's checkpoint (store::ArtifactStore): the
+/// structural circuit fingerprint, the model options, the resolved backend,
+/// the method and every knob that shapes the sequences (step cap, walk
+/// length, seed, the full generator spec), and the per-run cycle budget. A
+/// resume restores verdicts only when the same tour runs under the same
+/// budget. Runtime-only knobs (threads, window, reorder, sinks) stay out:
+/// results are bit-identical across them, so a checkpoint written at one
+/// thread count resumes at any other.
+[[nodiscard]] store::Fingerprint checkpoint_key(
+    const CampaignOptions& options, const sym::SequentialCircuit& circuit,
+    model::Backend backend);
 
 class ValidationPipeline {
  public:

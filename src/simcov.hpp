@@ -34,12 +34,10 @@
 // Test-sequence generation and coverage.
 #include "tour/tour.hpp"
 
-// Content-addressed artifact store (fingerprints, versioned codecs,
-// tour record/replay, checkpoint payloads).
+// Checkpoint store (fingerprints, the checkpoint codec, verified files).
 #include "store/artifact_store.hpp"
 #include "store/codec.hpp"
 #include "store/fingerprint.hpp"
-#include "store/tour_cache.hpp"
 
 // The paper's error model (Definitions 1-4).
 #include "errmodel/errmodel.hpp"

@@ -1,11 +1,13 @@
 #include "store/artifact_store.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <system_error>
+#include <utility>
 
 #include "store/codec.hpp"
 
@@ -63,52 +65,26 @@ constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8 + 8;
 
 }  // namespace
 
-const char* kind_name(ArtifactKind kind) {
-  switch (kind) {
-    case ArtifactKind::kTour: return "tour";
-    case ArtifactKind::kSymbolicSnapshot: return "symstats";
-    case ArtifactKind::kReport: return "report";
-    case ArtifactKind::kCheckpoint: return "checkpoint";
-  }
-  return "unknown";
-}
-
-std::uint32_t schema_version(ArtifactKind kind) {
-  switch (kind) {
-    case ArtifactKind::kTour: return 1;
-    // v2: appended reorders/level_swaps/peak_live_nodes/order_fingerprint
-    // to the BddStats tail. v1 entries decode-mismatch and are recomputed.
-    case ArtifactKind::kSymbolicSnapshot: return 2;
-    case ArtifactKind::kReport: return 1;
-    case ArtifactKind::kCheckpoint: return 1;
-  }
-  return 0;
-}
-
-ArtifactStore::ArtifactStore(StoreOptions options)
-    : options_(std::move(options)) {
+ArtifactStore::ArtifactStore(std::filesystem::path dir)
+    : dir_(std::move(dir)) {
   std::error_code ec;
-  std::filesystem::create_directories(options_.dir, ec);
-  if (ec || !std::filesystem::is_directory(options_.dir)) {
+  std::filesystem::create_directories(dir_, ec);
+  if (ec || !std::filesystem::is_directory(dir_)) {
     throw std::runtime_error("ArtifactStore: cannot create store directory " +
-                             options_.dir.string());
+                             dir_.string());
   }
 }
 
-std::filesystem::path ArtifactStore::path_for(ArtifactKind kind,
-                                              const Fingerprint& key) const {
-  return options_.dir /
-         (std::string(kind_name(kind)) + "-" + key.hex() + ".art");
+std::filesystem::path ArtifactStore::path_for(const Fingerprint& key) const {
+  return dir_ / ("checkpoint-" + key.hex() + ".art");
 }
 
 std::optional<std::vector<std::uint8_t>> ArtifactStore::load(
-    ArtifactKind kind, const Fingerprint& key, obs::Stage stage,
-    obs::EventSink& sink) {
-  const std::filesystem::path path = path_for(kind, key);
+    const Fingerprint& key) {
+  const std::filesystem::path path = path_for(key);
   const auto miss = [&]() -> std::optional<std::vector<std::uint8_t>> {
     std::lock_guard lock(mutex_);
     ++stats_.misses;
-    sink.counter(stage, "store.miss", 1);
     return std::nullopt;
   };
   std::ifstream in(path, std::ios::binary);
@@ -124,34 +100,28 @@ std::optional<std::vector<std::uint8_t>> ArtifactStore::load(
   };
   const auto header = decode_header(bytes);
   if (!header.has_value()) return reject();
-  if (header->kind != static_cast<std::uint32_t>(kind) ||
-      header->version != schema_version(kind) ||
+  if (header->kind != kCheckpointKind ||
+      header->version != kCheckpointVersion ||
       header->payload_size != bytes.size() - kHeaderSize) {
     return reject();
   }
   std::vector<std::uint8_t> payload(bytes.begin() + kHeaderSize, bytes.end());
   if (!(payload_checksum(payload) == header->checksum)) return reject();
 
-  // Bump the LRU clock; failure to do so only weakens eviction ordering.
-  std::error_code ec;
-  std::filesystem::last_write_time(
-      path, std::filesystem::file_time_type::clock::now(), ec);
-
   {
     std::lock_guard lock(mutex_);
     ++stats_.hits;
     stats_.bytes_read += payload.size();
   }
-  sink.counter(stage, "store.hit", 1);
   return payload;
 }
 
-void ArtifactStore::publish(ArtifactKind kind, const Fingerprint& key,
+void ArtifactStore::publish(const Fingerprint& key,
                             std::span<const std::uint8_t> payload,
                             obs::Stage stage, obs::EventSink& sink) {
   Header h;
-  h.kind = static_cast<std::uint32_t>(kind);
-  h.version = schema_version(kind);
+  h.kind = kCheckpointKind;
+  h.version = kCheckpointVersion;
   h.payload_size = payload.size();
   h.checksum = payload_checksum(payload);
   ByteWriter w;
@@ -164,7 +134,7 @@ void ArtifactStore::publish(ArtifactKind kind, const Fingerprint& key,
     serial = temp_counter_++;
   }
   const std::filesystem::path tmp =
-      options_.dir / (".tmp-" + key.hex() + "-" + std::to_string(serial));
+      dir_ / (".tmp-" + key.hex() + "-" + std::to_string(serial));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -178,73 +148,25 @@ void ArtifactStore::publish(ArtifactKind kind, const Fingerprint& key,
     }
   }
   std::error_code ec;
-  std::filesystem::rename(tmp, path_for(kind, key), ec);
+  std::filesystem::rename(tmp, path_for(key), ec);
   if (ec) {
     std::error_code cleanup;
     std::filesystem::remove(tmp, cleanup);
     throw std::runtime_error("ArtifactStore: cannot publish " +
-                             path_for(kind, key).string() + ": " +
-                             ec.message());
+                             path_for(key).string() + ": " + ec.message());
   }
 
   {
     std::lock_guard lock(mutex_);
     stats_.bytes_written += w.size();
-    if (kind == ArtifactKind::kCheckpoint) ++stats_.checkpoint_writes;
+    ++stats_.checkpoint_writes;
   }
-  if (kind == ArtifactKind::kCheckpoint) {
-    sink.counter(stage, "checkpoint.write", 1);
-  }
-  if (options_.max_bytes > 0) evict_lru(stage, sink);
+  sink.counter(stage, "checkpoint.write", 1);
 }
 
-void ArtifactStore::erase(ArtifactKind kind, const Fingerprint& key) {
+void ArtifactStore::erase(const Fingerprint& key) {
   std::error_code ec;
-  std::filesystem::remove(path_for(kind, key), ec);
-}
-
-void ArtifactStore::evict_lru(obs::Stage stage, obs::EventSink& sink) {
-  struct Entry {
-    std::filesystem::path path;
-    std::filesystem::file_time_type mtime;
-    std::uint64_t size = 0;
-  };
-  std::vector<Entry> entries;
-  std::uint64_t total = 0;
-  std::error_code ec;
-  const std::string checkpoint_prefix =
-      std::string(kind_name(ArtifactKind::kCheckpoint)) + "-";
-  for (const auto& de :
-       std::filesystem::directory_iterator(options_.dir, ec)) {
-    if (ec) break;
-    if (!de.is_regular_file(ec) || ec) continue;
-    const std::string name = de.path().filename().string();
-    if (!name.ends_with(".art")) continue;
-    if (name.starts_with(checkpoint_prefix)) continue;  // eviction-exempt
-    Entry e;
-    e.path = de.path();
-    e.mtime = de.last_write_time(ec);
-    if (ec) continue;
-    e.size = de.file_size(ec);
-    if (ec) continue;
-    total += e.size;
-    entries.push_back(std::move(e));
-  }
-  if (total <= options_.max_bytes) return;
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
-  for (const Entry& e : entries) {
-    if (total <= options_.max_bytes) break;
-    std::error_code rm;
-    std::filesystem::remove(e.path, rm);
-    if (rm) continue;
-    total -= e.size;
-    {
-      std::lock_guard lock(mutex_);
-      ++stats_.evictions;
-    }
-    sink.counter(stage, "store.evict", 1);
-  }
+  std::filesystem::remove(path_for(key), ec);
 }
 
 StoreStats ArtifactStore::stats() const {

@@ -15,7 +15,6 @@
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
 #include "pipeline/stages.hpp"
-#include "store/tour_cache.hpp"
 
 namespace simcov {
 namespace {
@@ -209,9 +208,7 @@ void expect_summary_counts_yielded_steps(model::SequenceSource& source,
 }
 
 /// Every SequenceSource over `model`: its transition tour, the src/gen
-/// generators, a materialized random walk and tour, and the store's
-/// record/replay pair. The tour reader relies on the property to bound a
-/// zero-width tour (store::decode_sequence).
+/// generators, and a materialized random walk and tour.
 void expect_every_source_counts_its_steps(model::TestModel& m,
                                           const std::string& name) {
   expect_summary_counts_yielded_steps(*m.tour_source(), name + " tour");
@@ -227,11 +224,6 @@ void expect_every_source_counts_its_steps(model::TestModel& m,
   expect_summary_counts_yielded_steps(walk, name + " random walk");
   model::MaterializedTourStream tour(m.transition_tour());
   expect_summary_counts_yielded_steps(tour, name + " materialized tour");
-
-  store::RecordingTourStream recorder(m.tour_source(), m.input_bits());
-  expect_summary_counts_yielded_steps(recorder, name + " recording");
-  store::StoredTourStream replay(recorder.artifact());
-  expect_summary_counts_yielded_steps(replay, name + " stored");
 }
 
 TEST(SequenceSource, SummaryStepsEqualTheYieldedLengths) {

@@ -459,15 +459,15 @@ TEST(PrometheusText, EmptyRegistryRendersEmpty) {
 
 TEST(PrometheusText, HelpLinesPrecedeEveryTypeLine) {
   obs::MetricsRegistry reg;
-  reg.add_counter(obs::Stage::kTour, "store.hit", 1);
+  reg.add_counter(obs::Stage::kSimulate, "checkpoint.write", 1);
   reg.max_gauge(obs::Stage::kSymbolic, "bdd_live_nodes", 7);
   reg.observe(obs::Stage::kSimulate, "clean_run", 3);
 
   const std::string text = obs::write_prometheus_text(reg);
   // Golden HELP lines for the known vocabulary, counter name with _total.
-  EXPECT_NE(text.find("# HELP simcov_store_hit_total "
-                      "Artifact-store lookups served from disk.\n"
-                      "# TYPE simcov_store_hit_total counter\n"),
+  EXPECT_NE(text.find("# HELP simcov_checkpoint_write_total "
+                      "Campaign checkpoints written.\n"
+                      "# TYPE simcov_checkpoint_write_total counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("# HELP simcov_bdd_live_nodes "
                       "Live BDD nodes of the symbolic backend.\n"

@@ -29,8 +29,6 @@
 #include "model/explicit_model.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/exporters.hpp"
-#include "pipeline/store_keys.hpp"
-#include "store/artifact_store.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "tour/tour.hpp"
 
@@ -399,7 +397,7 @@ TEST(PipelineGolden, ExplicitTourMatchesPreRefactorEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// Artifact store integration: warm reuse, report archival, checkpoint/resume
+// Checkpoint store integration: kill, resume and erase on completion
 // ---------------------------------------------------------------------------
 
 /// A fresh store directory under the system temp dir, wiped on both ends of
@@ -427,40 +425,6 @@ class PipelineStoreTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(PipelineStoreTest, WarmRunSkipsTourGenerationAndIsByteIdentical) {
-  core::CampaignOptions options = tour_campaign_options();
-  options.store_dir = dir_.string();
-
-  const auto cold = core::run_campaign(options, kThreeBugs);
-  ASSERT_TRUE(cold.store_stats.has_value());
-  EXPECT_EQ(cold.store_stats->hits, 0u);
-  EXPECT_GT(cold.store_stats->misses, 0u);
-
-  const auto warm = core::run_campaign(options, kThreeBugs);
-  ASSERT_TRUE(warm.store_stats.has_value());
-  EXPECT_GT(warm.store_stats->hits, 0u);
-  EXPECT_EQ(warm.store_stats->misses, 0u)
-      << "the warm run recomputed something the cold run published";
-  EXPECT_EQ(core::semantic_json(warm), core::semantic_json(cold));
-}
-
-TEST_F(PipelineStoreTest, CompletedCampaignArchivesItsReport) {
-  core::CampaignOptions options = tour_campaign_options();
-  options.store_dir = dir_.string();
-  const auto result = core::run_campaign(options, kThreeBugs);
-  ASSERT_TRUE(result.report_key.has_value());
-
-  store::ArtifactStore store(store::StoreOptions{dir_, 0});
-  const auto payload = store.load(store::ArtifactKind::kReport,
-                                  *result.report_key, obs::Stage::kCompare,
-                                  obs::null_sink());
-  ASSERT_TRUE(payload.has_value());
-  const std::string archived(payload->begin(), payload->end());
-  EXPECT_EQ(archived, core::to_json(result));
-  // The campaign ran to completion, so no checkpoint survives it.
-  EXPECT_EQ(checkpoint_files(), 0u);
-}
-
 /// Cancels the campaign after `after` committed clean runs — a
 /// deterministic stand-in for killing the process mid-stream.
 class KillAfterRuns final : public obs::EventSink {
@@ -481,34 +445,6 @@ class KillAfterRuns final : public obs::EventSink {
   std::size_t after_;
   std::atomic<std::size_t> seen_{0};
 };
-
-TEST_F(PipelineStoreTest, CancelledTourIsNeverPublishedOrServed) {
-  // A cancelled campaign's tour stops early, and a truncated test set is
-  // not the one the tour key describes: it must never reach the store.
-  core::CampaignOptions options = tour_campaign_options();
-  options.store_dir = dir_.string();
-  options.checkpoint_every = 0;  // only the tour could be published
-  KillAfterRuns killer(options.cancel, 2);
-  options.sink = &killer;
-  const auto killed = core::run_campaign(options, kThreeBugs);
-  ASSERT_TRUE(killed.cancelled());
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    EXPECT_NE(entry.path().filename().string().rfind("tour-", 0), 0u)
-        << "a cancelled campaign published its truncated tour: "
-        << entry.path();
-  }
-
-  // The next campaign on the store finds no tour to serve and generates
-  // the complete one live.
-  core::CampaignOptions again = tour_campaign_options();
-  again.store_dir = dir_.string();
-  const auto second = core::run_campaign(again, kThreeBugs);
-  ASSERT_TRUE(second.store_stats.has_value());
-  EXPECT_EQ(second.store_stats->hits, 0u);
-  EXPECT_EQ(core::semantic_json(second),
-            core::semantic_json(core::run_campaign(tour_campaign_options(),
-                                                   kThreeBugs)));
-}
 
 TEST_F(PipelineStoreTest, KilledCampaignResumesIdenticallyAcrossThreads) {
   // Reference: the uninterrupted run (no store involved at all).
@@ -554,6 +490,10 @@ TEST_F(PipelineStoreTest, ResumeWithoutACheckpointIsACleanColdRun) {
   const auto result = core::run_campaign(options, kThreeBugs);
   ASSERT_TRUE(result.store_stats.has_value());
   EXPECT_EQ(result.store_stats->resumed_sequences, 0u);
+  // The campaign checkpointed along the way and ran to completion, so no
+  // checkpoint survives it.
+  EXPECT_GT(result.store_stats->checkpoint_writes, 0u);
+  EXPECT_EQ(checkpoint_files(), 0u);
 
   core::CampaignOptions plain = tour_campaign_options();
   EXPECT_EQ(core::semantic_json(result),
@@ -921,11 +861,11 @@ TEST(PipelineGenerator, MutantReplayWithBiasedGeneratorIsThreadInvariant) {
   }
 }
 
-TEST(PipelineStoreKeys, TourKeyCoversEverySequenceShapingKnob) {
+TEST(PipelineStoreKeys, CheckpointKeyCoversEverySequenceShapingKnob) {
   const auto built = testmodel::build_dlx_control_model(tiny_model_options());
   const core::CampaignOptions base = tour_campaign_options();
-  const auto baseline = pipeline::campaign_store_keys(
-      base, built.circuit, model::Backend::kExplicit, kThreeBugs);
+  const auto baseline =
+      pipeline::checkpoint_key(base, built.circuit, model::Backend::kExplicit);
 
   using Mutator = std::function<void(core::CampaignOptions&)>;
   const std::vector<std::pair<const char*, Mutator>> knobs{
@@ -954,64 +894,32 @@ TEST(PipelineStoreKeys, TourKeyCoversEverySequenceShapingKnob) {
   for (const auto& [name, mutate] : knobs) {
     core::CampaignOptions opt = base;
     mutate(opt);
-    const auto keys = pipeline::campaign_store_keys(
-        opt, built.circuit, model::Backend::kExplicit, kThreeBugs);
-    EXPECT_NE(keys.tour, baseline.tour) << name;
-    // Checkpoint and report keys chain off the tour key, so a sequence-
-    // shaping change invalidates those artifacts too.
-    EXPECT_NE(keys.checkpoint, baseline.checkpoint) << name;
-    EXPECT_NE(keys.report, baseline.report) << name;
+    EXPECT_NE(
+        pipeline::checkpoint_key(opt, built.circuit, model::Backend::kExplicit),
+        baseline)
+        << name;
   }
 
   // The resolved backend shapes generation as well.
-  const auto symbolic = pipeline::campaign_store_keys(
-      base, built.circuit, model::Backend::kSymbolic, kThreeBugs);
-  EXPECT_NE(symbolic.tour, baseline.tour);
+  EXPECT_NE(
+      pipeline::checkpoint_key(base, built.circuit, model::Backend::kSymbolic),
+      baseline);
 
-  // The cycle budget shapes verdicts (checkpoint/report) but not the tour.
+  // So does the cycle budget: it shapes the restored verdicts.
   core::CampaignOptions cycles = base;
   cycles.max_cycles += 1;
-  const auto cycle_keys = pipeline::campaign_store_keys(
-      cycles, built.circuit, model::Backend::kExplicit, kThreeBugs);
-  EXPECT_EQ(cycle_keys.tour, baseline.tour);
-  EXPECT_NE(cycle_keys.checkpoint, baseline.checkpoint);
+  EXPECT_NE(
+      pipeline::checkpoint_key(cycles, built.circuit, model::Backend::kExplicit),
+      baseline);
 
-  // Runtime-only knobs stay out: artifacts are shareable across them.
+  // Runtime-only knobs stay out: a checkpoint resumes across them.
   core::CampaignOptions runtime_only = base;
   runtime_only.threads = 7;
   runtime_only.max_in_flight_sequences = 3;
   runtime_only.checkpoint_every = 1;
-  const auto same = pipeline::campaign_store_keys(
-      runtime_only, built.circuit, model::Backend::kExplicit, kThreeBugs);
-  EXPECT_EQ(same.tour, baseline.tour);
-  EXPECT_EQ(same.checkpoint, baseline.checkpoint);
-  EXPECT_EQ(same.report, baseline.report);
-}
-
-TEST_F(PipelineStoreTest, WarmTourCacheNeverCrossesGeneratorSpecs) {
-  core::CampaignOptions tour_options = tour_campaign_options();
-  tour_options.store_dir = dir_.string();
-  const auto tour_run = core::run_campaign(tour_options, kThreeBugs);
-  ASSERT_TRUE(tour_run.store_stats.has_value());
-
-  // A biased-spec campaign on the same store must regenerate: the tour the
-  // default run published is keyed under a different generator spec.
-  core::CampaignOptions biased_options = tour_options;
-  biased_options.generator = biased_campaign_spec();
-  const auto biased_cold = core::run_campaign(biased_options, kThreeBugs);
-  ASSERT_TRUE(biased_cold.store_stats.has_value());
-  EXPECT_GT(biased_cold.store_stats->misses, 0u)
-      << "the biased run reused an artifact keyed for another generator";
-  EXPECT_NE(core::semantic_json(biased_cold),
-            core::semantic_json(tour_run));
-
-  // Same spec, same store: now it's a legitimate warm hit.
-  const auto biased_warm = core::run_campaign(biased_options, kThreeBugs);
-  ASSERT_TRUE(biased_warm.store_stats.has_value());
-  EXPECT_GT(biased_warm.store_stats->hits, 0u);
-  EXPECT_EQ(biased_warm.store_stats->misses, 0u);
-  EXPECT_EQ(core::semantic_json(biased_warm),
-            core::semantic_json(biased_cold));
+  EXPECT_EQ(pipeline::checkpoint_key(runtime_only, built.circuit,
+                                     model::Backend::kExplicit),
+            baseline);
 }
 
 TEST_F(PipelineStoreTest, KilledBiasedCampaignResumesIdenticallyAcrossThreads) {

@@ -1,23 +1,22 @@
-// Tests for the artifact store subsystem: hash accumulator canonicality,
+// Tests for the checkpoint store: hash accumulator canonicality,
 // cross-backend behavioural fingerprint stability (the property that makes
 // content addressing sound — same machine, either backend, same key; any
-// single-transition mutation, different key), codec roundtrips, store
-// durability/eviction semantics, the tour record/replay adapters, and a
-// campaign resuming from a forged checkpoint.
+// single-transition mutation, different key), the checkpoint codec, store
+// durability, the on-disk pin of a killed campaign's checkpoint, a
+// deterministic mutation fuzz of the checkpoint reader, and campaigns
+// resuming from forged and mutated checkpoints.
 #include "store/artifact_store.hpp"
 #include "store/codec.hpp"
 #include "store/fingerprint.hpp"
-#include "store/tour_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -35,7 +34,8 @@
 #include "metric_totals.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
-#include "pipeline/store_keys.hpp"
+#include "pipeline/validation_pipeline.hpp"
+#include "runtime/rng.hpp"
 #include "testmodel/testmodel.hpp"
 
 namespace simcov::store {
@@ -168,125 +168,7 @@ TEST(FingerprintTest, OptionsFingerprintSeesEveryKnob) {
   EXPECT_NE(fingerprint_options(base), fingerprint_options(reduced));
 }
 
-// ---- Codec roundtrips ------------------------------------------------------
-
-TEST(CodecTest, SequenceRoundtripsAtAwkwardWidth) {
-  // 9 input bits -> 2 bytes per step, exercising the partial byte.
-  const unsigned width = 9;
-  model::Sequence sequence;
-  for (std::uint64_t s = 0; s < 5; ++s) {
-    std::uint64_t key = 0;
-    for (unsigned b = 0; b < width; ++b) {
-      if ((s + b) % 3 == 0) key |= std::uint64_t{1} << b;
-    }
-    sequence.push_back(key);
-  }
-  ByteWriter w;
-  encode_sequence(w, sequence, width);
-  EXPECT_EQ(w.size(), 8u + 2u * sequence.size());
-  ByteReader r(w.data());
-  EXPECT_EQ(decode_sequence(r, width, sequence.size()), sequence);
-  r.expect_done();
-
-  // Bits 9..15 of the second byte are padding; decode masks them off.
-  ByteWriter padded;
-  padded.u64(1);
-  padded.u8(0xff);
-  padded.u8(0xff);
-  ByteReader p(padded.data());
-  EXPECT_EQ(decode_sequence(p, width, 1), model::Sequence{0x1ff});
-}
-
-TEST(CodecTest, SequenceWidthMismatchThrows) {
-  ByteWriter w;
-  EXPECT_THROW(encode_sequence(w, model::Sequence{0b10000}, 4), CodecError);
-  EXPECT_THROW(encode_sequence(w, model::Sequence{}, 64), CodecError);
-}
-
-TEST(CodecTest, StepCountBeyondThePayloadThrowsBeforeAllocating) {
-  // A forged count must be a CodecError, not std::length_error (2^61
-  // steps) or std::bad_alloc (2^36) from sizing the decoded sequence.
-  for (const std::uint64_t count : {std::uint64_t{1} << 61,
-                                    std::uint64_t{1} << 36,
-                                    std::uint64_t{3}}) {
-    ByteWriter w;
-    w.u64(count);
-    w.u8(1);
-    w.u8(0);  // two 1-byte steps: one short of 3
-    ByteReader r(w.data());
-    EXPECT_THROW((void)decode_sequence(r, 1, count), CodecError) << count;
-  }
-}
-
-TEST(CodecTest, ZeroWidthStepCountIsBoundedByTheTourSteps) {
-  // A zero-width step occupies no bytes, so the payload cannot bound its
-  // count; the steps the tour summary still allows do.
-  ByteWriter w;
-  w.u64(3);
-  ByteReader ok(w.data());
-  EXPECT_EQ(decode_sequence(ok, 0, 3), model::Sequence(3, 0));
-  ByteReader forged(w.data());
-  EXPECT_THROW((void)decode_sequence(forged, 0, 2), CodecError);
-}
-
-TEST(CodecTest, TourSummaryRoundtrips) {
-  model::TourResult summary;
-  summary.coverage.states_visited = 24;
-  summary.coverage.states_total = 24;
-  summary.coverage.transitions_covered = 95;
-  summary.coverage.transitions_total = 96;
-  summary.steps = 311;
-  summary.restarts = 4;
-  summary.complete = false;
-  ByteWriter w;
-  encode_tour_summary(w, summary);
-  ByteReader r(w.data());
-  const auto back = decode_tour_summary(r);
-  r.expect_done();
-  EXPECT_EQ(back.coverage.states_visited, summary.coverage.states_visited);
-  EXPECT_EQ(back.coverage.transitions_covered,
-            summary.coverage.transitions_covered);
-  EXPECT_EQ(back.steps, summary.steps);
-  EXPECT_EQ(back.restarts, summary.restarts);
-  EXPECT_EQ(back.complete, summary.complete);
-}
-
-TEST(CodecTest, SymbolicSnapshotRoundtrips) {
-  SymbolicSnapshot snap;
-  snap.fsm.num_latches = 25;
-  snap.fsm.num_primary_inputs = 25;
-  snap.fsm.num_outputs = 7;
-  snap.fsm.transition_relation_nodes = 4242;
-  snap.fsm.reachability_iterations = 13;
-  snap.fsm.reachable_states = 12288.0;
-  snap.fsm.transitions = 65536.0;
-  snap.fsm.valid_input_combinations = 8228.0;
-  snap.bdd.allocated_nodes = 99;
-  snap.bdd.live_nodes = 60;
-  snap.bdd.free_nodes = 39;
-  snap.bdd.unique_lookups = 1000;
-  snap.bdd.unique_hits = 900;
-  snap.bdd.cache_lookups = 500;
-  snap.bdd.cache_hits = 450;
-  snap.bdd.gc_runs = 2;
-  snap.bdd.reorders = 3;
-  snap.bdd.level_swaps = 128;
-  snap.bdd.peak_live_nodes = 77;
-  snap.bdd.order_fingerprint = 0xdeadbeefcafef00dull;
-  const auto back = snapshot_from_payload(to_payload(snap));
-  EXPECT_EQ(back.fsm.transition_relation_nodes,
-            snap.fsm.transition_relation_nodes);
-  EXPECT_EQ(back.fsm.reachability_iterations, snap.fsm.reachability_iterations);
-  EXPECT_DOUBLE_EQ(back.fsm.reachable_states, snap.fsm.reachable_states);
-  EXPECT_DOUBLE_EQ(back.fsm.valid_input_combinations,
-                   snap.fsm.valid_input_combinations);
-  EXPECT_EQ(back.bdd.allocated_nodes, snap.bdd.allocated_nodes);
-  EXPECT_EQ(back.bdd.gc_runs, snap.bdd.gc_runs);
-  EXPECT_EQ(back.bdd.reorders, snap.bdd.reorders);
-  EXPECT_EQ(back.bdd.level_swaps, snap.bdd.level_swaps);
-  EXPECT_EQ(back.bdd.peak_live_nodes, snap.bdd.peak_live_nodes);
-  EXPECT_EQ(back.bdd.order_fingerprint, snap.bdd.order_fingerprint);
-}
+// ---- Checkpoint codec ------------------------------------------------------
 
 TEST(CodecTest, CheckpointRoundtripsAndRejectsMalformedPayloads) {
   CampaignCheckpoint ckpt;
@@ -344,279 +226,133 @@ class ArtifactStoreTest : public ::testing::Test {
 };
 
 TEST_F(ArtifactStoreTest, MissThenPublishThenVerifiedHit) {
-  ArtifactStore store(StoreOptions{dir_, 0});
+  ArtifactStore store(dir_);
   obs::MetricsRegistry counters;
-  const Fingerprint key = key_of("tour-a");
+  const Fingerprint key = key_of("ckpt-a");
   const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
 
-  EXPECT_FALSE(
-      store.load(ArtifactKind::kTour, key, obs::Stage::kTour, counters)
-          .has_value());
-  store.publish(ArtifactKind::kTour, key, payload, obs::Stage::kTour,
-                counters);
-  const auto back =
-      store.load(ArtifactKind::kTour, key, obs::Stage::kTour, counters);
+  EXPECT_FALSE(store.load(key).has_value());
+  store.publish(key, payload, obs::Stage::kSimulate, counters);
+  const auto back = store.load(key);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, payload);
 
   const auto stats = store.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.checkpoint_writes, 1u);
   EXPECT_GT(stats.bytes_written, payload.size());  // header included
-  EXPECT_GT(stats.bytes_read, 0u);
-  EXPECT_EQ(counter_total(counters, "store.miss"), 1u);
-  EXPECT_EQ(counter_total(counters, "store.hit"), 1u);
+  EXPECT_EQ(stats.bytes_read, payload.size());
+  EXPECT_EQ(counter_total(counters, "checkpoint.write"), 1u);
 
-  // The on-disk name is the content address: <kind>-<32 hex>.art.
-  const auto path = store.path_for(ArtifactKind::kTour, key);
+  // The on-disk name is the content address: checkpoint-<32 hex>.art.
+  const auto path = store.path_for(key);
   EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_EQ(path.filename().string(), "tour-" + key.hex() + ".art");
+  EXPECT_EQ(path.filename().string(), "checkpoint-" + key.hex() + ".art");
 }
 
 TEST_F(ArtifactStoreTest, CorruptedArtifactIsDeletedAndReportedAsMiss) {
-  ArtifactStore store(StoreOptions{dir_, 0});
-  auto& sink = obs::null_sink();
-  const Fingerprint key = key_of("tour-b");
+  ArtifactStore store(dir_);
+  const Fingerprint key = key_of("ckpt-b");
   std::vector<std::uint8_t> payload(64, 0xAB);
-  store.publish(ArtifactKind::kTour, key, payload, obs::Stage::kTour, sink);
+  store.publish(key, payload, obs::Stage::kSimulate, obs::null_sink());
 
   // Flip one payload byte on disk; the checksum must catch it.
-  const auto path = store.path_for(ArtifactKind::kTour, key);
+  const auto path = store.path_for(key);
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(-1, std::ios::end);
     f.put('\x00');
   }
-  EXPECT_FALSE(store.load(ArtifactKind::kTour, key, obs::Stage::kTour, sink)
-                   .has_value());
+  EXPECT_FALSE(store.load(key).has_value());
   EXPECT_FALSE(std::filesystem::exists(path))
-      << "a corrupt artifact must not survive to poison later runs";
+      << "a corrupt checkpoint must not survive to poison later resumes";
   EXPECT_EQ(store.stats().misses, 1u);
 }
 
 TEST_F(ArtifactStoreTest, TruncatedArtifactIsDeletedAndReportedAsMiss) {
-  ArtifactStore store(StoreOptions{dir_, 0});
-  auto& sink = obs::null_sink();
-  const Fingerprint key = key_of("tour-c");
-  store.publish(ArtifactKind::kTour, key,
-                std::vector<std::uint8_t>(32, 0x11), obs::Stage::kTour, sink);
-  const auto path = store.path_for(ArtifactKind::kTour, key);
+  ArtifactStore store(dir_);
+  const Fingerprint key = key_of("ckpt-c");
+  store.publish(key, std::vector<std::uint8_t>(32, 0x11),
+                obs::Stage::kSimulate, obs::null_sink());
+  const auto path = store.path_for(key);
   std::filesystem::resize_file(path, 10);  // cuts into the header
-  EXPECT_FALSE(store.load(ArtifactKind::kTour, key, obs::Stage::kTour, sink)
-                   .has_value());
+  EXPECT_FALSE(store.load(key).has_value());
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST_F(ArtifactStoreTest, EraseRemovesWithoutCountingEviction) {
-  ArtifactStore store(StoreOptions{dir_, 0});
-  auto& sink = obs::null_sink();
+  ArtifactStore store(dir_);
   const Fingerprint key = key_of("ckpt");
-  store.publish(ArtifactKind::kCheckpoint, key,
-                std::vector<std::uint8_t>{9, 9}, obs::Stage::kSimulate, sink);
-  EXPECT_EQ(store.stats().checkpoint_writes, 1u);
-  store.erase(ArtifactKind::kCheckpoint, key);
-  EXPECT_FALSE(std::filesystem::exists(
-      store.path_for(ArtifactKind::kCheckpoint, key)));
-  EXPECT_EQ(store.stats().evictions, 0u);
+  store.publish(key, std::vector<std::uint8_t>{9, 9}, obs::Stage::kSimulate,
+                obs::null_sink());
+  const StoreStats before = store.stats();
+  EXPECT_EQ(before.checkpoint_writes, 1u);
+  store.erase(key);
+  EXPECT_FALSE(std::filesystem::exists(store.path_for(key)));
+  // Erasing is bookkeeping, not a lookup: no hit, miss or write counted.
+  EXPECT_EQ(store.stats().hits, before.hits);
+  EXPECT_EQ(store.stats().misses, before.misses);
+  EXPECT_EQ(store.stats().checkpoint_writes, before.checkpoint_writes);
 }
 
-TEST_F(ArtifactStoreTest, LruEvictionRespectsCapAndSparesCheckpoints) {
-  // Cap far below three payloads; checkpoints never count against it.
-  ArtifactStore store(StoreOptions{dir_, 300});
-  obs::MetricsRegistry counters;
-  const std::vector<std::uint8_t> big(200, 0x5A);
-  store.publish(ArtifactKind::kCheckpoint, key_of("ckpt"), big,
-                obs::Stage::kSimulate, counters);
-  for (const char* label : {"t1", "t2", "t3"}) {
-    store.publish(ArtifactKind::kTour, key_of(label), big, obs::Stage::kTour,
-                  counters);
-  }
-
-  EXPECT_TRUE(std::filesystem::exists(
-      store.path_for(ArtifactKind::kCheckpoint, key_of("ckpt"))))
-      << "evicting a checkpoint would discard resumable progress";
-  EXPECT_GT(store.stats().evictions, 0u);
-  EXPECT_EQ(counter_total(counters, "store.evict"), store.stats().evictions);
-
-  std::uintmax_t tour_bytes = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    if (entry.path().filename().string().rfind("tour-", 0) == 0) {
-      tour_bytes += entry.file_size();
-    }
-  }
-  EXPECT_LE(tour_bytes, 300u);
-}
-
-TEST_F(ArtifactStoreTest, RetiredBaselineArtifactIsIgnoredAndEvictable) {
-  // Stores written while kind 5 (a per-campaign perf baseline) existed may
-  // still hold its files. Write one verbatim: the SIMCOVA1 header with kind
-  // 5, version 1, then its payload of three u64 work counts and four f64
-  // phase times.
-  std::filesystem::create_directories(dir_);
-  ByteWriter payload;
-  for (std::uint64_t v : {19u, 40678u, 42783u}) payload.u64(v);
-  for (double v : {0.5, 0.125, 0.25, 0.125}) payload.f64(v);
+/// Writes a verbatim SIMCOVA1 file of header kind `kind`, version 1.
+void write_artifact(const std::filesystem::path& path, std::uint32_t kind,
+                    const ByteWriter& payload) {
   Hasher checksum;
   checksum.str("simcov.artifact.payload");
   checksum.bytes(payload.data().data(), payload.size());
   const Fingerprint sum = checksum.digest();
   ByteWriter file;
   file.raw("SIMCOVA1", 8);
-  file.u32(5);
+  file.u32(kind);
   file.u32(1);
   file.u64(payload.size());
   file.u64(sum.hi);
   file.u64(sum.lo);
   file.raw(payload.data().data(), payload.size());
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(file.data().data()),
+            static_cast<std::streamsize>(file.size()));
+}
+
+TEST_F(ArtifactStoreTest, RetiredKindArtifactsAreIgnoredAndKept) {
+  // Stores written while the retired kinds existed may still hold their
+  // files: tour (1), symstats (2), report (3) and baseline (5). Write one
+  // of each under the campaign's key, each with a well-formed header.
+  std::filesystem::create_directories(dir_);
   const Fingerprint key = key_of("campaign");
-  const auto old = dir_ / ("baseline-" + key.hex() + ".art");
-  {
-    std::ofstream out(old, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(file.data().data()),
-              static_cast<std::streamsize>(file.size()));
+  ByteWriter payload;
+  for (std::uint64_t v : {19u, 40678u, 42783u}) payload.u64(v);
+  std::vector<std::filesystem::path> old;
+  for (const auto& [prefix, kind] :
+       {std::pair<const char*, std::uint32_t>{"tour", 1},
+        {"symstats", 2},
+        {"report", 3},
+        {"baseline", 5}}) {
+    old.push_back(dir_ / (std::string(prefix) + "-" + key.hex() + ".art"));
+    write_artifact(old.back(), kind, payload);
   }
-  // Least recently used of everything below.
-  std::filesystem::last_write_time(
-      old, std::filesystem::last_write_time(old) - std::chrono::hours(1));
 
-  // Every remaining kind misses, publishes and hits under the same key
-  // around the old file, which nothing reads or removes.
+  // The checkpoint misses, publishes and hits under the same key around
+  // them; nothing reads or removes the old files.
   const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5, 6, 7, 8};
-  {
-    ArtifactStore store(StoreOptions{dir_, 0});
-    obs::MetricsRegistry counters;
-    for (const ArtifactKind kind :
-         {ArtifactKind::kTour, ArtifactKind::kSymbolicSnapshot,
-          ArtifactKind::kReport, ArtifactKind::kCheckpoint}) {
-      EXPECT_FALSE(store.load(kind, key, obs::Stage::kTour, counters))
-          << kind_name(kind);
-      store.publish(kind, key, bytes, obs::Stage::kTour, counters);
-      EXPECT_EQ(store.load(kind, key, obs::Stage::kTour, counters), bytes)
-          << kind_name(kind);
-    }
-    EXPECT_EQ(store.stats().misses, 4u);
-    EXPECT_EQ(store.stats().hits, 4u);
-    EXPECT_TRUE(std::filesystem::exists(old));
+  ArtifactStore store(dir_);
+  EXPECT_FALSE(store.load(key).has_value());
+  store.publish(key, bytes, obs::Stage::kSimulate, obs::null_sink());
+  EXPECT_EQ(store.load(key), bytes);
+  store.erase(key);
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.stats().hits, 1u);
+  for (const auto& path : old) {
+    EXPECT_TRUE(std::filesystem::exists(path)) << path;
   }
 
-  // Eviction treats it as any other non-checkpoint artifact: a cap that
-  // fits the three live ones plus one more evicts exactly the old file.
-  const auto live_size = std::filesystem::file_size(
-      dir_ / ("tour-" + key.hex() + ".art"));
-  ArtifactStore capped(StoreOptions{dir_, 4 * live_size});
-  obs::MetricsRegistry counters;
-  capped.publish(ArtifactKind::kTour, key_of("fresh"), bytes,
-                 obs::Stage::kTour, counters);
-  EXPECT_FALSE(std::filesystem::exists(old));
-  EXPECT_EQ(capped.stats().evictions, 1u);
-  EXPECT_EQ(counter_total(counters, "store.evict"), 1u);
-  for (const ArtifactKind kind :
-       {ArtifactKind::kTour, ArtifactKind::kSymbolicSnapshot,
-        ArtifactKind::kReport, ArtifactKind::kCheckpoint}) {
-    EXPECT_TRUE(std::filesystem::exists(capped.path_for(kind, key)))
-        << kind_name(kind);
-  }
-}
-
-TEST_F(ArtifactStoreTest, DistinctKindsShareAKeyWithoutColliding) {
-  ArtifactStore store(StoreOptions{dir_, 0});
-  auto& sink = obs::null_sink();
-  const Fingerprint key = key_of("shared");
-  store.publish(ArtifactKind::kTour, key, std::vector<std::uint8_t>{1},
-                obs::Stage::kTour, sink);
-  store.publish(ArtifactKind::kReport, key, std::vector<std::uint8_t>{2},
-                obs::Stage::kCompare, sink);
-  const auto tour =
-      store.load(ArtifactKind::kTour, key, obs::Stage::kTour, sink);
-  const auto report =
-      store.load(ArtifactKind::kReport, key, obs::Stage::kCompare, sink);
-  ASSERT_TRUE(tour.has_value());
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ((*tour)[0], 1);
-  EXPECT_EQ((*report)[0], 2);
-}
-
-// ---- Tour record/replay ----------------------------------------------------
-
-model::TourResult sample_tour() {
-  model::TourResult result;
-  result.tour.sequences = {{0b101, 0b000}, {0b110}};
-  result.coverage.states_visited = 3;
-  result.coverage.states_total = 3;
-  result.coverage.transitions_covered = 6;
-  result.coverage.transitions_total = 6;
-  result.steps = 3;
-  result.restarts = 1;
-  result.complete = true;
-  return result;
-}
-
-TEST(TourCacheTest, RecordThenReplayIsIdentical) {
-  const auto original = sample_tour();
-  const auto expected = original.tour.sequences;
-  RecordingTourStream recorder(
-      std::make_unique<model::MaterializedTourStream>(original), 3);
-
-  EXPECT_THROW((void)recorder.artifact(), std::logic_error)
-      << "a partial tour must never be published";
-
-  std::vector<model::Sequence> seen;
-  while (auto seq = recorder.next_sequence()) seen.push_back(*seq);
-  EXPECT_EQ(seen, expected);
-  ASSERT_TRUE(recorder.exhausted());
-
-  StoredTourStream replay(recorder.artifact());
-  const auto summary = replay.summary();
-  EXPECT_EQ(summary.steps, original.steps);
-  EXPECT_EQ(summary.restarts, original.restarts);
-  EXPECT_EQ(summary.complete, original.complete);
-  EXPECT_EQ(summary.coverage.transitions_covered,
-            original.coverage.transitions_covered);
-
-  std::vector<model::Sequence> replayed;
-  while (auto seq = replay.next_sequence()) replayed.push_back(*seq);
-  EXPECT_EQ(replayed, expected);
-}
-
-TEST(TourCacheTest, MalformedPayloadThrowsInsteadOfReplayingGarbage) {
-  EXPECT_THROW(StoredTourStream(std::vector<std::uint8_t>{1, 2, 3}),
-               CodecError);
-}
-
-TEST(TourCacheTest, HeaderWidthBeyondTheKeyLimitThrows) {
-  for (const std::uint32_t width : {63u, 64u, 0xffffffffu}) {
-    ByteWriter w;
-    w.u32(width);
-    encode_tour_summary(w, model::TourResult{});
-    w.u64(0);  // no sequences
-    if (width <= 63) {
-      StoredTourStream ok(w.take());
-      EXPECT_FALSE(ok.next_sequence().has_value());
-    } else {
-      EXPECT_THROW(StoredTourStream(w.take()), CodecError) << width;
-    }
-  }
-}
-
-// Regression input: a zero-width tour whose second sequence forges a step
-// count of 2^62. Its steps occupy no bytes, so the reader used to push
-// empty steps until memory ran out; the summary's step total bounds it now.
-TEST(TourCacheTest, ForgedZeroWidthStepCountThrows) {
-  const std::vector<std::uint8_t> payload = {
-      0, 0, 0, 0,                                      // input_bits 0
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  // coverage: 0.0 x4
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  //
-      4, 0, 0, 0, 0, 0, 0, 0,                          // steps 4
-      1, 0, 0, 0, 0, 0, 0, 0,                          // restarts 1
-      1,                                               // complete
-      2, 0, 0, 0, 0, 0, 0, 0,                          // 2 sequences
-      4, 0, 0, 0, 0, 0, 0, 0,                          // 4 empty steps
-      0, 0, 0, 0, 0, 0, 0, 0x40,                       // 2^62 (forged)
-  };
-  StoredTourStream replay(payload);
-  EXPECT_EQ(replay.summary().steps, 4u);
-  EXPECT_EQ(replay.next_sequence(), model::Sequence(4, 0));
-  EXPECT_THROW((void)replay.next_sequence(), CodecError);
+  // A retired kind's file under the checkpoint name is foreign: a miss,
+  // and deleted like any other file that fails verification.
+  write_artifact(store.path_for(key), 1, payload);
+  EXPECT_FALSE(store.load(key).has_value());
+  EXPECT_FALSE(std::filesystem::exists(store.path_for(key)));
 }
 
 /// FNV-1a 64 over a payload.
@@ -627,14 +363,6 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-/// The complete recorded tour payload of `model`.
-std::vector<std::uint8_t> recorded_tour(model::TestModel& model) {
-  RecordingTourStream recorder(model.tour_source(), model.input_bits());
-  while (recorder.next_sequence()) {
-  }
-  return recorder.artifact();
 }
 
 /// The reduced DLX control model (1024 states): small enough for a whole
@@ -651,19 +379,6 @@ testmodel::TestModelOptions tiny_model_options() {
   return opt;
 }
 
-// Pins the stored tour bytes, not just their round trip: warm stores written
-// by earlier builds must keep hitting, so the payload layout may not drift.
-TEST(TourCacheTest, RecordedPayloadIsPinnedOnBothBackends) {
-  const auto built = testmodel::build_dlx_control_model(tiny_model_options());
-
-  model::ExplicitModel explicit_model(
-      sym::extract_explicit(built.circuit, 100000));
-  EXPECT_EQ(fnv1a(recorded_tour(explicit_model)), 15673201030501502543ull);
-
-  model::SymbolicModel symbolic_model(built.circuit);
-  EXPECT_EQ(fnv1a(recorded_tour(symbolic_model)), 11543418244829818193ull);
-}
-
 // ---- Resume from a forged checkpoint ---------------------------------------
 
 TEST_F(ArtifactStoreTest, ForgedCheckpointRunCountResumesAsAFullRerun) {
@@ -677,13 +392,12 @@ TEST_F(ArtifactStoreTest, ForgedCheckpointRunCountResumesAsAFullRerun) {
   // A checkpoint claiming 2^61 runs, published under the campaign's own
   // key: the store's checksum holds, only the payload is forged.
   const auto built = testmodel::build_dlx_control_model(options.model_options);
-  const auto keys = pipeline::campaign_store_keys(
-      options, built.circuit, model::Backend::kExplicit, bugs);
+  const Fingerprint key = pipeline::checkpoint_key(options, built.circuit,
+                                                   model::Backend::kExplicit);
   ByteWriter forged;
   forged.u64(std::uint64_t{1} << 61);
-  ArtifactStore(StoreOptions{dir_, 0})
-      .publish(ArtifactKind::kCheckpoint, keys.checkpoint, forged.data(),
-               obs::Stage::kSimulate, obs::null_sink());
+  ArtifactStore(dir_).publish(key, forged.data(), obs::Stage::kSimulate,
+                              obs::null_sink());
 
   // The resume decodes nothing, so it re-runs everything and reports
   // exactly what the uninterrupted campaign did.
@@ -776,15 +490,148 @@ TEST_F(ArtifactStoreTest, KilledCampaignCheckpointIsPinnedAndResumes) {
   EXPECT_EQ(core::semantic_json(resumed), reference);
 }
 
+// ---- Checkpoint reader fuzz ------------------------------------------------
+//
+// Deterministic mutation fuzzing of the store's one reader of outside bytes.
+// Byte flips, truncations and splices of the pinned checkpoint, drawn from a
+// counter-indexed splitmix64 stream, go through the header check, the
+// checksum, the payload codec and a whole resume. The budgets are fixed, so
+// every run (the sanitizer job's included) sees the same mutants.
+
+/// Counter-indexed splitmix64 draws.
+class Draws {
+ public:
+  explicit Draws(std::uint64_t seed) : base_(seed) {}
+  std::uint64_t next() {
+    return runtime::splitmix64(base_ + count_++ * runtime::kGolden);
+  }
+  /// A draw in [0, n); 0 when n is 0.
+  std::size_t below(std::size_t n) { return n == 0 ? 0 : next() % n; }
+
+ private:
+  std::uint64_t base_;
+  std::uint64_t count_ = 0;
+};
+
+/// One mutant of `bytes`: one to four flipped bytes, a truncation, or a
+/// slice of `bytes` copied over another offset (growing the file when it
+/// runs past the end).
+std::vector<std::uint8_t> mutate(std::span<const std::uint8_t> bytes,
+                                 Draws& draws) {
+  std::vector<std::uint8_t> out(bytes.begin(), bytes.end());
+  switch (draws.below(3)) {
+    case 0:
+      for (std::size_t n = 1 + draws.below(4); n > 0; --n) {
+        out[draws.below(out.size())] ^=
+            static_cast<std::uint8_t>(1 + draws.below(255));
+      }
+      break;
+    case 1:
+      out.resize(draws.below(out.size()));
+      break;
+    default: {
+      const std::size_t from = draws.below(bytes.size());
+      const std::size_t length = 1 + draws.below(bytes.size() - from);
+      const std::size_t to = draws.below(bytes.size() + 1);
+      out.resize(std::max(out.size(), to + length));
+      std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(from), length,
+                  out.begin() + static_cast<std::ptrdiff_t>(to));
+    }
+  }
+  return out;
+}
+
+void write_file(const std::filesystem::path& path,
+                std::span<const std::uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// Every mutated file either loads and decodes, or is a miss (and deleted),
+// or its payload throws CodecError; a resume from it reports exactly what
+// the uninterrupted campaign did.
+TEST_F(ArtifactStoreTest, MutatedCheckpointFilesMissOrResumeIdentically) {
+  const core::CampaignOptions options = pinned_campaign_options();
+  const std::string reference =
+      core::semantic_json(core::run_campaign(options, kPinnedBugs));
+  const auto built = testmodel::build_dlx_control_model(options.model_options);
+  const Fingerprint key = pipeline::checkpoint_key(options, built.circuit,
+                                                   model::Backend::kExplicit);
+  const auto files = kill_pinned_campaign(dir_);
+  ASSERT_EQ(files.size(), 1u);
+  const auto path = ArtifactStore(dir_).path_for(key);
+  ASSERT_EQ(files[0], path);
+  const auto original = read_file(path);
+
+  Draws draws(0x636b7074);  // "ckpt"
+  for (int i = 0; i < 48; ++i) {
+    const auto mutant = mutate(original, draws);
+    write_file(path, mutant);
+    ArtifactStore store(dir_);
+    if (const auto payload = store.load(key)) {
+      try {
+        (void)checkpoint_from_payload(*payload);
+      } catch (const CodecError&) {
+      }
+    } else {
+      EXPECT_FALSE(std::filesystem::exists(path)) << "mutant " << i;
+    }
+
+    write_file(path, mutant);
+    core::CampaignOptions resume = options;
+    resume.store_dir = dir_.string();
+    resume.resume = true;
+    EXPECT_EQ(core::semantic_json(core::run_campaign(resume, kPinnedBugs)),
+              reference)
+        << "mutant " << i;
+  }
+}
+
+// The payload codec alone, behind a valid header: every mutant decodes or
+// throws CodecError (a forged run count included), and the store hands
+// back exactly the bytes it verified.
+TEST_F(ArtifactStoreTest, MutatedCheckpointPayloadsDecodeOrThrowCodecError) {
+  const auto files = kill_pinned_campaign(dir_);
+  ASSERT_EQ(files.size(), 1u);
+  const auto file = read_file(files[0]);
+  constexpr std::size_t kHeaderBytes = 40;
+  ASSERT_GT(file.size(), kHeaderBytes);
+  const std::span<const std::uint8_t> payload(file.data() + kHeaderBytes,
+                                              file.size() - kHeaderBytes);
+
+  ArtifactStore store(dir_ / "payloads");
+  const Fingerprint key = key_of("payload-fuzz");
+  Draws draws(0x7061796c);  // "payl"
+  std::size_t decoded = 0;
+  for (int i = 0; i < 4096; ++i) {
+    const auto mutant = mutate(payload, draws);
+    try {
+      // A decoded payload is exactly its count and that many 26-byte runs.
+      const auto ckpt = checkpoint_from_payload(mutant);
+      EXPECT_EQ(8 + 26 * ckpt.clean_runs.size(), mutant.size())
+          << "mutant " << i;
+      ++decoded;
+    } catch (const CodecError&) {
+    }
+    if (i % 64 == 0) {
+      store.publish(key, mutant, obs::Stage::kSimulate, obs::null_sink());
+      EXPECT_EQ(store.load(key), mutant) << "mutant " << i;
+    }
+  }
+  // Flips inside run fields keep a payload well-formed, so some decode.
+  EXPECT_GT(decoded, 0u);
+}
+
 // ---- Store counters through the metrics registry ---------------------------
 
 TEST(StoreCounterTotals, AccumulateAcrossStagesByName) {
   obs::MetricsRegistry counters;
-  counters.counter(obs::Stage::kTour, "store.hit", 2);
-  counters.counter(obs::Stage::kSimulate, "store.hit", 3);
-  counters.counter(obs::Stage::kTour, "store.miss", 1);
-  EXPECT_EQ(counter_total(counters, "store.hit"), 5u);
-  EXPECT_EQ(counter_total(counters, "store.miss"), 1u);
+  counters.counter(obs::Stage::kSimulate, "checkpoint.write", 2);
+  counters.counter(obs::Stage::kTour, "checkpoint.write", 3);
+  counters.counter(obs::Stage::kSymbolic, "bdd.gc", 1);
+  EXPECT_EQ(counter_total(counters, "checkpoint.write"), 5u);
+  EXPECT_EQ(counter_total(counters, "bdd.gc"), 1u);
   EXPECT_EQ(counter_total(counters, "never.emitted"), 0u);
 }
 
