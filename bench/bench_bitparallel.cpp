@@ -10,8 +10,9 @@
 //      of the word-level kernel (sym::PackedLogicSim) per (sequence, step),
 //      the way concretize and circuit replay run. Packed: one
 //      sym::PackedCircuitSim::step per 64 sequences per step, the way the
-//      symbolic walk enumerates successors and SymbolicModel::step_batch
-//      (coverage telemetry) steps. Metric: sequences/s.
+//      symbolic walk enumerates successors and
+//      SymbolicModel::transition_batch (model::replay_lockstep) steps.
+//      Metric: sequences/s.
 //   2. MutantReplay — Theorem 3 fault simulation. Scalar: one
 //      errmodel::exposes walk per (mutant, sequence). Indexed: one
 //      errmodel::MutantReplay index of the test set (built inside the

@@ -35,8 +35,9 @@ std::string stem(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  simcov::bench::init(argc, argv);
   using namespace simcov;
+  bench::init(argc, argv, bench::kSinks | bench::kCircuit | bench::kVcd |
+              bench::kReorder | bench::kGenerator);
 
   std::vector<std::string> circuits;
   const bool single = !bench::circuit().empty();

@@ -87,7 +87,7 @@ std::optional<double> common_mean(
 }  // namespace
 
 int main(int argc, char** argv) {
-  simcov::bench::init(argc, argv);
+  simcov::bench::init(argc, argv, simcov::bench::kSinks);
   using namespace simcov;
 
   struct Corpus {

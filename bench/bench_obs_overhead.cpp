@@ -4,8 +4,8 @@
 // The same smoke campaign (DLX control model, four injected bugs, one
 // worker thread for stable timing) runs in two configurations:
 //   * baseline     — obs::null_sink(), i.e. the virtual-dispatch cost only;
-//   * instrumented — a MetricsRegistry as CampaignOptions::metrics plus a
-//     PerfettoTraceSink as CampaignOptions::sink, the full per-item
+//   * instrumented — a MetricsRegistry and a PerfettoTraceSink behind one
+//     obs::MultiSink as CampaignOptions::sink, the full per-item
 //     latency / span / counter firehose.
 //
 // Both are timed best-of-N after a warmup (min absorbs scheduler noise the
@@ -71,9 +71,11 @@ int main(int argc, char** argv) {
   const std::string perfetto_path = "bench_obs_overhead.perfetto.json";
   obs::MetricsRegistry registry;
   obs::PerfettoTraceSink perfetto(perfetto_path);
+  obs::MultiSink both;
+  both.add(&perfetto);
+  both.add(&registry);
   core::CampaignOptions instrumented = base;
-  instrumented.sink = &perfetto;
-  instrumented.metrics = &registry;
+  instrumented.sink = &both;
 
   bench::header("Observability overhead: registry + Perfetto vs null sink");
   bench::row("repetitions (best-of)", kReps);

@@ -41,8 +41,9 @@ simcov::testmodel::TestModelOptions tour_model_options() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  simcov::bench::init(argc, argv);
   using namespace simcov;
+  bench::init(argc, argv, bench::kSinks | bench::kCircuit | bench::kVcd |
+              bench::kGenerator);
 
   // Bug injection is DLX-specific; with --circuit the campaign validates
   // an external BLIF netlist and runs clean-only.

@@ -35,7 +35,7 @@ simcov::testmodel::TestModelOptions base_options() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  simcov::bench::init(argc, argv);
+  simcov::bench::init(argc, argv, simcov::bench::kSinks);
   using namespace simcov;
 
   // ---- Requirement 5 ablation ------------------------------------------------

@@ -56,7 +56,7 @@ class KillAfterRuns final : public simcov::obs::EventSink {
 }  // namespace
 
 int main(int argc, char** argv) {
-  simcov::bench::init(argc, argv);
+  simcov::bench::init(argc, argv, simcov::bench::kSinks);
   using namespace simcov;
 
   const std::vector<dlx::PipelineBug> bugs{

@@ -20,7 +20,7 @@
 #include "testmodel/testmodel.hpp"
 
 int main(int argc, char** argv) {
-  simcov::bench::init(argc, argv);
+  simcov::bench::init(argc, argv, simcov::bench::kReorder);
   using namespace simcov;
   const bool reorder = bench::reorder();
   bench::header("Symbolic traversal scaling over register-file width");

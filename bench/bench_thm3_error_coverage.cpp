@@ -92,7 +92,7 @@ MissSplit miss_split(const simcov::fsm::MealyMachine& m,
 }  // namespace
 
 int main(int argc, char** argv) {
-  simcov::bench::init(argc, argv);
+  simcov::bench::init(argc, argv, simcov::bench::kSinks);
   using namespace simcov;
   using core::TestMethod;
 

@@ -85,63 +85,78 @@ struct Recorder {
   }
 };
 
+/// Prints `message` and exits with status 2, the benches' usage error.
+[[noreturn]] inline void exit_usage(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
+}
+
 }  // namespace detail
 
-/// Parses bench command-line flags (`--json <path>`, `--perfetto <path>`,
-/// `--metrics <path>`, `--circuit <file.blif>`, `--vcd <path>`,
-/// `--reorder on|off`, `--generator tour|biased|hybrid`).
-/// Exits with status 2 on anything unrecognized or an unopenable trace.
-inline void init(int argc, char** argv) {
+/// The optional flag groups of init(): a bench passes the ones it reads,
+/// and every other flag is a usage error. `--json` is always accepted.
+enum Flag : unsigned {
+  kSinks = 1u << 0,      ///< --perfetto, --metrics (read through sink())
+  kCircuit = 1u << 1,    ///< --circuit (circuit())
+  kVcd = 1u << 2,        ///< --vcd (vcd())
+  kReorder = 1u << 3,    ///< --reorder (reorder())
+  kGenerator = 1u << 4,  ///< --generator (generator())
+};
+
+/// Parses bench command-line flags: `--json <path>` plus the groups named
+/// in `flags` (`--perfetto <path>`, `--metrics <path>`, `--circuit
+/// <file.blif>`, `--vcd <path>`, `--reorder on|off`, `--generator
+/// tour|biased|hybrid`). Exits with status 2 on a flag the bench does not
+/// read, anything unrecognized or an unopenable trace.
+inline void init(int argc, char** argv, unsigned flags = 0) {
   auto& rec = detail::Recorder::instance();
   if (argc > 0 && argv[0] != nullptr) {
     const std::string path(argv[0]);
     const auto slash = path.find_last_of('/');
     rec.binary = slash == std::string::npos ? path : path.substr(slash + 1);
   }
+  const auto reads = [flags](Flag flag) { return (flags & flag) != 0; };
+  std::string usage = "usage: " + rec.binary + " [--json <path>]";
+  if (reads(kSinks)) usage += " [--perfetto <path>] [--metrics <path>]";
+  if (reads(kCircuit)) usage += " [--circuit <file.blif>]";
+  if (reads(kVcd)) usage += " [--vcd <path>]";
+  if (reads(kReorder)) usage += " [--reorder on|off]";
+  if (reads(kGenerator)) usage += " [--generator tour|biased|hybrid]";
   for (int i = 1; i < argc; ++i) {
     const std::string arg(argv[i]);
-    if (arg == "--json" && i + 1 < argc) {
-      rec.json_path = argv[++i];
-    } else if (arg == "--perfetto" && i + 1 < argc) {
+    if (i + 1 >= argc) detail::exit_usage(usage);  // every flag takes a value
+    const std::string value(argv[++i]);
+    if (arg == "--json") {
+      rec.json_path = value;
+    } else if (arg == "--perfetto" && reads(kSinks)) {
       try {
-        rec.perfetto_sink = std::make_unique<obs::PerfettoTraceSink>(argv[++i]);
+        rec.perfetto_sink = std::make_unique<obs::PerfettoTraceSink>(value);
       } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", rec.binary.c_str(), e.what());
-        std::exit(2);
+        detail::exit_usage(rec.binary + ": " + e.what());
       }
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      rec.metrics_path = argv[++i];
+    } else if (arg == "--metrics" && reads(kSinks)) {
+      rec.metrics_path = value;
       rec.metrics = std::make_unique<obs::MetricsRegistry>();
-    } else if (arg == "--circuit" && i + 1 < argc) {
-      rec.circuit_path = argv[++i];
-    } else if (arg == "--vcd" && i + 1 < argc) {
-      rec.vcd_path = argv[++i];
-    } else if (arg == "--reorder" && i + 1 < argc) {
-      const std::string value(argv[++i]);
+    } else if (arg == "--circuit" && reads(kCircuit)) {
+      rec.circuit_path = value;
+    } else if (arg == "--vcd" && reads(kVcd)) {
+      rec.vcd_path = value;
+    } else if (arg == "--reorder" && reads(kReorder)) {
       if (value != "on" && value != "off") {
-        std::fprintf(stderr, "%s: --reorder expects on|off, got '%s'\n",
-                     rec.binary.c_str(), value.c_str());
-        std::exit(2);
+        detail::exit_usage(rec.binary + ": --reorder expects on|off, got '" +
+                           value + "'");
       }
       rec.reorder = value == "on";
-    } else if (arg == "--generator" && i + 1 < argc) {
-      const std::string value(argv[++i]);
+    } else if (arg == "--generator" && reads(kGenerator)) {
       const auto kind = model::parse_generator_kind(value);
       if (!kind.has_value()) {
-        std::fprintf(stderr,
-                     "%s: --generator expects tour|biased|hybrid, got '%s'\n",
-                     rec.binary.c_str(), value.c_str());
-        std::exit(2);
+        detail::exit_usage(rec.binary +
+                           ": --generator expects tour|biased|hybrid, got '" +
+                           value + "'");
       }
       rec.generator.kind = *kind;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json <path>] [--perfetto <path>] "
-                   "[--metrics <path>] [--circuit <file.blif>] "
-                   "[--vcd <path>] [--reorder on|off] "
-                   "[--generator tour|biased|hybrid]\n",
-                   rec.binary.c_str());
-      std::exit(2);
+      detail::exit_usage(usage);
     }
   }
 }

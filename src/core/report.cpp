@@ -178,47 +178,6 @@ void emit_timings(JsonWriter& w, const std::vector<StageReport>& reports) {
       .end_object();
 }
 
-/// The "metrics" section: histogram summaries plus flat counters/gauges.
-/// Wall-clock derived — consumers needing determinism erase it, exactly
-/// like "timings". Bucket arrays stay out of the report (the Prometheus
-/// export carries them); the summary quantiles are what a human reads.
-void emit_metrics(JsonWriter& w, const obs::MetricsSummary& m) {
-  w.begin_object("metrics");
-  w.begin_array("counters");
-  for (const auto& c : m.counters) {
-    w.element_object()
-        .field("stage", obs::stage_name(c.stage))
-        .field("name", c.name)
-        .field("value", c.value)
-        .end_object();
-  }
-  w.end_array();
-  w.begin_array("gauges");
-  for (const auto& g : m.gauges) {
-    w.element_object()
-        .field("stage", obs::stage_name(g.stage))
-        .field("name", g.name)
-        .field("value", g.value)
-        .end_object();
-  }
-  w.end_array();
-  w.begin_array("histograms");
-  for (const auto& h : m.histograms) {
-    w.element_object()
-        .field("stage", obs::stage_name(h.stage))
-        .field("name", h.name)
-        .field("count", h.value.count)
-        .field("sum", h.value.sum)
-        .field("p50", h.value.p50)
-        .field("p90", h.value.p90)
-        .field("p99", h.value.p99)
-        .field("max", h.value.max)
-        .end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 /// The "coverage_telemetry" section. Every value is an exact integer (the
 /// JsonWriter prints doubles at 6 significant digits — integers round-trip,
 /// which the bit-identity contract depends on).
@@ -371,7 +330,6 @@ std::string to_json(const CampaignResult& result) {
         .field("resumed_sequences", s.resumed_sequences)
         .end_object();
   }
-  if (result.metrics.has_value()) emit_metrics(w, *result.metrics);
   if (result.coverage_telemetry.has_value()) {
     emit_coverage_telemetry(w, *result.coverage_telemetry);
   }
@@ -413,7 +371,6 @@ std::string to_json(TestMethod method, const MutantCoverageResult& result) {
 std::string semantic_json(CampaignResult result) {
   for (StageReport& r : result.stage_reports) r.seconds = 0.0;
   result.store_stats.reset();
-  result.metrics.reset();
   return to_json(result);
 }
 

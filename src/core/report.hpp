@@ -45,12 +45,12 @@ std::string to_json(const CampaignResult& result);
 std::string to_json(TestMethod method, const MutantCoverageResult& result);
 
 /// The campaign's JSON report with its run-dependent parts erased: stage
-/// seconds (the "timings" section reads all zero), checkpoint-store
+/// seconds (the "timings" section reads all zero) and checkpoint-store
 /// activity (hit, miss and write counts differ between uninterrupted and
-/// resumed runs) and the wall-clock "metrics" section. What remains must
-/// be identical across thread counts and resume. Coverage telemetry is
-/// deterministic and stays in; BDD and symbolic statistics stay too (a
-/// caller comparing reorder on against off erases those itself).
+/// resumed runs). What remains must be identical across thread counts and
+/// resume. Coverage telemetry is deterministic and stays in; BDD and
+/// symbolic statistics stay too (a caller comparing reorder on against off
+/// erases those itself).
 std::string semantic_json(CampaignResult result);
 
 }  // namespace simcov::core

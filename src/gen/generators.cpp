@@ -1,5 +1,6 @@
 #include "gen/generators.hpp"
 
+#include <span>
 #include <stdexcept>
 
 #include "runtime/rng.hpp"
@@ -30,18 +31,12 @@ bool BiasedRandomSource::coverage_complete() const {
 }
 
 void BiasedRandomSource::absorb_sequence(const model::Sequence& steps) {
-  std::uint64_t at = model_->reset_state();
-  tracker_.visit_state(at);
-  for (const std::uint64_t input : steps) {
-    const auto next = model_->step(at, input);
-    if (!next) {
-      throw std::domain_error(
-          "BiasedRandomSource: absorbed sequence takes an invalid input");
-    }
-    tracker_.cover_transition(at, input);
-    at = *next;
-    tracker_.visit_state(at);
-  }
+  tracker_.visit_state(model_->reset_state());
+  model::replay_lockstep(*model_, std::span(&steps, 1),
+                         [&](const model::ReplayStep& step) {
+                           tracker_.cover_transition(step.state, step.input);
+                           tracker_.visit_state(step.next);
+                         });
 }
 
 std::optional<model::Sequence> BiasedRandomSource::next_sequence() {

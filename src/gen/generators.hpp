@@ -54,8 +54,8 @@ class BiasedRandomSource final : public model::SequenceSource {
   /// Replays an externally produced sequence into the walk's coverage
   /// tracker without counting it against the walk's own step budget — the
   /// hybrid seed phase feeds its partial tour through this, so the biased
-  /// phase starts from the seeded coverage. Throws std::domain_error on an
-  /// invalid input.
+  /// phase starts from the seeded coverage. Throws as model::replay_lockstep
+  /// does (std::domain_error on an invalid input).
   void absorb_sequence(const model::Sequence& steps);
 
  private:

@@ -142,85 +142,25 @@ std::vector<TestModel::Edge> ExplicitModel::edges(std::uint64_t state) {
   return out;
 }
 
-std::optional<std::uint64_t> ExplicitModel::step(std::uint64_t state,
-                                                 std::uint64_t input) {
-  const auto s = key_to_state_.find(state);
-  const auto i = key_to_input_.find(input);
-  if (s == key_to_state_.end() || i == key_to_input_.end()) {
-    return std::nullopt;
-  }
-  const auto t = machine_.transition(s->second, i->second);
-  if (!t.has_value()) return std::nullopt;
-  return state_keys_[t->next];
-}
-
-std::optional<std::uint64_t> ExplicitModel::output(std::uint64_t state,
-                                                   std::uint64_t input) {
-  const auto s = key_to_state_.find(state);
-  const auto i = key_to_input_.find(input);
-  if (s == key_to_state_.end() || i == key_to_input_.end()) {
-    return std::nullopt;
-  }
-  const auto t = machine_.transition(s->second, i->second);
-  if (!t.has_value()) return std::nullopt;
-  return static_cast<std::uint64_t>(t->output);
-}
-
-void ExplicitModel::step_batch(std::span<const std::uint64_t> states,
-                               std::span<const std::uint64_t> inputs,
-                               std::span<std::optional<std::uint64_t>> next) {
-  if (next.size() != states.size()) {
-    throw std::invalid_argument(
-        "ExplicitModel::step_batch: lane span mismatch");
-  }
-  run_lanes(states, inputs, next, {});
-}
-
-void ExplicitModel::output_batch(std::span<const std::uint64_t> states,
-                                 std::span<const std::uint64_t> inputs,
-                                 std::span<std::optional<std::uint64_t>> out) {
-  if (out.size() != states.size()) {
-    throw std::invalid_argument(
-        "ExplicitModel::output_batch: lane span mismatch");
-  }
-  run_lanes(states, inputs, {}, out);
-}
-
 void ExplicitModel::transition_batch(
     std::span<const std::uint64_t> states,
     std::span<const std::uint64_t> inputs,
     std::span<std::optional<std::uint64_t>> next,
     std::span<std::optional<std::uint64_t>> out) {
-  if (next.size() != states.size() || out.size() != states.size()) {
+  if (inputs.size() != states.size() || next.size() != states.size() ||
+      out.size() != states.size()) {
     throw std::invalid_argument(
         "ExplicitModel::transition_batch: lane span mismatch");
   }
-  run_lanes(states, inputs, next, out);
-}
-
-void ExplicitModel::run_lanes(std::span<const std::uint64_t> states,
-                              std::span<const std::uint64_t> inputs,
-                              std::span<std::optional<std::uint64_t>> next,
-                              std::span<std::optional<std::uint64_t>> out) {
-  if (inputs.size() != states.size()) {
-    throw std::invalid_argument("ExplicitModel: lane span mismatch");
-  }
   for (std::size_t l = 0; l < states.size(); ++l) {
-    std::optional<fsm::Transition> t;
+    next[l] = std::nullopt;
+    out[l] = std::nullopt;
     const auto s = key_to_state_.find(states[l]);
     const auto i = key_to_input_.find(inputs[l]);
-    if (s != key_to_state_.end() && i != key_to_input_.end()) {
-      t = machine_.transition(s->second, i->second);
-    }
-    if (!next.empty()) {
-      next[l] = t.has_value() ? std::optional<std::uint64_t>(
-                                    state_keys_[t->next])
-                              : std::nullopt;
-    }
-    if (!out.empty()) {
-      out[l] = t.has_value() ? std::optional<std::uint64_t>(
-                                   static_cast<std::uint64_t>(t->output))
-                             : std::nullopt;
+    if (s == key_to_state_.end() || i == key_to_input_.end()) continue;
+    if (const auto t = machine_.transition(s->second, i->second)) {
+      next[l] = state_keys_[t->next];
+      out[l] = static_cast<std::uint64_t>(t->output);
     }
   }
 }
@@ -253,16 +193,6 @@ TourResult ExplicitModel::to_result(const tour::TourSet& set) {
   result.coverage = coverage.stats();
   result.complete = result.coverage.complete();
   return result;
-}
-
-TourResult ExplicitModel::transition_tour(const TourOptions& options) {
-  (void)options;  // explicit generators always terminate; no step cap
-  auto set = tour::greedy_transition_tour_set(machine_, start_);
-  if (!set.has_value()) {
-    throw std::runtime_error(
-        "ExplicitModel: transition tour set generation failed");
-  }
-  return to_result(*set);
 }
 
 namespace {

@@ -47,25 +47,14 @@ class ExplicitModel final : public TestModel {
     return state_keys_[start_];
   }
   std::vector<Edge> edges(std::uint64_t state) override;
-  std::optional<std::uint64_t> step(std::uint64_t state,
-                                    std::uint64_t input) override;
-  std::optional<std::uint64_t> output(std::uint64_t state,
-                                      std::uint64_t input) override;
-  /// Batch forms resolve each lane's keys once and walk the dense
-  /// transition table directly — no per-lane virtual dispatch.
-  void step_batch(std::span<const std::uint64_t> states,
-                  std::span<const std::uint64_t> inputs,
-                  std::span<std::optional<std::uint64_t>> next) override;
-  void output_batch(std::span<const std::uint64_t> states,
-                    std::span<const std::uint64_t> inputs,
-                    std::span<std::optional<std::uint64_t>> out) override;
+  /// Resolves each lane's keys once and walks the dense transition table
+  /// directly.
   void transition_batch(std::span<const std::uint64_t> states,
                         std::span<const std::uint64_t> inputs,
                         std::span<std::optional<std::uint64_t>> next,
                         std::span<std::optional<std::uint64_t>> out) override;
   [[nodiscard]] double count_reachable_states() override;
   [[nodiscard]] double count_reachable_transitions() override;
-  TourResult transition_tour(const TourOptions& options = {}) override;
   std::unique_ptr<SequenceSource> tour_source(
       const TourOptions& options = {}) override;
   TourResult random_walk(std::size_t length, std::uint64_t seed) override;
@@ -75,18 +64,12 @@ class ExplicitModel final : public TestModel {
   [[nodiscard]] Sequence to_keys(std::span<const fsm::InputId> inputs) const;
 
   /// A src/tour test set (from this machine's start state) as keys, plus
-  /// its coverage (what evaluate() would count), in one TourResult. Throws
+  /// its coverage (what evaluate() counts), in one TourResult. Throws
   /// std::domain_error on a step undefined in the machine.
   TourResult to_result(const tour::TourSet& set);
 
  private:
   void index_keys();
-  /// The batch forms' one loop: resolves each lane's keys once and fills
-  /// whichever of `next` and `out` is not empty.
-  void run_lanes(std::span<const std::uint64_t> states,
-                 std::span<const std::uint64_t> inputs,
-                 std::span<std::optional<std::uint64_t>> next,
-                 std::span<std::optional<std::uint64_t>> out);
 
   fsm::MealyMachine machine_;
   fsm::StateId start_ = 0;

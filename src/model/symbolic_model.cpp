@@ -33,58 +33,15 @@ std::vector<TestModel::Edge> SymbolicModel::edges(std::uint64_t state) {
   return edge_cache_.emplace(state, std::move(out)).first->second;
 }
 
-std::optional<std::uint64_t> SymbolicModel::step(std::uint64_t state,
-                                                 std::uint64_t input) {
-  std::optional<std::uint64_t> next;
-  step_batch({&state, 1}, {&input, 1}, {&next, 1});
-  return next;
-}
-
-std::optional<std::uint64_t> SymbolicModel::output(std::uint64_t state,
-                                                   std::uint64_t input) {
-  std::optional<std::uint64_t> out;
-  output_batch({&state, 1}, {&input, 1}, {&out, 1});
-  return out;
-}
-
-void SymbolicModel::step_batch(std::span<const std::uint64_t> states,
-                               std::span<const std::uint64_t> inputs,
-                               std::span<std::optional<std::uint64_t>> next) {
-  if (next.size() != states.size()) {
-    throw std::invalid_argument(
-        "SymbolicModel::step_batch: lane span mismatch");
-  }
-  run_kernel(states, inputs, next, {});
-}
-
-void SymbolicModel::output_batch(std::span<const std::uint64_t> states,
-                                 std::span<const std::uint64_t> inputs,
-                                 std::span<std::optional<std::uint64_t>> out) {
-  if (out.size() != states.size()) {
-    throw std::invalid_argument(
-        "SymbolicModel::output_batch: lane span mismatch");
-  }
-  run_kernel(states, inputs, {}, out);
-}
-
 void SymbolicModel::transition_batch(
     std::span<const std::uint64_t> states,
     std::span<const std::uint64_t> inputs,
     std::span<std::optional<std::uint64_t>> next,
     std::span<std::optional<std::uint64_t>> out) {
-  if (next.size() != states.size() || out.size() != states.size()) {
+  if (inputs.size() != states.size() || next.size() != states.size() ||
+      out.size() != states.size()) {
     throw std::invalid_argument(
         "SymbolicModel::transition_batch: lane span mismatch");
-  }
-  run_kernel(states, inputs, next, out);
-}
-
-void SymbolicModel::run_kernel(std::span<const std::uint64_t> states,
-                               std::span<const std::uint64_t> inputs,
-                               std::span<std::optional<std::uint64_t>> next,
-                               std::span<std::optional<std::uint64_t>> out) {
-  if (inputs.size() != states.size()) {
-    throw std::invalid_argument("SymbolicModel: lane span mismatch");
   }
   std::array<std::uint64_t, sym::PackedCircuitSim::kLanes> next_scratch;
   std::array<std::uint64_t, sym::PackedCircuitSim::kLanes> out_scratch;
@@ -95,18 +52,13 @@ void SymbolicModel::run_kernel(std::span<const std::uint64_t> states,
     const std::uint64_t valid = packed_.step(
         states.subspan(base, lanes), inputs.subspan(base, lanes),
         std::span<std::uint64_t>(next_scratch.data(), lanes),
-        out.empty() ? std::span<std::uint64_t>()
-                    : std::span<std::uint64_t>(out_scratch.data(), lanes));
+        std::span<std::uint64_t>(out_scratch.data(), lanes));
     for (std::size_t l = 0; l < lanes; ++l) {
       const bool ok = ((valid >> l) & 1u) != 0;
-      if (!next.empty()) {
-        next[base + l] =
-            ok ? std::optional<std::uint64_t>(next_scratch[l]) : std::nullopt;
-      }
-      if (!out.empty()) {
-        out[base + l] =
-            ok ? std::optional<std::uint64_t>(out_scratch[l]) : std::nullopt;
-      }
+      next[base + l] =
+          ok ? std::optional<std::uint64_t>(next_scratch[l]) : std::nullopt;
+      out[base + l] =
+          ok ? std::optional<std::uint64_t>(out_scratch[l]) : std::nullopt;
     }
   }
 }
@@ -117,20 +69,6 @@ double SymbolicModel::count_reachable_states() {
 
 double SymbolicModel::count_reachable_transitions() {
   return fsm_.count_transitions(fsm_.reachable_states());
-}
-
-TourResult SymbolicModel::transition_tour(const TourOptions& options) {
-  sym::SymbolicTourOptions topt;
-  topt.max_steps = options.max_steps;
-  auto sym_result = sym::symbolic_transition_tour(fsm_, topt);
-
-  TourResult result;
-  result.tour.sequences = std::move(sym_result.sequences);
-  result.coverage = sym_result.stats;
-  result.steps = sym_result.steps;
-  result.restarts = sym_result.restarts;
-  result.complete = sym_result.complete;
-  return result;
 }
 
 namespace {

@@ -7,7 +7,7 @@
 // on the same circuit.
 //
 // Reachable counts are BDD satisfying-assignment counts; transition tours
-// come from sym::symbolic_transition_tour (a memoized concrete walk that
+// stream from sym::SymbolicTourStream (a memoized concrete walk that
 // navigates by breadth-first distances over its own successor table), whose
 // coverage statistic is the shared model::CoverageTracker definition.
 #pragma once
@@ -55,39 +55,21 @@ class SymbolicModel final : public TestModel {
   }
   [[nodiscard]] std::uint64_t reset_state() const override { return reset_; }
   std::vector<Edge> edges(std::uint64_t state) override;
-  std::optional<std::uint64_t> step(std::uint64_t state,
-                                    std::uint64_t input) override;
-  std::optional<std::uint64_t> output(std::uint64_t state,
-                                      std::uint64_t input) override;
-  /// Every concrete answer — edges' successors, step/output (one lane) and
-  /// the batch forms (64 lanes per pass) — comes from the word-level kernel
-  /// over the underlying circuit (sym::PackedCircuitSim). The BDDs only
-  /// list edges' valid inputs and count the reachable part.
-  void step_batch(std::span<const std::uint64_t> states,
-                  std::span<const std::uint64_t> inputs,
-                  std::span<std::optional<std::uint64_t>> next) override;
-  void output_batch(std::span<const std::uint64_t> states,
-                    std::span<const std::uint64_t> inputs,
-                    std::span<std::optional<std::uint64_t>> out) override;
+  /// Every concrete answer — edges' successors and transition_batch, 64
+  /// lanes per pass — comes from the word-level kernel over the underlying
+  /// circuit (sym::PackedCircuitSim). The BDDs only list edges' valid
+  /// inputs and count the reachable part.
   void transition_batch(std::span<const std::uint64_t> states,
                         std::span<const std::uint64_t> inputs,
                         std::span<std::optional<std::uint64_t>> next,
                         std::span<std::optional<std::uint64_t>> out) override;
   [[nodiscard]] double count_reachable_states() override;
   [[nodiscard]] double count_reachable_transitions() override;
-  TourResult transition_tour(const TourOptions& options = {}) override;
   std::unique_ptr<SequenceSource> tour_source(
       const TourOptions& options = {}) override;
   TourResult random_walk(std::size_t length, std::uint64_t seed) override;
 
  private:
-  /// The batch forms' one loop: steps every lane on the kernel, 64 per
-  /// pass, and fills whichever of `next` and `out` is not empty.
-  void run_kernel(std::span<const std::uint64_t> states,
-                  std::span<const std::uint64_t> inputs,
-                  std::span<std::optional<std::uint64_t>> next,
-                  std::span<std::optional<std::uint64_t>> out);
-
   bdd::BddManager mgr_;
   sym::SymbolicFsm fsm_;
   sym::PackedCircuitSim packed_;  ///< steps fsm_.circuit()

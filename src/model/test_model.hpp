@@ -3,8 +3,10 @@
 // The paper's methodology is representation-blind: the same tour-and-
 // simulate flow runs on a small explicitly enumerated test model and on the
 // 22-latch / 123M-transition implicit (BDD) model of Section 7.2. TestModel
-// is that seam: one interface over "reset state, valid inputs, step,
-// reachable counts, transition tour", with two adapters —
+// is that seam: one interface over "reset state, valid inputs, reachable
+// counts", one per-step primitive (transition_batch: successor and output
+// of each lane's (state, input)) and one tour primitive (tour_source: the
+// transition tour as a stream), with two adapters —
 //
 //   * ExplicitModel (explicit_model.hpp): wraps fsm::MealyMachine, tours
 //     via src/tour;
@@ -96,9 +98,9 @@ class SequenceSource {
   virtual TourResult summary() = 0;
 };
 
-/// SequenceSource over an already materialized TourResult — the adapter
-/// behind TestModel::tour_source's default implementation and a handy
-/// wrapper for tests.
+/// SequenceSource over an already materialized TourResult — how the
+/// pipeline streams its materialized baselines (random walk, state tour,
+/// W-method), and a handy wrapper for tests.
 class MaterializedTourStream final : public SequenceSource {
  public:
   explicit MaterializedTourStream(TourResult result)
@@ -155,61 +157,35 @@ class TestModel {
 
   /// All valid (input, successor) pairs out of `state`, sorted by input key.
   virtual std::vector<Edge> edges(std::uint64_t state) = 0;
-  /// Successor of `state` under `input`; nullopt when the input is invalid
-  /// in that state (the paper's input don't-cares).
-  virtual std::optional<std::uint64_t> step(std::uint64_t state,
-                                            std::uint64_t input) = 0;
-  /// Packed output of the transition out of `state` under `input`; nullopt
-  /// when the input is invalid there. Packing follows the key convention:
-  /// little-endian output bits for circuit-backed models, the dense output
-  /// id for bare Mealy machines (the two coincide through encode_circuit).
-  /// Part of the fingerprinting surface — behavioural fingerprints must see
-  /// output errors, which leave the edge structure unchanged.
-  virtual std::optional<std::uint64_t> output(std::uint64_t state,
-                                              std::uint64_t input) = 0;
-
-  /// Batch (bit-parallel) form of step(): lane L advances states[L] under
-  /// inputs[L], writing the successor (or nullopt for an invalid input)
-  /// into next[L]. All spans must agree in size; callers group lanes in
-  /// blocks of at most 64 so circuit-backed overrides can evaluate all
-  /// lanes in one word-level network pass (sym::PackedCircuitSim). The
-  /// base implementation loops over step(), so every backend answers
-  /// identically — batch entry points are a throughput contract, never a
-  /// semantic one.
-  virtual void step_batch(std::span<const std::uint64_t> states,
-                          std::span<const std::uint64_t> inputs,
-                          std::span<std::optional<std::uint64_t>> next);
-  /// Batch form of output(), same lane convention as step_batch().
-  virtual void output_batch(std::span<const std::uint64_t> states,
-                            std::span<const std::uint64_t> inputs,
-                            std::span<std::optional<std::uint64_t>> out);
-  /// step_batch() and output_batch() in one call: lane L writes both
-  /// next[L] and out[L] (nullopt in both for an invalid input). The base
-  /// implementation calls the two; both backends override it to resolve
-  /// each lane once (one kernel pass per 64 lanes on the symbolic backend).
-  virtual void transition_batch(std::span<const std::uint64_t> states,
-                                std::span<const std::uint64_t> inputs,
-                                std::span<std::optional<std::uint64_t>> next,
-                                std::span<std::optional<std::uint64_t>> out);
+  /// The one way to ask a model where an input takes a state: lane L
+  /// advances states[L] under inputs[L], writing the successor key into
+  /// next[L] and the packed output into out[L] — nullopt in both when the
+  /// input is invalid in that state (the paper's input don't-cares).
+  /// Outputs follow the key convention: little-endian output bits for
+  /// circuit-backed models, the dense output id for bare Mealy machines
+  /// (the two coincide through encode_circuit). All spans must agree in
+  /// size (std::invalid_argument otherwise). Circuit-backed models evaluate
+  /// 64 lanes per word-level network pass (sym::PackedCircuitSim), so
+  /// callers batch independent lanes (replay_lockstep).
+  virtual void transition_batch(
+      std::span<const std::uint64_t> states,
+      std::span<const std::uint64_t> inputs,
+      std::span<std::optional<std::uint64_t>> next,
+      std::span<std::optional<std::uint64_t>> out) = 0;
 
   [[nodiscard]] virtual double count_reachable_states() = 0;
   /// Valid (state, input) pairs with a reachable source state — the
   /// transitions a tour must cover.
   [[nodiscard]] virtual double count_reachable_transitions() = 0;
 
-  /// Transition tour from reset, coverage accounted through a shared
-  /// CoverageTracker (identical definition across backends).
-  virtual TourResult transition_tour(const TourOptions& options = {}) = 0;
-
-  /// Streaming form of transition_tour: yields the identical sequences in
-  /// the identical order, one at a time. The base implementation simply
-  /// materializes transition_tour; ExplicitModel and SymbolicModel override
-  /// it with generators that produce sequences incrementally. This is the
-  /// transition-tour strategy behind the SequenceSource seam — other
-  /// strategies (biased-random, hybrid) live in src/gen and are selected
-  /// through gen::open_sequence_source.
+  /// The transition tour from reset as a stream of reset-separated
+  /// sequences, coverage accounted through a shared CoverageTracker
+  /// (identical definition across backends). This is the transition-tour
+  /// strategy behind the SequenceSource seam — other strategies (biased-
+  /// random, hybrid) live in src/gen and are selected through
+  /// gen::open_sequence_source.
   virtual std::unique_ptr<SequenceSource> tour_source(
-      const TourOptions& options = {});
+      const TourOptions& options = {}) = 0;
 
   /// Random walk of `length` steps from reset (uniform over the valid
   /// inputs of the current state), deterministic in `seed`.
@@ -217,20 +193,11 @@ class TestModel {
 
   // ---- Shared helpers over the primitives --------------------------------
 
-  /// Deterministic BFS over the reachable state space from reset, in packed-
-  /// key order: states are expanded in the order discovered, and within a
-  /// state the edges arrive sorted by input key (the edges() contract). The
-  /// callback sees every reachable (state, input, successor) triple exactly
-  /// once. Both backends produce the identical traversal for the same
-  /// machine — this is the canonicalization behind store::fingerprint_model.
-  /// Throws std::runtime_error when more than `max_states` states are
-  /// discovered.
-  void visit_reachable(
-      std::size_t max_states,
-      const std::function<void(std::uint64_t state, const Edge& edge)>& visit);
+  /// tour_source(options) drained: its summary() with every sequence.
+  TourResult transition_tour(const TourOptions& options = {});
 
-  /// Replays a tour from reset through a CoverageTracker. Throws
-  /// std::domain_error on an invalid input.
+  /// Replays a tour from reset through a CoverageTracker. Throws as
+  /// replay_lockstep does (std::domain_error on an invalid input).
   CoverageStats evaluate(const Tour& tour);
 
   /// Packs a little-endian bit vector into a key (at most 63 bits). This

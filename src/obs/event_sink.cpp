@@ -56,10 +56,6 @@ StageStatus SpanRecorder::stage_status(Stage stage) const {
 // MultiSink
 // ---------------------------------------------------------------------------
 
-MultiSink::MultiSink(std::vector<EventSink*> sinks) {
-  for (EventSink* sink : sinks) add(sink);
-}
-
 void MultiSink::add(EventSink* sink) {
   if (sink != nullptr) sinks_.push_back(sink);
 }
@@ -99,12 +95,10 @@ void MultiSink::status(Stage stage, StageStatus status) {
 ScopedSpan::ScopedSpan(EventSink& sink, Stage stage)
     : sink_(sink), stage_(stage), start_(std::chrono::steady_clock::now()) {}
 
-double ScopedSpan::elapsed() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
+ScopedSpan::~ScopedSpan() {
+  sink_.span(stage_, std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start_)
+                         .count());
 }
-
-ScopedSpan::~ScopedSpan() { sink_.span(stage_, elapsed()); }
 
 }  // namespace simcov::obs

@@ -126,8 +126,6 @@ class SpanRecorder final : public EventSink {
 /// Forwards every event to each registered sink, in order.
 class MultiSink final : public EventSink {
  public:
-  MultiSink() = default;
-  explicit MultiSink(std::vector<EventSink*> sinks);
   /// Ignores null pointers, so callers can pass optional sinks directly.
   void add(EventSink* sink);
 
@@ -154,9 +152,6 @@ class ScopedSpan {
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// Seconds elapsed so far (the span is still emitted at destruction).
-  [[nodiscard]] double elapsed() const;
 
  private:
   EventSink& sink_;

@@ -30,7 +30,6 @@
 #include "model/test_model.hpp"
 #include "obs/coverage_telemetry.hpp"
 #include "obs/event_sink.hpp"
-#include "obs/metrics.hpp"
 #include "store/artifact_store.hpp"
 #include "testmodel/testmodel.hpp"
 
@@ -125,32 +124,21 @@ struct CampaignOptions {
   // ---- Pipeline knobs (defaults reproduce the pre-pipeline behaviour) ----
   /// Instrumentation sink for spans / counters / item events (nullptr: no
   /// external instrumentation; the pipeline still records spans internally
-  /// for the stage reports).
+  /// for the stage reports). An obs::MetricsRegistry attaches here like any
+  /// other sink; several sinks fan out through one obs::MultiSink.
   obs::EventSink* sink = nullptr;
   /// Cooperative cancellation; observed between batches and inside the
   /// ThreadPool shards. A cancelled campaign returns truncated results
   /// with the interrupted stage reporting kCancelled.
   CancellationToken cancel;
-  /// Cap on tour sequences held in flight at once (the streaming window).
-  /// 0 = twice the worker-pool lanes.
-  std::size_t max_in_flight_sequences = 0;
 
-  // ---- Metrics & coverage telemetry --------------------------------------
-  /// Metrics aggregation backend. When set, the registry is attached to the
-  /// pipeline's sink fan-out (in addition to `sink`) and its summary lands
-  /// on CampaignResult::metrics — the "metrics" section of the JSON report.
-  /// Histogram values derive from wall-clock and are NOT deterministic; the
-  /// report's semantic form (core::semantic_json) erases them like
-  /// "timings".
-  obs::MetricsRegistry* metrics = nullptr;
+  // ---- Coverage telemetry ------------------------------------------------
   /// Collect the deterministic coverage-telemetry section (convergence
   /// curve, transition hit balance, per-bug exposure latency). Costs one
   /// coordinator-thread model replay per committed sequence; keyed off
   /// committed indices, so the section is bit-identical at any thread count
   /// and across checkpoint/resume.
   bool collect_coverage_telemetry = false;
-  /// Point budget of the downsampled convergence curve.
-  std::size_t telemetry_curve_budget = 512;
   /// Dynamic variable-reordering policy of the symbolic backend's live BDD
   /// manager (bdd::ReorderPolicy::kAuto enables growth-triggered sifting).
   /// A memory/throughput knob only, excluded from the checkpoint key
@@ -239,10 +227,6 @@ struct CampaignResult {
   /// configured (CampaignOptions::store_dir). Emitted as "store" in the
   /// JSON report.
   std::optional<store::StoreStats> store_stats;
-  /// Snapshot of the attached MetricsRegistry (CampaignOptions::metrics);
-  /// emitted as "metrics" in the JSON report. Wall-clock derived — not
-  /// deterministic.
-  std::optional<obs::MetricsSummary> metrics;
   /// Deterministic coverage telemetry; set when
   /// CampaignOptions::collect_coverage_telemetry is on. Emitted as
   /// "coverage_telemetry" in the JSON report.

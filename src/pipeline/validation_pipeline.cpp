@@ -84,7 +84,6 @@ Campaign::Campaign(const CampaignOptions& opts,
     : options(opts) {
   sink.add(&recorder);
   sink.add(options.sink);
-  sink.add(options.metrics);
 
   build = ModelBuildStage::run(options, sink, result);
   if (build.external_circuit && !bugs.empty()) {
@@ -98,7 +97,7 @@ Campaign::Campaign(const CampaignOptions& opts,
   // coordinator thread — the one account that is identical for live and
   // resumed campaigns.
   if (options.collect_coverage_telemetry) {
-    telemetry.emplace(*build.model, options.telemetry_curve_budget);
+    telemetry.emplace(*build.model);
   }
 
   if (!options.store_dir.empty()) {
@@ -361,7 +360,7 @@ void export_vcd(Campaign& c) {
 }
 
 /// Completes the result: inconclusive counts, checkpoint activity, stage
-/// reports, the coverage-telemetry section and, last, the metrics snapshot.
+/// reports and the coverage-telemetry section.
 CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
   CampaignResult& result = c.result;
   for (const auto& r : result.clean_runs) {
@@ -400,10 +399,6 @@ CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
       t.bug_exposure_latency.push_back(lat);
     }
     result.coverage_telemetry = std::move(t);
-  }
-  // Snapshot last, so the summary covers every event the campaign emitted.
-  if (c.options.metrics != nullptr) {
-    result.metrics = c.options.metrics->summary();
   }
   return std::move(result);
 }
@@ -445,9 +440,8 @@ CampaignResult ValidationPipeline::run(
   // One worker pool for every sharded loop. Each loop writes into
   // pre-sized per-index slots, so the outcome is independent of scheduling.
   runtime::ThreadPool pool(options_.threads);
-  const std::size_t window = options_.max_in_flight_sequences != 0
-                                 ? options_.max_in_flight_sequences
-                                 : 2 * pool.size();
+  // The streaming window: sequences held in flight at once.
+  const std::size_t window = 2 * pool.size();
 
   commit_stream(c, pool, window);
   close_stream(c);

@@ -6,7 +6,7 @@
 //       -> CompareStage
 //
 // Test sequences are pulled from the model::SequenceSource in windows of
-// `max_in_flight_sequences` and flow straight through concretization into
+// twice the worker-pool lanes and flow straight through concretization into
 // the sharded clean-run loop; the raw sequences are released as soon as
 // their batch is simulated, so peak test-set memory is bounded by the
 // window, not the tour length. (Concretized programs are retained — the

@@ -1,7 +1,6 @@
 #include "store/fingerprint.hpp"
 
 #include <array>
-#include <bit>
 #include <cstdio>
 
 namespace simcov::store {
@@ -60,11 +59,6 @@ Hasher& Hasher::u64(std::uint64_t v) {
   return bytes(le.data(), le.size());
 }
 
-Hasher& Hasher::f64(double v) {
-  if (v == 0.0) v = 0.0;  // collapse -0.0
-  return u64(std::bit_cast<std::uint64_t>(v));
-}
-
 Hasher& Hasher::boolean(bool v) { return u8(v ? 1 : 0); }
 
 Hasher& Hasher::str(std::string_view s) {
@@ -108,23 +102,6 @@ Fingerprint fingerprint_circuit(const sym::SequentialCircuit& circuit) {
   }
   h.boolean(circuit.valid.has_value());
   if (circuit.valid.has_value()) h.u32(*circuit.valid);
-  return h.digest();
-}
-
-Fingerprint fingerprint_model(model::TestModel& model,
-                              std::size_t max_states) {
-  Hasher h;
-  h.str("simcov.model.v1");
-  h.u32(model.input_bits()).u32(model.state_bits());
-  h.u64(model.reset_state());
-  model.visit_reachable(
-      max_states, [&](std::uint64_t state, const model::TestModel::Edge& e) {
-        const auto out = model.output(state, e.input);
-        h.u64(state).u64(e.input).u64(e.next);
-        // A reachable edge always has an output; hash a sentinel if the
-        // backend disagrees so the mismatch is at least visible.
-        h.u64(out.has_value() ? *out : ~std::uint64_t{0});
-      });
   return h.digest();
 }
 

@@ -8,19 +8,12 @@
 // campaign's artifacts by pure recomputation of the key — no manifest, no
 // coordination.
 //
-// Three canonical serializations are provided:
+// Two canonical serializations are provided:
 //  * fingerprint_circuit — structural: the exact gate netlist of a
 //    sym::SequentialCircuit (gates, latches, PIs, outputs, constraint).
 //    This is what the pipeline keys on: the DLX test-model build is a pure
 //    function of TestModelOptions, so circuit identity == model identity,
 //    and it stays cheap even when the reachable state space is huge.
-//  * fingerprint_model — behavioural: a BFS of the reachable state graph
-//    through the TestModel seam, hashing every (state, input, output,
-//    successor) quadruple in deterministic order. Backend-independent: the
-//    same machine loaded through ExplicitModel and SymbolicModel produces
-//    the same fingerprint, and any single-transition mutation (output or
-//    transfer) changes it. Costs a full enumeration — use for explicit-
-//    scale models and differential tests.
 //  * fingerprint_options — the TestModelOptions value, field by field.
 //
 // Hasher is the shared accumulator: two independently seeded 64-bit lanes
@@ -34,7 +27,6 @@
 #include <string>
 #include <string_view>
 
-#include "model/test_model.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "testmodel/testmodel.hpp"
 
@@ -59,9 +51,6 @@ class Hasher {
   Hasher& u8(std::uint8_t v);
   Hasher& u32(std::uint32_t v);
   Hasher& u64(std::uint64_t v);
-  /// Bit pattern of the double (canonicalizes -0.0 to 0.0 so equal values
-  /// hash equally).
-  Hasher& f64(double v);
   Hasher& boolean(bool v);
   /// Length-prefixed, so "ab","c" never collides with "a","bc".
   Hasher& str(std::string_view s);
@@ -80,13 +69,6 @@ class Hasher {
 /// primary input, output and the validity constraint, in storage order.
 [[nodiscard]] Fingerprint fingerprint_circuit(
     const sym::SequentialCircuit& circuit);
-
-/// Behavioural fingerprint of a test model: BFS over the reachable state
-/// graph hashing (state, input, output, successor) per transition, plus the
-/// interface widths and reset key. Throws std::runtime_error when the
-/// reachable state space exceeds `max_states`.
-[[nodiscard]] Fingerprint fingerprint_model(model::TestModel& model,
-                                            std::size_t max_states = 1u << 20);
 
 /// Field-by-field fingerprint of the test-model build options.
 [[nodiscard]] Fingerprint fingerprint_options(

@@ -9,7 +9,8 @@
 //   * sym::PackedLogicSim            vs the scalar gate interpreter the
 //                                    library no longer has (scalar_eval.hpp)
 //   * sym::PackedCircuitSim::step    vs the same interpreter, lane by lane
-//   * model step_batch/output_batch  vs scalar step/output (both backends)
+//   * model transition_batch         vs fsm::MealyMachine::transition, lane
+//                                    by lane (both backends)
 //   * testmodel::ControlModelSim (one lane of the same kernel) vs a
 //                                    scalar control simulator kept here
 #include <gtest/gtest.h>
@@ -17,14 +18,17 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <random>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "fsm/mealy.hpp"
+#include "model/encode.hpp"
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
+#include "one_lane.hpp"
 #include "scalar_eval.hpp"
 #include "sym/packed_logic_sim.hpp"
 #include "sym/symbolic_fsm.hpp"
@@ -263,87 +267,113 @@ testmodel::TestModelOptions tiny_model_options() {
   return opt;
 }
 
-/// Random (state, input) key pairs covering valid and invalid
-/// combinations, deliberately NOT a multiple of 64 so the final packed
-/// block is partial.
-void random_keys(std::mt19937_64& rng, unsigned state_bits,
-                 unsigned input_bits, std::size_t count,
-                 std::vector<std::uint64_t>& states,
-                 std::vector<std::uint64_t>& inputs) {
-  const std::uint64_t smask = (std::uint64_t{1} << state_bits) - 1;
-  const std::uint64_t imask = (std::uint64_t{1} << input_bits) - 1;
-  states.resize(count);
-  inputs.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    states[i] = rng() & smask;
-    inputs[i] = rng() & imask;
+/// transition_batch of `model` against the machine it wraps, lane by lane,
+/// in one batch of each size in `batch_sizes`. Lanes draw random state and input keys over the full key widths,
+/// so unused encodings and undefined transitions appear among them: the
+/// reference is MealyMachine::transition on in-range ids, invalid
+/// otherwise.
+void expect_batch_matches_machine(
+    model::TestModel& model, const fsm::MealyMachine& machine,
+    std::initializer_list<std::size_t> batch_sizes, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::uint64_t smask = (std::uint64_t{1} << model.state_bits()) - 1;
+  const std::uint64_t imask = (std::uint64_t{1} << model.input_bits()) - 1;
+  std::size_t valid = 0;
+  std::size_t invalid = 0;
+  for (const std::size_t lanes : batch_sizes) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    std::vector<std::uint64_t> states(lanes), inputs(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      states[l] = rng() & smask;
+      inputs[l] = rng() & imask;
+    }
+    std::vector<std::optional<std::uint64_t>> next(lanes), out(lanes);
+    model.transition_batch(states, inputs, next, out);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      std::optional<fsm::Transition> want;
+      if (states[l] < machine.num_states() &&
+          inputs[l] < machine.num_inputs()) {
+        want = machine.transition(static_cast<fsm::StateId>(states[l]),
+                                  static_cast<fsm::InputId>(inputs[l]));
+      }
+      if (!want.has_value()) {
+        ++invalid;
+        ASSERT_EQ(next[l], std::nullopt) << "lane " << l;
+        ASSERT_EQ(out[l], std::nullopt) << "lane " << l;
+        continue;
+      }
+      ++valid;
+      ASSERT_EQ(next[l], std::uint64_t{want->next}) << "lane " << l;
+      ASSERT_EQ(out[l], std::uint64_t{want->output}) << "lane " << l;
+    }
   }
+  EXPECT_GT(valid, 0u);
+  EXPECT_GT(invalid, 0u);
 }
 
-void expect_batch_matches_scalar(model::TestModel& model, std::size_t count,
-                                 std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<std::uint64_t> states, inputs;
-  random_keys(rng, model.state_bits(), model.input_bits(), count, states,
-              inputs);
-
-  std::vector<std::optional<std::uint64_t>> next(count), out(count);
-  std::vector<std::optional<std::uint64_t>> both_next(count), both_out(count);
-  model.step_batch(states, inputs, next);
-  model.output_batch(states, inputs, out);
-  model.transition_batch(states, inputs, both_next, both_out);
-  for (std::size_t i = 0; i < count; ++i) {
-    ASSERT_EQ(next[i], model.step(states[i], inputs[i])) << "pair " << i;
-    ASSERT_EQ(out[i], model.output(states[i], inputs[i])) << "pair " << i;
-    ASSERT_EQ(both_next[i], next[i]) << "pair " << i;
-    ASSERT_EQ(both_out[i], out[i]) << "pair " << i;
+/// 23 states of 3 inputs with a third of the transitions undefined: both
+/// counts leave unused key encodings.
+fsm::MealyMachine partial_machine() {
+  fsm::MealyMachine m(23, 3);
+  std::mt19937_64 rng(29);
+  for (fsm::StateId s = 0; s < m.num_states(); ++s) {
+    for (fsm::InputId i = 0; i < m.num_inputs(); ++i) {
+      if (rng() % 3 == 0) continue;
+      m.set_transition(s, i, static_cast<fsm::StateId>(rng() % 23),
+                       static_cast<fsm::OutputId>(rng() % 5));
+    }
   }
+  return m;
 }
 
 TEST(BatchStepping, SymbolicModelMatchesScalarIncludingPartialBlock) {
-  const auto built = testmodel::build_dlx_control_model(tiny_model_options());
-  model::SymbolicModel model(built.circuit);
-  // 3 full blocks plus a 21-lane partial one.
-  expect_batch_matches_scalar(model, 3 * 64 + 21, 11);
+  const auto m = partial_machine();
+  model::SymbolicModel model(model::encode_circuit(m, 0));
+  // One full block, then three full blocks plus a 23-lane partial one.
+  expect_batch_matches_machine(model, m, {64, 3 * 64 + 23}, 11);
 }
 
 TEST(BatchStepping, SymbolicModelHandlesTinySpans) {
-  const auto built = testmodel::build_dlx_control_model(tiny_model_options());
-  model::SymbolicModel model(built.circuit);
-  expect_batch_matches_scalar(model, 1, 12);
-  expect_batch_matches_scalar(model, 63, 13);
+  const auto m = partial_machine();
+  model::SymbolicModel model(model::encode_circuit(m, 0));
+  expect_batch_matches_machine(model, m, {1, 37, 63}, 12);
 }
 
 TEST(BatchStepping, ExplicitModelMatchesScalar) {
-  const auto m = fsm::random_connected_machine(24, 3, 4, 17);
+  const auto m = partial_machine();
   model::ExplicitModel model(m, 0);
-  expect_batch_matches_scalar(model, 150, 18);
+  expect_batch_matches_machine(model, m, {1, 37, 64, 3 * 64 + 23}, 18);
 }
 
 TEST(BatchStepping, MismatchedSpansThrow) {
   const auto m = fsm::random_connected_machine(8, 2, 2, 5);
-  model::ExplicitModel model(m, 0);
-  std::vector<std::uint64_t> states(4, 0), inputs(3, 0);
-  std::vector<std::optional<std::uint64_t>> next(4);
-  EXPECT_THROW(model.step_batch(states, inputs, next), std::invalid_argument);
-  std::vector<std::optional<std::uint64_t>> out(4);
-  EXPECT_THROW(model.transition_batch(states, inputs, next, out),
-               std::invalid_argument);
+  model::ExplicitModel explicit_model(m, 0);
+  model::SymbolicModel symbolic_model(model::encode_circuit(m, 0));
+  for (model::TestModel* model :
+       {static_cast<model::TestModel*>(&explicit_model),
+        static_cast<model::TestModel*>(&symbolic_model)}) {
+    std::vector<std::uint64_t> states(4, 0), inputs(3, 0);
+    std::vector<std::optional<std::uint64_t>> next(4), out(4), short_out(3);
+    EXPECT_THROW(model->transition_batch(states, inputs, next, out),
+                 std::invalid_argument);
+    inputs.push_back(0);
+    EXPECT_THROW(model->transition_batch(states, inputs, next, short_out),
+                 std::invalid_argument);
+  }
 }
 
-/// Each sequence stepped on its own through scalar step()/output().
+/// Each sequence stepped on its own, one transition_batch lane per step.
 std::vector<std::vector<model::ReplayStep>> scalar_replay(
     model::TestModel& model, const std::vector<model::Sequence>& batch) {
   std::vector<std::vector<model::ReplayStep>> out(batch.size());
   for (std::size_t l = 0; l < batch.size(); ++l) {
     std::uint64_t at = model.reset_state();
     for (const std::uint64_t input : batch[l]) {
-      const auto output = model.output(at, input);
-      const auto next = model.step(at, input);
-      EXPECT_TRUE(output.has_value() && next.has_value());
-      if (!output.has_value() || !next.has_value()) return out;
-      out[l].push_back({l, at, input, *output, *next});
-      at = *next;
+      const OneLane lane = one_lane(model, at, input);
+      EXPECT_TRUE(lane.output.has_value() && lane.next.has_value());
+      if (!lane.output.has_value() || !lane.next.has_value()) return out;
+      out[l].push_back({l, at, input, *lane.output, *lane.next});
+      at = *lane.next;
     }
   }
   return out;

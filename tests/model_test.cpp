@@ -1,8 +1,9 @@
 // Cross-backend differential tests for the TestModel seam: an explicitly
 // enumerated model and its implicit (BDD) counterpart must agree on every
-// observable of the interface — packed keys, edge lists, reachable counts,
-// and tour coverage statistics. This is the contract that lets
-// core::run_campaign pick a backend by model size without changing results.
+// observable of the interface — packed keys, edge lists, successors and
+// outputs through transition_batch, reachable counts, and tour coverage
+// statistics. This is the contract that lets core::run_campaign pick a
+// backend by model size without changing results.
 #include "model/encode.hpp"
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_set>
@@ -38,8 +40,9 @@ testmodel::TestModelOptions tiny_model_options() {
 }
 
 /// Walks the reachable state graph of `a` (BFS over packed keys) and checks
-/// `b` produces the identical edge list at every state, and that both report
-/// reachable counts matching the enumeration.
+/// `b` produces the identical edge list at every state, that transition_batch
+/// on both gives every edge's successor and the same output, and that both
+/// report reachable counts matching the enumeration.
 void expect_models_agree(TestModel& a, TestModel& b) {
   ASSERT_EQ(a.reset_state(), b.reset_state());
   // Equal widths plus equal keys (below) mean equal PI bit vectors.
@@ -57,10 +60,21 @@ void expect_models_agree(TestModel& a, TestModel& b) {
     const auto ea = a.edges(s);
     const auto eb = b.edges(s);
     ASSERT_EQ(ea.size(), eb.size()) << "edge count differs at state " << s;
+    // Every edge of the state as one lane of a batch, on both backends.
+    const std::vector<std::uint64_t> states(ea.size(), s);
+    std::vector<std::uint64_t> inputs;
+    for (const auto& e : ea) inputs.push_back(e.input);
+    std::vector<std::optional<std::uint64_t>> next_a(ea.size()),
+        out_a(ea.size()), next_b(ea.size()), out_b(ea.size());
+    a.transition_batch(states, inputs, next_a, out_a);
+    b.transition_batch(states, inputs, next_b, out_b);
     for (std::size_t k = 0; k < ea.size(); ++k) {
       EXPECT_EQ(ea[k].input, eb[k].input) << "state " << s << " edge " << k;
       EXPECT_EQ(ea[k].next, eb[k].next) << "state " << s << " edge " << k;
-      EXPECT_EQ(a.step(s, ea[k].input), b.step(s, ea[k].input));
+      EXPECT_EQ(next_a[k], ea[k].next) << "state " << s << " edge " << k;
+      EXPECT_EQ(next_b[k], ea[k].next) << "state " << s << " edge " << k;
+      ASSERT_TRUE(out_a[k].has_value()) << "state " << s << " edge " << k;
+      EXPECT_EQ(out_a[k], out_b[k]) << "state " << s << " edge " << k;
     }
     edges_total += ea.size();
     for (const auto& e : ea) {
@@ -111,6 +125,25 @@ TEST(ModelDifferential, RandomMachinesExplicitVsSymbolicEncoding) {
     expect_models_agree(explicit_model, symbolic_model);
     expect_tours_agree(explicit_model, symbolic_model);
   }
+}
+
+TEST(ModelDifferential, TransferMutantOfARingExplicitVsSymbolicEncoding) {
+  // A 3-state ring (input 0 advances, input 1 holds) whose transition
+  // (1, 0) is redirected to state 0, its output kept: state 2 becomes
+  // unreachable, and both backends must still agree on every reachable
+  // successor and output.
+  fsm::MealyMachine machine(3, 2);
+  for (fsm::StateId s = 0; s < 3; ++s) {
+    machine.set_transition(s, 0, (s + 1) % 3, s);
+    machine.set_transition(s, 1, s, 10 + s);
+  }
+  machine.set_transition(1, 0, 0, 1);
+  ExplicitModel explicit_model(machine, 0);
+  const auto circuit = encode_circuit(machine, 0);
+  SymbolicModel symbolic_model(circuit);
+  EXPECT_DOUBLE_EQ(explicit_model.count_reachable_states(), 2.0);
+  expect_models_agree(explicit_model, symbolic_model);
+  expect_tours_agree(explicit_model, symbolic_model);
 }
 
 TEST(ModelDifferential, RandomWalksAgreeAcrossBackends) {

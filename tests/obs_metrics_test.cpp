@@ -30,6 +30,7 @@
 #include "model/encode.hpp"
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
+#include "one_lane.hpp"
 
 namespace simcov {
 namespace {
@@ -268,6 +269,20 @@ TEST(CoverageCurveBuilder, DownsamplesToBudgetAndKeepsTheLastPoint) {
   }
 }
 
+TEST(CoverageCurveBuilder, CurveBudgetBoundsThePointCountButNotTheEndpoint) {
+  // The tightest budget still keeps the last point; a campaign's collector
+  // always runs at the default 512.
+  obs::CoverageCurveBuilder tight(2);
+  for (std::uint64_t i = 1; i <= 19; ++i) tight.add(point(i));
+  const auto pts = tight.points();
+  EXPECT_LE(pts.size(), 3u);
+  EXPECT_EQ(pts.back(), point(19))
+      << "downsampling must keep the campaign's final coverage point";
+  model::ExplicitModel model(fsm::random_connected_machine(4, 2, 2, 1), 0);
+  EXPECT_EQ(obs::CoverageTelemetryCollector(model).snapshot().curve_budget,
+            512u);
+}
+
 TEST(CoverageCurveBuilder, IsDeterministicInTheAppendSequenceAlone) {
   obs::CoverageCurveBuilder a(32);
   obs::CoverageCurveBuilder b(32);
@@ -315,7 +330,7 @@ TEST(CoverageTelemetryCollector, ReplayMatchesTheModelsOwnTourAccounting) {
 }
 
 /// The per-sequence commit the collector ran before it replayed batches,
-/// kept literally as commit_batch's oracle: one TestModel::step per input,
+/// kept as commit_batch's oracle: one one-lane transition_batch per input,
 /// folded straight into a CoverageTracker, one curve point per sequence.
 class SequentialTelemetry {
  public:
@@ -326,7 +341,7 @@ class SequentialTelemetry {
     std::uint64_t at = model_.reset_state();
     tracker_.visit_state(at);
     for (const std::uint64_t input : steps) {
-      const auto next = model_.step(at, input);
+      const auto next = one_lane(model_, at, input).next;
       if (!next.has_value()) {
         throw std::domain_error("invalid input in committed sequence");
       }
@@ -368,9 +383,9 @@ TEST(CoverageTelemetryCollector, BatchCommitIsByteIdenticalToSequential) {
   while (auto seq = stream->next_sequence()) sequences.push_back(*seq);
   ASSERT_FALSE(sequences.empty());
 
-  // Both backends override step_batch differently: a table lookup per lane
-  // on the explicit side, the 64-lane kernel on the symbolic side. Through
-  // encode_circuit the two share their state and input keys.
+  // Both backends answer transition_batch differently: a table lookup per
+  // lane on the explicit side, the 64-lane kernel on the symbolic side.
+  // Through encode_circuit the two share their state and input keys.
   const auto circuit = model::encode_circuit(m, 0);
   model::ExplicitModel explicit_model(m, 0), explicit_oracle_model(m, 0);
   model::SymbolicModel symbolic_model(circuit),

@@ -29,6 +29,7 @@
 #include "model/explicit_model.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/exporters.hpp"
+#include "one_lane.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "tour/tour.hpp"
 
@@ -88,8 +89,11 @@ TEST(TourStreaming, GeneratorMatchesMaterializedTourSet) {
 
 TEST(TourStreaming, ExplicitStreamMatchesMaterializedTour) {
   const auto m = fsm::random_connected_machine(30, 2, 4, 5);
+  // The materialized greedy tour set, as keys with its coverage.
   model::ExplicitModel materialized(m, 0);
-  const auto full = materialized.transition_tour();
+  const auto set = tour::greedy_transition_tour_set(m, 0);
+  ASSERT_TRUE(set.has_value());
+  const auto full = materialized.to_result(*set);
 
   model::ExplicitModel streamed_model(m, 0);
   auto stream = streamed_model.tour_source();
@@ -180,13 +184,14 @@ class CancelAfterSequences final : public obs::EventSink {
 
 TEST(PipelineCancel, MidStreamCancellationIsBatchAtomic) {
   auto options = tour_campaign_options();
-  options.max_in_flight_sequences = 1;  // one sequence per batch
+  // One thread: a window of two sequences per batch.
   CancelAfterSequences sink(options.cancel, 3);
   options.sink = &sink;
   const auto result = core::run_campaign(options, kThreeBugs);
 
-  // The token trips while sequence 2 (the third) is pulled; its batch is
-  // dropped whole, so exactly the two earlier sequences were committed.
+  // The token trips while sequence 2 (the third, first of the second batch)
+  // is pulled; its batch is dropped whole, so exactly the first batch's two
+  // sequences were committed.
   EXPECT_TRUE(result.cancelled());
   EXPECT_EQ(result.sequences, 2u);
   EXPECT_EQ(result.clean_runs.size(), 2u);
@@ -240,19 +245,25 @@ class PeakGaugeRecorder final : public obs::EventSink {
 };
 
 TEST(PipelineWindow, InFlightSequencesBoundedByWindow) {
+  // The window is twice the worker-pool lanes. At 8 threads it holds the
+  // whole tour; at 1 and 2 threads it is far below the sequence count, so
+  // the peak must respect it and the outcome must not change — streaming
+  // bounds memory, not results.
   auto options = tour_campaign_options();
+  options.threads = 8;
   const auto reference = core::run_campaign(options, kThreeBugs);
-  ASSERT_GT(reference.sequences, 2u);
+  ASSERT_GT(reference.sequences, 4u);
 
-  // Cap the window far below the sequence count: the peak must respect it
-  // and the outcome must not change — streaming bounds memory, not results.
-  PeakGaugeRecorder counters;
-  options.max_in_flight_sequences = 2;
-  options.sink = &counters;
-  const auto windowed = core::run_campaign(options, kThreeBugs);
-  EXPECT_LE(counters.peak(), 2u);
-  EXPECT_GT(counters.peak(), 0u);
-  EXPECT_EQ(core::semantic_json(windowed), core::semantic_json(reference));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    PeakGaugeRecorder counters;
+    options.threads = threads;
+    options.sink = &counters;
+    const auto windowed = core::run_campaign(options, kThreeBugs);
+    EXPECT_LE(counters.peak(), 2 * threads);
+    EXPECT_GT(counters.peak(), 0u);
+    EXPECT_EQ(core::semantic_json(windowed), core::semantic_json(reference))
+        << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -554,22 +565,6 @@ TEST(PipelineTelemetry, ExposureLatencyAgreesWithTheCompareVerdicts) {
   }
 }
 
-TEST(PipelineTelemetry, CurveBudgetBoundsThePointCountButNotTheEndpoint) {
-  core::CampaignOptions full = tour_campaign_options();
-  full.collect_coverage_telemetry = true;
-  const auto reference = core::run_campaign(full, kThreeBugs);
-  ASSERT_TRUE(reference.coverage_telemetry.has_value());
-
-  core::CampaignOptions tight = full;
-  tight.telemetry_curve_budget = 2;
-  const auto result = core::run_campaign(tight, kThreeBugs);
-  ASSERT_TRUE(result.coverage_telemetry.has_value());
-  EXPECT_LE(result.coverage_telemetry->convergence.size(), 3u);
-  EXPECT_EQ(result.coverage_telemetry->convergence.back(),
-            reference.coverage_telemetry->convergence.back())
-      << "downsampling must keep the campaign's final coverage point";
-}
-
 /// FNV-1a 64 over a report string.
 std::uint64_t fnv1a(std::string_view text) {
   std::uint64_t h = 14695981039346656037ull;
@@ -618,19 +613,19 @@ TEST(PipelineTelemetry, DisabledByDefaultAndAbsentFromTheReport) {
             std::string::npos);
 }
 
-TEST(PipelineTelemetry, MetricsRegistrySummaryLandsInTheReport) {
+TEST(PipelineTelemetry, MetricsRegistryAttachedAsTheSinkSeesEveryStage) {
   obs::MetricsRegistry registry;
   core::CampaignOptions options = tour_campaign_options();
-  options.metrics = &registry;
+  options.sink = &registry;
   const auto result = core::run_campaign(options, kThreeBugs);
-  ASSERT_TRUE(result.metrics.has_value());
-  EXPECT_FALSE(result.metrics->histograms.empty());
+  const auto summary = registry.summary();
+  EXPECT_FALSE(summary.histograms.empty());
 
   // Per-sequence latency instrumentation fed the registry for every stage
   // of the Figure-1 flow.
   bool tour_latency = false, concretize_latency = false,
        simulate_latency = false, queue_wait = false;
-  for (const auto& h : result.metrics->histograms) {
+  for (const auto& h : summary.histograms) {
     if (h.stage == obs::Stage::kTour && h.name == "sequence.latency_ns")
       tour_latency = true;
     if (h.stage == obs::Stage::kConcretize && h.name == "program.latency_ns")
@@ -644,9 +639,8 @@ TEST(PipelineTelemetry, MetricsRegistrySummaryLandsInTheReport) {
   EXPECT_TRUE(simulate_latency);
   EXPECT_TRUE(queue_wait);
 
-  const std::string json = core::to_json(result);
-  EXPECT_NE(json.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(json.find("\"clean_run.latency_ns\""), std::string::npos);
+  // The wall-clock summary stays with the registry, out of the report.
+  EXPECT_EQ(core::to_json(result).find("latency_ns"), std::string::npos);
 }
 
 TEST_F(PipelineStoreTest, TelemetrySurvivesKillAndResumeBitIdentically) {
@@ -915,7 +909,6 @@ TEST(PipelineStoreKeys, CheckpointKeyCoversEverySequenceShapingKnob) {
   // Runtime-only knobs stay out: a checkpoint resumes across them.
   core::CampaignOptions runtime_only = base;
   runtime_only.threads = 7;
-  runtime_only.max_in_flight_sequences = 3;
   runtime_only.checkpoint_every = 1;
   EXPECT_EQ(pipeline::checkpoint_key(runtime_only, built.circuit,
                                      model::Backend::kExplicit),
@@ -987,7 +980,7 @@ TEST(ConcretizeStageTest, ReplaysOnceForProgramsAndPathsAndHonoursCancel) {
     std::uint64_t at = m.reset_state();
     EXPECT_EQ(paths[i].front(), at);
     for (std::size_t j = 0; j < batch[i].size(); ++j) {
-      at = *m.step(at, batch[i][j]);
+      at = *one_lane(m, at, batch[i][j]).next;
       EXPECT_EQ(paths[i][j + 1], at) << i << ":" << j;
     }
   }

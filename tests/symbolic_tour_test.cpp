@@ -16,6 +16,7 @@
 
 #include "model/symbolic_model.hpp"
 #include "model/test_model.hpp"
+#include "one_lane.hpp"
 #include "runtime/rng.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "testmodel/testmodel.hpp"
@@ -904,20 +905,21 @@ TEST(SuccessorEnumeration, MatchesBddEvaluationOnRandomCircuits) {
                 [](const auto& a, const auto& b) { return a.input < b.input; });
       ASSERT_EQ(model.edges(state), sorted);
 
-      // step/output on every input, valid or not, and the listed inputs are
-      // exactly the valid ones.
+      // One transition_batch lane on every input, valid or not, and the
+      // listed inputs are exactly the valid ones.
       std::size_t valid = 0;
       for (std::uint64_t input = 0; input < num_inputs; ++input) {
         const auto ref = bdd_eval_step(oracle, state, input);
+        const OneLane lane = one_lane(model, state, input);
         if (!ref.has_value()) {
           ++invalid_pairs;
-          ASSERT_EQ(model.step(state, input), std::nullopt);
-          ASSERT_EQ(model.output(state, input), std::nullopt);
+          ASSERT_EQ(lane.next, std::nullopt);
+          ASSERT_EQ(lane.output, std::nullopt);
           continue;
         }
         ++valid;
-        ASSERT_EQ(model.step(state, input), ref->first);
-        ASSERT_EQ(model.output(state, input), ref->second);
+        ASSERT_EQ(lane.next, ref->first);
+        ASSERT_EQ(lane.output, ref->second);
       }
       ASSERT_EQ(valid, want.size());
     }
@@ -1027,8 +1029,9 @@ TEST(SuccessorEnumeration, SymbolicModelOwnsItsCircuit) {
     states.push_back(i % 4);
     inputs.push_back((i / 4) % 2);
   }
-  std::vector<std::optional<std::uint64_t>> next(states.size());
-  model.step_batch(states, inputs, next);
+  std::vector<std::optional<std::uint64_t>> next(states.size()),
+      out(states.size());
+  model.transition_batch(states, inputs, next, out);
   for (std::size_t i = 0; i < states.size(); ++i) {
     if (states[i] == 0 && inputs[i] == 0) {
       EXPECT_EQ(next[i], std::nullopt) << i;  // (00, en=0) is invalid

@@ -15,6 +15,7 @@
 
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
+#include "one_lane.hpp"
 #include "runtime/rng.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "tour/tour.hpp"
@@ -502,7 +503,7 @@ TEST(ConcretizeFromModelOutputs, InvalidInputThrowsOnBothPaths) {
     const auto first = m->edges(m->reset_state()).front();
     std::optional<std::uint64_t> bad;
     for (std::uint64_t key = 0; key >> m->input_bits() == 0; ++key) {
-      if (!m->step(first.next, key).has_value()) {
+      if (!one_lane(*m, first.next, key).next.has_value()) {
         bad = key;
         break;
       }
