@@ -7,7 +7,7 @@ namespace simcov::core {
 
 CampaignResult run_campaign(const CampaignOptions& options,
                             std::span<const dlx::PipelineBug> bugs) {
-  return pipeline::ValidationPipeline(options).run(bugs);
+  return pipeline::execute_campaign(options, bugs);
 }
 
 MutantCoverageResult evaluate_mutant_coverage(

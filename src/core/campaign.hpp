@@ -1,8 +1,8 @@
 // End-to-end validation campaigns — the complete Figure 1 flow, and the
 // abstract (machine-level) completeness experiments behind Theorem 3.
 //
-// The campaign engine itself lives in src/pipeline: a streaming
-// pipeline::ValidationPipeline assembled from typed stages (model build ->
+// The campaign engine itself lives in src/pipeline: the streaming executor
+// pipeline::execute_campaign, assembled from typed stages (model build ->
 // tour -> concretize -> simulate -> compare), instrumented through
 // obs::EventSink, with per-stage reports and cooperative cancellation.
 // This header re-exports the pipeline contracts under the historical
@@ -45,7 +45,7 @@ using pipeline::StageReport;
 using pipeline::TestMethod;
 
 /// Runs a full campaign against each bug in `bugs` (plus a clean run).
-/// Thin assembly of pipeline::ValidationPipeline.
+/// Calls the streaming executor, pipeline::execute_campaign.
 CampaignResult run_campaign(const CampaignOptions& options,
                             std::span<const dlx::PipelineBug> bugs);
 

@@ -9,9 +9,13 @@ namespace simcov::model {
 
 SymbolicModel::SymbolicModel(const sym::SequentialCircuit& circuit,
                              bdd::ReorderPolicy reorder)
-    // The comma expression installs the reordering policy on the manager
-    // before SymbolicFsm builds the transition relation in it.
-    : fsm_((mgr_.set_reorder_policy(reorder), mgr_), circuit),
+    // The comma expression rejects a circuit too wide for packed keys and
+    // installs the reordering policy on the manager, both before SymbolicFsm
+    // builds the transition relation in it: on a too-wide circuit that build
+    // can run for minutes and gigabytes before packed_ would reject it.
+    : fsm_((sym::PackedCircuitSim::check_key_widths(circuit),
+            mgr_.set_reorder_policy(reorder), mgr_),
+           circuit),
       packed_(fsm_.circuit()),
       reset_(pack_bits(fsm_.initial_state_bits())),
       classes_(fsm_) {}

@@ -20,24 +20,24 @@
 // latency triage — while max is exact. The bucket scheme is fixed (no
 // rebalancing), so merging and golden-testing summaries is trivial.
 //
-// Hot-path cost: one sharded mutex acquire to resolve (Stage, name) → entry,
-// then lock-free atomic updates. Shards are selected by key hash, so
-// concurrent workers observing different metrics rarely contend.
+// Concurrency: one mutex guards all three maps, so every summary() is an
+// exact snapshot. The traffic is small: bench_parallel_campaign --metrics
+// folds 4,200 histogram observations over 5 campaigns and 4 mutant-coverage
+// runs, so an uncontended lock per event stays far inside the
+// observability overhead gate.
 //
-// Wall-clock derived values (latency histograms) are inherently
-// nondeterministic run to run; consumers that need bit-identical reports
-// erase the "metrics" JSON section (core::semantic_json), the same way
-// they erase "timings".
+// Wall-clock derived values (latency histograms) differ run to run. The
+// campaign report carries no metrics, so they never reach a semantic golden;
+// only their bucket placement varies, never their counts.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/event_sink.hpp"
@@ -74,7 +74,7 @@ struct MetricEntry {
 };
 
 /// Everything the registry has aggregated, in deterministic (stage, name)
-/// order — the input to write_prometheus_text and the report JSON section.
+/// order — the input to write_prometheus_text.
 struct MetricsSummary {
   std::vector<MetricEntry<std::uint64_t>> counters;
   std::vector<MetricEntry<std::uint64_t>> gauges;
@@ -98,69 +98,18 @@ class MetricsRegistry final : public EventSink {
   void latency(Stage stage, std::string_view kind, std::uint64_t id,
                double seconds) override;
 
-  // Direct API for code that aggregates without the event vocabulary.
-  void add_counter(Stage stage, std::string_view name, std::uint64_t value);
-  void max_gauge(Stage stage, std::string_view name, std::uint64_t value);
-  void observe(Stage stage, std::string_view name, std::uint64_t value);
-
   [[nodiscard]] MetricsSummary summary() const;
 
  private:
-  struct CounterCell {
-    std::atomic<std::uint64_t> value{0};
-  };
-  struct GaugeCell {
-    std::atomic<std::uint64_t> value{0};
-  };
-  struct HistogramCell {
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> max{0};
-  };
+  template <typename Value>
+  using MetricMap = std::map<std::pair<Stage, std::string>, Value>;
 
-  struct KeyLess {
-    using is_transparent = void;
-    bool operator()(const std::pair<Stage, std::string>& a,
-                    const std::pair<Stage, std::string_view>& b) const {
-      if (a.first != b.first) return a.first < b.first;
-      return std::string_view(a.second) < b.second;
-    }
-    bool operator()(const std::pair<Stage, std::string_view>& a,
-                    const std::pair<Stage, std::string>& b) const {
-      if (a.first != b.first) return a.first < b.first;
-      return a.second < std::string_view(b.second);
-    }
-    bool operator()(const std::pair<Stage, std::string>& a,
-                    const std::pair<Stage, std::string>& b) const {
-      if (a.first != b.first) return a.first < b.first;
-      return a.second < b.second;
-    }
-  };
+  void fold(Stage stage, std::string name, std::uint64_t value);
 
-  template <typename Cell>
-  using CellMap =
-      std::map<std::pair<Stage, std::string>, std::unique_ptr<Cell>, KeyLess>;
-
-  /// Keys hash to a shard; each shard owns its maps under one mutex.
-  /// Cells are heap-allocated so their atomics stay valid after the shard
-  /// lock is released — the hot path holds the lock only for the lookup.
-  struct Shard {
-    mutable std::mutex mutex;
-    CellMap<CounterCell> counters;
-    CellMap<GaugeCell> gauges;
-    CellMap<HistogramCell> histograms;
-  };
-
-  static constexpr std::size_t kShardCount = 16;
-
-  [[nodiscard]] Shard& shard_for(Stage stage, std::string_view name);
-
-  template <typename Cell>
-  [[nodiscard]] static Cell& cell(Shard& shard, CellMap<Cell> Shard::*map,
-                                  Stage stage, std::string_view name);
-
-  std::array<Shard, kShardCount> shards_;
+  mutable std::mutex mutex_;
+  MetricMap<std::uint64_t> counters_;
+  MetricMap<std::uint64_t> gauges_;
+  MetricMap<HistogramSummary> histograms_;  ///< quantiles filled by summary()
 };
 
 }  // namespace simcov::obs

@@ -3,7 +3,7 @@
 // The campaign types (options, result, per-run telemetry) used to live in
 // core/campaign.hpp; they moved here when the campaign monolith was
 // decomposed into typed stages (pipeline/stages.hpp) assembled by
-// pipeline::ValidationPipeline. core/campaign.hpp re-exports every name, so
+// pipeline::execute_campaign. core/campaign.hpp re-exports every name, so
 // existing core:: callers compile unchanged.
 //
 // New with the pipeline:

@@ -478,8 +478,8 @@ MutantCoverageResult MutantReplayStage::run(
     const errmodel::MutantReplay replay(machine, start, set.sequences);
     const auto queue_wait =
         queue_wait_observer(sink, obs::Stage::kMutantReplay, 0);
-    runtime::parallel_for_each(
-        options.threads, mutants.size(),
+    runtime::ThreadPool(options.threads).for_each_index(
+        mutants.size(),
         [&](std::size_t m) {
           const auto t0 = std::chrono::steady_clock::now();
           const auto exposure = replay.first_exposing_sequence(mutants[m]);

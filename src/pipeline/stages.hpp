@@ -1,5 +1,5 @@
 // The typed stages of the validation pipeline (Figure 1 of the paper, plus
-// the Theorem-3 mutant replay), assembled by pipeline::ValidationPipeline.
+// the Theorem-3 mutant replay), assembled by pipeline::execute_campaign.
 //
 //   ModelBuildStage -> (SymbolicSnapshotStage) -> GenerateStage
 //       -> ConcretizeStage -> SimulateStage -> CompareStage

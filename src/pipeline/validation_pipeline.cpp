@@ -433,13 +433,13 @@ store::Fingerprint checkpoint_key(const CampaignOptions& options,
   return h.digest();
 }
 
-CampaignResult ValidationPipeline::run(
-    std::span<const dlx::PipelineBug> bugs) {
-  Campaign c(options_, bugs);
+CampaignResult execute_campaign(const CampaignOptions& options,
+                                std::span<const dlx::PipelineBug> bugs) {
+  Campaign c(options, bugs);
 
   // One worker pool for every sharded loop. Each loop writes into
   // pre-sized per-index slots, so the outcome is independent of scheduling.
-  runtime::ThreadPool pool(options_.threads);
+  runtime::ThreadPool pool(options.threads);
   // The streaming window: sequences held in flight at once.
   const std::size_t window = 2 * pool.size();
 

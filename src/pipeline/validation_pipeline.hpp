@@ -39,16 +39,8 @@ namespace simcov::pipeline {
     const CampaignOptions& options, const sym::SequentialCircuit& circuit,
     model::Backend backend);
 
-class ValidationPipeline {
- public:
-  explicit ValidationPipeline(CampaignOptions options)
-      : options_(std::move(options)) {}
-
-  /// Runs the full campaign against each bug in `bugs` (plus clean runs).
-  [[nodiscard]] CampaignResult run(std::span<const dlx::PipelineBug> bugs);
-
- private:
-  CampaignOptions options_;
-};
+/// Runs the full campaign against each bug in `bugs` (plus clean runs).
+[[nodiscard]] CampaignResult execute_campaign(
+    const CampaignOptions& options, std::span<const dlx::PipelineBug> bugs);
 
 }  // namespace simcov::pipeline

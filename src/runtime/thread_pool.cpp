@@ -110,28 +110,4 @@ void ThreadPool::for_each_index(std::size_t count,
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void parallel_for_each(std::size_t threads, std::size_t count,
-                       const std::function<void(std::size_t)>& fn,
-                       const std::atomic<bool>* cancel,
-                       const ThreadPool::QueueWaitObserver* queue_wait) {
-  const std::size_t lanes = resolve_threads(threads);
-  if (lanes <= 1 || count <= 1) {
-    const auto posted = std::chrono::steady_clock::now();
-    for (std::size_t k = 0; k < count; ++k) {
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-        return;
-      }
-      if (queue_wait != nullptr) {
-        (*queue_wait)(k, std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - posted)
-                             .count());
-      }
-      fn(k);
-    }
-    return;
-  }
-  ThreadPool pool(lanes);
-  pool.for_each_index(count, fn, cancel, queue_wait);
-}
-
 }  // namespace simcov::runtime

@@ -1,6 +1,6 @@
 // A small shared-counter thread pool for embarrassingly parallel campaign
 // loops (one spec-vs-impl simulation per injected bug, one model replay per
-// sampled mutant — see campaign.cpp).
+// sampled mutant — see pipeline/stages.cpp).
 //
 // Scheduling is dynamic: workers (and the calling thread, which always
 // participates) pull the next index from a shared atomic counter, so
@@ -89,15 +89,5 @@ class ThreadPool {
   std::size_t active_ = 0;           ///< workers currently inside a job
   bool stop_ = false;
 };
-
-/// One-shot helper: runs fn(0..count-1) on a transient pool of
-/// `resolve_threads(threads)` lanes. `threads <= 1` or `count <= 1` runs
-/// inline without spawning anything. `cancel` as in
-/// ThreadPool::for_each_index (the inline path checks it between indices).
-void parallel_for_each(std::size_t threads, std::size_t count,
-                       const std::function<void(std::size_t)>& fn,
-                       const std::atomic<bool>* cancel = nullptr,
-                       const ThreadPool::QueueWaitObserver* queue_wait =
-                           nullptr);
 
 }  // namespace simcov::runtime

@@ -115,11 +115,15 @@ void PackedLogicSim::eval_into(std::span<const std::uint64_t> input_words,
 
 PackedCircuitSim::PackedCircuitSim(const SequentialCircuit& circuit)
     : circuit_(&circuit), sim_(circuit.net), sources_(input_sources(circuit)) {
+  check_key_widths(circuit);
+  sim_.prepare(values_);
+}
+
+void PackedCircuitSim::check_key_widths(const SequentialCircuit& circuit) {
   if (circuit.latches.size() > 63 || circuit.primary_inputs.size() > 63) {
     throw std::invalid_argument(
         "PackedCircuitSim: too many variables for packed 64-bit keys");
   }
-  sim_.prepare(values_);
 }
 
 namespace {

@@ -104,6 +104,11 @@ class PackedCircuitSim {
   /// step() call, like SymbolicModel::output).
   explicit PackedCircuitSim(const SequentialCircuit& circuit);
 
+  /// The constructor's packed-key width check on its own: throws
+  /// std::invalid_argument beyond 63 latches / primary inputs. Callers that
+  /// build costlier structures over the same circuit run it first.
+  static void check_key_widths(const SequentialCircuit& circuit);
+
   /// Steps lanes [0, states.size()) once: lane L starts in state key
   /// states[L] and consumes input key inputs[L]. Returns the mask of lanes
   /// whose (state, input) satisfies the circuit's validity constraint;

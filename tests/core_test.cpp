@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "errmodel/errmodel.hpp"
@@ -332,6 +334,18 @@ TEST(CampaignBackend, StateTourRequiresExplicitBackend) {
   options.method = TestMethod::kStateTour;
   options.backend = BackendChoice::kSymbolic;
   EXPECT_THROW(run_campaign(options, {}), std::runtime_error);
+}
+
+TEST(CampaignBackend, SymbolicBackendRejectsUnpackableModelBeforeBuildingIt) {
+  // The reg2 control model has more latches than a packed 64-bit state key
+  // holds. The symbolic backend must reject it at once rather than first
+  // building its transition relation (minutes and gigabytes of BDDs).
+  CampaignOptions options;
+  options.model_options.reg_addr_bits = 2;
+  options.backend = BackendChoice::kSymbolic;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(run_campaign(options, {}), std::invalid_argument);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST(CampaignBackend, SymbolicCampaignBitIdenticalAcrossThreads) {

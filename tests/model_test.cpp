@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
@@ -188,6 +190,31 @@ TEST(ExplicitModelAdapter, RejectsTruncatedExtraction) {
   auto truncated = sym::extract_explicit(model.circuit, 4);
   ASSERT_TRUE(truncated.truncated);
   EXPECT_THROW(ExplicitModel{std::move(truncated)}, std::invalid_argument);
+}
+
+TEST(SymbolicModelAdapter, RejectsCircuitTooWideToPackBeforeBuildingBdds) {
+  // A 64-stage shift register: one latch past the packed-key limit. The
+  // width check must run before SymbolicFsm builds any BDD, so the throw is
+  // immediate whatever the circuit's BDD cost would have been.
+  sym::SequentialCircuit c;
+  sym::SignalId prev = c.net.add_input("in");
+  c.primary_inputs = {prev};
+  for (int j = 0; j < 64; ++j) {
+    const std::string name = "q" + std::to_string(j);
+    const sym::SignalId q = c.net.add_input(name);
+    c.latches.push_back({q, prev, false, name});
+    prev = q;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    SymbolicModel model(c);
+    ADD_FAILURE() << "a 64-latch circuit must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("too many variables"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST(CoverageTrackerTest, CountsDistinctStatesAndTransitions) {

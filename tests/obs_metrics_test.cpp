@@ -127,8 +127,8 @@ TEST(MetricsRegistry, EventVocabularyMapsToNamedHistograms) {
 TEST(MetricsRegistry, QuantilesAreBucketUpperBoundsAndMaxIsExact) {
   obs::MetricsRegistry reg;
   // 90 small values in bucket 1 (ub 1), 10 larger in bucket 4 (ub 15).
-  for (int i = 0; i < 90; ++i) reg.observe(obs::Stage::kTour, "h", 1);
-  for (int i = 0; i < 10; ++i) reg.observe(obs::Stage::kTour, "h", 12);
+  for (int i = 0; i < 90; ++i) reg.item(obs::Stage::kTour, "h", 0, 1);
+  for (int i = 0; i < 10; ++i) reg.item(obs::Stage::kTour, "h", 0, 12);
 
   const auto s = reg.summary();
   ASSERT_EQ(s.histograms.size(), 1u);
@@ -151,8 +151,8 @@ TEST(MetricsRegistry, ConcurrentObservationsAreAllCounted) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
-        reg.add_counter(obs::Stage::kSimulate, "n", 1);
-        reg.observe(obs::Stage::kSimulate, "v", i);
+        reg.counter(obs::Stage::kSimulate, "n", 1);
+        reg.item(obs::Stage::kSimulate, "v", 0, i);
       }
     });
   }
@@ -169,9 +169,9 @@ TEST(MetricsRegistry, ConcurrentObservationsAreAllCounted) {
 TEST(MetricsRegistry, SnapshotWhileFoldingIsSafeAndMonotonic) {
   // summary() may be read from another thread while the campaign folds
   // events concurrently (the registry locks for it). Any intermediate
-  // snapshot must be internally sane (no torn reads: count covers every
-  // bucketed observation) and the per-name counts must only grow; the
-  // final snapshot after joining must be exact. Run under TSan in CI.
+  // snapshot must be exact (the bucket sum equals count) and the per-name
+  // counts must only grow; the final snapshot after joining must be exact.
+  // Run under TSan in CI.
   obs::MetricsRegistry reg;
   static constexpr std::size_t kWriters = 4;
   static constexpr std::size_t kPerThread = 5000;
@@ -180,9 +180,9 @@ TEST(MetricsRegistry, SnapshotWhileFoldingIsSafeAndMonotonic) {
   for (std::size_t t = 0; t < kWriters; ++t) {
     writers.emplace_back([&reg, t] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
-        reg.add_counter(obs::Stage::kSimulate, "commits", 1);
-        reg.observe(obs::Stage::kSimulate, "cycles", t * kPerThread + i);
-        reg.max_gauge(obs::Stage::kTour, "peak", i);
+        reg.counter(obs::Stage::kSimulate, "commits", 1);
+        reg.item(obs::Stage::kSimulate, "cycles", 0, t * kPerThread + i);
+        reg.gauge(obs::Stage::kTour, "peak", i);
       }
     });
   }
@@ -198,15 +198,11 @@ TEST(MetricsRegistry, SnapshotWhileFoldingIsSafeAndMonotonic) {
       for (const auto& h : s.histograms) {
         EXPECT_GE(h.value.count, last_histo);
         last_histo = h.value.count;
-        // Bucket and count are separate relaxed atomics, so a snapshot may
-        // catch a writer between the two increments — but never by more
-        // than one gap per in-flight writer.
+        // One lock covers every fold, so a snapshot is exact: each
+        // counted observation sits in exactly one bucket.
         std::uint64_t bucketed = 0;
         for (const auto b : h.value.buckets) bucketed += b;
-        const std::uint64_t lo = std::min(bucketed, h.value.count);
-        const std::uint64_t hi = std::max(bucketed, h.value.count);
-        EXPECT_LE(hi - lo, kWriters)
-            << "snapshot tear wider than the in-flight writer count";
+        EXPECT_EQ(bucketed, h.value.count) << "torn snapshot";
       }
     }
   });
@@ -440,10 +436,10 @@ TEST(CoverageTelemetryCollector, BatchCommitRejectsInvalidInputs) {
 
 TEST(PrometheusText, RendersCountersGaugesAndCumulativeHistograms) {
   obs::MetricsRegistry reg;
-  reg.add_counter(obs::Stage::kTour, "store.hit", 5);
-  reg.max_gauge(obs::Stage::kTour, "sequences_in_flight_peak", 3);
-  for (int i = 0; i < 4; ++i) reg.observe(obs::Stage::kSimulate, "steps", 6);
-  reg.observe(obs::Stage::kSimulate, "steps", 100);
+  reg.counter(obs::Stage::kTour, "store.hit", 5);
+  reg.gauge(obs::Stage::kTour, "sequences_in_flight_peak", 3);
+  for (int i = 0; i < 4; ++i) reg.item(obs::Stage::kSimulate, "steps", 0, 6);
+  reg.item(obs::Stage::kSimulate, "steps", 0, 100);
 
   const std::string text = obs::write_prometheus_text(reg);
   EXPECT_NE(text.find("# TYPE simcov_store_hit_total counter"),
@@ -474,9 +470,9 @@ TEST(PrometheusText, EmptyRegistryRendersEmpty) {
 
 TEST(PrometheusText, HelpLinesPrecedeEveryTypeLine) {
   obs::MetricsRegistry reg;
-  reg.add_counter(obs::Stage::kSimulate, "checkpoint.write", 1);
-  reg.max_gauge(obs::Stage::kSymbolic, "bdd_live_nodes", 7);
-  reg.observe(obs::Stage::kSimulate, "clean_run", 3);
+  reg.counter(obs::Stage::kSimulate, "checkpoint.write", 1);
+  reg.gauge(obs::Stage::kSymbolic, "bdd_live_nodes", 7);
+  reg.item(obs::Stage::kSimulate, "clean_run", 0, 3);
 
   const std::string text = obs::write_prometheus_text(reg);
   // Golden HELP lines for the known vocabulary, counter name with _total.
@@ -506,7 +502,7 @@ TEST(PrometheusText, HelpLinesPrecedeEveryTypeLine) {
 
 TEST(PrometheusText, UnknownMetricNamesGetAGenericHelpLine) {
   obs::MetricsRegistry reg;
-  reg.add_counter(obs::Stage::kTour, "weird.new.metric", 1);
+  reg.counter(obs::Stage::kTour, "weird.new.metric", 1);
   const std::string text = obs::write_prometheus_text(reg);
   EXPECT_NE(text.find("# HELP simcov_weird_new_metric_total simcov metric "
                       "'weird.new.metric', aggregated per pipeline stage.\n"),
@@ -527,9 +523,9 @@ TEST(PrometheusText, LargeValuesKeepFullPrecision) {
   // float64 unchanged. 2^53 + 1 is the sentinel: one digit lost anywhere in
   // the pipeline and the text below cannot appear.
   obs::MetricsRegistry reg;
-  reg.add_counter(obs::Stage::kSimulate, "cycles", 9007199254740993ull);
-  reg.max_gauge(obs::Stage::kSimulate, "peak", 123456789ull);
-  reg.observe(obs::Stage::kSimulate, "lat", 987654321ull);
+  reg.counter(obs::Stage::kSimulate, "cycles", 9007199254740993ull);
+  reg.gauge(obs::Stage::kSimulate, "peak", 123456789ull);
+  reg.item(obs::Stage::kSimulate, "lat", 0, 987654321ull);
 
   const std::string text = obs::write_prometheus_text(reg);
   EXPECT_NE(

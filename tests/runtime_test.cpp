@@ -85,11 +85,11 @@ TEST(ThreadPool, BackToBackLoopsReuseWorkers) {
   }
 }
 
-TEST(ParallelForEach, CoversAllIndicesAtAnyThreadCount) {
+TEST(ThreadPool, CoversAllIndicesAtAnyThreadCount) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}, std::size_t{0}}) {
     std::vector<std::atomic<int>> hits(123);
-    parallel_for_each(threads, hits.size(), [&](std::size_t k) {
+    ThreadPool(threads).for_each_index(hits.size(), [&](std::size_t k) {
       hits[k].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t k = 0; k < hits.size(); ++k) {
