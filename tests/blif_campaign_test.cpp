@@ -1,16 +1,19 @@
 // End-to-end campaign tests over the BLIF frontend: run_campaign on a
 // bundled netlist (explicit and symbolic backends), determinism across
-// thread counts, VCD export covering every committed sequence, and the
-// external-circuit restrictions (no DLX bug injection).
+// thread counts, VCD export covering every committed sequence, the cycle
+// budget's truncation of clean runs and waveforms, pinned waveform bytes,
+// and the external-circuit restrictions (no DLX bug injection).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -60,6 +63,16 @@ std::string slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// FNV-1a 64 over a file's text.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 TEST(BlifCampaignTest, ExplicitBackendRunsEndToEnd) {
@@ -130,6 +143,51 @@ TEST(BlifCampaignTest, VcdExportCoversEveryCommittedSequence) {
   again.vcd_path = tmp.str("tlc_again.vcd");
   (void)run_campaign(again, {});
   EXPECT_EQ(slurp(again.vcd_path), text);
+}
+
+// tlc's tour is one 9-step sequence; a 5-cycle budget cuts its clean run
+// and its waveform after cycle 5 and leaves the run inconclusive.
+TEST(BlifCampaignTest, CycleBudgetTruncatesRunsAndWaveform) {
+  TempDir tmp;
+  auto options = blif_options(bundled("tlc.blif"));
+  options.max_cycles = 5;
+  options.vcd_path = tmp.str("tlc.vcd");
+  const auto result = run_campaign(options, {});
+  ASSERT_EQ(result.clean_runs.size(), 1u);
+  EXPECT_EQ(result.test_length, 9u);
+  const RunMetrics& run = result.clean_runs[0];
+  EXPECT_EQ(run.impl_cycles, 5u);
+  EXPECT_EQ(run.checkpoints, 5u);
+  EXPECT_TRUE(run.budget_exhausted);
+  EXPECT_TRUE(run.passed);
+  EXPECT_TRUE(result.clean_pass);
+  EXPECT_EQ(result.runs_inconclusive, 1u);
+  EXPECT_EQ(fnv1a(slurp(options.vcd_path)), 4552767894373824662ull);
+}
+
+// The exported waveforms, byte for byte. Both backends tour these netlists
+// into the same sequences, so one pin per netlist holds for each.
+TEST(BlifCampaignTest, VcdBytesArePinnedOnBothBackends) {
+  struct Case {
+    const char* circuit;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"tlc.blif", 15412609237782079212ull},
+      {"count3.blif", 5814048225405101626ull},
+  };
+  TempDir tmp;
+  for (const Case& c : cases) {
+    for (const BackendChoice backend :
+         {BackendChoice::kExplicit, BackendChoice::kSymbolic}) {
+      auto options = blif_options(bundled(c.circuit));
+      options.backend = backend;
+      options.vcd_path = tmp.str("wave.vcd");
+      (void)run_campaign(options, {});
+      EXPECT_EQ(fnv1a(slurp(options.vcd_path)), c.hash)
+          << c.circuit << " backend " << static_cast<int>(backend);
+    }
+  }
 }
 
 TEST(BlifCampaignTest, RejectsBugInjectionForExternalCircuits) {

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <regex>
 #include <set>
 #include <string>
@@ -407,6 +408,16 @@ TEST(PipelineGolden, ExplicitTourMatchesPreRefactorEngine) {
   }
 }
 
+/// FNV-1a 64 over a report or waveform text.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint store integration: kill, resume and erase on completion
 // ---------------------------------------------------------------------------
@@ -494,6 +505,60 @@ TEST_F(PipelineStoreTest, KilledCampaignResumesIdenticallyAcrossThreads) {
   }
 }
 
+// The DLX waveform, byte for byte, on both backends: at any thread count,
+// and from a campaign killed after three clean runs and resumed.
+TEST_F(PipelineStoreTest, DlxWaveformIsPinnedAcrossThreadsAndResume) {
+  struct Case {
+    core::BackendChoice backend;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {core::BackendChoice::kExplicit, 3407631635820193117ull},
+      {core::BackendChoice::kSymbolic, 5846525204836248667ull},
+  };
+  const auto slurp_hash = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.is_open()) << path;
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    return fnv1a(text);
+  };
+  for (const Case& c : cases) {
+    const auto dir = dir_ / (c.backend == core::BackendChoice::kExplicit
+                                 ? "explicit"
+                                 : "symbolic");
+    std::filesystem::create_directories(dir);
+    core::CampaignOptions base = tour_campaign_options();
+    base.backend = c.backend;
+    base.checkpoint_every = 2;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      core::CampaignOptions options = base;
+      options.threads = threads;
+      options.vcd_path = (dir / "wave.vcd").string();
+      (void)core::run_campaign(options, {});
+      EXPECT_EQ(slurp_hash(options.vcd_path), c.hash)
+          << static_cast<int>(c.backend) << " threads=" << threads;
+    }
+
+    core::CampaignOptions kopt = base;
+    kopt.cancel = core::CancellationToken{};
+    kopt.store_dir = (dir / "store").string();
+    KillAfterRuns killer(kopt.cancel, 3);
+    kopt.sink = &killer;
+    ASSERT_TRUE(core::run_campaign(kopt, {}).cancelled());
+    core::CampaignOptions ropt = base;
+    ropt.cancel = core::CancellationToken{};
+    ropt.store_dir = kopt.store_dir;
+    ropt.resume = true;
+    ropt.vcd_path = (dir / "resumed.vcd").string();
+    const auto resumed = core::run_campaign(ropt, {});
+    ASSERT_TRUE(resumed.store_stats.has_value());
+    EXPECT_GT(resumed.store_stats->resumed_sequences, 0u);
+    EXPECT_EQ(slurp_hash(ropt.vcd_path), c.hash)
+        << static_cast<int>(c.backend) << " resumed";
+  }
+}
+
 TEST_F(PipelineStoreTest, ResumeWithoutACheckpointIsACleanColdRun) {
   core::CampaignOptions options = tour_campaign_options();
   options.store_dir = dir_.string();
@@ -563,16 +628,6 @@ TEST(PipelineTelemetry, ExposureLatencyAgreesWithTheCompareVerdicts) {
           << "bug " << b << ": latency must be the 1-based exposing index";
     }
   }
-}
-
-/// FNV-1a 64 over a report string.
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 // Pins the whole semantic report, coverage_telemetry section included, on
