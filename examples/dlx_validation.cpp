@@ -106,7 +106,6 @@ int main() {
   core::CampaignOptions campaign;
   campaign.model_options = opt;
   campaign.threads = 0;
-  campaign.collect_symbolic_stats = true;  // BDD snapshot in the report
   const std::vector<dlx::PipelineBug> bugs{
       dlx::PipelineBug::kNoLoadUseStall,
       dlx::PipelineBug::kNoForwardExMemA,

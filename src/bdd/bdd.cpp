@@ -471,7 +471,7 @@ void BddManager::sift_var(unsigned var_id) {
   if (num_vars_ < 2) return;
   const std::size_t start = nodes_.size() - free_count_;
   const std::size_t limit =
-      static_cast<std::size_t>(static_cast<double>(start) * max_growth_) + 16;
+      static_cast<std::size_t>(static_cast<double>(start) * kMaxGrowth) + 16;
   const unsigned start_level = var2level_[var_id];
   unsigned cur = start_level;
   unsigned best = start_level;

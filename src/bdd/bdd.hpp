@@ -268,9 +268,6 @@ class BddManager {
   void set_reorder_threshold(std::size_t nodes) noexcept {
     reorder_threshold_ = nodes;
   }
-  /// Abort factor for one sift leg: a variable stops moving in a direction
-  /// once the table exceeds `factor` times its size at sift start.
-  void set_max_growth(double factor) noexcept { max_growth_ = factor; }
 
  private:
   friend class Bdd;
@@ -380,7 +377,9 @@ class BddManager {
   std::vector<unsigned> level2var_;  // ordering level -> variable id
   ReorderPolicy reorder_policy_ = ReorderPolicy::kNone;
   std::size_t reorder_threshold_ = 1u << 13;
-  double max_growth_ = 1.2;
+  /// Abort factor for one sift leg: a variable stops moving in a direction
+  /// once the table exceeds this many times its size at sift start.
+  static constexpr double kMaxGrowth = 1.2;
   bool in_reorder_ = false;
   std::size_t peak_live_ = 0;
   std::vector<std::uint32_t> reorder_indeg_;  // live only while in_reorder_

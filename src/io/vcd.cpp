@@ -1,5 +1,6 @@
 #include "io/vcd.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <map>
@@ -33,6 +34,11 @@ std::string sanitize(std::string_view name) {
   return out;
 }
 
+/// Bit `k` of a packed key as a VCD scalar.
+char bit(std::uint64_t key, std::size_t k) {
+  return ((key >> k) & 1u) != 0 ? '1' : '0';
+}
+
 /// Tracks the last emitted value per var so only changes are written, and
 /// owns the `#time` markers so each timestamp appears at most once no
 /// matter how many emission sites touch it. VCD scalars: '0', '1', 'x'.
@@ -63,8 +69,13 @@ class ChangeBuffer {
 }  // namespace
 
 VcdWriter::VcdWriter(const sym::SequentialCircuit& circuit,
-                     std::string_view module_name)
-    : module_name_(sanitize(module_name)) {
+                     std::string_view module_name, std::size_t max_cycles)
+    : module_name_(sanitize(module_name)), max_cycles_(max_cycles) {
+  if (circuit.primary_inputs.size() > 63 || circuit.latches.size() > 63 ||
+      circuit.outputs.size() > 63) {
+    throw std::invalid_argument(
+        "VcdWriter: more than 63 signals for packed 64-bit keys");
+  }
   const auto& net = circuit.net;
   std::map<sym::SignalId, std::size_t> input_index;
   for (std::size_t k = 0; k < net.num_inputs(); ++k) {
@@ -88,29 +99,32 @@ VcdWriter::VcdWriter(const sym::SequentialCircuit& circuit,
 }
 
 void VcdWriter::add_sequence(std::string_view name,
-                             const sym::SequenceTrace& trace) {
-  if (trace.states.size() != trace.steps + 1 ||
-      trace.inputs.size() != trace.steps ||
-      trace.outputs.size() != trace.steps) {
+                             std::span<const std::uint64_t> states,
+                             std::span<const std::uint64_t> inputs,
+                             std::span<const std::uint64_t> outputs) {
+  if (states.size() != inputs.size() + 1 ||
+      outputs.size() != inputs.size()) {
     throw std::invalid_argument("VcdWriter: inconsistent trace shape");
   }
-  for (const auto& s : trace.states) {
-    if (s.size() != latch_names_.size()) {
-      throw std::invalid_argument("VcdWriter: trace latch width mismatch");
+  const std::size_t steps = std::min(inputs.size(), max_cycles_);
+  Trace trace{{states.begin(), states.begin() + steps + 1},
+              {inputs.begin(), inputs.begin() + steps},
+              {outputs.begin(), outputs.begin() + steps}};
+  // Widths are at most 63 (constructor), so every shift is defined.
+  const auto check = [](const std::vector<std::uint64_t>& keys,
+                        std::size_t width, const char* what) {
+    for (const std::uint64_t key : keys) {
+      if ((key >> width) != 0) {
+        throw std::invalid_argument(std::string("VcdWriter: trace ") + what +
+                                    " width mismatch");
+      }
     }
-  }
-  for (const auto& i : trace.inputs) {
-    if (i.size() != pi_names_.size()) {
-      throw std::invalid_argument("VcdWriter: trace input width mismatch");
-    }
-  }
-  for (const auto& o : trace.outputs) {
-    if (o.size() != out_names_.size()) {
-      throw std::invalid_argument("VcdWriter: trace output width mismatch");
-    }
-  }
+  };
+  check(trace.states, latch_names_.size(), "latch");
+  check(trace.inputs, pi_names_.size(), "input");
+  check(trace.outputs, out_names_.size(), "output");
   seq_names_.push_back(sanitize(name));
-  traces_.push_back(trace);
+  traces_.push_back(std::move(trace));
 }
 
 void VcdWriter::write(std::ostream& out) const {
@@ -147,20 +161,20 @@ void VcdWriter::write(std::ostream& out) const {
   ChangeBuffer buffer(traces_.size() * vars_per_seq, out);
   std::size_t time = 0;
   for (std::size_t s = 0; s < traces_.size(); ++s) {
-    const sym::SequenceTrace& trace = traces_[s];
+    const Trace& trace = traces_[s];
     const std::size_t base = s * vars_per_seq;
     const std::size_t latch_base = base + pi_names_.size();
     const std::size_t out_base = latch_base + latch_names_.size();
-    for (std::size_t cycle = 0; cycle < trace.steps; ++cycle) {
+    for (std::size_t cycle = 0; cycle < trace.inputs.size(); ++cycle) {
       buffer.at_time(time);
       for (std::size_t k = 0; k < pi_names_.size(); ++k) {
-        buffer.set(base + k, trace.inputs[cycle][k] ? '1' : '0');
+        buffer.set(base + k, bit(trace.inputs[cycle], k));
       }
       for (std::size_t j = 0; j < latch_names_.size(); ++j) {
-        buffer.set(latch_base + j, trace.states[cycle][j] ? '1' : '0');
+        buffer.set(latch_base + j, bit(trace.states[cycle], j));
       }
       for (std::size_t o = 0; o < out_names_.size(); ++o) {
-        buffer.set(out_base + o, trace.outputs[cycle][o] ? '1' : '0');
+        buffer.set(out_base + o, bit(trace.outputs[cycle], o));
       }
       ++time;
     }
@@ -171,7 +185,7 @@ void VcdWriter::write(std::ostream& out) const {
       buffer.set(base + k, 'x');
     }
     for (std::size_t j = 0; j < latch_names_.size(); ++j) {
-      buffer.set(latch_base + j, trace.states[trace.steps][j] ? '1' : '0');
+      buffer.set(latch_base + j, bit(trace.states.back(), j));
     }
     for (std::size_t o = 0; o < out_names_.size(); ++o) {
       buffer.set(out_base + o, 'x');

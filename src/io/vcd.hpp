@@ -1,13 +1,15 @@
 // VCD (Value Change Dump) serialization of replayed sequences.
 //
 // A campaign's committed tour is only useful to an external RTL simulator
-// if it can be replayed there — io::VcdWriter turns replayed sequence
-// traces (sym::SequenceTrace) into a standard IEEE-1364 VCD: one
-// `$scope module` per sequence declaring a 1-bit `$var` for every primary
-// input, latch and output, then timestamped scalar value changes on a
-// shared timeline (sequences play back to back, one timestep per cycle,
-// with a trailing tick that exposes the final latch state and parks the
-// sequence's inputs/outputs at `x`).
+// if it can be replayed there — io::VcdWriter turns the campaign's one
+// replay of each committed sequence (packed keys, as model::TestModel keys
+// them: the state path, the input keys and the output keys) into a
+// standard IEEE-1364 VCD: one `$scope module` per sequence declaring a
+// 1-bit `$var` for every primary input, latch and output, then timestamped
+// scalar value changes on a shared timeline (sequences play back to back,
+// one timestep per cycle, with a trailing tick that exposes the final
+// latch state and parks the sequence's inputs/outputs at `x`). Keys are
+// unpacked into bits at write time.
 //
 // The output is fully deterministic: no dates, no tool banners, and value
 // changes are emitted in declaration order — byte-identical runs produce
@@ -15,12 +17,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "sym/circuit_replay.hpp"
 #include "sym/symbolic_fsm.hpp"
 
 namespace simcov::io {
@@ -31,16 +34,24 @@ namespace simcov::io {
 class VcdWriter {
  public:
   /// `module_name` is the top-level `$scope` (each sequence nests inside
-  /// it). Throws std::invalid_argument if the circuit declares a network
-  /// input that is neither a latch current signal nor a primary input.
+  /// it). Every sequence is cut after `max_cycles` cycles, the campaign's
+  /// per-run cycle budget. Throws std::invalid_argument if a primary input
+  /// is not a network input, or if the circuit has more than 63 primary
+  /// inputs, latches or outputs (the packed-key limit).
   explicit VcdWriter(const sym::SequentialCircuit& circuit,
-                     std::string_view module_name = "campaign");
+                     std::string_view module_name = "campaign",
+                     std::size_t max_cycles = static_cast<std::size_t>(-1));
 
-  /// Appends one sequence. `name` becomes its `$scope` (sanitized: VCD
-  /// identifiers cannot contain whitespace). Throws std::invalid_argument
-  /// when the trace's widths do not match the circuit the writer was built
-  /// for.
-  void add_sequence(std::string_view name, const sym::SequenceTrace& trace);
+  /// Appends one sequence replayed from reset. Cycle i reads states[i] and
+  /// inputs[i] and produces outputs[i]; `states` has one more entry, the
+  /// latch key after the last cycle. `name` becomes its `$scope`
+  /// (sanitized: VCD identifiers cannot contain whitespace). Throws
+  /// std::invalid_argument when the trace's shape is inconsistent or a
+  /// kept key sets a bit beyond the circuit's latch, input or output width.
+  void add_sequence(std::string_view name,
+                    std::span<const std::uint64_t> states,
+                    std::span<const std::uint64_t> inputs,
+                    std::span<const std::uint64_t> outputs);
 
   [[nodiscard]] std::size_t num_sequences() const { return traces_.size(); }
 
@@ -50,12 +61,18 @@ class VcdWriter {
   void write_file(const std::string& path) const;
 
  private:
+  /// One sequence's kept cycles: states has one more entry than the rest.
+  struct Trace {
+    std::vector<std::uint64_t> states, inputs, outputs;
+  };
+
   std::string module_name_;
+  std::size_t max_cycles_;
   std::vector<std::string> pi_names_;
   std::vector<std::string> latch_names_;
   std::vector<std::string> out_names_;
   std::vector<std::string> seq_names_;
-  std::vector<sym::SequenceTrace> traces_;
+  std::vector<Trace> traces_;
 };
 
 }  // namespace simcov::io

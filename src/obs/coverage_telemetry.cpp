@@ -46,22 +46,8 @@ std::vector<CoveragePoint> CoverageCurveBuilder::points() const {
 // CoverageTelemetryCollector
 // ---------------------------------------------------------------------------
 
-CoverageTelemetryCollector::CoverageTelemetryCollector(model::TestModel& model,
-                                                       std::size_t curve_budget)
-    : model_(model), curve_(curve_budget) {}
-
-void CoverageTelemetryCollector::commit_batch(
-    std::span<const model::Sequence> batch) {
-  std::vector<std::vector<std::uint64_t>> paths(batch.size());
-  for (std::size_t l = 0; l < batch.size(); ++l) {
-    paths[l].reserve(batch[l].size() + 1);
-    paths[l].push_back(model_.reset_state());
-  }
-  model::replay_lockstep(model_, batch, [&](const model::ReplayStep& s) {
-    paths[s.lane].push_back(s.next);
-  });
-  commit_batch(batch, paths);
-}
+CoverageTelemetryCollector::CoverageTelemetryCollector(std::size_t curve_budget)
+    : curve_(curve_budget) {}
 
 void CoverageTelemetryCollector::commit_batch(
     std::span<const model::Sequence> batch,

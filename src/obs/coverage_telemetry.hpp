@@ -17,12 +17,12 @@
 //     or per mutant (Theorem-3 replay). Derived from the committed indices
 //     the Compare / MutantReplay stages already record.
 //
-// The collector replays each committed sequence through the TestModel into
-// its own hit-counting CoverageTracker, mirroring TestModel::evaluate's
-// accounting exactly. Replay (not the stream's tracker) is deliberate: it
-// depends on the committed sequences alone, so it is the one account that
-// is identical for live and resumed campaigns whatever source yielded
-// them.
+// The collector folds the state paths of each committed batch's replay
+// through the TestModel (pipeline::replay_batch) into its own hit-counting
+// CoverageTracker, mirroring TestModel::evaluate's accounting exactly.
+// Replay (not the stream's tracker) is deliberate: it depends on the
+// committed sequences alone, so it is the one account that is identical
+// for live and resumed campaigns whatever source yielded them.
 #pragma once
 
 #include <array>
@@ -100,21 +100,13 @@ struct CoverageTelemetry {
 /// Single-threaded by contract — the pipeline commits on the coordinator.
 class CoverageTelemetryCollector {
  public:
-  CoverageTelemetryCollector(model::TestModel& model,
-                             std::size_t curve_budget = 512);
+  explicit CoverageTelemetryCollector(std::size_t curve_budget = 512);
 
-  /// Replays every committed sequence of `batch` (one input key per step)
-  /// from reset in lockstep (model::replay_lockstep), then folds the state
-  /// paths as the two-argument form does. Throws std::domain_error on an
-  /// input that is invalid in its state (committed sequences are valid by
-  /// construction, so this indicates stream corruption); nothing of the
-  /// batch is folded then.
-  void commit_batch(std::span<const model::Sequence> batch);
-  /// Folds an already replayed batch into the tracker strictly in batch
-  /// order, exactly as TestModel::evaluate accounts one sequence: one
-  /// convergence point per sequence. `paths[l]` is sequence l's state path
-  /// from reset, one state longer than the sequence (reset first, the
-  /// final state last); std::invalid_argument otherwise.
+  /// Folds a replayed batch into the tracker strictly in batch order,
+  /// exactly as TestModel::evaluate accounts one sequence: one convergence
+  /// point per sequence. `paths[l]` is sequence l's state path from reset,
+  /// one state longer than the sequence (reset first, the final state
+  /// last); std::invalid_argument otherwise.
   void commit_batch(std::span<const model::Sequence> batch,
                     std::span<const std::vector<std::uint64_t>> paths);
 
@@ -125,7 +117,6 @@ class CoverageTelemetryCollector {
   [[nodiscard]] CoverageTelemetry snapshot() const;
 
  private:
-  model::TestModel& model_;
   model::CoverageTracker tracker_;
   CoverageCurveBuilder curve_;
   std::uint64_t committed_ = 0;

@@ -1,12 +1,7 @@
-// Contracts of the streaming validation pipeline.
-//
-// The campaign types (options, result, per-run telemetry) used to live in
-// core/campaign.hpp; they moved here when the campaign monolith was
-// decomposed into typed stages (pipeline/stages.hpp) assembled by
-// pipeline::execute_campaign. core/campaign.hpp re-exports every name, so
-// existing core:: callers compile unchanged.
-//
-// New with the pipeline:
+// Contracts of the streaming validation pipeline: the campaign types
+// (options, result, per-run telemetry) shared by the typed stages
+// (pipeline/stages.hpp) and pipeline::execute_campaign. core/campaign.hpp
+// re-exports every name for core:: callers. Besides them:
 //  * CancellationToken — cooperative cancellation observed between
 //    sequences by the coordinator and between indices by the
 //    runtime::ThreadPool shards.
@@ -115,13 +110,11 @@ struct CampaignOptions {
   /// Worker threads for the concretization/simulation loops
   /// (0 = one per hardware thread). Results are identical at any setting.
   std::size_t threads = 0;
-  /// Per-run cycle budget handed to the validation harness.
+  /// Per-run cycle budget handed to the validation harness; an external
+  /// circuit's clean runs and the VCD waveform are cut after it too.
   std::size_t max_cycles = 1u << 20;
-  /// Also build the symbolic (BDD) view of the test model and snapshot its
-  /// statistics into the result. Costs one reachability fixpoint.
-  bool collect_symbolic_stats = false;
 
-  // ---- Pipeline knobs (defaults reproduce the pre-pipeline behaviour) ----
+  // ---- Pipeline knobs -----------------------------------------------------
   /// Instrumentation sink for spans / counters / item events (nullptr: no
   /// external instrumentation; the pipeline still records spans internally
   /// for the stage reports). An obs::MetricsRegistry attaches here like any
@@ -134,10 +127,10 @@ struct CampaignOptions {
 
   // ---- Coverage telemetry ------------------------------------------------
   /// Collect the deterministic coverage-telemetry section (convergence
-  /// curve, transition hit balance, per-bug exposure latency). Costs one
-  /// coordinator-thread model replay per committed sequence; keyed off
-  /// committed indices, so the section is bit-identical at any thread count
-  /// and across checkpoint/resume.
+  /// curve, transition hit balance, per-bug exposure latency). Folds the
+  /// state paths of each committed batch's replay; keyed off committed
+  /// indices, so the section is bit-identical at any thread count and
+  /// across checkpoint/resume.
   bool collect_coverage_telemetry = false;
   /// Dynamic variable-reordering policy of the symbolic backend's live BDD
   /// manager (bdd::ReorderPolicy::kAuto enables growth-triggered sifting).
@@ -145,26 +138,27 @@ struct CampaignOptions {
   /// (pipeline::checkpoint_key) like `threads`: reordering is
   /// semantically invisible, so the campaign outcome is identical either
   /// way (only the engine-telemetry sections — bdd stats — differ).
-  /// Ignored by the explicit backend. The dedicated snapshot manager of
-  /// `collect_symbolic_stats` keeps the static order regardless.
+  /// Ignored by the explicit backend.
   bdd::ReorderPolicy reorder = bdd::ReorderPolicy::kNone;
 
   // ---- Real-circuit frontend (src/io) ------------------------------------
   /// Path of a BLIF netlist to campaign on instead of the built-in DLX
   /// control model. Non-empty: ModelBuildStage parses the file
-  /// (io::BlifReader) and the concretize/simulate stages are replaced by
-  /// direct circuit replay (CircuitReplayStage) — tour generation,
-  /// backends, telemetry, cancellation and checkpoint/resume all work
-  /// unchanged. The checkpoint key fingerprints the *lowered netlist
-  /// content* (store::fingerprint_circuit), never this path, so renaming
-  /// the file keeps its checkpoint and editing it orphans it. DLX pipeline
-  /// bugs make no sense against an external circuit: run() throws
+  /// (io::BlifReader) and each clean run is read off the batch's replay
+  /// through the test model instead of concretized and simulated — tour
+  /// generation, backends, telemetry, cancellation and checkpoint/resume
+  /// all work unchanged. A netlist with more than 63 outputs throws
+  /// std::invalid_argument. The checkpoint key fingerprints the *lowered
+  /// netlist content* (store::fingerprint_circuit), never this path, so
+  /// renaming the file keeps its checkpoint and editing it orphans it. DLX
+  /// pipeline bugs make no sense against an external circuit: run() throws
   /// std::invalid_argument when `bugs` is non-empty.
   std::string circuit_path;
   /// Write the committed test set as a VCD waveform here (empty: off).
-  /// Every committed sequence is replayed through the campaign circuit —
-  /// external or DLX — and serialized as its own `$scope` by io::VcdWriter;
-  /// deterministic, so identical campaigns produce byte-identical files.
+  /// Each committed sequence's replay through the campaign's test model —
+  /// external circuit or DLX — is serialized as its own `$scope` by
+  /// io::VcdWriter, cut after max_cycles; deterministic, so identical
+  /// campaigns produce byte-identical files.
   std::string vcd_path;
 
   // ---- Checkpoint/resume (src/store) -------------------------------------
@@ -217,7 +211,7 @@ struct CampaignResult {
   std::vector<RunMetrics> clean_runs;
   /// Runs (clean + per-bug) that exhausted the cycle budget.
   std::size_t runs_inconclusive = 0;
-  /// Filled when CampaignOptions::collect_symbolic_stats is set.
+  /// Filled on the symbolic backend: its live symbolic FSM and manager.
   std::optional<sym::SymbolicFsmStats> symbolic_stats;
   std::optional<bdd::BddStats> bdd_stats;
   /// Per-stage outcome of the pipeline run; the JSON report renders only

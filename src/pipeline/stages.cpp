@@ -177,6 +177,10 @@ ModelBuildStage::Output ModelBuildStage::run(const CampaignOptions& options,
     out.built = std::make_unique<testmodel::BuiltTestModel>(
         testmodel::build_dlx_control_model(options.model_options));
   }
+  if (out.built->circuit.outputs.size() > 63) {
+    throw std::invalid_argument(
+        "run_campaign: more than 63 circuit outputs for packed 64-bit keys");
+  }
   result.latches = out.built->num_latches;
   result.primary_inputs = out.built->num_inputs;
 
@@ -192,42 +196,24 @@ ModelBuildStage::Output ModelBuildStage::run(const CampaignOptions& options,
   return out;
 }
 
-void SymbolicSnapshotStage::run(const CampaignOptions& options,
-                                const testmodel::BuiltTestModel& built,
-                                model::TestModel& model, obs::EventSink& sink,
+void SymbolicSnapshotStage::run(model::TestModel& model, obs::EventSink& sink,
                                 CampaignResult& result) {
-  if (!options.collect_symbolic_stats &&
-      result.backend != model::Backend::kSymbolic) {
-    return;
-  }
+  auto* sym_model = dynamic_cast<model::SymbolicModel*>(&model);
+  if (sym_model == nullptr) return;
   obs::ScopedSpan span(sink, obs::Stage::kSymbolic);
-  if (auto* sym_model = dynamic_cast<model::SymbolicModel*>(&model)) {
-    // The campaign already holds the implicit representation; snapshot it
-    // instead of paying a second reachability fixpoint. Nothing to cache.
-    result.symbolic_stats = sym_model->fsm().stats();
-    result.bdd_stats = sym_model->manager().stats();
-    // Engine housekeeping activity of the live manager. All BDD work runs
-    // on the coordinator thread, so these are deterministic per campaign.
-    sink.counter(obs::Stage::kSymbolic, "bdd.gc", result.bdd_stats->gc_runs);
-    sink.counter(obs::Stage::kSymbolic, "bdd.reorder",
-                 result.bdd_stats->reorders);
-    // Node-table pressure as level snapshots (gauge = max semantics), so
-    // a metrics reader sees BDD memory without summing samples.
-    sink.gauge(obs::Stage::kSymbolic, "bdd_live_nodes",
-               result.bdd_stats->live_nodes);
-    sink.gauge(obs::Stage::kSymbolic, "bdd_peak_nodes",
-               result.bdd_stats->peak_live_nodes);
-  } else if (options.collect_symbolic_stats) {
-    // The only expensive path: a dedicated manager pays a full fixpoint.
-    bdd::BddManager mgr;
-    sym::SymbolicFsm symbolic(mgr, built.circuit);
-    result.symbolic_stats = symbolic.stats();
-    result.bdd_stats = mgr.stats();
-    sink.gauge(obs::Stage::kSymbolic, "bdd_live_nodes",
-               result.bdd_stats->live_nodes);
-    sink.gauge(obs::Stage::kSymbolic, "bdd_peak_nodes",
-               result.bdd_stats->peak_live_nodes);
-  }
+  result.symbolic_stats = sym_model->fsm().stats();
+  result.bdd_stats = sym_model->manager().stats();
+  // Engine housekeeping activity of the live manager. All BDD work runs
+  // on the coordinator thread, so these are deterministic per campaign.
+  sink.counter(obs::Stage::kSymbolic, "bdd.gc", result.bdd_stats->gc_runs);
+  sink.counter(obs::Stage::kSymbolic, "bdd.reorder",
+               result.bdd_stats->reorders);
+  // Node-table pressure as level snapshots (gauge = max semantics), so a
+  // metrics reader sees BDD memory without summing samples.
+  sink.gauge(obs::Stage::kSymbolic, "bdd_live_nodes",
+             result.bdd_stats->live_nodes);
+  sink.gauge(obs::Stage::kSymbolic, "bdd_peak_nodes",
+             result.bdd_stats->peak_live_nodes);
 }
 
 std::unique_ptr<model::SequenceSource> GenerateStage::open(
@@ -293,43 +279,47 @@ runtime::ThreadPool::QueueWaitObserver queue_wait_observer(
 
 }  // namespace
 
-void ConcretizeStage::run_batch(
-    const testmodel::BuiltTestModel& built, model::TestModel& model,
-    std::span<const model::Sequence> batch,
-    std::size_t first_sequence, std::span<validate::ConcretizedProgram> out,
-    std::vector<std::vector<std::uint64_t>>* paths,
-    runtime::ThreadPool& pool, const CancellationToken& cancel,
-    obs::EventSink& sink) {
-  obs::ScopedSpan span(sink, obs::Stage::kConcretize);
-  // The model is not thread-safe (SymbolicModel shares one kernel buffer),
-  // so the batch is replayed here, before the pool starts.
-  const validate::OutputFlags read_flags(built);
-  std::vector<std::vector<validate::StepFlags>> flags(batch.size());
+std::optional<BatchReplay> replay_batch(model::TestModel& model,
+                                        std::span<const model::Sequence> batch,
+                                        const CancellationToken& cancel) {
+  BatchReplay replay;
+  replay.paths.resize(batch.size());
+  replay.outputs.resize(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    flags[i].reserve(batch[i].size());
-  }
-  if (paths != nullptr) {
-    paths->assign(batch.size(), {});
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      (*paths)[i].reserve(batch[i].size() + 1);
-      (*paths)[i].push_back(model.reset_state());
-    }
+    replay.paths[i].reserve(batch[i].size() + 1);
+    replay.paths[i].push_back(model.reset_state());
+    replay.outputs[i].reserve(batch[i].size());
   }
   const bool replayed = model::replay_lockstep(
       model, batch,
       [&](const model::ReplayStep& s) {
-        flags[s.lane].push_back(read_flags(s.output));
-        if (paths != nullptr) (*paths)[s.lane].push_back(s.next);
+        replay.paths[s.lane].push_back(s.next);
+        replay.outputs[s.lane].push_back(s.output);
       },
       cancel.raw());
-  if (!replayed) return;  // cancelled: every slot stays unclaimed
+  if (!replayed) return std::nullopt;
+  return replay;
+}
+
+void ConcretizeStage::run_batch(
+    const testmodel::BuiltTestModel& built,
+    std::span<const model::Sequence> batch,
+    std::span<const std::vector<std::uint64_t>> outputs,
+    std::size_t first_sequence, std::span<validate::ConcretizedProgram> out,
+    runtime::ThreadPool& pool, const CancellationToken& cancel,
+    obs::EventSink& sink) {
+  obs::ScopedSpan span(sink, obs::Stage::kConcretize);
+  const validate::OutputFlags read_flags(built);
   const auto queue_wait =
       queue_wait_observer(sink, obs::Stage::kConcretize, first_sequence);
   pool.for_each_index(
       batch.size(),
       [&](std::size_t i) {
         const auto t0 = std::chrono::steady_clock::now();
-        out[i] = validate::concretize_sequence(built, batch[i], flags[i]);
+        std::vector<validate::StepFlags> flags;
+        flags.reserve(outputs[i].size());
+        for (const std::uint64_t o : outputs[i]) flags.push_back(read_flags(o));
+        out[i] = validate::concretize_sequence(built, batch[i], flags);
         sink.latency(obs::Stage::kConcretize, "program", first_sequence + i,
                      seconds_since(t0));
       },
@@ -352,28 +342,6 @@ void SimulateStage::run_batch(
         out[i] = RunMetrics{first_sequence + i, r.impl_cycles,
                             r.checkpoints_compared, r.passed,
                             r.cycle_budget_exhausted};
-        sink.latency(obs::Stage::kSimulate, "clean_run", first_sequence + i,
-                     seconds_since(t0));
-      },
-      cancel.raw(), &queue_wait);
-}
-
-void CircuitReplayStage::run_batch(
-    const sym::CircuitReplayer& replayer,
-    std::span<const model::Sequence> batch,
-    std::size_t first_sequence, std::size_t max_cycles,
-    std::span<RunMetrics> out, runtime::ThreadPool& pool,
-    const CancellationToken& cancel, obs::EventSink& sink) {
-  obs::ScopedSpan span(sink, obs::Stage::kSimulate);
-  const auto queue_wait =
-      queue_wait_observer(sink, obs::Stage::kSimulate, first_sequence);
-  pool.for_each_index(
-      batch.size(),
-      [&](std::size_t i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto trace = replayer.replay(batch[i], max_cycles);
-        out[i] = RunMetrics{first_sequence + i, trace.steps, trace.steps,
-                            trace.valid, trace.truncated};
         sink.latency(obs::Stage::kSimulate, "clean_run", first_sequence + i,
                      seconds_since(t0));
       },

@@ -2,13 +2,15 @@
 // the Theorem-3 mutant replay), assembled by pipeline::execute_campaign.
 //
 //   ModelBuildStage -> (SymbolicSnapshotStage) -> GenerateStage
-//       -> ConcretizeStage -> SimulateStage -> CompareStage
+//       -> replay_batch -> ConcretizeStage -> SimulateStage -> CompareStage
 //
 // GenerateStage opens a model::SequenceSource — the streaming seam — so the
 // stages downstream of it run batch-by-batch while later sequences are
-// still being generated. Each stage times itself through the obs::EventSink it is
-// handed (one span per batch; sinks accumulate) and honours the shared
-// CancellationToken via the runtime::ThreadPool's cancel hook.
+// still being generated. replay_batch is each batch's one replay through
+// the test model; every later consumer of the batch reads it. Each stage
+// times itself through the obs::EventSink it is handed (one span per batch;
+// sinks accumulate) and honours the shared CancellationToken via the
+// runtime::ThreadPool's cancel hook.
 //
 // MutantReplayStage is the machine-level (Theorem 3) evaluator: it shares
 // the tour generation helpers but replays sampled mutants instead of
@@ -16,12 +18,12 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "model/explicit_model.hpp"
 #include "pipeline/contracts.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sym/circuit_replay.hpp"
 #include "tour/tour.hpp"
 #include "validate/concretize.hpp"
 
@@ -31,7 +33,9 @@ namespace simcov::pipeline {
 /// an external BLIF netlist when CampaignOptions::circuit_path is set
 /// (io::BlifReader; malformed files surface as std::invalid_argument) —
 /// resolves the backend choice and counts the reachable state space. Fills
-/// the model-shape fields of the result. One kModelBuild span.
+/// the model-shape fields of the result. A circuit with more than 63
+/// outputs throws std::invalid_argument before any model is built: the
+/// batch replay packs outputs into 64-bit keys. One kModelBuild span.
 struct ModelBuildStage {
   struct Output {
     /// Heap-boxed: SymbolicModel keeps a reference to the circuit, so the
@@ -42,7 +46,8 @@ struct ModelBuildStage {
     /// and W-method generation need the underlying machine).
     model::ExplicitModel* explicit_model = nullptr;
     /// The campaign runs on a loaded netlist, not the DLX model: the
-    /// executor swaps concretize/simulate for CircuitReplayStage.
+    /// executor reads its clean runs off the batch replay instead of
+    /// concretizing and simulating.
     bool external_circuit = false;
     /// `.model` name of the loaded netlist (empty for DLX campaigns).
     std::string circuit_name;
@@ -52,15 +57,11 @@ struct ModelBuildStage {
                     CampaignResult& result);
 };
 
-/// Optional BDD view snapshot (CampaignOptions::collect_symbolic_stats, or
-/// implied by the symbolic backend). Reuses the campaign's own implicit
-/// representation when there is one; the explicit backend pays a second
-/// reachability fixpoint on a dedicated manager. One kSymbolic span;
-/// no-op otherwise.
+/// BDD view snapshot of the symbolic backend: the statistics of the
+/// campaign's own live manager and symbolic FSM. One kSymbolic span; no-op
+/// on the explicit backend.
 struct SymbolicSnapshotStage {
-  static void run(const CampaignOptions& options,
-                  const testmodel::BuiltTestModel& built,
-                  model::TestModel& model, obs::EventSink& sink,
+  static void run(model::TestModel& model, obs::EventSink& sink,
                   CampaignResult& result);
 };
 
@@ -79,25 +80,38 @@ struct GenerateStage {
       model::ExplicitModel* explicit_model, obs::EventSink& sink);
 };
 
-/// Concretizes one batch of tour sequences into DLX programs. The stall and
-/// squash flags of every step come from `model`, the test model that
-/// generated the batch, in one model::replay_lockstep on the calling
-/// thread; the workers then build the programs, sharded over the pool, and
-/// never call the model. When `paths` is set, the same replay fills it with
-/// each sequence's state path (reset first, the final state last) for the
-/// coverage telemetry. `out` must be pre-sized to the batch; a cancelled
-/// batch leaves unclaimed slots default-initialized (the executor drops the
-/// batch). The replay checks for cancellation between its rounds.
-/// `first_sequence` is the absolute test-set index of batch element 0 — it
-/// labels the per-item "program" latency and "queue_wait" events with
-/// global sequence indices. One kConcretize span per call.
+/// One committed batch replayed through the campaign's test model: per
+/// sequence, its state path (reset first, the final state last) and the
+/// output key of every step. The executor replays each batch once and feeds
+/// every consumer from it: concretize's stall/squash flags, an external
+/// circuit's clean runs, the coverage telemetry and the VCD export.
+struct BatchReplay {
+  std::vector<std::vector<std::uint64_t>> paths;
+  std::vector<std::vector<std::uint64_t>> outputs;
+};
+
+/// Replays `batch` from reset in one model::replay_lockstep on the calling
+/// thread (the model is not thread-safe). Returns nullopt when `cancel`
+/// fires between rounds. Throws as replay_lockstep does.
+std::optional<BatchReplay> replay_batch(model::TestModel& model,
+                                        std::span<const model::Sequence> batch,
+                                        const CancellationToken& cancel);
+
+/// Concretizes one batch of tour sequences into DLX programs, sharded over
+/// the pool. The stall and squash flags of every step are read off
+/// `outputs` (BatchReplay::outputs of the batch: the outputs of the test
+/// model that generated it), so no worker calls the model. `out` must be
+/// pre-sized to the batch; a cancelled batch leaves unclaimed slots
+/// default-initialized (the executor drops the batch). `first_sequence` is
+/// the absolute test-set index of batch element 0 — it labels the per-item
+/// "program" latency and "queue_wait" events with global sequence indices.
+/// One kConcretize span per call.
 struct ConcretizeStage {
   static void run_batch(const testmodel::BuiltTestModel& built,
-                        model::TestModel& model,
                         std::span<const model::Sequence> batch,
+                        std::span<const std::vector<std::uint64_t>> outputs,
                         std::size_t first_sequence,
                         std::span<validate::ConcretizedProgram> out,
-                        std::vector<std::vector<std::uint64_t>>* paths,
                         runtime::ThreadPool& pool,
                         const CancellationToken& cancel,
                         obs::EventSink& sink);
@@ -112,22 +126,6 @@ struct SimulateStage {
                         std::span<RunMetrics> out, runtime::ThreadPool& pool,
                         const CancellationToken& cancel,
                         obs::EventSink& sink);
-};
-
-/// External-circuit replacement for ConcretizeStage + SimulateStage: runs
-/// one batch of committed tour sequences directly on the loaded netlist
-/// (sym::CircuitReplayer), sharded over the pool with per-index slots.
-/// RunMetrics mirror SimulateStage's: impl_cycles and checkpoints count
-/// the replayed cycles, `passed` is the validity verdict, and a sequence
-/// cut short by max_cycles reports budget_exhausted. One kSimulate span
-/// per call.
-struct CircuitReplayStage {
-  static void run_batch(const sym::CircuitReplayer& replayer,
-                        std::span<const model::Sequence> batch,
-                        std::size_t first_sequence, std::size_t max_cycles,
-                        std::span<RunMetrics> out,
-                        runtime::ThreadPool& pool,
-                        const CancellationToken& cancel, obs::EventSink& sink);
 };
 
 /// Per-bug exposure runs over the full concretized test set: independent

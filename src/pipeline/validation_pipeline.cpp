@@ -12,7 +12,6 @@
 #include "pipeline/stages.hpp"
 #include "runtime/thread_pool.hpp"
 #include "store/codec.hpp"
-#include "sym/circuit_replay.hpp"
 #include "validate/harness.hpp"
 
 namespace simcov::pipeline {
@@ -33,9 +32,10 @@ std::vector<std::uint8_t> checkpoint_payload(
 }
 
 /// Everything one campaign shares across its steps. The constructor is the
-/// set-up: sink fan-out, model build, the optional replayer, telemetry
-/// collector and checkpoint store, the symbolic snapshot, the sequence
-/// source and the checkpoint to resume from. Built in place: `sink` points at `recorder`.
+/// set-up: sink fan-out, model build, the optional telemetry collector,
+/// waveform and checkpoint store, the symbolic snapshot, the sequence
+/// source and the checkpoint to resume from. Built in place: `sink` points
+/// at `recorder`.
 struct Campaign {
   Campaign(const CampaignOptions& opts,
            std::span<const dlx::PipelineBug> bugs);
@@ -45,10 +45,11 @@ struct Campaign {
   obs::MultiSink sink;
   CampaignResult result;
   ModelBuildStage::Output build;
-  /// External circuits replace concretize/simulate with direct replay; one
-  /// replayer serves every worker (replay() is const and allocation-local).
-  std::optional<sym::CircuitReplayer> replayer;
   std::optional<obs::CoverageTelemetryCollector> telemetry;
+  /// The waveform of the committed sequences (CampaignOptions::vcd_path).
+  /// Resumed campaigns re-pull and re-replay the same deterministic
+  /// stream, so it always holds the full test set.
+  std::optional<io::VcdWriter> vcd;
   /// The checkpoint store (optional): holds this campaign's committed
   /// prefix under `key` until the campaign completes.
   std::unique_ptr<store::ArtifactStore> store;
@@ -58,10 +59,6 @@ struct Campaign {
 
   // The batch commit loop's cursor and how each stream stage ended.
   std::vector<validate::ConcretizedProgram> programs;
-  /// Committed sequences retained for the VCD export (they otherwise die at
-  /// batch commit). Resumed campaigns re-pull the same deterministic
-  /// stream, so the retained set is always the full test set.
-  std::vector<model::Sequence> vcd_sequences;
   obs::StageStatus tour_status = obs::StageStatus::kOk;
   obs::StageStatus concretize_status = obs::StageStatus::kOk;
   obs::StageStatus simulate_status = obs::StageStatus::kOk;
@@ -91,13 +88,15 @@ Campaign::Campaign(const CampaignOptions& opts,
         "run_campaign: DLX pipeline bugs cannot run against an external "
         "circuit (CampaignOptions::circuit_path); pass an empty bug list");
   }
-  if (build.external_circuit) replayer.emplace(build.built->circuit);
 
-  // Coverage telemetry replays committed sequences through the model on the
-  // coordinator thread — the one account that is identical for live and
-  // resumed campaigns.
-  if (options.collect_coverage_telemetry) {
-    telemetry.emplace(*build.model);
+  // Coverage telemetry folds the state paths of each committed batch's
+  // replay — the one account that is identical for live and resumed
+  // campaigns.
+  if (options.collect_coverage_telemetry) telemetry.emplace();
+  if (!options.vcd_path.empty()) {
+    vcd.emplace(build.built->circuit,
+                build.circuit_name.empty() ? "dlx" : build.circuit_name,
+                options.max_cycles);
   }
 
   if (!options.store_dir.empty()) {
@@ -105,8 +104,7 @@ Campaign::Campaign(const CampaignOptions& opts,
     key = checkpoint_key(options, build.built->circuit, result.backend);
   }
 
-  SymbolicSnapshotStage::run(options, *build.built, *build.model, sink,
-                             result);
+  SymbolicSnapshotStage::run(*build.model, sink, result);
 
   stream = GenerateStage::open(options, *build.model, build.explicit_model,
                                sink);
@@ -128,31 +126,43 @@ Campaign::Campaign(const CampaignOptions& opts,
   }
 }
 
-/// Runs one pulled batch through concretize and simulate (or circuit
-/// replay) and commits it: runs and programs join the result, the coverage
-/// telemetry folds it in, and the committed prefix is checkpointed when
-/// due. Returns false, with the cancelled stage's status set, when a pool
-/// was cancelled mid-batch: unclaimed slots are empty, so the whole batch
-/// is dropped — per-batch atomicity keeps the retained prefix exact.
-bool commit_batch(Campaign& c, std::vector<model::Sequence> batch,
+/// Replays one pulled batch through the test model, runs it through
+/// concretize and simulate (DLX) or reads its clean runs off the replay
+/// (external circuit), and commits it: runs and programs join the result,
+/// the coverage telemetry and the waveform take the replay, and the
+/// committed prefix is checkpointed when due. Returns false, with the
+/// cancelled stage's status set, when the replay or a pool was cancelled
+/// mid-batch: unclaimed slots are empty, so the whole batch is dropped —
+/// per-batch atomicity keeps the retained prefix exact.
+bool commit_batch(Campaign& c, const std::vector<model::Sequence>& batch,
                   bool restored, runtime::ThreadPool& pool) {
   const CancellationToken& cancel = c.options.cancel;
   CampaignResult& result = c.result;
   const std::size_t first = result.clean_runs.size();
+  const bool external = c.build.external_circuit;
+
+  // The batch's one replay. For DLX it is concretize's flag source; for an
+  // external circuit it is the simulation itself.
+  std::optional<BatchReplay> replay;
+  {
+    obs::ScopedSpan span(c.sink, external ? obs::Stage::kSimulate
+                                          : obs::Stage::kConcretize);
+    replay = replay_batch(*c.build.model, batch, cancel);
+  }
+  if (!replay.has_value()) {
+    (external ? c.simulate_status : c.concretize_status) =
+        obs::StageStatus::kCancelled;
+    return false;
+  }
 
   // Concretize (backend-neutral: each tour step is already a packed input
   // key, and its stall/squash flags are the campaign model's own outputs).
-  // External circuits skip the stage — their sequences replay directly, no
-  // DLX program in between. Concretize's model replay also yields the
-  // state paths the coverage telemetry folds, so a batch is replayed once.
-  std::vector<validate::ConcretizedProgram> programs(
-      c.build.external_circuit ? 0 : batch.size());
-  std::vector<std::vector<std::uint64_t>> paths;
-  if (!c.build.external_circuit) {
-    ConcretizeStage::run_batch(*c.build.built, *c.build.model, batch, first,
-                               programs,
-                               c.telemetry.has_value() ? &paths : nullptr,
-                               pool, cancel, c.sink);
+  // External circuits have no DLX program in between.
+  std::vector<validate::ConcretizedProgram> programs(external ? 0
+                                                              : batch.size());
+  if (!external) {
+    ConcretizeStage::run_batch(*c.build.built, batch, replay->outputs, first,
+                               programs, pool, cancel, c.sink);
     if (cancel.cancelled()) {
       c.concretize_status = obs::StageStatus::kCancelled;
       return false;
@@ -166,7 +176,9 @@ bool commit_batch(Campaign& c, std::vector<model::Sequence> batch,
   // Clean runs: the bug-free implementation must pass everything. A
   // restored batch skips the simulations — its verdicts come from the
   // checkpoint (recorded under identical options, so they are exactly what
-  // re-simulation would produce).
+  // re-simulation would produce). An external circuit's run is its replay:
+  // a sequence the model yielded is valid by construction, and the cycle
+  // budget cuts it short.
   std::vector<RunMetrics> runs(batch.size());
   if (restored) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -175,15 +187,16 @@ bool commit_batch(Campaign& c, std::vector<model::Sequence> batch,
                            r.budget_exhausted};
     }
     c.restored_used += batch.size();
-  } else {
-    if (c.build.external_circuit) {
-      CircuitReplayStage::run_batch(*c.replayer, batch, first,
-                                    c.options.max_cycles, runs, pool, cancel,
-                                    c.sink);
-    } else {
-      SimulateStage::run_batch(programs, first, c.options.max_cycles, runs,
-                               pool, cancel, c.sink);
+  } else if (external) {
+    const std::size_t budget = c.options.max_cycles;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::size_t cycles = std::min(batch[i].size(), budget);
+      runs[i] = RunMetrics{first + i, cycles, cycles, true,
+                           batch[i].size() > budget};
     }
+  } else {
+    SimulateStage::run_batch(programs, first, c.options.max_cycles, runs,
+                             pool, cancel, c.sink);
     if (cancel.cancelled()) {
       c.simulate_status = obs::StageStatus::kCancelled;
       return false;
@@ -202,18 +215,14 @@ bool commit_batch(Campaign& c, std::vector<model::Sequence> batch,
     result.total_instructions += program.instructions().size();
     c.programs.push_back(std::move(program));
   }
-  // One lockstep replay per batch (concretize's, or the collector's own
-  // for an external circuit), folded in batch order: the telemetry section
-  // does not depend on how the stream was batched.
-  if (c.telemetry.has_value()) {
-    if (c.build.external_circuit) {
-      c.telemetry->commit_batch(batch);
-    } else {
-      c.telemetry->commit_batch(batch, paths);
+  // Folded in batch order: the telemetry section and the waveform do not
+  // depend on how the stream was batched.
+  if (c.telemetry.has_value()) c.telemetry->commit_batch(batch, replay->paths);
+  if (c.vcd.has_value()) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      c.vcd->add_sequence("seq" + std::to_string(first + i),
+                          replay->paths[i], batch[i], replay->outputs[i]);
     }
-  }
-  if (!c.options.vcd_path.empty()) {
-    for (auto& seq : batch) c.vcd_sequences.push_back(std::move(seq));
   }
 
   // Periodic checkpoint of the committed prefix. Restored batches only
@@ -271,7 +280,7 @@ void commit_stream(Campaign& c, runtime::ThreadPool& pool,
     if (batch.empty()) continue;  // loop re-checks termination
     c.yielded += batch.size();
     c.in_flight_peak = std::max(c.in_flight_peak, batch.size());
-    if (!commit_batch(c, std::move(batch), restore_remaining > 0, pool)) {
+    if (!commit_batch(c, batch, restore_remaining > 0, pool)) {
       break;
     }
   }
@@ -341,24 +350,6 @@ std::size_t run_compare(Campaign& c, std::span<const dlx::PipelineBug> bugs,
   return compared;
 }
 
-/// VCD export: replays every committed sequence through the campaign
-/// circuit (external or DLX) and serializes the traces. Deterministic —
-/// identical campaigns, at any thread count or resumed, produce
-/// byte-identical waveforms.
-void export_vcd(Campaign& c) {
-  if (c.options.vcd_path.empty()) return;
-  if (!c.replayer.has_value()) c.replayer.emplace(c.build.built->circuit);
-  io::VcdWriter vcd(c.build.built->circuit, c.build.circuit_name.empty()
-                                                ? "dlx"
-                                                : c.build.circuit_name);
-  for (std::size_t i = 0; i < c.vcd_sequences.size(); ++i) {
-    vcd.add_sequence("seq" + std::to_string(i),
-                     c.replayer->replay(c.vcd_sequences[i],
-                                        c.options.max_cycles));
-  }
-  vcd.write_file(c.options.vcd_path);
-}
-
 /// Completes the result: inconclusive counts, checkpoint activity, stage
 /// reports and the coverage-telemetry section.
 CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
@@ -371,15 +362,15 @@ CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
   }
   if (c.store != nullptr) result.store_stats = c.store->stats();
 
-  const bool symbolic_ran = c.options.collect_symbolic_stats ||
-                            result.backend == model::Backend::kSymbolic;
   auto report = [&](obs::Stage stage, std::size_t items) {
     result.stage_reports.push_back(StageReport{
         stage, c.recorder.stage_status(stage), items,
         c.recorder.seconds(stage)});
   };
   report(obs::Stage::kModelBuild, 1);
-  if (symbolic_ran) report(obs::Stage::kSymbolic, 1);
+  if (result.backend == model::Backend::kSymbolic) {
+    report(obs::Stage::kSymbolic, 1);
+  }
   report(obs::Stage::kTour, c.yielded);
   report(obs::Stage::kConcretize, c.programs.size());
   report(obs::Stage::kSimulate, result.clean_runs.size());
@@ -446,7 +437,7 @@ CampaignResult execute_campaign(const CampaignOptions& options,
   commit_stream(c, pool, window);
   close_stream(c);
   const std::size_t bugs_compared = run_compare(c, bugs, pool);
-  export_vcd(c);
+  if (c.vcd.has_value()) c.vcd->write_file(options.vcd_path);
   return assemble_result(c, bugs_compared);
 }
 

@@ -2,19 +2,21 @@
 // pipeline/stages.hpp into the paper's Figure-1 flow.
 //
 //   ModelBuildStage -> SymbolicSnapshotStage -> GenerateStage
-//       -> [ ConcretizeStage -> SimulateStage ]  (batched, streaming)
-//       -> CompareStage
+//       -> [ replay_batch -> ConcretizeStage -> SimulateStage ]
+//       -> CompareStage                        (batched, streaming)
 //
 // Test sequences are pulled from the model::SequenceSource in windows of
-// twice the worker-pool lanes and flow straight through concretization into
-// the sharded clean-run loop; the raw sequences are released as soon as
+// twice the worker-pool lanes. Each batch is replayed once through the
+// test model; that replay feeds concretization (which flows into the
+// sharded clean-run loop), an external circuit's clean runs, the coverage
+// telemetry and the VCD waveform; the raw sequences are released as soon as
 // their batch is simulated, so peak test-set memory is bounded by the
 // window, not the tour length. (Concretized programs are retained — the
 // per-bug compare stage replays all of them.)
 //
 // Determinism: every batch writes into per-index slots and the stream
 // yields sequences in a fixed order, so for identical options the result
-// is bit-identical to the pre-pipeline monolith at any thread count.
+// is bit-identical at any thread count.
 // Cancellation truncates at batch boundaries; the interrupted stage
 // reports kCancelled in the result's stage_reports, which also carry each
 // stage's span seconds — the one record of stage time.
@@ -32,7 +34,7 @@ namespace simcov::pipeline {
 /// the method and every knob that shapes the sequences (step cap, walk
 /// length, seed, the full generator spec), and the per-run cycle budget. A
 /// resume restores verdicts only when the same tour runs under the same
-/// budget. Runtime-only knobs (threads, window, reorder, sinks) stay out:
+/// budget. Runtime-only knobs (threads, reorder, sinks) stay out:
 /// results are bit-identical across them, so a checkpoint written at one
 /// thread count resumes at any other.
 [[nodiscard]] store::Fingerprint checkpoint_key(

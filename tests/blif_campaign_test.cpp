@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "obs/event_sink.hpp"
 
 namespace simcov::core {
 namespace {
@@ -195,6 +197,39 @@ TEST(BlifCampaignTest, RejectsBugInjectionForExternalCircuits) {
   EXPECT_THROW((void)run_campaign(blif_options(bundled("count3.blif")),
                                   one_bug),
                std::invalid_argument);
+}
+
+/// Records which stages closed a span.
+struct SpanStages final : obs::EventSink {
+  void span(obs::Stage stage, double) override { stages.insert(stage); }
+  std::set<obs::Stage> stages;
+};
+
+// Every step of the campaign's one batch replay packs the outputs into a
+// 64-bit key, so a 64-output netlist is turned away while the model is
+// built, on either backend, before a single sequence is generated.
+TEST(BlifCampaignTest, RejectsCircuitTooWideToReplayBeforeAnyReplay) {
+  TempDir tmp;
+  const std::string path = tmp.str("wide.blif");
+  {
+    std::ofstream out(path);
+    out << ".model wide\n.inputs a\n.outputs";
+    for (int k = 0; k < 64; ++k) out << " o" << k;
+    out << "\n.latch a q 0\n";
+    for (int k = 0; k < 64; ++k) out << ".names q o" << k << "\n1 1\n";
+    out << ".end\n";
+  }
+  for (const BackendChoice backend :
+       {BackendChoice::kAuto, BackendChoice::kSymbolic}) {
+    SpanStages spans;
+    auto options = blif_options(path);
+    options.backend = backend;
+    options.sink = &spans;
+    EXPECT_THROW((void)run_campaign(options, {}), std::invalid_argument)
+        << static_cast<int>(backend);
+    EXPECT_EQ(spans.stages, std::set<obs::Stage>{obs::Stage::kModelBuild})
+        << static_cast<int>(backend);
+  }
 }
 
 TEST(BlifCampaignTest, MissingNetlistFileFailsCleanly) {

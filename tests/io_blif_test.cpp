@@ -17,7 +17,7 @@
 
 #include "model/test_model.hpp"
 #include "store/fingerprint.hpp"
-#include "sym/circuit_replay.hpp"
+#include "sym/packed_logic_sim.hpp"
 
 namespace simcov::io {
 namespace {
@@ -26,13 +26,17 @@ BlifCircuit parse(const std::string& text) {
   return BlifReader().read_string(text, "test.blif");
 }
 
-/// Evaluates a latch-free circuit on one input vector via a 1-step replay.
+/// Evaluates a latch-free circuit on one input vector: one step of lane 0.
 std::vector<bool> eval_comb(const sym::SequentialCircuit& circuit,
                             const std::vector<bool>& inputs) {
+  const std::uint64_t state = 0;
   const std::uint64_t step = model::TestModel::pack_bits(inputs);
-  const auto trace = sym::replay_sequence(circuit, {&step, 1});
-  EXPECT_EQ(trace.steps, 1u);
-  return trace.outputs.at(0);
+  std::uint64_t next = 0, out = 0;
+  EXPECT_EQ(sym::PackedCircuitSim(circuit).step({&state, 1}, {&step, 1},
+                                                 {&next, 1}, {&out, 1}),
+            1u);
+  return model::TestModel::unpack_bits(
+      out, static_cast<unsigned>(circuit.outputs.size()));
 }
 
 // ---- Positive parsing ------------------------------------------------------

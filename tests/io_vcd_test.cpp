@@ -1,7 +1,8 @@
 // Tests for io::VcdWriter: header/declaration structure, per-sequence
 // scopes, initial-x dumpvars, change-only emission with strictly
-// increasing timestamps, value agreement with the replayed trace, name
-// sanitization, shape validation, and byte determinism.
+// increasing timestamps, value agreement with the replayed trace, the
+// cycle budget's cut, name sanitization, shape and width validation, and
+// byte determinism.
 #include "io/vcd.hpp"
 
 #include <gtest/gtest.h>
@@ -12,10 +13,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/blif.hpp"
-#include "sym/circuit_replay.hpp"
+#include "sym/packed_logic_sim.hpp"
 
 namespace simcov::io {
 namespace {
@@ -37,6 +39,34 @@ sym::SequentialCircuit toggle_circuit() {
 
 /// One packed input key per step (bit k = primary input k).
 using Keys = std::vector<std::uint64_t>;
+
+/// A sequence replayed from reset as packed keys: the state path (one
+/// longer than the inputs), the inputs and the outputs.
+struct KeyTrace {
+  Keys states, inputs, outputs;
+};
+
+/// Replays `inputs` on `circuit` one lane-0 step at a time.
+KeyTrace replay(const sym::SequentialCircuit& circuit, const Keys& inputs) {
+  const sym::PackedCircuitSim sim(circuit);
+  std::uint64_t state = 0;
+  for (std::size_t j = 0; j < circuit.latches.size(); ++j) {
+    if (circuit.latches[j].init) state |= std::uint64_t{1} << j;
+  }
+  KeyTrace trace{{state}, inputs, {}};
+  for (const std::uint64_t input : inputs) {
+    std::uint64_t next = 0, out = 0;
+    EXPECT_EQ(sim.step({&state, 1}, {&input, 1}, {&next, 1}, {&out, 1}), 1u)
+        << "invalid step";
+    trace.outputs.push_back(out);
+    trace.states.push_back(state = next);
+  }
+  return trace;
+}
+
+void add(VcdWriter& vcd, std::string_view name, const KeyTrace& trace) {
+  vcd.add_sequence(name, trace.states, trace.inputs, trace.outputs);
+}
 
 /// Minimal structural VCD check: every declared id is unique per scope,
 /// every value change refers to a declared id, timestamps strictly
@@ -104,8 +134,8 @@ ParsedVcd parse_vcd(const std::string& text) {
 TEST(VcdWriterTest, DeclaresOneScopePerSequenceWithAllSignals) {
   const auto circuit = toggle_circuit();
   VcdWriter vcd(circuit, "toggle");
-  vcd.add_sequence("seq0", sym::replay_sequence(circuit, Keys{1, 1, 0}));
-  vcd.add_sequence("seq1", sym::replay_sequence(circuit, Keys{0, 1}));
+  add(vcd, "seq0", replay(circuit, Keys{1, 1, 0}));
+  add(vcd, "seq1", replay(circuit, Keys{0, 1}));
   EXPECT_EQ(vcd.num_sequences(), 2u);
 
   const std::string text = vcd.to_string();
@@ -125,16 +155,12 @@ TEST(VcdWriterTest, DeclaresOneScopePerSequenceWithAllSignals) {
 
 TEST(VcdWriterTest, ValuesMatchTheReplayedTrace) {
   const auto circuit = toggle_circuit();
-  const auto trace = sym::replay_sequence(circuit, Keys{1, 1, 1});
+  const auto trace = replay(circuit, Keys{1, 1, 1});
   // q toggles 0,1,0 across the three cycles and ends at 1.
-  ASSERT_EQ(trace.steps, 3u);
-  EXPECT_FALSE(trace.states[0][0]);
-  EXPECT_TRUE(trace.states[1][0]);
-  EXPECT_FALSE(trace.states[2][0]);
-  EXPECT_TRUE(trace.states[3][0]);
+  EXPECT_EQ(trace.states, (Keys{0, 1, 0, 1}));
 
   VcdWriter vcd(circuit);
-  vcd.add_sequence("s", trace);
+  add(vcd, "s", trace);
   const std::string text = vcd.to_string();
   const auto parsed = parse_vcd(text);
   // The final sample of every signal is parked at x except the latch,
@@ -150,8 +176,8 @@ TEST(VcdWriterTest, ValuesMatchTheReplayedTrace) {
 TEST(VcdWriterTest, SequencesPlayBackToBackOnOneTimeline) {
   const auto circuit = toggle_circuit();
   VcdWriter vcd(circuit);
-  vcd.add_sequence("a", sym::replay_sequence(circuit, Keys{1, 0}));
-  vcd.add_sequence("b", sym::replay_sequence(circuit, Keys{1}));
+  add(vcd, "a", replay(circuit, Keys{1, 0}));
+  add(vcd, "b", replay(circuit, Keys{1}));
   const std::string text = vcd.to_string();
   // seq a occupies [0,3) (2 cycles + trailing tick), seq b starts at 3.
   EXPECT_NE(text.find("\n#3\n"), std::string::npos);
@@ -162,26 +188,42 @@ TEST(VcdWriterTest, SequencesPlayBackToBackOnOneTimeline) {
 TEST(VcdWriterTest, SanitizesScopeAndSignalNames) {
   const auto circuit = toggle_circuit();
   VcdWriter vcd(circuit, "my top");
-  vcd.add_sequence("seq one", sym::replay_sequence(circuit, Keys{1}));
+  add(vcd, "seq one", replay(circuit, Keys{1}));
   const std::string text = vcd.to_string();
   EXPECT_NE(text.find("$scope module my_top"), std::string::npos);
   EXPECT_NE(text.find("$scope module seq_one"), std::string::npos);
 }
 
+// The cycle budget keeps the first cycles of a sequence and the state
+// they reach, exactly as a trace of that length would.
+TEST(VcdWriterTest, CutsEverySequenceAtTheCycleBudget) {
+  const auto circuit = toggle_circuit();
+  VcdWriter cut(circuit, "t", 2);
+  add(cut, "s", replay(circuit, Keys{1, 1, 1}));
+  VcdWriter whole(circuit, "t");
+  add(whole, "s", replay(circuit, Keys{1, 1}));
+  EXPECT_EQ(cut.to_string(), whole.to_string());
+}
+
 TEST(VcdWriterTest, RejectsTracesWithMismatchedShape) {
   const auto circuit = toggle_circuit();
-  const auto other = BlifReader()
-                         .read_string(
-                             ".inputs a b\n.outputs y\n"
-                             ".names a b y\n11 1\n.end\n")
-                         .circuit;
   VcdWriter vcd(circuit);
-  const Keys two_wide{0b11};
-  EXPECT_THROW(
-      vcd.add_sequence("bad", sym::replay_sequence(other, two_wide)),
-      std::invalid_argument);
+  const auto good = replay(circuit, Keys{1});
+  // The state path must be one longer than the inputs, the outputs as long.
+  EXPECT_THROW(vcd.add_sequence("bad", good.inputs, good.inputs, good.outputs),
+               std::invalid_argument);
+  EXPECT_THROW(vcd.add_sequence("bad", good.states, good.inputs, good.states),
+               std::invalid_argument);
+  // A key with a bit beyond the circuit's one input, one latch or two
+  // outputs.
+  EXPECT_THROW(vcd.add_sequence("bad", good.states, Keys{0b10}, good.outputs),
+               std::invalid_argument);
+  EXPECT_THROW(vcd.add_sequence("bad", Keys{0, 2}, good.inputs, good.outputs),
+               std::invalid_argument);
+  EXPECT_THROW(vcd.add_sequence("bad", good.states, good.inputs, Keys{4}),
+               std::invalid_argument);
   // A well-shaped trace is still accepted afterwards.
-  vcd.add_sequence("good", sym::replay_sequence(circuit, Keys{1}));
+  add(vcd, "good", good);
   EXPECT_EQ(vcd.num_sequences(), 1u);
 }
 
@@ -189,8 +231,8 @@ TEST(VcdWriterTest, OutputIsByteDeterministic) {
   const auto circuit = toggle_circuit();
   const auto make = [&] {
     VcdWriter vcd(circuit, "det");
-    vcd.add_sequence("s0", sym::replay_sequence(circuit, Keys{1, 0, 1}));
-    vcd.add_sequence("s1", sym::replay_sequence(circuit, Keys{0, 0}));
+    add(vcd, "s0", replay(circuit, Keys{1, 0, 1}));
+    add(vcd, "s1", replay(circuit, Keys{0, 0}));
     return vcd.to_string();
   };
   EXPECT_EQ(make(), make());
@@ -201,7 +243,7 @@ TEST(VcdWriterTest, OutputIsByteDeterministic) {
 TEST(VcdWriterTest, WriteFileFailsOnUnwritablePath) {
   const auto circuit = toggle_circuit();
   VcdWriter vcd(circuit);
-  vcd.add_sequence("s", sym::replay_sequence(circuit, Keys{1}));
+  add(vcd, "s", replay(circuit, Keys{1}));
   EXPECT_THROW(vcd.write_file("/nonexistent-dir/x.vcd"), std::runtime_error);
 }
 

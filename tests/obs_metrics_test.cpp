@@ -274,9 +274,7 @@ TEST(CoverageCurveBuilder, CurveBudgetBoundsThePointCountButNotTheEndpoint) {
   EXPECT_LE(pts.size(), 3u);
   EXPECT_EQ(pts.back(), point(19))
       << "downsampling must keep the campaign's final coverage point";
-  model::ExplicitModel model(fsm::random_connected_machine(4, 2, 2, 1), 0);
-  EXPECT_EQ(obs::CoverageTelemetryCollector(model).snapshot().curve_budget,
-            512u);
+  EXPECT_EQ(obs::CoverageTelemetryCollector().snapshot().curve_budget, 512u);
 }
 
 TEST(CoverageCurveBuilder, IsDeterministicInTheAppendSequenceAlone) {
@@ -293,15 +291,28 @@ TEST(CoverageCurveBuilder, IsDeterministicInTheAppendSequenceAlone) {
 // Coverage telemetry collector
 // ---------------------------------------------------------------------------
 
+/// The state paths of `batch` replayed from reset through `model` in
+/// lockstep — what the campaign hands the collector for each batch.
+std::vector<std::vector<std::uint64_t>> state_paths(
+    model::TestModel& model, std::span<const model::Sequence> batch) {
+  std::vector<std::vector<std::uint64_t>> paths(batch.size(),
+                                                {model.reset_state()});
+  model::replay_lockstep(model, batch, [&](const model::ReplayStep& s) {
+    paths[s.lane].push_back(s.next);
+  });
+  return paths;
+}
+
 TEST(CoverageTelemetryCollector, ReplayMatchesTheModelsOwnTourAccounting) {
   const auto m = fsm::random_connected_machine(24, 3, 4, 17);
   model::ExplicitModel tour_model(m, 0);
   auto stream = tour_model.tour_source();
 
   model::ExplicitModel replay_model(m, 0);
-  obs::CoverageTelemetryCollector collector(replay_model, 64);
+  obs::CoverageTelemetryCollector collector(64);
   while (auto seq = stream->next_sequence()) {
-    collector.commit_batch(std::span(&*seq, 1));
+    const std::span batch(&*seq, 1);
+    collector.commit_batch(batch, state_paths(replay_model, batch));
   }
   const auto summary = stream->summary();
 
@@ -399,18 +410,19 @@ TEST(CoverageTelemetryCollector, BatchCommitIsByteIdenticalToSequential) {
     // telemetry — convergence points included — must not move. Mixed batch
     // sizes cover single-sequence, partial and (past 64) multi-block
     // batches.
-    obs::CoverageTelemetryCollector batch(*model, 64);
+    obs::CoverageTelemetryCollector batch(64);
+    const auto commit = [&](std::span<const model::Sequence> part) {
+      batch.commit_batch(part, state_paths(*model, part));
+    };
     std::size_t at = 0;
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
                                     std::size_t{128}}) {
       if (at >= sequences.size()) break;
       const std::size_t len = std::min(chunk, sequences.size() - at);
-      batch.commit_batch(std::span(sequences).subspan(at, len));
+      commit(std::span(sequences).subspan(at, len));
       at += len;
     }
-    if (at < sequences.size()) {
-      batch.commit_batch(std::span(sequences).subspan(at));
-    }
+    if (at < sequences.size()) commit(std::span(sequences).subspan(at));
 
     EXPECT_EQ(batch.committed(), oracle.committed());
     const auto a = oracle.snapshot();
@@ -422,12 +434,20 @@ TEST(CoverageTelemetryCollector, BatchCommitIsByteIdenticalToSequential) {
   }
 }
 
-TEST(CoverageTelemetryCollector, BatchCommitRejectsInvalidInputs) {
-  const auto m = fsm::random_connected_machine(8, 3, 2, 5);  // 3 inputs
-  model::ExplicitModel model(m, 0);
-  obs::CoverageTelemetryCollector collector(model);
-  const std::vector<model::Sequence> bad{{3}};  // input key 3 of 0..2
-  EXPECT_THROW(collector.commit_batch(bad), std::domain_error);
+TEST(CoverageTelemetryCollector, BatchCommitRejectsMisshapenPaths) {
+  obs::CoverageTelemetryCollector collector;
+  const std::vector<model::Sequence> batch{{0, 1}};
+  // One path per sequence, one state longer than it; nothing is folded
+  // from a rejected batch.
+  const std::vector<std::vector<std::uint64_t>> missing;
+  const std::vector<std::vector<std::uint64_t>> too_short{{0, 1}};
+  EXPECT_THROW(collector.commit_batch(batch, missing), std::invalid_argument);
+  EXPECT_THROW(collector.commit_batch(batch, too_short),
+               std::invalid_argument);
+  EXPECT_EQ(collector.committed(), 0u);
+  const std::vector<std::vector<std::uint64_t>> path{{0, 1, 2}};
+  collector.commit_batch(batch, path);
+  EXPECT_EQ(collector.committed(), 1u);
 }
 
 // ---------------------------------------------------------------------------

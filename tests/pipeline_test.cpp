@@ -1012,32 +1012,43 @@ TEST(ConcretizeStageTest, ReplaysOnceForProgramsAndPathsAndHonoursCancel) {
   ASSERT_FALSE(batch.empty());
   runtime::ThreadPool pool(1);
 
-  // A cancelled batch is not replayed: no slot is claimed, no path kept.
+  // A cancelled batch is not replayed.
   pipeline::CancellationToken cancelled;
   cancelled.cancel();
-  std::vector<validate::ConcretizedProgram> out(batch.size());
-  std::vector<std::vector<std::uint64_t>> paths;
-  pipeline::ConcretizeStage::run_batch(built, m, batch, 0, out, &paths, pool,
-                                       cancelled, obs::null_sink());
-  for (const auto& program : out) EXPECT_TRUE(program.words().empty());
-  for (const auto& path : paths) EXPECT_EQ(path.size(), 1u);
+  EXPECT_FALSE(pipeline::replay_batch(m, batch, cancelled).has_value());
 
-  // Otherwise every program equals the re-simulating reference's, and the
-  // same replay yields each sequence's state path.
-  pipeline::ConcretizeStage::run_batch(built, m, batch, 0, out, &paths, pool,
-                                       pipeline::CancellationToken{},
+  // Otherwise the one replay yields each sequence's state path and output
+  // keys, and the programs concretized from those outputs equal the
+  // re-simulating reference's.
+  const auto replay =
+      pipeline::replay_batch(m, batch, pipeline::CancellationToken{});
+  ASSERT_TRUE(replay.has_value());
+  ASSERT_EQ(replay->paths.size(), batch.size());
+  ASSERT_EQ(replay->outputs.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(replay->paths[i].size(), batch[i].size() + 1);
+    ASSERT_EQ(replay->outputs[i].size(), batch[i].size());
+    std::uint64_t at = m.reset_state();
+    EXPECT_EQ(replay->paths[i].front(), at);
+    for (std::size_t j = 0; j < batch[i].size(); ++j) {
+      const auto step = one_lane(m, at, batch[i][j]);
+      EXPECT_EQ(replay->outputs[i][j], *step.output) << i << ":" << j;
+      at = *step.next;
+      EXPECT_EQ(replay->paths[i][j + 1], at) << i << ":" << j;
+    }
+  }
+
+  // A cancelled concretize claims no slot.
+  std::vector<validate::ConcretizedProgram> out(batch.size());
+  pipeline::ConcretizeStage::run_batch(built, batch, replay->outputs, 0, out,
+                                       pool, cancelled, obs::null_sink());
+  for (const auto& program : out) EXPECT_TRUE(program.words().empty());
+  pipeline::ConcretizeStage::run_batch(built, batch, replay->outputs, 0, out,
+                                       pool, pipeline::CancellationToken{},
                                        obs::null_sink());
-  ASSERT_EQ(paths.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(out[i].words(),
               validate::concretize_sequence(built, batch[i]).words());
-    ASSERT_EQ(paths[i].size(), batch[i].size() + 1);
-    std::uint64_t at = m.reset_state();
-    EXPECT_EQ(paths[i].front(), at);
-    for (std::size_t j = 0; j < batch[i].size(); ++j) {
-      at = *one_lane(m, at, batch[i][j]).next;
-      EXPECT_EQ(paths[i][j + 1], at) << i << ":" << j;
-    }
   }
 }
 

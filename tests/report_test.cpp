@@ -110,7 +110,7 @@ TEST(Json, CampaignReportIsWellFormedAndComplete) {
   core::CampaignOptions options;
   options.model_options = tiny_model_options();
   options.method = core::TestMethod::kTransitionTourSet;
-  options.collect_symbolic_stats = true;
+  options.backend = core::BackendChoice::kSymbolic;
   const std::vector<dlx::PipelineBug> bugs{
       dlx::PipelineBug::kNoLoadUseStall,
       dlx::PipelineBug::kNoForwardExMemA};
