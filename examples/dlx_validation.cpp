@@ -11,6 +11,7 @@
 // JSON report of the run.
 //
 //   $ ./dlx_validation
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "core/report.hpp"
 #include "dlx/pipeline.hpp"
 #include "model/explicit_model.hpp"
+#include "pipeline/stages.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "testmodel/testmodel.hpp"
 #include "validate/concretize.hpp"
@@ -65,12 +67,19 @@ int main() {
   bool caught = false;
   std::size_t sequences = 0;
   std::size_t steps_total = 0;
+  const validate::OutputFlags read_flags(model);
+  const pipeline::CancellationToken never_cancelled;
   while (const auto seq = stream->next_sequence()) {
     const std::size_t p = sequences++;
     steps_total += seq->size();
-    const auto flags =
-        validate::model_step_flags(model, test_model, {&*seq, 1});
-    const auto program = validate::concretize_sequence(model, *seq, flags[0]);
+    const auto replay =
+        pipeline::replay_batch(test_model, {&*seq, 1}, never_cancelled);
+    std::vector<validate::StepFlags> flags;
+    flags.reserve(seq->size());
+    for (const std::uint64_t out : replay->outputs[0]) {
+      flags.push_back(read_flags(out));
+    }
+    const auto program = validate::concretize_sequence(model, *seq, flags);
     std::optional<validate::ReferenceRun> reference;
     clean_ok = validate::run_validation(program, {}, kMaxCycles, reference)
                    .passed &&

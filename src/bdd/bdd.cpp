@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -858,27 +857,6 @@ NodeIndex BddManager::constrain_rec(NodeIndex f, NodeIndex c) {
   return r;
 }
 
-NodeIndex BddManager::compose_rec(NodeIndex f, unsigned var_id, NodeIndex g) {
-  if (is_const(f)) return f;
-  const unsigned vf = nodes_[f].var;
-  // var_id cannot appear below this level.
-  if (var2level_[vf] > var2level_[var_id]) return f;
-  NodeIndex cached;
-  if (cache_find(Op::kCompose, f, var_id, g, cached)) return cached;
-  NodeIndex r;
-  if (vf == var_id) {
-    r = ite_rec(g, nodes_[f].high, nodes_[f].low);
-  } else {
-    const NodeIndex lo = compose_rec(nodes_[f].low, var_id, g);
-    const NodeIndex hi = compose_rec(nodes_[f].high, var_id, g);
-    // g's support may reach above vf, so rebuild with ITE on vf.
-    const NodeIndex vnode = make_node(vf, 0, 1);
-    r = ite_rec(vnode, hi, lo);
-  }
-  cache_insert(Op::kCompose, f, var_id, g, r);
-  return r;
-}
-
 NodeIndex BddManager::permute_rec(NodeIndex f, std::span<const int> perm,
                                   std::uint32_t perm_tag) {
   if (is_const(f)) return f;
@@ -955,14 +933,6 @@ Bdd BddManager::exists(const Bdd& f, const Bdd& cube) {
   return Bdd(this, exists_rec(f.index(), cube.index()));
 }
 
-Bdd BddManager::forall(const Bdd& f, const Bdd& cube) {
-  check_same_manager(this, f);
-  check_same_manager(this, cube);
-  maybe_housekeep();
-  // forall x. f == !(exists x. !f)
-  return Bdd(this, not_rec(exists_rec(not_rec(f.index()), cube.index())));
-}
-
 Bdd BddManager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
   check_same_manager(this, f);
   check_same_manager(this, g);
@@ -986,14 +956,6 @@ Bdd BddManager::constrain(const Bdd& f, const Bdd& c) {
   }
   maybe_housekeep();
   return Bdd(this, constrain_rec(f.index(), c.index()));
-}
-
-Bdd BddManager::compose(const Bdd& f, unsigned var_id, const Bdd& g) {
-  check_same_manager(this, f);
-  check_same_manager(this, g);
-  ensure_var(var_id);
-  maybe_housekeep();
-  return Bdd(this, compose_rec(f.index(), var_id, g.index()));
 }
 
 Bdd BddManager::permute(const Bdd& f, std::span<const int> perm) {
@@ -1147,36 +1109,6 @@ std::size_t BddManager::node_count(const Bdd& f) const {
     stack.push_back(nodes_[n].high);
   }
   return count;
-}
-
-std::string BddManager::to_dot(
-    const Bdd& f, const std::function<std::string(unsigned)>& var_name) const {
-  std::ostringstream os;
-  os << "digraph bdd {\n  rankdir=TB;\n";
-  os << "  n0 [label=\"0\", shape=box];\n";
-  os << "  n1 [label=\"1\", shape=box];\n";
-  std::unordered_map<NodeIndex, bool> visited;
-  std::vector<NodeIndex> stack{f.index()};
-  while (!stack.empty()) {
-    const NodeIndex n = stack.back();
-    stack.pop_back();
-    if (is_const(n) || visited[n]) continue;
-    visited[n] = true;
-    const Node& nd = nodes_[n];
-    std::string label = "x";
-    if (var_name) {
-      label = var_name(nd.var);
-    } else {
-      label += std::to_string(nd.var);
-    }
-    os << "  n" << n << " [label=\"" << label << "\", shape=circle];\n";
-    os << "  n" << n << " -> n" << nd.low << " [style=dashed];\n";
-    os << "  n" << n << " -> n" << nd.high << " [style=solid];\n";
-    stack.push_back(nd.low);
-    stack.push_back(nd.high);
-  }
-  os << "}\n";
-  return os.str();
 }
 
 }  // namespace simcov::bdd

@@ -28,7 +28,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace simcov::bdd {
@@ -154,8 +153,6 @@ class BddManager {
   /// Existential quantification of every variable in `cube` (a positive
   /// product of variables, as built by cube()).
   [[nodiscard]] Bdd exists(const Bdd& f, const Bdd& cube);
-  /// Universal quantification over the variables of `cube`.
-  [[nodiscard]] Bdd forall(const Bdd& f, const Bdd& cube);
   /// Relational product: exists(cube, f & g) computed without building the
   /// intermediate conjunction. This is the workhorse of image computation.
   [[nodiscard]] Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& cube);
@@ -167,9 +164,6 @@ class BddManager {
   /// with f on the care set c, typically smaller than f. Satisfies
   /// constrain(f, c) & c == f & c. Precondition: c != 0.
   [[nodiscard]] Bdd constrain(const Bdd& f, const Bdd& c);
-
-  /// Functional composition: f with variable `var_id` replaced by g.
-  [[nodiscard]] Bdd compose(const Bdd& f, unsigned var_id, const Bdd& g);
 
   /// Rename variables: `perm[v]` is the new variable for old variable `v`.
   /// `perm` must be defined (>=0) for every variable in the support of `f`;
@@ -214,12 +208,6 @@ class BddManager {
   [[nodiscard]] bool leq(const Bdd& f, const Bdd& g);
 
   [[nodiscard]] std::size_t node_count(const Bdd& f) const;
-
-  /// Graphviz DOT rendering of the function's DAG (solid = high edge,
-  /// dashed = low edge). `var_name(v)` labels variables; defaults to "x<v>".
-  [[nodiscard]] std::string to_dot(
-      const Bdd& f,
-      const std::function<std::string(unsigned)>& var_name = {}) const;
 
   // ---- Memory management ---------------------------------------------------
   /// Run a mark/sweep collection now. Nodes reachable from live handles
@@ -332,7 +320,6 @@ class BddManager {
                         std::uint32_t perm_tag);
   NodeIndex cofactor_rec(NodeIndex f, unsigned var_id, bool value);
   NodeIndex constrain_rec(NodeIndex f, NodeIndex c);
-  NodeIndex compose_rec(NodeIndex f, unsigned var_id, NodeIndex g);
 
   [[nodiscard]] unsigned var_of(NodeIndex n) const noexcept {
     return nodes_[n].var;
@@ -346,7 +333,7 @@ class BddManager {
   // Operation cache.
   enum class Op : std::uint8_t {
     kIte = 1, kNot, kAnd, kOr, kXor, kExists, kAndExists, kPermute, kCofactor,
-    kConstrain, kCompose,
+    kConstrain,
   };
   [[nodiscard]] std::size_t cache_slot(std::uint64_t key, NodeIndex a,
                                        NodeIndex b, NodeIndex c) const noexcept;

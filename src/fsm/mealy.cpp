@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <random>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -124,26 +123,6 @@ std::vector<TransitionRef> MealyMachine::reachable_transitions(
     }
   }
   return result;
-}
-
-std::string MealyMachine::to_dot(StateId start) const {
-  const auto reachable = reachable_states(start);
-  std::ostringstream os;
-  os << "digraph mealy {\n  rankdir=LR;\n";
-  os << "  entry [shape=point];\n  entry -> s" << start << ";\n";
-  for (StateId s = 0; s < num_states_; ++s) {
-    if (!reachable[s]) continue;
-    os << "  s" << s << " [label=\"" << state_name(s)
-       << "\", shape=circle];\n";
-    for (InputId i = 0; i < num_inputs_; ++i) {
-      const auto& t = table_[idx(s, i)];
-      if (!t.has_value()) continue;
-      os << "  s" << s << " -> s" << t->next << " [label=\"" << input_name(i)
-         << "/" << t->output << "\"];\n";
-    }
-  }
-  os << "}\n";
-  return os.str();
 }
 
 void MealyMachine::set_state_name(StateId s, std::string name) {

@@ -91,10 +91,6 @@ class MealyMachine {
   [[nodiscard]] std::vector<TransitionRef> reachable_transitions(
       StateId from) const;
 
-  /// Graphviz DOT rendering of the (reachable part of the) state graph,
-  /// edges labelled "input/output".
-  [[nodiscard]] std::string to_dot(StateId start) const;
-
   // ---- Naming (optional, for reports) --------------------------------------
   void set_state_name(StateId s, std::string name);
   void set_input_name(InputId i, std::string name);

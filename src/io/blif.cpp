@@ -6,7 +6,6 @@
 #include <istream>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -318,9 +317,9 @@ class Parser {
   }
 
   /// Lowers one cover table over resolved operand signals. Canonical covers
-  /// (the ones BlifWriter emits) map to single gates; everything else to a
-  /// sum-of-products. Every mapping preserves the cover's function, so the
-  /// special cases are pure canonicalization.
+  /// map to single gates; everything else to a sum-of-products. Every
+  /// mapping preserves the cover's function, so the special cases are pure
+  /// canonicalization.
   sym::SignalId lower_table(const Cover& cover,
                             std::span<const sym::SignalId> xs) {
     sym::LogicNetwork& net = net_;
@@ -350,7 +349,7 @@ class Parser {
       }
     }
     // Generic sum-of-products. Folds are seeded with the first term instead
-    // of a neutral constant so canonical re-lowering never injects gates.
+    // of a neutral constant so lowering never injects constant gates.
     std::optional<sym::SignalId> sum;
     for (const std::string& row : cover.rows) {
       std::optional<sym::SignalId> product;
@@ -375,7 +374,7 @@ class Parser {
 
     // Network inputs in canonical order: primary inputs in declaration
     // order, then one per latch (named after the latch output) in
-    // declaration order. The round-trip guarantee depends on this order.
+    // declaration order, so equal texts give fingerprint-equal circuits.
     for (const auto& pi : inputs_) {
       const sym::SignalId s = net_.add_input(pi.name);
       signals_.emplace(pi.name, s);
@@ -423,103 +422,6 @@ class Parser {
   sym::LogicNetwork net_;
 };
 
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-void check_emittable_name(std::string_view name, const char* what) {
-  if (name.empty()) {
-    throw std::invalid_argument(std::string("BlifWriter: empty ") + what +
-                                " name");
-  }
-  for (const char c : name) {
-    if (std::isspace(static_cast<unsigned char>(c)) || c == '#' ||
-        c == '\\') {
-      throw std::invalid_argument(std::string("BlifWriter: ") + what +
-                                  " name '" + std::string(name) +
-                                  "' contains whitespace/#/\\");
-    }
-  }
-}
-
-/// Assigns every signal a unique emission name: primary inputs and latches
-/// keep their declared names, everything else gets `g<id>` (de-collided by
-/// appending '_'). Generated names also steer clear of `reserved` — the
-/// declared output names — so an output alias like "g11" in the source
-/// never collides with a fresh gate name (the alias is then re-emitted as
-/// a buffer cover, which the reader lowers back to the same alias).
-class NameTable {
- public:
-  NameTable(const sym::SequentialCircuit& circuit,
-            const std::set<std::string>& reserved)
-      : names_(circuit.net.num_signals()), reserved_(reserved) {
-    const auto& net = circuit.net;
-    std::map<sym::SignalId, std::size_t> input_index;
-    for (std::size_t k = 0; k < net.num_inputs(); ++k) {
-      input_index.emplace(net.inputs()[k], k);
-    }
-    for (const sym::SignalId pi : circuit.primary_inputs) {
-      const auto it = input_index.find(pi);
-      if (it == input_index.end()) {
-        throw std::invalid_argument(
-            "BlifWriter: primary input is not a network input");
-      }
-      assign(pi, net.input_name(it->second), "primary input");
-    }
-    for (const auto& latch : circuit.latches) {
-      assign(latch.current, latch.name, "latch");
-    }
-    for (sym::SignalId s = 0; s < net.num_signals(); ++s) {
-      if (!names_[s].empty()) continue;
-      std::string candidate = "g";
-      candidate += std::to_string(s);
-      while (reserved_.count(candidate) != 0 ||
-             !used_.insert(candidate).second) {
-        candidate += '_';
-      }
-      names_[s] = std::move(candidate);
-    }
-  }
-
-  [[nodiscard]] const std::string& operator[](sym::SignalId s) const {
-    return names_[s];
-  }
-  [[nodiscard]] bool is_free(const std::string& name) const {
-    return used_.count(name) == 0;
-  }
-
- private:
-  void assign(sym::SignalId s, const std::string& name, const char* what) {
-    check_emittable_name(name, what);
-    if (!names_[s].empty()) {
-      throw std::invalid_argument("BlifWriter: signal '" + name +
-                                  "' already named '" + names_[s] + "'");
-    }
-    if (!used_.insert(name).second) {
-      throw std::invalid_argument(std::string("BlifWriter: duplicate ") +
-                                  what + " name '" + name + "'");
-    }
-    names_[s] = name;
-  }
-
-  std::vector<std::string> names_;
-  std::set<std::string> used_;
-  const std::set<std::string>& reserved_;
-};
-
-void emit_name_list(std::ostream& out, const char* directive,
-                    std::span<const std::string> names) {
-  if (names.empty()) return;
-  // Chunked so even wide circuits stay on readable lines.
-  constexpr std::size_t kPerLine = 10;
-  for (std::size_t i = 0; i < names.size(); i += kPerLine) {
-    out << directive;
-    const std::size_t end = std::min(names.size(), i + kPerLine);
-    for (std::size_t k = i; k < end; ++k) out << ' ' << names[k];
-    out << '\n';
-  }
-}
-
 }  // namespace
 
 BlifCircuit BlifReader::read(std::istream& in,
@@ -539,120 +441,6 @@ BlifCircuit BlifReader::read_file(const std::string& path) const {
     throw std::runtime_error("BlifReader: cannot open '" + path + "'");
   }
   return read(in, path);
-}
-
-void BlifWriter::write(std::ostream& out,
-                       const sym::SequentialCircuit& circuit,
-                       std::string_view model_name) const {
-  if (circuit.valid.has_value()) {
-    throw std::invalid_argument(
-        "BlifWriter: circuits with a validity constraint are not emittable "
-        "(BLIF has no input-constraint construct)");
-  }
-  // Output names first: they are reserved so generated gate names never
-  // land on one of them.
-  std::vector<std::string> out_names;
-  std::set<std::string> seen_outputs;
-  for (const auto& [name, signal] : circuit.outputs) {
-    (void)signal;
-    check_emittable_name(name, "output");
-    if (!seen_outputs.insert(name).second) {
-      throw std::invalid_argument("BlifWriter: duplicate output '" + name +
-                                  "'");
-    }
-    out_names.push_back(name);
-  }
-  const NameTable names(circuit, seen_outputs);
-
-  if (!model_name.empty()) {
-    check_emittable_name(model_name, "model");
-    out << ".model " << model_name << '\n';
-  }
-  std::vector<std::string> pi_names;
-  pi_names.reserve(circuit.primary_inputs.size());
-  for (const sym::SignalId pi : circuit.primary_inputs) {
-    pi_names.push_back(names[pi]);
-  }
-  emit_name_list(out, ".inputs", pi_names);
-
-  // Outputs whose declared name is not the driving signal's own name need a
-  // buffer cover (the reader lowers buffers to aliases, so the round-trip
-  // yields the identical (name, signal) pair with no extra gate).
-  std::vector<std::pair<std::string, sym::SignalId>> buffers;
-  for (const auto& [name, signal] : circuit.outputs) {
-    if (names[signal] == name) continue;
-    if (!names.is_free(name)) {
-      throw std::invalid_argument("BlifWriter: output name '" + name +
-                                  "' collides with another signal");
-    }
-    buffers.emplace_back(name, signal);
-  }
-  emit_name_list(out, ".outputs", out_names);
-
-  for (const auto& latch : circuit.latches) {
-    out << ".latch " << names[latch.next] << ' ' << names[latch.current]
-        << ' ' << (latch.init ? '1' : '0') << '\n';
-  }
-
-  // Every non-input signal as the canonical cover BlifReader recognizes,
-  // in storage order (which is topological by construction).
-  const auto& net = circuit.net;
-  for (sym::SignalId s = 0; s < net.num_signals(); ++s) {
-    const auto g = net.gate(s);
-    const std::string& n = names[s];
-    switch (g.op) {
-      case sym::GateOp::kInput:
-        break;
-      case sym::GateOp::kConst:
-        out << ".names " << n << '\n';
-        if (g.a != 0) out << "1\n";
-        break;
-      case sym::GateOp::kNot:
-        out << ".names " << names[g.a] << ' ' << n << "\n0 1\n";
-        break;
-      case sym::GateOp::kAnd:
-        out << ".names " << names[g.a] << ' ' << names[g.b] << ' ' << n
-            << "\n11 1\n";
-        break;
-      case sym::GateOp::kOr:
-        out << ".names " << names[g.a] << ' ' << names[g.b] << ' ' << n
-            << "\n1- 1\n-1 1\n";
-        break;
-      case sym::GateOp::kXor:
-        out << ".names " << names[g.a] << ' ' << names[g.b] << ' ' << n
-            << "\n01 1\n10 1\n";
-        break;
-      case sym::GateOp::kMux:
-        out << ".names " << names[g.a] << ' ' << names[g.b] << ' '
-            << names[g.c] << ' ' << n << "\n11- 1\n0-1 1\n";
-        break;
-    }
-  }
-  for (const auto& [name, signal] : buffers) {
-    out << ".names " << names[signal] << ' ' << name << "\n1 1\n";
-  }
-  out << ".end\n";
-}
-
-std::string BlifWriter::to_string(const sym::SequentialCircuit& circuit,
-                                  std::string_view model_name) const {
-  std::ostringstream os;
-  write(os, circuit, model_name);
-  return os.str();
-}
-
-void BlifWriter::write_file(const std::string& path,
-                            const sym::SequentialCircuit& circuit,
-                            std::string_view model_name) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("BlifWriter: cannot open '" + path +
-                             "' for writing");
-  }
-  write(out, circuit, model_name);
-  if (!out) {
-    throw std::runtime_error("BlifWriter: write to '" + path + "' failed");
-  }
 }
 
 }  // namespace simcov::io

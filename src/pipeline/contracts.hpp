@@ -40,12 +40,15 @@ enum class TestMethod : std::uint8_t {
 [[nodiscard]] const char* method_name(TestMethod method);
 
 /// Which test-model representation the campaign runs on. kAuto picks
-/// explicit when the reachable state space fits the enumeration budget
-/// (CampaignOptions::max_states) and falls back to the implicit (BDD)
+/// explicit when sym::extract_explicit takes the circuit (no more than
+/// sym::kMaxExplicitInputs inputs and sym::kMaxExplicitOutputs outputs)
+/// and the reachable state space fits the enumeration budget
+/// (CampaignOptions::max_states), and falls back to the implicit (BDD)
 /// backend otherwise — large models are no longer truncated.
 enum class BackendChoice : std::uint8_t {
   kAuto,
-  kExplicit,  ///< force enumeration; throws if the budget is exceeded
+  kExplicit,  ///< force enumeration; throws if the circuit is too wide or
+              ///< the budget is exceeded
   kSymbolic,  ///< force the implicit representation
 };
 

@@ -130,7 +130,13 @@ std::unique_ptr<model::TestModel> select_backend(
     const CampaignOptions& options, const testmodel::BuiltTestModel& built,
     model::ExplicitModel** out_explicit) {
   *out_explicit = nullptr;
-  if (options.backend != BackendChoice::kSymbolic) {
+  // kAuto enumerates only circuits extract_explicit takes; a forced
+  // kExplicit on a wider one throws extract_explicit's invalid_argument.
+  const bool enumerable =
+      built.circuit.primary_inputs.size() <= sym::kMaxExplicitInputs &&
+      built.circuit.outputs.size() <= sym::kMaxExplicitOutputs;
+  if (options.backend == BackendChoice::kExplicit ||
+      (options.backend == BackendChoice::kAuto && enumerable)) {
     auto extraction = sym::extract_explicit(built.circuit, options.max_states);
     if (!extraction.truncated) {
       auto exp = std::make_unique<model::ExplicitModel>(std::move(extraction));

@@ -241,11 +241,11 @@ ExplicitModel extract_explicit(const SequentialCircuit& c,
   const auto sources = input_sources(c);
   const std::size_t num_pi = c.primary_inputs.size();
   const std::size_t num_latch = c.latches.size();
-  if (num_pi > 24) {
+  if (num_pi > kMaxExplicitInputs) {
     throw std::invalid_argument(
         "extract_explicit: too many primary inputs for explicit enumeration");
   }
-  if (c.outputs.size() > 31) {
+  if (c.outputs.size() > kMaxExplicitOutputs) {
     throw std::invalid_argument(
         "extract_explicit: too many outputs to pack into an OutputId");
   }

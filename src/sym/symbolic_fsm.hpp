@@ -15,6 +15,7 @@
 // construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -185,6 +186,13 @@ struct ExplicitModel {
   bool truncated = false;
 };
 
+/// The widest circuit extract_explicit takes: every primary-input
+/// combination is enumerated, and the outputs pack into an fsm::OutputId.
+inline constexpr std::size_t kMaxExplicitInputs = 24;
+inline constexpr std::size_t kMaxExplicitOutputs = 31;
+
+/// Throws std::invalid_argument on a circuit with more than
+/// kMaxExplicitInputs primary inputs or kMaxExplicitOutputs outputs.
 ExplicitModel extract_explicit(const SequentialCircuit& circuit,
                                std::size_t max_states);
 

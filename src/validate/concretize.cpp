@@ -289,20 +289,6 @@ OutputFlags::OutputFlags(const testmodel::BuiltTestModel& model)
     : stall_bit_(output_bit(model, "stall")),
       squash_bit_(output_bit(model, "squash")) {}
 
-std::vector<std::vector<StepFlags>> model_step_flags(
-    const testmodel::BuiltTestModel& model, model::TestModel& test_model,
-    std::span<const model::Sequence> batch) {
-  const OutputFlags read_flags(model);
-  std::vector<std::vector<StepFlags>> flags(batch.size());
-  for (std::size_t l = 0; l < batch.size(); ++l) {
-    flags[l].reserve(batch[l].size());
-  }
-  model::replay_lockstep(test_model, batch, [&](const model::ReplayStep& s) {
-    flags[s.lane].push_back(read_flags(s.output));
-  });
-  return flags;
-}
-
 ConcretizedProgram concretize_sequence(const testmodel::BuiltTestModel& model,
                                        const model::Sequence& steps,
                                        std::span<const StepFlags> flags) {

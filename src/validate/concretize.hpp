@@ -29,7 +29,7 @@
 // The stall and squash flags that drive the dropping and the wrong-path
 // slots come from the test model's own Mealy outputs: the tour was
 // generated on that model, so it already knows them. The campaign replays
-// each batch through the model once (model::replay_lockstep), reads the
+// each batch through the model once (pipeline::replay_batch), reads the
 // flags off the output keys (OutputFlags) and builds each program with no
 // simulator. The ControlInput entry points re-simulate the control netlist
 // with testmodel::ControlModelSim instead (concretize_reference.cpp); they
@@ -128,14 +128,6 @@ testmodel::ControlInput decode_control_input(
 /// with a ControlModelSim re-simulation).
 ConcretizedProgram concretize_sequence(const testmodel::BuiltTestModel& model,
                                        const model::Sequence& steps);
-
-/// The stall/squash flags of every step of `batch`, read off `test_model`
-/// (the TestModel, of either backend, built over `model.circuit`) in one
-/// model::replay_lockstep. Throws as replay_lockstep and OutputFlags do.
-/// Calls the model, so one thread at a time.
-std::vector<std::vector<StepFlags>> model_step_flags(
-    const testmodel::BuiltTestModel& model, model::TestModel& test_model,
-    std::span<const model::Sequence> batch);
 
 /// Concretizes one tour sequence from its steps' model outputs (`flags`,
 /// one per step): decodes the keys and runs concretize_inputs. Yields the

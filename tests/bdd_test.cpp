@@ -97,16 +97,6 @@ TEST_F(BddTest, ExistentialQuantification) {
   EXPECT_EQ(mgr.exists(b & c, cube_a), b & c);
 }
 
-TEST_F(BddTest, UniversalQuantification) {
-  const Bdd a = mgr.var(0);
-  const Bdd b = mgr.var(1);
-  const std::vector<unsigned> vs{0};
-  const Bdd cube_a = mgr.cube(vs);
-  EXPECT_EQ(mgr.forall(a & b, cube_a), mgr.zero());
-  EXPECT_EQ(mgr.forall(a | b, cube_a), b);
-  EXPECT_EQ(mgr.forall((!a) | b, cube_a), b);
-}
-
 TEST_F(BddTest, AndExistsEqualsComposition) {
   // Property: and_exists(f, g, cube) == exists(f & g, cube) on random inputs.
   std::mt19937 rng(7);
@@ -372,43 +362,6 @@ TEST_F(BddTest, ConstrainSimplifies) {
   EXPECT_THROW((void)mgr.constrain(a, mgr.zero()), std::invalid_argument);
 }
 
-TEST_F(BddTest, ComposeSubstitutesFunction) {
-  const Bdd a = mgr.var(0);
-  const Bdd b = mgr.var(1);
-  const Bdd c = mgr.var(2);
-  const Bdd f = a ^ b;
-  // Substitute b := (a & c).
-  EXPECT_EQ(mgr.compose(f, 1, a & c), a ^ (a & c));
-  // Substituting a variable not in the support is the identity.
-  EXPECT_EQ(mgr.compose(f, 5, c), f);
-  // Substituting a constant equals the cofactor.
-  EXPECT_EQ(mgr.compose(f, 1, mgr.one()), mgr.cofactor(f, 1, true));
-  EXPECT_EQ(mgr.compose(f, 1, mgr.zero()), mgr.cofactor(f, 1, false));
-}
-
-TEST_F(BddTest, ComposeShannonIdentity) {
-  // f == ite(g, compose(f, v, 1), compose(f, v, 0)) when substituting g.
-  std::mt19937 rng(5);
-  for (int trial = 0; trial < 10; ++trial) {
-    Bdd f = mgr.zero();
-    for (int m = 0; m < 4; ++m) {
-      Bdd term = mgr.one();
-      for (unsigned v = 0; v < 5; ++v) {
-        const int pick = static_cast<int>(rng() % 3);
-        if (pick == 0) term &= mgr.var(v);
-        if (pick == 1) term &= !mgr.var(v);
-      }
-      f |= term;
-    }
-    const Bdd g = mgr.var(3) ^ mgr.var(4);
-    const unsigned v = 1;
-    const Bdd composed = mgr.compose(f, v, g);
-    const Bdd expected = mgr.ite(g, mgr.cofactor(f, v, true),
-                                 mgr.cofactor(f, v, false));
-    EXPECT_EQ(composed, expected);
-  }
-}
-
 TEST_F(BddTest, PointEvaluation) {
   const Bdd f = (mgr.var(0) & mgr.var(2)) | ((!mgr.var(1)) & mgr.var(3));
   for (unsigned a = 0; a < 16; ++a) {
@@ -423,18 +376,6 @@ TEST_F(BddTest, PointEvaluation) {
   EXPECT_FALSE(mgr.eval(mgr.var(7), kShort));
   EXPECT_TRUE(mgr.eval(mgr.one(), kShort));
   EXPECT_FALSE(mgr.eval(mgr.zero(), kShort));
-}
-
-TEST_F(BddTest, DotExport) {
-  const Bdd f = mgr.var(0) & !mgr.var(1);
-  const std::string dot = mgr.to_dot(f);
-  EXPECT_NE(dot.find("digraph bdd"), std::string::npos);
-  EXPECT_NE(dot.find("x0"), std::string::npos);
-  EXPECT_NE(dot.find("x1"), std::string::npos);
-  EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-  const std::string named =
-      mgr.to_dot(f, [](unsigned v) { return "var" + std::to_string(v); });
-  EXPECT_NE(named.find("var0"), std::string::npos);
 }
 
 // Property sweep: random 3-term DNFs over n variables evaluated against a

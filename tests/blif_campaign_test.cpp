@@ -2,7 +2,8 @@
 // bundled netlist (explicit and symbolic backends), determinism across
 // thread counts, VCD export covering every committed sequence, the cycle
 // budget's truncation of clean runs and waveforms, pinned waveform bytes,
-// and the external-circuit restrictions (no DLX bug injection).
+// the backend choice on netlists too wide to enumerate, and the
+// external-circuit restrictions (no DLX bug injection).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -20,6 +21,7 @@
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "obs/event_sink.hpp"
+#include "sym/symbolic_fsm.hpp"
 
 namespace simcov::core {
 namespace {
@@ -205,20 +207,24 @@ struct SpanStages final : obs::EventSink {
   std::set<obs::Stage> stages;
 };
 
+/// Writes a one-input, one-latch netlist whose `outputs` outputs all alias
+/// the latch.
+void write_wide_netlist(const std::string& path, int outputs) {
+  std::ofstream out(path);
+  out << ".model wide\n.inputs a\n.outputs";
+  for (int k = 0; k < outputs; ++k) out << " o" << k;
+  out << "\n.latch a q 0\n";
+  for (int k = 0; k < outputs; ++k) out << ".names q o" << k << "\n1 1\n";
+  out << ".end\n";
+}
+
 // Every step of the campaign's one batch replay packs the outputs into a
 // 64-bit key, so a 64-output netlist is turned away while the model is
 // built, on either backend, before a single sequence is generated.
 TEST(BlifCampaignTest, RejectsCircuitTooWideToReplayBeforeAnyReplay) {
   TempDir tmp;
   const std::string path = tmp.str("wide.blif");
-  {
-    std::ofstream out(path);
-    out << ".model wide\n.inputs a\n.outputs";
-    for (int k = 0; k < 64; ++k) out << " o" << k;
-    out << "\n.latch a q 0\n";
-    for (int k = 0; k < 64; ++k) out << ".names q o" << k << "\n1 1\n";
-    out << ".end\n";
-  }
+  write_wide_netlist(path, 64);
   for (const BackendChoice backend :
        {BackendChoice::kAuto, BackendChoice::kSymbolic}) {
     SpanStages spans;
@@ -230,6 +236,22 @@ TEST(BlifCampaignTest, RejectsCircuitTooWideToReplayBeforeAnyReplay) {
     EXPECT_EQ(spans.stages, std::set<obs::Stage>{obs::Stage::kModelBuild})
         << static_cast<int>(backend);
   }
+}
+
+// 40 outputs do not pack into an explicit OutputId but do into the packed
+// 64-bit keys: kAuto takes the symbolic backend, kExplicit refuses.
+TEST(BlifCampaignTest, AutoTakesSymbolicPastTheExplicitOutputLimit) {
+  static_assert(40 > sym::kMaxExplicitOutputs);
+  TempDir tmp;
+  const std::string path = tmp.str("wide.blif");
+  write_wide_netlist(path, 40);
+  auto options = blif_options(path);
+  const auto result = run_campaign(options, {});
+  EXPECT_EQ(result.backend, model::Backend::kSymbolic);
+  EXPECT_EQ(result.model_states, 2u);
+  EXPECT_TRUE(result.clean_pass);
+  options.backend = BackendChoice::kExplicit;
+  EXPECT_THROW((void)run_campaign(options, {}), std::invalid_argument);
 }
 
 TEST(BlifCampaignTest, MissingNetlistFileFailsCleanly) {

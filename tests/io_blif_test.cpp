@@ -1,20 +1,23 @@
-// Tests for the BLIF frontend (io::BlifReader / io::BlifWriter): subset
-// parsing, canonical-cover recognition, generic sum-of-products and
-// OFF-set lowering semantics, the malformed-input rejection table
-// (line-numbered std::invalid_argument), and the round-trip guarantee —
-// write(read(x)) re-reads to an identical store::Fingerprint for the
-// bundled example circuits and a randomized generated-netlist corpus.
+// Tests for the BLIF reader (io::BlifReader): subset parsing,
+// canonical-cover recognition, generic sum-of-products and OFF-set
+// lowering semantics, the malformed-input rejection table (line-numbered
+// std::invalid_argument), structural fingerprints, and a deterministic
+// mutation fuzzer over the bundled circuits and a generated corpus.
 #include "io/blif.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <random>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "draws.hpp"
 #include "model/test_model.hpp"
 #include "store/fingerprint.hpp"
 #include "sym/packed_logic_sim.hpp"
@@ -275,120 +278,7 @@ TEST(BlifReaderTest, UnopenableFileIsRuntimeError) {
                std::runtime_error);
 }
 
-// ---- Writer ----------------------------------------------------------------
-
-TEST(BlifWriterTest, RejectsValidityConstrainedCircuits) {
-  auto parsed = parse(".inputs a\n.outputs a\n.end\n");
-  parsed.circuit.valid = parsed.circuit.primary_inputs[0];
-  EXPECT_THROW((void)BlifWriter().to_string(parsed.circuit, "m"),
-               std::invalid_argument);
-}
-
-TEST(BlifWriterTest, EmitsAliasedOutputsAsBufferCovers) {
-  // Output name differs from the driving signal's own name.
-  const auto parsed = parse(
-      ".inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n");
-  sym::SequentialCircuit renamed = parsed.circuit;
-  renamed.outputs[0].first = "result";
-  const std::string text = BlifWriter().to_string(renamed, "m");
-  EXPECT_NE(text.find("result"), std::string::npos);
-  const auto again = BlifReader().read_string(text);
-  EXPECT_EQ(again.circuit.outputs[0].first, "result");
-  EXPECT_TRUE(eval_comb(again.circuit, {true, true}).at(0));
-}
-
-// ---- Round-trip fingerprints -----------------------------------------------
-
-void expect_roundtrip_identical(const BlifCircuit& parsed,
-                                const std::string& label) {
-  const std::string emitted = BlifWriter().to_string(parsed.circuit,
-                                                     parsed.name);
-  const auto again = BlifReader().read_string(emitted, "roundtrip.blif");
-  EXPECT_EQ(store::fingerprint_circuit(parsed.circuit),
-            store::fingerprint_circuit(again.circuit))
-      << label << ": round-trip changed the structural fingerprint.\n"
-      << emitted;
-  EXPECT_EQ(again.name, parsed.name) << label;
-}
-
-TEST(BlifRoundTripTest, BundledCircuitsRoundTripToIdenticalFingerprints) {
-  const std::string dir = SIMCOV_CIRCUITS_DIR;
-  for (const char* name :
-       {"count3.blif", "tlc.blif", "shift4.blif", "updown2.blif"}) {
-    const auto parsed = BlifReader().read_file(dir + "/" + name);
-    expect_roundtrip_identical(parsed, name);
-  }
-}
-
-/// Randomized canonical-corpus netlist: declared signals only, covers in
-/// dependency order, random shapes (canonical, generic ON/OFF, constants,
-/// buffers), random latches and outputs.
-std::string random_netlist(std::mt19937_64& rng) {
-  auto pick = [&](std::size_t n) {
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
-  };
-  std::string text = ".model rand\n.inputs";
-  const std::size_t num_pi = 1 + pick(4);
-  std::vector<std::string> driven;
-  for (std::size_t k = 0; k < num_pi; ++k) {
-    driven.push_back("p" + std::to_string(k));
-    text += " " + driven.back();
-  }
-  text += "\n";
-  const std::size_t num_latch = pick(4);
-  for (std::size_t j = 0; j < num_latch; ++j) {
-    driven.push_back("q" + std::to_string(j));
-  }
-  const std::size_t num_gates = 3 + pick(12);
-  for (std::size_t g = 0; g < num_gates; ++g) {
-    const std::string out = "g" + std::to_string(g);
-    const std::size_t arity = pick(4);  // 0..3 inputs
-    text += ".names";
-    for (std::size_t k = 0; k < arity; ++k) {
-      text += " " + driven[pick(driven.size())];
-    }
-    text += " " + out + "\n";
-    const std::size_t rows = arity == 0 ? pick(2) : 1 + pick(3);
-    const char plane = pick(4) == 0 ? '0' : '1';  // occasional OFF-set
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::string row;
-      for (std::size_t k = 0; k < arity; ++k) {
-        row += "01-"[pick(3)];
-      }
-      if (arity == 0) {
-        text += std::string(1, plane) + "\n";
-      } else {
-        text += row + " " + plane + "\n";
-      }
-    }
-    driven.push_back(out);
-  }
-  // Latch inputs may be any driven signal, including other latches.
-  for (std::size_t j = 0; j < num_latch; ++j) {
-    text += ".latch " + driven[pick(driven.size())] + " q" +
-            std::to_string(j) + " " + (pick(2) == 0 ? "0" : "1") + "\n";
-  }
-  std::set<std::string> outs;
-  const std::size_t num_outputs = 1 + pick(3);
-  for (std::size_t o = 0; o < num_outputs; ++o) {
-    outs.insert(driven[pick(driven.size())]);
-  }
-  text += ".outputs";
-  for (const auto& o : outs) text += " " + o;
-  text += "\n.end\n";
-  return text;
-}
-
-TEST(BlifRoundTripTest, RandomizedCorpusRoundTripsToIdenticalFingerprints) {
-  std::mt19937_64 rng(0xb11fu);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::string text = random_netlist(rng);
-    const auto parsed = BlifReader().read_string(text, "rand.blif");
-    expect_roundtrip_identical(parsed,
-                               "trial " + std::to_string(trial) + ":\n" +
-                                   text);
-  }
-}
+// ---- Fingerprints ----------------------------------------------------------
 
 TEST(BlifRoundTripTest, EditedNetlistChangesTheFingerprint) {
   const std::string base =
@@ -406,6 +296,167 @@ TEST(BlifRoundTripTest, EditedNetlistChangesTheFingerprint) {
                ".names a b y\n11 1\n.end\n"));
   EXPECT_NE(fp(base), fp(".inputs a b\n.outputs y\n.latch y q 0\n"
                          ".names a b y\n11 1\n.end\n"));
+}
+
+// ---- Reader fuzz -----------------------------------------------------------
+//
+// Deterministic mutation fuzzing of the reader. Seeds are the bundled
+// circuits and a generated corpus; mutants are byte flips, truncations,
+// deletions, duplications and splices drawn from a counter-indexed
+// splitmix64 stream. The budget is fixed, so every run (the sanitizer
+// job's included) sees the same mutants.
+
+/// Generated netlist: declared signals only, covers in dependency order,
+/// random shapes (canonical, generic ON/OFF, constants, buffers), random
+/// latches and outputs.
+std::string random_netlist(Draws& draws) {
+  auto name = [](char prefix, std::size_t k) {
+    std::string n(1, prefix);
+    n += std::to_string(k);
+    return n;
+  };
+  std::string text = ".model rand\n.inputs";
+  const std::size_t num_pi = 1 + draws.below(4);
+  std::vector<std::string> driven;
+  for (std::size_t k = 0; k < num_pi; ++k) {
+    driven.push_back(name('p', k));
+    text += " " + driven.back();
+  }
+  text += "\n";
+  const std::size_t num_latch = draws.below(4);
+  for (std::size_t j = 0; j < num_latch; ++j) driven.push_back(name('q', j));
+  const std::size_t num_gates = 3 + draws.below(12);
+  for (std::size_t g = 0; g < num_gates; ++g) {
+    const std::size_t arity = draws.below(4);  // 0..3 inputs
+    text += ".names";
+    for (std::size_t k = 0; k < arity; ++k) {
+      text += " " + driven[draws.below(driven.size())];
+    }
+    driven.push_back(name('g', g));
+    text += " " + driven.back() + "\n";
+    const std::size_t rows = arity == 0 ? draws.below(2) : 1 + draws.below(3);
+    const char plane = draws.below(4) == 0 ? '0' : '1';  // occasional OFF-set
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t k = 0; k < arity; ++k) text += "01-"[draws.below(3)];
+      if (arity != 0) text += ' ';
+      text += plane;
+      text += '\n';
+    }
+  }
+  // Latch inputs may be any driven signal, including other latches.
+  for (std::size_t j = 0; j < num_latch; ++j) {
+    text += ".latch " + driven[draws.below(driven.size())] + " " +
+            name('q', j) + (draws.below(2) == 0 ? " 0\n" : " 1\n");
+  }
+  std::set<std::string> outs;
+  for (std::size_t o = 1 + draws.below(3); o > 0; --o) {
+    outs.insert(driven[draws.below(driven.size())]);
+  }
+  text += ".outputs";
+  for (const auto& o : outs) text += " " + o;
+  text += "\n.end\n";
+  return text;
+}
+
+/// The bundled circuits (in file-name order), then 16 generated netlists.
+std::vector<std::string> seed_corpus() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SIMCOV_CIRCUITS_DIR)) {
+    if (entry.path().extension() == ".blif") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<std::string> corpus;
+  for (const auto& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    corpus.emplace_back(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>());
+  }
+  Draws draws(0xb11fu);
+  for (int k = 0; k < 16; ++k) corpus.push_back(random_netlist(draws));
+  return corpus;
+}
+
+/// One mutant of corpus[seed]: one to four edits, each a bit flip, a
+/// truncation, a deleted span, a duplicated span or a span spliced in from
+/// another corpus text.
+std::string mutate(const std::vector<std::string>& corpus, std::size_t seed,
+                   Draws& draws) {
+  std::string text = corpus[seed];
+  for (std::size_t edits = 1 + draws.below(4); edits > 0; --edits) {
+    const std::size_t at = draws.below(text.size() + 1);
+    const std::size_t span = 1 + draws.below(16);
+    switch (draws.below(5)) {
+      case 0:
+        if (at < text.size()) {
+          text[at] = static_cast<char>(text[at] ^ (1u << draws.below(8)));
+        }
+        break;
+      case 1:
+        text.resize(at);
+        break;
+      case 2:
+        text.erase(at, span);
+        break;
+      case 3:
+        text.insert(at, text.substr(draws.below(text.size() + 1), span));
+        break;
+      default: {
+        const std::string& donor = corpus[draws.below(corpus.size())];
+        text.insert(at, donor.substr(draws.below(donor.size() + 1), span));
+      }
+    }
+  }
+  return text;
+}
+
+/// Parses `text` twice; true when it parsed. A parse must give the same
+/// circuit both times, and a rejection must be a std::invalid_argument
+/// naming a line.
+bool parse_is_deterministic(const std::string& text, const std::string& label) {
+  try {
+    const auto first = BlifReader().read_string(text, "fuzz.blif");
+    const auto second = BlifReader().read_string(text, "fuzz.blif");
+    EXPECT_EQ(store::fingerprint_circuit(first.circuit),
+              store::fingerprint_circuit(second.circuit))
+        << label;
+    EXPECT_EQ(first.name, second.name) << label;
+    return true;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
+        << label << ": rejection names no line: " << e.what();
+    return false;
+  }
+}
+
+TEST(BlifReaderFuzz, SeedCorpusParses) {
+  const auto corpus = seed_corpus();
+  ASSERT_EQ(corpus.size(), 20u);
+  for (std::size_t k = 0; k < corpus.size(); ++k) {
+    EXPECT_TRUE(parse_is_deterministic(corpus[k], "seed " + std::to_string(k)))
+        << corpus[k];
+  }
+}
+
+TEST(BlifReaderFuzz, MutantsParseOrNameTheLine) {
+  const auto corpus = seed_corpus();
+  Draws draws(0x66757a7a);  // "fuzz"
+  std::size_t parsed = 0;
+  constexpr int kMutants = 4096;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text = mutate(corpus, draws.below(corpus.size()), draws);
+    try {
+      if (parse_is_deterministic(text, "mutant " + std::to_string(i))) {
+        ++parsed;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what() << ":\n"
+                    << text;
+    }
+  }
+  // Both outcomes are exercised: the budget is not all rejections.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, static_cast<std::size_t>(kMutants));
 }
 
 }  // namespace

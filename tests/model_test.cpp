@@ -200,7 +200,8 @@ TEST(SymbolicModelAdapter, RejectsCircuitTooWideToPackBeforeBuildingBdds) {
   sym::SignalId prev = c.net.add_input("in");
   c.primary_inputs = {prev};
   for (int j = 0; j < 64; ++j) {
-    const std::string name = "q" + std::to_string(j);
+    std::string name = "q";
+    name += std::to_string(j);
     const sym::SignalId q = c.net.add_input(name);
     c.latches.push_back({q, prev, false, name});
     prev = q;

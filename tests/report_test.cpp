@@ -1,5 +1,5 @@
-// Tests for report formatting, the umbrella header, DOT exports, and the
-// set-based test evaluation helpers.
+// Tests for report formatting, the umbrella header, and the set-based test
+// evaluation helpers.
 #include "simcov.hpp"  // umbrella header must compile standalone
 
 #include <gtest/gtest.h>
@@ -159,19 +159,6 @@ TEST(Report, CampaignSummaryIncludesTimingsAndExposureDetail) {
   const std::string text = core::format_report(result);
   EXPECT_NE(text.find("wall time"), std::string::npos);
   EXPECT_NE(text.find("sequence"), std::string::npos);
-}
-
-TEST(Dot, MealyMachineExport) {
-  fsm::MealyMachine m(3, 1);
-  m.set_state_name(0, "IDLE");
-  m.set_transition(0, 0, 1, 7);
-  m.set_transition(1, 0, 0, 8);
-  m.set_transition(2, 0, 2, 9);  // unreachable: must not appear
-  const std::string dot = m.to_dot(0);
-  EXPECT_NE(dot.find("digraph mealy"), std::string::npos);
-  EXPECT_NE(dot.find("IDLE"), std::string::npos);
-  EXPECT_NE(dot.find("i0/7"), std::string::npos);
-  EXPECT_EQ(dot.find("s2"), std::string::npos);
 }
 
 TEST(TestSetEval, MultiSequenceVariantMatchesUnion) {

@@ -23,6 +23,7 @@
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "draws.hpp"
 #include "errmodel/errmodel.hpp"
 #include "fsm/mealy.hpp"
 #include "model/encode.hpp"
@@ -30,7 +31,6 @@
 #include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
 #include "pipeline/validation_pipeline.hpp"
-#include "runtime/rng.hpp"
 #include "testmodel/testmodel.hpp"
 
 namespace simcov::store {
@@ -434,21 +434,6 @@ TEST_F(ArtifactStoreTest, KilledCampaignCheckpointIsPinnedAndResumes) {
 // counter-indexed splitmix64 stream, go through the header check, the
 // checksum, the payload codec and a whole resume. The budgets are fixed, so
 // every run (the sanitizer job's included) sees the same mutants.
-
-/// Counter-indexed splitmix64 draws.
-class Draws {
- public:
-  explicit Draws(std::uint64_t seed) : base_(seed) {}
-  std::uint64_t next() {
-    return runtime::splitmix64(base_ + count_++ * runtime::kGolden);
-  }
-  /// A draw in [0, n); 0 when n is 0.
-  std::size_t below(std::size_t n) { return n == 0 ? 0 : next() % n; }
-
- private:
-  std::uint64_t base_;
-  std::uint64_t count_ = 0;
-};
 
 /// One mutant of `bytes`: one to four flipped bytes, a truncation, or a
 /// slice of `bytes` copied over another offset (growing the file when it

@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
@@ -16,6 +17,7 @@
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
 #include "one_lane.hpp"
+#include "pipeline/stages.hpp"
 #include "runtime/rng.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "tour/tour.hpp"
@@ -400,6 +402,24 @@ Concretized attempt(F&& concretize) {
   return out;
 }
 
+/// The stall/squash flags of every step of `batch`, read as the campaign
+/// reads them: one pipeline::replay_batch, then OutputFlags on each output
+/// key. Throws as replay_batch and OutputFlags do.
+std::vector<std::vector<StepFlags>> campaign_step_flags(
+    const testmodel::BuiltTestModel& built, model::TestModel& test_model,
+    std::span<const model::Sequence> batch) {
+  const OutputFlags read_flags(built);
+  const auto replay =
+      pipeline::replay_batch(test_model, batch, pipeline::CancellationToken{});
+  std::vector<std::vector<StepFlags>> flags(batch.size());
+  for (std::size_t l = 0; l < batch.size(); ++l) {
+    for (const std::uint64_t out : replay->outputs[l]) {
+      flags[l].push_back(read_flags(out));
+    }
+  }
+  return flags;
+}
+
 /// Concretizes every sequence from `test_model`'s outputs and through the
 /// ControlModelSim reference, and checks that the two agree: the same
 /// stall/squash on every step, and the same program (or the same exception
@@ -407,7 +427,7 @@ Concretized attempt(F&& concretize) {
 std::vector<ConcretizedProgram> expect_paths_agree(
     const testmodel::BuiltTestModel& built, model::TestModel& test_model,
     const std::vector<model::Sequence>& sequences) {
-  const auto flags = model_step_flags(built, test_model, sequences);
+  const auto flags = campaign_step_flags(built, test_model, sequences);
   EXPECT_EQ(flags.size(), sequences.size());
   std::vector<ConcretizedProgram> programs;
   for (std::size_t i = 0; i < sequences.size(); ++i) {
@@ -511,12 +531,13 @@ TEST(ConcretizeFromModelOutputs, InvalidInputThrowsOnBothPaths) {
     ASSERT_TRUE(bad.has_value());
     const std::vector<model::Sequence> batch{{first.input},
                                              {first.input, *bad}};
-    EXPECT_THROW((void)model_step_flags(built, *m, batch), std::domain_error);
+    EXPECT_THROW((void)campaign_step_flags(built, *m, batch),
+                 std::domain_error);
     EXPECT_THROW((void)concretize_sequence(built, batch[1]),
                  std::domain_error);
     // A key beyond the model's inputs names no symbol on either path.
     const model::Sequence wide{std::uint64_t{1} << m->input_bits()};
-    EXPECT_THROW((void)model_step_flags(built, *m, {&wide, 1}),
+    EXPECT_THROW((void)campaign_step_flags(built, *m, {&wide, 1}),
                  std::invalid_argument);
     EXPECT_THROW((void)concretize_sequence(built, wide),
                  std::invalid_argument);
