@@ -13,6 +13,7 @@
 // waveform: the exact path in single-circuit mode, `<path>.<model>.vcd`
 // per circuit in suite mode.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,7 @@ std::string stem(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace simcov;
   bench::init(argc, argv, bench::kSinks | bench::kCircuit | bench::kVcd |
               bench::kReorder | bench::kGenerator);
@@ -133,4 +134,9 @@ int main(int argc, char** argv) {
   bench::header("Suite verdict");
   bench::row("all determinism checks passed", all_ok ? "yes" : "NO");
   return simcov::bench::finish(all_ok ? 0 : 1);
+} catch (const std::invalid_argument& e) {
+  // A --circuit netlist the reader or the backends reject: report its
+  // (line-numbered) message and fail instead of aborting.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

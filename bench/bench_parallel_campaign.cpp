@@ -13,6 +13,7 @@
 // Finishes with the structured JSON report of the parallel run, the
 // machine-readable form downstream tooling consumes.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,7 +41,7 @@ simcov::testmodel::TestModelOptions tour_model_options() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace simcov;
   bench::init(argc, argv, bench::kSinks | bench::kCircuit | bench::kVcd |
               bench::kGenerator);
@@ -174,4 +175,9 @@ int main(int argc, char** argv) {
     std::printf("  %-52s %.2fx\n", "speedup at 4 threads", speedup_at_4);
   }
   return simcov::bench::finish(all_identical ? 0 : 1);
+} catch (const std::invalid_argument& e) {
+  // A --circuit netlist the reader or the backends reject: report its
+  // (line-numbered) message and fail instead of aborting.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

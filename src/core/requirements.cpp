@@ -1,7 +1,8 @@
 #include "core/requirements.hpp"
 
-#include <map>
+#include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "abstraction/abstraction.hpp"
 #include "distinguish/distinguish.hpp"
@@ -63,33 +64,33 @@ ProjectionReport analyze_projection(
     const testmodel::BuiltTestModel& model,
     std::span<const std::string> dropped_prefixes) {
   const auto& latches = model.circuit.latches;
-  if (!explicit_model.state_bits.empty() &&
-      explicit_model.state_bits.front().size() != latches.size()) {
+  if (explicit_model.state_width != latches.size()) {
     throw std::invalid_argument(
         "analyze_projection: explicit model does not match circuit");
   }
-  std::vector<bool> dropped(latches.size(), false);
+  std::uint64_t kept = 0;
   unsigned dropped_count = 0;
   for (std::size_t j = 0; j < latches.size(); ++j) {
-    for (const std::string& prefix : dropped_prefixes) {
-      if (latches[j].name.rfind(prefix, 0) == 0) {
-        dropped[j] = true;
-        ++dropped_count;
-        break;
-      }
+    const bool dropped = std::any_of(
+        dropped_prefixes.begin(), dropped_prefixes.end(),
+        [&](const std::string& prefix) {
+          return latches[j].name.rfind(prefix, 0) == 0;
+        });
+    if (dropped) {
+      ++dropped_count;
+    } else {
+      kept |= std::uint64_t{1} << j;
     }
   }
 
-  // Build the state map: explicit state -> masked bit vector -> abstract id.
-  std::map<std::vector<bool>, fsm::StateId> abstract_of;
-  std::vector<fsm::StateId> map(explicit_model.state_bits.size());
-  for (fsm::StateId s = 0; s < explicit_model.state_bits.size(); ++s) {
-    std::vector<bool> masked = explicit_model.state_bits[s];
-    for (std::size_t j = 0; j < masked.size(); ++j) {
-      if (dropped[j]) masked[j] = false;
-    }
-    const auto [it, inserted] = abstract_of.emplace(
-        std::move(masked), static_cast<fsm::StateId>(abstract_of.size()));
+  // Build the state map: explicit state -> masked key -> abstract id, ids
+  // in order of first appearance.
+  std::unordered_map<std::uint64_t, fsm::StateId> abstract_of;
+  std::vector<fsm::StateId> map(explicit_model.state_keys.size());
+  for (fsm::StateId s = 0; s < explicit_model.state_keys.size(); ++s) {
+    const auto [it, inserted] =
+        abstract_of.emplace(explicit_model.state_keys[s] & kept,
+                            static_cast<fsm::StateId>(abstract_of.size()));
     map[s] = it->second;
   }
 

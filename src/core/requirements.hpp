@@ -8,12 +8,13 @@
 //    Section 6.3) and reports the output nondeterminism of the quotient —
 //    each nondeterministic (state, input) pair is an abstract transition on
 //    which an output error need not be uniform.
-//  * Requirement 4 (no masking): `estimate_masking` samples transfer errors
-//    and measures how often the state traces reconverge without an output
-//    difference along probe runs.
+//  * Requirement 4 (no masking): `assess_requirements` samples transfer
+//    errors and measures how often the state traces reconverge without an
+//    output difference along probe runs.
 //  * Requirements 2/3/5 are structural: bounded pipeline latency, data
 //    selection during concretization, and the expose_dest_outputs switch;
-//    `assess_requirements` folds them into one report.
+//    `assess_requirements` folds them, the ∀k check and the masking
+//    estimate into one report.
 #pragma once
 
 #include <cstdint>

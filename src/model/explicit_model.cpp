@@ -76,25 +76,15 @@ class DenseCoverage {
 }  // namespace
 
 ExplicitModel::ExplicitModel(sym::ExplicitModel extraction)
-    : machine_(std::move(extraction.machine)) {
+    : machine_(std::move(extraction.machine)),
+      state_width_(extraction.state_width),
+      input_width_(extraction.input_width),
+      state_keys_(std::move(extraction.state_keys)),
+      input_keys_(std::move(extraction.input_keys)) {
   if (extraction.truncated) {
     throw std::invalid_argument(
         "ExplicitModel: extraction was truncated; use SymbolicModel for "
         "models beyond the explicit-enumeration budget");
-  }
-  input_width_ = extraction.input_bits.empty()
-                     ? 0u
-                     : static_cast<unsigned>(extraction.input_bits[0].size());
-  state_width_ = extraction.state_bits.empty()
-                     ? 0u
-                     : static_cast<unsigned>(extraction.state_bits[0].size());
-  state_keys_.reserve(extraction.state_bits.size());
-  for (const auto& bits : extraction.state_bits) {
-    state_keys_.push_back(pack_bits(bits));
-  }
-  input_keys_.reserve(extraction.input_bits.size());
-  for (const auto& bits : extraction.input_bits) {
-    input_keys_.push_back(pack_bits(bits));
   }
   index_keys();
 }

@@ -1,8 +1,8 @@
 // TestModel adapter over an explicitly enumerated fsm::MealyMachine.
 //
 // Two constructions:
-//  * from a sym::extract_explicit result — state/input keys are the packed
-//    latch / primary-input bit vectors of the circuit, so keys agree
+//  * from a sym::extract_explicit result — state/input keys are the
+//    extraction's packed latch / primary-input keys, so keys agree
 //    bit-for-bit with a SymbolicModel of the same circuit;
 //  * from a bare Mealy machine — keys are the dense state/input ids (whose
 //    little-endian binary encodings serve as the bit vectors), agreeing

@@ -44,7 +44,9 @@ enum class TestMethod : std::uint8_t {
 /// sym::kMaxExplicitInputs inputs and sym::kMaxExplicitOutputs outputs)
 /// and the reachable state space fits the enumeration budget
 /// (CampaignOptions::max_states), and falls back to the implicit (BDD)
-/// backend otherwise — large models are no longer truncated.
+/// backend otherwise — large models are no longer truncated. A circuit
+/// with more than 63 latches fits neither backend's packed state keys and
+/// throws std::invalid_argument before any state is enumerated.
 enum class BackendChoice : std::uint8_t {
   kAuto,
   kExplicit,  ///< force enumeration; throws if the circuit is too wide or

@@ -130,8 +130,10 @@ std::unique_ptr<model::TestModel> select_backend(
     const CampaignOptions& options, const testmodel::BuiltTestModel& built,
     model::ExplicitModel** out_explicit) {
   *out_explicit = nullptr;
-  // kAuto enumerates only circuits extract_explicit takes; a forced
-  // kExplicit on a wider one throws extract_explicit's invalid_argument.
+  // kAuto enumerates only circuits whose inputs and outputs
+  // extract_explicit takes; a forced kExplicit on a wider one throws
+  // extract_explicit's invalid_argument. Past 63 latches no backend packs
+  // the state, and extract_explicit throws before enumerating anything.
   const bool enumerable =
       built.circuit.primary_inputs.size() <= sym::kMaxExplicitInputs &&
       built.circuit.outputs.size() <= sym::kMaxExplicitOutputs;

@@ -51,7 +51,6 @@
 
 // The DLX processor substrate (Section 7's design).
 #include "dlx/arch.hpp"
-#include "dlx/assembler.hpp"
 #include "dlx/isa.hpp"
 #include "dlx/isa_model.hpp"
 #include "dlx/pipeline.hpp"

@@ -1,6 +1,7 @@
 #include "sym/symbolic_fsm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <map>
@@ -8,7 +9,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "runtime/rng.hpp"
 #include "sym/packed_logic_sim.hpp"
 
 namespace simcov::sym {
@@ -238,7 +238,6 @@ SymbolicFsm::InvariantResult SymbolicFsm::check_invariant(
 
 ExplicitModel extract_explicit(const SequentialCircuit& c,
                                std::size_t max_states) {
-  const auto sources = input_sources(c);
   const std::size_t num_pi = c.primary_inputs.size();
   const std::size_t num_latch = c.latches.size();
   if (num_pi > kMaxExplicitInputs) {
@@ -249,11 +248,16 @@ ExplicitModel extract_explicit(const SequentialCircuit& c,
     throw std::invalid_argument(
         "extract_explicit: too many outputs to pack into an OutputId");
   }
+  // Throws beyond 63 latches, or on a circuit that breaks the
+  // SequentialCircuit contract, before any BDD is built.
+  const PackedCircuitSim sim(c);
 
   // Pass 1 (symbolic): the global valid input alphabet = PI combinations
   // valid in at least one state, ∃ps. valid over the cone of `valid` alone,
   // with SymbolicFsm's variable ids (PI k -> k, latch j -> num_pi + 2j).
   ExplicitModel model;
+  model.state_width = static_cast<unsigned>(num_latch);
+  model.input_width = static_cast<unsigned>(num_pi);
   {
     bdd::BddManager mgr;
     std::vector<unsigned> pi_vars(num_pi);
@@ -265,8 +269,7 @@ ExplicitModel extract_explicit(const SequentialCircuit& c,
     bdd::Bdd valid = mgr.one();
     if (c.valid.has_value()) {
       std::vector<bdd::Bdd> input_funcs;
-      input_funcs.reserve(sources.size());
-      for (const auto& [is_latch, index] : sources) {
+      for (const auto& [is_latch, index] : input_sources(c)) {
         input_funcs.push_back(
             mgr.var(is_latch ? ps_vars[index] : pi_vars[index]));
       }
@@ -274,41 +277,23 @@ ExplicitModel extract_explicit(const SequentialCircuit& c,
     }
     const bdd::Bdd over_pi = mgr.exists(valid, mgr.cube(ps_vars));
     mgr.for_each_minterm(over_pi, pi_vars, [&](const std::vector<bool>& v) {
-      model.input_bits.push_back(v);
+      std::uint64_t key = 0;
+      for (std::size_t k = 0; k < num_pi; ++k) key |= std::uint64_t{v[k]} << k;
+      model.input_keys.push_back(key);
       return true;
     });
   }
-  const std::size_t num_symbols = model.input_bits.size();
+  const std::size_t num_symbols = model.input_keys.size();
 
-  // Pass 2 (concrete, word-level): BFS over latch-value vectors. One kernel
-  // pass evaluates a state against a block of up to 64 alphabet symbols,
-  // one per lane: a latch's word is its state bit broadcast to every lane,
-  // a primary input's word holds its bit of each symbol of the block.
-  constexpr std::size_t kLanes = PackedLogicSim::kLanes;
-  const std::size_t num_blocks = (num_symbols + kLanes - 1) / kLanes;
-  std::vector<std::uint64_t> pi_words(num_blocks * num_pi, 0);
-  for (std::size_t sym_id = 0; sym_id < num_symbols; ++sym_id) {
-    for (std::size_t k = 0; k < num_pi; ++k) {
-      pi_words[sym_id / kLanes * num_pi + k] |=
-          std::uint64_t{model.input_bits[sym_id][k]} << (sym_id % kLanes);
-    }
+  // Pass 2 (concrete): BFS over packed latch keys. Each step broadcasts one
+  // state across a block of up to 64 alphabet symbols, one per lane.
+  constexpr std::size_t kLanes = PackedCircuitSim::kLanes;
+  std::uint64_t init = 0;
+  for (std::size_t j = 0; j < num_latch; ++j) {
+    init |= std::uint64_t{c.latches[j].init} << j;
   }
-  const PackedLogicSim sim(c.net);
-  std::vector<std::uint64_t> values;
-  sim.prepare(values);
-
-  // States are indexed by their latch bits, packed 64 to a word, so every
-  // latch count takes the same path.
-  struct KeyHash {
-    std::size_t operator()(const std::vector<std::uint64_t>& key) const {
-      std::uint64_t h = 0;
-      for (const std::uint64_t w : key) h = runtime::splitmix64(h ^ w);
-      return static_cast<std::size_t>(h);
-    }
-  };
-  std::unordered_map<std::vector<std::uint64_t>, fsm::StateId, KeyHash>
-      state_id;
-  std::vector<std::uint64_t> key((num_latch + 63) / 64);
+  std::unordered_map<std::uint64_t, fsm::StateId> state_id{{init, 0}};
+  model.state_keys.push_back(init);
   struct PendingTransition {
     fsm::StateId from;
     fsm::InputId input;
@@ -316,69 +301,38 @@ ExplicitModel extract_explicit(const SequentialCircuit& c,
     fsm::OutputId output;
   };
   std::vector<PendingTransition> transitions;
-
-  std::vector<bool> init(num_latch);
-  for (std::size_t j = 0; j < num_latch; ++j) {
-    init[j] = c.latches[j].init;
-    key[j / 64] |= std::uint64_t{init[j]} << (j % 64);
-  }
-  state_id.emplace(key, 0);
-  model.state_bits.push_back(init);
+  std::array<std::uint64_t, kLanes> states, next, out;
 
   // Ids are handed out in discovery order, so the BFS queue is simply the
   // id sequence.
-  for (fsm::StateId sid = 0; sid < model.state_bits.size(); ++sid) {
-    for (std::size_t k = 0; k < sources.size(); ++k) {
-      if (sources[k].is_latch) {
-        values[sim.input_signal(k)] =
-            model.state_bits[sid][sources[k].index] ? ~std::uint64_t{0} : 0;
-      }
-    }
-    for (std::size_t block = 0; block < num_blocks; ++block) {
-      for (std::size_t k = 0; k < sources.size(); ++k) {
-        if (!sources[k].is_latch) {
-          values[sim.input_signal(k)] =
-              pi_words[block * num_pi + sources[k].index];
-        }
-      }
-      sim.run(values);
-      const std::size_t lanes = std::min(kLanes, num_symbols - block * kLanes);
+  for (fsm::StateId sid = 0; sid < model.state_keys.size(); ++sid) {
+    states.fill(model.state_keys[sid]);
+    for (std::size_t base = 0; base < num_symbols; base += kLanes) {
+      const std::size_t lanes = std::min(kLanes, num_symbols - base);
       std::uint64_t valid =
-          lanes == kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-      if (c.valid.has_value()) valid &= values[*c.valid];  // invalid lanes
+          sim.step(std::span(states.data(), lanes),
+                   std::span(model.input_keys).subspan(base, lanes),
+                   std::span(next.data(), lanes), std::span(out.data(), lanes));
       for (; valid != 0; valid &= valid - 1) {
         const int lane = std::countr_zero(valid);
-        const auto bit = [&](SignalId s) { return (values[s] >> lane) & 1u; };
-        std::fill(key.begin(), key.end(), 0);
-        for (std::size_t j = 0; j < num_latch; ++j) {
-          key[j / 64] |= bit(c.latches[j].next) << (j % 64);
-        }
-        fsm::OutputId out = 0;
-        for (std::size_t b = 0; b < c.outputs.size(); ++b) {
-          out |= static_cast<fsm::OutputId>(bit(c.outputs[b].second)) << b;
-        }
         const auto [it, inserted] = state_id.try_emplace(
-            key, static_cast<fsm::StateId>(state_id.size()));
+            next[lane], static_cast<fsm::StateId>(state_id.size()));
         if (inserted) {
           if (state_id.size() > max_states) {
             model.truncated = true;
             state_id.erase(it);
             continue;
           }
-          std::vector<bool> next(num_latch);
-          for (std::size_t j = 0; j < num_latch; ++j) {
-            next[j] = ((key[j / 64] >> (j % 64)) & 1u) != 0;
-          }
-          model.state_bits.push_back(std::move(next));
+          model.state_keys.push_back(next[lane]);
         }
-        transitions.push_back(
-            {sid, static_cast<fsm::InputId>(block * kLanes + lane), it->second,
-             out});
+        transitions.push_back({sid, static_cast<fsm::InputId>(base + lane),
+                               it->second,
+                               static_cast<fsm::OutputId>(out[lane])});
       }
     }
   }
 
-  fsm::MealyMachine machine(static_cast<fsm::StateId>(model.state_bits.size()),
+  fsm::MealyMachine machine(static_cast<fsm::StateId>(model.state_keys.size()),
                             static_cast<fsm::InputId>(std::max<std::size_t>(
                                 num_symbols, 1)));
   machine.set_initial_state(0);

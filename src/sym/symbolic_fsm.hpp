@@ -175,24 +175,31 @@ class SymbolicFsm {
 /// machine. The input alphabet is the set of primary-input combinations that
 /// are valid in at least one state (paper Section 7.2 counts exactly these);
 /// transitions invalid in a particular state stay undefined. The output
-/// symbol packs the output bits little-endian.
+/// symbol packs the output bits little-endian. States and input symbols are
+/// packed little-endian into 64-bit keys (bit j = latch j, bit k = primary
+/// input k), the key encoding of model::TestModel.
 struct ExplicitModel {
   fsm::MealyMachine machine;
-  /// Latch values of each explicit state (index = state id).
-  std::vector<std::vector<bool>> state_bits;
-  /// Primary-input values of each input symbol (index = input id).
-  std::vector<std::vector<bool>> input_bits;
+  /// Packed latch values of each explicit state (index = state id).
+  std::vector<std::uint64_t> state_keys;
+  /// Packed primary-input values of each input symbol (index = input id).
+  std::vector<std::uint64_t> input_keys;
+  unsigned state_width = 0;  ///< latches, the bits of a state key
+  unsigned input_width = 0;  ///< primary inputs, the bits of an input key
   /// True when extraction stopped at max_states before exhausting the space.
   bool truncated = false;
 };
 
 /// The widest circuit extract_explicit takes: every primary-input
 /// combination is enumerated, and the outputs pack into an fsm::OutputId.
+/// States additionally take at most 63 latches (PackedCircuitSim's key
+/// limit).
 inline constexpr std::size_t kMaxExplicitInputs = 24;
 inline constexpr std::size_t kMaxExplicitOutputs = 31;
 
-/// Throws std::invalid_argument on a circuit with more than
-/// kMaxExplicitInputs primary inputs or kMaxExplicitOutputs outputs.
+/// Throws std::invalid_argument, before anything is enumerated, on a circuit
+/// with more than kMaxExplicitInputs primary inputs, kMaxExplicitOutputs
+/// outputs or 63 latches.
 ExplicitModel extract_explicit(const SequentialCircuit& circuit,
                                std::size_t max_states);
 

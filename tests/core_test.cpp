@@ -348,6 +348,18 @@ TEST(CampaignBackend, SymbolicBackendRejectsUnpackableModelBeforeBuildingIt) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
+TEST(CampaignBackend, AutoBackendRejectsUnpackableModelBeforeEnumeratingIt) {
+  // The default backend must not enumerate the reg2 control model (more
+  // latches than a packed state key holds) up to its state budget first:
+  // extraction checks the width before it builds anything.
+  CampaignOptions options;
+  options.model_options.reg_addr_bits = 2;
+  ASSERT_EQ(options.backend, BackendChoice::kAuto);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(run_campaign(options, {}), std::invalid_argument);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
 TEST(CampaignBackend, SymbolicCampaignBitIdenticalAcrossThreads) {
   CampaignOptions options;
   options.model_options = tiny_model_options();

@@ -178,6 +178,27 @@ TEST(PipelineLockstep, LoadIntoBranchCondition) {
   });
 }
 
+TEST(PipelineLockstep, CountdownLoopRunsOnBothModels) {
+  const auto words = assemble({
+      make_itype(Opcode::kAddi, 1, 0, 10),
+      make_itype(Opcode::kAddi, 2, 0, 0),
+      make_rtype(Opcode::kAdd, 2, 2, 1),    // loop (8)
+      make_itype(Opcode::kAddi, 1, 1, -1),
+      make_branch(Opcode::kBnez, 1, -12),   // back to 8
+      make_store(Opcode::kSw, 0, 2, 0x40),
+      make_halt(),
+  });
+  IsaModel spec(words);
+  Pipeline impl(words);
+  const auto st = spec.run();
+  const auto it = impl.run();
+  ASSERT_EQ(st.size(), it.size());
+  for (std::size_t k = 0; k < st.size(); ++k) EXPECT_EQ(st[k], it[k]);
+  // Sum 10+9+...+1 = 55.
+  EXPECT_EQ(spec.peek_word(0x40), 55u);
+  EXPECT_EQ(impl.peek_word(0x40), 55u);
+}
+
 // Property: random straight-line ALU/memory programs behave identically.
 class PipelineRandomProperty : public ::testing::TestWithParam<int> {};
 
@@ -372,6 +393,30 @@ TEST(PipelineBugs, NoLoadUseStall) {
       make_rtype(Opcode::kAdd, 3, 2, 0),
       make_halt(),
   }, cfg);
+}
+
+TEST(PipelineBugs, HandWrittenRegressionExposesInterlockBug) {
+  // A directed test in the methodology's output form: a load followed by
+  // an immediate use, whose result is stored and checked.
+  const auto words = assemble({
+      make_itype(Opcode::kAddi, 1, 0, 7),
+      make_store(Opcode::kSw, 0, 1, 0x30),
+      make_load(Opcode::kLw, 2, 0, 0x30),
+      make_rtype(Opcode::kAdd, 3, 2, 0),  // load-use hazard
+      make_store(Opcode::kSw, 0, 3, 0x34),
+      make_halt(),
+  });
+  IsaModel spec(words);
+  Pipeline good(words);
+  Pipeline buggy(words, PipelineConfig{{PipelineBug::kNoLoadUseStall}});
+  const auto st = spec.run();
+  const auto gt = good.run();
+  (void)buggy.run();
+  ASSERT_EQ(st.size(), gt.size());
+  for (std::size_t k = 0; k < st.size(); ++k) EXPECT_EQ(st[k], gt[k]);
+  // The buggy pipeline stores a stale value.
+  EXPECT_EQ(spec.peek_word(0x34), 7u);
+  EXPECT_NE(buggy.peek_word(0x34), 7u);
 }
 
 TEST(PipelineBugs, InterlockChecksRs1Only) {

@@ -408,7 +408,7 @@ TEST(Extract, CounterBecomesFourStateMachine) {
   EXPECT_EQ(model.machine.num_states(), 4u);
   EXPECT_EQ(model.machine.num_inputs(), 2u);  // en in {0,1}
   EXPECT_TRUE(model.machine.is_complete());
-  EXPECT_EQ(model.state_bits.size(), 4u);
+  EXPECT_EQ(model.state_keys.size(), 4u);
   // Output symbol: carry fires only on (11, en=1).
   fsm::OutputId carries = 0;
   for (fsm::StateId s = 0; s < 4; ++s) {
@@ -441,7 +441,7 @@ TEST(Extract, ConstraintLeavesInvalidInputsUndefined) {
   EXPECT_EQ(model.machine.num_states(), 4u);
   EXPECT_FALSE(model.machine.is_complete());
   // State 00 is the initial state: input en=0 undefined there.
-  fsm::InputId en0 = model.input_bits[0][0] ? 1 : 0;
+  fsm::InputId en0 = (model.input_keys[0] & 1u) != 0 ? 1 : 0;
   EXPECT_FALSE(model.machine.transition(0, en0).has_value());
   EXPECT_TRUE(model.machine.transition(0, 1 - en0).has_value());
 }
@@ -529,10 +529,20 @@ TEST(Extract, TooManyOutputsThrowsBeforeEnumerating) {
 // Explicit extraction vs the scalar reference
 // ---------------------------------------------------------------------------
 
+/// Little-endian key of a bit vector (bit k = bits[k]).
+std::uint64_t pack(const std::vector<bool>& bits) {
+  std::uint64_t key = 0;
+  for (std::size_t k = 0; k < bits.size(); ++k) {
+    key |= std::uint64_t{bits[k]} << k;
+  }
+  return key;
+}
+
 /// Copy of the scalar extract_explicit, verbatim but for the names of its
-/// two helpers: a BFS over latch-value vectors keyed by a std::map, one
-/// scalar network pass per (state, input symbol). The reference the
-/// word-level extraction must reproduce.
+/// two helpers and for packing its bit vectors into keys as it stores them:
+/// a BFS over latch-value vectors keyed by a std::map, one scalar network
+/// pass per (state, input symbol). The reference the word-level extraction
+/// must reproduce.
 ExplicitModel reference_extract_explicit(const SequentialCircuit& c,
                                          std::size_t max_states) {
   const auto roles = input_sources(c);
@@ -540,6 +550,9 @@ ExplicitModel reference_extract_explicit(const SequentialCircuit& c,
   const std::size_t num_latch = c.latches.size();
 
   ExplicitModel model;
+  model.state_width = static_cast<unsigned>(num_latch);
+  model.input_width = static_cast<unsigned>(num_pi);
+  std::vector<std::vector<bool>> state_bits, input_bits;
   {
     bdd::BddManager mgr;
     SymbolicFsm sym(mgr, c);
@@ -549,11 +562,12 @@ ExplicitModel reference_extract_explicit(const SequentialCircuit& c,
     for (std::size_t j = 0; j < num_latch; ++j) ps_vars[j] = sym.ps_var(j);
     const bdd::Bdd over_pi = mgr.exists(sym.valid_inputs(), mgr.cube(ps_vars));
     mgr.for_each_minterm(over_pi, pi_vars, [&](const std::vector<bool>& v) {
-      model.input_bits.push_back(v);
+      input_bits.push_back(v);
+      model.input_keys.push_back(pack(v));
       return true;
     });
   }
-  const std::size_t num_symbols = model.input_bits.size();
+  const std::size_t num_symbols = input_bits.size();
 
   auto net_input_vector = [&](const std::vector<bool>& state,
                               const std::vector<bool>& pi) {
@@ -577,17 +591,18 @@ ExplicitModel reference_extract_explicit(const SequentialCircuit& c,
   std::vector<bool> init(num_latch);
   for (std::size_t j = 0; j < num_latch; ++j) init[j] = c.latches[j].init;
   state_id.emplace(init, 0);
-  model.state_bits.push_back(init);
+  state_bits.push_back(init);
+  model.state_keys.push_back(pack(init));
   std::deque<fsm::StateId> queue{0};
 
   std::vector<bool> values;
   while (!queue.empty()) {
     const fsm::StateId sid = queue.front();
     queue.pop_front();
-    const std::vector<bool> state = model.state_bits[sid];
+    const std::vector<bool> state = state_bits[sid];
     for (std::size_t sym_id = 0; sym_id < num_symbols; ++sym_id) {
       scalar_eval_into(
-          c.net, net_input_vector(state, model.input_bits[sym_id]), values);
+          c.net, net_input_vector(state, input_bits[sym_id]), values);
       if (c.valid.has_value() && !values[*c.valid]) continue;  // invalid here
       std::vector<bool> next(num_latch);
       for (std::size_t j = 0; j < num_latch; ++j) {
@@ -609,7 +624,8 @@ ExplicitModel reference_extract_explicit(const SequentialCircuit& c,
           state_id.erase(it);
           continue;
         }
-        model.state_bits.push_back(next);
+        state_bits.push_back(next);
+        model.state_keys.push_back(pack(next));
         queue.push_back(it->second);
       }
       if (!model.truncated || !inserted) {
@@ -619,7 +635,7 @@ ExplicitModel reference_extract_explicit(const SequentialCircuit& c,
     }
   }
 
-  fsm::MealyMachine machine(static_cast<fsm::StateId>(model.state_bits.size()),
+  fsm::MealyMachine machine(static_cast<fsm::StateId>(state_bits.size()),
                             static_cast<fsm::InputId>(std::max<std::size_t>(
                                 num_symbols, 1)));
   machine.set_initial_state(0);
@@ -660,16 +676,16 @@ void expect_same_machine(const fsm::MealyMachine& a,
 
 /// What a seeded random circuit of the differential exercises.
 struct RandomCircuitShape {
-  bool wide = false;       ///< more than 64 latches
+  bool wide = false;       ///< more than 64 latches: rejected
   bool with_valid = false;
   std::size_t max_states = 0;
 };
 
 /// Seeded random sequential circuit. Latch and primary-input signals are
 /// created interleaved, so network-input order differs from both
-/// declaration orders. A wide circuit has 65-80 latches, but only three
-/// "core" latches feed the logic, so its state space stays small unless
-/// max_states cuts it.
+/// declaration orders. A wide circuit has 65-80 latches, past the packed-key
+/// limit, but only three "core" latches feed the logic, so only the width
+/// check stands between it and a small state space.
 SequentialCircuit random_sequential_circuit(std::uint64_t seed,
                                             RandomCircuitShape& shape) {
   std::mt19937_64 rng(seed);
@@ -728,15 +744,23 @@ TEST(ExtractDifferential, MatchesScalarReferenceOnRandomCircuits) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     RandomCircuitShape shape;
     const SequentialCircuit c = random_sequential_circuit(seed, shape);
-    const ExplicitModel want = reference_extract_explicit(c, shape.max_states);
-    const ExplicitModel got = extract_explicit(c, shape.max_states);
     SCOPED_TRACE("seed " + std::to_string(seed));
-    expect_same_machine(got.machine, want.machine);
-    EXPECT_EQ(got.state_bits, want.state_bits);
-    EXPECT_EQ(got.input_bits, want.input_bits);
-    EXPECT_EQ(got.truncated, want.truncated);
     wide += shape.wide;
     with_valid += shape.with_valid;
+    if (shape.wide) {
+      // Past 63 latches no packed key holds the state.
+      EXPECT_THROW((void)extract_explicit(c, shape.max_states),
+                   std::invalid_argument);
+      continue;
+    }
+    const ExplicitModel want = reference_extract_explicit(c, shape.max_states);
+    const ExplicitModel got = extract_explicit(c, shape.max_states);
+    expect_same_machine(got.machine, want.machine);
+    EXPECT_EQ(got.state_keys, want.state_keys);
+    EXPECT_EQ(got.input_keys, want.input_keys);
+    EXPECT_EQ(got.state_width, want.state_width);
+    EXPECT_EQ(got.input_width, want.input_width);
+    EXPECT_EQ(got.truncated, want.truncated);
     truncated += want.truncated;
   }
   // The seeds cover every path the word-level extraction has.
@@ -765,10 +789,10 @@ TEST(ExtractDifferential, MultiBlockAlphabetMatchesScalarReference) {
   c.valid = c.net.make_or(c.net.make_not(pis[5]), qs[0]);
   const ExplicitModel want = reference_extract_explicit(c, 4096);
   const ExplicitModel got = extract_explicit(c, 4096);
-  ASSERT_EQ(want.input_bits.size(), 128u);
+  ASSERT_EQ(want.input_keys.size(), 128u);
   expect_same_machine(got.machine, want.machine);
-  EXPECT_EQ(got.state_bits, want.state_bits);
-  EXPECT_EQ(got.input_bits, want.input_bits);
+  EXPECT_EQ(got.state_keys, want.state_keys);
+  EXPECT_EQ(got.input_keys, want.input_keys);
   EXPECT_EQ(got.truncated, want.truncated);
 }
 

@@ -83,8 +83,8 @@ std::size_t replay_coverage(const SequentialCircuit& circuit,
   const auto em = extract_explicit(circuit, 1u << 20);
   // Input symbol lookup by packed input key.
   std::map<std::uint64_t, fsm::InputId> symbol_of;
-  for (fsm::InputId k = 0; k < em.input_bits.size(); ++k) {
-    symbol_of[model::TestModel::pack_bits(em.input_bits[k])] = k;
+  for (fsm::InputId k = 0; k < em.input_keys.size(); ++k) {
+    symbol_of[em.input_keys[k]] = k;
   }
   std::set<std::pair<fsm::StateId, fsm::InputId>> covered;
   for (const auto& seq : tour.sequences) {
@@ -515,7 +515,7 @@ ReferenceWalk reference_walk(const ExplicitModel& em, std::size_t max_steps) {
       at = m.initial_state();
       continue;
     }
-    seq.push_back(model::TestModel::pack_bits(em.input_bits[e->first]));
+    seq.push_back(em.input_keys[e->first]);
     taken.insert({at, e->first});
     at = e->second;
     visited.insert(at);

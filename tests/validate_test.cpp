@@ -292,11 +292,10 @@ TEST(Decode, RoundTripsEveryAlphabetSymbolThroughTheModel) {
   const auto explicit_model = sym::extract_explicit(model.circuit, 100000);
   const auto roles = testmodel::classify_network_inputs(model);
   const auto net_inputs = model.circuit.net.inputs();
-  ASSERT_FALSE(explicit_model.input_bits.empty());
-  for (const auto& bits : explicit_model.input_bits) {
-    const ControlInput in =
-        decode_control_input(model, model::TestModel::pack_bits(bits));
-    for (std::size_t p = 0; p < bits.size(); ++p) {
+  ASSERT_FALSE(explicit_model.input_keys.empty());
+  for (const std::uint64_t key : explicit_model.input_keys) {
+    const ControlInput in = decode_control_input(model, key);
+    for (std::size_t p = 0; p < explicit_model.input_width; ++p) {
       const auto k = static_cast<std::size_t>(
           std::find(net_inputs.begin(), net_inputs.end(),
                     model.circuit.primary_inputs[p]) -
@@ -304,7 +303,7 @@ TEST(Decode, RoundTripsEveryAlphabetSymbolThroughTheModel) {
       ASSERT_LT(k, roles.size());
       EXPECT_EQ(testmodel::role_pi_value(roles[k], in,
                                          opt.onehot_opclass),
-                bits[p]);
+                ((key >> p) & 1u) != 0);
     }
   }
   // A key with a bit beyond the model's primary inputs names no symbol.
@@ -351,8 +350,7 @@ std::vector<ConcretizedProgram> reduced_tour_programs() {
     model::Sequence steps;
     steps.reserve(seq.size());
     for (const fsm::InputId sym_id : seq) {
-      steps.push_back(
-          model::TestModel::pack_bits(explicit_model.input_bits[sym_id]));
+      steps.push_back(explicit_model.input_keys[sym_id]);
     }
     programs.push_back(concretize_sequence(model, steps));
   }
@@ -571,9 +569,8 @@ TEST(EndToEnd, ExplicitModelTourConcretizesAndValidates) {
     std::vector<ControlInput> steps;
     steps.reserve(seq.size());
     for (fsm::InputId sym_id : seq) {
-      steps.push_back(decode_control_input(
-          model,
-          model::TestModel::pack_bits(explicit_model.input_bits[sym_id])));
+      steps.push_back(
+          decode_control_input(model, explicit_model.input_keys[sym_id]));
     }
     programs.push_back(concretize_tour(model, steps));
     total_instructions += programs.back().instructions().size();
