@@ -14,7 +14,7 @@
 #include "distinguish/distinguish.hpp"
 #include "errmodel/errmodel.hpp"
 #include "fsm/mealy.hpp"
-#include "tour/tour.hpp"
+#include "model/explicit_model.hpp"
 
 namespace {
 
@@ -53,7 +53,7 @@ MealyMachine figure2_machine() {
 }
 
 bool covers_all(const MealyMachine& m, const std::vector<InputId>& seq) {
-  return tour::is_transition_tour(m, S1, seq);
+  return model::ExplicitModel(m, S1).to_result({S1, {seq}}).complete;
 }
 
 }  // namespace

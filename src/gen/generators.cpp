@@ -112,10 +112,9 @@ model::TourResult BiasedRandomSource::summary() {
 
 HybridSource::HybridSource(model::TestModel& model,
                            const model::GeneratorSpec& spec,
-                           std::uint64_t seed,
-                           const model::TourOptions& tour_options)
+                           std::uint64_t seed)
     : spec_(spec),
-      inner_(model.tour_source(tour_options)),
+      inner_(model.tour_source()),
       walker_(model, spec, seed),
       seed_done_(spec.hybrid_tour_steps == 0) {}
 
@@ -158,14 +157,14 @@ model::TourResult HybridSource::summary() {
 
 std::unique_ptr<model::SequenceSource> open_sequence_source(
     model::TestModel& model, const model::GeneratorSpec& spec,
-    std::uint64_t seed, const model::TourOptions& tour_options) {
+    std::uint64_t seed) {
   switch (spec.kind) {
     case model::GeneratorKind::kTransitionTour:
-      return model.tour_source(tour_options);
+      return model.tour_source();
     case model::GeneratorKind::kBiasedRandom:
       return std::make_unique<BiasedRandomSource>(model, spec, seed);
     case model::GeneratorKind::kHybrid:
-      return std::make_unique<HybridSource>(model, spec, seed, tour_options);
+      return std::make_unique<HybridSource>(model, spec, seed);
   }
   throw std::invalid_argument("open_sequence_source: unknown generator kind");
 }

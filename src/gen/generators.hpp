@@ -81,10 +81,9 @@ class BiasedRandomSource final : public model::SequenceSource {
 /// away from what the tour already covered.
 class HybridSource final : public model::SequenceSource {
  public:
-  /// `model` must outlive the source. `tour_options` parameterize the
-  /// inner tour source used for the seed phase.
+  /// `model` must outlive the source.
   HybridSource(model::TestModel& model, const model::GeneratorSpec& spec,
-               std::uint64_t seed, const model::TourOptions& tour_options = {});
+               std::uint64_t seed);
 
   std::optional<model::Sequence> next_sequence() override;
   model::TourResult summary() override;
@@ -104,6 +103,6 @@ class HybridSource final : public model::SequenceSource {
 /// above seeded from runtime::derive_stream(seed, kGeneratorStream).
 std::unique_ptr<model::SequenceSource> open_sequence_source(
     model::TestModel& model, const model::GeneratorSpec& spec,
-    std::uint64_t seed, const model::TourOptions& tour_options = {});
+    std::uint64_t seed);
 
 }  // namespace simcov::gen

@@ -2,17 +2,20 @@
 //
 // The paper's coverage measure — which fraction of the reachable states and
 // reachable (state, input) transitions a test set exercises — is defined on
-// the *model*, not on a particular representation of it. The explicit tour
-// generators (src/tour), the sequence generators (src/gen) and the TestModel
-// evaluators feed a CoverageTracker while they walk; the symbolic tour driver
-// (src/sym) keeps the same two counts in its own state table (a visited bit
-// per state, a taken bit per edge) and reports them as CoverageStats. Every
-// backend thus reports the identical statistic: distinct visited states and
-// distinct exercised transitions over the reachable totals.
+// the *model*, not on a particular representation of it. TestModel::evaluate
+// counts every replayed test set through a CoverageTracker, and so do the
+// sequence generators (src/gen) while they walk. The transition-tour walks
+// report the same two counts from their own tables instead of replaying
+// what they yielded: the symbolic tour driver (src/sym) a visited bit per
+// state and a taken bit per edge, the explicit walk table (src/tour) a
+// visited bit per state and a coverage cursor per state. Every backend thus
+// reports the identical statistic: distinct visited states and distinct
+// exercised transitions over the reachable totals.
 //
-// Header-only on purpose: it sits *below* both backends in the dependency
-// order (tour and sym include it without linking anything), while the
-// TestModel adapters that consume it live in the simcov_model library.
+// Header-only on purpose: it sits *below* the symbolic backend in the
+// dependency order (sym includes it for CoverageStats without linking
+// anything), while the TestModel adapters that consume it live in the
+// simcov_model library.
 #pragma once
 
 #include <cstddef>

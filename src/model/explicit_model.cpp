@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace simcov::model {
 
@@ -11,67 +12,6 @@ namespace {
 unsigned id_width(std::uint64_t count) {
   return count <= 1 ? 1u : static_cast<unsigned>(std::bit_width(count - 1));
 }
-
-/// Coverage of sequences of dense input ids replayed from the model's start
-/// state: one visited bit per state and one covered bit per (state, input)
-/// over the machine's dense ids — a bijection of the packed keys
-/// TestModel::evaluate uses, so the distinct-state/transition counts agree
-/// exactly.
-class DenseCoverage {
- public:
-  explicit DenseCoverage(ExplicitModel& model)
-      : machine_(model.machine()),
-        start_(model.start()),
-        states_total_(model.count_reachable_states()),
-        transitions_total_(model.count_reachable_transitions()),
-        visited_(machine_.num_states()),
-        covered_(static_cast<std::size_t>(machine_.num_states()) *
-                 machine_.num_inputs()) {
-    // An empty tour still starts at reset (matches TestModel::evaluate).
-    visit(start_);
-  }
-
-  /// Replays one sequence; throws std::domain_error on an undefined step.
-  void add(std::span<const fsm::InputId> seq) {
-    fsm::StateId at = start_;
-    for (const fsm::InputId i : seq) {
-      const auto t = machine_.transition(at, i);
-      if (!t.has_value()) {
-        throw std::domain_error("ExplicitModel: invalid input in tour");
-      }
-      const std::size_t slot =
-          static_cast<std::size_t>(at) * machine_.num_inputs() + i;
-      if (!covered_[slot]) {
-        covered_[slot] = true;
-        ++transitions_covered_;
-      }
-      at = t->next;
-      visit(at);
-    }
-  }
-
-  [[nodiscard]] CoverageStats stats() const {
-    return {static_cast<double>(states_visited_), states_total_,
-            static_cast<double>(transitions_covered_), transitions_total_};
-  }
-
- private:
-  void visit(fsm::StateId s) {
-    if (!visited_[s]) {
-      visited_[s] = true;
-      ++states_visited_;
-    }
-  }
-
-  const fsm::MealyMachine& machine_;
-  fsm::StateId start_;
-  double states_total_;
-  double transitions_total_;
-  std::vector<bool> visited_;  // by state id
-  std::vector<bool> covered_;  // by state id × num_inputs + input id
-  std::size_t states_visited_ = 0;
-  std::size_t transitions_covered_ = 0;
-};
 
 }  // namespace
 
@@ -171,6 +111,12 @@ Sequence ExplicitModel::to_keys(std::span<const fsm::InputId> inputs) const {
 }
 
 TourResult ExplicitModel::to_result(const tour::TourSet& set) {
+  if (set.start != start_) {
+    throw std::invalid_argument(
+        "ExplicitModel::to_result: test set starts at state " +
+        std::to_string(set.start) + ", the model resets to " +
+        std::to_string(start_));
+  }
   TourResult result;
   for (const auto& seq : set.sequences) {
     result.tour.sequences.push_back(to_keys(seq));
@@ -178,21 +124,19 @@ TourResult ExplicitModel::to_result(const tour::TourSet& set) {
   result.steps = set.total_length();
   result.restarts =
       set.sequences.empty() ? 0 : set.sequences.size() - 1;
-  DenseCoverage coverage(*this);
-  for (const auto& seq : set.sequences) coverage.add(seq);
-  result.coverage = coverage.stats();
+  result.coverage = evaluate(result.tour);
   result.complete = result.coverage.complete();
   return result;
 }
 
 namespace {
 
-/// Streaming transition tour over the incremental greedy generator; each
-/// yielded sequence is counted into the same dense bits as to_result.
+/// Streaming transition tour over the incremental greedy generator, whose
+/// walk table reports the coverage of the sequences yielded so far.
 class ExplicitTourStream final : public SequenceSource {
  public:
   explicit ExplicitTourStream(ExplicitModel& model)
-      : model_(model), gen_(model.machine(), model.start()), coverage_(model) {}
+      : model_(model), gen_(model.machine(), model.start()) {}
 
   std::optional<Sequence> next_sequence() override {
     auto seq = gen_.next();
@@ -203,7 +147,6 @@ class ExplicitTourStream final : public SequenceSource {
       }
       return std::nullopt;
     }
-    coverage_.add(*seq);
     steps_ += seq->size();
     ++yielded_;
     return model_.to_keys(*seq);
@@ -211,7 +154,10 @@ class ExplicitTourStream final : public SequenceSource {
 
   TourResult summary() override {
     TourResult out;
-    out.coverage = coverage_.stats();
+    out.coverage = {static_cast<double>(gen_.states_visited()),
+                    static_cast<double>(gen_.reachable_states()),
+                    static_cast<double>(gen_.transitions_covered()),
+                    static_cast<double>(gen_.reachable_transitions())};
     out.steps = steps_;
     out.restarts = yielded_ == 0 ? 0 : yielded_ - 1;
     out.complete = out.coverage.complete();
@@ -221,16 +167,13 @@ class ExplicitTourStream final : public SequenceSource {
  private:
   ExplicitModel& model_;
   tour::TransitionTourSetGenerator gen_;
-  DenseCoverage coverage_;
   std::size_t steps_ = 0;
   std::size_t yielded_ = 0;
 };
 
 }  // namespace
 
-std::unique_ptr<SequenceSource> ExplicitModel::tour_source(
-    const TourOptions& options) {
-  (void)options;  // explicit generators always terminate; no step cap
+std::unique_ptr<SequenceSource> ExplicitModel::tour_source() {
   return std::make_unique<ExplicitTourStream>(*this);
 }
 

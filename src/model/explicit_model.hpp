@@ -8,10 +8,12 @@
 //    little-endian binary encodings serve as the bit vectors), agreeing
 //    with a SymbolicModel of model::encode_circuit(machine).
 //
-// Tour generation delegates to the src/tour generators. Coverage counts
-// distinct visited states and exercised (state, input) transitions, as
-// model::CoverageTracker defines them for every backend; to_result and the
-// streamed tour keep those counts in dense bits over the machine's ids.
+// Tour generation delegates to the src/tour generators. The streamed
+// transition tour reports the coverage its own walk table keeps (a visited
+// bit per state, a coverage cursor per state); every materialized test set
+// (to_result, random_walk) is counted by TestModel::evaluate. Both count
+// distinct visited states and exercised (state, input) transitions over
+// the reachable totals.
 #pragma once
 
 #include <unordered_map>
@@ -55,17 +57,16 @@ class ExplicitModel final : public TestModel {
                         std::span<std::optional<std::uint64_t>> out) override;
   [[nodiscard]] double count_reachable_states() override;
   [[nodiscard]] double count_reachable_transitions() override;
-  std::unique_ptr<SequenceSource> tour_source(
-      const TourOptions& options = {}) override;
+  std::unique_ptr<SequenceSource> tour_source() override;
   TourResult random_walk(std::size_t length, std::uint64_t seed) override;
 
   // ---- Explicit-only helpers ----------------------------------------------
   /// The input keys of a src/tour sequence of dense input ids.
   [[nodiscard]] Sequence to_keys(std::span<const fsm::InputId> inputs) const;
 
-  /// A src/tour test set (from this machine's start state) as keys, plus
-  /// its coverage (what evaluate() counts), in one TourResult. Throws
-  /// std::domain_error on a step undefined in the machine.
+  /// A src/tour test set as keys, plus its evaluate() coverage, in one
+  /// TourResult. Throws std::invalid_argument when the set does not start
+  /// at start(), and std::domain_error on a step undefined in the machine.
   TourResult to_result(const tour::TourSet& set);
 
  private:

@@ -81,9 +81,7 @@ namespace {
 /// out of the suspended BDD walk one reset at a time.
 class SymbolicModelTourStream final : public SequenceSource {
  public:
-  SymbolicModelTourStream(sym::SymbolicFsm& fsm,
-                          const sym::SymbolicTourOptions& options)
-      : stream_(fsm, options) {}
+  explicit SymbolicModelTourStream(sym::SymbolicFsm& fsm) : stream_(fsm) {}
 
   std::optional<Sequence> next_sequence() override {
     return stream_.next_sequence();
@@ -105,11 +103,8 @@ class SymbolicModelTourStream final : public SequenceSource {
 
 }  // namespace
 
-std::unique_ptr<SequenceSource> SymbolicModel::tour_source(
-    const TourOptions& options) {
-  sym::SymbolicTourOptions topt;
-  topt.max_steps = options.max_steps;
-  return std::make_unique<SymbolicModelTourStream>(fsm_, topt);
+std::unique_ptr<SequenceSource> SymbolicModel::tour_source() {
+  return std::make_unique<SymbolicModelTourStream>(fsm_);
 }
 
 TourResult SymbolicModel::random_walk(std::size_t length,

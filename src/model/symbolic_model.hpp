@@ -65,8 +65,7 @@ class SymbolicModel final : public TestModel {
                         std::span<std::optional<std::uint64_t>> out) override;
   [[nodiscard]] double count_reachable_states() override;
   [[nodiscard]] double count_reachable_transitions() override;
-  std::unique_ptr<SequenceSource> tour_source(
-      const TourOptions& options = {}) override;
+  std::unique_ptr<SequenceSource> tour_source() override;
   TourResult random_walk(std::size_t length, std::uint64_t seed) override;
 
  private:

@@ -13,8 +13,8 @@ const char* backend_name(Backend backend) {
   return "?";
 }
 
-TourResult TestModel::transition_tour(const TourOptions& options) {
-  auto source = tour_source(options);
+TourResult TestModel::transition_tour() {
+  auto source = tour_source();
   std::vector<Sequence> sequences;
   while (auto seq = source->next_sequence()) {
     sequences.push_back(std::move(*seq));

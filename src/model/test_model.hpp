@@ -13,7 +13,8 @@
 //   * SymbolicModel (symbolic_model.hpp): wraps sym::SymbolicFsm, tours via
 //     src/sym's memoized-walk driver.
 //
-// Both report coverage by the shared model::CoverageTracker definition, so
+// Both report coverage as model::CoverageStats defines it — distinct
+// visited states and exercised transitions over the reachable totals — so
 // "state coverage" and "transition coverage" mean the same thing whichever
 // backend produced them, and core::run_campaign can pick the backend by
 // model size instead of truncating large state spaces.
@@ -62,12 +63,6 @@ struct Tour {
     for (const auto& seq : sequences) n += seq.size();
     return n;
   }
-};
-
-struct TourOptions {
-  /// Hard cap on total walk length (symbolic backend; explicit generators
-  /// always terminate).
-  std::size_t max_steps = 10'000'000;
 };
 
 struct TourResult {
@@ -179,13 +174,13 @@ class TestModel {
   [[nodiscard]] virtual double count_reachable_transitions() = 0;
 
   /// The transition tour from reset as a stream of reset-separated
-  /// sequences, coverage accounted through a shared CoverageTracker
-  /// (identical definition across backends). This is the transition-tour
-  /// strategy behind the SequenceSource seam — other strategies (biased-
-  /// random, hybrid) live in src/gen and are selected through
-  /// gen::open_sequence_source.
-  virtual std::unique_ptr<SequenceSource> tour_source(
-      const TourOptions& options = {}) = 0;
+  /// sequences. Its summary() reports the coverage the walk's own table
+  /// keeps, which equals evaluate() of the sequences yielded so far. This
+  /// is the transition-tour strategy behind the SequenceSource seam —
+  /// other strategies (biased-random, hybrid) live in src/gen and are
+  /// selected through gen::open_sequence_source. The symbolic walk stops
+  /// at sym::SymbolicTourOptions' default step cap.
+  virtual std::unique_ptr<SequenceSource> tour_source() = 0;
 
   /// Random walk of `length` steps from reset (uniform over the valid
   /// inputs of the current state), deterministic in `seed`.
@@ -193,11 +188,12 @@ class TestModel {
 
   // ---- Shared helpers over the primitives --------------------------------
 
-  /// tour_source(options) drained: its summary() with every sequence.
-  TourResult transition_tour(const TourOptions& options = {});
+  /// tour_source() drained: its summary() with every sequence.
+  TourResult transition_tour();
 
-  /// Replays a tour from reset through a CoverageTracker. Throws as
-  /// replay_lockstep does (std::domain_error on an invalid input).
+  /// The one evaluator of a replayed test set: replays `tour` from reset
+  /// through a CoverageTracker. Throws as replay_lockstep does
+  /// (std::domain_error on an invalid input).
   CoverageStats evaluate(const Tour& tour);
 
   /// Packs a little-endian bit vector into a key (at most 63 bits). This

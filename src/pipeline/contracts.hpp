@@ -100,9 +100,6 @@ struct CampaignOptions {
   /// Explicit-enumeration budget: kAuto switches to the symbolic backend
   /// when the reachable state space exceeds this.
   std::size_t max_states = 100000;
-  /// Step cap for symbolic transition tours (explicit generators always
-  /// terminate on their own).
-  std::size_t max_tour_steps = 10'000'000;
   /// Length of the random-walk baseline.
   std::size_t random_length = 2000;
   /// Sequence-generation strategy (kTransitionTour, kBiasedRandom,

@@ -23,6 +23,21 @@ namespace simcov::pipeline {
 
 namespace {
 
+/// Throws std::invalid_argument when a non-default generator spec comes
+/// with a method other than kTransitionTourSet: only that method runs a
+/// generator.
+void check_generator_method(const model::GeneratorSpec& generator,
+                            TestMethod method) {
+  if (!model::is_default_generator(generator) &&
+      method != TestMethod::kTransitionTourSet) {
+    throw std::invalid_argument(
+        std::string("generator spec '") +
+        model::generator_kind_name(generator.kind) +
+        "' requires the transition-tour-set method, got " +
+        method_name(method));
+  }
+}
+
 /// Machine-level test set from a coverage-directed source (src/gen): the
 /// machine is wrapped as a bare ExplicitModel — whose packed keys coincide
 /// with the dense state/input ids — the source is drained, and each
@@ -48,14 +63,7 @@ tour::TourSet generate_test_set(const fsm::MealyMachine& machine,
                                 std::size_t random_length,
                                 std::uint64_t seed,
                                 const model::GeneratorSpec& generator) {
-  if (!model::is_default_generator(generator) &&
-      method != TestMethod::kTransitionTourSet) {
-    throw std::invalid_argument(
-        std::string("generate_test_set: generator spec '") +
-        model::generator_kind_name(generator.kind) +
-        "' requires the transition-tour-set method, got " +
-        method_name(method));
-  }
+  check_generator_method(generator, method);
   tour::TourSet set;
   set.start = start;
   switch (method) {
@@ -227,24 +235,14 @@ void SymbolicSnapshotStage::run(model::TestModel& model, obs::EventSink& sink,
 std::unique_ptr<model::SequenceSource> GenerateStage::open(
     const CampaignOptions& options, model::TestModel& model,
     model::ExplicitModel* explicit_model, obs::EventSink& sink) {
-  if (!model::is_default_generator(options.generator) &&
-      options.method != TestMethod::kTransitionTourSet) {
-    throw std::invalid_argument(
-        std::string("run_campaign: generator spec '") +
-        model::generator_kind_name(options.generator.kind) +
-        "' requires the transition-tour-set method, got " +
-        method_name(options.method));
-  }
+  check_generator_method(options.generator, options.method);
   switch (options.method) {
-    case TestMethod::kTransitionTourSet: {
+    case TestMethod::kTransitionTourSet:
       // Native streaming: generation cost lands in kTour spans as batches
       // are pulled by the executor, not here. The generator spec selects
       // the strategy; the default is the model's own transition tour.
-      model::TourOptions tour_options;
-      tour_options.max_steps = options.max_tour_steps;
-      return gen::open_sequence_source(model, options.generator, options.seed,
-                                       tour_options);
-    }
+      return gen::open_sequence_source(model, options.generator,
+                                       options.seed);
     case TestMethod::kRandomWalk: {
       obs::ScopedSpan span(sink, obs::Stage::kTour);
       return std::make_unique<model::MaterializedTourStream>(

@@ -408,7 +408,9 @@ store::Fingerprint checkpoint_key(const CampaignOptions& options,
       .fp(store::fingerprint_options(options.model_options));
   sequences.u8(static_cast<std::uint8_t>(backend));
   sequences.u8(static_cast<std::uint8_t>(options.method));
-  sequences.u64(options.max_tour_steps);
+  // The tour step cap, once an option here, is fixed at the symbolic
+  // walk's default. Hashing that value keeps existing checkpoint names.
+  sequences.u64(10'000'000);
   sequences.u64(options.random_length);
   sequences.u64(options.seed);
   sequences.u8(static_cast<std::uint8_t>(options.generator.kind));

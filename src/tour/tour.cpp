@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
 #include <stdexcept>
 
 #include "graph/postman.hpp"
@@ -26,6 +27,11 @@ namespace detail {
 /// transition). So a state's covered transitions are always a prefix of its
 /// edges, and one forward-only cursor per state records coverage exactly:
 /// edge e of state s is covered iff e < cursor[s].
+///
+/// A visited bit per state records the states the covering walk has
+/// reached: the start and the target of every covered edge. Navigation
+/// crosses only covered edges, so no other step reaches a new state. (The
+/// state tour takes no edge; its goal set records where it has been.)
 ///
 /// The goal set is what a search() heads for: the states with an uncovered
 /// transition, or the unvisited states. It only shrinks, so each state
@@ -70,7 +76,11 @@ class WalkTable {
     }
     cursor_.assign(first_.begin(), first_.end() - 1);
     uncovered_ = edges_.size();
-    if (count > 0) start_ = dense[start];
+    visited_.assign(count, 0);
+    if (count > 0) {
+      start_ = dense[start];
+      mark_visited(start_);
+    }
 
     // Predecessors by counting sort over the edges' targets.
     pred_first_.assign(count + 1, 0);
@@ -106,16 +116,22 @@ class WalkTable {
     return {edges_.data() + first_[s], edges_.data() + first_[s + 1]};
   }
 
+  /// Edges over all states.
+  [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
   /// Transitions not yet covered, over all states.
   [[nodiscard]] std::size_t uncovered() const { return uncovered_; }
+  /// States whose visited bit is set.
+  [[nodiscard]] std::size_t visited() const { return visited_count_; }
   /// Edges of every state a search has expanded so far.
   [[nodiscard]] std::size_t search_edges() const { return search_edges_; }
   /// Covers the smallest uncovered transition of `s` (which must have one),
-  /// appends its input to `seq` and returns its target. Under
-  /// Goals::kUncovered, `s` leaves the goal set with its last transition.
+  /// appends its input to `seq`, marks its target visited and returns it.
+  /// Under Goals::kUncovered, `s` leaves the goal set with its last
+  /// transition.
   Dense take(Dense s, std::vector<InputId>& seq) {
     const Edge& e = edges_[cursor_[s]++];
     --uncovered_;
+    mark_visited(e.next);
     if (goals_ == Goals::kUncovered && !has_uncovered(s)) retire(s);
     seq.push_back(e.input);
     return e.next;
@@ -166,15 +182,21 @@ class WalkTable {
 
   /// Throws std::logic_error unless every cursor lies in its state's edge
   /// range, uncovered() equals the recount over the cursors, the goal set
-  /// matches the cursors (Goals::kUncovered) and every goal-edge count
-  /// equals a recount.
+  /// matches the cursors (Goals::kUncovered), every goal-edge count equals
+  /// a recount, and the visited bits and visited() match the start and the
+  /// targets of the covered edges.
   void check_invariants() const {
     std::size_t uncovered = 0;
+    std::vector<std::uint8_t> reached(num_states(), 0);
+    if (start_ != kNone) reached[start_] = 1;
     for (Dense s = 0; s < num_states(); ++s) {
       if (cursor_[s] < first_[s] || cursor_[s] > first_[s + 1]) {
         throw std::logic_error("WalkTable: cursor outside its edge range");
       }
       uncovered += first_[s + 1] - cursor_[s];
+      for (std::uint32_t e = first_[s]; e < cursor_[s]; ++e) {
+        reached[edges_[e].next] = 1;
+      }
       if (goals_ == Goals::kUncovered && goal_[s] != has_uncovered(s)) {
         throw std::logic_error("WalkTable: goal set disagrees with cursors");
       }
@@ -187,11 +209,23 @@ class WalkTable {
     if (uncovered != uncovered_) {
       throw std::logic_error("WalkTable: uncovered count is stale");
     }
+    if (reached != visited_) {
+      throw std::logic_error("WalkTable: visited bits disagree with cursors");
+    }
+    if (static_cast<std::size_t>(std::count(reached.begin(), reached.end(),
+                                            1)) != visited_count_) {
+      throw std::logic_error("WalkTable: visited count is stale");
+    }
   }
 
  private:
   [[nodiscard]] bool has_uncovered(Dense s) const {
     return cursor_[s] != first_[s + 1];
+  }
+
+  void mark_visited(Dense s) {
+    visited_count_ += visited_[s] ^ 1u;
+    visited_[s] = 1;
   }
 
   /// Removes goal `s` from the goal set: each edge into it stops counting.
@@ -233,6 +267,8 @@ class WalkTable {
   std::vector<std::uint32_t> cursor_;  // per state: smallest uncovered edge
   std::size_t uncovered_ = 0;
   Dense start_ = kNone;
+  std::vector<std::uint8_t> visited_;  // per state: reached by the walk
+  std::size_t visited_count_ = 0;
 
   // The goal set and, per state, its edges into it (with multiplicity).
   std::vector<std::uint32_t> pred_first_;  // predecessor CSR offsets
@@ -351,6 +387,18 @@ std::size_t TransitionTourSetGenerator::search_edges() const {
   return walk_->search_edges();
 }
 
+std::size_t TransitionTourSetGenerator::reachable_states() const {
+  return walk_->num_states();
+}
+
+std::size_t TransitionTourSetGenerator::reachable_transitions() const {
+  return walk_->num_edges();
+}
+
+std::size_t TransitionTourSetGenerator::states_visited() const {
+  return walk_->visited();
+}
+
 void TransitionTourSetGenerator::check_invariants() const {
   walk_->check_invariants();
 }
@@ -383,71 +431,6 @@ std::optional<TourSet> greedy_transition_tour_set(const MealyMachine& m,
   if (gen.stuck()) return std::nullopt;
   set.search_edges = gen.search_edges();
   return set;
-}
-
-namespace {
-
-/// Reachable state/transition totals for the tracker, shared by both
-/// evaluators.
-model::CoverageTracker make_tracker(const MealyMachine& m, StateId start) {
-  const auto reachable = m.reachable_states(start);
-  std::size_t states_total = 0;
-  for (StateId s = 0; s < m.num_states(); ++s) {
-    if (reachable[s]) ++states_total;
-  }
-  return model::CoverageTracker(
-      static_cast<double>(states_total),
-      static_cast<double>(m.reachable_transitions(start).size()));
-}
-
-}  // namespace
-
-CoverageStats evaluate_coverage(const MealyMachine& m, StateId start,
-                                std::span<const InputId> inputs) {
-  model::CoverageTracker tracker = make_tracker(m, start);
-  StateId at = start;
-  tracker.visit_state(at);
-  for (InputId i : inputs) {
-    const auto t = m.transition(at, i);
-    if (!t.has_value()) {
-      throw std::domain_error("evaluate_coverage: undefined transition");
-    }
-    tracker.cover_transition(at, i);
-    at = t->next;
-    tracker.visit_state(at);
-  }
-  return tracker.stats();
-}
-
-bool is_transition_tour(const MealyMachine& m, StateId start,
-                        std::span<const InputId> inputs) {
-  const auto stats = evaluate_coverage(m, start, inputs);
-  return stats.transitions_covered == stats.transitions_total;
-}
-
-CoverageStats evaluate_coverage_set(const MealyMachine& m,
-                                    const TourSet& set) {
-  model::CoverageTracker tracker = make_tracker(m, set.start);
-  tracker.visit_state(set.start);
-  for (const auto& seq : set.sequences) {
-    StateId at = set.start;
-    for (InputId i : seq) {
-      const auto t = m.transition(at, i);
-      if (!t.has_value()) {
-        throw std::domain_error(
-            "evaluate_coverage_set: undefined transition");
-      }
-      tracker.cover_transition(at, i);
-      at = t->next;
-      tracker.visit_state(at);
-    }
-  }
-  return tracker.stats();
-}
-
-bool is_transition_tour_set(const MealyMachine& m, const TourSet& set) {
-  const auto stats = evaluate_coverage_set(m, set);
-  return stats.transitions_covered == stats.transitions_total;
 }
 
 }  // namespace simcov::tour

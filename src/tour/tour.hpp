@@ -13,16 +13,19 @@
 //    open walk that also works on some non-strongly-connected machines;
 //  * state_tour / random_walk — the weaker coverage baselines the paper
 //    contrasts against (state coverage [Iwashita+94], plain simulation).
+//
+// This library generates tours and does not score them: a test set's
+// coverage is counted by model::TestModel::evaluate (ExplicitModel over the
+// same machine). TransitionTourSetGenerator is the exception that needs no
+// replay: its walk table already records what the yielded sequences cover.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "fsm/mealy.hpp"
-#include "model/coverage.hpp"
 
 namespace simcov::tour {
 
@@ -32,13 +35,6 @@ struct Tour {
 
   [[nodiscard]] std::size_t length() const { return inputs.size(); }
 };
-
-/// Backend-neutral coverage statistics (model/coverage.hpp). The explicit
-/// evaluators below and the symbolic tour driver (src/sym) both account
-/// through the shared model::CoverageTracker, so "state coverage" and
-/// "transition coverage" mean the same thing whichever backend measured
-/// them.
-using CoverageStats = model::CoverageStats;
 
 /// Minimum-length transition tour (closed walk) from `start` covering every
 /// reachable defined transition, via the Directed Chinese Postman reduction.
@@ -133,10 +129,28 @@ class TransitionTourSetGenerator {
   /// Edges of every state the searches have expanded so far.
   [[nodiscard]] std::size_t search_edges() const;
 
+  // The coverage of the sequences yielded so far, read off the walk table:
+  // a visited bit per state and the coverage cursors. Navigation crosses
+  // only covered transitions, so these are exactly the distinct states and
+  // transitions that replaying the yielded sequences from start() would
+  // exercise.
+  /// States reachable from start().
+  [[nodiscard]] std::size_t reachable_states() const;
+  /// Defined transitions out of reachable states.
+  [[nodiscard]] std::size_t reachable_transitions() const;
+  /// Distinct states visited, start() included.
+  [[nodiscard]] std::size_t states_visited() const;
+  /// Distinct transitions covered: reachable_transitions() - remaining().
+  [[nodiscard]] std::size_t transitions_covered() const {
+    return reachable_transitions() - remaining();
+  }
+
   /// Recounts the walk table's bookkeeping from scratch and throws
   /// std::logic_error on any mismatch: a coverage cursor outside its
-  /// state's edge range, remaining() against the cursors, or a state's
-  /// count of edges into uncovered states. O(states + E); for tests.
+  /// state's edge range, remaining() against the cursors, a state's count
+  /// of edges into uncovered states, or a visited bit or states_visited()
+  /// against the start and the targets of the covered transitions.
+  /// O(states + E); for tests.
   void check_invariants() const;
 
  private:
@@ -144,23 +158,5 @@ class TransitionTourSetGenerator {
   fsm::StateId start_;
   bool stuck_ = false;
 };
-
-/// State/transition coverage achieved by running `inputs` from `start`.
-/// Totals count the reachable portion of the machine.
-CoverageStats evaluate_coverage(const fsm::MealyMachine& m, fsm::StateId start,
-                                std::span<const fsm::InputId> inputs);
-
-/// Aggregate coverage of a multi-sequence test set (each sequence restarts
-/// from the set's start state).
-CoverageStats evaluate_coverage_set(const fsm::MealyMachine& m,
-                                    const TourSet& set);
-
-/// True when the test set covers every reachable defined transition.
-bool is_transition_tour_set(const fsm::MealyMachine& m, const TourSet& set);
-
-/// True when `inputs` is a transition tour: every reachable defined
-/// transition is exercised at least once.
-bool is_transition_tour(const fsm::MealyMachine& m, fsm::StateId start,
-                        std::span<const fsm::InputId> inputs);
 
 }  // namespace simcov::tour

@@ -320,5 +320,73 @@ TEST(ExplicitModelAdapter, ToResultCoverageMatchesEvaluate) {
   EXPECT_THROW(model.to_result({model.start(), {{2}}}), std::domain_error);
 }
 
+// ---------------------------------------------------------------------------
+// TestModel::evaluate, the one evaluator of a replayed test set
+// ---------------------------------------------------------------------------
+
+/// Three-state ring; input 0 advances, input 1 self-loops.
+fsm::MealyMachine ring_machine() {
+  fsm::MealyMachine m(3, 2);
+  for (fsm::StateId s = 0; s < 3; ++s) {
+    m.set_transition(s, 0, (s + 1) % 3, s);
+    m.set_transition(s, 1, s, 10 + s);
+  }
+  return m;
+}
+
+/// Two states; only input 0 is defined at state 0, and state 1 has none.
+fsm::MealyMachine one_step_machine() {
+  fsm::MealyMachine m(2, 2);
+  m.set_transition(0, 0, 1, 0);
+  return m;
+}
+
+TEST(Coverage, EmptySequence) {
+  ExplicitModel model(ring_machine(), 0);
+  const CoverageStats stats = model.evaluate(Tour{{Sequence{}}});
+  EXPECT_EQ(stats.states_visited, 1u);
+  EXPECT_EQ(stats.transitions_covered, 0u);
+  EXPECT_EQ(stats.transitions_total, 6u);
+  EXPECT_FALSE(stats.complete());
+}
+
+TEST(Coverage, RepeatedTransitionCountsOnce) {
+  ExplicitModel model(ring_machine(), 0);
+  const CoverageStats stats = model.evaluate(Tour{{Sequence{1, 1, 1, 1}}});
+  EXPECT_EQ(stats.transitions_covered, 1u);
+}
+
+TEST(Coverage, UndefinedTransitionThrows) {
+  ExplicitModel model(one_step_machine(), 0);
+  EXPECT_THROW((void)model.evaluate(Tour{{Sequence{1}}}), std::domain_error);
+}
+
+TEST(TourSet, CoverageSetCountsAcrossSequences) {
+  ExplicitModel model(ring_machine(), 0);
+  // One advance, then (after a reset) one self-loop at 0.
+  const CoverageStats stats =
+      model.evaluate(Tour{{Sequence{0}, Sequence{1}}});
+  EXPECT_EQ(stats.transitions_covered, 2u);
+  EXPECT_EQ(stats.states_visited, 2u);  // states 0 and 1
+  EXPECT_FALSE(stats.complete());
+}
+
+TEST(TourSet, CoverageSetRejectsInvalidSequences) {
+  ExplicitModel model(one_step_machine(), 0);
+  // The second sequence's step is undefined at the reset state.
+  EXPECT_THROW((void)model.evaluate(Tour{{Sequence{0}, Sequence{1}}}),
+               std::domain_error);
+}
+
+TEST(ExplicitModelAdapter, ToResultRejectsASetFromAnotherStart) {
+  // Every step is valid from both states 0 and 1 of the ring, so replaying
+  // the set from the model's reset would count the wrong states silently.
+  ExplicitModel model(ring_machine(), 0);
+  const tour::TourSet from_one{1, {{0, 0, 1}}};
+  EXPECT_THROW((void)model.to_result(from_one), std::invalid_argument);
+  const tour::TourSet from_zero{0, {{0, 0, 1}}};
+  EXPECT_EQ(model.to_result(from_zero).coverage.transitions_covered, 3u);
+}
+
 }  // namespace
 }  // namespace simcov::model

@@ -922,8 +922,6 @@ TEST(PipelineStoreKeys, CheckpointKeyCoversEverySequenceShapingKnob) {
        [](core::CampaignOptions& o) {
          o.method = core::TestMethod::kStateTour;
        }},
-      {"max_tour_steps",
-       [](core::CampaignOptions& o) { o.max_tour_steps += 1; }},
       {"random_length",
        [](core::CampaignOptions& o) { o.random_length += 1; }},
       {"seed", [](core::CampaignOptions& o) { o.seed += 1; }},

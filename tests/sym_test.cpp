@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "model/explicit_model.hpp"
 #include "runtime/rng.hpp"
 #include "scalar_eval.hpp"
 #include "sym/packed_logic_sim.hpp"
@@ -458,7 +459,9 @@ TEST(Extract, ExtractedMachineSupportsTours) {
   const auto model = extract_explicit(c, 100);
   const auto t = tour::minimum_transition_tour(model.machine, 0);
   ASSERT_TRUE(t.has_value());
-  EXPECT_TRUE(tour::is_transition_tour(model.machine, 0, t->inputs));
+  EXPECT_TRUE(simcov::model::ExplicitModel(model.machine, 0)
+                  .to_result({0, {t->inputs}})
+                  .complete);
   EXPECT_EQ(t->length(), 8u);  // Eulerian: every state in=out=2
 }
 

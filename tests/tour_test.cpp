@@ -1,5 +1,6 @@
-// Tests for transition-tour / state-tour / random-walk generation and
-// coverage evaluation.
+// Tests for transition-tour / state-tour / random-walk generation. Coverage
+// is counted by model::TestModel::evaluate, the one evaluator of a replayed
+// test set.
 #include "tour/tour.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "model/explicit_model.hpp"
 #include "runtime/rng.hpp"
 
 namespace simcov::tour {
@@ -19,6 +21,11 @@ namespace {
 using fsm::InputId;
 using fsm::MealyMachine;
 using fsm::StateId;
+
+/// Coverage of `set` on `m`, replayed from the set's start state.
+model::CoverageStats coverage_of(const MealyMachine& m, const TourSet& set) {
+  return model::ExplicitModel(m, set.start).to_result(set).coverage;
+}
 
 /// Three-state ring; input 0 advances, input 1 self-loops.
 MealyMachine ring_machine() {
@@ -34,7 +41,7 @@ TEST(MinimumTour, CoversEveryTransitionOnRing) {
   const MealyMachine m = ring_machine();
   const auto t = minimum_transition_tour(m, 0);
   ASSERT_TRUE(t.has_value());
-  EXPECT_TRUE(is_transition_tour(m, 0, t->inputs));
+  EXPECT_TRUE(coverage_of(m, {0, {t->inputs}}).complete());
   // Ring + self-loops: 6 transitions; the optimal tour needs no duplicates
   // (the graph is Eulerian: every node has in = out = 2).
   EXPECT_EQ(t->length(), 6u);
@@ -63,14 +70,14 @@ TEST(MinimumTour, IgnoresUnreachablePart) {
   const auto t = minimum_transition_tour(m, 0);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->length(), 2u);
-  EXPECT_TRUE(is_transition_tour(m, 0, t->inputs));
+  EXPECT_TRUE(coverage_of(m, {0, {t->inputs}}).complete());
 }
 
 TEST(GreedyTour, CoversRing) {
   const MealyMachine m = ring_machine();
   const auto t = greedy_transition_tour(m, 0);
   ASSERT_TRUE(t.has_value());
-  EXPECT_TRUE(is_transition_tour(m, 0, t->inputs));
+  EXPECT_TRUE(coverage_of(m, {0, {t->inputs}}).complete());
 }
 
 TEST(GreedyTour, HandlesNonStronglyConnectedWhenOrderAllows) {
@@ -81,7 +88,7 @@ TEST(GreedyTour, HandlesNonStronglyConnectedWhenOrderAllows) {
   m.set_transition(2, 0, 2, 0);
   const auto t = greedy_transition_tour(m, 0);
   ASSERT_TRUE(t.has_value());
-  EXPECT_TRUE(is_transition_tour(m, 0, t->inputs));
+  EXPECT_TRUE(coverage_of(m, {0, {t->inputs}}).complete());
   // CPP-based generator must refuse here.
   EXPECT_FALSE(minimum_transition_tour(m, 0).has_value());
 }
@@ -102,7 +109,7 @@ TEST(StateTour, VisitsAllStatesButNotAllTransitions) {
   const MealyMachine m = ring_machine();
   const auto t = state_tour(m, 0);
   ASSERT_TRUE(t.has_value());
-  const auto stats = evaluate_coverage(m, 0, t->inputs);
+  const auto stats = coverage_of(m, {0, {t->inputs}});
   EXPECT_EQ(stats.states_visited, 3u);
   EXPECT_DOUBLE_EQ(stats.state_coverage(), 1.0);
   // The ring state tour takes 2 advancing steps and skips all self-loops.
@@ -136,30 +143,6 @@ TEST(RandomWalk, DeadEndThrows) {
   EXPECT_THROW((void)random_walk(m, 0, 5, 0), std::domain_error);
 }
 
-TEST(Coverage, EmptySequence) {
-  const MealyMachine m = ring_machine();
-  const std::vector<InputId> empty;
-  const auto stats = evaluate_coverage(m, 0, empty);
-  EXPECT_EQ(stats.states_visited, 1u);
-  EXPECT_EQ(stats.transitions_covered, 0u);
-  EXPECT_EQ(stats.transitions_total, 6u);
-  EXPECT_FALSE(is_transition_tour(m, 0, empty));
-}
-
-TEST(Coverage, RepeatedTransitionCountsOnce) {
-  const MealyMachine m = ring_machine();
-  const std::vector<InputId> seq{1, 1, 1, 1};
-  const auto stats = evaluate_coverage(m, 0, seq);
-  EXPECT_EQ(stats.transitions_covered, 1u);
-}
-
-TEST(Coverage, UndefinedTransitionThrows) {
-  MealyMachine m(2, 2);
-  m.set_transition(0, 0, 1, 0);
-  const std::vector<InputId> seq{1};
-  EXPECT_THROW((void)evaluate_coverage(m, 0, seq), std::domain_error);
-}
-
 // ---------------------------------------------------------------------------
 // Tour sets (reset-separated sequences)
 // ---------------------------------------------------------------------------
@@ -169,8 +152,8 @@ TEST(TourSet, SingleSequenceOnStronglyConnectedMachine) {
   const auto set = greedy_transition_tour_set(m, 0);
   ASSERT_TRUE(set.has_value());
   EXPECT_EQ(set->sequences.size(), 1u);
-  EXPECT_TRUE(is_transition_tour_set(m, *set));
-  const auto stats = evaluate_coverage_set(m, *set);
+  const auto stats = coverage_of(m, *set);
+  EXPECT_TRUE(stats.complete());
   EXPECT_DOUBLE_EQ(stats.transition_coverage(), 1.0);
 }
 
@@ -190,33 +173,13 @@ TEST(TourSet, TransientStartNeedsMultipleSequences) {
   const auto set = greedy_transition_tour_set(m, 0);
   ASSERT_TRUE(set.has_value());
   EXPECT_GE(set->sequences.size(), 2u);
-  EXPECT_TRUE(is_transition_tour_set(m, *set));
+  EXPECT_TRUE(coverage_of(m, *set).complete());
 }
 
 TEST(TourSet, TotalLengthSumsSequences) {
   TourSet set;
   set.sequences = {{0, 1}, {1}, {}};
   EXPECT_EQ(set.total_length(), 3u);
-}
-
-TEST(TourSet, CoverageSetCountsAcrossSequences) {
-  const MealyMachine m = ring_machine();
-  TourSet set;
-  set.start = 0;
-  set.sequences = {{0}, {1}};  // one advance, one self-loop at 0
-  const auto stats = evaluate_coverage_set(m, set);
-  EXPECT_EQ(stats.transitions_covered, 2u);
-  EXPECT_EQ(stats.states_visited, 2u);  // states 0 and 1
-  EXPECT_FALSE(is_transition_tour_set(m, set));
-}
-
-TEST(TourSet, CoverageSetRejectsInvalidSequences) {
-  MealyMachine m(2, 2);
-  m.set_transition(0, 0, 1, 0);
-  TourSet set;
-  set.start = 0;
-  set.sequences = {{1}};  // undefined input at state 0
-  EXPECT_THROW((void)evaluate_coverage_set(m, set), std::domain_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,8 +202,8 @@ TEST_P(TourProperty, MinimumAndGreedyToursBothCover) {
   const auto greedy = greedy_transition_tour(m, 0);
   ASSERT_TRUE(opt.has_value());
   ASSERT_TRUE(greedy.has_value());
-  EXPECT_TRUE(is_transition_tour(m, 0, opt->inputs));
-  EXPECT_TRUE(is_transition_tour(m, 0, greedy->inputs));
+  EXPECT_TRUE(coverage_of(m, {0, {opt->inputs}}).complete());
+  EXPECT_TRUE(coverage_of(m, {0, {greedy->inputs}}).complete());
   // Optimality sanity: CPP tour is never longer than the greedy tour and
   // never shorter than the number of transitions.
   EXPECT_GE(opt->length(), m.reachable_transitions(0).size());
@@ -257,8 +220,8 @@ TEST_P(TourProperty, StateTourDominatedByTransitionTour) {
   const auto tt = minimum_transition_tour(m, 0);
   ASSERT_TRUE(st.has_value());
   ASSERT_TRUE(tt.has_value());
-  const auto s_stats = evaluate_coverage(m, 0, st->inputs);
-  const auto t_stats = evaluate_coverage(m, 0, tt->inputs);
+  const auto s_stats = coverage_of(m, {0, {st->inputs}});
+  const auto t_stats = coverage_of(m, {0, {tt->inputs}});
   EXPECT_DOUBLE_EQ(s_stats.state_coverage(), 1.0);
   EXPECT_DOUBLE_EQ(t_stats.state_coverage(), 1.0);
   EXPECT_DOUBLE_EQ(t_stats.transition_coverage(), 1.0);

@@ -560,7 +560,9 @@ TEST(EndToEnd, ExplicitModelTourConcretizesAndValidates) {
   const auto set =
       tour::greedy_transition_tour_set(explicit_model.machine, 0);
   ASSERT_TRUE(set.has_value());
-  ASSERT_TRUE(tour::is_transition_tour_set(explicit_model.machine, *set));
+  ASSERT_TRUE(simcov::model::ExplicitModel(explicit_model.machine, 0)
+                  .to_result(*set)
+                  .complete);
 
   // Concretize and validate every sequence of the test set.
   std::size_t total_instructions = 0;
