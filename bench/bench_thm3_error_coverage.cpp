@@ -22,8 +22,6 @@
 #include "distinguish/distinguish.hpp"
 #include "errmodel/errmodel.hpp"
 #include "model/explicit_model.hpp"
-#include "pipeline/stages.hpp"
-#include "runtime/rng.hpp"
 #include "sym/symbolic_fsm.hpp"
 #include "testmodel/testmodel.hpp"
 
@@ -41,60 +39,13 @@ simcov::testmodel::TestModelOptions tour_model_options() {
   return opt;
 }
 
-/// The unexposed real mutants of one evaluate_mutant_coverage run, by why
-/// they went unexposed. Rebuilds the run's test set and mutant sample the
-/// way pipeline::MutantReplayStage does.
-struct MissSplit {
-  std::size_t not_excited = 0;
-  std::size_t masked = 0;
-  std::size_t cut_off = 0;
-
-  [[nodiscard]] std::size_t total() const {
-    return not_excited + masked + cut_off;
-  }
-};
-
-MissSplit miss_split(const simcov::fsm::MealyMachine& m,
-                     simcov::fsm::StateId start,
-                     const simcov::core::MutantCoverageOptions& opt) {
-  using namespace simcov;
-  auto set = pipeline::generate_test_set(m, start, opt.method,
-                                         opt.random_length, opt.seed,
-                                         opt.generator);
-  for (auto& seq : set.sequences) {
-    pipeline::extend_sequence(m, start, seq, opt.k_extension);
-  }
-  const auto mutants = errmodel::sample_mutations(
-      m, start, m.output_alphabet_size(), opt.mutant_sample,
-      runtime::derive_stream(opt.seed, runtime::Stream::kMutantStream));
-  const errmodel::MutantReplay replay(m, start, set.sequences);
-  MissSplit split;
-  for (const auto& mut : mutants) {
-    const auto v = replay.first_exposing_sequence(mut);
-    if (v.sequence.has_value() || replay.equivalent(mut)) continue;
-    switch (v.miss) {
-      case errmodel::MutantReplay::Miss::kNotExcited:
-        ++split.not_excited;
-        break;
-      case errmodel::MutantReplay::Miss::kMasked:
-        ++split.masked;
-        break;
-      case errmodel::MutantReplay::Miss::kCutOff:
-        ++split.cut_off;
-        break;
-      case errmodel::MutantReplay::Miss::kNone:  // exposed: skipped above
-        break;
-    }
-  }
-  return split;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   simcov::bench::init(argc, argv, simcov::bench::kSinks);
   using namespace simcov;
   using core::TestMethod;
+  using Miss = errmodel::MutantReplay::Miss;
 
   // ---- Level 1: mutant coverage on the test model -------------------------
   bench::header("Theorem 3 (model level): mutant exposure by coverage method");
@@ -131,14 +82,20 @@ int main(int argc, char** argv) {
     }
     const auto r = core::evaluate_mutant_coverage(test_model, opt);
     if (method == TestMethod::kTransitionTourSet) tour_len = r.test_length;
-    const MissSplit split = miss_split(em.machine, 0, opt);
-    misses_explained =
-        misses_explained && split.total() == r.mutants - r.exposed;
+    std::size_t misses[4] = {};  // indexed by errmodel::MutantReplay::Miss
+    for (const auto& e : r.mutant_exposures) {
+      ++misses[static_cast<int>(e.miss)];
+      misses_explained = misses_explained &&
+                         e.exposed == (e.miss == Miss::kNone);
+    }
     std::printf("  %-18s %10zu %10zu %6zu/%-5zu %9.1f%% %6zu   "
                 "%zu / %zu / %zu\n",
                 core::method_name(method), r.sequences, r.test_length,
                 r.exposed, r.mutants, 100.0 * r.exposure_rate().value_or(0.0),
-                r.equivalent, split.not_excited, split.masked, split.cut_off);
+                r.equivalent,
+                misses[static_cast<int>(Miss::kNotExcited)],
+                misses[static_cast<int>(Miss::kMasked)],
+                misses[static_cast<int>(Miss::kCutOff)]);
   }
   bench::row("every miss in one bucket", misses_explained ? "yes" : "NO");
 

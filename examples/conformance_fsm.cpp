@@ -103,12 +103,19 @@ int main() {
   for (unsigned j = 0; j < (k.has_value() ? *k : 2); ++j) {
     test.push_back(kSyn);  // exposure window
   }
-  const auto rep_o = errmodel::evaluate_test_set(m, outputs, kClosed, test);
-  const auto rep_t = errmodel::evaluate_test_set(m, transfers, kClosed, test);
-  std::printf("output faults exposed:   %zu/%zu\n", rep_o.exposed,
-              rep_o.total_mutants);
-  std::printf("transfer faults exposed: %zu/%zu\n", rep_t.exposed,
-              rep_t.total_mutants);
+  const std::vector<std::vector<fsm::InputId>> test_set{test};
+  const errmodel::MutantReplay replay(m, kClosed, test_set);
+  const auto exposed = [&](const std::vector<errmodel::Mutation>& mutants) {
+    std::size_t n = 0;
+    for (const auto& mut : mutants) {
+      n += replay.first_exposing_sequence(mut).sequence.has_value() ? 1 : 0;
+    }
+    return n;
+  };
+  std::printf("output faults exposed:   %zu/%zu\n", exposed(outputs),
+              outputs.size());
+  std::printf("transfer faults exposed: %zu/%zu\n", exposed(transfers),
+              transfers.size());
 
   // Shortest distinguishing experiment for the two "quiet" states.
   const auto seq = distinguish::distinguishing_sequence(m, kClosed, kClosing);

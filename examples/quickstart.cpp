@@ -6,6 +6,7 @@
 //
 //   $ ./quickstart
 #include <cstdio>
+#include <vector>
 
 #include "distinguish/distinguish.hpp"
 #include "errmodel/errmodel.hpp"
@@ -56,17 +57,24 @@ int main() {
   const auto outputs =
       errmodel::enumerate_output_errors(model, 0, model.output_alphabet_size());
   const auto transfers = errmodel::enumerate_transfer_errors(model, 0);
-  const auto report_out =
-      errmodel::evaluate_test_set(model, outputs, 0, extended);
-  const auto report_tr =
-      errmodel::evaluate_test_set(model, transfers, 0, extended);
-  std::printf("output errors exposed:   %zu / %zu\n", report_out.exposed,
-              report_out.total_mutants);
-  std::printf("transfer errors exposed: %zu / %zu\n", report_tr.exposed,
-              report_tr.total_mutants);
+  const std::vector<std::vector<fsm::InputId>> test_set{extended};
+  const errmodel::MutantReplay replay(model, 0, test_set);
+  const auto exposed = [&](const std::vector<errmodel::Mutation>& mutants) {
+    std::size_t n = 0;
+    for (const auto& m : mutants) {
+      n += replay.first_exposing_sequence(m).sequence.has_value() ? 1 : 0;
+    }
+    return n;
+  };
+  const std::size_t out_exposed = exposed(outputs);
+  const std::size_t tr_exposed = exposed(transfers);
+  std::printf("output errors exposed:   %zu / %zu\n", out_exposed,
+              outputs.size());
+  std::printf("transfer errors exposed: %zu / %zu\n", tr_exposed,
+              transfers.size());
 
-  const bool complete = report_out.exposed == report_out.total_mutants &&
-                        report_tr.exposed == report_tr.total_mutants;
+  const bool complete =
+      out_exposed == outputs.size() && tr_exposed == transfers.size();
   std::printf("\nthe extended transition tour is %s test set\n",
               complete ? "a complete" : "NOT a complete");
   return complete ? 0 : 1;

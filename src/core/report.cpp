@@ -180,8 +180,10 @@ void emit_timings(JsonWriter& w, const std::vector<StageReport>& reports) {
 
 /// The "coverage_telemetry" section. Every value is an exact integer (the
 /// JsonWriter prints doubles at 6 significant digits — integers round-trip,
-/// which the bit-identity contract depends on).
-void emit_coverage_telemetry(JsonWriter& w, const obs::CoverageTelemetry& t) {
+/// which the bit-identity contract depends on). Its per-bug exposure
+/// latency is the compare stage's first exposing index, 1-based.
+void emit_coverage_telemetry(JsonWriter& w, const obs::CoverageTelemetry& t,
+                             std::span<const BugExposure> exposures) {
   w.begin_object("coverage_telemetry");
   w.field("curve_budget", t.curve_budget);
   w.begin_array("convergence");
@@ -205,10 +207,12 @@ void emit_coverage_telemetry(JsonWriter& w, const obs::CoverageTelemetry& t) {
   w.end_array();
   w.end_object();
   w.begin_array("bug_exposure_latency");
-  for (const auto& lat : t.bug_exposure_latency) {
-    w.element_object().field("exposed", lat.exposed);
-    if (lat.exposed) {
-      w.field("sequences", lat.sequences);
+  for (const auto& e : exposures) {
+    w.element_object().field("exposed", e.exposed);
+    if (e.exposed) {
+      w.field("sequences", e.exposing_sequence.has_value()
+                               ? std::uint64_t{*e.exposing_sequence} + 1
+                               : 0);
     } else {
       w.null_field("sequences");
     }
@@ -331,7 +335,7 @@ std::string to_json(const CampaignResult& result) {
         .end_object();
   }
   if (result.coverage_telemetry.has_value()) {
-    emit_coverage_telemetry(w, *result.coverage_telemetry);
+    emit_coverage_telemetry(w, *result.coverage_telemetry, result.exposures);
   }
   w.end_object();
   return w.str();

@@ -149,22 +149,6 @@ std::vector<Mutation> sample_mutations(const MealyMachine& m, StateId start,
   return result;
 }
 
-bool exposes(const MealyMachine& spec, const MealyMachine& mutant,
-             StateId start, std::span<const InputId> inputs) {
-  StateId at_spec = start;
-  StateId at_mut = start;
-  for (InputId i : inputs) {
-    const auto ts = spec.transition(at_spec, i);
-    const auto tm = mutant.transition(at_mut, i);
-    if (ts.has_value() != tm.has_value()) return true;  // definedness mismatch
-    if (!ts.has_value()) return false;  // sequence invalid for both: truncate
-    if (ts->output != tm->output) return true;
-    at_spec = ts->next;
-    at_mut = tm->next;
-  }
-  return false;
-}
-
 namespace {
 
 /// `spec` with `mut` applied on the fly, one transition lookup at a time.
@@ -197,23 +181,35 @@ class MutantView {
   fsm::Transition mutated_;
 };
 
-}  // namespace
-
-bool exposes(const MealyMachine& spec, const Mutation& mut, StateId start,
-             std::span<const InputId> inputs) {
-  const MutantView mutant(spec, mut, "exposes");
+/// The lockstep walk of spec and `mutant` (a MealyMachine or a
+/// MutantView) behind both exposes() overloads.
+template <typename Mutant>
+bool walk_exposes(const MealyMachine& spec, const Mutant& mutant,
+                  StateId start, std::span<const InputId> inputs) {
   StateId at_spec = start;
   StateId at_mut = start;
   for (InputId i : inputs) {
     const auto ts = spec.transition(at_spec, i);
     const auto tm = mutant.transition(at_mut, i);
-    if (ts.has_value() != tm.has_value()) return true;
-    if (!ts.has_value()) return false;
+    if (ts.has_value() != tm.has_value()) return true;  // definedness mismatch
+    if (!ts.has_value()) return false;  // sequence invalid for both: truncate
     if (ts->output != tm->output) return true;
     at_spec = ts->next;
     at_mut = tm->next;
   }
   return false;
+}
+
+}  // namespace
+
+bool exposes(const MealyMachine& spec, const MealyMachine& mutant,
+             StateId start, std::span<const InputId> inputs) {
+  return walk_exposes(spec, mutant, start, inputs);
+}
+
+bool exposes(const MealyMachine& spec, const Mutation& mut, StateId start,
+             std::span<const InputId> inputs) {
+  return walk_exposes(spec, MutantView(spec, mut, "exposes"), start, inputs);
 }
 
 bool observable(const MealyMachine& spec, const Mutation& mut,
@@ -351,58 +347,48 @@ bool MutantReplay::equivalent(const Mutation& mut) const {
   return true;
 }
 
-bool excites(const MealyMachine& mutant, const Mutation& mut, StateId start,
-             std::span<const InputId> inputs) {
-  StateId at = start;
-  for (InputId i : inputs) {
-    if (at == mut.at.state && i == mut.at.input) return true;
-    const auto t = mutant.transition(at, i);
-    if (!t.has_value()) return false;
-    at = t->next;
+void MutantReplay::check_invariants() const {
+  const MealyMachine& spec = *spec_;
+  const std::size_t slots =
+      static_cast<std::size_t>(spec.num_states()) * spec.num_inputs();
+  if (first_.size() != slots + 1 || first_.front() != 0 ||
+      !std::is_sorted(first_.begin(), first_.end()) ||
+      first_.back() != steps_at_.size() || steps_at_.size() != steps_.size()) {
+    throw std::logic_error("MutantReplay: slot offsets do not cover the steps");
   }
-  return false;
-}
-
-TestSetReport evaluate_test_set(const MealyMachine& spec,
-                                std::span<const Mutation> mutations,
-                                StateId start,
-                                std::span<const InputId> inputs) {
-  TestSetReport report;
-  report.total_mutants = mutations.size();
-  report.exposed_flags.resize(mutations.size(), false);
-  for (std::size_t k = 0; k < mutations.size(); ++k) {
-    const MealyMachine mutant = apply_mutation(spec, mutations[k]);
-    if (excites(mutant, mutations[k], start, inputs)) ++report.excited;
-    if (exposes(spec, mutant, start, inputs)) {
-      report.exposed_flags[k] = true;
-      ++report.exposed;
+  for (std::size_t site = 0; site < slots; ++site) {
+    std::uint32_t prev = 0;
+    for (std::uint32_t k = first_[site]; k < first_[site + 1]; ++k) {
+      const std::uint32_t q = steps_at_[k];
+      if (q >= steps_.size() || (k > first_[site] && q <= prev) ||
+          slot(steps_[q].state, steps_[q].input) != site) {
+        throw std::logic_error(
+            "MutantReplay: a slot's step list is not its steps in order");
+      }
+      prev = q;
     }
   }
-  return report;
-}
-
-TestSetReport evaluate_test_set(
-    const MealyMachine& spec, std::span<const Mutation> mutations,
-    StateId start, const std::vector<std::vector<InputId>>& sequences) {
-  TestSetReport report;
-  report.total_mutants = mutations.size();
-  report.exposed_flags.resize(mutations.size(), false);
-  for (std::size_t k = 0; k < mutations.size(); ++k) {
-    const MealyMachine mutant = apply_mutation(spec, mutations[k]);
-    bool excited = false;
-    bool exposed = false;
-    for (const auto& seq : sequences) {
-      excited = excited || excites(mutant, mutations[k], start, seq);
-      exposed = exposed || exposes(spec, mutant, start, seq);
-      if (excited && exposed) break;
+  if (end_.size() != final_.size() || end_.size() != cut_.size() ||
+      !std::is_sorted(end_.begin(), end_.end()) ||
+      (end_.empty() ? !steps_.empty() : end_.back() != steps_.size())) {
+    throw std::logic_error("MutantReplay: sequence ends do not cover the steps");
+  }
+  std::uint32_t q = 0;
+  for (std::size_t s = 0; s < end_.size(); ++s) {
+    for (; q < end_[s]; ++q) {
+      const auto t = spec.transition(steps_[q].state, steps_[q].input);
+      const bool last = q + 1 == end_[s];
+      if (!t.has_value() ||
+          t->next != (last ? final_[s] : steps_[q + 1].state)) {
+        throw std::logic_error(
+            "MutantReplay: a step does not follow the spec walk");
+      }
     }
-    if (excited) ++report.excited;
-    if (exposed) {
-      report.exposed_flags[k] = true;
-      ++report.exposed;
+    if (cut_[s].has_value() && spec.transition(final_[s], *cut_[s])) {
+      throw std::logic_error(
+          "MutantReplay: a truncating input is defined at the final state");
     }
   }
-  return report;
 }
 
 MaskingAnalysis analyze_masking(const MealyMachine& spec,

@@ -11,10 +11,12 @@
 //
 // This module realizes the model as single-transition mutations of a
 // deterministic Mealy machine (the same FSM fault model used in protocol
-// conformance testing [Dahbura+90]), plus evaluators that decide whether a
-// given test sequence *excites* and *exposes* each mutant. The
-// transition-tour completeness experiments (Theorem 3 bench) are built on
-// these evaluators.
+// conformance testing [Dahbura+90]). MutantReplay is the one evaluator of a
+// test set against mutants: per mutant, the first sequence that exposes it,
+// or why none did (never excited, masked per Definition 4, or cut off
+// inside Theorem 1's k-step window). The Theorem-3 experiment
+// (pipeline::MutantReplayStage) is built on it. exposes() is its
+// one-sequence scalar reference.
 #pragma once
 
 #include <cstdint>
@@ -152,6 +154,15 @@ class MutantReplay {
   /// vacuous mutation is equivalent.
   [[nodiscard]] bool equivalent(const Mutation& mut) const;
 
+  /// Rechecks the index against the spec and throws std::logic_error on any
+  /// mismatch: a slot's step list that is not exactly its steps in
+  /// ascending order, offsets that are not monotone or do not end at the
+  /// step count, a step whose state is not the spec successor of the step
+  /// before it in its sequence, a final state that is not the state after
+  /// the sequence's last step, or a truncating input the spec defines at
+  /// the final state. O(slots + steps); for tests.
+  void check_invariants() const;
+
  private:
   /// One step of the spec walk: the spec state before it and its input.
   struct Step {
@@ -175,38 +186,6 @@ class MutantReplay {
   std::vector<fsm::StateId> final_;
   std::vector<std::optional<fsm::InputId>> cut_;
 };
-
-/// True when the walk of `inputs` through `mutant` takes the mutated
-/// transition at least once (the error is *excited*).
-bool excites(const fsm::MealyMachine& mutant, const Mutation& mut,
-             fsm::StateId start, std::span<const fsm::InputId> inputs);
-
-/// Aggregate quality of a test sequence against a set of mutants.
-struct TestSetReport {
-  std::size_t total_mutants = 0;
-  std::size_t excited = 0;
-  std::size_t exposed = 0;
-  /// exposed_flags[k] says whether mutation k was exposed.
-  std::vector<bool> exposed_flags;
-
-  [[nodiscard]] double exposure_rate() const {
-    return total_mutants == 0
-               ? 1.0
-               : static_cast<double>(exposed) / total_mutants;
-  }
-};
-
-TestSetReport evaluate_test_set(const fsm::MealyMachine& spec,
-                                std::span<const Mutation> mutations,
-                                fsm::StateId start,
-                                std::span<const fsm::InputId> inputs);
-
-/// Multi-sequence variant: each sequence restarts from `start`; a mutant is
-/// exposed (excited) when any sequence exposes (excites) it.
-TestSetReport evaluate_test_set(
-    const fsm::MealyMachine& spec, std::span<const Mutation> mutations,
-    fsm::StateId start,
-    const std::vector<std::vector<fsm::InputId>>& sequences);
 
 /// Divergence/reconvergence structure of the state traces of spec vs mutant
 /// along `inputs` — the operational form of Definition 4. A transfer error is

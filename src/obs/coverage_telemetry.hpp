@@ -14,8 +14,10 @@
 //     times each distinct transition was exercised. A transition tour
 //     should be nearly flat (balance ≈ 1); a random walk is heavy-tailed.
 //   * exposure latency — sequences until first exposure, per bug (campaign)
-//     or per mutant (Theorem-3 replay). Derived from the committed indices
-//     the Compare / MutantReplay stages already record.
+//     or per mutant (Theorem-3 replay). Not collected here: the report
+//     renders it from the committed indices the Compare / MutantReplay
+//     stages already record (CampaignResult::exposures,
+//     MutantCoverageResult::mutant_exposures).
 //
 // The collector folds the state paths of each committed batch's replay
 // through the TestModel (pipeline::replay_batch) into its own hit-counting
@@ -69,16 +71,6 @@ class CoverageCurveBuilder {
   std::optional<CoveragePoint> last_;
 };
 
-/// Sequences until a bug / mutant was first exposed (1-based), or
-/// unexposed. One entry per compare target, in target order.
-struct ExposureLatency {
-  bool exposed = false;
-  std::uint64_t sequences = 0;  ///< meaningful only when exposed
-
-  friend bool operator==(const ExposureLatency&,
-                         const ExposureLatency&) = default;
-};
-
 /// The "coverage_telemetry" report section.
 struct CoverageTelemetry {
   std::uint64_t curve_budget = 0;
@@ -91,9 +83,6 @@ struct CoverageTelemetry {
   /// trailing all-zero buckets are meaningful but boring — the report
   /// emitter trims them.
   std::array<std::uint64_t, kHistogramBuckets> transition_hits{};
-  /// Per-bug exposure latency (campaign reports); per-mutant latency lives
-  /// on MutantCoverageResult directly.
-  std::vector<ExposureLatency> bug_exposure_latency;
 };
 
 /// Feed committed sequences in commit order; snapshot() at campaign end.
@@ -112,8 +101,7 @@ class CoverageTelemetryCollector {
 
   [[nodiscard]] std::uint64_t committed() const { return committed_; }
 
-  /// The telemetry so far. bug_exposure_latency is left empty — the
-  /// pipeline fills it from the compare stage's results.
+  /// The telemetry so far.
   [[nodiscard]] CoverageTelemetry snapshot() const;
 
  private:

@@ -20,6 +20,7 @@
 
 #include "bdd/bdd.hpp"
 #include "dlx/pipeline.hpp"
+#include "errmodel/errmodel.hpp"
 #include "fsm/mealy.hpp"
 #include "model/generator_spec.hpp"
 #include "model/test_model.hpp"
@@ -286,6 +287,9 @@ struct MutantCoverageResult {
     /// exposed. Never-exposed mutants carry no latency — the JSON emits
     /// {"exposed":false} with the field omitted, not 0.
     std::uint64_t sequences = 0;
+    /// Why the test set missed the mutant; kNone exactly when exposed. The
+    /// JSON does not render it.
+    errmodel::MutantReplay::Miss miss = errmodel::MutantReplay::Miss::kNone;
     friend bool operator==(const MutantExposure&,
                            const MutantExposure&) = default;
   };

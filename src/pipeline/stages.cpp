@@ -443,12 +443,8 @@ MutantCoverageResult MutantReplayStage::run(
     // Replay every mutant against the test set, sharded; per-mutant
     // verdicts land in their own slot and are folded in sample order
     // afterwards. The replay index is shared read-only by every worker.
-    struct Verdict {
-      bool exposed = false;
-      bool equivalent = false;
-      std::size_t exposing_sequence = 0;  ///< 1-based; set when exposed
-    };
-    std::vector<Verdict> verdicts(mutants.size());
+    std::vector<MutantCoverageResult::MutantExposure> verdicts(mutants.size());
+    std::vector<std::uint8_t> equivalent(mutants.size(), 0);
     const errmodel::MutantReplay replay(machine, start, set.sequences);
     const auto queue_wait =
         queue_wait_observer(sink, obs::Stage::kMutantReplay, 0);
@@ -456,37 +452,35 @@ MutantCoverageResult MutantReplayStage::run(
         mutants.size(),
         [&](std::size_t m) {
           const auto t0 = std::chrono::steady_clock::now();
-          const auto exposure = replay.first_exposing_sequence(mutants[m]);
-          Verdict v;
-          if (exposure.sequence.has_value()) {
-            v.exposed = true;
-            v.exposing_sequence = *exposure.sequence + 1;
-          } else if (options.exclude_equivalent) {
+          const auto v = replay.first_exposing_sequence(mutants[m]);
+          if (v.sequence.has_value()) {
+            verdicts[m] = {true, *v.sequence + 1, v.miss};
+          } else {
+            verdicts[m] = {false, 0, v.miss};
             // An unexposed mutant may simply be no error at all.
-            v.equivalent = replay.equivalent(mutants[m]);
+            equivalent[m] =
+                options.exclude_equivalent && replay.equivalent(mutants[m]);
           }
           sink.latency(obs::Stage::kMutantReplay, "mutant", m,
                        seconds_since(t0));
-          verdicts[m] = v;
         },
         options.cancel.raw(), &queue_wait);
     if (!options.cancel.cancelled()) {
       // Fold only complete replays: a cancelled loop leaves unclaimed
       // slots default-initialized, which would read as unexposed mutants.
-      for (const auto& v : verdicts) {
-        if (v.equivalent) {
+      for (std::size_t m = 0; m < verdicts.size(); ++m) {
+        if (equivalent[m] != 0) {
           ++result.equivalent;
           continue;
         }
         ++result.mutants;
         // Sample order, so both per-mutant lists are deterministic at any
         // thread count — the Theorem-3 exposure distribution.
-        result.mutant_exposures.push_back(
-            MutantCoverageResult::MutantExposure{v.exposed,
-                                                 v.exposing_sequence});
+        const auto& v = verdicts[m];
+        result.mutant_exposures.push_back(v);
         if (v.exposed) {
           ++result.exposed;
-          result.exposure_latency.push_back(v.exposing_sequence);
+          result.exposure_latency.push_back(v.sequences);
         }
       }
     }

@@ -377,19 +377,7 @@ CampaignResult assemble_result(Campaign& c, std::size_t bugs_compared) {
   report(obs::Stage::kCompare, bugs_compared);
 
   if (c.telemetry.has_value()) {
-    auto t = c.telemetry->snapshot();
-    // Exposure latency comes from the compare stage's per-bug first-exposing
-    // indices (committed order), one entry per compared bug.
-    t.bug_exposure_latency.reserve(result.exposures.size());
-    for (const auto& e : result.exposures) {
-      obs::ExposureLatency lat;
-      lat.exposed = e.exposed;
-      if (e.exposing_sequence.has_value()) {
-        lat.sequences = *e.exposing_sequence + 1;  // 1-based
-      }
-      t.bug_exposure_latency.push_back(lat);
-    }
-    result.coverage_telemetry = std::move(t);
+    result.coverage_telemetry = c.telemetry->snapshot();
   }
   return std::move(result);
 }

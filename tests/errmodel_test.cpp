@@ -1,11 +1,13 @@
 // Tests for the paper's error model (Definitions 1-4): mutation application,
-// enumeration, excitation/exposure, and masking analysis.
+// enumeration, excitation/exposure through MutantReplay, and masking
+// analysis.
 #include "errmodel/errmodel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <random>
 
 #include "distinguish/wmethod.hpp"
@@ -18,6 +20,28 @@ using fsm::InputId;
 using fsm::MealyMachine;
 using fsm::OutputId;
 using fsm::StateId;
+
+using Miss = MutantReplay::Miss;
+
+/// MutantReplay's verdict on `mut` over the one-sequence test set {inputs}.
+MutantReplay::Verdict replay_one(const MealyMachine& spec, const Mutation& mut,
+                                 StateId start,
+                                 const std::vector<InputId>& inputs) {
+  const std::vector<std::vector<InputId>> set{inputs};
+  return MutantReplay(spec, start, set).first_exposing_sequence(mut);
+}
+
+/// How many of `mutants` some sequence of `sequences` exposes.
+std::size_t count_exposed(const MealyMachine& spec,
+                          const std::vector<Mutation>& mutants, StateId start,
+                          const std::vector<std::vector<InputId>>& sequences) {
+  const MutantReplay replay(spec, start, sequences);
+  std::size_t exposed = 0;
+  for (const Mutation& mut : mutants) {
+    if (replay.first_exposing_sequence(mut).sequence.has_value()) ++exposed;
+  }
+  return exposed;
+}
 
 MealyMachine ring_machine() {
   MealyMachine m(3, 2);
@@ -230,15 +254,12 @@ TEST(Observable, DefinednessOnlyTransferMutantIsUnobservable) {
   EXPECT_FALSE(observable(spec, mut, 0));
   const auto suite = distinguish::wmethod_test_suite(spec, 0);
   ASSERT_TRUE(suite.has_value());
-  EXPECT_EQ(evaluate_test_set(spec, std::span(&mut, 1), 0, suite->sequences)
-                .exposed,
-            0u);
+  const MutantReplay replay(spec, 0, suite->sequences);
+  EXPECT_FALSE(replay.first_exposing_sequence(mut).sequence.has_value());
   // An output error on the same transition is observable and exposed.
   const Mutation out{ErrorKind::kOutput, {0, 0}, 0, 1};
   EXPECT_TRUE(observable(spec, out, 0));
-  EXPECT_EQ(evaluate_test_set(spec, std::span(&out, 1), 0, suite->sequences)
-                .exposed,
-            1u);
+  EXPECT_TRUE(replay.first_exposing_sequence(out).sequence.has_value());
 }
 
 TEST(Observable, UndefinedTransitionThrows) {
@@ -252,14 +273,15 @@ TEST(Exposure, OutputErrorExposedExactlyWhenExcited) {
   const MealyMachine m = ring_machine();
   const Mutation mut{ErrorKind::kOutput, {1, 1}, 0, 42};
   const MealyMachine mutant = apply_mutation(m, mut);
-  // Sequence avoiding (1,1): not exposed.
+  // Sequence avoiding (1,1): not excited, so not exposed.
   const std::vector<InputId> avoid{0, 0, 0};
-  EXPECT_FALSE(excites(mutant, mut, 0, avoid));
+  EXPECT_EQ(replay_one(m, mut, 0, avoid).miss, Miss::kNotExcited);
   EXPECT_FALSE(exposes(m, mutant, 0, avoid));
   // Sequence through (1,1): exposed immediately (deterministic machine =>
   // output errors are uniform, Def. 2 holds trivially at concrete level).
   const std::vector<InputId> hit{0, 1};
-  EXPECT_TRUE(excites(mutant, mut, 0, hit));
+  EXPECT_EQ(replay_one(m, mut, 0, hit).sequence,
+            std::optional<std::size_t>{0});
   EXPECT_TRUE(exposes(m, mutant, 0, hit));
 }
 
@@ -268,9 +290,10 @@ TEST(Exposure, TransferErrorNeedsFollowUpToExpose) {
   // Redirect (0,0) from state 1 to state 0; output unchanged.
   const Mutation mut{ErrorKind::kTransfer, {0, 0}, 0, 0};
   const MealyMachine mutant = apply_mutation(m, mut);
-  // Excited but not exposed by the single step.
+  // Excited but not exposed by the single step: the sequence ends while
+  // the mutant is still diverged.
   const std::vector<InputId> one{0};
-  EXPECT_TRUE(excites(mutant, mut, 0, one));
+  EXPECT_EQ(replay_one(m, mut, 0, one).miss, Miss::kCutOff);
   EXPECT_FALSE(exposes(m, mutant, 0, one));
   // The self-loop output (10+state) differs between states: one more step
   // on input 1 exposes.
@@ -295,21 +318,20 @@ TEST(TestSet, TransitionTourExposesAllOutputErrors) {
   const auto t = tour::minimum_transition_tour(m, 0);
   ASSERT_TRUE(t.has_value());
   const auto muts = enumerate_output_errors(m, 0, 13);
-  const auto report = evaluate_test_set(m, muts, 0, t->inputs);
-  EXPECT_EQ(report.total_mutants, muts.size());
-  EXPECT_EQ(report.exposed, muts.size());
-  EXPECT_EQ(report.excited, muts.size());
-  EXPECT_DOUBLE_EQ(report.exposure_rate(), 1.0);
+  ASSERT_FALSE(muts.empty());
+  EXPECT_EQ(count_exposed(m, muts, 0, {t->inputs}), muts.size());
 }
 
 TEST(TestSet, EmptySequenceExposesNothing) {
   const MealyMachine m = ring_machine();
   const auto muts = enumerate_transfer_errors(m, 0);
+  ASSERT_FALSE(muts.empty());
   const std::vector<InputId> empty;
-  const auto report = evaluate_test_set(m, muts, 0, empty);
-  EXPECT_EQ(report.exposed, 0u);
-  EXPECT_EQ(report.excited, 0u);
-  EXPECT_EQ(report.exposed_flags.size(), muts.size());
+  for (const Mutation& mut : muts) {
+    const auto v = replay_one(m, mut, 0, empty);
+    EXPECT_FALSE(v.sequence.has_value());
+    EXPECT_EQ(v.miss, Miss::kNotExcited);
+  }
 }
 
 TEST(Masking, ReconvergenceWithoutOutputDifferenceIsMasked) {
@@ -420,10 +442,8 @@ TEST_P(TourCompleteness, TourExposesAllErrorsOnForallDistinguishableMachines) {
   t->inputs.push_back(2);
   const auto outputs = enumerate_output_errors(m, 0, m.output_alphabet_size());
   const auto transfers = enumerate_transfer_errors(m, 0);
-  const auto rep_o = evaluate_test_set(m, outputs, 0, t->inputs);
-  EXPECT_EQ(rep_o.exposed, rep_o.total_mutants);
-  const auto rep_t = evaluate_test_set(m, transfers, 0, t->inputs);
-  EXPECT_EQ(rep_t.exposed, rep_t.total_mutants)
+  EXPECT_EQ(count_exposed(m, outputs, 0, {t->inputs}), outputs.size());
+  EXPECT_EQ(count_exposed(m, transfers, 0, {t->inputs}), transfers.size())
       << "a transfer error escaped the tour";
 }
 

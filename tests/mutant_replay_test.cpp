@@ -193,6 +193,7 @@ TEST(MutantReplayDifferential, FirstExposingSequenceMatchesScalarExposes) {
       }
     }
     const MutantReplay replay(m, pm.start, seqs);
+    EXPECT_NO_THROW(replay.check_invariants());
     for (const Mutation& mut : spread_mutants(m)) {
       const auto want = scalar_first_exposing(m, mut, pm.start, seqs);
       const auto got = replay.first_exposing_sequence(mut);
@@ -247,6 +248,7 @@ TEST(MutantReplayDifferential, EquivalentMatchesCheckEquivalence) {
     const MealyMachine& m = pm.machine;
     // The test set does not decide equivalence: an empty one will do.
     const MutantReplay replay(m, pm.start, Sequences{});
+    EXPECT_NO_THROW(replay.check_invariants());
     const auto reachable = m.reachable_states(pm.start);
     for (const Mutation& mut : spread_mutants(m)) {
       const bool want = scalar_equivalent(m, mut, pm.start);
@@ -417,8 +419,25 @@ core::MutantCoverageOptions thm3_options(std::uint64_t seed) {
   return options;
 }
 
-/// The stage's per-mutant result from the scalar oracles over the same test
-/// set and sample.
+/// Why no sequence of `seqs` exposes `mut`, from the scalar lockstep walks:
+/// never excited, else cut off when some walk ends diverged, else masked.
+MutantReplay::Miss scalar_miss(const MealyMachine& m, const Mutation& mut,
+                               StateId start, const Sequences& seqs) {
+  const MealyMachine mutant = errmodel::apply_mutation(m, mut);
+  bool excited = false;
+  bool cut_off = false;
+  for (const auto& seq : seqs) {
+    const auto w = scalar_window(m, mutant, mut, start, seq);
+    excited = excited || w.excited;
+    cut_off = cut_off || w.ends_diverged;
+  }
+  return !excited  ? MutantReplay::Miss::kNotExcited
+         : cut_off ? MutantReplay::Miss::kCutOff
+                   : MutantReplay::Miss::kMasked;
+}
+
+/// The stage's per-mutant result, miss reasons included, from the scalar
+/// oracles over the same test set and sample.
 struct OracleResult {
   std::vector<core::MutantCoverageResult::MutantExposure> exposures;
   std::size_t equivalent = 0;
@@ -442,7 +461,12 @@ OracleResult oracle(const model::ExplicitModel& model,
       ++result.equivalent;
       continue;
     }
-    result.exposures.push_back({s.has_value(), s.has_value() ? *s + 1 : 0});
+    if (s.has_value()) {
+      result.exposures.push_back({true, *s + 1, MutantReplay::Miss::kNone});
+    } else {
+      result.exposures.push_back(
+          {false, 0, scalar_miss(m, mut, model.start(), set.sequences)});
+    }
   }
   return result;
 }

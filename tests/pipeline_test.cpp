@@ -580,6 +580,15 @@ TEST_F(PipelineStoreTest, ResumeWithoutACheckpointIsACleanColdRun) {
 // Coverage telemetry: deterministic at any thread count and across resume
 // ---------------------------------------------------------------------------
 
+/// The "bug_exposure_latency" array of a campaign report, brackets included.
+std::string bug_exposure_latency(const std::string& json) {
+  const std::string key = "\"bug_exposure_latency\":";
+  const auto at = json.find(key);
+  if (at == std::string::npos) return {};
+  const auto begin = at + key.size();
+  return json.substr(begin, json.find(']', begin) + 1 - begin);
+}
+
 TEST(PipelineTelemetry, ConvergenceCurveIsIdenticalAcrossThreadCounts) {
   core::CampaignOptions options = tour_campaign_options();
   options.collect_coverage_telemetry = true;
@@ -592,7 +601,7 @@ TEST(PipelineTelemetry, ConvergenceCurveIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(ref.convergence.back().transitions_covered,
             ref.distinct_transitions);
   EXPECT_GE(ref.max_transition_hits, 1u);
-  ASSERT_EQ(ref.bug_exposure_latency.size(), kThreeBugs.size());
+  ASSERT_EQ(reference.exposures.size(), kThreeBugs.size());
 
   const std::string fingerprint = core::semantic_json(reference);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
@@ -604,8 +613,8 @@ TEST(PipelineTelemetry, ConvergenceCurveIsIdenticalAcrossThreadCounts) {
         << "threads=" << threads;
     EXPECT_EQ(result.coverage_telemetry->transition_hits, ref.transition_hits)
         << "threads=" << threads;
-    EXPECT_EQ(result.coverage_telemetry->bug_exposure_latency,
-              ref.bug_exposure_latency)
+    EXPECT_EQ(bug_exposure_latency(core::to_json(result)),
+              bug_exposure_latency(core::to_json(reference)))
         << "threads=" << threads;
     EXPECT_EQ(core::semantic_json(result), fingerprint)
         << "threads=" << threads;
@@ -613,21 +622,38 @@ TEST(PipelineTelemetry, ConvergenceCurveIsIdenticalAcrossThreadCounts) {
 }
 
 TEST(PipelineTelemetry, ExposureLatencyAgreesWithTheCompareVerdicts) {
-  core::CampaignOptions options = tour_campaign_options();
-  options.collect_coverage_telemetry = true;
-  const auto result = core::run_campaign(options, kThreeBugs);
-  ASSERT_TRUE(result.coverage_telemetry.has_value());
-  const auto& latencies = result.coverage_telemetry->bug_exposure_latency;
-  ASSERT_EQ(latencies.size(), result.exposures.size());
-  for (std::size_t b = 0; b < latencies.size(); ++b) {
-    EXPECT_EQ(latencies[b].exposed, result.exposures[b].exposed) << "bug " << b;
-    if (result.exposures[b].exposed) {
-      ASSERT_TRUE(result.exposures[b].exposing_sequence.has_value());
-      EXPECT_EQ(latencies[b].sequences,
-                *result.exposures[b].exposing_sequence + 1)
-          << "bug " << b << ": latency must be the 1-based exposing index";
+  core::CampaignOptions tour = tour_campaign_options();
+  tour.collect_coverage_telemetry = true;
+  core::CampaignOptions walk = tour;
+  walk.method = core::TestMethod::kRandomWalk;
+  walk.random_length = 50;  // short enough to miss some bugs
+  auto bugs = kThreeBugs;
+  bugs.push_back(dlx::PipelineBug::kInterlockMissesDoubleHazard);
+  bugs.push_back(dlx::PipelineBug::kForwardFromR0);
+  std::size_t missed = 0;
+  for (const auto& options : {tour, walk}) {
+    const auto result = core::run_campaign(options, bugs);
+    ASSERT_TRUE(result.coverage_telemetry.has_value());
+    ASSERT_EQ(result.exposures.size(), bugs.size());
+    // One element per compared bug: the 1-based exposing index, or null.
+    std::string want = "[";
+    for (const auto& e : result.exposures) {
+      if (want.size() > 1) want += ",";
+      want += "{\"exposed\":";
+      if (e.exposed) {
+        ASSERT_TRUE(e.exposing_sequence.has_value());
+        want += "true,\"sequences\":" +
+                std::to_string(*e.exposing_sequence + 1) + "}";
+      } else {
+        want += "false,\"sequences\":null}";
+        ++missed;
+      }
     }
+    want += "]";
+    EXPECT_EQ(bug_exposure_latency(core::to_json(result)), want)
+        << core::method_name(options.method);
   }
+  EXPECT_GT(missed, 0u) << "no unexposed bug to render";
 }
 
 // Pins the whole semantic report, coverage_telemetry section included, on

@@ -171,16 +171,19 @@ TEST(TestSetEval, MultiSequenceVariantMatchesUnion) {
       errmodel::enumerate_output_errors(m, 0, m.output_alphabet_size());
   const std::vector<std::vector<fsm::InputId>> sequences{
       {0, 0, 0}, {1}, {0, 1}};
-  const auto set_report = errmodel::evaluate_test_set(m, muts, 0, sequences);
+  const errmodel::MutantReplay set_replay(m, 0, sequences);
   // A mutant is exposed by the set iff some individual sequence exposes it.
   for (std::size_t k = 0; k < muts.size(); ++k) {
     bool any = false;
     for (const auto& seq : sequences) {
-      any = any || errmodel::evaluate_test_set(
-                       m, std::span(&muts[k], 1), 0, seq)
-                       .exposed > 0;
+      const std::vector<std::vector<fsm::InputId>> one{seq};
+      any = any || errmodel::MutantReplay(m, 0, one)
+                       .first_exposing_sequence(muts[k])
+                       .sequence.has_value();
     }
-    EXPECT_EQ(set_report.exposed_flags[k], any) << "mutant " << k;
+    EXPECT_EQ(set_replay.first_exposing_sequence(muts[k]).sequence.has_value(),
+              any)
+        << "mutant " << k;
   }
 }
 
